@@ -29,8 +29,6 @@ from .hypgeom import BallPoint, origin, radial_bounds
 from .lorentz import classify, minkowski_inner, sample_null_cone
 from .spinor import make_clifford_rep, null_to_spinor, verify_zet, zeta_of
 
-FORMAT_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -49,6 +47,17 @@ def load_config(path) -> dict:
     return resolve_config(cfg)
 
 
+def _number(value, name: str, kind=float):
+    """``value`` as a finite ``kind``, or a ConfigError naming the key."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _sphere_tensor(node) -> geo.SphereTensor:
     if node is None:
         return geo.SphereTensor()
@@ -57,32 +66,32 @@ def _sphere_tensor(node) -> geo.SphereTensor:
     linear = node.get("linear", [0.0, 0.0, 0.0])
     if len(linear) != 3:
         raise ConfigError("h.linear must have 3 entries")
-    return geo.SphereTensor(g0_coeff=float(node.get("g0_coeff", 0.0)),
-                            linear=tuple(float(c) for c in linear))
+    return geo.SphereTensor(
+        g0_coeff=_number(node.get("g0_coeff", 0.0), "h.g0_coeff"),
+        linear=tuple(_number(c, "h.linear") for c in linear))
 
 
 def resolve_config(cfg: dict) -> dict:
     """Fill defaults and validate; returns the fully resolved tree."""
     out = {}
     res = cfg.get("resolution", {}) or {}
-    n_theta = int(res.get("n_theta", 64))
-    n_phi = int(res.get("n_phi", 128))
+    n_theta = _number(res.get("n_theta", 64), "resolution.n_theta", int)
+    n_phi = _number(res.get("n_phi", 128), "resolution.n_phi", int)
     if n_theta < 8 or n_phi < 16:
         raise ConfigError("resolution must be at least 8 x 16")
     out["resolution"] = {"n_theta": n_theta, "n_phi": n_phi}
 
     tols = cfg.get("tolerances", {}) or {}
     out["tolerances"] = {
-        "fd_step": float(tols.get("fd_step", 1e-4)),
-        "iso_tol": float(tols.get("iso_tol", 1e-8)),
-        "causal_tol": float(tols.get("causal_tol", 1e-12)),
-    }
+        key: _number(tols.get(key, default), f"tolerances.{key}")
+        for key, default in (("fd_step", 1e-4), ("iso_tol", 1e-8),
+                             ("causal_tol", 1e-12))}
     if any(v <= 0 for v in out["tolerances"].values()):
         raise ConfigError("all tolerances must be positive")
 
     met = cfg.get("metric", {}) or {}
     mtype = met.get("type", "hyperbolic_ball")
-    k = float(met.get("k", 1.0))
+    k = _number(met.get("k", 1.0), "metric.k")
     if k <= 0:
         raise ConfigError("metric.k must be positive")
     if mtype not in ("hyperbolic_ball", "ads_schwarzschild", "wang_ah",
@@ -90,7 +99,9 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown metric type: {mtype}")
     out["metric"] = {"type": mtype, "k": k}
     if mtype == "ads_schwarzschild":
-        out["metric"]["m"] = float(met.get("m", 0.0))
+        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m")
+        if out["metric"]["m"] < 0:
+            raise ConfigError("metric.m must be non-negative")
     if mtype == "wang_ah":
         h = _sphere_tensor(met.get("h"))
         out["metric"]["h"] = {"g0_coeff": h.g0_coeff, "linear": list(h.linear)}
@@ -101,15 +112,16 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown surface type: {stype}")
     out["surface"] = {"type": stype}
     if stype == "geodesic_sphere":
-        out["surface"]["rho"] = float(surf.get("rho", 1.0))
+        out["surface"]["rho"] = _number(surf.get("rho", 1.0), "surface.rho")
     elif stype == "coordinate_sphere":
-        out["surface"]["r"] = float(surf.get("r", 2.0))
+        out["surface"]["r"] = _number(surf.get("r", 2.0), "surface.r")
     else:
-        out["surface"]["base"] = float(surf.get("base", 1.0))
+        out["surface"]["base"] = _number(surf.get("base", 1.0), "surface.base")
         linear = surf.get("linear", [0.0, 0.0, 0.0])
         if len(linear) != 3:
             raise ConfigError("surface.linear must have 3 entries")
-        out["surface"]["linear"] = [float(c) for c in linear]
+        out["surface"]["linear"] = [_number(c, "surface.linear")
+                                    for c in linear]
     orientation = surf.get("orientation", "inward")
     if orientation not in ("inward", "outward"):
         raise ConfigError("surface.orientation must be inward or outward")
@@ -119,13 +131,16 @@ def resolve_config(cfg: dict) -> dict:
     out["outputs"] = {
         "shi_tam": bool(outputs.get("shi_tam", False)),
         "upsilon": bool(outputs.get("upsilon", False)),
-        "null_samples": int(outputs.get("null_samples", 500)),
+        "null_samples": _number(outputs.get("null_samples", 500),
+                                "outputs.null_samples", int),
     }
+    if out["outputs"]["null_samples"] < 1:
+        raise ConfigError("outputs.null_samples must be at least 1")
 
     asym = cfg.get("asymptotic")
     if asym is not None:
         h = _sphere_tensor(asym.get("h"))
-        radii = [float(r) for r in asym.get("radii", [])]
+        radii = [_number(r, "asymptotic.radii") for r in asym.get("radii", [])]
         out["asymptotic"] = {
             "h": {"g0_coeff": h.g0_coeff, "linear": list(h.linear)},
             "radii": radii,
@@ -183,7 +198,10 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     k = cfg["metric"]["k"]
     tols = cfg["tolerances"]
 
-    forms = geo.surface_forms(surface, metric)
+    resolution = (surface.grid.n_theta, surface.grid.n_phi)
+
+    # one node pass: the checks read the same forms the integrals use
+    forms, forms0 = massmod.mass_forms(surface, metric)
     min_h = float(np.min(forms.mean_curvature))
     K = geo.gauss_curvature_all(surface, metric)
     min_k = float(np.min(K) + k * k)
@@ -192,8 +210,8 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     R = geo.scalar_curvature_many(metric, forms.chart_points[idx],
                                   fd_step=tols["fd_step"])
     min_r = float(np.min(R) + 6.0 * k * k)
-    mismatch = geo.verify_isometric(surface, metric) if surface.F0 is not None \
-        else math.inf
+    mismatch = math.inf if forms0 is None \
+        else massmod.isometry_mismatch(forms, forms0)
     checks = massmod.HypothesisChecks(
         min_mean_curvature=min_h, min_gauss_plus_k2=min_k,
         min_scalar_plus_6k2=min_r, isometry_mismatch=mismatch,
@@ -201,22 +219,15 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 
     if not checks.passed and not force:
         node = int(np.argmin(forms.mean_curvature))
-        report = {
-            "format_version": FORMAT_VERSION,
-            "E": None, "causal_class": None, "M_alpha": None, "alpha": None,
-            "upsilon": None,
-            "hypothesis_checks": checks.to_dict(),
-            "resolution": [surface.grid.n_theta, surface.grid.n_phi],
-            "null_pairing": {"min": None, "max": None},
-            "forced": False,
-            "config": cfg,
-        }
-        _write_text(outdir / "mass_report.json", _json_dump(report))
+        report = massmod.MassReport(E=None, causal_class=None, checks=checks,
+                                    resolution=resolution, config=cfg)
+        _write_text(outdir / "mass_report.json", _json_dump(report.to_dict()))
         raise HypothesisFailure(
             f"hypothesis checks failed (min H = {min_h:.6g} at node {node}); "
             "rerun with --force to proceed")
 
-    data = massmod.surface_mass_data(surface, metric, iso_tol=tols["iso_tol"])
+    data = massmod.surface_mass_data(surface, metric, iso_tol=tols["iso_tol"],
+                                     forms=(forms, forms0))
     E = massmod.energy_momentum(surface, metric, data=data)
 
     m_alpha = alpha = None
@@ -234,8 +245,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
                 for z in sample_null_cone(cfg["outputs"]["null_samples"])]
     report = massmod.MassReport(
         E=E, causal_class=classify(E, tols["causal_tol"]), checks=checks,
-        resolution=(surface.grid.n_theta, surface.grid.n_phi),
-        M_alpha=m_alpha, alpha=alpha, upsilon=upsilon,
+        resolution=resolution, M_alpha=m_alpha, alpha=alpha, upsilon=upsilon,
         null_pairing_min=min(pairings), null_pairing_max=max(pairings),
         forced=force and not checks.passed, config=cfg)
     doc = report.to_dict()
@@ -361,12 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--force", action="store_true",
                     help="proceed despite failed hypothesis checks")
     pm.add_argument("--output", default=".", help="output directory")
-    pm.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
 
     pa = sub.add_parser("asymptotic", help="small-radius asymptotic series")
     pa.add_argument("config")
     pa.add_argument("--output", default=".")
-    pa.add_argument("--csv", action="store_true", help=argparse.SUPPRESS)
 
     ps = sub.add_parser("spinor-check", help="identity/round-trip residuals")
     ps.add_argument("--seed", type=int, default=42)
@@ -379,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--resolutions", required=True,
                     help="comma-separated n_theta values, e.g. 8,16,32")
     pc.add_argument("--output", default=".")
-    pc.add_argument("--csv", action="store_true", help=argparse.SUPPRESS)
     return p
 
 

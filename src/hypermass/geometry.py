@@ -26,7 +26,6 @@ __all__ = [
     "QuadratureGrid",
     "SurfaceData",
     "SphereTensor",
-    "FundamentalForms",
     "SurfaceForms",
     "euclidean_metric",
     "hyperbolic_ball_metric",
@@ -38,7 +37,6 @@ __all__ = [
     "radial_profile_surface",
     "christoffel",
     "scalar_curvature",
-    "fundamental_forms",
     "surface_forms",
     "gauss_curvature",
     "integrate",
@@ -73,13 +71,6 @@ class MetricField:
     chart_distance: Callable[[np.ndarray], np.ndarray]
     params: dict
     analytic_scalar_curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    center: np.ndarray = None
-    chart_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.center is None:
-            self.center = np.zeros(3)
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
 
 
 def euclidean_metric() -> MetricField:
@@ -199,13 +190,11 @@ class SphereTensor:
         return self.g0_coeff == 0.0 and all(c == 0.0 for c in self.linear)
 
 
-def wang_ah_metric(h: SphereTensor, k: float = 1.0,
-                   e_trace: Optional[Callable] = None) -> MetricField:
+def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
     """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r).
 
-    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h plus an
-    optional pure-trace perturbation ``e_trace(r, xhat)`` (its decay is the
-    caller's responsibility).  Only k = 1 is meaningful for this normal form.
+    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h.  Only
+    k = 1 is meaningful for this normal form.
     """
     if k != 1.0:
         raise DomainError("the AH collar normal form is stated at k = 1")
@@ -220,8 +209,6 @@ def wang_ah_metric(h: SphereTensor, k: float = 1.0,
                          np.sin(th) * np.sin(p[..., 2]),
                          np.cos(th)], axis=-1)
         tau = h.trace(xhat)
-        if e_trace is not None:
-            tau = tau + e_trace(r, xhat)
         gr = 1.0 + (r ** 3 / 3.0) * 0.5 * tau
         s2 = np.sinh(r) ** -2
         out = np.zeros(p.shape[:-1] + (3, 3))
@@ -282,6 +269,12 @@ class QuadratureGrid:
         T, P = np.meshgrid(self.theta, self.phi, indexing="ij")
         return T.ravel(), P.ravel()
 
+    def node_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node axes theta[:, None], phi[None, :]: they broadcast to the
+        grid, which flattens to the order of :meth:`node_arrays`, and trig
+        of each axis runs once per grid line instead of once per node."""
+        return self.theta[:, None], self.phi[None, :]
+
     def measure_weights(self) -> np.ndarray:
         w_phi = 2.0 * math.pi / self.n_phi
         w = (self.u_weights / np.sin(self.theta))[:, None] * w_phi
@@ -292,9 +285,10 @@ class QuadratureGrid:
 
 
 def unit_directions(theta, phi) -> np.ndarray:
+    """Unit vectors at broadcastable (theta, phi), shape (..., 3)."""
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                    axis=-1)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                        np.cos(theta)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +301,11 @@ class SurfaceData:
 
     ``F`` maps parameter arrays (theta, phi) to ambient chart coordinates of
     shape (..., 3); ``F0`` (optional) maps them to Poincare-ball coordinates
-    of the isometric image in H^3_{-k^2}.  ``orientation_sign`` = -1 flips
-    the inward-normal convention (useful only to probe hypothesis failures).
+    of the isometric image in H^3_{-k^2}.  Both must accept broadcastable
+    (theta, phi) arrays, as numpy ufuncs do: the geometry evaluates them on
+    the grid axes ``theta[:, None]``, ``phi[None, :]``.  ``orientation_sign``
+    = -1 flips the inward-normal convention (useful only to probe hypothesis
+    failures).
     """
 
     F: Callable
@@ -490,16 +487,6 @@ def scalar_curvature(metric: MetricField, p, fd_step: float = 1e-4,
 
 
 @dataclass
-class FundamentalForms:
-    """First/second fundamental form, inward normal and H at one node."""
-
-    first: np.ndarray
-    second: np.ndarray
-    normal: np.ndarray
-    mean_curvature: float
-
-
-@dataclass
 class SurfaceForms:
     """Per-node extrinsic data for a whole quadrature grid."""
 
@@ -556,7 +543,7 @@ def surface_forms(surface: SurfaceData, metric: MetricField,
     surfaces about the chart center have positive mean curvature (geodesic
     spheres in H^3 get H = k coth(k rho)).
     """
-    theta, phi = surface.grid.node_arrays()
+    theta, phi = surface.grid.node_axes()
     p, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
     gab = _first_form(Ft, Fp, g)
     det = _check_nondegenerate(gab)
@@ -577,24 +564,17 @@ def surface_forms(surface: SurfaceData, metric: MetricField,
     A[..., 1, 1] = -np.einsum("...i,...ij,...j->...", covNp, g, Fp)
     ginv_ab = np.linalg.inv(gab)
     H = 0.5 * np.einsum("...ab,...ab->...", ginv_ab, 0.5 * (A + np.swapaxes(A, -1, -2)))
-    return SurfaceForms(first=gab, second=A, normal=N, mean_curvature=H,
-                        area_element=np.sqrt(det), chart_points=p)
+    # the (n_theta, n_phi, ...) grid flattens to theta-major (N, ...) nodes
+    first, second, normal, H, ae, p = (a.reshape((-1,) + a.shape[2:]) for a
+                                       in (gab, A, N, H, np.sqrt(det), p))
+    return SurfaceForms(first=first, second=second, normal=normal,
+                        mean_curvature=H, area_element=ae, chart_points=p)
 
 
 def _flat_index(grid: QuadratureGrid, node) -> int:
     if isinstance(node, tuple):
         return grid.node_index(*node)
     return int(node)
-
-
-def fundamental_forms(surface: SurfaceData, metric: MetricField,
-                      node) -> FundamentalForms:
-    """Forms at a single node (flat index or (i_theta, i_phi) pair)."""
-    forms = surface_forms(surface, metric)
-    i = _flat_index(surface.grid, node)
-    return FundamentalForms(first=forms.first[i], second=forms.second[i],
-                            normal=forms.normal[i],
-                            mean_curvature=float(forms.mean_curvature[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +590,7 @@ def gauss_curvature_all(surface: SurfaceData, metric: MetricField,
     truncation error, amplified by 1/param_step^2 in the second-derivative
     stencils, stays far below the curvature truncation error.
     """
-    theta, phi = surface.grid.node_arrays()
+    theta, phi = surface.grid.node_axes()
     h = param_step
 
     def efg(th, ph):
@@ -652,31 +632,30 @@ def gauss_curvature_all(surface: SurfaceData, metric: MetricField,
 
     F_uv = _param_d1(f_of_v, theta, phi, 0, h)
 
-    n = E.shape[0]
-    M1 = np.empty((n, 3, 3))
-    M1[:, 0, 0] = -0.5 * E_vv + F_uv - 0.5 * G_uu
-    M1[:, 0, 1] = 0.5 * E_u
-    M1[:, 0, 2] = F_u - 0.5 * E_v
-    M1[:, 1, 0] = F_v - 0.5 * G_u
-    M1[:, 1, 1] = E
-    M1[:, 1, 2] = F
-    M1[:, 2, 0] = 0.5 * G_v
-    M1[:, 2, 1] = F
-    M1[:, 2, 2] = G
-    M2 = np.empty((n, 3, 3))
-    M2[:, 0, 0] = 0.0
-    M2[:, 0, 1] = 0.5 * E_v
-    M2[:, 0, 2] = 0.5 * G_u
-    M2[:, 1, 0] = 0.5 * E_v
-    M2[:, 1, 1] = E
-    M2[:, 1, 2] = F
-    M2[:, 2, 0] = 0.5 * G_u
-    M2[:, 2, 1] = F
-    M2[:, 2, 2] = G
+    M1 = np.empty(E.shape + (3, 3))
+    M1[..., 0, 0] = -0.5 * E_vv + F_uv - 0.5 * G_uu
+    M1[..., 0, 1] = 0.5 * E_u
+    M1[..., 0, 2] = F_u - 0.5 * E_v
+    M1[..., 1, 0] = F_v - 0.5 * G_u
+    M1[..., 1, 1] = E
+    M1[..., 1, 2] = F
+    M1[..., 2, 0] = 0.5 * G_v
+    M1[..., 2, 1] = F
+    M1[..., 2, 2] = G
+    M2 = np.empty(E.shape + (3, 3))
+    M2[..., 0, 0] = 0.0
+    M2[..., 0, 1] = 0.5 * E_v
+    M2[..., 0, 2] = 0.5 * G_u
+    M2[..., 1, 0] = 0.5 * E_v
+    M2[..., 1, 1] = E
+    M2[..., 1, 2] = F
+    M2[..., 2, 0] = 0.5 * G_u
+    M2[..., 2, 1] = F
+    M2[..., 2, 2] = G
     det_g = E * G - F * F
     if np.any(det_g <= 0):
         raise DegenerateImmersion("induced metric degenerate in Brioschi formula")
-    return (np.linalg.det(M1) - np.linalg.det(M2)) / det_g ** 2
+    return ((np.linalg.det(M1) - np.linalg.det(M2)) / det_g ** 2).ravel()
 
 
 def gauss_curvature(surface: SurfaceData, metric: MetricField,
@@ -694,11 +673,11 @@ def gauss_curvature(surface: SurfaceData, metric: MetricField,
 def area_elements(surface: SurfaceData, metric: MetricField,
                   param_step: float = 1e-3) -> np.ndarray:
     """sqrt(det g_ab) at every node."""
-    theta, phi = surface.grid.node_arrays()
+    theta, phi = surface.grid.node_axes()
     _, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
     gab = _first_form(Ft, Fp, g)
     det = _check_nondegenerate(gab)
-    return np.sqrt(det)
+    return np.sqrt(det).ravel()
 
 
 def _fixed_order_sum(values: np.ndarray) -> float:
@@ -729,7 +708,7 @@ def verify_isometric(surface: SurfaceData, metric: MetricField,
     """Max pointwise mismatch of induced metrics between F and F0."""
     if surface.F0 is None:
         raise MissingEmbedding("surface carries no hyperbolic embedding")
-    theta, phi = surface.grid.node_arrays()
+    theta, phi = surface.grid.node_axes()
     _, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
     gab = _first_form(Ft, Fp, g)
     hyp = hyperbolic_ball_metric(surface.k)

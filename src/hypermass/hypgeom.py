@@ -140,8 +140,7 @@ def radial_bounds(surface, center: HyperboloidPoint) -> tuple[float, float]:
         raise MissingEmbedding("surface carries no hyperbolic embedding")
     if surface.k != center.k:
         raise InvariantError("mixed curvature scales in radial_bounds")
-    theta, phi = surface.grid.node_arrays()
-    ball = surface.F0(theta, phi)
+    ball = surface.F0(*surface.grid.node_axes())
     X = ball_to_minkowski(ball, surface.k)
     d = _distance_many(X, center.X.as_array(), surface.k)
     return float(np.min(d)), float(np.max(d))

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import (DomainError, IsometryViolation, MissingEmbedding,
                      NonPositiveMeanCurvature)
 from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
-                       hyperbolic_ball_metric, integrate, surface_forms,
-                       unit_directions, verify_isometric)
+                       SurfaceForms, hyperbolic_ball_metric, surface_forms,
+                       unit_directions)
 from .hypgeom import ball_to_minkowski
-from .lorentz import CausalClass, LorentzVector, classify
+from .lorentz import CausalClass, LorentzVector
 from .spinor import CliffordRep, killing_spinor_norms_sq, make_clifford_rep
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "AHSphereData",
     "AsymptoticResult",
     "SurfaceMassData",
+    "mass_forms",
+    "isometry_mismatch",
     "surface_mass_data",
     "energy_momentum",
     "shi_tam_alpha",
@@ -73,20 +75,40 @@ class SurfaceMassData:
         return LorentzVector(*comps)
 
 
+def mass_forms(surface: SurfaceData, ambient: MetricField,
+               param_step: float = 2e-3) -> tuple:
+    """The one node pass that the hypothesis checks and every mass integral
+    share: forms of F in ``ambient``, and of F0 in H^3 (None without F0).
+
+    The step is larger than the geometry default: the fourth-order stencils
+    are roundoff-limited here and the coarser step keeps the noise in
+    H - H_0 (which the integrands amplify) near 1e-11.
+    """
+    forms = surface_forms(surface, ambient, param_step=param_step)
+    if surface.F0 is None:
+        return forms, None
+    hyp = hyperbolic_ball_metric(surface.k)
+    return forms, surface_forms(surface.h3_view(), hyp, param_step=param_step)
+
+
+def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
+    """Max pointwise difference of the two induced metrics."""
+    return float(np.max(np.abs(forms.first - forms0.first)))
+
+
 def surface_mass_data(surface: SurfaceData, ambient: MetricField,
-                      iso_tol: float = 1e-8,
-                      param_step: float = 2e-3) -> SurfaceMassData:
+                      iso_tol: float = 1e-8, param_step: float = 2e-3,
+                      forms: Optional[tuple] = None) -> SurfaceMassData:
     """Extract H, H_0, X and the measure; enforce the standing hypotheses.
 
-    The parameter step is slightly larger than the geometry-module default:
-    the fourth-order stencils are roundoff-limited here and the coarser step
-    keeps the noise in H - H_0 (which the integrands amplify) near 1e-11.
+    ``forms`` is the :func:`mass_forms` pair of a caller that already has
+    it; otherwise it is computed here at ``param_step``.  The isometry test
+    compares the induced metrics of that pair, the ones the integrals use.
     """
     if surface.F0 is None:
         raise MissingEmbedding("mass integrals need the H^3 embedding F0")
-    theta, phi = surface.grid.node_arrays()
-    forms = surface_forms(surface, ambient, param_step=param_step)
-    mismatch = verify_isometric(surface, ambient)
+    forms, forms0 = forms or mass_forms(surface, ambient, param_step)
+    mismatch = isometry_mismatch(forms, forms0)
     scale = float(np.max(np.abs(forms.first)))
     if mismatch > iso_tol * max(scale, 1.0):
         raise IsometryViolation(
@@ -94,14 +116,14 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     H = forms.mean_curvature
     if np.any(H <= 0.0):
         node = int(np.argmin(H))
+        i, j = divmod(node, surface.grid.n_phi)
         raise NonPositiveMeanCurvature(
             f"H = {H[node]:.6g} <= 0 at node {node} "
-            f"(theta={theta[node]:.4f}, phi={phi[node]:.4f})", node=node)
-    hyp = hyperbolic_ball_metric(surface.k)
-    forms0 = surface_forms(surface.h3_view(), hyp, param_step=param_step)
-    ball = np.asarray(surface.F0(theta, phi), dtype=float)
-    X = ball_to_minkowski(ball, surface.k)
-    return SurfaceMassData(H=H, H0=forms0.mean_curvature, X=X,
+            f"(theta={surface.grid.theta[i]:.4f}, "
+            f"phi={surface.grid.phi[j]:.4f})", node=node)
+    ball = forms0.chart_points
+    return SurfaceMassData(H=H, H0=forms0.mean_curvature,
+                           X=ball_to_minkowski(ball, surface.k),
                            ball_points=ball,
                            area_element=forms.area_element,
                            weights=surface.grid.measure_weights(),
@@ -148,11 +170,11 @@ _DEFAULT_SPHERE_GRID = (64, 128)
 def _round_sphere_quadrature(grid: Optional[QuadratureGrid]):
     if grid is None:
         grid = QuadratureGrid.build(*_DEFAULT_SPHERE_GRID)
-    theta, phi = grid.node_arrays()
-    xhat = unit_directions(theta, phi)
+    theta, phi = grid.node_axes()
+    xhat = unit_directions(theta, phi).reshape(-1, 3)
     # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
-    w = grid.measure_weights() * np.sin(theta)
-    return xhat, w
+    w = grid.measure_weights().reshape(grid.n_theta, -1) * np.sin(theta)
+    return xhat, w.ravel()
 
 
 def wang_mass(h: SphereTensor,
@@ -219,14 +241,9 @@ class AHSphereData:
     weights: np.ndarray     # (N,) round-sphere dS weights
 
 
-def ah_sphere_data(r: float, h: SphereTensor, e=None,
+def ah_sphere_data(r: float, h: SphereTensor,
                    grid: Optional[QuadratureGrid] = None) -> AHSphereData:
-    """Pointwise expansion data for the geodesic sphere S_r, 0 < r <= 0.5.
-
-    ``e`` is accepted for interface compatibility; perturbations decaying
-    fast enough contribute only beyond the truncation order, so it never
-    enters the returned fields.
-    """
+    """Pointwise expansion data for the geodesic sphere S_r, 0 < r <= 0.5."""
     if not 0.0 < r <= 0.5:
         raise DomainError("expansion data is valid for 0 < r <= 0.5")
     xhat, w = _round_sphere_quadrature(grid)
@@ -266,8 +283,8 @@ class AsymptoticResult:
 
 
 def asymptotic_limit(h: SphereTensor, radii,
-                     grid: Optional[QuadratureGrid] = None,
-                     e=None) -> AsymptoticResult:
+                     grid: Optional[QuadratureGrid] = None
+                     ) -> AsymptoticResult:
     """E(S_r) along decreasing radii, Richardson limit and Upsilon/2 check.
 
     The extrapolation is two-point with assumed leading order 1 in r, using
@@ -279,7 +296,7 @@ def asymptotic_limit(h: SphereTensor, radii,
         raise DomainError("need at least three radii")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
-    energies = [small_sphere_energy(ah_sphere_data(r, h, e, grid))
+    energies = [small_sphere_energy(ah_sphere_data(r, h, grid))
                 for r in radii]
     upsilon = wang_mass(h, grid)
     ups_half = 0.5 * upsilon
@@ -332,8 +349,8 @@ class HypothesisChecks:
 class MassReport:
     """Computed vectors, causal class and diagnostics for one scenario."""
 
-    E: LorentzVector
-    causal_class: CausalClass
+    E: Optional[LorentzVector]          # None when failed checks stop the run
+    causal_class: Optional[CausalClass]
     checks: HypothesisChecks
     resolution: tuple
     M_alpha: Optional[LorentzVector] = None
@@ -344,11 +361,6 @@ class MassReport:
     forced: bool = False
     config: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.E is not None and classify(self.E) != self.causal_class:
-            # keep report and classifier consistent by construction
-            self.causal_class = classify(self.E)
-
     def to_dict(self) -> dict:
         def vec(v):
             return None if v is None else [v.x1, v.x2, v.x3, v.t]
@@ -356,7 +368,8 @@ class MassReport:
         return {
             "format_version": FORMAT_VERSION,
             "E": vec(self.E),
-            "causal_class": self.causal_class.value,
+            "causal_class": (None if self.causal_class is None
+                             else self.causal_class.value),
             "M_alpha": vec(self.M_alpha),
             "alpha": self.alpha,
             "upsilon": vec(self.upsilon),

@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
-from hypermass.cli import main
+from hypermass import geometry as geo
+from hypermass import mass as massmod
+from hypermass.cli import build_metric, build_surface, load_config, main
 
 from conftest import exact_ads_energy
 
@@ -27,6 +31,18 @@ asymptotic:
   radii: [0.2, 0.1, 0.05]
 """
 
+# E_t ~ 2.6e-8: the zero vector at causal_tol 1e-6, timelike at 1e-12
+SMALL_E_CONFIG = """
+metric: {type: ads_schwarzschild, k: 1.0, m: 1.0e-9}
+surface: {type: coordinate_sphere, r: 2.0}
+resolution: {n_theta: 16, n_phi: 32}
+tolerances: {causal_tol: 1.0e-6}
+"""
+
+REPORT_KEYS = {"format_version", "E", "causal_class", "M_alpha", "alpha",
+               "upsilon", "hypothesis_checks", "resolution", "null_pairing",
+               "forced", "config"}
+
 REVERSED_CONFIG = """
 metric: {type: hyperbolic_ball, k: 1.0}
 surface: {type: geodesic_sphere, rho: 1.0, orientation: outward}
@@ -45,6 +61,31 @@ def run(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def node_pass_calls(monkeypatch):
+    """Metric tag of each surface_forms call and the verify_isometric count,
+    recorded through every hypermass module that binds the two names."""
+    calls = {"surface_forms": [], "verify_isometric": 0}
+    surface_forms, verify_isometric = geo.surface_forms, geo.verify_isometric
+
+    def counted_forms(surface, metric, *args, **kwargs):
+        calls["surface_forms"].append(metric.tag)
+        return surface_forms(surface, metric, *args, **kwargs)
+
+    def counted_isometric(*args, **kwargs):
+        calls["verify_isometric"] += 1
+        return verify_isometric(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "hypermass":
+            continue
+        if getattr(mod, "surface_forms", None) is surface_forms:
+            monkeypatch.setattr(mod, "surface_forms", counted_forms)
+        if getattr(mod, "verify_isometric", None) is verify_isometric:
+            monkeypatch.setattr(mod, "verify_isometric", counted_isometric)
+    return calls
 
 
 class TestMassCommand:
@@ -88,6 +129,25 @@ class TestMassCommand:
         assert doc["hypothesis_checks"]["min_mean_curvature"] < 0.0
         assert doc["E"] is None
 
+    def test_failure_report_layout(self, tmp_path):
+        cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 3
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        assert set(doc) == REPORT_KEYS
+        assert doc["format_version"] == 1
+        assert doc["resolution"] == [16, 32]
+        assert doc["forced"] is False
+        assert doc["null_pairing"] == {"min": None, "max": None}
+        for key in ("E", "causal_class", "M_alpha", "alpha", "upsilon"):
+            assert doc[key] is None
+
+    def test_configured_causal_tol_classifies(self, tmp_path):
+        cfg = write(tmp_path, "tiny.yaml", SMALL_E_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        assert 1e-12 < max(abs(c) for c in doc["E"]) < 1e-6
+        assert doc["causal_class"] == "ZeroVector"
+
     def test_force_propagates_numeric_error(self, tmp_path):
         # --force bypasses the checks, but H <= 0 stays a hard error inside
         # the integrand, reported with its node coordinates
@@ -111,6 +171,46 @@ class TestMassCommand:
         bad_metric = write(tmp_path, "m.yaml",
                            "metric: {type: kerr}")
         assert run(["mass", bad_metric])[0] == 2
+
+    @pytest.mark.parametrize("text", [
+        "metric: {type: ads_schwarzschild, m: .nan}",
+        "metric: {type: ads_schwarzschild, m: -0.1}",
+        "outputs: {null_samples: 0}",
+        "surface: {type: coordinate_sphere, r: .inf}",
+    ], ids=["nan_mass", "negative_mass", "no_null_samples", "infinite_r"])
+    def test_bad_values_are_config_errors(self, tmp_path, text):
+        cfg = write(tmp_path, "bad.yaml", text)
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith("config error")
+
+
+class TestNodePass:
+    def test_mass_is_one_pass_per_surface(self, tmp_path, node_pass_calls):
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        assert node_pass_calls["surface_forms"] == [
+            "AdSSchwarzschild", "HyperbolicBall"]
+        assert node_pass_calls["verify_isometric"] == 0
+
+    def test_convergence_is_one_pass_per_resolution(self, tmp_path,
+                                                    node_pass_calls):
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        assert run(["convergence", cfg, "--resolutions", "8,16,32",
+                    "--output", str(tmp_path / "o")])[0] == 0
+        assert node_pass_calls["surface_forms"] == [
+            "AdSSchwarzschild", "HyperbolicBall"] * 3
+        assert node_pass_calls["verify_isometric"] == 0
+
+    def test_min_mean_curvature_is_the_integrated_h(self, tmp_path):
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        config = load_config(cfg)
+        data = massmod.surface_mass_data(build_surface(config),
+                                         build_metric(config))
+        assert doc["hypothesis_checks"]["min_mean_curvature"] \
+            == float(np.min(data.H))
 
 
 class TestAsymptoticCommand:

@@ -45,6 +45,12 @@ class TestQuadratureGrid:
         assert theta[i] == grid16.theta[3]
         assert phi[i] == grid16.phi[7]
 
+    def test_node_axes_match_flat_nodes_bitwise(self, grid16):
+        on_axes = unit_directions(*grid16.node_axes())
+        assert on_axes.shape == (grid16.n_theta, grid16.n_phi, 3)
+        flat = unit_directions(*grid16.node_arrays())
+        assert on_axes.reshape(-1, 3).tobytes() == flat.tobytes()
+
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
@@ -127,6 +133,16 @@ class TestMeanCurvature:
         for surface, metric in candidates:
             forms = surface_forms(surface, metric)
             assert np.min(forms.mean_curvature) > 0.0
+
+    def test_forms_flatten_theta_major(self, grid16):
+        surface = radial_profile_surface(1.0, (0.05, -0.02, 0.1), 1.0, grid16)
+        forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
+        n = grid16.n_nodes
+        assert forms.first.shape == forms.second.shape == (n, 2, 2)
+        assert forms.normal.shape == forms.chart_points.shape == (n, 3)
+        assert forms.mean_curvature.shape == forms.area_element.shape == (n,)
+        flat = surface.F(*grid16.node_arrays())
+        assert forms.chart_points.tobytes() == flat.tobytes()
 
     def test_degenerate_immersion(self, grid16):
         surface = SurfaceData(F=lambda t, p: np.broadcast_to(

@@ -12,9 +12,10 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 coordinate_sphere_surface,
                                 geodesic_sphere_surface,
                                 hyperbolic_ball_metric, unit_directions)
-from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
-                               sample_null_cone)
-from hypermass.mass import (ah_sphere_data, asymptotic_limit, energy_momentum,
+from hypermass.lorentz import (CausalClass, LorentzVector, classify,
+                               minkowski_inner, sample_null_cone)
+from hypermass.mass import (HypothesisChecks, MassReport, ah_sphere_data,
+                            asymptotic_limit, energy_momentum,
                             killing_weighted_mass, shi_tam_alpha,
                             shi_tam_vector, small_sphere_energy,
                             surface_mass_data, upsilon_scalar_first,
@@ -274,3 +275,15 @@ class TestSurfaceMassData:
                 is CausalClass.TIMELIKE_FUTURE
         for rho in RIGID_RADII:
             assert rigid_scenarios[rho][2].norm_inf() < 1e-10
+
+
+class TestMassReport:
+    def test_configured_causal_tol_is_kept(self):
+        # |E| = 1e-9 is the zero vector at tol 1e-6 but timelike at the
+        # classifier's default 1e-12; the report keeps the class it is given
+        E = LorentzVector(0.0, 0.0, 0.0, 1e-9)
+        checks = HypothesisChecks(1.0, 1.0, 0.0, 0.0, 1e-8)
+        report = MassReport(E=E, causal_class=classify(E, 1e-6),
+                            checks=checks, resolution=(8, 16))
+        assert classify(E) is CausalClass.TIMELIKE_FUTURE
+        assert report.to_dict()["causal_class"] == "ZeroVector"
