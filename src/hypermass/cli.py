@@ -58,30 +58,46 @@ def _number(value, name: str, kind=float):
     return x
 
 
+def _numbers(value, name: str, count=None) -> list:
+    """``value`` as a list of finite floats (``count`` of them if given)."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        size = "" if count is None else f"{count} "
+        raise ConfigError(f"{name} must be a list of {size}numbers")
+    return [_number(c, name) for c in value]
+
+
+def _section(node: dict, key: str) -> dict:
+    """The mapping under ``key`` ({} when absent), or a ConfigError."""
+    value = node.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    return value
+
+
 def _sphere_tensor(node) -> geo.SphereTensor:
     if node is None:
         return geo.SphereTensor()
     if not isinstance(node, dict):
         raise ConfigError("h tensor entry must be a mapping")
-    linear = node.get("linear", [0.0, 0.0, 0.0])
-    if len(linear) != 3:
-        raise ConfigError("h.linear must have 3 entries")
     return geo.SphereTensor(
         g0_coeff=_number(node.get("g0_coeff", 0.0), "h.g0_coeff"),
-        linear=tuple(_number(c, "h.linear") for c in linear))
+        linear=tuple(_numbers(node.get("linear", [0.0, 0.0, 0.0]),
+                              "h.linear", 3)))
 
 
 def resolve_config(cfg: dict) -> dict:
     """Fill defaults and validate; returns the fully resolved tree."""
     out = {}
-    res = cfg.get("resolution", {}) or {}
+    res = _section(cfg, "resolution")
     n_theta = _number(res.get("n_theta", 64), "resolution.n_theta", int)
     n_phi = _number(res.get("n_phi", 128), "resolution.n_phi", int)
     if n_theta < 8 or n_phi < 16:
         raise ConfigError("resolution must be at least 8 x 16")
     out["resolution"] = {"n_theta": n_theta, "n_phi": n_phi}
 
-    tols = cfg.get("tolerances", {}) or {}
+    tols = _section(cfg, "tolerances")
     out["tolerances"] = {
         key: _number(tols.get(key, default), f"tolerances.{key}")
         for key, default in (("fd_step", 1e-4), ("iso_tol", 1e-8),
@@ -89,7 +105,7 @@ def resolve_config(cfg: dict) -> dict:
     if any(v <= 0 for v in out["tolerances"].values()):
         raise ConfigError("all tolerances must be positive")
 
-    met = cfg.get("metric", {}) or {}
+    met = _section(cfg, "metric")
     mtype = met.get("type", "hyperbolic_ball")
     k = _number(met.get("k", 1.0), "metric.k")
     if k <= 0:
@@ -106,28 +122,33 @@ def resolve_config(cfg: dict) -> dict:
         h = _sphere_tensor(met.get("h"))
         out["metric"]["h"] = {"g0_coeff": h.g0_coeff, "linear": list(h.linear)}
 
-    surf = cfg.get("surface", {}) or {}
+    surf = _section(cfg, "surface")
     stype = surf.get("type", "geodesic_sphere")
     if stype not in ("geodesic_sphere", "coordinate_sphere", "radial_profile"):
         raise ConfigError(f"unknown surface type: {stype}")
     out["surface"] = {"type": stype}
     if stype == "geodesic_sphere":
         out["surface"]["rho"] = _number(surf.get("rho", 1.0), "surface.rho")
+        radius = out["surface"]["rho"]
     elif stype == "coordinate_sphere":
         out["surface"]["r"] = _number(surf.get("r", 2.0), "surface.r")
+        radius = out["surface"]["r"]
     else:
-        out["surface"]["base"] = _number(surf.get("base", 1.0), "surface.base")
-        linear = surf.get("linear", [0.0, 0.0, 0.0])
-        if len(linear) != 3:
-            raise ConfigError("surface.linear must have 3 entries")
-        out["surface"]["linear"] = [_number(c, "surface.linear")
-                                    for c in linear]
+        base = _number(surf.get("base", 1.0), "surface.base")
+        linear = _numbers(surf.get("linear", [0.0, 0.0, 0.0]),
+                          "surface.linear", 3)
+        out["surface"].update(base=base, linear=linear)
+        # the least geodesic radius over the sphere
+        radius = base - math.sqrt(math.fsum(c * c for c in linear))
+    if radius <= 0:
+        raise ConfigError("surface radius (rho, r or base - |linear|) must be "
+                          "positive")
     orientation = surf.get("orientation", "inward")
     if orientation not in ("inward", "outward"):
         raise ConfigError("surface.orientation must be inward or outward")
     out["surface"]["orientation"] = orientation
 
-    outputs = cfg.get("outputs", {}) or {}
+    outputs = _section(cfg, "outputs")
     out["outputs"] = {
         "shi_tam": bool(outputs.get("shi_tam", False)),
         "upsilon": bool(outputs.get("upsilon", False)),
@@ -136,14 +157,16 @@ def resolve_config(cfg: dict) -> dict:
     }
     if out["outputs"]["null_samples"] < 1:
         raise ConfigError("outputs.null_samples must be at least 1")
+    # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
+    if out["outputs"]["shi_tam"] and k != 1.0:
+        raise ConfigError("outputs.shi_tam needs metric.k = 1")
 
-    asym = cfg.get("asymptotic")
-    if asym is not None:
+    if cfg.get("asymptotic") is not None:
+        asym = _section(cfg, "asymptotic")
         h = _sphere_tensor(asym.get("h"))
-        radii = [_number(r, "asymptotic.radii") for r in asym.get("radii", [])]
         out["asymptotic"] = {
             "h": {"g0_coeff": h.g0_coeff, "linear": list(h.linear)},
-            "radii": radii,
+            "radii": _numbers(asym.get("radii", []), "asymptotic.radii"),
         }
     return out
 
@@ -203,18 +226,17 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     # one node pass: the checks read the same forms the integrals use
     forms, forms0 = massmod.mass_forms(surface, metric)
     min_h = float(np.min(forms.mean_curvature))
-    K = geo.gauss_curvature_all(surface, metric)
-    min_k = float(np.min(K) + k * k)
+    # K of the H^3 image by the Gauss equation: Sigma's K when isometric
+    min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
     n_sample = min(20, forms.chart_points.shape[0])
     idx = np.linspace(0, forms.chart_points.shape[0] - 1, n_sample).astype(int)
     R = geo.scalar_curvature_many(metric, forms.chart_points[idx],
                                   fd_step=tols["fd_step"])
     min_r = float(np.min(R) + 6.0 * k * k)
-    mismatch = math.inf if forms0 is None \
-        else massmod.isometry_mismatch(forms, forms0)
     checks = massmod.HypothesisChecks(
         min_mean_curvature=min_h, min_gauss_plus_k2=min_k,
-        min_scalar_plus_6k2=min_r, isometry_mismatch=mismatch,
+        min_scalar_plus_6k2=min_r,
+        isometry_mismatch=massmod.isometry_mismatch(forms, forms0),
         iso_tol=tols["iso_tol"])
 
     if not checks.passed and not force:

@@ -6,7 +6,9 @@ chart, carrying a Gauss-Legendre (in cos theta) x trapezoid (in phi)
 quadrature grid.  All curvature quantities are obtained by finite
 differences: fourth-order stencils in parameter space and for the metric
 first derivatives, second-order outer stencils for the curvature tensor so
-the convergence order in the step size is a testable 2.
+the convergence order in the step size is a testable 2.  The fundamental
+forms of one node pass (:func:`surface_forms`) carry every surface quantity
+downstream, the Gauss curvature included (:func:`gauss_curvature`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from .errors import (ChartBoundary, DegenerateImmersion, DomainError,
                      MissingEmbedding)
-from .lorentz import LorentzVector
 
 __all__ = [
     "MetricField",
@@ -35,21 +36,17 @@ __all__ = [
     "geodesic_sphere_surface",
     "coordinate_sphere_surface",
     "radial_profile_surface",
-    "christoffel",
-    "scalar_curvature",
+    "christoffel_many",
+    "scalar_curvature_many",
     "surface_forms",
     "gauss_curvature",
-    "integrate",
-    "area_elements",
-    "verify_isometric",
 ]
 
 # 4th-order central first derivative: offsets in units of h and weights / h.
 _D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
 _D1_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-# 4th-order central second derivative (offsets -2..2).
-_D2_OFF = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# the AdS-Schwarzschild chart stops this far outside the horizon
+_HORIZON_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +66,6 @@ class MetricField:
     tag: str
     components: Callable[[np.ndarray], np.ndarray]
     chart_distance: Callable[[np.ndarray], np.ndarray]
-    params: dict
-    analytic_scalar_curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def euclidean_metric() -> MetricField:
@@ -84,8 +79,6 @@ def euclidean_metric() -> MetricField:
         tag="Euclidean",
         components=comps,
         chart_distance=lambda p: np.full(np.asarray(p).shape[:-1], np.inf),
-        params={},
-        analytic_scalar_curvature=lambda p: np.zeros(np.asarray(p).shape[:-1]),
     )
 
 
@@ -112,9 +105,6 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
         tag="HyperbolicBall",
         components=comps,
         chart_distance=dist,
-        params={"k": k},
-        analytic_scalar_curvature=lambda p: np.full(
-            np.asarray(p).shape[:-1], -6.0 * k * k),
     )
 
 
@@ -127,17 +117,16 @@ def ads_horizon_radius(m: float, k: float) -> float:
     return max(real)
 
 
-def ads_schwarzschild_metric(m: float, k: float = 1.0,
-                             horizon_margin: float = 0.1) -> MetricField:
+def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     """Static AdS-Schwarzschild slice in Cartesian-like chart coordinates.
 
     In the chart y = r * direction the metric is
     g_ij = delta_ij + (1/V - 1) y_i y_j / r^2 with V = 1 + k^2 r^2 - 2m/r.
-    The chart is restricted to r > r_horizon + margin so V > 0.
+    The chart is restricted to r > r_horizon + 0.1 so V > 0.
     """
     if m < 0 or k <= 0:
         raise DomainError("need m >= 0 and k > 0")
-    r_min = ads_horizon_radius(m, k) + horizon_margin
+    r_min = ads_horizon_radius(m, k) + _HORIZON_MARGIN
 
     def V(r):
         return 1.0 + (k * r) ** 2 - 2.0 * m / r
@@ -163,9 +152,6 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0,
         tag="AdSSchwarzschild",
         components=comps,
         chart_distance=dist,
-        params={"m": m, "k": k},
-        analytic_scalar_curvature=lambda p: np.full(
-            np.asarray(p).shape[:-1], -6.0 * k * k),
     )
 
 
@@ -226,7 +212,6 @@ def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
         tag="WangAH",
         components=comps,
         chart_distance=dist,
-        params={"k": k, "h": h},
     )
 
 
@@ -387,16 +372,11 @@ def radial_profile_surface(base: float, linear, k: float,
 # finite differences
 
 
-def _param_shift(fn, theta, phi, axis, off, h):
-    if axis == 0:
-        return fn(theta + off * h, phi)
-    return fn(theta, phi + off * h)
-
-
 def _param_d1(fn, theta, phi, axis, h):
     acc = None
     for off, w in zip(_D1_OFF, _D1_W):
-        term = w * _param_shift(fn, theta, phi, axis, off, h)
+        term = w * (fn(theta + off * h, phi) if axis == 0
+                    else fn(theta, phi + off * h))
         acc = term if acc is None else acc + term
     return acc / h
 
@@ -433,12 +413,6 @@ def christoffel_many(metric: MetricField, pts: np.ndarray,
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, S)
 
 
-def christoffel(metric: MetricField, p, fd_step: float = 1e-4) -> np.ndarray:
-    """Christoffel symbols at a single chart point, shape (3, 3, 3)."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    return christoffel_many(metric, p[None, :], fd_step)[0]
-
-
 def scalar_curvature_many(metric: MetricField, pts: np.ndarray,
                           fd_step: float = 1e-4,
                           gamma_step: float = 1e-4) -> np.ndarray:
@@ -467,19 +441,6 @@ def scalar_curvature_many(metric: MetricField, pts: np.ndarray,
              - np.einsum("...ijp,...pik->...jk", G0, G0))
     ginv = np.linalg.inv(metric.components(pts))
     return np.einsum("...jk,...jk->...", ginv, ricci)
-
-
-def scalar_curvature(metric: MetricField, p, fd_step: float = 1e-4,
-                     gamma_step: float = 1e-4, return_analytic: bool = False):
-    """Scalar curvature at one point; optionally also the analytic value."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    R = float(scalar_curvature_many(metric, p[None, :], fd_step, gamma_step)[0])
-    if return_analytic:
-        Ra = None
-        if metric.analytic_scalar_curvature is not None:
-            Ra = float(metric.analytic_scalar_curvature(p[None, :])[0])
-        return R, Ra
-    return R
 
 
 # ---------------------------------------------------------------------------
@@ -571,148 +532,9 @@ def surface_forms(surface: SurfaceData, metric: MetricField,
                         mean_curvature=H, area_element=ae, chart_points=p)
 
 
-def _flat_index(grid: QuadratureGrid, node) -> int:
-    if isinstance(node, tuple):
-        return grid.node_index(*node)
-    return int(node)
-
-
-# ---------------------------------------------------------------------------
-# intrinsic Gauss curvature (Brioschi)
-
-
-def gauss_curvature_all(surface: SurfaceData, metric: MetricField,
-                        param_step: float = 5e-3,
-                        frame_step: float = 1e-3) -> np.ndarray:
-    """Intrinsic Gauss curvature at every node via the Brioschi formula.
-
-    The induced-metric samples use the small ``frame_step`` so their own
-    truncation error, amplified by 1/param_step^2 in the second-derivative
-    stencils, stays far below the curvature truncation error.
-    """
-    theta, phi = surface.grid.node_axes()
-    h = param_step
-
-    def efg(th, ph):
-        _, Ft, Fp, g = _induced_frame(surface, metric, th, ph, frame_step)
-        gab = _first_form(Ft, Fp, g)
-        return np.stack([gab[..., 0, 0], gab[..., 0, 1], gab[..., 1, 1]],
-                        axis=-1)
-
-    base = efg(theta, phi)
-    E, F, G = base[..., 0], base[..., 1], base[..., 2]
-
-    # samples along each axis, reused for 1st (4-pt) and 2nd (5-pt) stencils
-    ax_samples = []
-    for axis in range(2):
-        row = {}
-        for off in (-2.0, -1.0, 1.0, 2.0):
-            row[off] = _param_shift(efg, theta, phi, axis, off, h)
-        row[0.0] = base
-        ax_samples.append(row)
-
-    def d1(axis, comp):
-        row = ax_samples[axis]
-        acc = sum(w * row[off][..., comp] for off, w in zip(_D1_OFF, _D1_W))
-        return acc / h
-
-    def d2(axis, comp):
-        row = ax_samples[axis]
-        acc = sum(w * row[off][..., comp] for off, w in zip(_D2_OFF, _D2_W))
-        return acc / (h * h)
-
-    E_u, E_v = d1(0, 0), d1(1, 0)
-    F_u, F_v = d1(0, 1), d1(1, 1)
-    G_u, G_v = d1(0, 2), d1(1, 2)
-    E_vv = d2(1, 0)
-    G_uu = d2(0, 2)
-
-    def f_of_v(th, ph):
-        return _param_d1(efg, th, ph, 1, h)[..., 1]
-
-    F_uv = _param_d1(f_of_v, theta, phi, 0, h)
-
-    M1 = np.empty(E.shape + (3, 3))
-    M1[..., 0, 0] = -0.5 * E_vv + F_uv - 0.5 * G_uu
-    M1[..., 0, 1] = 0.5 * E_u
-    M1[..., 0, 2] = F_u - 0.5 * E_v
-    M1[..., 1, 0] = F_v - 0.5 * G_u
-    M1[..., 1, 1] = E
-    M1[..., 1, 2] = F
-    M1[..., 2, 0] = 0.5 * G_v
-    M1[..., 2, 1] = F
-    M1[..., 2, 2] = G
-    M2 = np.empty(E.shape + (3, 3))
-    M2[..., 0, 0] = 0.0
-    M2[..., 0, 1] = 0.5 * E_v
-    M2[..., 0, 2] = 0.5 * G_u
-    M2[..., 1, 0] = 0.5 * E_v
-    M2[..., 1, 1] = E
-    M2[..., 1, 2] = F
-    M2[..., 2, 0] = 0.5 * G_u
-    M2[..., 2, 1] = F
-    M2[..., 2, 2] = G
-    det_g = E * G - F * F
-    if np.any(det_g <= 0):
-        raise DegenerateImmersion("induced metric degenerate in Brioschi formula")
-    return ((np.linalg.det(M1) - np.linalg.det(M2)) / det_g ** 2).ravel()
-
-
-def gauss_curvature(surface: SurfaceData, metric: MetricField,
-                    node=None, param_step: float = 5e-3):
-    K = gauss_curvature_all(surface, metric, param_step)
-    if node is None:
-        return K
-    return float(K[_flat_index(surface.grid, node)])
-
-
-# ---------------------------------------------------------------------------
-# integration
-
-
-def area_elements(surface: SurfaceData, metric: MetricField,
-                  param_step: float = 1e-3) -> np.ndarray:
-    """sqrt(det g_ab) at every node."""
-    theta, phi = surface.grid.node_axes()
-    _, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
-    gab = _first_form(Ft, Fp, g)
-    det = _check_nondegenerate(gab)
-    return np.sqrt(det).ravel()
-
-
-def _fixed_order_sum(values: np.ndarray) -> float:
-    # fsum is exact for the node ordering, so runs are bit-reproducible
-    return math.fsum(values.tolist())
-
-
-def integrate(surface: SurfaceData, metric: MetricField, values,
-              param_step: float = 1e-3):
-    """Quadrature of node-indexed values against the area measure.
-
-    ``values`` has shape (N,) for scalars or (N, 4) for Lorentz vectors;
-    vectors are integrated componentwise and returned as a LorentzVector.
-    """
-    ae = area_elements(surface, metric, param_step)
-    w = surface.grid.measure_weights()
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return _fixed_order_sum(w * ae * values)
-    if values.ndim == 2 and values.shape[1] == 4:
-        comps = [_fixed_order_sum(w * ae * values[:, c]) for c in range(4)]
-        return LorentzVector(*comps)
-    raise DomainError("integrand must be (N,) scalars or (N, 4) vectors")
-
-
-def verify_isometric(surface: SurfaceData, metric: MetricField,
-                     param_step: float = 1e-3) -> float:
-    """Max pointwise mismatch of induced metrics between F and F0."""
-    if surface.F0 is None:
-        raise MissingEmbedding("surface carries no hyperbolic embedding")
-    theta, phi = surface.grid.node_axes()
-    _, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
-    gab = _first_form(Ft, Fp, g)
-    hyp = hyperbolic_ball_metric(surface.k)
-    h3 = surface.h3_view()
-    _, Ft0, Fp0, g0 = _induced_frame(h3, hyp, theta, phi, param_step)
-    gab0 = _first_form(Ft0, Fp0, g0)
-    return float(np.max(np.abs(gab - gab0)))
+def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:
+    """Gauss curvature at every node of ``forms``, by the Gauss equation
+    K = c + det II / det I of a surface in a space of constant sectional
+    curvature ``c``."""
+    second = 0.5 * (forms.second + np.swapaxes(forms.second, -1, -2))
+    return c + np.linalg.det(second) / np.linalg.det(forms.first)

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, IsometryViolation, MissingEmbedding,
-                     NonPositiveMeanCurvature)
+from .errors import DomainError, IsometryViolation, NonPositiveMeanCurvature
 from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        SurfaceForms, hyperbolic_ball_metric, surface_forms,
                        unit_directions)
@@ -64,7 +63,6 @@ class SurfaceMassData:
     ball_points: np.ndarray  # Poincare-ball coordinates of F0 nodes (N, 3)
     area_element: np.ndarray  # sqrt(det g_ab) of the ambient side (N,)
     weights: np.ndarray      # quadrature measure weights (N,)
-    iso_mismatch: float
     k: float
 
     def weighted(self, values: np.ndarray) -> float:
@@ -78,17 +76,17 @@ class SurfaceMassData:
 def mass_forms(surface: SurfaceData, ambient: MetricField,
                param_step: float = 2e-3) -> tuple:
     """The one node pass that the hypothesis checks and every mass integral
-    share: forms of F in ``ambient``, and of F0 in H^3 (None without F0).
+    share: forms of F in ``ambient``, and of F0 in H^3.  A surface without
+    F0 raises MissingEmbedding before any work is done.
 
     The step is larger than the geometry default: the fourth-order stencils
     are roundoff-limited here and the coarser step keeps the noise in
     H - H_0 (which the integrands amplify) near 1e-11.
     """
+    h3 = surface.h3_view()
     forms = surface_forms(surface, ambient, param_step=param_step)
-    if surface.F0 is None:
-        return forms, None
     hyp = hyperbolic_ball_metric(surface.k)
-    return forms, surface_forms(surface.h3_view(), hyp, param_step=param_step)
+    return forms, surface_forms(h3, hyp, param_step=param_step)
 
 
 def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
@@ -105,8 +103,6 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     it; otherwise it is computed here at ``param_step``.  The isometry test
     compares the induced metrics of that pair, the ones the integrals use.
     """
-    if surface.F0 is None:
-        raise MissingEmbedding("mass integrals need the H^3 embedding F0")
     forms, forms0 = forms or mass_forms(surface, ambient, param_step)
     mismatch = isometry_mismatch(forms, forms0)
     scale = float(np.max(np.abs(forms.first)))
@@ -127,7 +123,7 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
                            ball_points=ball,
                            area_element=forms.area_element,
                            weights=surface.grid.measure_weights(),
-                           iso_mismatch=mismatch, k=surface.k)
+                           k=surface.k)
 
 
 # ---------------------------------------------------------------------------

@@ -65,26 +65,20 @@ def run(argv):
 
 @pytest.fixture
 def node_pass_calls(monkeypatch):
-    """Metric tag of each surface_forms call and the verify_isometric count,
-    recorded through every hypermass module that binds the two names."""
-    calls = {"surface_forms": [], "verify_isometric": 0}
-    surface_forms, verify_isometric = geo.surface_forms, geo.verify_isometric
+    """Metric tag of each surface_forms call, recorded through every
+    hypermass module that binds the name."""
+    calls = {"surface_forms": []}
+    surface_forms = geo.surface_forms
 
     def counted_forms(surface, metric, *args, **kwargs):
         calls["surface_forms"].append(metric.tag)
         return surface_forms(surface, metric, *args, **kwargs)
-
-    def counted_isometric(*args, **kwargs):
-        calls["verify_isometric"] += 1
-        return verify_isometric(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] != "hypermass":
             continue
         if getattr(mod, "surface_forms", None) is surface_forms:
             monkeypatch.setattr(mod, "surface_forms", counted_forms)
-        if getattr(mod, "verify_isometric", None) is verify_isometric:
-            monkeypatch.setattr(mod, "verify_isometric", counted_isometric)
     return calls
 
 
@@ -177,7 +171,18 @@ class TestMassCommand:
         "metric: {type: ads_schwarzschild, m: -0.1}",
         "outputs: {null_samples: 0}",
         "surface: {type: coordinate_sphere, r: .inf}",
-    ], ids=["nan_mass", "negative_mass", "no_null_samples", "infinite_r"])
+        "surface: {type: radial_profile, linear: 5}",
+        "metric: {type: wang_ah, h: {linear: 5}}",
+        "asymptotic: 5",
+        "metric: false",
+        "surface: {type: geodesic_sphere, rho: -1.0}",
+        "surface: {type: coordinate_sphere, r: 0.0}",
+        "surface: {type: radial_profile, base: 0.5, linear: [0.3, 0.4, 0.0]}",
+        "metric: {k: 2.0}\noutputs: {shi_tam: true}",
+    ], ids=["nan_mass", "negative_mass", "no_null_samples", "infinite_r",
+            "scalar_surface_linear", "scalar_h_linear", "scalar_asymptotic",
+            "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
+            "shi_tam_off_k1"])
     def test_bad_values_are_config_errors(self, tmp_path, text):
         cfg = write(tmp_path, "bad.yaml", text)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
@@ -191,7 +196,6 @@ class TestNodePass:
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
         assert node_pass_calls["surface_forms"] == [
             "AdSSchwarzschild", "HyperbolicBall"]
-        assert node_pass_calls["verify_isometric"] == 0
 
     def test_convergence_is_one_pass_per_resolution(self, tmp_path,
                                                     node_pass_calls):
@@ -200,7 +204,6 @@ class TestNodePass:
                     "--output", str(tmp_path / "o")])[0] == 0
         assert node_pass_calls["surface_forms"] == [
             "AdSSchwarzschild", "HyperbolicBall"] * 3
-        assert node_pass_calls["verify_isometric"] == 0
 
     def test_min_mean_curvature_is_the_integrated_h(self, tmp_path):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
@@ -211,6 +214,17 @@ class TestNodePass:
                                          build_metric(config))
         assert doc["hypothesis_checks"]["min_mean_curvature"] \
             == float(np.min(data.H))
+
+    def test_min_gauss_is_read_off_the_h3_forms(self, tmp_path):
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        config = load_config(cfg)
+        k = config["metric"]["k"]
+        _, forms0 = massmod.mass_forms(build_surface(config),
+                                       build_metric(config))
+        assert doc["hypothesis_checks"]["min_gauss_plus_k2"] \
+            == float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
 
 
 class TestAsymptoticCommand:

@@ -7,14 +7,14 @@ import pytest
 
 from hypermass.errors import (ChartBoundary, DegenerateImmersion, DomainError)
 from hypermass.geometry import (QuadratureGrid, SurfaceData,
-                                ads_schwarzschild_metric, christoffel,
+                                ads_schwarzschild_metric, christoffel_many,
                                 coordinate_sphere_surface, euclidean_metric,
-                                gauss_curvature, gauss_curvature_all,
-                                geodesic_sphere_surface,
-                                hyperbolic_ball_metric, integrate,
-                                radial_profile_surface, scalar_curvature,
+                                gauss_curvature, geodesic_sphere_surface,
+                                hyperbolic_ball_metric,
+                                radial_profile_surface,
                                 scalar_curvature_many, surface_forms,
-                                unit_directions, verify_isometric)
+                                unit_directions)
+from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
 from conftest import ADS_M, ads_potential
 
@@ -27,6 +27,11 @@ def grid16():
 @pytest.fixture(scope="module")
 def grid64():
     return QuadratureGrid.build(64, 128)
+
+
+def at_point(many, metric, p):
+    """A pointwise ``*_many`` quantity at the one chart point ``p``."""
+    return many(metric, np.asarray(p, dtype=float)[None])[0]
 
 
 class TestQuadratureGrid:
@@ -54,11 +59,12 @@ class TestQuadratureGrid:
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
-        G = christoffel(euclidean_metric(), [0.3, -0.2, 0.7])
+        G = at_point(christoffel_many, euclidean_metric(), [0.3, -0.2, 0.7])
         assert np.max(np.abs(G)) < 1e-12
 
     def test_hyperbolic_origin_vanishes(self):
-        G = christoffel(hyperbolic_ball_metric(1.0), [0.0, 0.0, 0.0])
+        G = at_point(christoffel_many, hyperbolic_ball_metric(1.0),
+                     [0.0, 0.0, 0.0])
         assert np.max(np.abs(G)) < 1e-10
 
     def test_ads_radial_symbol(self):
@@ -66,16 +72,19 @@ class TestChristoffel:
         r = 2.0
         V = ads_potential(r)
         dV = 2.0 * r + 2.0 * ADS_M / r ** 2
-        G = christoffel(ads_schwarzschild_metric(ADS_M, 1.0), [r, 0.0, 0.0])
+        G = at_point(christoffel_many, ads_schwarzschild_metric(ADS_M, 1.0),
+                     [r, 0.0, 0.0])
         assert abs(G[0, 0, 0] - (-dV / (2.0 * V))) < 1e-7
 
     def test_symmetry_in_lower_indices(self):
-        G = christoffel(hyperbolic_ball_metric(1.0), [0.2, 0.1, -0.3])
+        G = at_point(christoffel_many, hyperbolic_ball_metric(1.0),
+                     [0.2, 0.1, -0.3])
         assert np.max(np.abs(G - np.swapaxes(G, 1, 2))) < 1e-12
 
     def test_chart_boundary(self):
         with pytest.raises(ChartBoundary):
-            christoffel(hyperbolic_ball_metric(1.0), [0.999999, 0, 0])
+            at_point(christoffel_many, hyperbolic_ball_metric(1.0),
+                     [0.999999, 0, 0])
 
 
 class TestMeanCurvature:
@@ -153,26 +162,38 @@ class TestMeanCurvature:
 
 
 class TestGaussCurvature:
+    # K = c + det II / det I read off the node-pass forms (Gauss equation)
     def test_geodesic_sphere(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        K = gauss_curvature_all(surface, hyperbolic_ball_metric(1.0))
+        forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
+        K = gauss_curvature(forms, -1.0)
         target = 1.0 / math.sinh(1.0) ** 2
         assert np.max(np.abs(K - target)) < 1e-6
 
     def test_euclidean_unit_sphere(self, grid16):
         surface = SurfaceData(F=unit_directions, grid=grid16, k=1.0)
-        K = gauss_curvature_all(surface, euclidean_metric())
+        K = gauss_curvature(surface_forms(surface, euclidean_metric()), 0.0)
         assert np.max(np.abs(K - 1.0)) < 1e-6
 
     def test_ads_coordinate_sphere(self, grid16):
+        # Sigma's K is read from its isometric image in H^3
         surface = coordinate_sphere_surface(2.0, grid16)
-        K = gauss_curvature_all(surface, ads_schwarzschild_metric(ADS_M, 1.0))
+        forms0 = surface_forms(surface.h3_view(), hyperbolic_ball_metric(1.0))
+        K = gauss_curvature(forms0, -1.0)
         assert np.max(np.abs(K - 0.25)) < 1e-6
 
-    def test_single_node_variant(self, grid16):
-        surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        K = gauss_curvature(surface, hyperbolic_ball_metric(1.0), node=(4, 9))
-        assert abs(K - 1.0 / math.sinh(1.0) ** 2) < 1e-6
+    def test_mass_pass_geodesic_sphere(self, grid64):
+        surface = geodesic_sphere_surface(1.0, 1.0, grid64)
+        _, forms0 = mass_forms(surface, hyperbolic_ball_metric(1.0))
+        K = gauss_curvature(forms0, -1.0)
+        assert np.max(np.abs(K - 1.0 / math.sinh(1.0) ** 2)) < 1e-9
+
+    def test_mass_pass_ads_coordinate_sphere(self, grid64):
+        r = 2.0
+        surface = coordinate_sphere_surface(r, grid64)
+        _, forms0 = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
+        K = gauss_curvature(forms0, -1.0)
+        assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
 
 
 class TestScalarCurvature:
@@ -193,14 +214,14 @@ class TestScalarCurvature:
         assert np.max(np.abs(R + 6.0)) < 1e-5
 
     def test_euclidean(self):
-        R = scalar_curvature(euclidean_metric(), [0.1, 0.2, 0.3])
+        R = at_point(scalar_curvature_many, euclidean_metric(),
+                     [0.1, 0.2, 0.3])
         assert abs(R) < 1e-6
 
     def test_analytic_cross_check(self):
-        R, Ra = scalar_curvature(hyperbolic_ball_metric(2.0), [0.1, 0.0, 0.2],
-                                 return_analytic=True)
-        assert Ra == -6.0 * 4.0
-        assert abs(R - Ra) < 1e-4
+        R = at_point(scalar_curvature_many, hyperbolic_ball_metric(2.0),
+                     [0.1, 0.0, 0.2])
+        assert abs(R - (-6.0 * 2.0 ** 2)) < 1e-4
 
     def test_fd_order_two(self):
         metric = hyperbolic_ball_metric(1.0)
@@ -213,41 +234,47 @@ class TestScalarCurvature:
 
     def test_chart_boundary(self):
         with pytest.raises(ChartBoundary):
-            scalar_curvature(hyperbolic_ball_metric(1.0), [0.99999, 0, 0])
+            at_point(scalar_curvature_many, hyperbolic_ball_metric(1.0),
+                     [0.99999, 0, 0])
 
 
 class TestIntegrate:
     def test_geodesic_sphere_area(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
-        area = integrate(surface, hyperbolic_ball_metric(1.0),
-                         np.ones(grid64.n_nodes))
+        data = surface_mass_data(surface, hyperbolic_ball_metric(1.0),
+                                 param_step=1e-3)
+        area = data.weighted(np.ones(grid64.n_nodes))
         target = 4 * math.pi * math.sinh(1.0) ** 2
         assert abs(area - target) < 1e-8 * target
 
     def test_unit_sphere_area(self, grid64):
         surface = SurfaceData(F=unit_directions, grid=grid64, k=1.0)
-        area = integrate(surface, euclidean_metric(),
-                         np.ones(grid64.n_nodes))
+        ae = surface_forms(surface, euclidean_metric()).area_element
+        area = math.fsum(grid64.measure_weights() * ae)
         assert abs(area - 4 * math.pi) < 1e-10
 
     def test_odd_integrand_vanishes(self, grid64):
         surface = SurfaceData(F=unit_directions, grid=grid64, k=1.0)
         theta, phi = grid64.node_arrays()
         x1 = unit_directions(theta, phi)[:, 0]
-        assert abs(integrate(surface, euclidean_metric(), x1)) < 1e-12
+        ae = surface_forms(surface, euclidean_metric()).area_element
+        w = grid64.measure_weights()
+        assert abs(math.fsum(w * ae * x1)) < 1e-12
 
     def test_quadrature_error_decay(self):
         # Gauss-Legendre in cos(theta) integrates this area exactly at every
         # resolution (the integrand is constant in cos theta), so both errors
         # sit at roundoff; the spectral-ratio assertion carries a roundoff
-        # floor to stay meaningful.
+        # floor to stay meaningful.  The areas use the geometry's default
+        # step 1e-3, whose finite-difference noise stays under that floor.
         target = 4 * math.pi * math.sinh(1.0) ** 2
         errs = {}
         for n in (8, 32):
             grid = QuadratureGrid.build(n, 2 * n)
             surface = geodesic_sphere_surface(1.0, 1.0, grid)
-            area = integrate(surface, hyperbolic_ball_metric(1.0),
-                             np.ones(grid.n_nodes))
+            data = surface_mass_data(surface, hyperbolic_ball_metric(1.0),
+                                     param_step=1e-3)
+            area = data.weighted(np.ones(grid.n_nodes))
             errs[n] = abs(area - target)
         assert errs[32] < max(1e-3 * errs[8], 1e-12 * target)
 
@@ -255,14 +282,15 @@ class TestIntegrate:
 class TestVerifyIsometric:
     def test_identical_embeddings(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        assert verify_isometric(surface, hyperbolic_ball_metric(1.0)) < 1e-12
+        forms = mass_forms(surface, hyperbolic_ball_metric(1.0))
+        assert isometry_mismatch(*forms) < 1e-12
 
     def test_ads_pairing(self, grid16):
         # coordinate sphere r = 2 paired with the geodesic sphere sinh rho = 2:
         # both induce 4 g_0
         surface = coordinate_sphere_surface(2.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        assert verify_isometric(surface, metric) < 1e-10
+        assert isometry_mismatch(*mass_forms(surface, metric)) < 1e-10
 
     def test_mismatched_radii_detected(self, grid16):
         r, r0 = 2.0, 1.5
@@ -276,6 +304,6 @@ class TestVerifyIsometric:
             return Rb * unit_directions(t, p)
 
         surface = SurfaceData(F=F, grid=grid16, k=1.0, F0=F0)
-        mismatch = verify_isometric(surface, euclidean_metric())
+        mismatch = isometry_mismatch(*mass_forms(surface, euclidean_metric()))
         # max component of (r^2 - r0^2) (dtheta^2 + sin^2 theta dphi^2)
         assert abs(mismatch - (r ** 2 - r0 ** 2)) < 1e-3
