@@ -9,10 +9,6 @@ class DomainError(HypermassError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class InvariantError(HypermassError):
-    """A structural invariant of a value is violated (e.g. off-sheet point)."""
-
-
 class MissingEmbedding(HypermassError):
     """Surface has no hyperbolic-space embedding attached."""
 

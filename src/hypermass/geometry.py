@@ -288,22 +288,18 @@ class SurfaceData:
     shape (..., 3); ``F0`` (optional) maps them to Poincare-ball coordinates
     of the isometric image in H^3_{-k^2}.  Both must accept broadcastable
     (theta, phi) arrays, as numpy ufuncs do: the geometry evaluates them on
-    the grid axes ``theta[:, None]``, ``phi[None, :]``.  ``orientation_sign``
-    = -1 flips the inward-normal convention (useful only to probe hypothesis
-    failures).
+    the grid axes ``theta[:, None]``, ``phi[None, :]``.  Normals point
+    toward the chart origin; ``orientation_sign`` = -1 flips them (useful
+    only to probe hypothesis failures).
     """
 
     F: Callable
     grid: QuadratureGrid
     k: float = 1.0
     F0: Optional[Callable] = None
-    center: np.ndarray = None
     orientation_sign: int = 1
 
     def __post_init__(self):
-        if self.center is None:
-            self.center = np.zeros(3)
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
         if self.orientation_sign not in (1, -1):
             raise DomainError("orientation_sign must be +1 or -1")
 
@@ -312,7 +308,7 @@ class SurfaceData:
         if self.F0 is None:
             raise MissingEmbedding("surface carries no hyperbolic embedding")
         return SurfaceData(F=self.F0, grid=self.grid, k=self.k, F0=self.F0,
-                           center=np.zeros(3), orientation_sign=1)
+                           orientation_sign=1)
 
 
 def _ball_radius(k: float, rho) -> np.ndarray:
@@ -490,8 +486,8 @@ def _inward_normal(surface, metric, theta, phi, h):
     n = np.linalg.solve(g, w[..., None])[..., 0]
     norm = np.sqrt(np.einsum("...i,...ij,...j->...", n, g, n))
     n = n / norm[..., None]
-    toward_center = np.einsum("...i,...i->...", n, surface.center - p)
-    sign = np.where(toward_center >= 0.0, 1.0, -1.0) * surface.orientation_sign
+    toward_origin = np.einsum("...i,...i->...", n, -p)
+    sign = np.where(toward_origin >= 0.0, 1.0, -1.0) * surface.orientation_sign
     return n * sign[..., None]
 
 

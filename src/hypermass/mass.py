@@ -46,7 +46,7 @@ __all__ = [
     "asymptotic_limit",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,7 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     """
     forms, forms0 = forms or mass_forms(surface, ambient, param_step)
     mismatch = isometry_mismatch(forms, forms0)
-    scale = float(np.max(np.abs(forms.first)))
-    if mismatch > iso_tol * max(scale, 1.0):
+    if mismatch > iso_tol:
         raise IsometryViolation(
             f"induced metrics disagree by {mismatch:.3e} (tol {iso_tol:.1e})")
     H = forms.mean_curvature
@@ -351,7 +350,6 @@ class MassReport:
     resolution: tuple
     M_alpha: Optional[LorentzVector] = None
     alpha: Optional[float] = None
-    upsilon: Optional[LorentzVector] = None
     null_pairing_min: Optional[float] = None
     null_pairing_max: Optional[float] = None
     forced: bool = False
@@ -368,7 +366,6 @@ class MassReport:
                              else self.causal_class.value),
             "M_alpha": vec(self.M_alpha),
             "alpha": self.alpha,
-            "upsilon": vec(self.upsilon),
             "hypothesis_checks": self.checks.to_dict(),
             "resolution": list(self.resolution),
             "null_pairing": {"min": self.null_pairing_min,

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationFailure, DomainError, NotNull
-from .hypgeom import BallPoint, ball_to_minkowski, conformal_factor
+from .hypgeom import ball_to_minkowski
 from .lorentz import LorentzVector, minkowski_inner
 
 __all__ = [
     "CliffordRep",
     "make_clifford_rep",
     "calibrate_signs",
-    "killing_spinor",
+    "killing_spinor_norms_sq",
     "zeta_of",
     "verify_zet",
     "null_to_spinor",
@@ -71,28 +71,21 @@ _DEFAULT_REP = make_clifford_rep()
 
 
 def _as_spinor(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex).reshape(2)
-    if not np.all(np.isfinite(a.view(float))):
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1:] != (2,):
+        raise DomainError("spinors must have shape (..., 2)")
+    if not np.all(np.isfinite(a)):
         raise DomainError("non-finite spinor components")
     return a
 
 
-def killing_spinor(a, p: BallPoint, sign: int,
-                   rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
-    """psi_a^{sign}(x) = f(x)^{1/2} (Id + sign * i gamma(x)) a at k = 1."""
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    if p.k != 1.0:
-        raise DomainError("Killing spinor formulas require k = 1")
-    a = _as_spinor(a)
-    f = conformal_factor(p)
-    gx = np.einsum("j,jkl->kl", p.x, rep.gammas)
-    return math.sqrt(f) * ((np.eye(2) + sign * 1j * gx) @ a)
-
-
 def killing_spinor_norms_sq(a, points: np.ndarray, sign: int,
                             rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
-    """|psi_a^{sign}|^2 at many ball points (shape (..., 3)), at k = 1."""
+    """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign * i gamma(x)) a|^2 at k = 1.
+
+    Spinors ``a`` of shape (..., 2) broadcast against ball points of shape
+    (..., 3).
+    """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     a = _as_spinor(a)
@@ -102,12 +95,13 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign: int,
         raise DomainError("ball point must satisfy |x| < 1")
     f = 2.0 / (1.0 - r2)
     gx = np.einsum("...j,jkl->...kl", points, rep.gammas)
-    psi = np.einsum("...kl,l->...k", np.eye(2) + sign * 1j * gx, a)
+    psi = np.einsum("...kl,...l->...k", np.eye(2) + sign * 1j * gx, a)
     return f * np.sum(np.abs(psi) ** 2, axis=-1)
 
 
-def zeta_of(a, sign: int, rep: CliffordRep = _DEFAULT_REP) -> LorentzVector:
-    """Future null vector zeta_a^{sign} attached to the spinor a.
+def zeta_of(a, sign: int, rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
+    """Future null vectors zeta_a^{sign}, shape (..., 4) in (x1, x2, x3, t)
+    order, of spinors ``a`` of shape (..., 2).
 
     Spatial components are s_zeta * (-sign * i <gamma_j a, a>) with the
     Hermitian product conjugate-linear in the first slot; the time component
@@ -117,22 +111,22 @@ def zeta_of(a, sign: int, rep: CliffordRep = _DEFAULT_REP) -> LorentzVector:
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     a = _as_spinor(a)
-    spatial = []
-    for j in range(3):
-        ip = np.vdot(rep.gammas[j] @ a, a)
-        spatial.append(rep.s_zeta * float((-sign * 1j * ip).real))
-    t = rep.s_zeta * (-float(np.vdot(a, a).real))
-    return LorentzVector(spatial[0], spatial[1], spatial[2], t)
+    ga = np.einsum("jkl,...l->...jk", rep.gammas, a)
+    ip = np.einsum("...jk,...k->...j", ga.conj(), a)
+    spatial = rep.s_zeta * (-sign * 1j * ip).real
+    t = rep.s_zeta * -np.sum(a.real ** 2 + a.imag ** 2, axis=-1)
+    return np.concatenate([spatial, t[..., None]], axis=-1)
 
 
-def verify_zet(a, p: BallPoint, sign: int,
-               rep: CliffordRep = _DEFAULT_REP) -> float:
-    """Residual | |psi_a(x)|^2 + 2 <X(x), zeta_a> |; contract: < 1e-12."""
-    a = _as_spinor(a)
-    psi = killing_spinor(a, p, sign, rep)
-    n2 = float(np.vdot(psi, psi).real)
-    X = LorentzVector.from_array(ball_to_minkowski(p.x, p.k))
-    return abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign, rep)))
+def verify_zet(a, x, sign: int, rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
+    """Residuals | |psi_a(x)|^2 + 2 <X(x), zeta_a> | at k = 1, for spinors
+    ``a`` (..., 2) broadcast against ball points ``x`` (..., 3); contract:
+    every residual < 1e-12."""
+    n2 = killing_spinor_norms_sq(a, x, sign, rep)
+    X = ball_to_minkowski(x)
+    z = zeta_of(a, sign, rep)
+    inner = np.sum(X[..., :3] * z[..., :3], axis=-1) - X[..., 3] * z[..., 3]
+    return np.abs(n2 + 2.0 * inner)
 
 
 def calibrate_signs(n_samples: int = 1000, seed: int = 20240) -> tuple[int, int]:
@@ -150,19 +144,9 @@ def calibrate_signs(n_samples: int = 1000, seed: int = 20240) -> tuple[int, int]
     for s_gamma in (1, -1):
         for s_zeta in (1, -1):
             rep = make_clifford_rep(s_gamma, s_zeta)
-            ok = True
-            for a, x in zip(A, X):
-                z = zeta_of(a, 1, rep)
-                if z.t < 0:
-                    ok = False
-                    break
-                for sign in (1, -1):
-                    if verify_zet(a, BallPoint(x), sign, rep) > 1e-12:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if (np.all(zeta_of(A, 1, rep)[:, 3] >= 0)
+                    and all(np.max(verify_zet(A, X, sign, rep)) <= 1e-12
+                            for sign in (1, -1))):
                 passing.append((s_gamma, s_zeta))
     if not passing:
         raise CalibrationFailure("no sign convention satisfies the identity")

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from hypermass import cli
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass.cli import build_metric, build_surface, load_config, main
@@ -40,8 +41,8 @@ tolerances: {causal_tol: 1.0e-6}
 """
 
 REPORT_KEYS = {"format_version", "E", "causal_class", "M_alpha", "alpha",
-               "upsilon", "hypothesis_checks", "resolution", "null_pairing",
-               "forced", "config"}
+               "hypothesis_checks", "resolution", "null_pairing", "forced",
+               "config"}
 
 REVERSED_CONFIG = """
 metric: {type: hyperbolic_ball, k: 1.0}
@@ -92,7 +93,7 @@ class TestMassCommand:
         assert abs(doc["E"][3] - exact_ads_energy(2.0)) < 1e-6
         assert doc["hypothesis_checks"]["passed"] is True
         assert doc["null_pairing"]["max"] < 0.0
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
 
     def test_geodesic_sphere_zero_vector(self, tmp_path):
         cfg = write(tmp_path, "geo.yaml", GEO_CONFIG)
@@ -128,11 +129,11 @@ class TestMassCommand:
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 3
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
         assert set(doc) == REPORT_KEYS
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["resolution"] == [16, 32]
         assert doc["forced"] is False
         assert doc["null_pairing"] == {"min": None, "max": None}
-        for key in ("E", "causal_class", "M_alpha", "alpha", "upsilon"):
+        for key in ("E", "causal_class", "M_alpha", "alpha"):
             assert doc[key] is None
 
     def test_configured_causal_tol_classifies(self, tmp_path):
@@ -166,13 +167,20 @@ class TestMassCommand:
                            "metric: {type: kerr}")
         assert run(["mass", bad_metric])[0] == 2
 
+    def test_wang_ah_metric_is_unknown(self, tmp_path):
+        # no surface can run in the collar chart of the wang_ah metric
+        cfg = write(tmp_path, "w.yaml", "metric: {type: wang_ah}")
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown metric type" in err
+
     @pytest.mark.parametrize("text", [
         "metric: {type: ads_schwarzschild, m: .nan}",
         "metric: {type: ads_schwarzschild, m: -0.1}",
         "outputs: {null_samples: 0}",
         "surface: {type: coordinate_sphere, r: .inf}",
         "surface: {type: radial_profile, linear: 5}",
-        "metric: {type: wang_ah, h: {linear: 5}}",
+        "asymptotic: {h: {linear: 5}}",
         "asymptotic: 5",
         "metric: false",
         "surface: {type: geodesic_sphere, rho: -1.0}",
@@ -276,6 +284,15 @@ class TestSpinorCheckCommand:
         assert "FAIL" in out
         residual = float(out.splitlines()[0].split(":")[1])
         assert residual > 0.1
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        # the draws are evaluated in blocks of SPINOR_BLOCK rows; a count
+        # above the block size prints what one block of all rows prints
+        argv = ["spinor-check", "--seed", "5", "--count", "50"]
+        one_block = run(argv)
+        monkeypatch.setattr(cli, "SPINOR_BLOCK", 7)
+        assert run(argv) == one_block
+        assert one_block[0] == 0
 
 
 class TestConvergenceCommand:

@@ -156,7 +156,7 @@ class TestMeanCurvature:
     def test_degenerate_immersion(self, grid16):
         surface = SurfaceData(F=lambda t, p: np.broadcast_to(
             [1.0, 0.0, 0.0], np.shape(t) + (3,)).copy(),
-            grid=grid16, k=1.0, center=np.zeros(3))
+            grid=grid16, k=1.0)
         with pytest.raises(DegenerateImmersion):
             surface_forms(surface, euclidean_metric())
 

@@ -1,19 +1,15 @@
-"""Hyperbolic-space models, conversions, distances, radial bounds."""
+"""The ball -> hyperboloid map and radial bounds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hypermass.errors import (DomainError, InvariantError, MissingEmbedding)
+from hypermass.errors import DomainError, MissingEmbedding
 from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 geodesic_sphere_surface,
                                 radial_profile_surface, unit_directions)
-from hypermass.hypgeom import (BallPoint, HyperboloidPoint,
-                               ball_to_hyperboloid, ball_to_minkowski,
-                               conformal_factor, geodesic_distance,
-                               hyperboloid_to_ball, origin, radial_bounds)
-from hypermass.lorentz import LorentzVector, minkowski_inner
+from hypermass.hypgeom import ball_to_minkowski, radial_bounds
 
 
 def random_ball_points(rng, n, rmax=0.95):
@@ -22,95 +18,87 @@ def random_ball_points(rng, n, rmax=0.95):
     return x * (rmax * rng.uniform(0, 1, (n, 1)) ** (1 / 3))
 
 
+def f_from_time(x):
+    # f(x) = 2 / (1 - |x|^2) = X_t + 1 at k = 1
+    return ball_to_minkowski(x)[..., 3] + 1.0
+
+
+def to_ball(X, k=1.0):
+    """Inverse of the ball -> hyperboloid map, x = k X_s / (1 + k X_t)."""
+    return k * X[..., :3] / (1.0 + k * X[..., 3:])
+
+
+def sphere_bounds(rho, k, n_theta=16):
+    grid = QuadratureGrid.build(n_theta, 2 * n_theta)
+    return radial_bounds(geodesic_sphere_surface(rho, k, grid))
+
+
 class TestConformalFactor:
     def test_origin(self):
-        assert conformal_factor(BallPoint([0, 0, 0])) == 2.0
+        assert f_from_time([0, 0, 0]) == 2.0
 
     def test_half_radius(self):
-        f = conformal_factor(BallPoint([0.5, 0, 0]))
+        f = f_from_time([0.5, 0, 0])
         assert abs(f - 8.0 / 3.0) < 1e-15
 
     def test_diverges_toward_boundary(self):
-        assert conformal_factor(BallPoint([0.999999, 0, 0])) > 1e5
+        assert f_from_time([0.999999, 0, 0]) > 1e5
         with pytest.raises(DomainError):
-            BallPoint([1.0, 0, 0])
+            ball_to_minkowski([1.0, 0, 0])
+        with pytest.raises(DomainError):
+            ball_to_minkowski([[0.1, 0, 0], [0.0, 0.6, 0.9]])
 
 
 class TestBallToHyperboloid:
     def test_origin_maps_to_center(self):
-        P = ball_to_hyperboloid(BallPoint([0, 0, 0]))
-        assert P.X == LorentzVector(0, 0, 0, 1)
+        assert ball_to_minkowski([0, 0, 0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_axis_point(self):
         rho = 1.3
-        P = ball_to_hyperboloid(BallPoint([math.tanh(rho / 2), 0, 0]))
-        assert abs(P.X.x1 - math.sinh(rho)) < 1e-14
-        assert abs(P.X.t - math.cosh(rho)) < 1e-14
-        assert abs(geodesic_distance(origin(), P) - rho) < 1e-13
+        X = ball_to_minkowski([math.tanh(rho / 2), 0, 0])
+        assert abs(X[0] - math.sinh(rho)) < 1e-14
+        assert abs(X[3] - math.cosh(rho)) < 1e-14
+        r1, r2 = sphere_bounds(rho, 1.0)
+        assert abs(r1 - rho) < 1e-13 and abs(r2 - rho) < 1e-13
 
     def test_sheet_constraint(self):
         rng = np.random.default_rng(11)
         for k in (0.5, 1.0, 2.0):
-            for x in random_ball_points(rng, 100):
-                P = ball_to_hyperboloid(BallPoint(x, k))
-                q = minkowski_inner(P.X, P.X)
-                assert abs(q + 1.0 / k ** 2) < 1e-12
+            X = ball_to_minkowski(random_ball_points(rng, 100), k)
+            q = np.sum(X[:, :3] ** 2, axis=1) - X[:, 3] ** 2
+            assert np.max(np.abs(q + 1.0 / k ** 2)) < 1e-12
+            assert np.all(X[:, 3] > 0.0)
 
 
 class TestHyperboloidToBall:
     def test_center(self):
-        p = hyperboloid_to_ball(origin())
-        assert np.all(p.x == 0.0)
+        assert np.all(to_ball(ball_to_minkowski([0, 0, 0])) == 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
-        for x in random_ball_points(rng, 100):
-            p2 = hyperboloid_to_ball(ball_to_hyperboloid(BallPoint(x)))
-            assert np.max(np.abs(p2.x - x)) < 1e-13
-
-    def test_lower_sheet_rejected(self):
-        with pytest.raises(InvariantError):
-            HyperboloidPoint(LorentzVector(0, 0, 0, -1))
-
-    def test_off_sheet_rejected(self):
-        with pytest.raises(InvariantError):
-            HyperboloidPoint(LorentzVector(0.5, 0, 0, 1))
+        for k in (0.5, 1.0, 2.0):
+            x = random_ball_points(rng, 100)
+            assert np.max(np.abs(to_ball(ball_to_minkowski(x, k), k) - x)) \
+                < 1e-13
 
 
 class TestGeodesicDistance:
+    # distances from the chart origin, the one centre radial_bounds measures
     def test_center_to_itself(self):
-        assert geodesic_distance(origin(), origin()) == 0.0
+        grid = QuadratureGrid.build(8, 16)
+        surface = SurfaceData(
+            F=unit_directions, grid=grid, k=1.0,
+            F0=lambda t, p: np.zeros(np.broadcast(t, p).shape + (3,)))
+        assert radial_bounds(surface) == (0.0, 0.0)
 
     def test_axis_distance(self):
-        P = HyperboloidPoint(LorentzVector(math.sinh(1), 0, 0, math.cosh(1)))
-        assert abs(geodesic_distance(origin(), P) - 1.0) < 1e-14
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(19)
-        for x, y in zip(random_ball_points(rng, 20),
-                        random_ball_points(rng, 20)):
-            P = ball_to_hyperboloid(BallPoint(x))
-            Q = ball_to_hyperboloid(BallPoint(y))
-            assert geodesic_distance(P, Q) == geodesic_distance(Q, P)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(23)
-        pts = random_ball_points(rng, 300)
-        for x, y, z in pts.reshape(100, 3, 3):
-            P, Q, R = (ball_to_hyperboloid(BallPoint(v)) for v in (x, y, z))
-            d = geodesic_distance
-            assert d(P, R) <= d(P, Q) + d(Q, R) + 1e-12
-
-    def test_mixed_scales_rejected(self):
-        with pytest.raises(InvariantError):
-            geodesic_distance(origin(1.0), origin(2.0))
+        r1, r2 = sphere_bounds(1.0, 1.0)
+        assert abs(r1 - 1.0) < 1e-14 and abs(r2 - 1.0) < 1e-14
 
 
 class TestRadialBounds:
     def test_geodesic_sphere(self):
-        grid = QuadratureGrid.build(16, 32)
-        surface = geodesic_sphere_surface(1.0, 1.0, grid)
-        r1, r2 = radial_bounds(surface, origin())
+        r1, r2 = sphere_bounds(1.0, 1.0)
         assert abs(r1 - 1.0) < 1e-12 and abs(r2 - 1.0) < 1e-12
 
     def test_perturbed_profile(self):
@@ -119,7 +107,7 @@ class TestRadialBounds:
         # the fine theta grid.
         grid = QuadratureGrid.build(1024, 16)
         surface = radial_profile_surface(1.0, (0.0, 0.0, 0.1), 1.0, grid)
-        r1, r2 = radial_bounds(surface, origin())
+        r1, r2 = radial_bounds(surface)
         assert abs(r1 - 0.9) < 1e-6
         assert abs(r2 - 1.1) < 1e-6
 
@@ -128,29 +116,31 @@ class TestRadialBounds:
         surface = SurfaceData(F=lambda t, p: unit_directions(t, p) * 0.5,
                               grid=grid, k=1.0, F0=None)
         with pytest.raises(MissingEmbedding):
-            radial_bounds(surface, origin())
+            radial_bounds(surface)
 
 
 class TestModelInvariants:
     def test_bijection_residual(self):
         rng = np.random.default_rng(29)
         pts = random_ball_points(rng, 1000)
-        X = ball_to_minkowski(pts)
-        back = X[:, :3] / (1.0 + X[:, 3:])
-        assert np.max(np.abs(back - pts)) < 1e-12
+        assert np.max(np.abs(to_ball(ball_to_minkowski(pts)) - pts)) < 1e-12
 
     def test_conformal_factor_vs_time_component(self):
-        # at k = 1: t = (1+|x|^2)/(1-|x|^2) = f - 1
+        # at k = 1: t = (1+|x|^2)/(1-|x|^2) = f - 1, and X_s = f x
         rng = np.random.default_rng(31)
-        for x in random_ball_points(rng, 100):
-            P = ball_to_hyperboloid(BallPoint(x))
-            assert abs(conformal_factor(BallPoint(x)) - (P.X.t + 1)) < 1e-12
+        x = random_ball_points(rng, 100)
+        f = 2.0 / (1.0 - np.sum(x * x, axis=1))
+        X = ball_to_minkowski(x)
+        assert np.max(np.abs(f - (X[:, 3] + 1))) < 1e-12
+        assert np.max(np.abs(X[:, :3] - f[:, None] * x)) < 1e-12
 
     def test_distance_vs_artanh(self):
+        # d(o, x) = (2/k) artanh(|x|); a geodesic sphere of radius rho has
+        # ball radius tanh(k rho / 2)
         rng = np.random.default_rng(37)
         for k in (0.5, 1.0, 2.0):
-            for x in random_ball_points(rng, 50):
-                P = ball_to_hyperboloid(BallPoint(x, k))
-                d = geodesic_distance(origin(k), P)
-                expect = 2.0 / k * math.atanh(float(np.linalg.norm(x)))
-                assert abs(d - expect) < 1e-10
+            for rho in rng.uniform(0.1, 3.0, 5):
+                r1, r2 = sphere_bounds(rho, k, 8)
+                radius = math.tanh(0.5 * k * rho)
+                expect = 2.0 / k * math.atanh(radius)
+                assert abs(r1 - expect) < 1e-10 and abs(r2 - expect) < 1e-10

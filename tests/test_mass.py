@@ -10,7 +10,7 @@ from hypermass.errors import (DomainError, IsometryViolation,
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_schwarzschild_metric,
                                 coordinate_sphere_surface,
-                                geodesic_sphere_surface,
+                                euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric, unit_directions)
 from hypermass.lorentz import (CausalClass, LorentzVector, classify,
                                minkowski_inner, sample_null_cone)
@@ -75,6 +75,18 @@ class TestEnergyMomentum:
             grid=grid32, k=1.0)
         with pytest.raises(IsometryViolation):
             energy_momentum(surface, ads_schwarzschild_metric(ADS_M, 1.0))
+
+    def test_isometry_violation_is_the_reported_criterion(self, grid32):
+        # the induced metrics differ by 2e-8: above iso_tol = 1e-8, the
+        # bound HypothesisChecks prints, though below iso_tol times the
+        # metric scale 4
+        rho = math.asinh(math.sqrt(4.0 - 2e-8))
+        surface = SurfaceData(
+            F=lambda t, p: 2.0 * unit_directions(t, p),
+            F0=geodesic_sphere_surface(rho, 1.0, grid32).F0,
+            grid=grid32, k=1.0)
+        with pytest.raises(IsometryViolation):
+            energy_momentum(surface, euclidean_metric())
 
 
 class TestShiTam:
@@ -165,7 +177,8 @@ class TestKillingWeightedMass:
     def test_ads_dual_path(self, ads_scenarios, ads_metric):
         surface, data, E = ads_scenarios[2.0]
         val = killing_weighted_mass(surface, ads_metric, [1, 0], 1, data=data)
-        pairing = minkowski_inner(E, zeta_of([1, 0], 1))
+        pairing = minkowski_inner(E, LorentzVector.from_array(
+            zeta_of([1, 0], 1)))
         assert val > 0.0
         assert abs(val + 2.0 * pairing) < 1e-8 * (1.0 + abs(pairing))
 
@@ -176,7 +189,8 @@ class TestKillingWeightedMass:
             for sign in (1, -1):
                 val = killing_weighted_mass(surface, ads_metric, a, sign,
                                             data=data)
-                pairing = minkowski_inner(E, zeta_of(a, sign))
+                pairing = minkowski_inner(E, LorentzVector.from_array(
+                    zeta_of(a, sign)))
                 assert abs(val + 2.0 * pairing) < 1e-8 * (1.0 + abs(pairing))
 
     def test_quadratic_scaling(self, ads_scenarios, ads_metric):

@@ -1,12 +1,17 @@
-"""Package surface: exported names and the names the bench tracer wraps."""
+"""Package surface: exported names, raised error types and the names the
+bench tracer wraps."""
 
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hypermass import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("hypermass", "hypermass.lorentz", "hypermass.hypgeom",
@@ -38,3 +43,14 @@ def test_bench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", TRACER_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_error_type_is_raised():
+    # an error type that nothing raises is dead API a deletion left behind
+    source = "\n".join(path.read_text() for path in
+                       sorted((ROOT / "src" / "hypermass").glob("*.py")))
+    raised = set(re.findall(r"\braise\s+(\w+)", source))
+    types = {name for name, obj in vars(errors).items()
+             if inspect.isclass(obj) and issubclass(obj, errors.HypermassError)
+             and obj is not errors.HypermassError}
+    assert types and types - raised == set()

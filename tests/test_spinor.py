@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermass.errors import DomainError, NotNull
-from hypermass.hypgeom import BallPoint
+from hypermass.geometry import (QuadratureGrid, geodesic_sphere_surface,
+                                hyperbolic_ball_metric)
 from hypermass.lorentz import (CausalClass, LorentzVector, classify,
-                               minkowski_inner, sample_null_cone)
-from hypermass.spinor import (S_GAMMA, S_ZETA, calibrate_signs, killing_spinor,
+                               sample_null_cone)
+from hypermass.mass import killing_weighted_mass
+from hypermass.spinor import (S_GAMMA, S_ZETA, calibrate_signs,
                               killing_spinor_norms_sq, make_clifford_rep,
                               null_to_spinor, verify_zet, zeta_of)
 
@@ -22,6 +24,15 @@ REP = make_clifford_rep()
 
 def random_interior_points(rng, n, half_width=0.57):
     return rng.uniform(-half_width, half_width, (n, 3))
+
+
+def minkowski_square(z):
+    return np.sum(z[..., :3] ** 2, axis=-1) - z[..., 3] ** 2
+
+
+def cone_arrays(m):
+    cone = sample_null_cone(m)
+    return cone, np.array([z.as_array() for z in cone])
 
 
 class TestCliffordRep:
@@ -43,70 +54,87 @@ class TestCliffordRep:
     def test_zet_residual_with_calibrated_signs(self):
         rng = np.random.default_rng(47)
         pts = random_interior_points(rng, 100)
-        for a, x in zip(random_spinors(rng, 100), pts):
-            for sign in (1, -1):
-                assert verify_zet(a, BallPoint(x), sign) < 1e-12
+        A = random_spinors(rng, 100)
+        for sign in (1, -1):
+            assert np.max(verify_zet(A, pts, sign)) < 1e-12
 
 
 class TestKillingSpinor:
     def test_origin_value(self):
-        psi = killing_spinor([1, 0], BallPoint([0, 0, 0]), 1)
-        assert np.max(np.abs(psi - math.sqrt(2) * np.array([1, 0]))) < 1e-15
+        # psi = sqrt(2) (1, 0) at the origin
+        n2 = killing_spinor_norms_sq([1, 0], [0, 0, 0], 1)
+        assert abs(n2 - 2.0) < 1e-15
 
     def test_zero_spinor(self):
-        psi = killing_spinor([0, 0], BallPoint([0.3, 0.1, -0.2]), -1)
-        assert np.all(psi == 0)
+        assert killing_spinor_norms_sq([0, 0], [0.3, 0.1, -0.2], -1) == 0.0
 
     def test_norm_expansion_oracle(self):
         # |psi|^2 = f (|a|^2 (1+|x|^2) +- 2 Re(i <a, gamma(x) a>)) using the
-        # conjugate-first Hermitian product and gamma(x)^dag gamma(x) = |x|^2
+        # conjugate-first Hermitian product and gamma(x)^dag gamma(x) = |x|^2;
+        # one spinor per point, evaluated in one call
         rng = np.random.default_rng(53)
         pts = random_interior_points(rng, 100)
-        for a, x in zip(random_spinors(rng, 100), pts):
-            gx = np.einsum("j,jkl->kl", x, REP.gammas)
-            f = 2.0 / (1.0 - x @ x)
-            for sign in (1, -1):
-                psi = killing_spinor(a, BallPoint(x), sign)
-                direct = float(np.vdot(psi, psi).real)
+        A = random_spinors(rng, 100)
+        for sign in (1, -1):
+            norms = killing_spinor_norms_sq(A, pts, sign)
+            for a, x, direct in zip(A, pts, norms):
+                gx = np.einsum("j,jkl->kl", x, REP.gammas)
+                f = 2.0 / (1.0 - x @ x)
                 cross = 2.0 * sign * (1j * np.vdot(a, gx @ a)).real
                 expect = f * (float(np.vdot(a, a).real) * (1 + x @ x) + cross)
                 assert abs(direct - expect) < 1e-12 * (1 + abs(expect))
 
     def test_vectorized_norms_match(self):
+        # one spinor broadcast over the points, as killing_weighted_mass
+        # calls it, against the same spinor repeated per point
         rng = np.random.default_rng(59)
         pts = random_interior_points(rng, 40)
         a = np.array([0.3 + 0.4j, -1.1 + 0.2j])
         norms = killing_spinor_norms_sq(a, pts, 1)
-        for x, n2 in zip(pts, norms):
-            psi = killing_spinor(a, BallPoint(x), 1)
-            assert abs(n2 - float(np.vdot(psi, psi).real)) < 1e-13 * (1 + n2)
+        rows = killing_spinor_norms_sq(np.tile(a, (40, 1)), pts, 1)
+        assert norms.shape == rows.shape == (40,)
+        assert np.all(np.abs(norms - rows) < 1e-13 * (1 + rows))
 
     def test_requires_unit_curvature(self):
+        # the Killing spinor formulas are stated at k = 1
+        surface = geodesic_sphere_surface(1.0, 2.0,
+                                          QuadratureGrid.build(8, 16))
         with pytest.raises(DomainError):
-            killing_spinor([1, 0], BallPoint([0, 0, 0], k=2.0), 1)
+            killing_weighted_mass(surface, hyperbolic_ball_metric(2.0),
+                                  [1, 0], 1)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(DomainError):
-            killing_spinor([1, 0], BallPoint([0, 0, 0]), 2)
+            killing_spinor_norms_sq([1, 0], [0, 0, 0], 2)
+
+    def test_rejects_non_finite_spinors(self):
+        A = np.array([[1, 0], [0.5, np.inf * 1j]])
+        with pytest.raises(DomainError):
+            killing_spinor_norms_sq(A, [0, 0, 0], 1)
+        with pytest.raises(DomainError):
+            zeta_of(A, 1)
 
 
 class TestZetaOf:
     def test_unit_spinor_is_unit_null(self):
         z = zeta_of([1, 0], 1)
-        assert abs(abs(z.t) - 1.0) < 1e-15
-        assert abs(z.x1 ** 2 + z.x2 ** 2 + z.x3 ** 2 - 1.0) < 1e-14
-        assert classify(z) is CausalClass.NULL_FUTURE
+        assert z.shape == (4,)
+        assert abs(abs(z[3]) - 1.0) < 1e-15
+        assert abs(np.sum(z[:3] ** 2) - 1.0) < 1e-14
+        assert classify(LorentzVector.from_array(z)) is CausalClass.NULL_FUTURE
 
     def test_zero_spinor(self):
-        assert zeta_of([0, 0], 1).norm_inf() == 0.0
+        assert np.all(zeta_of([0, 0], 1) == 0.0)
 
     def test_nullity(self):
         rng = np.random.default_rng(61)
-        for a in random_spinors(rng, 100):
-            for sign in (1, -1):
-                z = zeta_of(a, sign)
-                scale = z.norm_inf() ** 2
-                assert abs(minkowski_inner(z, z)) < 1e-14 * max(scale, 1.0)
+        A = random_spinors(rng, 100)
+        for sign in (1, -1):
+            z = zeta_of(A, sign)
+            assert z.shape == (100, 4)
+            scale = np.max(np.abs(z), axis=1) ** 2
+            assert np.all(np.abs(minkowski_square(z))
+                          < 1e-14 * np.maximum(scale, 1.0))
 
     @given(st.floats(min_value=0.0, max_value=2 * math.pi),
            st.integers(min_value=0, max_value=10_000))
@@ -116,61 +144,61 @@ class TestZetaOf:
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z1 = zeta_of(a, 1)
         z2 = zeta_of(np.exp(1j * theta) * a, 1)
-        assert (z1 - z2).norm_inf() < 1e-14 * max(z1.norm_inf(), 1.0)
+        assert np.max(np.abs(z1 - z2)) < 1e-14 * max(np.max(np.abs(z1)), 1.0)
 
     def test_real_scaling_is_quadratic(self):
         rng = np.random.default_rng(67)
-        for a in random_spinors(rng, 20):
-            lam = float(rng.uniform(0.1, 3.0))
-            z1 = zeta_of(a, 1)
-            z2 = zeta_of(lam * a, 1)
-            assert (z2 - lam ** 2 * z1).norm_inf() \
-                < 1e-13 * max(z2.norm_inf(), 1.0)
+        A = random_spinors(rng, 20)
+        lam = rng.uniform(0.1, 3.0, (20, 1))
+        z1 = zeta_of(A, 1)
+        z2 = zeta_of(lam * A, 1)
+        scale = np.maximum(np.max(np.abs(z2), axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(z2 - lam ** 2 * z1) < 1e-13 * scale)
 
 
 class TestVerifyZet:
     def test_origin(self):
-        assert verify_zet([1, 0], BallPoint([0, 0, 0]), 1) < 1e-14
+        assert verify_zet([1, 0], [0, 0, 0], 1) < 1e-14
 
     def test_random_points(self):
         rng = np.random.default_rng(71)
         pts = random_interior_points(rng, 100)
-        for a, x in zip(random_spinors(rng, 100), pts):
-            for sign in (1, -1):
-                assert verify_zet(a, BallPoint(x), sign) < 1e-12
+        A = random_spinors(rng, 100)
+        for sign in (1, -1):
+            res = verify_zet(A, pts, sign)
+            assert res.shape == (100,)
+            assert np.all(res < 1e-12)
 
     def test_zero_spinor(self):
-        assert verify_zet([0, 0], BallPoint([0.2, -0.4, 0.1]), 1) == 0.0
+        assert verify_zet([0, 0], [0.2, -0.4, 0.1], 1) == 0.0
 
     def test_detects_wrong_sign_convention(self):
         bad = make_clifford_rep(s_zeta=-S_ZETA)
-        res = verify_zet([1, 0], BallPoint([0.3, 0.0, 0.1]), 1, bad)
+        res = verify_zet([1, 0], [0.3, 0.0, 0.1], 1, bad)
         assert res > 0.1
 
 
 class TestNullToSpinor:
     def test_recovers_basis_spinor(self):
         z = zeta_of([1, 0], 1)
-        z_unit = (1.0 / abs(z.t)) * z
-        a = null_to_spinor(z_unit)
+        z_unit = z / abs(z[3])
+        a = null_to_spinor(LorentzVector.from_array(z_unit))
         back = zeta_of(a, 1)
-        assert (back - z_unit).norm_inf() < 1e-12
+        assert np.max(np.abs(back - z_unit)) < 1e-12
 
     def test_round_trip_on_cone_samples(self):
-        for z in sample_null_cone(500):
-            a = null_to_spinor(z)
-            assert abs(float(np.vdot(a, a).real) - 1.0) < 1e-14
-            back = zeta_of(a, 1)
-            assert (back - z).norm_inf() < 1e-12
+        cone, Z = cone_arrays(500)
+        A = np.array([null_to_spinor(z) for z in cone])
+        assert np.max(np.abs(np.sum(np.abs(A) ** 2, axis=1) - 1.0)) < 1e-14
+        assert np.max(np.abs(zeta_of(A, 1) - Z)) < 1e-12
 
     def test_random_null_round_trip(self):
         rng = np.random.default_rng(73)
-        for _ in range(100):
-            n = rng.standard_normal(3)
-            n /= np.linalg.norm(n)
-            z = LorentzVector(n[0], n[1], n[2], 1.0)
-            back = zeta_of(null_to_spinor(z), 1)
-            assert (back - z).norm_inf() < 1e-12
+        n = rng.standard_normal((100, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        Z = np.concatenate([n, np.ones((100, 1))], axis=1)
+        A = np.array([null_to_spinor(LorentzVector.from_array(z)) for z in Z])
+        assert np.max(np.abs(zeta_of(A, 1) - Z)) < 1e-12
 
     def test_spacelike_rejected(self):
         with pytest.raises(NotNull):
