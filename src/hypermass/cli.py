@@ -26,7 +26,7 @@ from . import geometry as geo
 from . import mass as massmod
 from .errors import ConfigError, HypermassError, HypothesisFailure
 from .hypgeom import radial_bounds
-from .lorentz import classify, minkowski_inner, sample_null_cone
+from .lorentz import classify, sample_null_cone
 from .spinor import make_clifford_rep, null_to_spinor, verify_zet, zeta_of
 
 
@@ -145,13 +145,7 @@ def resolve_config(cfg: dict) -> dict:
     out["surface"]["orientation"] = orientation
 
     outputs = _section(cfg, "outputs")
-    out["outputs"] = {
-        "shi_tam": bool(outputs.get("shi_tam", False)),
-        "null_samples": _number(outputs.get("null_samples", 500),
-                                "outputs.null_samples", int),
-    }
-    if out["outputs"]["null_samples"] < 1:
-        raise ConfigError("outputs.null_samples must be at least 1")
+    out["outputs"] = {"shi_tam": bool(outputs.get("shi_tam", False))}
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if out["outputs"]["shi_tam"] and k != 1.0:
         raise ConfigError("outputs.shi_tam needs metric.k = 1")
@@ -251,12 +245,12 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
         alpha = massmod.shi_tam_alpha(r1, r2)
         m_alpha = massmod.shi_tam_vector(surface, metric, alpha, data=data)
 
-    pairings = [minkowski_inner(E, z)
-                for z in sample_null_cone(cfg["outputs"]["null_samples"])]
+    # exact extremes of <E, (u, 1)> = -E_t - E_s.u over unit vectors u
+    spatial = math.hypot(E.x1, E.x2, E.x3)
     report = massmod.MassReport(
         E=E, causal_class=classify(E, tols["causal_tol"]), checks=checks,
         resolution=resolution, M_alpha=m_alpha, alpha=alpha,
-        null_pairing_min=min(pairings), null_pairing_max=max(pairings),
+        null_pairing_min=-E.t - spatial, null_pairing_max=-E.t + spatial,
         forced=force and not checks.passed, config=cfg)
     doc = report.to_dict()
     _write_text(outdir / "mass_report.json", _json_dump(doc))

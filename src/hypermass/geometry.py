@@ -171,10 +171,6 @@ class SphereTensor:
         a = np.asarray(self.linear, dtype=float)
         return 2.0 * self.g0_coeff + xhat @ a
 
-    @property
-    def is_zero(self) -> bool:
-        return self.g0_coeff == 0.0 and all(c == 0.0 for c in self.linear)
-
 
 def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
     """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r).

@@ -26,7 +26,7 @@ from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        unit_directions)
 from .hypgeom import ball_to_minkowski
 from .lorentz import CausalClass, LorentzVector
-from .spinor import CliffordRep, killing_spinor_norms_sq, make_clifford_rep
+from .spinor import _as_spinor, killing_spinor_norms_sq
 
 __all__ = [
     "MassReport",
@@ -40,7 +40,6 @@ __all__ = [
     "shi_tam_alpha",
     "shi_tam_vector",
     "wang_mass",
-    "upsilon_scalar_first",
     "killing_weighted_mass",
     "ah_sphere_data",
     "asymptotic_limit",
@@ -64,6 +63,7 @@ class SurfaceMassData:
     area_element: np.ndarray  # sqrt(det g_ab) of the ambient side (N,)
     weights: np.ndarray      # quadrature measure weights (N,)
     k: float
+    killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def weighted(self, values: np.ndarray) -> float:
         return math.fsum((self.weights * self.area_element * values).tolist())
@@ -71,6 +71,24 @@ class SurfaceMassData:
     def weighted_vector(self, values: np.ndarray) -> LorentzVector:
         comps = [self.weighted(values[:, c]) for c in range(4)]
         return LorentzVector(*comps)
+
+    def killing_form(self, sign: int) -> np.ndarray:
+        """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
+        a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
+        e_0 + e_1, e_0 + i e_1, and each real entry of Q is one
+        :meth:`weighted` sum.  Built once for each sign +-1; read-only."""
+        if sign not in self.killing_forms:
+            w = (self.H0 ** 2 - self.H ** 2) / self.H
+            n0, n1, n_re, n_im = killing_spinor_norms_sq(
+                np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
+                self.ball_points, sign)
+            q00, q11, re01, im01 = (self.weighted(w * m) for m in (
+                n0, n1, 0.5 * (n_re - n0 - n1), 0.5 * (n0 + n1 - n_im)))
+            Q = np.array([[q00, complex(re01, im01)],
+                          [complex(re01, -im01), q11]])
+            Q.flags.writeable = False
+            self.killing_forms[sign] = Q
+        return self.killing_forms[sign]
 
 
 def mass_forms(surface: SurfaceData, ambient: MetricField,
@@ -177,9 +195,8 @@ def wang_mass(h: SphereTensor,
     """Wang's AH energy-momentum from the mass-aspect tensor h.
 
     The scalar slot is int tr(h) dS and the vector slot int tr(h) x dS over
-    the round sphere.  Internally the scalar slot is stored as the *time*
-    component of a LorentzVector (time slot last); use
-    :func:`upsilon_scalar_first` for the conventional (scalar, vector) order.
+    the round sphere, stored as the time and the spatial part of the
+    LorentzVector.
     """
     xhat, w = _round_sphere_quadrature(grid)
     tau = h.trace(xhat)
@@ -188,28 +205,23 @@ def wang_mass(h: SphereTensor,
     return LorentzVector(spatial[0], spatial[1], spatial[2], t)
 
 
-def upsilon_scalar_first(upsilon: LorentzVector) -> tuple[float, np.ndarray]:
-    """(scalar slot, vector slot) ordering of the AH energy-momentum."""
-    return upsilon.t, upsilon.spatial
-
-
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
                           sign: int, iso_tol: float = 1e-8,
-                          rep: Optional[CliffordRep] = None,
-                          data: Optional[SurfaceMassData] = None) -> float:
-    """int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma (k = 1 only).
-
-    By the pointwise spinor/null-vector identity this equals
-    -2 <E(Sigma), zeta_a^{sign}> up to quadrature tolerance; both routes are
-    kept separate so they can cross-check each other.
-    """
+                          data: Optional[SurfaceMassData] = None):
+    """int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma (k = 1) for spinors
+    ``a`` of shape (..., 2), a float for one spinor: Re(a^H Q a), with the
+    2x2 Hermitian Q of :meth:`SurfaceMassData.killing_form` summed from the
+    nodes, never from E or zeta, so that the identity with
+    -2 <E(Sigma), zeta_a^{sign}> stays a cross-check of two routes."""
+    if sign not in (1, -1):
+        raise DomainError("sign must be +1 or -1")
+    a = _as_spinor(a)
     d = data or surface_mass_data(surface, ambient, iso_tol)
     if d.k != 1.0:
         raise DomainError("spinor-weighted integrals require k = 1")
-    rep = rep or make_clifford_rep()
-    norms = killing_spinor_norms_sq(a, d.ball_points, sign, rep)
-    w = (d.H0 ** 2 - d.H ** 2) / d.H
-    return d.weighted(w * norms)
+    Q = d.killing_form(int(sign))
+    val = np.einsum("...k,kl,...l->...", a.conj(), Q, a)
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +238,10 @@ class AHSphereData:
     leading behavior (x/r, 1/r).
     """
 
-    r: float
     H: np.ndarray           # (N,)
     H0: np.ndarray          # (N,)
     area_factor: float      # 1/sinh^2 r multiplying the round measure
     X: np.ndarray           # (N, 4) hyperboloid positions
-    trace_h: np.ndarray     # (N,)
-    xhat: np.ndarray        # (N, 3)
     weights: np.ndarray     # (N,) round-sphere dS weights
 
 
@@ -254,9 +263,9 @@ def ah_sphere_data(r: float, h: SphereTensor,
     cosh_rho = math.sqrt(1.0 + sinh_rho ** 2)
     X = np.concatenate([sinh_rho * xhat,
                         np.full((xhat.shape[0], 1), cosh_rho)], axis=1)
-    return AHSphereData(r=r, H=H, H0=H0,
+    return AHSphereData(H=H, H0=H0,
                         area_factor=1.0 / math.sinh(r) ** 2,
-                        X=X, trace_h=tau, xhat=xhat, weights=w)
+                        X=X, weights=w)
 
 
 def small_sphere_energy(data: AHSphereData) -> LorentzVector:

@@ -13,6 +13,7 @@ from hypermass import cli
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass.cli import build_metric, build_surface, load_config, main
+from hypermass.lorentz import LorentzVector, minkowski_inner, sample_null_cone
 
 from conftest import exact_ads_energy
 
@@ -26,7 +27,7 @@ GEO_CONFIG = """
 metric: {type: hyperbolic_ball, k: 1.0}
 surface: {type: geodesic_sphere, rho: 1.0}
 resolution: {n_theta: 16, n_phi: 32}
-outputs: {shi_tam: true, null_samples: 100}
+outputs: {shi_tam: true}
 asymptotic:
   h: {g0_coeff: 0.5}
   radii: [0.2, 0.1, 0.05]
@@ -136,6 +137,21 @@ class TestMassCommand:
         for key in ("E", "causal_class", "M_alpha", "alpha"):
             assert doc[key] is None
 
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    def test_null_pairing_is_exact(self, tmp_path, r):
+        # the reported extremes bound every sampled future null pairing
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG.replace(
+            "r: 2.0", f"r: {r}"))
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        E = LorentzVector(*doc["E"])
+        spatial = float(np.linalg.norm(E.spatial))
+        assert doc["null_pairing"] == pytest.approx(
+            {"min": -E.t - spatial, "max": -E.t + spatial}, rel=1e-15)
+        sampled = [minkowski_inner(E, z) for z in sample_null_cone(500)]
+        assert doc["null_pairing"]["min"] <= min(sampled)
+        assert max(sampled) <= doc["null_pairing"]["max"]
+
     def test_configured_causal_tol_classifies(self, tmp_path):
         cfg = write(tmp_path, "tiny.yaml", SMALL_E_CONFIG)
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
@@ -177,7 +193,6 @@ class TestMassCommand:
     @pytest.mark.parametrize("text", [
         "metric: {type: ads_schwarzschild, m: .nan}",
         "metric: {type: ads_schwarzschild, m: -0.1}",
-        "outputs: {null_samples: 0}",
         "surface: {type: coordinate_sphere, r: .inf}",
         "surface: {type: radial_profile, linear: 5}",
         "asymptotic: {h: {linear: 5}}",
@@ -187,7 +202,7 @@ class TestMassCommand:
         "surface: {type: coordinate_sphere, r: 0.0}",
         "surface: {type: radial_profile, base: 0.5, linear: [0.3, 0.4, 0.0]}",
         "metric: {k: 2.0}\noutputs: {shi_tam: true}",
-    ], ids=["nan_mass", "negative_mass", "no_null_samples", "infinite_r",
+    ], ids=["nan_mass", "negative_mass", "infinite_r",
             "scalar_surface_linear", "scalar_h_linear", "scalar_asymptotic",
             "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
             "shi_tam_off_k1"])

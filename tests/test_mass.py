@@ -1,5 +1,7 @@
 """Mass functionals: E(Sigma), Shi-Tam, Wang's mass, asymptotic limit."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +16,13 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 hyperbolic_ball_metric, unit_directions)
 from hypermass.lorentz import (CausalClass, LorentzVector, classify,
                                minkowski_inner, sample_null_cone)
+from hypermass import mass as massmod
 from hypermass.mass import (HypothesisChecks, MassReport, ah_sphere_data,
                             asymptotic_limit, energy_momentum,
                             killing_weighted_mass, shi_tam_alpha,
                             shi_tam_vector, small_sphere_energy,
-                            surface_mass_data, upsilon_scalar_first,
-                            wang_mass)
-from hypermass.spinor import zeta_of
+                            surface_mass_data, wang_mass)
+from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
                       exact_ads_energy, random_spinors)
@@ -160,12 +162,6 @@ class TestWangMass:
         assert abs(ups.x3 - 4 * math.pi / 3) < 1e-12
         assert max(abs(ups.x1), abs(ups.x2)) < 1e-12
 
-    def test_scalar_first_adapter(self):
-        ups = wang_mass(SphereTensor(g0_coeff=0.5, linear=(0.0, 0.0, 1.0)))
-        scalar, vector = upsilon_scalar_first(ups)
-        assert scalar == ups.t
-        assert np.all(vector == ups.spatial)
-
 
 class TestKillingWeightedMass:
     def test_rigid_sphere_vanishes(self, rigid_scenarios, hyp_metric):
@@ -211,6 +207,125 @@ class TestKillingWeightedMass:
             a = null_to_spinor(z)
             val = killing_weighted_mass(surface, ads_metric, a, 1, data=data)
             assert val > 0.0
+
+
+@pytest.fixture(scope="module")
+def ads_r10(grid64, ads_metric):
+    """The AdS-Schwarzschild coordinate sphere r = 10: (surface, data, E)."""
+    surface = coordinate_sphere_surface(10.0, grid64)
+    data = surface_mass_data(surface, ads_metric)
+    return surface, data, energy_momentum(surface, ads_metric, data=data)
+
+
+@pytest.fixture
+def form_builds(monkeypatch):
+    """Sign of each Q build: the only node pass of the spinor-weighted mass
+    is its call of killing_spinor_norms_sq."""
+    signs = []
+    norms = massmod.killing_spinor_norms_sq
+
+    def counted(a, points, sign, *args, **kwargs):
+        signs.append(sign)
+        return norms(a, points, sign, *args, **kwargs)
+
+    monkeypatch.setattr(massmod, "killing_spinor_norms_sq", counted)
+    return signs
+
+
+class TestKillingForm:
+    def test_eigenvalues_are_the_null_pairing_extremes(self, ads_scenarios,
+                                                       ads_r10):
+        # Q_sign has eigenvalues 2 (E_t -+ |E_s|) = -2 (max, min) of
+        # <E, zeta> over the future null zeta = (u, 1)
+        for _, data, E in (ads_scenarios[2.0], ads_r10):
+            spatial = float(np.linalg.norm(E.spatial))
+            expect = 2.0 * np.array([E.t - spatial, E.t + spatial])
+            for sign in (1, -1):
+                lam = np.linalg.eigvalsh(data.killing_form(sign))
+                assert np.max(np.abs(lam - expect)) \
+                    < 1e-8 * (1.0 + E.norm_inf())
+
+    def test_hermitian_and_read_only(self, ads_scenarios):
+        _, data, _ = ads_scenarios[2.0]
+        for sign in (1, -1):
+            Q = data.killing_form(sign)
+            assert Q.shape == (2, 2)
+            assert np.array_equal(Q, Q.conj().T)
+            assert not Q.flags.writeable
+
+    def test_positive_definite_when_timelike_future(self, ads_scenarios,
+                                                    ads_r10):
+        for _, data, E in list(ads_scenarios.values()) + [ads_r10]:
+            assert classify(E) is CausalClass.TIMELIKE_FUTURE
+            for sign in (1, -1):
+                assert np.min(np.linalg.eigvalsh(data.killing_form(sign))) > 0
+
+    def test_vanishes_on_rigid_spheres(self, rigid_scenarios):
+        for rho in RIGID_RADII:
+            _, data, _ = rigid_scenarios[rho]
+            for sign in (1, -1):
+                assert np.max(np.abs(data.killing_form(sign))) <= 1e-10
+
+    def test_matches_the_per_node_route(self, ads_scenarios, ads_metric):
+        surface, data, _ = ads_scenarios[2.0]
+        w = (data.H0 ** 2 - data.H ** 2) / data.H
+        rng = np.random.default_rng(2718)
+        for sign in (1, -1):
+            killing_weighted_mass(surface, ads_metric, [1, 0], sign,
+                                  data=data)  # warm the memo
+            for a in random_spinors(rng, 50):
+                node_route = data.weighted(
+                    w * killing_spinor_norms_sq(a, data.ball_points, sign))
+                val = killing_weighted_mass(surface, ads_metric, a, sign,
+                                            data=data)
+                assert abs(val - node_route) <= 1e-13 * abs(node_route)
+
+    def test_stacked_spinors_match_single_calls(self, ads_scenarios,
+                                                ads_metric):
+        surface, data, _ = ads_scenarios[2.0]
+        A = random_spinors(np.random.default_rng(161), 20)
+        for sign in (1, -1):
+            stacked = killing_weighted_mass(surface, ads_metric, A, sign,
+                                            data=data)
+            single = [killing_weighted_mass(surface, ads_metric, a, sign,
+                                            data=data) for a in A]
+            assert all(isinstance(v, float) for v in single)
+            assert stacked.shape == (20,)
+            assert np.allclose(stacked, single, rtol=1e-15, atol=0.0)
+
+    def test_checks_run_on_a_warm_memo(self, ads_scenarios, ads_metric):
+        surface, data, _ = ads_scenarios[2.0]
+        for sign in (1, -1):
+            killing_weighted_mass(surface, ads_metric, [1, 0], sign,
+                                  data=data)
+        for a, sign in (([np.nan, 0], 1), ([1, 0, 0], 1), ([1, 0], 0)):
+            with pytest.raises(DomainError):
+                killing_weighted_mass(surface, ads_metric, a, sign, data=data)
+        k2 = copy.copy(data)  # shares the warm memo
+        k2.k = 2.0
+        assert set(k2.killing_forms) == {1, -1}
+        with pytest.raises(DomainError):
+            killing_weighted_mass(surface, ads_metric, [1, 0], 1, data=k2)
+
+    def test_one_build_per_sign(self, ads_scenarios, ads_metric,
+                                form_builds):
+        surface, data, _ = ads_scenarios[2.0]
+        fresh = dataclasses.replace(data)
+        assert fresh.killing_forms == {}
+        for a in random_spinors(np.random.default_rng(5), 200):
+            for sign in (1, -1):
+                killing_weighted_mass(surface, ads_metric, a, sign,
+                                      data=fresh)
+        assert form_builds == [1, -1]
+        # a sign equal to +-1 in another numeric type reuses the same Q
+        for sign in (np.array(1), np.int64(-1), 1.0):
+            killing_weighted_mass(surface, ads_metric, [1, 0], sign,
+                                  data=fresh)
+        assert form_builds == [1, -1]
+        other = dataclasses.replace(data)
+        assert other.killing_forms == {}
+        killing_weighted_mass(surface, ads_metric, [1, 0], -1, data=other)
+        assert form_builds == [1, -1, -1]
 
 
 class TestAHSphereData:
