@@ -241,7 +241,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 
     m_alpha = alpha = None
     if cfg["outputs"]["shi_tam"]:
-        r1, r2 = radial_bounds(surface)
+        r1, r2 = radial_bounds(data.ball_points, k)
         alpha = massmod.shi_tam_alpha(r1, r2)
         m_alpha = massmod.shi_tam_vector(surface, metric, alpha, data=data)
 
@@ -313,15 +313,31 @@ def run_spinor_check(seed: int, count: int, corrupt_sign: bool = False) -> int:
             X[i] = rng.uniform(-0.57, 0.57, 3)
         for sign in (1, -1):
             max_zet = max(max_zet, float(np.max(verify_zet(A, X, sign, rep))))
-    cone = sample_null_cone(500)
-    spinors = np.array([null_to_spinor(z) for z in cone])
-    cone_array = np.array([z.as_array() for z in cone])
-    max_rt = float(np.max(np.abs(zeta_of(spinors, 1, rep) - cone_array)))
+    cone = np.array([z.as_array() for z in sample_null_cone(500)])
+    max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1, rep)
+                                 - cone)))
     ok = max_zet < 1e-12 and max_rt < 1e-12
     print(f"max identity residual: {_fmt(max_zet)}")
     print(f"max null round-trip residual: {_fmt(max_rt)}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
+
+
+def observed_orders(values, sizes) -> list:
+    """Observed convergence order of each value from it and the two before
+    it, at grid sizes ``sizes``: blank for the first two, and ``floor`` when
+    a successive difference is at most 64 eps |value|, i.e. roundoff."""
+    out = ["", ""]
+    for i in range(2, len(values)):
+        d1 = abs(values[i - 1] - values[i - 2])
+        d2 = abs(values[i] - values[i - 1])
+        scale = max(map(abs, values[i - 2:i + 1]))
+        if min(d1, d2) <= 64.0 * sys.float_info.epsilon * scale:
+            out.append("floor")
+        else:
+            p = math.log(d1 / d2) / math.log(sizes[i] / sizes[i - 1])
+            out.append(_fmt(p))
+    return out
 
 
 def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
@@ -342,22 +358,9 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
         rows.append((int(n_theta), sub["resolution"]["n_phi"], area,
                      float(data.H[i_eq]), E))
 
-    def order(vals):
-        # observed order from three successive values, blank otherwise
-        out = ["", ""]
-        for i in range(2, len(vals)):
-            d1 = abs(vals[i - 1] - vals[i - 2])
-            d2 = abs(vals[i] - vals[i - 1])
-            if d1 > 0 and d2 > 0:
-                p = math.log(d1 / d2) / math.log(
-                    rows[i][0] / rows[i - 1][0])
-                out.append(_fmt(p))
-            else:
-                out.append("exact")
-        return out
-
-    area_ord = order([r[2] for r in rows])
-    et_ord = order([r[4].t for r in rows])
+    sizes = [row[0] for row in rows]
+    area_ord = observed_orders([r[2] for r in rows], sizes)
+    et_ord = observed_orders([r[4].t for r in rows], sizes)
     lines = ["n_theta,n_phi,area,H_probe,E_x1,E_x2,E_x3,E_t,"
              "area_order,E_t_order"]
     for row, ao, eo in zip(rows, area_ord, et_ord):

@@ -1,14 +1,16 @@
-"""Ambient 3-metrics, parametrized closed surfaces and numerical curvature.
+"""Ambient 3-metrics, parametrized closed surfaces and their curvature.
 
 Charts are open subsets of R^3 with a metric component function g_ij(p).
 Surfaces are parametrizations F(theta, phi) of a topological sphere into a
-chart, carrying a Gauss-Legendre (in cos theta) x trapezoid (in phi)
-quadrature grid.  All curvature quantities are obtained by finite
-differences: fourth-order stencils in parameter space and for the metric
-first derivatives, second-order outer stencils for the curvature tensor so
-the convergence order in the step size is a testable 2.  The fundamental
-forms of one node pass (:func:`surface_forms`) carry every surface quantity
-downstream, the Gauss curvature included (:func:`gauss_curvature`).
+chart that return their closed-form 2-jet (position, first and second
+parameter derivatives), carrying a Gauss-Legendre (in cos theta) x
+trapezoid (in phi) quadrature grid.  Metric first derivatives are complex
+steps of the component function (Squire & Trapp 1998), exact to roundoff,
+so the node pass (:func:`surface_forms`) holds no finite-difference
+stencil.  Its fundamental forms carry every surface quantity downstream,
+the Gauss curvature included (:func:`gauss_curvature`).  Only the scalar
+curvature keeps a second-order outer stencil in ``fd_step``, so that its
+convergence order in the step is a testable 2.
 """
 
 from __future__ import annotations
@@ -36,15 +38,16 @@ __all__ = [
     "geodesic_sphere_surface",
     "coordinate_sphere_surface",
     "radial_profile_surface",
+    "unit_direction_jet",
     "christoffel_many",
     "scalar_curvature_many",
     "surface_forms",
     "gauss_curvature",
 ]
 
-# 4th-order central first derivative: offsets in units of h and weights / h.
-_D1_OFF = np.array([-2.0, -1.0, 1.0, 2.0])
-_D1_W = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+# complex step of a metric derivative: Im g(p + i h v) / h = d_v g, with no
+# subtractive cancellation, so any h this small is exact to roundoff
+_COMPLEX_STEP = 1e-30
 # the AdS-Schwarzschild chart stops this far outside the horizon
 _HORIZON_MARGIN = 0.1
 
@@ -58,9 +61,13 @@ class MetricField:
     """Chart-based Riemannian 3-metric.
 
     ``components`` maps points of shape (..., 3) to symmetric positive
-    definite matrices of shape (..., 3, 3).  ``chart_distance`` returns the
-    distance from a point to the chart boundary (np.inf for a global chart);
-    finite-difference stencils refuse to straddle the boundary.
+    definite matrices of shape (..., 3, 3).  It must accept complex points
+    p + i h v and stay analytic there, so that Im g(p + i h v) / h is the
+    derivative of g along v (the complex step every metric derivative
+    uses): domain checks read the real part and nothing casts to float.
+    ``chart_distance`` returns the distance from a real point to the chart
+    boundary (np.inf for a global chart); the curvature stencil refuses to
+    straddle the boundary.
     """
 
     tag: str
@@ -68,12 +75,15 @@ class MetricField:
     chart_distance: Callable[[np.ndarray], np.ndarray]
 
 
+def _chart_points(p) -> np.ndarray:
+    """``p`` as a float array, or as the complex array it already is."""
+    p = np.asarray(p)
+    return p.astype(np.result_type(p, 1.0), copy=False)
+
+
 def euclidean_metric() -> MetricField:
     def comps(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        out[...] = np.eye(3)
-        return out
+        return np.broadcast_to(np.eye(3), np.shape(p)[:-1] + (3, 3)).copy()
 
     return MetricField(
         tag="Euclidean",
@@ -88,14 +98,12 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
         raise DomainError("curvature scale k must be positive")
 
     def comps(p):
-        p = np.asarray(p, dtype=float)
+        p = _chart_points(p)
         r2 = np.sum(p * p, axis=-1)
-        if np.any(r2 >= 1.0):
+        if np.any(r2.real >= 1.0):
             raise DomainError("hyperbolic ball chart requires |x| < 1")
         f = 2.0 / (1.0 - r2)
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        out[...] = np.eye(3)
-        return out * (f / k)[..., None, None] ** 2
+        return np.eye(3) * ((f / k) ** 2)[..., None, None]
 
     def dist(p):
         p = np.asarray(p, dtype=float)
@@ -132,17 +140,14 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
         return 1.0 + (k * r) ** 2 - 2.0 * m / r
 
     def comps(p):
-        p = np.asarray(p, dtype=float)
-        r2 = np.sum(p * p, axis=-1)
-        r = np.sqrt(r2)
-        if np.any(r <= r_min):
+        p = _chart_points(p)
+        r = np.sqrt(np.sum(p * p, axis=-1))
+        if np.any(r.real <= r_min):
             raise DomainError("point inside the excluded AdS-Schwarzschild core")
         nhat = p / r[..., None]
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        out[...] = np.eye(3)
         coef = 1.0 / V(r) - 1.0
-        out += coef[..., None, None] * nhat[..., :, None] * nhat[..., None, :]
-        return out
+        return np.eye(3) + (coef[..., None, None] * nhat[..., :, None]
+                            * nhat[..., None, :])
 
     def dist(p):
         p = np.asarray(p, dtype=float)
@@ -167,9 +172,8 @@ class SphereTensor:
     linear: tuple = (0.0, 0.0, 0.0)
 
     def trace(self, xhat: np.ndarray) -> np.ndarray:
-        xhat = np.asarray(xhat, dtype=float)
         a = np.asarray(self.linear, dtype=float)
-        return 2.0 * self.g0_coeff + xhat @ a
+        return 2.0 * self.g0_coeff + np.asarray(xhat) @ a
 
 
 def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
@@ -182,22 +186,17 @@ def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
         raise DomainError("the AH collar normal form is stated at k = 1")
 
     def comps(p):
-        p = np.asarray(p, dtype=float)
-        r = p[..., 0]
-        th = p[..., 1]
-        if np.any(r <= 0):
+        p = _chart_points(p)
+        r, th = p[..., 0], p[..., 1]
+        if np.any(r.real <= 0):
             raise DomainError("collar chart requires r > 0")
         xhat = np.stack([np.sin(th) * np.cos(p[..., 2]),
                          np.sin(th) * np.sin(p[..., 2]),
                          np.cos(th)], axis=-1)
-        tau = h.trace(xhat)
-        gr = 1.0 + (r ** 3 / 3.0) * 0.5 * tau
-        s2 = np.sinh(r) ** -2
-        out = np.zeros(p.shape[:-1] + (3, 3))
-        out[..., 0, 0] = s2
-        out[..., 1, 1] = s2 * gr
-        out[..., 2, 2] = s2 * gr * np.sin(th) ** 2
-        return out
+        gr = 1.0 + (r ** 3 / 3.0) * 0.5 * h.trace(xhat)
+        s2 = 1.0 / np.sinh(r) ** 2
+        diag = np.stack([s2, s2 * gr, s2 * gr * np.sin(th) ** 2], axis=-1)
+        return np.eye(3) * diag[..., None, :]
 
     def dist(p):
         p = np.asarray(p, dtype=float)
@@ -272,6 +271,25 @@ def unit_directions(theta, phi) -> np.ndarray:
                                         np.cos(theta)), axis=-1)
 
 
+def unit_direction_jet(theta, phi) -> tuple:
+    """The 2-jet of the unit sphere at broadcastable (theta, phi): u with
+    its first and second parameter derivatives, shapes (..., 3),
+    (..., 2, 3) and (..., 2, 2, 3), parameter axes in (theta, phi) order."""
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    shape = np.broadcast_shapes(np.shape(st), np.shape(sp))
+    u = np.empty(shape + (3,))
+    du = np.zeros(shape + (2, 3))
+    ddu = np.zeros(shape + (2, 2, 3))
+    u[..., 0], u[..., 1], u[..., 2] = st * cp, st * sp, ct
+    du[..., 0, 0], du[..., 0, 1], du[..., 0, 2] = ct * cp, ct * sp, -st
+    du[..., 1, 0], du[..., 1, 1] = -u[..., 1], u[..., 0]
+    ddu[..., 0, 0, :] = -u
+    ddu[..., 0, 1, 0], ddu[..., 0, 1, 1] = -du[..., 0, 1], du[..., 0, 0]
+    ddu[..., 1, 0, :] = ddu[..., 0, 1, :]
+    ddu[..., 1, 1, :2] = -u[..., :2]
+    return u, du, ddu
+
+
 # ---------------------------------------------------------------------------
 # surfaces
 
@@ -280,13 +298,15 @@ def unit_directions(theta, phi) -> np.ndarray:
 class SurfaceData:
     """Parametrized closed surface with quadrature grid.
 
-    ``F`` maps parameter arrays (theta, phi) to ambient chart coordinates of
-    shape (..., 3); ``F0`` (optional) maps them to Poincare-ball coordinates
-    of the isometric image in H^3_{-k^2}.  Both must accept broadcastable
-    (theta, phi) arrays, as numpy ufuncs do: the geometry evaluates them on
-    the grid axes ``theta[:, None]``, ``phi[None, :]``.  Normals point
-    toward the chart origin; ``orientation_sign`` = -1 flips them (useful
-    only to probe hypothesis failures).
+    ``F`` maps parameter arrays (theta, phi) to the closed-form 2-jet of the
+    surface in ambient chart coordinates: ``(F, dF, ddF)`` of shapes
+    (..., 3), (..., 2, 3) and (..., 2, 2, 3), the parameter axes in
+    (theta, phi) order.  ``F0`` (optional) returns the same jet of the
+    isometric image in the Poincare ball of H^3_{-k^2}.  Both must accept
+    broadcastable (theta, phi) arrays, as numpy ufuncs do: the geometry
+    evaluates them on the grid axes ``theta[:, None]``, ``phi[None, :]``.
+    Normals point toward the chart origin; ``orientation_sign`` = -1 flips
+    them (useful only to probe hypothesis failures).
     """
 
     F: Callable
@@ -307,21 +327,54 @@ class SurfaceData:
                            orientation_sign=1)
 
 
-def _ball_radius(k: float, rho) -> np.ndarray:
-    return np.tanh(0.5 * k * np.asarray(rho, dtype=float))
+def _radial_graph(profile, tilt=(0.0, 0.0, 0.0)) -> Callable:
+    """Jet callable of the radial graph F = R(s) u with s = tilt . u, where
+    ``profile(s)`` returns R and its first two derivatives in s."""
+    a = np.asarray(tilt, dtype=float)
+
+    def F(theta, phi):
+        u, du, ddu = unit_direction_jet(theta, phi)
+        if not a.any():   # constant radius: a scaled unit sphere
+            R = profile(0.0)[0]
+            for J in (u, du, ddu):
+                J *= R
+            return u, du, ddu
+        ds = du @ a
+        R, R1, R2 = profile(u @ a)
+        dR = R1[..., None] * ds
+        ddR = (R2[..., None, None] * ds[..., :, None] * ds[..., None, :]
+               + R1[..., None, None] * (ddu @ a))
+        dF = R[..., None, None] * du + dR[..., None] * u[..., None, :]
+        ddF = R[..., None, None, None] * ddu
+        ddF += ddR[..., None] * u[..., None, None, :]
+        ddF += dR[..., :, None, None] * du[..., None, :, :]
+        ddF += dR[..., None, :, None] * du[..., :, None, :]
+        return R[..., None] * u, dF, ddF
+
+    return F
+
+
+def _ball_profile(base: float, k: float) -> Callable:
+    """Ball radius tanh(k rho / 2) of the geodesic radius rho = base + s,
+    and its first two derivatives in s."""
+    def profile(s):
+        rho = base + s
+        if np.any(rho <= 0):
+            raise DomainError("radial profile must stay positive")
+        R = np.tanh(0.5 * k * rho)
+        R1 = 0.5 * k / np.cosh(0.5 * k * rho) ** 2
+        return R, R1, -k * R * R1
+
+    return profile
 
 
 def geodesic_sphere_surface(rho: float, k: float,
                             grid: QuadratureGrid) -> SurfaceData:
-    """Geodesic sphere of radius rho about the origin of the ball chart."""
+    """Geodesic sphere of radius rho about the origin of the ball chart:
+    the radial profile of constant geodesic radius."""
     if rho <= 0:
         raise DomainError("rho must be positive")
-    Rb = float(_ball_radius(k, rho))
-
-    def F(theta, phi):
-        return Rb * unit_directions(theta, phi)
-
-    return SurfaceData(F=F, grid=grid, k=k, F0=F)
+    return radial_profile_surface(rho, (0.0, 0.0, 0.0), k, grid)
 
 
 def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
@@ -333,71 +386,38 @@ def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
     """
     if r <= 0:
         raise DomainError("r must be positive")
-    rho = math.asinh(k * r) / k
-    Rb0 = float(_ball_radius(k, rho))
-
-    def F(theta, phi):
-        return r * unit_directions(theta, phi)
-
-    def F0(theta, phi):
-        return Rb0 * unit_directions(theta, phi)
-
+    F = _radial_graph(lambda s: (r, 0.0, 0.0))
+    F0 = _radial_graph(_ball_profile(math.asinh(k * r) / k, k))
     return SurfaceData(F=F, grid=grid, k=k, F0=F0)
 
 
 def radial_profile_surface(base: float, linear, k: float,
                            grid: QuadratureGrid) -> SurfaceData:
     """Star-shaped surface in H^3: geodesic radius base + linear . direction."""
-    a = np.asarray(linear, dtype=float).reshape(3)
-
-    def F(theta, phi):
-        n = unit_directions(theta, phi)
-        rho = base + n @ a
-        if np.any(rho <= 0):
-            raise DomainError("radial profile must stay positive")
-        return _ball_radius(k, rho)[..., None] * n
-
+    tilt = np.asarray(linear, dtype=float).reshape(3)
+    F = _radial_graph(_ball_profile(base, k), tilt)
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# metric derivatives
 
 
-def _param_d1(fn, theta, phi, axis, h):
-    acc = None
-    for off, w in zip(_D1_OFF, _D1_W):
-        term = w * (fn(theta + off * h, phi) if axis == 0
-                    else fn(theta, phi + off * h))
-        acc = term if acc is None else acc + term
-    return acc / h
+def _metric_derivative(metric: MetricField, pts: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """d_v g_ij at ``pts`` along ``v`` (both (..., 3)), by one complex step
+    of ``metric.components``; shape (..., 3, 3)."""
+    return metric.components(pts + (1j * _COMPLEX_STEP) * v).imag \
+        / _COMPLEX_STEP
 
 
-def _metric_first_derivs(metric, pts, h):
-    """d_l g_ij by 4th-order central differences; shape (..., 3, 3, 3)."""
-    pts = np.asarray(pts, dtype=float)
-    D = np.zeros(pts.shape[:-1] + (3, 3, 3))
-    for l in range(3):
-        e = np.zeros(3)
-        e[l] = 1.0
-        acc = None
-        for off, w in zip(_D1_OFF, _D1_W):
-            term = w * metric.components(pts + off * h * e)
-            acc = term if acc is None else acc + term
-        D[..., l, :, :] = acc / h
-    return D
-
-
-def christoffel_many(metric: MetricField, pts: np.ndarray,
-                     fd_step: float = 1e-4) -> np.ndarray:
+def christoffel_many(metric: MetricField, pts: np.ndarray) -> np.ndarray:
     """Gamma^i_jk at each point, shape (..., 3, 3, 3)."""
     pts = np.asarray(pts, dtype=float)
-    if np.any(metric.chart_distance(pts) <= 2.0 * fd_step):
-        raise ChartBoundary(
-            "chart margin below 2 * fd_step for Christoffel stencil")
-    g = metric.components(pts)
-    ginv = np.linalg.inv(g)
-    D = _metric_first_derivs(metric, pts, fd_step)
+    ginv = np.linalg.inv(metric.components(pts))
+    # D[..., l, i, j] = d_l g_ij, one complex step per chart axis
+    D = np.stack([_metric_derivative(metric, pts, e) for e in np.eye(3)],
+                 axis=-3)
     # S_ljk = d_j g_lk + d_k g_jl - d_l g_jk
     S = (np.einsum("...jlk->...ljk", D)
          + np.einsum("...kjl->...ljk", D)
@@ -406,26 +426,24 @@ def christoffel_many(metric: MetricField, pts: np.ndarray,
 
 
 def scalar_curvature_many(metric: MetricField, pts: np.ndarray,
-                          fd_step: float = 1e-4,
-                          gamma_step: float = 1e-4) -> np.ndarray:
+                          fd_step: float = 1e-4) -> np.ndarray:
     """Scalar curvature by contraction of the numerically assembled Ricci.
 
-    The outer derivative of the Christoffel symbols uses a second-order
-    central difference of step ``fd_step`` (the observed convergence order in
-    fd_step is 2); the symbols themselves use a fourth-order stencil of step
-    ``gamma_step`` so their error is negligible in the balance.
+    The derivative of the Christoffel symbols is a second-order central
+    difference of step ``fd_step``, so the observed convergence order in
+    fd_step is 2; the symbols themselves are exact to roundoff.
     """
     pts = np.asarray(pts, dtype=float)
     if np.any(metric.chart_distance(pts) <= 4.0 * fd_step):
         raise ChartBoundary(
             "chart margin below 4 * fd_step for curvature stencil")
-    G0 = christoffel_many(metric, pts, gamma_step)
+    G0 = christoffel_many(metric, pts)
     dG = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
     for m_ax in range(3):
         e = np.zeros(3)
         e[m_ax] = 1.0
-        Gp = christoffel_many(metric, pts + fd_step * e, gamma_step)
-        Gm = christoffel_many(metric, pts - fd_step * e, gamma_step)
+        Gp = christoffel_many(metric, pts + fd_step * e)
+        Gm = christoffel_many(metric, pts - fd_step * e)
         dG[..., m_ax, :, :, :] = (Gp - Gm) / (2.0 * fd_step)
     ricci = (np.einsum("...iijk->...jk", dG)
              - np.einsum("...jiik->...jk", dG)
@@ -451,23 +469,6 @@ class SurfaceForms:
     chart_points: np.ndarray   # (N, 3)
 
 
-def _induced_frame(surface, metric, theta, phi, h):
-    p = surface.F(theta, phi)
-    Ft = _param_d1(surface.F, theta, phi, 0, h)
-    Fp = _param_d1(surface.F, theta, phi, 1, h)
-    g = metric.components(p)
-    return p, Ft, Fp, g
-
-
-def _first_form(Ft, Fp, g):
-    gab = np.empty(Ft.shape[:-1] + (2, 2))
-    gab[..., 0, 0] = np.einsum("...i,...ij,...j->...", Ft, g, Ft)
-    gab[..., 0, 1] = np.einsum("...i,...ij,...j->...", Ft, g, Fp)
-    gab[..., 1, 0] = gab[..., 0, 1]
-    gab[..., 1, 1] = np.einsum("...i,...ij,...j->...", Fp, g, Fp)
-    return gab
-
-
 def _check_nondegenerate(gab):
     det = np.linalg.det(gab)
     scale = max(float(np.max(np.abs(gab))) ** 2, 1e-300)
@@ -476,50 +477,38 @@ def _check_nondegenerate(gab):
     return det
 
 
-def _inward_normal(surface, metric, theta, phi, h):
-    p, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, h)
-    w = np.cross(Ft, Fp)
-    n = np.linalg.solve(g, w[..., None])[..., 0]
-    norm = np.sqrt(np.einsum("...i,...ij,...j->...", n, g, n))
-    n = n / norm[..., None]
-    toward_origin = np.einsum("...i,...i->...", n, -p)
-    sign = np.where(toward_origin >= 0.0, 1.0, -1.0) * surface.orientation_sign
-    return n * sign[..., None]
-
-
-def surface_forms(surface: SurfaceData, metric: MetricField,
-                  param_step: float = 1e-3,
-                  fd_step: float = 1e-4) -> SurfaceForms:
+def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
     """Fundamental forms at every quadrature node (vectorized).
 
-    The Weingarten data uses the inward-normal convention, so convex
-    surfaces about the chart center have positive mean curvature (geodesic
-    spheres in H^3 get H = k coth(k rho)).
+    The second form is the Gauss formula h_ab = g(N, d_a d_b F) +
+    (1/2)[N.(d_{F_a} g).F_b + N.(d_{F_b} g).F_a - F_a.(d_N g).F_b], read off
+    the surface jet and three complex-step metric derivatives.  Normals are
+    inward, so convex surfaces about the chart center have positive mean
+    curvature (geodesic spheres in H^3 get H = k coth(k rho)).
     """
-    theta, phi = surface.grid.node_axes()
-    p, Ft, Fp, g = _induced_frame(surface, metric, theta, phi, param_step)
-    gab = _first_form(Ft, Fp, g)
+    p, dF, ddF = surface.F(*surface.grid.node_axes())
+    g = metric.components(p)
+    gab = np.einsum("...ai,...ij,...bj->...ab", dF, g, dF)
     det = _check_nondegenerate(gab)
-
-    def nrm(th, ph):
-        return _inward_normal(surface, metric, th, ph, param_step)
-
-    N = nrm(theta, phi)
-    dNt = _param_d1(nrm, theta, phi, 0, param_step)
-    dNp = _param_d1(nrm, theta, phi, 1, param_step)
-    gamma = christoffel_many(metric, p, fd_step)
-    covNt = dNt + np.einsum("...ijk,...j,...k->...i", gamma, Ft, N)
-    covNp = dNp + np.einsum("...ijk,...j,...k->...i", gamma, Fp, N)
-    A = np.empty_like(gab)
-    A[..., 0, 0] = -np.einsum("...i,...ij,...j->...", covNt, g, Ft)
-    A[..., 0, 1] = -np.einsum("...i,...ij,...j->...", covNt, g, Fp)
-    A[..., 1, 0] = -np.einsum("...i,...ij,...j->...", covNp, g, Ft)
-    A[..., 1, 1] = -np.einsum("...i,...ij,...j->...", covNp, g, Fp)
-    ginv_ab = np.linalg.inv(gab)
-    H = 0.5 * np.einsum("...ab,...ab->...", ginv_ab, 0.5 * (A + np.swapaxes(A, -1, -2)))
+    # g-unit normal: g^{-1} of the covector F_theta x F_phi that kills F_a
+    w = np.cross(dF[..., 0, :], dF[..., 1, :])
+    N = np.linalg.solve(g, w[..., None])[..., 0]
+    N /= np.sqrt(np.einsum("...i,...i->...", N, w))[..., None]
+    sign = np.where(np.einsum("...i,...i->...", N, -p) >= 0.0, 1.0, -1.0)
+    N *= (sign * surface.orientation_sign)[..., None]
+    dg_t, dg_p, dg_N = (_metric_derivative(metric, p, v)
+                        for v in (dF[..., 0, :], dF[..., 1, :], N))
+    # NdgF[a, b] = N.(d_{F_a} g).F_b
+    NdgF = np.stack([np.einsum("...i,...ij,...bj->...b", N, dg, dF)
+                     for dg in (dg_t, dg_p)], axis=-2)
+    gN = np.einsum("...ij,...j->...i", g, N)
+    second = (np.einsum("...i,...abi->...ab", gN, ddF)
+              + 0.5 * (NdgF + np.swapaxes(NdgF, -1, -2)
+                       - np.einsum("...ai,...ij,...bj->...ab", dF, dg_N, dF)))
+    H = 0.5 * np.einsum("...ab,...ab->...", np.linalg.inv(gab), second)
     # the (n_theta, n_phi, ...) grid flattens to theta-major (N, ...) nodes
     first, second, normal, H, ae, p = (a.reshape((-1,) + a.shape[2:]) for a
-                                       in (gab, A, N, H, np.sqrt(det), p))
+                                       in (gab, second, N, H, np.sqrt(det), p))
     return SurfaceForms(first=first, second=second, normal=normal,
                         mean_curvature=H, area_element=ae, chart_points=p)
 
@@ -528,5 +517,4 @@ def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:
     """Gauss curvature at every node of ``forms``, by the Gauss equation
     K = c + det II / det I of a surface in a space of constant sectional
     curvature ``c``."""
-    second = 0.5 * (forms.second + np.swapaxes(forms.second, -1, -2))
-    return c + np.linalg.det(second) / np.linalg.det(forms.first)
+    return c + np.linalg.det(forms.second) / np.linalg.det(forms.first)

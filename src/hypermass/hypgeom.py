@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, MissingEmbedding
+from .errors import DomainError
 
 __all__ = [
     "radial_bounds",
@@ -35,17 +35,14 @@ def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:
     return np.concatenate([spatial, t[..., None]], axis=-1) / k
 
 
-def radial_bounds(surface) -> tuple[float, float]:
-    """(R1, R2): min/max geodesic distance of the nodes from the chart origin.
+def radial_bounds(points: np.ndarray, k: float = 1.0) -> tuple[float, float]:
+    """(R1, R2): least and greatest geodesic distance of Poincare-ball
+    points (..., 3), a surface's nodes, from the chart origin.
 
     The distance of X from o = (0, 0, 0, 1/k) is arccosh(k X_t) / k, the
-    argument clamped to >= 1.  Uses quadrature nodes only; the surface is
-    assumed star-shaped about the origin, so for fine grids the node
-    extremes approximate the true radii.
+    argument clamped to >= 1.  For a surface star-shaped about the origin
+    and a fine grid, the node extremes approximate its true radii.
     """
-    if surface.F0 is None:
-        raise MissingEmbedding("surface carries no hyperbolic embedding")
-    k = surface.k
-    X = ball_to_minkowski(surface.F0(*surface.grid.node_axes()), k)
+    X = ball_to_minkowski(points, k)
     d = np.arccosh(np.maximum(1.0, k * X[..., 3])) / k
     return float(np.min(d)), float(np.max(d))

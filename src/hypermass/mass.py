@@ -91,20 +91,14 @@ class SurfaceMassData:
         return self.killing_forms[sign]
 
 
-def mass_forms(surface: SurfaceData, ambient: MetricField,
-               param_step: float = 2e-3) -> tuple:
+def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
     """The one node pass that the hypothesis checks and every mass integral
     share: forms of F in ``ambient``, and of F0 in H^3.  A surface without
     F0 raises MissingEmbedding before any work is done.
-
-    The step is larger than the geometry default: the fourth-order stencils
-    are roundoff-limited here and the coarser step keeps the noise in
-    H - H_0 (which the integrands amplify) near 1e-11.
     """
     h3 = surface.h3_view()
-    forms = surface_forms(surface, ambient, param_step=param_step)
-    hyp = hyperbolic_ball_metric(surface.k)
-    return forms, surface_forms(h3, hyp, param_step=param_step)
+    forms = surface_forms(surface, ambient)
+    return forms, surface_forms(h3, hyperbolic_ball_metric(surface.k))
 
 
 def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
@@ -113,15 +107,15 @@ def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
 
 
 def surface_mass_data(surface: SurfaceData, ambient: MetricField,
-                      iso_tol: float = 1e-8, param_step: float = 2e-3,
+                      iso_tol: float = 1e-8,
                       forms: Optional[tuple] = None) -> SurfaceMassData:
     """Extract H, H_0, X and the measure; enforce the standing hypotheses.
 
     ``forms`` is the :func:`mass_forms` pair of a caller that already has
-    it; otherwise it is computed here at ``param_step``.  The isometry test
-    compares the induced metrics of that pair, the ones the integrals use.
+    it; otherwise it is computed here.  The isometry test compares the
+    induced metrics of that pair, the ones the integrals use.
     """
-    forms, forms0 = forms or mass_forms(surface, ambient, param_step)
+    forms, forms0 = forms or mass_forms(surface, ambient)
     mismatch = isometry_mismatch(forms, forms0)
     if mismatch > iso_tol:
         raise IsometryViolation(

@@ -20,14 +20,12 @@ stated at curvature scale k = 1: rescale geometry first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationFailure, DomainError, NotNull
 from .hypgeom import ball_to_minkowski
-from .lorentz import LorentzVector, minkowski_inner
 
 __all__ = [
     "CliffordRep",
@@ -56,15 +54,14 @@ S_ZETA = -1
 class CliffordRep:
     """Concrete 2x2 Clifford representation with its sign calibration."""
 
-    gammas: np.ndarray  # (3, 2, 2) complex, skew-Hermitian
-    s_gamma: int
+    gammas: np.ndarray  # (3, 2, 2) complex, skew-Hermitian, sign s_gamma
     s_zeta: int
 
 
 def make_clifford_rep(s_gamma: int = S_GAMMA,
                       s_zeta: int = S_ZETA) -> CliffordRep:
     gammas = s_gamma * 1j * PAULI
-    return CliffordRep(gammas=gammas, s_gamma=s_gamma, s_zeta=s_zeta)
+    return CliffordRep(gammas=gammas, s_zeta=s_zeta)
 
 
 _DEFAULT_REP = make_clifford_rep()
@@ -156,27 +153,28 @@ def calibrate_signs(n_samples: int = 1000, seed: int = 20240) -> tuple[int, int]
     return passing[0]
 
 
-def null_to_spinor(zeta: LorentzVector, tol: float = 1e-9) -> np.ndarray:
-    """Unit spinor a with zeta_of(a, +1) proportional to zeta (positive ratio).
+def null_to_spinor(zeta, tol: float = 1e-9) -> np.ndarray:
+    """Unit spinors a, shape (..., 2), with zeta_of(a, +1) proportional to
+    the future null vectors ``zeta`` of shape (..., 4) (positive ratio).
 
     Inverts the Bloch/Hopf map: the spatial direction of zeta determines a
     up to global phase, fixed here by taking the first component real >= 0.
+    Raises NotNull if any row is off the cone or past directed.
     """
-    q = minkowski_inner(zeta, zeta)
-    n2 = zeta.x1 ** 2 + zeta.x2 ** 2 + zeta.x3 ** 2 + zeta.t ** 2
-    if n2 == 0.0 or abs(q) > tol * n2:
-        raise NotNull(f"vector is not null within tolerance: <z,z> = {q}")
-    if zeta.t <= 0:
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.shape[-1:] != (4,):
+        raise DomainError("null vectors must have shape (..., 4)")
+    s, t = zeta[..., :3], zeta[..., 3]
+    s2 = np.sum(s * s, axis=-1)
+    q, n2 = s2 - t * t, s2 + t * t
+    if np.any(n2 == 0.0) or np.any(np.abs(q) > tol * n2):
+        raise NotNull("vector is not null within tolerance: max |<z,z>| = "
+                      f"{np.max(np.abs(q))}")
+    if np.any(t <= 0):
         raise NotNull("null vector must be future directed (t > 0)")
-    n = zeta.spatial / zeta.t
-    nn = float(np.linalg.norm(n))
-    if nn > 0:
-        n = n / nn
-    else:
-        n = np.array([0.0, 0.0, 1.0])
-    # Bloch inverse: n = (sin th cos ph, sin th sin ph, cos th)
-    th = math.acos(max(-1.0, min(1.0, n[2])))
-    ph = math.atan2(n[1], n[0])
-    return np.array([math.cos(th / 2.0),
-                     math.sin(th / 2.0) * complex(math.cos(ph), math.sin(ph))],
-                    dtype=complex)
+    # Bloch inverse: s / |s| = (sin th cos ph, sin th sin ph, cos th), and
+    # |s| = t > 0 on the cone
+    half = 0.5 * np.arccos(np.clip(s[..., 2] / np.sqrt(s2), -1.0, 1.0))
+    ph = np.arctan2(s[..., 1], s[..., 0])
+    return np.stack([np.cos(half),
+                     np.sin(half) * (np.cos(ph) + 1j * np.sin(ph))], axis=-1)

@@ -104,6 +104,11 @@ def make_classified_vector(rng, cls):
     return LorentzVector(*v)
 
 
+def scaled_sphere(r):
+    """Jet callable of the round sphere of coordinate radius ``r``."""
+    return lambda t, p: tuple(r * J for J in geo.unit_direction_jet(t, p))
+
+
 def exact_ads_energy(r, m=ADS_M, k=1.0):
     """Closed-form reduction of the energy integrand on a coordinate sphere.
 

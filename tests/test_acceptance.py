@@ -95,8 +95,8 @@ def test_criterion_3_zet_identity():
     X = rng.uniform(-0.57, 0.57, (1000, 3))
     max_zet = max(float(np.max(verify_zet(A, X, sign))) for sign in (1, -1))
     cone = sample_null_cone(500)
-    back = zeta_of(np.array([null_to_spinor(z) for z in cone]), 1)
-    max_rt = float(np.max(np.abs(back - [z.as_array() for z in cone])))
+    cone = np.array([z.as_array() for z in cone])
+    max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1) - cone)))
     ok = max_zet < 1e-12 and max_rt < 1e-12
     assert report("criterion 3: zet identity + null round trip", ok,
                   f"max zet residual {max_zet:.3e}, "

@@ -337,6 +337,34 @@ class TestConvergenceCommand:
         assert max(deltas) < 1e-8
         assert abs(et[-1] - exact_ads_energy(2.0)) < 1e-6
 
+    def test_ads_energy_orders_are_roundoff(self, tmp_path):
+        # E_t and the area are exact to roundoff at every resolution, so no
+        # order is printed for them
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        code, _, _ = run(["convergence", cfg, "--resolutions", "8,16,32,64",
+                          "--output", str(tmp_path / "o")])
+        assert code == 0
+        rows = (tmp_path / "o" / "convergence.csv").read_text().splitlines()
+        assert [r.split(",")[-2:] for r in rows[1:]] == [
+            ["", ""], ["", ""], ["floor", "floor"], ["floor", "floor"]]
+
+    def test_observed_order_of_second_order_sequence(self):
+        sizes = [8, 16, 32, 64]
+        orders = cli.observed_orders([1.0 + 1.0 / n ** 2 for n in sizes],
+                                     sizes)
+        assert orders[:2] == ["", ""]
+        assert all(abs(float(p) - 2.0) < 1e-9 for p in orders[2:])
+
+    def test_observed_order_of_plateau_is_floor(self):
+        eps = sys.float_info.epsilon
+        values = [3.0, 3.0 + 4 * eps, 3.0 + 4 * eps, 3.0 - 8 * eps]
+        assert cli.observed_orders(values, [8, 16, 32, 64]) == [
+            "", "", "floor", "floor"]
+        # differences above 64 eps |value| give an order again
+        order = cli.observed_orders([3.0, 3.0 + 1e-6, 3.0 + 1.25e-7],
+                                    [8, 16, 32])[2]
+        assert abs(float(order) - math.log2(1e-6 / 8.75e-7)) < 1e-6
+
     def test_single_resolution_rejected(self, tmp_path):
         cfg = write(tmp_path, "geo.yaml", GEO_CONFIG)
         assert run(["convergence", cfg, "--resolutions", "16",

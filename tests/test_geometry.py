@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from hypermass.errors import (ChartBoundary, DegenerateImmersion, DomainError)
-from hypermass.geometry import (QuadratureGrid, SurfaceData,
+from hypermass.geometry import (MetricField, QuadratureGrid, SphereTensor,
+                                SurfaceData,
                                 ads_schwarzschild_metric, christoffel_many,
                                 coordinate_sphere_surface, euclidean_metric,
                                 gauss_curvature, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface,
                                 scalar_curvature_many, surface_forms,
-                                unit_directions)
+                                unit_direction_jet, unit_directions,
+                                wang_ah_metric)
 from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
-from conftest import ADS_M, ads_potential
+from conftest import ADS_M, ads_potential, scaled_sphere
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,85 @@ def grid64():
 def at_point(many, metric, p):
     """A pointwise ``*_many`` quantity at the one chart point ``p``."""
     return many(metric, np.asarray(p, dtype=float)[None])[0]
+
+
+# 4th-order central differences: first-derivative offsets and weights / h,
+# and second-derivative weights / h^2 at offsets -2..2
+D1 = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
+D2 = {-2: -1.0 / 12.0, -1: 16.0 / 12.0, 0: -30.0 / 12.0, 1: 16.0 / 12.0,
+      2: -1.0 / 12.0}
+
+
+def fd_jet(F, theta, phi, h=2e-3):
+    """The 2-jet of the jet callable ``F`` rebuilt from its positions alone
+    by 4th-order central differences: the cross-check of the closed forms."""
+    def pos(i, j):
+        return F(theta + i * h, phi + j * h)[0]
+
+    d_t = sum(w * pos(i, 0) for i, w in D1.items()) / h
+    d_p = sum(w * pos(0, j) for j, w in D1.items()) / h
+    d_tt = sum(w * pos(i, 0) for i, w in D2.items()) / h ** 2
+    d_pp = sum(w * pos(0, j) for j, w in D2.items()) / h ** 2
+    d_tp = sum(wi * wj * pos(i, j) for i, wi in D1.items()
+               for j, wj in D1.items()) / h ** 2
+    return (pos(0, 0), np.stack([d_t, d_p], axis=-2),
+            np.stack([np.stack([d_tt, d_tp], axis=-2),
+                      np.stack([d_tp, d_pp], axis=-2)], axis=-3))
+
+
+METRICS = {
+    "euclidean": (euclidean_metric(), lambda rng: rng.uniform(-3, 3, 3)),
+    "ball": (hyperbolic_ball_metric(1.5),
+             lambda rng: rng.uniform(-0.35, 0.35, 3)),
+    "ads": (ads_schwarzschild_metric(ADS_M, 1.0),
+            lambda rng: rng.choice([-1, 1], 3) * rng.uniform(0.9, 2.5, 3)),
+    "wang_ah": (wang_ah_metric(SphereTensor(0.5, (0.1, -0.2, 0.3))),
+                lambda rng: rng.uniform([0.2, 0.5, 0.0], [0.8, 2.6, 6.0])),
+}
+
+
+class TestMetricComplexStep:
+    # components accept complex points: Im g(p + i h v) / h = d_v g
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_matches_fd_derivative(self, name):
+        metric, draw = METRICS[name]
+        rng = np.random.default_rng(sorted(METRICS).index(name))
+        for _ in range(10):
+            p, v = draw(rng), rng.standard_normal(3)
+            step = metric.components(p + 1e-30j * v).imag / 1e-30
+            h = 1e-4
+            fd = sum(w * metric.components(p + i * h * v)
+                     for i, w in D1.items()) / h
+            assert np.max(np.abs(step - fd)) < 1e-8
+
+    @pytest.mark.parametrize("name, outside", [
+        ("ball", [1.2, 0.0, 0.0]), ("ads", [0.2, 0.0, 0.0]),
+        ("wang_ah", [-0.1, 1.0, 0.0])])
+    def test_outside_chart_raises(self, name, outside):
+        metric = METRICS[name][0]
+        for p in (np.array(outside), outside + 1e-30j * np.ones(3)):
+            with pytest.raises(DomainError):
+                metric.components(p)
+
+
+class TestSurfaceJets:
+    @pytest.mark.parametrize("make", [
+        lambda grid: geodesic_sphere_surface(0.8, 1.3, grid),
+        lambda grid: coordinate_sphere_surface(2.0, grid),
+        lambda grid: radial_profile_surface(1.0, (0.1, -0.2, 0.15), 1.0,
+                                            grid)],
+        ids=["geodesic", "coordinate", "profile"])
+    def test_factory_jets_match_fd_jet(self, make, grid16):
+        surface = make(grid16)
+        theta, phi = grid16.node_axes()
+        for F in (surface.F, surface.F0):
+            for exact, fd in zip(F(theta, phi), fd_jet(F, theta, phi)):
+                assert exact.shape == fd.shape
+                assert np.max(np.abs(exact - fd)) < 1e-8
+
+    def test_unit_direction_jet_positions(self, grid16):
+        u = unit_direction_jet(*grid16.node_axes())[0]
+        assert u.tobytes() == unit_directions(*grid16.node_axes()).tobytes()
 
 
 class TestQuadratureGrid:
@@ -81,10 +162,23 @@ class TestChristoffel:
                      [0.2, 0.1, -0.3])
         assert np.max(np.abs(G - np.swapaxes(G, 1, 2))) < 1e-12
 
-    def test_chart_boundary(self):
-        with pytest.raises(ChartBoundary):
-            at_point(christoffel_many, hyperbolic_ball_metric(1.0),
-                     [0.999999, 0, 0])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_ball_closed_form_to_boundary(self, k):
+        # Gamma^i_jk = delta^i_j s_k + delta^i_k s_j - delta_jk s_i with
+        # s = 2x / (1 - |x|^2), up to where a stencil would leave the chart
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((5, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        x = dirs * np.array([0.1, 0.5, 0.9, 0.99, 0.999999])[:, None]
+        x = np.concatenate([x, [[0.999999, 0.0, 0.0]]])
+        s = 2.0 * x / (1.0 - np.sum(x * x, axis=-1))[:, None]
+        d = np.eye(3)
+        exact = (np.einsum("ij,nk->nijk", d, s)
+                 + np.einsum("ik,nj->nijk", d, s)
+                 - np.einsum("jk,ni->nijk", d, s))
+        G = christoffel_many(hyperbolic_ball_metric(k), x)
+        err = np.max(np.abs(G - exact), axis=(1, 2, 3))
+        assert np.all(err <= 1e-12 * np.max(np.abs(exact), axis=(1, 2, 3)))
 
 
 class TestMeanCurvature:
@@ -108,11 +202,24 @@ class TestMeanCurvature:
         target = math.sqrt(ads_potential(r)) / r
         assert np.max(np.abs(forms.mean_curvature - target)) < 1e-8
 
+    @pytest.mark.parametrize("k, rho", [(1.0, 0.5), (1.0, 1.0), (1.0, 2.0),
+                                        (0.5, 1.0), (2.0, 0.7)])
+    def test_geodesic_sphere_to_roundoff(self, grid32, k, rho):
+        surface = geodesic_sphere_surface(rho, k, grid32)
+        H = surface_forms(surface, hyperbolic_ball_metric(k)).mean_curvature
+        assert np.max(np.abs(H - k / math.tanh(k * rho))) <= 1e-13
+
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    def test_ads_pair_to_roundoff(self, grid32, r):
+        forms, forms0 = mass_forms(coordinate_sphere_surface(r, grid32),
+                                   ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = forms.mean_curvature, forms0.mean_curvature
+        assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-13
+        assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-13
+
     def test_euclidean_unit_sphere(self, grid16):
-        # the larger parameter step keeps roundoff amplification in the
-        # nested normal-derivative stencils below the 1e-10 target
-        surface = SurfaceData(F=unit_directions, grid=grid16, k=1.0)
-        forms = surface_forms(surface, euclidean_metric(), param_step=5e-3)
+        surface = SurfaceData(F=unit_direction_jet, grid=grid16, k=1.0)
+        forms = surface_forms(surface, euclidean_metric())
         assert np.max(np.abs(forms.mean_curvature - 1.0)) < 1e-10
 
     def test_phi_shift_covariance(self, grid16):
@@ -124,11 +231,46 @@ class TestMeanCurvature:
         shifted = SurfaceData(F=lambda t, p: surface.F(t, p + c),
                               grid=grid16, k=1.0)
         metric = hyperbolic_ball_metric(1.0)
-        H = surface_forms(surface, metric,
-                          param_step=5e-3).mean_curvature.reshape(-1, n_phi)
-        Hs = surface_forms(shifted, metric,
-                           param_step=5e-3).mean_curvature.reshape(-1, n_phi)
+        H = surface_forms(surface, metric).mean_curvature.reshape(-1, n_phi)
+        Hs = surface_forms(shifted, metric).mean_curvature.reshape(-1, n_phi)
         assert np.max(np.abs(Hs - np.roll(H, -5, axis=1))) < 1e-10
+
+    def test_chart_independence(self, grid16):
+        # H of one surface in two charts: the ball, and y with the ball
+        # metric pulled back by Phi(y) = y + eps |y|^2 c.  The pullback is
+        # not conformally flat, so every connection term of the Gauss
+        # formula is live there; the image jet follows by the chain rule.
+        eps, c = 0.3, np.array([0.2, -0.1, 0.25])
+        ball = hyperbolic_ball_metric(1.0)
+
+        def phi(y):
+            return y + eps * np.sum(y * y, axis=-1)[..., None] * c
+
+        def jac(y):
+            return np.eye(3) + 2.0 * eps * c[:, None] * y[..., None, :]
+
+        def pulled(y):
+            J = jac(y)
+            return np.swapaxes(J, -1, -2) @ ball.components(phi(y)) @ J
+
+        F = radial_profile_surface(0.6, (0.05, 0.1, -0.08), 1.0, grid16).F
+
+        def image(t, p):
+            y, dy, ddy = F(t, p)
+            J = jac(y)
+            quad = np.einsum("...ai,...bi->...ab", dy, dy)
+            return (phi(y), np.einsum("...ij,...aj->...ai", J, dy),
+                    np.einsum("...ij,...abj->...abi", J, ddy)
+                    + 2.0 * eps * quad[..., None] * c)
+
+        metric = MetricField("pullback", pulled, ball.chart_distance)
+        forms = surface_forms(SurfaceData(F=F, grid=grid16), metric)
+        forms0 = surface_forms(SurfaceData(F=image, grid=grid16), ball)
+        assert np.max(np.abs(forms.mean_curvature
+                             - forms0.mean_curvature)) < 1e-12
+        # det II sees the antisymmetric part of II that H cannot
+        assert np.max(np.abs(gauss_curvature(forms, -1.0)
+                             - gauss_curvature(forms0, -1.0))) < 1e-12
 
     def test_convex_surfaces_have_positive_h(self, grid16):
         hyp = hyperbolic_ball_metric(1.0)
@@ -150,13 +292,16 @@ class TestMeanCurvature:
         assert forms.first.shape == forms.second.shape == (n, 2, 2)
         assert forms.normal.shape == forms.chart_points.shape == (n, 3)
         assert forms.mean_curvature.shape == forms.area_element.shape == (n,)
-        flat = surface.F(*grid16.node_arrays())
+        flat = surface.F(*grid16.node_arrays())[0]
         assert forms.chart_points.tobytes() == flat.tobytes()
 
     def test_degenerate_immersion(self, grid16):
-        surface = SurfaceData(F=lambda t, p: np.broadcast_to(
-            [1.0, 0.0, 0.0], np.shape(t) + (3,)).copy(),
-            grid=grid16, k=1.0)
+        def point(t, p):
+            shape = np.broadcast(t, p).shape
+            return (np.broadcast_to([1.0, 0.0, 0.0], shape + (3,)),
+                    np.zeros(shape + (2, 3)), np.zeros(shape + (2, 2, 3)))
+
+        surface = SurfaceData(F=point, grid=grid16, k=1.0)
         with pytest.raises(DegenerateImmersion):
             surface_forms(surface, euclidean_metric())
 
@@ -171,7 +316,7 @@ class TestGaussCurvature:
         assert np.max(np.abs(K - target)) < 1e-6
 
     def test_euclidean_unit_sphere(self, grid16):
-        surface = SurfaceData(F=unit_directions, grid=grid16, k=1.0)
+        surface = SurfaceData(F=unit_direction_jet, grid=grid16, k=1.0)
         K = gauss_curvature(surface_forms(surface, euclidean_metric()), 0.0)
         assert np.max(np.abs(K - 1.0)) < 1e-6
 
@@ -241,20 +386,19 @@ class TestScalarCurvature:
 class TestIntegrate:
     def test_geodesic_sphere_area(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
-        data = surface_mass_data(surface, hyperbolic_ball_metric(1.0),
-                                 param_step=1e-3)
+        data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
         area = data.weighted(np.ones(grid64.n_nodes))
         target = 4 * math.pi * math.sinh(1.0) ** 2
         assert abs(area - target) < 1e-8 * target
 
     def test_unit_sphere_area(self, grid64):
-        surface = SurfaceData(F=unit_directions, grid=grid64, k=1.0)
+        surface = SurfaceData(F=unit_direction_jet, grid=grid64, k=1.0)
         ae = surface_forms(surface, euclidean_metric()).area_element
         area = math.fsum(grid64.measure_weights() * ae)
         assert abs(area - 4 * math.pi) < 1e-10
 
     def test_odd_integrand_vanishes(self, grid64):
-        surface = SurfaceData(F=unit_directions, grid=grid64, k=1.0)
+        surface = SurfaceData(F=unit_direction_jet, grid=grid64, k=1.0)
         theta, phi = grid64.node_arrays()
         x1 = unit_directions(theta, phi)[:, 0]
         ae = surface_forms(surface, euclidean_metric()).area_element
@@ -265,15 +409,13 @@ class TestIntegrate:
         # Gauss-Legendre in cos(theta) integrates this area exactly at every
         # resolution (the integrand is constant in cos theta), so both errors
         # sit at roundoff; the spectral-ratio assertion carries a roundoff
-        # floor to stay meaningful.  The areas use the geometry's default
-        # step 1e-3, whose finite-difference noise stays under that floor.
+        # floor to stay meaningful.
         target = 4 * math.pi * math.sinh(1.0) ** 2
         errs = {}
         for n in (8, 32):
             grid = QuadratureGrid.build(n, 2 * n)
             surface = geodesic_sphere_surface(1.0, 1.0, grid)
-            data = surface_mass_data(surface, hyperbolic_ball_metric(1.0),
-                                     param_step=1e-3)
+            data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
             area = data.weighted(np.ones(grid.n_nodes))
             errs[n] = abs(area - target)
         assert errs[32] < max(1e-3 * errs[8], 1e-12 * target)
@@ -297,13 +439,8 @@ class TestVerifyIsometric:
         rho = math.asinh(r0)
         Rb = math.tanh(rho / 2.0)
 
-        def F(t, p):
-            return r * unit_directions(t, p)
-
-        def F0(t, p):
-            return Rb * unit_directions(t, p)
-
-        surface = SurfaceData(F=F, grid=grid16, k=1.0, F0=F0)
+        surface = SurfaceData(F=scaled_sphere(r), grid=grid16, k=1.0,
+                              F0=scaled_sphere(Rb))
         mismatch = isometry_mismatch(*mass_forms(surface, euclidean_metric()))
         # max component of (r^2 - r0^2) (dtheta^2 + sin^2 theta dphi^2)
         assert abs(mismatch - (r ** 2 - r0 ** 2)) < 1e-3

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hypermass.errors import DomainError, MissingEmbedding
-from hypermass.geometry import (QuadratureGrid, SurfaceData,
-                                geodesic_sphere_surface,
-                                radial_profile_surface, unit_directions)
+from hypermass.errors import DomainError
+from hypermass.geometry import (QuadratureGrid, geodesic_sphere_surface,
+                                radial_profile_surface)
 from hypermass.hypgeom import ball_to_minkowski, radial_bounds
 
 
@@ -28,9 +27,15 @@ def to_ball(X, k=1.0):
     return k * X[..., :3] / (1.0 + k * X[..., 3:])
 
 
+def node_bounds(surface):
+    """radial_bounds of the H^3-side nodes of ``surface``."""
+    nodes = surface.F0(*surface.grid.node_axes())[0]
+    return radial_bounds(nodes, surface.k)
+
+
 def sphere_bounds(rho, k, n_theta=16):
     grid = QuadratureGrid.build(n_theta, 2 * n_theta)
-    return radial_bounds(geodesic_sphere_surface(rho, k, grid))
+    return node_bounds(geodesic_sphere_surface(rho, k, grid))
 
 
 class TestConformalFactor:
@@ -85,11 +90,7 @@ class TestHyperboloidToBall:
 class TestGeodesicDistance:
     # distances from the chart origin, the one centre radial_bounds measures
     def test_center_to_itself(self):
-        grid = QuadratureGrid.build(8, 16)
-        surface = SurfaceData(
-            F=unit_directions, grid=grid, k=1.0,
-            F0=lambda t, p: np.zeros(np.broadcast(t, p).shape + (3,)))
-        assert radial_bounds(surface) == (0.0, 0.0)
+        assert radial_bounds(np.zeros((8, 16, 3))) == (0.0, 0.0)
 
     def test_axis_distance(self):
         r1, r2 = sphere_bounds(1.0, 1.0)
@@ -107,16 +108,9 @@ class TestRadialBounds:
         # the fine theta grid.
         grid = QuadratureGrid.build(1024, 16)
         surface = radial_profile_surface(1.0, (0.0, 0.0, 0.1), 1.0, grid)
-        r1, r2 = radial_bounds(surface)
+        r1, r2 = node_bounds(surface)
         assert abs(r1 - 0.9) < 1e-6
         assert abs(r2 - 1.1) < 1e-6
-
-    def test_missing_embedding(self):
-        grid = QuadratureGrid.build(8, 16)
-        surface = SurfaceData(F=lambda t, p: unit_directions(t, p) * 0.5,
-                              grid=grid, k=1.0, F0=None)
-        with pytest.raises(MissingEmbedding):
-            radial_bounds(surface)
 
 
 class TestModelInvariants:

@@ -13,7 +13,7 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_schwarzschild_metric,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
-                                hyperbolic_ball_metric, unit_directions)
+                                hyperbolic_ball_metric, unit_direction_jet)
 from hypermass.lorentz import (CausalClass, LorentzVector, classify,
                                minkowski_inner, sample_null_cone)
 from hypermass import mass as massmod
@@ -25,7 +25,7 @@ from hypermass.mass import (HypothesisChecks, MassReport, ah_sphere_data,
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      exact_ads_energy, random_spinors)
+                      exact_ads_energy, random_spinors, scaled_sphere)
 
 
 class TestEnergyMomentum:
@@ -42,6 +42,15 @@ class TestEnergyMomentum:
             assert max(abs(E.x1), abs(E.x2), abs(E.x3)) < 1e-9
             assert classify(E) is CausalClass.TIMELIKE_FUTURE
 
+    @pytest.mark.parametrize("n_theta", [32, 64, 128])
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    def test_ads_closed_form_to_roundoff(self, ads_metric, r, n_theta):
+        grid = QuadratureGrid.build(n_theta, 2 * n_theta)
+        E = energy_momentum(coordinate_sphere_surface(r, grid), ads_metric)
+        target = exact_ads_energy(r)
+        assert abs(E.t - target) <= 1e-10 * target
+        assert max(abs(E.x1), abs(E.x2), abs(E.x3)) <= 1e-10
+
     def test_normalized_r_independence(self, ads_scenarios):
         # E_t / sqrt((1 + r^2)/V(r)) is the r-independent combination
         ratios = [ads_scenarios[r][2].t
@@ -57,7 +66,7 @@ class TestEnergyMomentum:
         assert E.norm_inf() < 1e-10
 
     def test_missing_embedding(self, grid32):
-        surface = SurfaceData(F=unit_directions, grid=grid32, k=1.0)
+        surface = SurfaceData(F=unit_direction_jet, grid=grid32, k=1.0)
         with pytest.raises(MissingEmbedding):
             energy_momentum(surface, hyperbolic_ball_metric(1.0))
 
@@ -71,10 +80,8 @@ class TestEnergyMomentum:
     def test_isometry_violation(self, grid32):
         rho_wrong = math.asinh(1.5)
         Rb = math.tanh(rho_wrong / 2.0)
-        surface = SurfaceData(
-            F=lambda t, p: 2.0 * unit_directions(t, p),
-            F0=lambda t, p: Rb * unit_directions(t, p),
-            grid=grid32, k=1.0)
+        surface = SurfaceData(F=scaled_sphere(2.0), F0=scaled_sphere(Rb),
+                              grid=grid32, k=1.0)
         with pytest.raises(IsometryViolation):
             energy_momentum(surface, ads_schwarzschild_metric(ADS_M, 1.0))
 
@@ -84,7 +91,7 @@ class TestEnergyMomentum:
         # metric scale 4
         rho = math.asinh(math.sqrt(4.0 - 2e-8))
         surface = SurfaceData(
-            F=lambda t, p: 2.0 * unit_directions(t, p),
+            F=scaled_sphere(2.0),
             F0=geodesic_sphere_surface(rho, 1.0, grid32).F0,
             grid=grid32, k=1.0)
         with pytest.raises(IsometryViolation):
@@ -203,10 +210,10 @@ class TestKillingWeightedMass:
 
         surface, data, E = ads_scenarios[2.0]
         assert classify(E) is CausalClass.TIMELIKE_FUTURE
-        for z in sample_null_cone(500):
-            a = null_to_spinor(z)
-            val = killing_weighted_mass(surface, ads_metric, a, 1, data=data)
-            assert val > 0.0
+        cone = np.array([z.as_array() for z in sample_null_cone(500)])
+        vals = killing_weighted_mass(surface, ads_metric,
+                                     null_to_spinor(cone), 1, data=data)
+        assert vals.shape == (500,) and np.all(vals > 0.0)
 
 
 @pytest.fixture(scope="module")

@@ -182,13 +182,14 @@ class TestNullToSpinor:
     def test_recovers_basis_spinor(self):
         z = zeta_of([1, 0], 1)
         z_unit = z / abs(z[3])
-        a = null_to_spinor(LorentzVector.from_array(z_unit))
+        a = null_to_spinor(z_unit)
         back = zeta_of(a, 1)
         assert np.max(np.abs(back - z_unit)) < 1e-12
 
     def test_round_trip_on_cone_samples(self):
-        cone, Z = cone_arrays(500)
-        A = np.array([null_to_spinor(z) for z in cone])
+        _, Z = cone_arrays(500)
+        A = null_to_spinor(Z)
+        assert A.shape == (500, 2)
         assert np.max(np.abs(np.sum(np.abs(A) ** 2, axis=1) - 1.0)) < 1e-14
         assert np.max(np.abs(zeta_of(A, 1) - Z)) < 1e-12
 
@@ -197,13 +198,27 @@ class TestNullToSpinor:
         n = rng.standard_normal((100, 3))
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         Z = np.concatenate([n, np.ones((100, 1))], axis=1)
-        A = np.array([null_to_spinor(LorentzVector.from_array(z)) for z in Z])
+        A = null_to_spinor(Z)
         assert np.max(np.abs(zeta_of(A, 1) - Z)) < 1e-12
 
     def test_spacelike_rejected(self):
         with pytest.raises(NotNull):
-            null_to_spinor(LorentzVector(2, 0, 0, 1))
+            null_to_spinor([2.0, 0.0, 0.0, 1.0])
 
     def test_past_null_rejected(self):
         with pytest.raises(NotNull):
-            null_to_spinor(LorentzVector(1, 0, 0, -1))
+            null_to_spinor([1.0, 0.0, 0.0, -1.0])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DomainError):
+            null_to_spinor([1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [[2.0, 0.0, 0.0, 1.0],
+                                     [0.0, 1.0, 0.0, -1.0]])
+    def test_one_bad_row_in_a_stack_rejected(self, bad):
+        _, Z = cone_arrays(20)
+        Z = Z.reshape(4, 5, 4).copy()
+        assert null_to_spinor(Z).shape == (4, 5, 2)
+        Z[2, 3] = bad
+        with pytest.raises(NotNull):
+            null_to_spinor(Z)
