@@ -352,7 +352,7 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
         surface = build_surface(sub)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
-        area = math.fsum((data.weights * data.area_element).tolist())
+        area = math.fsum(data.measure.tolist())
         i_eq = surface.grid.node_index(surface.grid.n_theta // 2, 0)
         E = massmod.energy_momentum(surface, metric, data=data)
         rows.append((int(n_theta), sub["resolution"]["n_phi"], area,

@@ -7,10 +7,13 @@ parameter derivatives), carrying a Gauss-Legendre (in cos theta) x
 trapezoid (in phi) quadrature grid.  Metric first derivatives are complex
 steps of the component function (Squire & Trapp 1998), exact to roundoff,
 so the node pass (:func:`surface_forms`) holds no finite-difference
-stencil.  Its fundamental forms carry every surface quantity downstream,
-the Gauss curvature included (:func:`gauss_curvature`).  Only the scalar
-curvature keeps a second-order outer stencil in ``fd_step``, so that its
-convergence order in the step is a testable 2.
+stencil.  It calls no LAPACK either: the normal is the cofactor identity
+(g F_theta) x (g F_phi) = det(g) g^{-1} (F_theta x F_phi), normalized, and
+the 2x2 determinants and traces are closed form.  Its fundamental forms
+carry every surface quantity downstream, the Gauss curvature included
+(:func:`gauss_curvature`).  Only the scalar curvature keeps a second-order
+outer stencil in ``fd_step``, so that its convergence order in the step is
+a testable 2.
 """
 
 from __future__ import annotations
@@ -403,12 +406,12 @@ def radial_profile_surface(base: float, linear, k: float,
 # metric derivatives
 
 
-def _metric_derivative(metric: MetricField, pts: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-    """d_v g_ij at ``pts`` along ``v`` (both (..., 3)), by one complex step
-    of ``metric.components``; shape (..., 3, 3)."""
-    return metric.components(pts + (1j * _COMPLEX_STEP) * v).imag \
-        / _COMPLEX_STEP
+def _complex_step(metric: MetricField, pts: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """h d_v g_ij at ``pts`` along ``v`` (both (..., 3)), h = _COMPLEX_STEP:
+    the imaginary part of one complex step of ``metric.components``, shape
+    (..., 3, 3).  Callers apply 1/h once, to what they contract it into."""
+    return metric.components(pts + (1j * _COMPLEX_STEP) * v).imag
 
 
 def christoffel_many(metric: MetricField, pts: np.ndarray) -> np.ndarray:
@@ -416,8 +419,8 @@ def christoffel_many(metric: MetricField, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     ginv = np.linalg.inv(metric.components(pts))
     # D[..., l, i, j] = d_l g_ij, one complex step per chart axis
-    D = np.stack([_metric_derivative(metric, pts, e) for e in np.eye(3)],
-                 axis=-3)
+    D = np.stack([_complex_step(metric, pts, e) for e in np.eye(3)],
+                 axis=-3) / _COMPLEX_STEP
     # S_ljk = d_j g_lk + d_k g_jl - d_l g_jk
     S = (np.einsum("...jlk->...ljk", D)
          + np.einsum("...kjl->...ljk", D)
@@ -463,14 +466,17 @@ class SurfaceForms:
 
     first: np.ndarray          # (N, 2, 2)
     second: np.ndarray         # (N, 2, 2)
-    normal: np.ndarray         # (N, 3) ambient components
     mean_curvature: np.ndarray  # (N,)
     area_element: np.ndarray   # (N,) sqrt(det g_ab)
     chart_points: np.ndarray   # (N, 3)
 
 
+def _det2(a: np.ndarray) -> np.ndarray:
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def _check_nondegenerate(gab):
-    det = np.linalg.det(gab)
+    det = _det2(gab)
     scale = max(float(np.max(np.abs(gab))) ** 2, 1e-300)
     if np.any(det < 1e-14 * scale):
         raise DegenerateImmersion("induced metric numerically degenerate")
@@ -482,39 +488,49 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
 
     The second form is the Gauss formula h_ab = g(N, d_a d_b F) +
     (1/2)[N.(d_{F_a} g).F_b + N.(d_{F_b} g).F_a - F_a.(d_N g).F_b], read off
-    the surface jet and three complex-step metric derivatives.  Normals are
-    inward, so convex surfaces about the chart center have positive mean
-    curvature (geodesic spheres in H^3 get H = k coth(k rho)).
+    the surface jet and three complex-step metric derivatives, each
+    contracted as soon as it is made.  Normals are inward, so convex
+    surfaces about the chart center have positive mean curvature (geodesic
+    spheres in H^3 get H = k coth(k rho)).
     """
     p, dF, ddF = surface.F(*surface.grid.node_axes())
     g = metric.components(p)
-    gab = np.einsum("...ai,...ij,...bj->...ab", dF, g, dF)
+    # tangents as columns, stored contiguous: matmul is slower on a view
+    dFT = np.ascontiguousarray(np.swapaxes(dF, -1, -2))
+    gF = dF @ g                       # lowered tangents g F_a (g symmetric)
+    gab = gF @ dFT
     det = _check_nondegenerate(gab)
-    # g-unit normal: g^{-1} of the covector F_theta x F_phi that kills F_a
-    w = np.cross(dF[..., 0, :], dF[..., 1, :])
-    N = np.linalg.solve(g, w[..., None])[..., 0]
-    N /= np.sqrt(np.einsum("...i,...i->...", N, w))[..., None]
-    sign = np.where(np.einsum("...i,...i->...", N, -p) >= 0.0, 1.0, -1.0)
-    N *= (sign * surface.orientation_sign)[..., None]
-    dg_t, dg_p, dg_N = (_metric_derivative(metric, p, v)
-                        for v in (dF[..., 0, :], dF[..., 1, :], N))
-    # NdgF[a, b] = N.(d_{F_a} g).F_b
-    NdgF = np.stack([np.einsum("...i,...ij,...bj->...b", N, dg, dF)
-                     for dg in (dg_t, dg_p)], axis=-2)
+    # g-unit normal by the cofactor identity
+    # (g F_theta) x (g F_phi) = det(g) g^{-1} (F_theta x F_phi)
+    N = np.cross(gF[..., 0, :], gF[..., 1, :])
     gN = np.einsum("...ij,...j->...i", g, N)
-    second = (np.einsum("...i,...abi->...ab", gN, ddF)
-              + 0.5 * (NdgF + np.swapaxes(NdgF, -1, -2)
-                       - np.einsum("...ai,...ij,...bj->...ab", dF, dg_N, dF)))
-    H = 0.5 * np.einsum("...ab,...ab->...", np.linalg.inv(gab), second)
+    sign = np.where(np.einsum("...i,...i->...", N, p) <= 0.0, 1.0, -1.0)
+    scale = (sign * surface.orientation_sign
+             / np.sqrt(np.einsum("...i,...i->...", N, gN)))[..., None]
+    N *= scale
+    second = np.einsum("...abi,...i->...ab", ddF, gN * scale)
+    del g, gF, gN, ddF    # room for the complex steps
+    # h [N.(d_{F_a} g).F_b + (a <-> b) - F_a.(d_N g).F_b], one complex step
+    # alive at a time; NdgF[a, b] = ((h d_{F_a} g) N) . F_b
+    NdgF = np.stack([np.einsum("...ij,...j->...i",
+                               _complex_step(metric, p, dF[..., a, :]), N)
+                     for a in (0, 1)], axis=-2) @ dFT
+    bracket = (NdgF + np.swapaxes(NdgF, -1, -2)
+               - dF @ _complex_step(metric, p, N) @ dFT)
+    second += (0.5 / _COMPLEX_STEP) * bracket
+    H = 0.5 * (gab[..., 1, 1] * second[..., 0, 0]
+               + gab[..., 0, 0] * second[..., 1, 1]
+               - gab[..., 0, 1] * second[..., 0, 1]
+               - gab[..., 1, 0] * second[..., 1, 0]) / det
     # the (n_theta, n_phi, ...) grid flattens to theta-major (N, ...) nodes
-    first, second, normal, H, ae, p = (a.reshape((-1,) + a.shape[2:]) for a
-                                       in (gab, second, N, H, np.sqrt(det), p))
-    return SurfaceForms(first=first, second=second, normal=normal,
-                        mean_curvature=H, area_element=ae, chart_points=p)
+    first, second, H, ae, p = (a.reshape((-1,) + a.shape[2:]) for a
+                               in (gab, second, H, np.sqrt(det), p))
+    return SurfaceForms(first=first, second=second, mean_curvature=H,
+                        area_element=ae, chart_points=p)
 
 
 def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:
     """Gauss curvature at every node of ``forms``, by the Gauss equation
     K = c + det II / det I of a surface in a space of constant sectional
     curvature ``c``."""
-    return c + np.linalg.det(forms.second) / np.linalg.det(forms.first)
+    return c + _det2(forms.second) / _det2(forms.first)

@@ -60,13 +60,12 @@ class SurfaceMassData:
     H0: np.ndarray           # H^3-side mean curvature (N,)
     X: np.ndarray            # hyperboloid positions (N, 4)
     ball_points: np.ndarray  # Poincare-ball coordinates of F0 nodes (N, 3)
-    area_element: np.ndarray  # sqrt(det g_ab) of the ambient side (N,)
-    weights: np.ndarray      # quadrature measure weights (N,)
+    measure: np.ndarray      # quadrature weight * ambient area element (N,)
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def weighted(self, values: np.ndarray) -> float:
-        return math.fsum((self.weights * self.area_element * values).tolist())
+        return math.fsum((self.measure * values).tolist())
 
     def weighted_vector(self, values: np.ndarray) -> LorentzVector:
         comps = [self.weighted(values[:, c]) for c in range(4)]
@@ -132,8 +131,8 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     return SurfaceMassData(H=H, H0=forms0.mean_curvature,
                            X=ball_to_minkowski(ball, surface.k),
                            ball_points=ball,
-                           area_element=forms.area_element,
-                           weights=surface.grid.measure_weights(),
+                           measure=(surface.grid.measure_weights()
+                                    * forms.area_element),
                            k=surface.k)
 
 

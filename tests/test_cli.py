@@ -320,8 +320,8 @@ class TestConvergenceCommand:
         target = 4 * math.pi * math.sinh(1.0) ** 2
         errs = [abs(float(r.split(",")[2]) - target) for r in rows[1:]]
         # cos(theta)-Gauss-Legendre integrates this area exactly at every
-        # resolution, so both errors sit at the finite-difference noise of
-        # the area elements and the ratio check needs that floor
+        # resolution, so both errors sit at the roundoff of the area
+        # elements and the ratio check needs that floor
         assert errs[-1] < max(1e-3 * errs[0], 1e-11 * target)
 
     def test_ads_energy_stabilizes(self, tmp_path):

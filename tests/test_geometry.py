@@ -1,6 +1,7 @@
 """Metrics, surfaces, quadrature, and numerical curvature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,38 @@ def fd_jet(F, theta, phi, h=2e-3):
     return (pos(0, 0), np.stack([d_t, d_p], axis=-2),
             np.stack([np.stack([d_tt, d_tp], axis=-2),
                       np.stack([d_tp, d_pp], axis=-2)], axis=-3))
+
+
+def pulled_back_pair(grid):
+    """One tilted surface in two charts: (surface, metric) in y, with the
+    ball metric pulled back by Phi(y) = y + eps |y|^2 c, and (image, ball)
+    in the ball, the image jet following by the chain rule."""
+    eps, c = 0.3, np.array([0.2, -0.1, 0.25])
+    ball = hyperbolic_ball_metric(1.0)
+
+    def phi(y):
+        return y + eps * np.sum(y * y, axis=-1)[..., None] * c
+
+    def jac(y):
+        return np.eye(3) + 2.0 * eps * c[:, None] * y[..., None, :]
+
+    def pulled(y):
+        J = jac(y)
+        return np.swapaxes(J, -1, -2) @ ball.components(phi(y)) @ J
+
+    F = radial_profile_surface(0.6, (0.05, 0.1, -0.08), 1.0, grid).F
+
+    def image(t, p):
+        y, dy, ddy = F(t, p)
+        J = jac(y)
+        quad = np.einsum("...ai,...bi->...ab", dy, dy)
+        return (phi(y), np.einsum("...ij,...aj->...ai", J, dy),
+                np.einsum("...ij,...abj->...abi", J, ddy)
+                + 2.0 * eps * quad[..., None] * c)
+
+    metric = MetricField("pullback", pulled, ball.chart_distance)
+    return ((SurfaceData(F=F, grid=grid), metric),
+            (SurfaceData(F=image, grid=grid), ball))
 
 
 METRICS = {
@@ -236,36 +269,12 @@ class TestMeanCurvature:
         assert np.max(np.abs(Hs - np.roll(H, -5, axis=1))) < 1e-10
 
     def test_chart_independence(self, grid16):
-        # H of one surface in two charts: the ball, and y with the ball
-        # metric pulled back by Phi(y) = y + eps |y|^2 c.  The pullback is
-        # not conformally flat, so every connection term of the Gauss
-        # formula is live there; the image jet follows by the chain rule.
-        eps, c = 0.3, np.array([0.2, -0.1, 0.25])
-        ball = hyperbolic_ball_metric(1.0)
-
-        def phi(y):
-            return y + eps * np.sum(y * y, axis=-1)[..., None] * c
-
-        def jac(y):
-            return np.eye(3) + 2.0 * eps * c[:, None] * y[..., None, :]
-
-        def pulled(y):
-            J = jac(y)
-            return np.swapaxes(J, -1, -2) @ ball.components(phi(y)) @ J
-
-        F = radial_profile_surface(0.6, (0.05, 0.1, -0.08), 1.0, grid16).F
-
-        def image(t, p):
-            y, dy, ddy = F(t, p)
-            J = jac(y)
-            quad = np.einsum("...ai,...bi->...ab", dy, dy)
-            return (phi(y), np.einsum("...ij,...aj->...ai", J, dy),
-                    np.einsum("...ij,...abj->...abi", J, ddy)
-                    + 2.0 * eps * quad[..., None] * c)
-
-        metric = MetricField("pullback", pulled, ball.chart_distance)
-        forms = surface_forms(SurfaceData(F=F, grid=grid16), metric)
-        forms0 = surface_forms(SurfaceData(F=image, grid=grid16), ball)
+        # H of one surface in two charts (see pulled_back_pair): the
+        # pullback is not conformally flat, so every connection term of the
+        # Gauss formula is live there
+        (surface, metric), (image, ball) = pulled_back_pair(grid16)
+        forms = surface_forms(surface, metric)
+        forms0 = surface_forms(image, ball)
         assert np.max(np.abs(forms.mean_curvature
                              - forms0.mean_curvature)) < 1e-12
         # det II sees the antisymmetric part of II that H cannot
@@ -290,7 +299,7 @@ class TestMeanCurvature:
         forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
         n = grid16.n_nodes
         assert forms.first.shape == forms.second.shape == (n, 2, 2)
-        assert forms.normal.shape == forms.chart_points.shape == (n, 3)
+        assert forms.chart_points.shape == (n, 3)
         assert forms.mean_curvature.shape == forms.area_element.shape == (n,)
         flat = surface.F(*grid16.node_arrays())[0]
         assert forms.chart_points.tobytes() == flat.tobytes()
@@ -339,6 +348,102 @@ class TestGaussCurvature:
         _, forms0 = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
         K = gauss_curvature(forms0, -1.0)
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
+
+
+
+def linalg_node_pass(surface, metric, c):
+    """A test-only reference for :func:`surface_forms`: the same Gauss
+    formula through batched LAPACK and 3-operand einsum (np.linalg.solve for
+    the normal, the np.linalg.inv trace for H, np.linalg.det for the area
+    element and K).  Returns (first, second, H, area element, K) on the
+    (n_theta, n_phi) grid."""
+    p, dF, ddF = surface.F(*surface.grid.node_axes())
+    g = metric.components(p)
+    gab = np.einsum("...ai,...ij,...bj->...ab", dF, g, dF)
+    w = np.cross(dF[..., 0, :], dF[..., 1, :])
+    N = np.linalg.solve(g, w[..., None])[..., 0]
+    N /= np.sqrt(np.einsum("...i,...i->...", N, w))[..., None]
+    sign = np.where(np.einsum("...i,...i->...", N, -p) >= 0.0, 1.0, -1.0)
+    N *= (sign * surface.orientation_sign)[..., None]
+    dg_t, dg_p, dg_N = (metric.components(p + 1e-30j * v).imag / 1e-30
+                        for v in (dF[..., 0, :], dF[..., 1, :], N))
+    NdgF = np.stack([np.einsum("...i,...ij,...bj->...b", N, dg, dF)
+                     for dg in (dg_t, dg_p)], axis=-2)
+    gN = np.einsum("...ij,...j->...i", g, N)
+    second = (np.einsum("...i,...abi->...ab", gN, ddF)
+              + 0.5 * (NdgF + np.swapaxes(NdgF, -1, -2)
+                       - np.einsum("...ai,...ij,...bj->...ab", dF, dg_N, dF)))
+    H = 0.5 * np.einsum("...ab,...ab->...", np.linalg.inv(gab), second)
+    det = np.linalg.det(gab)
+    K = c + np.linalg.det(second) / det
+    return gab, second, H, np.sqrt(det), K
+
+
+# (surface, metric, c): c is the sectional curvature K = c + det II / det I
+# assumes.  AdS-Schwarzschild is no space form, so c = 0 there compares
+# det II / det I itself, which c = -1 would cancel to 1e-2 at r = 10.
+NODE_PASS_CASES = {
+    "pullback": lambda grid: pulled_back_pair(grid)[0] + (-1.0,),
+    "ads_r10": lambda grid: (coordinate_sphere_surface(10.0, grid),
+                             ads_schwarzschild_metric(ADS_M, 1.0), 0.0),
+    "profile": lambda grid: (
+        radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid),
+        hyperbolic_ball_metric(1.0), -1.0),
+}
+
+
+class TestNodePassAlgebra:
+    # the closed-form node pass against its LAPACK formulation, and the
+    # design it keeps: no np.linalg call, 1 real + 3 complex metric
+    # evaluations, and one complex step alive at a time
+    @pytest.mark.parametrize("case", sorted(NODE_PASS_CASES))
+    def test_matches_linalg_reference(self, case, grid16):
+        surface, metric, c = NODE_PASS_CASES[case](grid16)
+        forms = surface_forms(surface, metric)
+        got = (forms.first, forms.second, forms.mean_curvature,
+               forms.area_element, gauss_curvature(forms, c))
+        for new, ref in zip(got, linalg_node_pass(surface, metric, c)):
+            ref = ref.reshape(new.shape)
+            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_calls_no_linalg(self, grid16, monkeypatch):
+        cases = [NODE_PASS_CASES[case](grid16) for case in NODE_PASS_CASES]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called by the node pass")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for surface, metric, c in cases:
+            gauss_curvature(surface_forms(surface, metric), c)
+
+    def test_four_metric_evaluations(self, grid16):
+        ads = ads_schwarzschild_metric(ADS_M, 1.0)
+        calls = []
+
+        def components(p):
+            calls.append((p.dtype.kind, p.shape))
+            return ads.components(p)
+
+        metric = MetricField(ads.tag, components, ads.chart_distance)
+        surface_forms(coordinate_sphere_surface(2.0, grid16), metric)
+        shape = (grid16.n_theta, grid16.n_phi, 3)
+        assert calls == [("f", shape)] + [("c", shape)] * 3
+
+    def test_one_complex_step_alive(self):
+        # the pass peaks at 4.97 complex (N, 3, 3) arrays (numpy 2.4); with
+        # the three steps alive at once it peaks at 6.53
+        grid = QuadratureGrid.build(128, 256)
+        surface = coordinate_sphere_surface(2.0, grid)
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        tracemalloc.start()
+        try:
+            surface_forms(surface, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.4 * grid.n_nodes * np.dtype(complex).itemsize * 9
 
 
 class TestScalarCurvature:
