@@ -47,14 +47,21 @@ def load_config(path) -> dict:
     return resolve_config(cfg)
 
 
-def _number(value, name: str, kind=float):
-    """``value`` as a finite ``kind``, or a ConfigError naming the key."""
+# the least n_theta, of a config or of a --resolutions entry
+MIN_N_THETA = 8
+
+
+def _number(value, name: str, kind=float, least=-math.inf):
+    """``value`` as a finite ``kind`` of at least ``least``, or a
+    ConfigError naming the key."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if x < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
     return x
 
 
@@ -91,17 +98,15 @@ def resolve_config(cfg: dict) -> dict:
     """Fill defaults and validate; returns the fully resolved tree."""
     out = {}
     res = _section(cfg, "resolution")
-    n_theta = _number(res.get("n_theta", 64), "resolution.n_theta", int)
-    n_phi = _number(res.get("n_phi", 128), "resolution.n_phi", int)
-    if n_theta < 8 or n_phi < 16:
-        raise ConfigError("resolution must be at least 8 x 16")
-    out["resolution"] = {"n_theta": n_theta, "n_phi": n_phi}
+    out["resolution"] = {
+        "n_theta": _number(res.get("n_theta", 64), "resolution.n_theta", int,
+                           MIN_N_THETA),
+        "n_phi": _number(res.get("n_phi", 128), "resolution.n_phi", int, 16)}
 
     tols = _section(cfg, "tolerances")
     out["tolerances"] = {
         key: _number(tols.get(key, default), f"tolerances.{key}")
-        for key, default in (("fd_step", 1e-4), ("iso_tol", 1e-8),
-                             ("causal_tol", 1e-12))}
+        for key, default in (("iso_tol", 1e-8), ("causal_tol", 1e-12))}
     if any(v <= 0 for v in out["tolerances"].values()):
         raise ConfigError("all tolerances must be positive")
 
@@ -114,9 +119,7 @@ def resolve_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown metric type: {mtype}")
     out["metric"] = {"type": mtype, "k": k}
     if mtype == "ads_schwarzschild":
-        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m")
-        if out["metric"]["m"] < 0:
-            raise ConfigError("metric.m must be non-negative")
+        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m", least=0.0)
 
     surf = _section(cfg, "surface")
     stype = surf.get("type", "geodesic_sphere")
@@ -217,8 +220,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
     n_sample = min(20, forms.chart_points.shape[0])
     idx = np.linspace(0, forms.chart_points.shape[0] - 1, n_sample).astype(int)
-    R = geo.scalar_curvature_many(metric, forms.chart_points[idx],
-                                  fd_step=tols["fd_step"])
+    R = geo.scalar_curvature_many(metric, forms.chart_points[idx])
     min_r = float(np.min(R) + 6.0 * k * k)
     checks = massmod.HypothesisChecks(
         min_mean_curvature=min_h, min_gauss_plus_k2=min_k,
@@ -297,8 +299,8 @@ SPINOR_BLOCK = 4096
 
 def run_spinor_check(seed: int, count: int, corrupt_sign: bool = False) -> int:
     """Seeded residual sweep; returns a process exit code."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
+    count = _number(count, "--count", int, 1)
+    seed = _number(seed, "--seed", int, 0)
     rep = make_clifford_rep(s_zeta=+1) if corrupt_sign else make_clifford_rep()
     rng = np.random.default_rng(seed)
     max_zet = 0.0
@@ -343,19 +345,20 @@ def observed_orders(values, sizes) -> list:
 def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
     if len(resolutions) < 3:
         raise ConfigError("need at least 3 resolutions")
+    resolutions = [_number(n, "--resolutions entry", int, MIN_N_THETA)
+                   for n in resolutions]
     metric = build_metric(cfg)
     rows = []
     for n_theta in resolutions:
         sub = dict(cfg)
-        sub["resolution"] = {"n_theta": int(n_theta),
-                             "n_phi": max(16, 2 * int(n_theta))}
+        sub["resolution"] = {"n_theta": n_theta, "n_phi": max(16, 2 * n_theta)}
         surface = build_surface(sub)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
         area = math.fsum(data.measure.tolist())
         i_eq = surface.grid.node_index(surface.grid.n_theta // 2, 0)
         E = massmod.energy_momentum(surface, metric, data=data)
-        rows.append((int(n_theta), sub["resolution"]["n_phi"], area,
+        rows.append((n_theta, sub["resolution"]["n_phi"], area,
                      float(data.H[i_eq]), E))
 
     sizes = [row[0] for row in rows]
@@ -417,7 +420,7 @@ def main(argv=None) -> int:
         elif args.command == "spinor-check":
             return run_spinor_check(args.seed, args.count, args.corrupt_sign)
         elif args.command == "convergence":
-            resolutions = [int(s) for s in args.resolutions.split(",") if s]
+            resolutions = [s for s in args.resolutions.split(",") if s]
             run_convergence(load_config(args.config), resolutions,
                             outdir=Path(args.output))
     except ConfigError as exc:

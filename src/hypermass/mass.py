@@ -8,6 +8,10 @@ H^3_{-k^2} (mean curvature H_0 and hyperboloid position X):
     E(Sigma)    = int (H_0^2 - H^2)/H  X          dSigma
     M_alpha     = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma
 
+The forms of a surface (:func:`surface_mass_data`) and the small-sphere
+expansion (:func:`ah_sphere_data`) both build a :class:`SurfaceMassData`,
+so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
+
 H <= 0 anywhere is a hard error, never a silent skip.  Reductions use
 fixed-order compensated summation so repeated runs are bit-identical.
 """
@@ -30,7 +34,6 @@ from .spinor import _as_spinor, killing_spinor_norms_sq
 
 __all__ = [
     "MassReport",
-    "AHSphereData",
     "AsymptoticResult",
     "SurfaceMassData",
     "mass_forms",
@@ -54,13 +57,14 @@ FORMAT_VERSION = 2
 
 @dataclass
 class SurfaceMassData:
-    """Node data entering every mass integral for one surface/ambient pair."""
+    """Node data entering every mass integral: a surface in its ambient
+    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`)."""
 
     H: np.ndarray            # ambient-side mean curvature (N,)
     H0: np.ndarray           # H^3-side mean curvature (N,)
     X: np.ndarray            # hyperboloid positions (N, 4)
     ball_points: np.ndarray  # Poincare-ball coordinates of F0 nodes (N, 3)
-    measure: np.ndarray      # quadrature weight * ambient area element (N,)
+    measure: np.ndarray      # quadrature weight * area element (N,)
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -71,13 +75,23 @@ class SurfaceMassData:
         comps = [self.weighted(values[:, c]) for c in range(4)]
         return LorentzVector(*comps)
 
+    @property
+    def weight(self) -> np.ndarray:
+        """(H_0^2 - H^2)/H at each node: the integrand of E and of Q."""
+        H, H0 = self.H, self.H0
+        return (H0 ** 2 - H ** 2) / H
+
+    def energy(self) -> LorentzVector:
+        """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
+        return self.weighted_vector(self.weight[:, None] * self.X)
+
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
         a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
         e_0 + e_1, e_0 + i e_1, and each real entry of Q is one
         :meth:`weighted` sum.  Built once for each sign +-1; read-only."""
         if sign not in self.killing_forms:
-            w = (self.H0 ** 2 - self.H ** 2) / self.H
+            w = self.weight
             n0, n1, n_re, n_im = killing_spinor_norms_sq(
                 np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
                 self.ball_points, sign)
@@ -141,12 +155,9 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
 
 
 def energy_momentum(surface: SurfaceData, ambient: MetricField,
-                    iso_tol: float = 1e-8,
                     data: Optional[SurfaceMassData] = None) -> LorentzVector:
     """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-    d = data or surface_mass_data(surface, ambient, iso_tol)
-    w = (d.H0 ** 2 - d.H ** 2) / d.H
-    return d.weighted_vector(w[:, None] * d.X)
+    return (data or surface_mass_data(surface, ambient)).energy()
 
 
 def shi_tam_alpha(R1: float, R2: float) -> float:
@@ -159,12 +170,11 @@ def shi_tam_alpha(R1: float, R2: float) -> float:
 
 
 def shi_tam_vector(surface: SurfaceData, ambient: MetricField, alpha: float,
-                   iso_tol: float = 1e-8,
                    data: Optional[SurfaceMassData] = None) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
-    d = data or surface_mass_data(surface, ambient, iso_tol)
+    d = data or surface_mass_data(surface, ambient)
     W = d.X.copy()
     W[:, 3] *= alpha
     return d.weighted_vector((d.H0 - d.H)[:, None] * W)
@@ -199,8 +209,7 @@ def wang_mass(h: SphereTensor,
 
 
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
-                          sign: int, iso_tol: float = 1e-8,
-                          data: Optional[SurfaceMassData] = None):
+                          sign: int, data: Optional[SurfaceMassData] = None):
     """int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma (k = 1) for spinors
     ``a`` of shape (..., 2), a float for one spinor: Re(a^H Q a), with the
     2x2 Hermitian Q of :meth:`SurfaceMassData.killing_form` summed from the
@@ -209,7 +218,7 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     a = _as_spinor(a)
-    d = data or surface_mass_data(surface, ambient, iso_tol)
+    d = data or surface_mass_data(surface, ambient)
     if d.k != 1.0:
         raise DomainError("spinor-weighted integrals require k = 1")
     Q = d.killing_form(int(sign))
@@ -221,32 +230,19 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
 # asymptotically hyperbolic small-sphere machinery
 
 
-@dataclass
-class AHSphereData:
-    """Truncated small-sphere expansion data on a round-sphere grid.
-
-    H and H_0 follow the collar expansions truncated at the printed orders
-    (the omitted terms are o(r^3) relative); the embedded position is the
-    exact hyperboloid point with sinh(rho_r) = 1/r, matching the displayed
-    leading behavior (x/r, 1/r).
-    """
-
-    H: np.ndarray           # (N,)
-    H0: np.ndarray          # (N,)
-    area_factor: float      # 1/sinh^2 r multiplying the round measure
-    X: np.ndarray           # (N, 4) hyperboloid positions
-    weights: np.ndarray     # (N,) round-sphere dS weights
-
-
 def ah_sphere_data(r: float, h: SphereTensor,
-                   grid: Optional[QuadratureGrid] = None) -> AHSphereData:
-    """Pointwise expansion data for the geodesic sphere S_r, 0 < r <= 0.5."""
+                   grid: Optional[QuadratureGrid] = None) -> SurfaceMassData:
+    """Truncated small-sphere expansion data for the geodesic sphere S_r,
+    0 < r <= 0.5, on a round-sphere grid (k = 1): H and H_0 from the collar
+    expansions truncated at the printed orders (the omitted terms are o(r^3)
+    relative), the round dS over sinh^2 r, and the exact hyperboloid point
+    with sinh(rho_r) = 1/r, matching the displayed leading behavior
+    (x/r, 1/r), at ball radius tanh(rho_r/2) = 1/(r + sqrt(1 + r^2))."""
     if not 0.0 < r <= 0.5:
         raise DomainError("expansion data is valid for 0 < r <= 0.5")
     xhat, w = _round_sphere_quadrature(grid)
     tau = h.trace(xhat)
     H = math.cosh(r) - 0.25 * r ** 3 * tau
-    H = np.broadcast_to(np.asarray(H, dtype=float), tau.shape).copy()
     if np.any(H <= 0.0):
         node = int(np.argmin(H))
         raise NonPositiveMeanCurvature(
@@ -256,17 +252,9 @@ def ah_sphere_data(r: float, h: SphereTensor,
     cosh_rho = math.sqrt(1.0 + sinh_rho ** 2)
     X = np.concatenate([sinh_rho * xhat,
                         np.full((xhat.shape[0], 1), cosh_rho)], axis=1)
-    return AHSphereData(H=H, H0=H0,
-                        area_factor=1.0 / math.sinh(r) ** 2,
-                        X=X, weights=w)
-
-
-def small_sphere_energy(data: AHSphereData) -> LorentzVector:
-    """E(S_r) assembled from the truncated expansion data."""
-    w = (data.H0 ** 2 - data.H ** 2) / data.H
-    integ = data.weights * data.area_factor * w
-    comps = [math.fsum((integ * data.X[:, c]).tolist()) for c in range(4)]
-    return LorentzVector(*comps)
+    return SurfaceMassData(H=H, H0=H0, X=X,
+                           ball_points=xhat / (r + math.sqrt(1.0 + r * r)),
+                           measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 
 @dataclass
@@ -293,8 +281,7 @@ def asymptotic_limit(h: SphereTensor, radii,
         raise DomainError("need at least three radii")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
-    energies = [small_sphere_energy(ah_sphere_data(r, h, grid))
-                for r in radii]
+    energies = [ah_sphere_data(r, h, grid).energy() for r in radii]
     upsilon = wang_mass(h, grid)
     ups_half = 0.5 * upsilon
     r1, r2 = radii[-2], radii[-1]

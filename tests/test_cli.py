@@ -115,6 +115,13 @@ class TestMassCommand:
             "type": "ads_schwarzschild", "k": 1.0, "m": 0.1}
         assert doc["config"]["tolerances"]["iso_tol"] == 1e-8
 
+    def test_resolved_tolerances(self, tmp_path):
+        # fd_step is not a config key: a config that still sets it loads and
+        # ignores it, like any other unknown key
+        for text in ("{}", "tolerances: {fd_step: 1.0e-3}"):
+            cfg = load_config(write(tmp_path, "t.yaml", text))
+            assert cfg["tolerances"] == {"iso_tol": 1e-8, "causal_tol": 1e-12}
+
     def test_reversed_orientation_fails_checks(self, tmp_path):
         cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
@@ -292,6 +299,11 @@ class TestSpinorCheckCommand:
     def test_single_sample(self):
         assert run(["spinor-check", "--seed", "1", "--count", "1"])[0] == 0
 
+    def test_negative_seed_rejected(self):
+        code, _, err = run(["spinor-check", "--seed", "-1", "--count", "1"])
+        assert code == 2
+        assert "seed" in err
+
     def test_corrupted_sign_fails(self):
         code, out, _ = run(["spinor-check", "--seed", "42", "--count", "10",
                             "--corrupt-sign"])
@@ -369,6 +381,17 @@ class TestConvergenceCommand:
         cfg = write(tmp_path, "geo.yaml", GEO_CONFIG)
         assert run(["convergence", cfg, "--resolutions", "16",
                     "--output", str(tmp_path)])[0] == 2
+
+    @pytest.mark.parametrize("resolutions", [
+        "8,16,x", "8.5,16,32", "0,16,32", "4,8,16"])
+    def test_bad_resolution_rejected(self, tmp_path, resolutions):
+        # each entry is held to the rule of resolution.n_theta
+        cfg = write(tmp_path, "geo.yaml", GEO_CONFIG)
+        code, _, err = run(["convergence", cfg, "--resolutions", resolutions,
+                            "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "--resolutions" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:

@@ -14,14 +14,14 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric, unit_direction_jet)
+from hypermass.hypgeom import ball_to_minkowski
 from hypermass.lorentz import (CausalClass, LorentzVector, classify,
                                minkowski_inner, sample_null_cone)
 from hypermass import mass as massmod
 from hypermass.mass import (HypothesisChecks, MassReport, ah_sphere_data,
                             asymptotic_limit, energy_momentum,
                             killing_weighted_mass, shi_tam_alpha,
-                            shi_tam_vector, small_sphere_energy,
-                            surface_mass_data, wang_mass)
+                            shi_tam_vector, surface_mass_data, wang_mass)
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
@@ -363,6 +363,27 @@ class TestAHSphereData:
         q = np.sum(d.X[:, :3] ** 2, axis=1) - d.X[:, 3] ** 2
         assert np.max(np.abs(q + 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("r", [0.5, 0.2, 0.025])
+    def test_ball_points_map_to_positions(self, r):
+        d = ah_sphere_data(r, SphereTensor(g0_coeff=1.0))
+        assert d.k == 1.0
+        X = ball_to_minkowski(d.ball_points, d.k)
+        assert np.max(np.abs(X - d.X)) < 1e-12 * np.max(np.abs(d.X))
+
+    def test_energy_is_round_sphere_sum(self):
+        # the expansion integral as a sum over the round dS weights, written
+        # out apart from SurfaceMassData.energy
+        r, grid = 0.1, QuadratureGrid.build(16, 32)
+        d = ah_sphere_data(r, SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2,
+                                                                  0.1)), grid)
+        theta = grid.node_axes()[0]
+        w_round = (grid.measure_weights().reshape(grid.n_theta, -1)
+                   * np.sin(theta)).ravel()
+        integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - d.H ** 2) / d.H)
+        expect = [math.fsum((integ * d.X[:, c]).tolist()) for c in range(4)]
+        E = d.energy()
+        assert [E.x1, E.x2, E.x3, E.t] == pytest.approx(expect, rel=1e-15)
+
 
 class TestAsymptoticLimit:
     def test_limits_match_half_upsilon(self, asymptotic_results):
@@ -385,7 +406,7 @@ class TestAsymptoticLimit:
         # time position ~ 1/r, so the time component approaches
         # (1/2) int tr h dS as r -> 0
         h = SphereTensor(g0_coeff=0.5)
-        E = small_sphere_energy(ah_sphere_data(0.05, h))
+        E = ah_sphere_data(0.05, h).energy()
         assert abs(E.t - 2 * math.pi) < 0.01 * 2 * math.pi
 
     def test_requires_three_decreasing_radii(self):

@@ -1,14 +1,17 @@
-"""Package surface: exported names, raised error types and the names the
-bench tracer wraps."""
+"""Package surface: exported names, raised error types, the names the
+bench tracer wraps and the library calls of the bench pairing op."""
 
 import importlib
+import importlib.util
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypermass import errors
@@ -43,6 +46,20 @@ def test_bench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", TRACER_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_pairing_op_runs():
+    # the benchmark's library op calls the mass functionals by keyword, so a
+    # signature change there breaks the benchmark without failing elsewhere
+    spec = importlib.util.spec_from_file_location(
+        "bench_child", ROOT / "bench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    answer = child.pairing({"n_theta": 8, "n_phi": 16, "m": 0.1, "r": 2.0,
+                            "spinors": [[1.0, 0.0, 0.0, 0.0],
+                                        [0.3, -0.2, 0.5, 0.7]]})
+    assert len(answer["E"]) == 4 and all(map(math.isfinite, answer["E"]))
+    assert np.shape(answer["kwm"]) == (2, 2)
 
 
 def test_every_error_type_is_raised():
