@@ -53,13 +53,16 @@ MIN_N_THETA = 8
 
 def _number(value, name: str, kind=float, least=-math.inf):
     """``value`` as a finite ``kind`` of at least ``least``, or a
-    ConfigError naming the key."""
+    ConfigError naming the key; a float that ``kind`` would change (8.5 as
+    an int) is an error too."""
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if isinstance(value, float) and x != value:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     if x < least:
         raise ConfigError(f"{name} must be at least {least}, got {value!r}")
     return x
@@ -205,60 +208,66 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# layout version of mass_report.json, whose keys run_mass writes
+FORMAT_VERSION = 2
+
+
 def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     metric = build_metric(cfg)
     surface = build_surface(cfg)
     k = cfg["metric"]["k"]
     tols = cfg["tolerances"]
 
-    resolution = (surface.grid.n_theta, surface.grid.n_phi)
-
     # one node pass: the checks read the same forms the integrals use
     forms, forms0 = massmod.mass_forms(surface, metric)
-    min_h = float(np.min(forms.mean_curvature))
+    H, nodes = forms.mean_curvature, forms.chart_points
+    min_h = float(np.min(H))
     # K of the H^3 image by the Gauss equation: Sigma's K when isometric
     min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
-    n_sample = min(20, forms.chart_points.shape[0])
-    idx = np.linspace(0, forms.chart_points.shape[0] - 1, n_sample).astype(int)
-    R = geo.scalar_curvature_many(metric, forms.chart_points[idx])
-    min_r = float(np.min(R) + 6.0 * k * k)
-    checks = massmod.HypothesisChecks(
-        min_mean_curvature=min_h, min_gauss_plus_k2=min_k,
-        min_scalar_plus_6k2=min_r,
-        isometry_mismatch=massmod.isometry_mismatch(forms, forms0),
-        iso_tol=tols["iso_tol"])
+    idx = np.linspace(0, nodes.shape[0] - 1, 20).astype(int)
+    min_r = float(np.min(geo.scalar_curvature_many(metric, nodes[idx]))
+                  + 6.0 * k * k)
+    mismatch = massmod.isometry_mismatch(forms, forms0)
+    iso_tol = tols["iso_tol"]
+    at_h = " at " + surface.grid.describe_node(int(np.argmin(H)))
+    table = (  # key, value, whether its bound holds, the bound, where
+        ("min_mean_curvature", min_h, min_h > 0.0, "> 0", at_h),
+        ("min_gauss_plus_k2", min_k, min_k > 0.0, "> 0", ""),
+        ("min_scalar_plus_6k2", min_r, min_r > -1e-5, "> -1e-05", ""),
+        ("isometry_mismatch", mismatch, mismatch <= iso_tol,
+         f"<= iso_tol = {iso_tol:g}", ""))
+    failed = [f"{key} = {value:.6g}{where}, need {bound}"
+              for key, value, ok, bound, where in table if not ok]
+    checks = {key: value for key, value, *_ in table}
+    checks.update(iso_tol=iso_tol, passed=not failed)
+    doc = {"format_version": FORMAT_VERSION, "E": None, "causal_class": None,
+           "M_alpha": None, "alpha": None, "hypothesis_checks": checks,
+           "resolution": [surface.grid.n_theta, surface.grid.n_phi],
+           "null_pairing": {"min": None, "max": None},
+           "forced": force and not checks["passed"], "config": cfg}
+    if failed and not force:
+        _write_text(outdir / "mass_report.json", _json_dump(doc))
+        raise HypothesisFailure("hypothesis checks failed ("
+                                + "; ".join(failed)
+                                + "); rerun with --force to proceed")
 
-    if not checks.passed and not force:
-        node = int(np.argmin(forms.mean_curvature))
-        report = massmod.MassReport(E=None, causal_class=None, checks=checks,
-                                    resolution=resolution, config=cfg)
-        _write_text(outdir / "mass_report.json", _json_dump(report.to_dict()))
-        raise HypothesisFailure(
-            f"hypothesis checks failed (min H = {min_h:.6g} at node {node}); "
-            "rerun with --force to proceed")
-
-    data = massmod.surface_mass_data(surface, metric, iso_tol=tols["iso_tol"],
+    data = massmod.surface_mass_data(surface, metric, iso_tol=iso_tol,
                                      forms=(forms, forms0))
     E = massmod.energy_momentum(surface, metric, data=data)
-
-    m_alpha = alpha = None
     if cfg["outputs"]["shi_tam"]:
-        r1, r2 = radial_bounds(data.ball_points, k)
-        alpha = massmod.shi_tam_alpha(r1, r2)
-        m_alpha = massmod.shi_tam_vector(surface, metric, alpha, data=data)
+        alpha = massmod.shi_tam_alpha(*radial_bounds(data.ball_points, k))
+        M = massmod.shi_tam_vector(surface, metric, alpha, data=data)
+        doc.update(M_alpha=[M.x1, M.x2, M.x3, M.t], alpha=alpha)
 
     # exact extremes of <E, (u, 1)> = -E_t - E_s.u over unit vectors u
     spatial = math.hypot(E.x1, E.x2, E.x3)
-    report = massmod.MassReport(
-        E=E, causal_class=classify(E, tols["causal_tol"]), checks=checks,
-        resolution=resolution, M_alpha=m_alpha, alpha=alpha,
-        null_pairing_min=-E.t - spatial, null_pairing_max=-E.t + spatial,
-        forced=force and not checks.passed, config=cfg)
-    doc = report.to_dict()
+    doc.update(E=[E.x1, E.x2, E.x3, E.t],
+               causal_class=classify(E, tols["causal_tol"]).value,
+               null_pairing={"min": -E.t - spatial, "max": -E.t + spatial})
     _write_text(outdir / "mass_report.json", _json_dump(doc))
     print(f"E = ({_fmt(E.x1)}, {_fmt(E.x2)}, {_fmt(E.x3)}, {_fmt(E.t)})")
     print(f"causal class: {doc['causal_class']}")
-    print(f"hypothesis checks passed: {checks.passed}")
+    print(f"hypothesis checks passed: {checks['passed']}")
     return doc
 
 
@@ -315,7 +324,7 @@ def run_spinor_check(seed: int, count: int, corrupt_sign: bool = False) -> int:
             X[i] = rng.uniform(-0.57, 0.57, 3)
         for sign in (1, -1):
             max_zet = max(max_zet, float(np.max(verify_zet(A, X, sign, rep))))
-    cone = np.array([z.as_array() for z in sample_null_cone(500)])
+    cone = sample_null_cone(500)
     max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1, rep)
                                  - cone)))
     ok = max_zet < 1e-12 and max_rt < 1e-12

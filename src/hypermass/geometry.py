@@ -266,6 +266,11 @@ class QuadratureGrid:
     def node_index(self, i_theta: int, i_phi: int) -> int:
         return i_theta * self.n_phi + i_phi
 
+    def describe_node(self, node: int) -> str:
+        i, j = divmod(node, self.n_phi)
+        return (f"node {node} (theta={self.theta[i]:.4f}, "
+                f"phi={self.phi[j]:.4f})")
+
 
 def unit_directions(theta, phi) -> np.ndarray:
     """Unit vectors at broadcastable (theta, phi), shape (..., 3)."""

@@ -49,17 +49,12 @@ class LorentzVector:
             if not math.isfinite(c):
                 raise ValueError(f"non-finite Lorentz component: {c!r}")
 
-    @classmethod
-    def from_array(cls, arr) -> "LorentzVector":
-        x1, x2, x3, t = (float(c) for c in np.asarray(arr).reshape(4))
-        return cls(x1, x2, x3, t)
+    # numpy operands defer to the methods below, so np.float64(2) * v is
+    # still a LorentzVector and not the array of __array__
+    __array_ufunc__ = None
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.t])
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.x1, self.x2, self.x3, self.t], dtype=dtype)
 
     def __add__(self, other: "LorentzVector") -> "LorentzVector":
         return LorentzVector(self.x1 + other.x1, self.x2 + other.x2,
@@ -78,13 +73,17 @@ class LorentzVector:
         return max(abs(self.x1), abs(self.x2), abs(self.x3), abs(self.t))
 
 
-def minkowski_inner(u: LorentzVector, v: LorentzVector) -> float:
-    """Bilinear symmetric pairing with signature (+, +, +, -)."""
-    return u.x1 * v.x1 + u.x2 * v.x2 + u.x3 * v.x3 - u.t * v.t
+def minkowski_inner(u, v):
+    """Bilinear symmetric pairing with signature (+, +, +, -) of (..., 4)
+    array-likes (a LorentzVector is one), broadcast over the leading axes."""
+    u, v = np.asarray(u), np.asarray(v)
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+            + u[..., 2] * v[..., 2] - u[..., 3] * v[..., 3])
 
 
-def classify(v: LorentzVector, tol: float = 1e-12) -> CausalClass:
-    """Causal class of ``v`` at tolerance ``tol``.
+def classify(v, tol: float = 1e-12) -> CausalClass:
+    """Causal class of ``v``, a LorentzVector or a finite (4,) array, at
+    tolerance ``tol``.
 
     Vectors whose components are all below ``tol`` in magnitude are the zero
     vector; otherwise the sign of <v, v> relative to tol * ||v||^2 decides
@@ -94,41 +93,45 @@ def classify(v: LorentzVector, tol: float = 1e-12) -> CausalClass:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if v.norm_inf() <= tol:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4,) or not np.all(np.isfinite(v)):
+        raise ValueError("need a finite vector of shape (4,)")
+    if np.max(np.abs(v)) <= tol:
         return CausalClass.ZERO_VECTOR
     q = minkowski_inner(v, v)
-    n2 = v.x1 ** 2 + v.x2 ** 2 + v.x3 ** 2 + v.t ** 2
+    n2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2
     if abs(q) <= tol * n2:
-        return CausalClass.NULL_FUTURE if v.t >= 0 else CausalClass.NULL_PAST
+        return CausalClass.NULL_FUTURE if v[3] >= 0 else CausalClass.NULL_PAST
     if q < 0:
-        return CausalClass.TIMELIKE_FUTURE if v.t > 0 else CausalClass.TIMELIKE_PAST
+        return (CausalClass.TIMELIKE_FUTURE if v[3] > 0
+                else CausalClass.TIMELIKE_PAST)
     return CausalClass.SPACELIKE
 
 
-def sample_null_cone(m: int) -> list[LorentzVector]:
-    """``m`` future null vectors (z1, z2, z3, 1) with unit spatial part.
+def sample_null_cone(m: int) -> np.ndarray:
+    """``m`` future null vectors (z1, z2, z3, 1) with unit spatial part, as
+    an (m, 4) array.
 
     Spatial directions follow a deterministic golden-angle spiral on the
     sphere, starting at the north pole, so repeated runs sample identically.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = []
-    for i in range(m):
-        z = 1.0 if m == 1 else 1.0 - 2.0 * i / (m - 1)
-        s = math.sqrt(max(0.0, 1.0 - z * z))
-        phi = i * GOLDEN_ANGLE
-        out.append(LorentzVector(s * math.cos(phi), s * math.sin(phi), z, 1.0))
-    return out
+    i = np.arange(m)
+    z = np.ones(1) if m == 1 else 1.0 - 2.0 * i / (m - 1)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = i * GOLDEN_ANGLE
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z, np.ones(m)], axis=-1)
 
 
-def classify_by_null_pairings(v: LorentzVector, samples: list[LorentzVector],
-                              tol: float = 1e-12) -> bool:
-    """Sampled sufficient test: true iff <v, zeta> < -tol for every sample.
+def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:
+    """Sampled sufficient test: true iff <v, zeta> < -tol for every sample
+    row of ``samples`` (n, 4).
 
     A nonzero vector is timelike future directed iff the pairing is negative
     for *all* future null directions; a finite sample makes this one-sided.
     """
-    if not samples:
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    return all(minkowski_inner(v, z) < -tol for z in samples)
+    return bool(np.all(minkowski_inner(v, samples) < -tol))

@@ -29,11 +29,10 @@ from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        SurfaceForms, hyperbolic_ball_metric, surface_forms,
                        unit_directions)
 from .hypgeom import ball_to_minkowski
-from .lorentz import CausalClass, LorentzVector
+from .lorentz import LorentzVector
 from .spinor import _as_spinor, killing_spinor_norms_sq
 
 __all__ = [
-    "MassReport",
     "AsymptoticResult",
     "SurfaceMassData",
     "mass_forms",
@@ -47,9 +46,6 @@ __all__ = [
     "ah_sphere_data",
     "asymptotic_limit",
 ]
-
-FORMAT_VERSION = 2
-
 
 # ---------------------------------------------------------------------------
 # shared per-surface data
@@ -136,11 +132,9 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     H = forms.mean_curvature
     if np.any(H <= 0.0):
         node = int(np.argmin(H))
-        i, j = divmod(node, surface.grid.n_phi)
         raise NonPositiveMeanCurvature(
-            f"H = {H[node]:.6g} <= 0 at node {node} "
-            f"(theta={surface.grid.theta[i]:.4f}, "
-            f"phi={surface.grid.phi[j]:.4f})", node=node)
+            f"H = {H[node]:.6g} <= 0 at {surface.grid.describe_node(node)}",
+            node=node)
     ball = forms0.chart_points
     return SurfaceMassData(H=H, H0=forms0.mean_curvature,
                            X=ball_to_minkowski(ball, surface.k),
@@ -297,68 +291,3 @@ def asymptotic_limit(h: SphereTensor, radii,
                             extrapolated=extrap, upsilon_half=ups_half,
                             deviation=extrap - ups_half,
                             observed_order=order)
-
-
-# ---------------------------------------------------------------------------
-# report
-
-
-@dataclass
-class HypothesisChecks:
-    min_mean_curvature: float
-    min_gauss_plus_k2: float
-    min_scalar_plus_6k2: float
-    isometry_mismatch: float
-    iso_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.min_mean_curvature > 0.0
-                and self.min_gauss_plus_k2 > 0.0
-                and self.min_scalar_plus_6k2 > -1e-5
-                and self.isometry_mismatch <= self.iso_tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "min_mean_curvature": self.min_mean_curvature,
-            "min_gauss_plus_k2": self.min_gauss_plus_k2,
-            "min_scalar_plus_6k2": self.min_scalar_plus_6k2,
-            "isometry_mismatch": self.isometry_mismatch,
-            "iso_tol": self.iso_tol,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class MassReport:
-    """Computed vectors, causal class and diagnostics for one scenario."""
-
-    E: Optional[LorentzVector]          # None when failed checks stop the run
-    causal_class: Optional[CausalClass]
-    checks: HypothesisChecks
-    resolution: tuple
-    M_alpha: Optional[LorentzVector] = None
-    alpha: Optional[float] = None
-    null_pairing_min: Optional[float] = None
-    null_pairing_max: Optional[float] = None
-    forced: bool = False
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def vec(v):
-            return None if v is None else [v.x1, v.x2, v.x3, v.t]
-
-        return {
-            "format_version": FORMAT_VERSION,
-            "E": vec(self.E),
-            "causal_class": (None if self.causal_class is None
-                             else self.causal_class.value),
-            "M_alpha": vec(self.M_alpha),
-            "alpha": self.alpha,
-            "hypothesis_checks": self.checks.to_dict(),
-            "resolution": list(self.resolution),
-            "null_pairing": {"min": self.null_pairing_min,
-                             "max": self.null_pairing_max},
-            "forced": self.forced,
-            "config": self.config,
-        }

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import CalibrationFailure, DomainError, NotNull
 from .hypgeom import ball_to_minkowski
+from .lorentz import minkowski_inner
 
 __all__ = [
     "CliffordRep",
@@ -121,9 +122,7 @@ def verify_zet(a, x, sign: int, rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
     every residual < 1e-12."""
     n2 = killing_spinor_norms_sq(a, x, sign, rep)
     X = ball_to_minkowski(x)
-    z = zeta_of(a, sign, rep)
-    inner = np.sum(X[..., :3] * z[..., :3], axis=-1) - X[..., 3] * z[..., 3]
-    return np.abs(n2 + 2.0 * inner)
+    return np.abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign, rep)))
 
 
 def calibrate_signs(n_samples: int = 1000, seed: int = 20240) -> tuple[int, int]:

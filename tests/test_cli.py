@@ -13,7 +13,7 @@ from hypermass import cli
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass.cli import build_metric, build_surface, load_config, main
-from hypermass.lorentz import LorentzVector, minkowski_inner, sample_null_cone
+from hypermass.lorentz import minkowski_inner, sample_null_cone
 
 from conftest import exact_ads_energy
 
@@ -44,6 +44,9 @@ tolerances: {causal_tol: 1.0e-6}
 REPORT_KEYS = {"format_version", "E", "causal_class", "M_alpha", "alpha",
                "hypothesis_checks", "resolution", "null_pairing", "forced",
                "config"}
+
+CHECK_KEYS = {"min_mean_curvature", "min_gauss_plus_k2", "min_scalar_plus_6k2",
+              "isometry_mismatch", "iso_tol"}
 
 REVERSED_CONFIG = """
 metric: {type: hyperbolic_ball, k: 1.0}
@@ -122,11 +125,58 @@ class TestMassCommand:
             cfg = load_config(write(tmp_path, "t.yaml", text))
             assert cfg["tolerances"] == {"iso_tol": 1e-8, "causal_tol": 1e-12}
 
+    def test_report_schema(self, tmp_path):
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        assert set(doc) == REPORT_KEYS
+        checks = doc["hypothesis_checks"]
+        assert set(checks) == CHECK_KEYS | {"passed"}
+        assert all(type(checks[key]) is float for key in CHECK_KEYS)
+        assert checks["passed"] is True
+        assert doc["forced"] is False
+
+    def test_forced_past_a_failed_soft_check(self, tmp_path, monkeypatch):
+        # R + 6k^2 = -1 at every sampled point fails the R check alone;
+        # --force goes on to the integrals and says so in the report
+        monkeypatch.setattr(geo, "scalar_curvature_many",
+                            lambda metric, pts: np.full(len(pts), -7.0))
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        code, out, _ = run(["mass", cfg, "--force",
+                            "--output", str(tmp_path / "o")])
+        assert code == 0
+        assert "hypothesis checks passed: False" in out
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        assert set(doc) == REPORT_KEYS
+        assert doc["forced"] is True
+        assert doc["hypothesis_checks"]["passed"] is False
+        assert doc["hypothesis_checks"]["min_scalar_plus_6k2"] == -1.0
+        assert abs(doc["E"][3] - exact_ads_energy(2.0)) < 1e-6
+        assert doc["causal_class"] == "TimelikeFuture"
+
+    def test_failure_names_the_failed_check(self, tmp_path):
+        # H, K and R pass; only the isometry mismatch (~5e-15) exceeds a
+        # tolerance of 1e-20
+        cfg = write(tmp_path, "iso.yaml", ADS_CONFIG.replace(
+            "n_theta: 32, n_phi: 64", "n_theta: 16, n_phi: 32")
+            + "tolerances: {iso_tol: 1.0e-20}\n")
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
+        assert code == 3
+        assert "isometry_mismatch = " in err and "iso_tol = 1e-20" in err
+        for key in ("min_mean_curvature", "min_gauss_plus_k2",
+                    "min_scalar_plus_6k2"):
+            assert key not in err
+        doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+        assert doc["hypothesis_checks"]["min_mean_curvature"] > 0.0
+        assert doc["hypothesis_checks"]["passed"] is False
+        assert doc["E"] is None
+
     def test_reversed_orientation_fails_checks(self, tmp_path):
         cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
         assert code == 3
-        assert "node" in err
+        assert "min_mean_curvature = -" in err
+        assert "node" in err and "theta" in err and "phi" in err
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
         assert doc["hypothesis_checks"]["passed"] is False
         assert doc["hypothesis_checks"]["min_mean_curvature"] < 0.0
@@ -151,13 +201,13 @@ class TestMassCommand:
             "r: 2.0", f"r: {r}"))
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
-        E = LorentzVector(*doc["E"])
-        spatial = float(np.linalg.norm(E.spatial))
+        E = np.array(doc["E"])
+        spatial = float(np.linalg.norm(E[:3]))
         assert doc["null_pairing"] == pytest.approx(
-            {"min": -E.t - spatial, "max": -E.t + spatial}, rel=1e-15)
-        sampled = [minkowski_inner(E, z) for z in sample_null_cone(500)]
-        assert doc["null_pairing"]["min"] <= min(sampled)
-        assert max(sampled) <= doc["null_pairing"]["max"]
+            {"min": -E[3] - spatial, "max": -E[3] + spatial}, rel=1e-15)
+        sampled = minkowski_inner(E, sample_null_cone(500))
+        assert doc["null_pairing"]["min"] <= np.min(sampled)
+        assert np.max(sampled) <= doc["null_pairing"]["max"]
 
     def test_configured_causal_tol_classifies(self, tmp_path):
         cfg = write(tmp_path, "tiny.yaml", SMALL_E_CONFIG)
@@ -178,6 +228,20 @@ class TestMassCommand:
     def test_missing_config(self, tmp_path):
         code, _, err = run(["mass", str(tmp_path / "none.yaml")])
         assert code == 2
+
+    def test_non_integral_resolution_rejected(self, tmp_path):
+        cfg = write(tmp_path, "r.yaml",
+                    "resolution: {n_theta: 8.5, n_phi: 16.9}")
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "resolution.n_theta" in err and "8.5" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_resolution_loads(self, tmp_path):
+        cfg = load_config(write(tmp_path, "r.yaml",
+                                "resolution: {n_theta: 8.0, n_phi: 16.0}"))
+        assert cfg["resolution"] == {"n_theta": 8, "n_phi": 16}
+        assert all(type(n) is int for n in cfg["resolution"].values())
 
     def test_config_validation(self, tmp_path):
         bad_res = write(tmp_path, "r.yaml",
