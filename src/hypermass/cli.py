@@ -220,12 +220,12 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 
     # one node pass: the checks read the same forms the integrals use
     forms, forms0 = massmod.mass_forms(surface, metric)
-    H, nodes = forms.mean_curvature, forms.chart_points
+    H = forms.mean_curvature
     min_h = float(np.min(H))
     # K of the H^3 image by the Gauss equation: Sigma's K when isometric
     min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
-    idx = np.linspace(0, nodes.shape[0] - 1, 20).astype(int)
-    min_r = float(np.min(geo.scalar_curvature_many(metric, nodes[idx]))
+    # the closed-form R of the ambient metric at every node
+    min_r = float(np.min(geo.scalar_curvature(metric, forms.radius))
                   + 6.0 * k * k)
     mismatch = massmod.isometry_mismatch(forms, forms0)
     iso_tol = tols["iso_tol"]
@@ -255,7 +255,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
                                      forms=(forms, forms0))
     E = massmod.energy_momentum(surface, metric, data=data)
     if cfg["outputs"]["shi_tam"]:
-        alpha = massmod.shi_tam_alpha(*radial_bounds(data.ball_points, k))
+        alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
         M = massmod.shi_tam_vector(surface, metric, alpha, data=data)
         doc.update(M_alpha=[M.x1, M.x2, M.x3, M.t], alpha=alpha)
 

@@ -13,14 +13,6 @@ class MissingEmbedding(HypermassError):
     """Surface has no hyperbolic-space embedding attached."""
 
 
-class ChartBoundary(HypermassError):
-    """Point too close to the chart boundary for the requested stencil."""
-
-
-class DegenerateImmersion(HypermassError):
-    """Induced metric is (numerically) degenerate at a quadrature node."""
-
-
 class NonPositiveMeanCurvature(HypermassError):
     """Mean curvature fails H > 0 at some node."""
 

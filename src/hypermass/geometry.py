@@ -1,19 +1,16 @@
-"""Ambient 3-metrics, parametrized closed surfaces and their curvature.
+"""Ambient 3-metrics, radial-graph surfaces and their curvature.
 
-Charts are open subsets of R^3 with a metric component function g_ij(p).
-Surfaces are parametrizations F(theta, phi) of a topological sphere into a
-chart that return their closed-form 2-jet (position, first and second
-parameter derivatives), carrying a Gauss-Legendre (in cos theta) x
-trapezoid (in phi) quadrature grid.  Metric first derivatives are complex
-steps of the component function (Squire & Trapp 1998), exact to roundoff,
-so the node pass (:func:`surface_forms`) holds no finite-difference
-stencil.  It calls no LAPACK either: the normal is the cofactor identity
-(g F_theta) x (g F_phi) = det(g) g^{-1} (F_theta x F_phi), normalized, and
-the 2x2 determinants and traces are closed form.  Its fundamental forms
-carry every surface quantity downstream, the Gauss curvature included
-(:func:`gauss_curvature`).  Only the scalar curvature keeps a second-order
-outer stencil in ``fd_step``, so that its convergence order in the step is
-a testable 2.
+Every metric the node pass runs in is a warped product
+g = dr^2/V(r) + r^2 g_S2 in the polar chart (r, theta, phi): AdS-Schwarzschild
+(V = 1 + k^2 r^2 - 2m/r), H^3_{-k^2} in areal radius (V = 1 + k^2 r^2) and
+Euclidean space (V = 1).  Every surface is a radial graph r = R(theta, phi)
+that returns the closed-form 2-jet of R, on a Gauss-Legendre (in cos theta)
+x trapezoid (in phi) quadrature grid.  The node pass
+(:func:`surface_forms`) writes the first and second fundamental forms of
+such a graph out in V, V' and the jet: no metric components, no Christoffel
+symbols and no linear algebra.  Its forms carry every surface quantity
+downstream, the Gauss curvature included (:func:`gauss_curvature`), and the
+scalar curvature is closed form too (:func:`scalar_curvature`).
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ChartBoundary, DegenerateImmersion, DomainError,
-                     MissingEmbedding)
+from .errors import DomainError, MissingEmbedding
 
 __all__ = [
     "MetricField",
@@ -41,16 +37,11 @@ __all__ = [
     "geodesic_sphere_surface",
     "coordinate_sphere_surface",
     "radial_profile_surface",
-    "unit_direction_jet",
-    "christoffel_many",
-    "scalar_curvature_many",
+    "scalar_curvature",
     "surface_forms",
     "gauss_curvature",
 ]
 
-# complex step of a metric derivative: Im g(p + i h v) / h = d_v g, with no
-# subtractive cancellation, so any h this small is exact to roundoff
-_COMPLEX_STEP = 1e-30
 # the AdS-Schwarzschild chart stops this far outside the horizon
 _HORIZON_MARGIN = 0.1
 
@@ -61,62 +52,52 @@ _HORIZON_MARGIN = 0.1
 
 @dataclass
 class MetricField:
-    """Chart-based Riemannian 3-metric.
+    """Riemannian 3-metric in the polar chart (r, theta, phi).
 
-    ``components`` maps points of shape (..., 3) to symmetric positive
-    definite matrices of shape (..., 3, 3).  It must accept complex points
-    p + i h v and stay analytic there, so that Im g(p + i h v) / h is the
-    derivative of g along v (the complex step every metric derivative
-    uses): domain checks read the real part and nothing casts to float.
-    ``chart_distance`` returns the distance from a real point to the chart
-    boundary (np.inf for a global chart); the curvature stencil refuses to
-    straddle the boundary.
+    The node pass needs ``V`` and its derivative ``dV`` (callables of r) of a
+    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``.
+    ``components`` maps chart points (..., 3), complex ones included, to the
+    components (..., 3, 3), diag(1/V, r^2, r^2 sin^2 theta) for a warped
+    product.  No mass path reads them: they write the metric out for checks
+    that start from components alone.  The AH collar metric is no warped
+    product and carries components only.
     """
 
     tag: str
     components: Callable[[np.ndarray], np.ndarray]
-    chart_distance: Callable[[np.ndarray], np.ndarray]
+    V: Optional[Callable] = None
+    dV: Optional[Callable] = None
+    r_min: float = 0.0
 
 
-def _chart_points(p) -> np.ndarray:
-    """``p`` as a float array, or as the complex array it already is."""
-    p = np.asarray(p)
-    return p.astype(np.result_type(p, 1.0), copy=False)
+def _warped_product(tag: str, V: Callable, dV: Callable,
+                    r_min: float = 0.0) -> MetricField:
+    def components(p):
+        p = np.asarray(p)
+        r, theta = p[..., 0], p[..., 1]
+        if np.any(np.real(r) <= r_min):
+            raise DomainError(f"{tag} chart requires r > {r_min:.6g}")
+        diag = np.stack([1.0 / V(r), r * r, (r * np.sin(theta)) ** 2],
+                        axis=-1)
+        return diag[..., None, :] * np.eye(3)
+
+    return MetricField(tag=tag, components=components, V=V, dV=dV,
+                       r_min=r_min)
 
 
 def euclidean_metric() -> MetricField:
-    def comps(p):
-        return np.broadcast_to(np.eye(3), np.shape(p)[:-1] + (3, 3)).copy()
-
-    return MetricField(
-        tag="Euclidean",
-        components=comps,
-        chart_distance=lambda p: np.full(np.asarray(p).shape[:-1], np.inf),
-    )
+    return _warped_product("Euclidean", np.ones_like, np.zeros_like)
 
 
 def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
-    """Poincare ball model of H^3_{-k^2}: g = (f(x)/k)^2 delta."""
+    """H^3_{-k^2} in areal radius: V = 1 + k^2 r^2 (the CLI's
+    ``hyperbolic_ball``; a point at areal radius r lies at ball radius
+    k r / (1 + sqrt(1 + k^2 r^2)) of the Poincare ball)."""
     if k <= 0:
         raise DomainError("curvature scale k must be positive")
-
-    def comps(p):
-        p = _chart_points(p)
-        r2 = np.sum(p * p, axis=-1)
-        if np.any(r2.real >= 1.0):
-            raise DomainError("hyperbolic ball chart requires |x| < 1")
-        f = 2.0 / (1.0 - r2)
-        return np.eye(3) * ((f / k) ** 2)[..., None, None]
-
-    def dist(p):
-        p = np.asarray(p, dtype=float)
-        return 1.0 - np.sqrt(np.sum(p * p, axis=-1))
-
-    return MetricField(
-        tag="HyperbolicBall",
-        components=comps,
-        chart_distance=dist,
-    )
+    k2 = k * k
+    return _warped_product("Hyperbolic", lambda r: 1.0 + k2 * r * r,
+                           lambda r: 2.0 * k2 * r)
 
 
 def ads_horizon_radius(m: float, k: float) -> float:
@@ -129,38 +110,22 @@ def ads_horizon_radius(m: float, k: float) -> float:
 
 
 def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
-    """Static AdS-Schwarzschild slice in Cartesian-like chart coordinates.
-
-    In the chart y = r * direction the metric is
-    g_ij = delta_ij + (1/V - 1) y_i y_j / r^2 with V = 1 + k^2 r^2 - 2m/r.
-    The chart is restricted to r > r_horizon + 0.1 so V > 0.
-    """
+    """Static AdS-Schwarzschild slice: V = 1 + k^2 r^2 - 2m/r, on the chart
+    r > r_horizon + 0.1, so that V > 0."""
     if m < 0 or k <= 0:
         raise DomainError("need m >= 0 and k > 0")
-    r_min = ads_horizon_radius(m, k) + _HORIZON_MARGIN
+    k2 = k * k
+    return _warped_product(
+        "AdSSchwarzschild", lambda r: 1.0 + k2 * r * r - 2.0 * m / r,
+        lambda r: 2.0 * k2 * r + 2.0 * m / (r * r),
+        ads_horizon_radius(m, k) + _HORIZON_MARGIN)
 
-    def V(r):
-        return 1.0 + (k * r) ** 2 - 2.0 * m / r
 
-    def comps(p):
-        p = _chart_points(p)
-        r = np.sqrt(np.sum(p * p, axis=-1))
-        if np.any(r.real <= r_min):
-            raise DomainError("point inside the excluded AdS-Schwarzschild core")
-        nhat = p / r[..., None]
-        coef = 1.0 / V(r) - 1.0
-        return np.eye(3) + (coef[..., None, None] * nhat[..., :, None]
-                            * nhat[..., None, :])
-
-    def dist(p):
-        p = np.asarray(p, dtype=float)
-        return np.sqrt(np.sum(p * p, axis=-1)) - r_min
-
-    return MetricField(
-        tag="AdSSchwarzschild",
-        components=comps,
-        chart_distance=dist,
-    )
+def scalar_curvature(metric: MetricField, r) -> np.ndarray:
+    """Scalar curvature 2(1 - V - r V')/r^2 of dr^2/V + r^2 g_S2 at radii
+    ``r``: -6 k^2 for H^3 and AdS-Schwarzschild of any mass, 0 for
+    Euclidean space."""
+    return 2.0 * (1.0 - metric.V(r) - r * metric.dV(r)) / (r * r)
 
 
 @dataclass(frozen=True)
@@ -183,15 +148,16 @@ def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
     """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r).
 
     Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h.  Only
-    k = 1 is meaningful for this normal form.
+    k = 1 is meaningful for this normal form.  Library only: no surface of
+    the node pass runs in it.
     """
     if k != 1.0:
         raise DomainError("the AH collar normal form is stated at k = 1")
 
     def comps(p):
-        p = _chart_points(p)
+        p = np.asarray(p)
         r, th = p[..., 0], p[..., 1]
-        if np.any(r.real <= 0):
+        if np.any(np.real(r) <= 0):
             raise DomainError("collar chart requires r > 0")
         xhat = np.stack([np.sin(th) * np.cos(p[..., 2]),
                          np.sin(th) * np.sin(p[..., 2]),
@@ -201,16 +167,7 @@ def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
         diag = np.stack([s2, s2 * gr, s2 * gr * np.sin(th) ** 2], axis=-1)
         return np.eye(3) * diag[..., None, :]
 
-    def dist(p):
-        p = np.asarray(p, dtype=float)
-        return np.minimum.reduce([p[..., 0], 1.0 - p[..., 0],
-                                  p[..., 1], math.pi - p[..., 1]])
-
-    return MetricField(
-        tag="WangAH",
-        components=comps,
-        chart_distance=dist,
-    )
+    return MetricField(tag="WangAH", components=comps)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +236,11 @@ def unit_directions(theta, phi) -> np.ndarray:
                                         np.cos(theta)), axis=-1)
 
 
-def unit_direction_jet(theta, phi) -> tuple:
-    """The 2-jet of the unit sphere at broadcastable (theta, phi): u with
-    its first and second parameter derivatives, shapes (..., 3),
-    (..., 2, 3) and (..., 2, 2, 3), parameter axes in (theta, phi) order."""
-    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    shape = np.broadcast_shapes(np.shape(st), np.shape(sp))
-    u = np.empty(shape + (3,))
-    du = np.zeros(shape + (2, 3))
-    ddu = np.zeros(shape + (2, 2, 3))
-    u[..., 0], u[..., 1], u[..., 2] = st * cp, st * sp, ct
-    du[..., 0, 0], du[..., 0, 1], du[..., 0, 2] = ct * cp, ct * sp, -st
-    du[..., 1, 0], du[..., 1, 1] = -u[..., 1], u[..., 0]
-    ddu[..., 0, 0, :] = -u
-    ddu[..., 0, 1, 0], ddu[..., 0, 1, 1] = -du[..., 0, 1], du[..., 0, 0]
-    ddu[..., 1, 0, :] = ddu[..., 0, 1, :]
-    ddu[..., 1, 1, :2] = -u[..., :2]
-    return u, du, ddu
+def unit_directions(theta, phi) -> np.ndarray:
+    """Unit vectors at broadcastable (theta, phi), shape (..., 3)."""
+    st = np.sin(theta)
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                        np.cos(theta)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +249,18 @@ def unit_direction_jet(theta, phi) -> tuple:
 
 @dataclass
 class SurfaceData:
-    """Parametrized closed surface with quadrature grid.
+    """Radial graph r = R(theta, phi) with quadrature grid.
 
-    ``F`` maps parameter arrays (theta, phi) to the closed-form 2-jet of the
-    surface in ambient chart coordinates: ``(F, dF, ddF)`` of shapes
-    (..., 3), (..., 2, 3) and (..., 2, 2, 3), the parameter axes in
-    (theta, phi) order.  ``F0`` (optional) returns the same jet of the
-    isometric image in the Poincare ball of H^3_{-k^2}.  Both must accept
-    broadcastable (theta, phi) arrays, as numpy ufuncs do: the geometry
-    evaluates them on the grid axes ``theta[:, None]``, ``phi[None, :]``.
-    Normals point toward the chart origin; ``orientation_sign`` = -1 flips
-    them (useful only to probe hypothesis failures).
+    ``F`` maps parameter arrays (theta, phi) to the closed-form 2-jet of R:
+    ``(R, (R_theta, R_phi), (R_thetatheta, R_thetaphi, R_phiphi))``, each
+    entry broadcastable to the grid.  ``F0`` (optional) is the same jet of
+    the isometric image, a radial graph in H^3_{-k^2} in areal radius.  Both
+    must accept broadcastable (theta, phi) arrays, as numpy ufuncs do: the
+    geometry evaluates them on the grid axes ``theta[:, None]``,
+    ``phi[None, :]``, and a graph of constant radius may return scalars, so
+    that its node pass runs on the theta axis alone.  Normals point inward,
+    N^r < 0; ``orientation_sign`` = -1 flips them (useful only to probe
+    hypothesis failures).
     """
 
     F: Callable
@@ -328,58 +274,51 @@ class SurfaceData:
             raise DomainError("orientation_sign must be +1 or -1")
 
     def h3_view(self) -> "SurfaceData":
-        """The H^3-side surface: F0 immersed in the hyperbolic ball chart."""
+        """The H^3-side surface: F0 as a radial graph in H^3."""
         if self.F0 is None:
             raise MissingEmbedding("surface carries no hyperbolic embedding")
         return SurfaceData(F=self.F0, grid=self.grid, k=self.k, F0=self.F0,
                            orientation_sign=1)
 
 
-def _radial_graph(profile, tilt=(0.0, 0.0, 0.0)) -> Callable:
-    """Jet callable of the radial graph F = R(s) u with s = tilt . u, where
-    ``profile(s)`` returns R and its first two derivatives in s."""
-    a = np.asarray(tilt, dtype=float)
-
+def _constant_graph(R: float) -> Callable:
+    """Jet callable of the graph of constant radius R."""
     def F(theta, phi):
-        u, du, ddu = unit_direction_jet(theta, phi)
-        if not a.any():   # constant radius: a scaled unit sphere
-            R = profile(0.0)[0]
-            for J in (u, du, ddu):
-                J *= R
-            return u, du, ddu
-        ds = du @ a
-        R, R1, R2 = profile(u @ a)
-        dR = R1[..., None] * ds
-        ddR = (R2[..., None, None] * ds[..., :, None] * ds[..., None, :]
-               + R1[..., None, None] * (ddu @ a))
-        dF = R[..., None, None] * du + dR[..., None] * u[..., None, :]
-        ddF = R[..., None, None, None] * ddu
-        ddF += ddR[..., None] * u[..., None, None, :]
-        ddF += dR[..., :, None, None] * du[..., None, :, :]
-        ddF += dR[..., None, :, None] * du[..., :, None, :]
-        return R[..., None] * u, dF, ddF
+        return R, (0.0, 0.0), (0.0, 0.0, 0.0)
 
     return F
 
 
-def _ball_profile(base: float, k: float) -> Callable:
-    """Ball radius tanh(k rho / 2) of the geodesic radius rho = base + s,
-    and its first two derivatives in s."""
-    def profile(s):
+def _tilted_graph(base: float, tilt: np.ndarray, k: float) -> Callable:
+    """Jet callable of R = sinh(k (base + s))/k with s = tilt . u: the areal
+    radius of the geodesic radius base + s.  With P = a1 cos phi +
+    a2 sin phi and Q = a2 cos phi - a1 sin phi, s = sin theta P +
+    cos theta a3, and s_thetatheta = -s, s_thetaphi = cos theta Q,
+    s_phiphi = -sin theta P."""
+    a1, a2, a3 = (float(c) for c in tilt)
+
+    def F(theta, phi):
+        st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        P, Q = a1 * cp + a2 * sp, a2 * cp - a1 * sp
+        s = st * P + ct * a3
+        s_t, s_p = ct * P - st * a3, st * Q
         rho = base + s
         if np.any(rho <= 0):
             raise DomainError("radial profile must stay positive")
-        R = np.tanh(0.5 * k * rho)
-        R1 = 0.5 * k / np.cosh(0.5 * k * rho) ** 2
-        return R, R1, -k * R * R1
+        R = np.sinh(k * rho) / k
+        R1 = np.cosh(k * rho)          # dR/ds
+        R2 = (k * k) * R               # d^2R/ds^2
+        return R, (R1 * s_t, R1 * s_p), (R2 * s_t * s_t - R1 * s,
+                                         R2 * s_t * s_p + R1 * (ct * Q),
+                                         R2 * s_p * s_p - R1 * (st * P))
 
-    return profile
+    return F
 
 
 def geodesic_sphere_surface(rho: float, k: float,
                             grid: QuadratureGrid) -> SurfaceData:
-    """Geodesic sphere of radius rho about the origin of the ball chart:
-    the radial profile of constant geodesic radius."""
+    """Geodesic sphere of radius rho about the origin of H^3: the areal
+    radius sinh(k rho)/k."""
     if rho <= 0:
         raise DomainError("rho must be positive")
     return radial_profile_surface(rho, (0.0, 0.0, 0.0), k, grid)
@@ -389,76 +328,27 @@ def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
                               k: float = 1.0) -> SurfaceData:
     """Coordinate sphere of areal radius r, paired with its H^3 image.
 
-    The induced metric is r^2 g_0, so the isometric image is the geodesic
-    sphere with sinh(k rho) = k r.
+    The induced metric is r^2 g_0, so the isometric image is the sphere of
+    the same areal radius in H^3: F0 is the same jet.
     """
     if r <= 0:
         raise DomainError("r must be positive")
-    F = _radial_graph(lambda s: (r, 0.0, 0.0))
-    F0 = _radial_graph(_ball_profile(math.asinh(k * r) / k, k))
-    return SurfaceData(F=F, grid=grid, k=k, F0=F0)
+    F = _constant_graph(float(r))
+    return SurfaceData(F=F, grid=grid, k=k, F0=F)
 
 
 def radial_profile_surface(base: float, linear, k: float,
                            grid: QuadratureGrid) -> SurfaceData:
-    """Star-shaped surface in H^3: geodesic radius base + linear . direction."""
+    """Star-shaped surface in H^3: geodesic radius base + linear . direction,
+    as the graph of its areal radius."""
     tilt = np.asarray(linear, dtype=float).reshape(3)
-    F = _radial_graph(_ball_profile(base, k), tilt)
+    if tilt.any():
+        F = _tilted_graph(base, tilt, k)
+    elif base > 0:
+        F = _constant_graph(math.sinh(k * base) / k)
+    else:
+        raise DomainError("radial profile must stay positive")
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
-
-
-# ---------------------------------------------------------------------------
-# metric derivatives
-
-
-def _complex_step(metric: MetricField, pts: np.ndarray,
-                  v: np.ndarray) -> np.ndarray:
-    """h d_v g_ij at ``pts`` along ``v`` (both (..., 3)), h = _COMPLEX_STEP:
-    the imaginary part of one complex step of ``metric.components``, shape
-    (..., 3, 3).  Callers apply 1/h once, to what they contract it into."""
-    return metric.components(pts + (1j * _COMPLEX_STEP) * v).imag
-
-
-def christoffel_many(metric: MetricField, pts: np.ndarray) -> np.ndarray:
-    """Gamma^i_jk at each point, shape (..., 3, 3, 3)."""
-    pts = np.asarray(pts, dtype=float)
-    ginv = np.linalg.inv(metric.components(pts))
-    # D[..., l, i, j] = d_l g_ij, one complex step per chart axis
-    D = np.stack([_complex_step(metric, pts, e) for e in np.eye(3)],
-                 axis=-3) / _COMPLEX_STEP
-    # S_ljk = d_j g_lk + d_k g_jl - d_l g_jk
-    S = (np.einsum("...jlk->...ljk", D)
-         + np.einsum("...kjl->...ljk", D)
-         - D)
-    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, S)
-
-
-def scalar_curvature_many(metric: MetricField, pts: np.ndarray,
-                          fd_step: float = 1e-4) -> np.ndarray:
-    """Scalar curvature by contraction of the numerically assembled Ricci.
-
-    The derivative of the Christoffel symbols is a second-order central
-    difference of step ``fd_step``, so the observed convergence order in
-    fd_step is 2; the symbols themselves are exact to roundoff.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if np.any(metric.chart_distance(pts) <= 4.0 * fd_step):
-        raise ChartBoundary(
-            "chart margin below 4 * fd_step for curvature stencil")
-    G0 = christoffel_many(metric, pts)
-    dG = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
-    for m_ax in range(3):
-        e = np.zeros(3)
-        e[m_ax] = 1.0
-        Gp = christoffel_many(metric, pts + fd_step * e)
-        Gm = christoffel_many(metric, pts - fd_step * e)
-        dG[..., m_ax, :, :, :] = (Gp - Gm) / (2.0 * fd_step)
-    ricci = (np.einsum("...iijk->...jk", dG)
-             - np.einsum("...jiik->...jk", dG)
-             + np.einsum("...iip,...pjk->...jk", G0, G0)
-             - np.einsum("...ijp,...pik->...jk", G0, G0))
-    ginv = np.linalg.inv(metric.components(pts))
-    return np.einsum("...jk,...jk->...", ginv, ricci)
 
 
 # ---------------------------------------------------------------------------
@@ -473,65 +363,71 @@ class SurfaceForms:
     second: np.ndarray         # (N, 2, 2)
     mean_curvature: np.ndarray  # (N,)
     area_element: np.ndarray   # (N,) sqrt(det g_ab)
-    chart_points: np.ndarray   # (N, 3)
+    radius: np.ndarray         # (N,) chart radius R of each node
 
 
 def _det2(a: np.ndarray) -> np.ndarray:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
-def _check_nondegenerate(gab):
-    det = _det2(gab)
-    scale = max(float(np.max(np.abs(gab))) ** 2, 1e-300)
-    if np.any(det < 1e-14 * scale):
-        raise DegenerateImmersion("induced metric numerically degenerate")
-    return det
+def _nodes(x, shape) -> np.ndarray:
+    """``x``, broadcast to the grid, flattened to theta-major nodes (N,)."""
+    return np.broadcast_to(x, shape).ravel()
+
+
+def _symmetric(a, b, c, shape) -> np.ndarray:
+    """The symmetric [[a, b], [b, c]] at every node, shape (N, 2, 2)."""
+    out = np.empty(shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = a, b, c
+    out[..., 1, 0] = out[..., 0, 1]
+    return out.reshape(-1, 2, 2)
 
 
 def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
-    """Fundamental forms at every quadrature node (vectorized).
+    """Fundamental forms at every quadrature node, in closed form.
 
-    The second form is the Gauss formula h_ab = g(N, d_a d_b F) +
-    (1/2)[N.(d_{F_a} g).F_b + N.(d_{F_b} g).F_a - F_a.(d_N g).F_b], read off
-    the surface jet and three complex-step metric derivatives, each
-    contracted as soon as it is made.  Normals are inward, so convex
-    surfaces about the chart center have positive mean curvature (geodesic
+    For the radial graph r = R(theta, phi) in g = dr^2/V + r^2 g_S2, with
+    W = sqrt(V + (R_theta^2 + R_phi^2 / sin^2 theta) / R^2):
+
+        I  = [[R_t^2/V + R^2, R_t R_p/V], [R_t R_p/V, R_p^2/V + R^2 sin^2]]
+        II_ab = -(sigma/W) [R_ab - (V'/2V + 2/R) R_a R_b + c_ab]
+
+    with c_tt = -R V, c_tp = -R_p cot theta, c_pp = -R V sin^2 theta +
+    R_t sin theta cos theta, and sigma = ``orientation_sign``: the normal is
+    inward, N^r < 0, so convex graphs get positive mean curvature (geodesic
     spheres in H^3 get H = k coth(k rho)).
     """
-    p, dF, ddF = surface.F(*surface.grid.node_axes())
-    g = metric.components(p)
-    # tangents as columns, stored contiguous: matmul is slower on a view
-    dFT = np.ascontiguousarray(np.swapaxes(dF, -1, -2))
-    gF = dF @ g                       # lowered tangents g F_a (g symmetric)
-    gab = gF @ dFT
-    det = _check_nondegenerate(gab)
-    # g-unit normal by the cofactor identity
-    # (g F_theta) x (g F_phi) = det(g) g^{-1} (F_theta x F_phi)
-    N = np.cross(gF[..., 0, :], gF[..., 1, :])
-    gN = np.einsum("...ij,...j->...i", g, N)
-    sign = np.where(np.einsum("...i,...i->...", N, p) <= 0.0, 1.0, -1.0)
-    scale = (sign * surface.orientation_sign
-             / np.sqrt(np.einsum("...i,...i->...", N, gN)))[..., None]
-    N *= scale
-    second = np.einsum("...abi,...i->...ab", ddF, gN * scale)
-    del g, gF, gN, ddF    # room for the complex steps
-    # h [N.(d_{F_a} g).F_b + (a <-> b) - F_a.(d_N g).F_b], one complex step
-    # alive at a time; NdgF[a, b] = ((h d_{F_a} g) N) . F_b
-    NdgF = np.stack([np.einsum("...ij,...j->...i",
-                               _complex_step(metric, p, dF[..., a, :]), N)
-                     for a in (0, 1)], axis=-2) @ dFT
-    bracket = (NdgF + np.swapaxes(NdgF, -1, -2)
-               - dF @ _complex_step(metric, p, N) @ dFT)
-    second += (0.5 / _COMPLEX_STEP) * bracket
-    H = 0.5 * (gab[..., 1, 1] * second[..., 0, 0]
-               + gab[..., 0, 0] * second[..., 1, 1]
-               - gab[..., 0, 1] * second[..., 0, 1]
-               - gab[..., 1, 0] * second[..., 1, 0]) / det
-    # the (n_theta, n_phi, ...) grid flattens to theta-major (N, ...) nodes
-    first, second, H, ae, p = (a.reshape((-1,) + a.shape[2:]) for a
-                               in (gab, second, H, np.sqrt(det), p))
-    return SurfaceForms(first=first, second=second, mean_curvature=H,
-                        area_element=ae, chart_points=p)
+    if metric.V is None:
+        raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
+                          f"not {metric.tag}")
+    grid = surface.grid
+    theta, phi = grid.node_axes()
+    R, (Rt, Rp), (Rtt, Rtp, Rpp) = surface.F(theta, phi)
+    if np.any(R <= metric.r_min):
+        raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside the "
+                          f"{metric.tag} chart r > {metric.r_min:.6g}")
+    st, ct = np.sin(theta), np.cos(theta)
+    st2 = st * st
+    V = metric.V(R)
+    R2 = R * R
+    E = Rt * Rt / V + R2
+    F = Rt * Rp / V
+    G = Rp * Rp / V + R2 * st2
+    c = 0.5 * metric.dV(R) / V + 2.0 / R
+    RV = R * V
+    scale = -surface.orientation_sign / np.sqrt(
+        V + (Rt * Rt + Rp * Rp / st2) / R2)
+    h_tt = scale * (Rtt - c * Rt * Rt - RV)
+    h_tp = scale * (Rtp - c * Rt * Rp - Rp * ct / st)
+    h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
+    det = E * G - F * F
+    H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
+    shape = (grid.n_theta, grid.n_phi)
+    return SurfaceForms(first=_symmetric(E, F, G, shape),
+                        second=_symmetric(h_tt, h_tp, h_pp, shape),
+                        mean_curvature=_nodes(H, shape),
+                        area_element=_nodes(np.sqrt(det), shape),
+                        radius=_nodes(R, shape))
 
 
 def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:

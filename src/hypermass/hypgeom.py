@@ -1,13 +1,15 @@
-"""Hyperbolic space H^3_{-k^2}: the Poincare ball chart and its map to the
-hyperboloid model.
+"""Hyperbolic space H^3_{-k^2}: its polar chart of areal radius, the
+Poincare ball and the hyperboloid model.
 
 The hyperboloid (upper sheet of <X, X> = -1/k^2 in R^{3,1}) carries the
-positions that enter the mass integrals; the Poincare ball is the chart the
-surfaces and the explicit Killing spinor formulas are written in.  Both
-maps take arrays of points.
+positions that enter the mass integrals; surfaces live in the polar chart
+(areal radius R, unit direction u), and the explicit Killing spinor formulas
+are written in the Poincare ball.  Every map takes arrays of points.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,8 +17,25 @@ from .errors import DomainError
 
 __all__ = [
     "radial_bounds",
+    "areal_to_minkowski",
+    "areal_to_ball",
     "ball_to_minkowski",
 ]
+
+
+def areal_to_minkowski(R: np.ndarray, u: np.ndarray,
+                       k: float = 1.0) -> np.ndarray:
+    """Hyperboloid points X = (R u, sqrt(1/k^2 + R^2)) of the H^3 points at
+    areal radii R (...) in unit directions u (..., 3); shape (..., 4)."""
+    t = np.sqrt(1.0 / (k * k) + R * R)
+    return np.concatenate([R[..., None] * u, t[..., None]], axis=-1)
+
+
+def areal_to_ball(R: np.ndarray, u: np.ndarray, k: float = 1.0) -> np.ndarray:
+    """Poincare-ball points k R u / (1 + sqrt(1 + k^2 R^2)) of the H^3
+    points at areal radii R (...) in unit directions u (..., 3)."""
+    kR = k * R
+    return (kR / (1.0 + np.sqrt(1.0 + kR * kR)))[..., None] * u
 
 
 def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:
@@ -35,14 +54,13 @@ def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:
     return np.concatenate([spatial, t[..., None]], axis=-1) / k
 
 
-def radial_bounds(points: np.ndarray, k: float = 1.0) -> tuple[float, float]:
-    """(R1, R2): least and greatest geodesic distance of Poincare-ball
-    points (..., 3), a surface's nodes, from the chart origin.
+def radial_bounds(R: np.ndarray, k: float = 1.0) -> tuple[float, float]:
+    """(R1, R2): least and greatest geodesic distance asinh(k R)/k from the
+    chart origin of H^3 points at areal radii R, a surface's nodes.
 
-    The distance of X from o = (0, 0, 0, 1/k) is arccosh(k X_t) / k, the
-    argument clamped to >= 1.  For a surface star-shaped about the origin
-    and a fine grid, the node extremes approximate its true radii.
+    For a surface star-shaped about the origin and a fine grid, the node
+    extremes approximate its true radii.
     """
-    X = ball_to_minkowski(points, k)
-    d = np.arccosh(np.maximum(1.0, k * X[..., 3])) / k
-    return float(np.min(d)), float(np.max(d))
+    R = np.asarray(R, dtype=float)
+    return (math.asinh(k * float(np.min(R))) / k,
+            math.asinh(k * float(np.max(R))) / k)

@@ -28,7 +28,7 @@ from .errors import DomainError, IsometryViolation, NonPositiveMeanCurvature
 from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        SurfaceForms, hyperbolic_ball_metric, surface_forms,
                        unit_directions)
-from .hypgeom import ball_to_minkowski
+from .hypgeom import areal_to_ball, areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import _as_spinor, killing_spinor_norms_sq
 
@@ -102,8 +102,8 @@ class SurfaceMassData:
 
 def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
     """The one node pass that the hypothesis checks and every mass integral
-    share: forms of F in ``ambient``, and of F0 in H^3.  A surface without
-    F0 raises MissingEmbedding before any work is done.
+    share: forms of F in ``ambient``, and of F0 in H^3 (areal radius).  A
+    surface without F0 raises MissingEmbedding before any work is done.
     """
     h3 = surface.h3_view()
     forms = surface_forms(surface, ambient)
@@ -135,13 +135,16 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
         raise NonPositiveMeanCurvature(
             f"H = {H[node]:.6g} <= 0 at {surface.grid.describe_node(node)}",
             node=node)
-    ball = forms0.chart_points
+    # F0's nodes at areal radius R0 in direction u: X = (R0 u, sqrt(1/k^2 +
+    # R0^2)) on the hyperboloid, exact with no chart in between
+    R0, k = forms0.radius, surface.k
+    u = unit_directions(*surface.grid.node_axes()).reshape(-1, 3)
     return SurfaceMassData(H=H, H0=forms0.mean_curvature,
-                           X=ball_to_minkowski(ball, surface.k),
-                           ball_points=ball,
+                           X=areal_to_minkowski(R0, u, k),
+                           ball_points=areal_to_ball(R0, u, k),
                            measure=(surface.grid.measure_weights()
                                     * forms.area_element),
-                           k=surface.k)
+                           k=k)
 
 
 # ---------------------------------------------------------------------------

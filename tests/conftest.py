@@ -105,8 +105,8 @@ def make_classified_vector(rng, cls):
 
 
 def scaled_sphere(r):
-    """Jet callable of the round sphere of coordinate radius ``r``."""
-    return lambda t, p: tuple(r * J for J in geo.unit_direction_jet(t, p))
+    """Jet callable of the radial graph of constant radius ``r``."""
+    return lambda t, p: (r, (0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def exact_ads_energy(r, m=ADS_M, k=1.0):

@@ -15,9 +15,11 @@ import time
 
 import numpy as np
 
+import reference_geometry as ref
 from hypermass.cli import main as cli_main
-from hypermass.geometry import (SphereTensor, geodesic_sphere_surface,
-                                hyperbolic_ball_metric, scalar_curvature_many,
+from hypermass.geometry import (SphereTensor, ads_schwarzschild_metric,
+                                geodesic_sphere_surface,
+                                hyperbolic_ball_metric, scalar_curvature,
                                 surface_forms)
 from hypermass.lorentz import (CausalClass, classify,
                                classify_by_null_pairings, minkowski_inner,
@@ -143,26 +145,29 @@ def test_criterion_6_curvature_oracles(grid32):
         H = surface_forms(surface, hyp).mean_curvature
         worst_h = max(worst_h, float(np.max(np.abs(
             H - 1.0 / math.tanh(rho)))))
+    # R: the closed form and the reference stencil, in the Poincare ball
+    # and in the polar chart of AdS-Schwarzschild
+    ball = ref.ball_chart(1.0)
+    ads = ads_schwarzschild_metric(ADS_M, 1.0)
     rng = np.random.default_rng(99)
     pts_h = rng.uniform(-0.4, 0.4, (20, 3))
-    dirs = rng.standard_normal((20, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts_a = dirs * rng.uniform(1.5, 4.0, (20, 1))
-    from hypermass.geometry import ads_schwarzschild_metric
+    pts_a = np.stack([rng.uniform(1.5, 4.0, 20), rng.uniform(0.3, 2.8, 20),
+                      rng.uniform(0.0, 2.0 * math.pi, 20)], axis=-1)
     worst_r = max(
-        float(np.max(np.abs(scalar_curvature_many(hyp, pts_h) + 6.0))),
-        float(np.max(np.abs(scalar_curvature_many(
-            ads_schwarzschild_metric(ADS_M, 1.0), pts_a) + 6.0))))
+        float(np.max(np.abs(ref.scalar_curvature_many(ball, pts_h) + 6.0))),
+        float(np.max(np.abs(ref.scalar_curvature_many(
+            ref.polar_chart(ads), pts_a) + 6.0))),
+        float(np.max(np.abs(scalar_curvature(ads, pts_a[:, 0]) + 6.0))))
     steps = np.array([1e-2, 5e-3, 2.5e-3])
-    errs = np.array([abs(scalar_curvature_many(
-        hyp, np.array([[0.25, -0.1, 0.15]]), fd_step=s)[0] + 6.0)
+    errs = np.array([abs(ref.scalar_curvature_many(
+        ball, np.array([[0.25, -0.1, 0.15]]), fd_step=s)[0] + 6.0)
         for s in steps])
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     ok = worst_h < 1e-8 and worst_r < 1e-5 and abs(slope - 2.0) < 0.2
     assert report("criterion 6: curvature oracles", ok,
                   f"max |H - coth(rho)| = {worst_h:.3e} (< 1e-8), "
-                  f"max |R + 6| = {worst_r:.3e} (< 1e-5), "
-                  f"fd order {slope:.3f} (2.0 +- 0.2)")
+                  f"max |R + 6| = {worst_r:.3e} (< 1e-5, closed form and "
+                  f"stencil), stencil order {slope:.3f} (2.0 +- 0.2)")
 
 
 def test_criterion_7_alpha_formula():

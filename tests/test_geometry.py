@@ -1,21 +1,24 @@
-"""Metrics, surfaces, quadrature, and numerical curvature."""
+"""Metrics, surfaces, quadrature, and curvature: the closed-form node pass
+against the reference geometry of ``reference_geometry``."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypermass.errors import (ChartBoundary, DegenerateImmersion, DomainError)
-from hypermass.geometry import (MetricField, QuadratureGrid, SphereTensor,
-                                SurfaceData,
-                                ads_schwarzschild_metric, christoffel_many,
+import reference_geometry as ref
+from hypermass import geometry as geo
+from hypermass.errors import DomainError
+from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
+                                ads_schwarzschild_metric,
                                 coordinate_sphere_surface, euclidean_metric,
                                 gauss_curvature, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
-                                radial_profile_surface,
-                                scalar_curvature_many, surface_forms,
-                                unit_direction_jet, unit_directions,
+                                radial_profile_surface, scalar_curvature,
+                                surface_forms, unit_directions,
                                 wang_ah_metric)
 from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
@@ -32,9 +35,20 @@ def grid64():
     return QuadratureGrid.build(64, 128)
 
 
-def at_point(many, metric, p):
+def at_point(many, chart, p):
     """A pointwise ``*_many`` quantity at the one chart point ``p``."""
-    return many(metric, np.asarray(p, dtype=float)[None])[0]
+    return many(chart, np.asarray(p, dtype=float)[None])[0]
+
+
+def rel_err(new, reference):
+    return float(np.max(np.abs(new - reference))
+                 / np.max(np.abs(reference)))
+
+
+def random_polar_points(rng, n, r_lo, r_hi):
+    """(r, theta, phi) with theta away from the poles."""
+    return np.stack([rng.uniform(r_lo, r_hi, n), rng.uniform(0.3, 2.8, n),
+                     rng.uniform(0.0, 2.0 * math.pi, n)], axis=-1)
 
 
 # 4th-order central differences: first-derivative offsets and weights / h,
@@ -45,28 +59,28 @@ D2 = {-2: -1.0 / 12.0, -1: 16.0 / 12.0, 0: -30.0 / 12.0, 1: 16.0 / 12.0,
 
 
 def fd_jet(F, theta, phi, h=2e-3):
-    """The 2-jet of the jet callable ``F`` rebuilt from its positions alone
-    by 4th-order central differences: the cross-check of the closed forms."""
-    def pos(i, j):
-        return F(theta + i * h, phi + j * h)[0]
+    """The jet of the radial graph ``F`` rebuilt from its radii alone by
+    4th-order central differences: the cross-check of the closed forms."""
+    def radius(i, j):
+        return ref.graph_jet(F, theta + i * h, phi + j * h)[0]
 
-    d_t = sum(w * pos(i, 0) for i, w in D1.items()) / h
-    d_p = sum(w * pos(0, j) for j, w in D1.items()) / h
-    d_tt = sum(w * pos(i, 0) for i, w in D2.items()) / h ** 2
-    d_pp = sum(w * pos(0, j) for j, w in D2.items()) / h ** 2
-    d_tp = sum(wi * wj * pos(i, j) for i, wi in D1.items()
+    d_t = sum(w * radius(i, 0) for i, w in D1.items()) / h
+    d_p = sum(w * radius(0, j) for j, w in D1.items()) / h
+    d_tt = sum(w * radius(i, 0) for i, w in D2.items()) / h ** 2
+    d_pp = sum(w * radius(0, j) for j, w in D2.items()) / h ** 2
+    d_tp = sum(wi * wj * radius(i, j) for i, wi in D1.items()
                for j, wj in D1.items()) / h ** 2
-    return (pos(0, 0), np.stack([d_t, d_p], axis=-2),
-            np.stack([np.stack([d_tt, d_tp], axis=-2),
-                      np.stack([d_tp, d_pp], axis=-2)], axis=-3))
+    return (radius(0, 0), np.stack([d_t, d_p], axis=-1),
+            np.stack([np.stack([d_tt, d_tp], axis=-1),
+                      np.stack([d_tp, d_pp], axis=-1)], axis=-2))
 
 
 def pulled_back_pair(grid):
-    """One tilted surface in two charts: (surface, metric) in y, with the
-    ball metric pulled back by Phi(y) = y + eps |y|^2 c, and (image, ball)
+    """One tilted surface in two charts: (jet, chart) in y, with the ball
+    metric pulled back by Phi(y) = y + eps |y|^2 c, and (image jet, ball)
     in the ball, the image jet following by the chain rule."""
     eps, c = 0.3, np.array([0.2, -0.1, 0.25])
-    ball = hyperbolic_ball_metric(1.0)
+    ball = ref.ball_chart(1.0)
 
     def phi(y):
         return y + eps * np.sum(y * y, axis=-1)[..., None] * c
@@ -78,7 +92,8 @@ def pulled_back_pair(grid):
         J = jac(y)
         return np.swapaxes(J, -1, -2) @ ball.components(phi(y)) @ J
 
-    F = radial_profile_surface(0.6, (0.05, 0.1, -0.08), 1.0, grid).F
+    F = ref.ball_jet(
+        radial_profile_surface(0.6, (0.05, 0.1, -0.08), 1.0, grid).F)
 
     def image(t, p):
         y, dy, ddy = F(t, p)
@@ -88,44 +103,43 @@ def pulled_back_pair(grid):
                 np.einsum("...ij,...abj->...abi", J, ddy)
                 + 2.0 * eps * quad[..., None] * c)
 
-    metric = MetricField("pullback", pulled, ball.chart_distance)
-    return ((SurfaceData(F=F, grid=grid), metric),
-            (SurfaceData(F=image, grid=grid), ball))
+    return (F, ref.Chart(pulled, ball.distance)), (image, ball)
 
 
 METRICS = {
-    "euclidean": (euclidean_metric(), lambda rng: rng.uniform(-3, 3, 3)),
-    "ball": (hyperbolic_ball_metric(1.5),
+    "euclidean": (euclidean_metric().components,
+                  lambda rng: random_polar_points(rng, 1, 0.5, 3.0)[0]),
+    "ball": (ref.ball_chart(1.5).components,
              lambda rng: rng.uniform(-0.35, 0.35, 3)),
-    "ads": (ads_schwarzschild_metric(ADS_M, 1.0),
-            lambda rng: rng.choice([-1, 1], 3) * rng.uniform(0.9, 2.5, 3)),
-    "wang_ah": (wang_ah_metric(SphereTensor(0.5, (0.1, -0.2, 0.3))),
+    "ads": (ads_schwarzschild_metric(ADS_M, 1.0).components,
+            lambda rng: random_polar_points(rng, 1, 0.9, 2.5)[0]),
+    "wang_ah": (wang_ah_metric(SphereTensor(0.5, (0.1, -0.2, 0.3))).components,
                 lambda rng: rng.uniform([0.2, 0.5, 0.0], [0.8, 2.6, 6.0])),
 }
 
 
 class TestMetricComplexStep:
-    # components accept complex points: Im g(p + i h v) / h = d_v g
+    # the components the reference reads accept complex points:
+    # Im g(p + i h v) / h = d_v g
     @pytest.mark.parametrize("name", sorted(METRICS))
     def test_matches_fd_derivative(self, name):
-        metric, draw = METRICS[name]
+        components, draw = METRICS[name]
         rng = np.random.default_rng(sorted(METRICS).index(name))
         for _ in range(10):
             p, v = draw(rng), rng.standard_normal(3)
-            step = metric.components(p + 1e-30j * v).imag / 1e-30
+            step = components(p + 1e-30j * v).imag / 1e-30
             h = 1e-4
-            fd = sum(w * metric.components(p + i * h * v)
-                     for i, w in D1.items()) / h
+            fd = sum(w * components(p + i * h * v) for i, w in D1.items()) / h
             assert np.max(np.abs(step - fd)) < 1e-8
 
     @pytest.mark.parametrize("name, outside", [
         ("ball", [1.2, 0.0, 0.0]), ("ads", [0.2, 0.0, 0.0]),
         ("wang_ah", [-0.1, 1.0, 0.0])])
     def test_outside_chart_raises(self, name, outside):
-        metric = METRICS[name][0]
+        components = METRICS[name][0]
         for p in (np.array(outside), outside + 1e-30j * np.ones(3)):
             with pytest.raises(DomainError):
-                metric.components(p)
+                components(p)
 
 
 class TestSurfaceJets:
@@ -139,13 +153,20 @@ class TestSurfaceJets:
         surface = make(grid16)
         theta, phi = grid16.node_axes()
         for F in (surface.F, surface.F0):
-            for exact, fd in zip(F(theta, phi), fd_jet(F, theta, phi)):
+            for exact, fd in zip(ref.graph_jet(F, theta, phi),
+                                 fd_jet(F, theta, phi)):
                 assert exact.shape == fd.shape
                 assert np.max(np.abs(exact - fd)) < 1e-8
 
     def test_unit_direction_jet_positions(self, grid16):
-        u = unit_direction_jet(*grid16.node_axes())[0]
+        u = ref.unit_direction_jet(*grid16.node_axes())[0]
         assert u.tobytes() == unit_directions(*grid16.node_axes()).tobytes()
+
+    def test_areal_radius_of_geodesic_spheres(self, grid16):
+        for k, rho in ((1.0, 0.8), (0.5, 2.0)):
+            R = geodesic_sphere_surface(rho, k, grid16).F(
+                *grid16.node_axes())[0]
+            assert R == math.sinh(k * rho) / k
 
 
 class TestQuadratureGrid:
@@ -172,26 +193,30 @@ class TestQuadratureGrid:
 
 
 class TestChristoffel:
+    # the reference's complex-step symbols, on its charts and on the polar
+    # components of the package metrics
     def test_euclidean_vanishes(self):
-        G = at_point(christoffel_many, euclidean_metric(), [0.3, -0.2, 0.7])
+        G = at_point(ref.christoffel_many, ref.euclidean_chart(),
+                     [0.3, -0.2, 0.7])
         assert np.max(np.abs(G)) < 1e-12
 
     def test_hyperbolic_origin_vanishes(self):
-        G = at_point(christoffel_many, hyperbolic_ball_metric(1.0),
+        G = at_point(ref.christoffel_many, ref.ball_chart(1.0),
                      [0.0, 0.0, 0.0])
         assert np.max(np.abs(G)) < 1e-10
 
     def test_ads_radial_symbol(self):
-        # at (r, 0, 0) the x-axis is radial: Gamma^x_xx = -V'/(2V)
+        # Gamma^r_rr = -V'/(2V) in the polar chart
         r = 2.0
         V = ads_potential(r)
         dV = 2.0 * r + 2.0 * ADS_M / r ** 2
-        G = at_point(christoffel_many, ads_schwarzschild_metric(ADS_M, 1.0),
-                     [r, 0.0, 0.0])
-        assert abs(G[0, 0, 0] - (-dV / (2.0 * V))) < 1e-7
+        G = at_point(ref.christoffel_many,
+                     ref.polar_chart(ads_schwarzschild_metric(ADS_M, 1.0)),
+                     [r, 1.0, 0.3])
+        assert abs(G[0, 0, 0] - (-dV / (2.0 * V))) < 1e-12
 
     def test_symmetry_in_lower_indices(self):
-        G = at_point(christoffel_many, hyperbolic_ball_metric(1.0),
+        G = at_point(ref.christoffel_many, ref.ball_chart(1.0),
                      [0.2, 0.1, -0.3])
         assert np.max(np.abs(G - np.swapaxes(G, 1, 2))) < 1e-12
 
@@ -209,7 +234,7 @@ class TestChristoffel:
         exact = (np.einsum("ij,nk->nijk", d, s)
                  + np.einsum("ik,nj->nijk", d, s)
                  - np.einsum("jk,ni->nijk", d, s))
-        G = christoffel_many(hyperbolic_ball_metric(k), x)
+        G = ref.christoffel_many(ref.ball_chart(k), x)
         err = np.max(np.abs(G - exact), axis=(1, 2, 3))
         assert np.all(err <= 1e-12 * np.max(np.abs(exact), axis=(1, 2, 3)))
 
@@ -250,8 +275,18 @@ class TestMeanCurvature:
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-13
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-13
 
+    @pytest.mark.parametrize("r", [100.0, 300.0, 1000.0])
+    def test_large_radius_pair_to_roundoff(self, grid32, r):
+        # the polar chart carries no conditioning in r: a few ulp of H at
+        # every radius
+        forms, forms0 = mass_forms(coordinate_sphere_surface(r, grid32),
+                                   ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = forms.mean_curvature, forms0.mean_curvature
+        assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-15
+        assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-15
+
     def test_euclidean_unit_sphere(self, grid16):
-        surface = SurfaceData(F=unit_direction_jet, grid=grid16, k=1.0)
+        surface = coordinate_sphere_surface(1.0, grid16)
         forms = surface_forms(surface, euclidean_metric())
         assert np.max(np.abs(forms.mean_curvature - 1.0)) < 1e-10
 
@@ -269,17 +304,17 @@ class TestMeanCurvature:
         assert np.max(np.abs(Hs - np.roll(H, -5, axis=1))) < 1e-10
 
     def test_chart_independence(self, grid16):
-        # H of one surface in two charts (see pulled_back_pair): the
-        # pullback is not conformally flat, so every connection term of the
-        # Gauss formula is live there
-        (surface, metric), (image, ball) = pulled_back_pair(grid16)
-        forms = surface_forms(surface, metric)
-        forms0 = surface_forms(image, ball)
+        # H of one surface in two charts of the reference (see
+        # pulled_back_pair): the pullback is not conformally flat, so every
+        # connection term of the Gauss formula is live there
+        (jet, chart), (image, ball) = pulled_back_pair(grid16)
+        forms = ref.forms(jet, grid16, chart)
+        forms0 = ref.forms(image, grid16, ball)
         assert np.max(np.abs(forms.mean_curvature
                              - forms0.mean_curvature)) < 1e-12
         # det II sees the antisymmetric part of II that H cannot
-        assert np.max(np.abs(gauss_curvature(forms, -1.0)
-                             - gauss_curvature(forms0, -1.0))) < 1e-12
+        assert np.max(np.abs(forms.gauss_curvature(-1.0)
+                             - forms0.gauss_curvature(-1.0))) < 1e-12
 
     def test_convex_surfaces_have_positive_h(self, grid16):
         hyp = hyperbolic_ball_metric(1.0)
@@ -299,20 +334,27 @@ class TestMeanCurvature:
         forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
         n = grid16.n_nodes
         assert forms.first.shape == forms.second.shape == (n, 2, 2)
-        assert forms.chart_points.shape == (n, 3)
-        assert forms.mean_curvature.shape == forms.area_element.shape == (n,)
+        assert (forms.mean_curvature.shape == forms.area_element.shape
+                == forms.radius.shape == (n,))
         flat = surface.F(*grid16.node_arrays())[0]
-        assert forms.chart_points.tobytes() == flat.tobytes()
+        assert forms.radius.tobytes() == flat.tobytes()
 
     def test_degenerate_immersion(self, grid16):
-        def point(t, p):
-            shape = np.broadcast(t, p).shape
-            return (np.broadcast_to([1.0, 0.0, 0.0], shape + (3,)),
-                    np.zeros(shape + (2, 3)), np.zeros(shape + (2, 2, 3)))
+        # a radial graph degenerates only where it reaches the chart
+        # origin, which no chart admits
+        for metric in (euclidean_metric(), hyperbolic_ball_metric(1.0)):
+            point = SurfaceData(F=scaled_sphere(0.0), grid=grid16, k=1.0)
+            with pytest.raises(DomainError):
+                surface_forms(point, metric)
+        inside = SurfaceData(F=scaled_sphere(0.25), grid=grid16, k=1.0)
+        with pytest.raises(DomainError):
+            surface_forms(inside, ads_schwarzschild_metric(ADS_M, 1.0))
 
-        surface = SurfaceData(F=point, grid=grid16, k=1.0)
-        with pytest.raises(DegenerateImmersion):
-            surface_forms(surface, euclidean_metric())
+    def test_collar_metric_is_refused(self, grid16):
+        # the AH collar is no warped product: the node pass cannot run there
+        surface = coordinate_sphere_surface(0.5, grid16)
+        with pytest.raises(DomainError):
+            surface_forms(surface, wang_ah_metric(SphereTensor(0.5)))
 
 
 class TestGaussCurvature:
@@ -325,7 +367,7 @@ class TestGaussCurvature:
         assert np.max(np.abs(K - target)) < 1e-6
 
     def test_euclidean_unit_sphere(self, grid16):
-        surface = SurfaceData(F=unit_direction_jet, grid=grid16, k=1.0)
+        surface = coordinate_sphere_surface(1.0, grid16)
         K = gauss_curvature(surface_forms(surface, euclidean_metric()), 0.0)
         assert np.max(np.abs(K - 1.0)) < 1e-6
 
@@ -350,22 +392,20 @@ class TestGaussCurvature:
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
 
 
-
-def linalg_node_pass(surface, metric, c):
-    """A test-only reference for :func:`surface_forms`: the same Gauss
-    formula through batched LAPACK and 3-operand einsum (np.linalg.solve for
-    the normal, the np.linalg.inv trace for H, np.linalg.det for the area
-    element and K).  Returns (first, second, H, area element, K) on the
-    (n_theta, n_phi) grid."""
-    p, dF, ddF = surface.F(*surface.grid.node_axes())
-    g = metric.components(p)
+def linalg_node_pass(jet, grid, chart, radial, c):
+    """A second reference formulation of the Gauss formula, through batched
+    LAPACK and 3-operand einsum (np.linalg.solve for the normal, the
+    np.linalg.inv trace for H, np.linalg.det for the area element and K).
+    Returns (first, second, H, area element, K) on the (n_theta, n_phi)
+    grid."""
+    p, dF, ddF = jet(*grid.node_axes())
+    g = chart.components(p)
     gab = np.einsum("...ai,...ij,...bj->...ab", dF, g, dF)
     w = np.cross(dF[..., 0, :], dF[..., 1, :])
     N = np.linalg.solve(g, w[..., None])[..., 0]
     N /= np.sqrt(np.einsum("...i,...i->...", N, w))[..., None]
-    sign = np.where(np.einsum("...i,...i->...", N, -p) >= 0.0, 1.0, -1.0)
-    N *= (sign * surface.orientation_sign)[..., None]
-    dg_t, dg_p, dg_N = (metric.components(p + 1e-30j * v).imag / 1e-30
+    N *= np.where(radial(N, p) < 0.0, 1.0, -1.0)[..., None]
+    dg_t, dg_p, dg_N = (chart.components(p + 1e-30j * v).imag / 1e-30
                         for v in (dF[..., 0, :], dF[..., 1, :], N))
     NdgF = np.stack([np.einsum("...i,...ij,...bj->...b", N, dg, dF)
                      for dg in (dg_t, dg_p)], axis=-2)
@@ -379,35 +419,55 @@ def linalg_node_pass(surface, metric, c):
     return gab, second, H, np.sqrt(det), K
 
 
-# (surface, metric, c): c is the sectional curvature K = c + det II / det I
-# assumes.  AdS-Schwarzschild is no space form, so c = 0 there compares
-# det II / det I itself, which c = -1 would cancel to 1e-2 at r = 10.
+def _graph_case(surface, metric, c):
+    """A package surface and metric: the closed-form pass, and the LAPACK
+    reference in the metric's own polar components."""
+    return (surface, metric, (ref.polar_jet(surface.F), surface.grid,
+                              ref.polar_chart(metric), ref.polar_radial, c))
+
+
+# name -> (surface, metric or None, linalg_node_pass arguments): c is the
+# sectional curvature K = c + det II / det I assumes.  AdS-Schwarzschild is
+# no space form, so c = 0 there compares det II / det I itself.
 NODE_PASS_CASES = {
-    "pullback": lambda grid: pulled_back_pair(grid)[0] + (-1.0,),
-    "ads_r10": lambda grid: (coordinate_sphere_surface(10.0, grid),
-                             ads_schwarzschild_metric(ADS_M, 1.0), 0.0),
-    "profile": lambda grid: (
+    "pullback": lambda grid: (None, None, pulled_back_pair(grid)[0]
+                              + (grid, ref.cartesian_radial, -1.0)),
+    "ads_r10": lambda grid: _graph_case(
+        coordinate_sphere_surface(10.0, grid),
+        ads_schwarzschild_metric(ADS_M, 1.0), 0.0),
+    "profile": lambda grid: _graph_case(
         radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid),
         hyperbolic_ball_metric(1.0), -1.0),
 }
 
 
 class TestNodePassAlgebra:
-    # the closed-form node pass against its LAPACK formulation, and the
-    # design it keeps: no np.linalg call, 1 real + 3 complex metric
-    # evaluations, and one complex step alive at a time
+    # the closed-form node pass against a LAPACK formulation of the Gauss
+    # formula, and the design it keeps: no np.linalg call, no metric
+    # components, and a small memory peak
     @pytest.mark.parametrize("case", sorted(NODE_PASS_CASES))
     def test_matches_linalg_reference(self, case, grid16):
-        surface, metric, c = NODE_PASS_CASES[case](grid16)
-        forms = surface_forms(surface, metric)
-        got = (forms.first, forms.second, forms.mean_curvature,
-               forms.area_element, gauss_curvature(forms, c))
-        for new, ref in zip(got, linalg_node_pass(surface, metric, c)):
-            ref = ref.reshape(new.shape)
-            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+        surface, metric, args = NODE_PASS_CASES[case](grid16)
+        if case == "pullback":
+            # the reference's own two formulations (cofactor normal and
+            # closed 2x2 algebra against LAPACK) agree off any warped product
+            jet, chart, grid, radial, c = args
+            forms = ref.forms(jet, grid, chart, radial)
+            got = (forms.first, forms.second, forms.mean_curvature,
+                   forms.area_element, forms.gauss_curvature(c))
+            ref_args = (jet, grid, chart, radial, c)
+        else:
+            forms = surface_forms(surface, metric)
+            got = (forms.first, forms.second, forms.mean_curvature,
+                   forms.area_element, gauss_curvature(forms, args[-1]))
+            ref_args = args
+        for new, old in zip(got, linalg_node_pass(*ref_args)):
+            old = old.reshape(new.shape)
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
 
     def test_calls_no_linalg(self, grid16, monkeypatch):
-        cases = [NODE_PASS_CASES[case](grid16) for case in NODE_PASS_CASES]
+        cases = [NODE_PASS_CASES[case](grid16)[:2]
+                 for case in ("ads_r10", "profile")]
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg called by the node pass")
@@ -415,27 +475,48 @@ class TestNodePassAlgebra:
         for name in np.linalg.__all__:
             if callable(getattr(np.linalg, name)):
                 monkeypatch.setattr(np.linalg, name, refuse)
-        for surface, metric, c in cases:
-            gauss_curvature(surface_forms(surface, metric), c)
+        for surface, metric in cases:
+            gauss_curvature(surface_forms(surface, metric), -1.0)
 
-    def test_four_metric_evaluations(self, grid16):
-        ads = ads_schwarzschild_metric(ADS_M, 1.0)
-        calls = []
+    def test_reads_no_metric_components(self, grid16):
+        # the pass works from V and V' alone: no (..., 3, 3) components and
+        # no complex step of them, so a metric whose components refuse
+        # every call gives the same forms bit for bit
+        surface = radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid16)
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        expect = surface_forms(surface, metric)
 
-        def components(p):
-            calls.append((p.dtype.kind, p.shape))
-            return ads.components(p)
+        def refuse(p):
+            raise AssertionError("metric components read by the node pass")
 
-        metric = MetricField(ads.tag, components, ads.chart_distance)
-        surface_forms(coordinate_sphere_surface(2.0, grid16), metric)
-        shape = (grid16.n_theta, grid16.n_phi, 3)
-        assert calls == [("f", shape)] + [("c", shape)] * 3
+        metric.components = refuse
+        forms = surface_forms(surface, metric)
+        for name in ("first", "second", "mean_curvature", "area_element",
+                     "radius"):
+            got = getattr(forms, name)
+            assert got.dtype == np.float64
+            assert got.tobytes() == getattr(expect, name).tobytes()
 
-    def test_one_complex_step_alive(self):
-        # the pass peaks at 4.97 complex (N, 3, 3) arrays (numpy 2.4); with
-        # the three steps alive at once it peaks at 6.53
+    def test_source_has_no_complex_or_linalg(self):
+        # geometry.py names no complex dtype or literal and no np.linalg
+        tree = ast.parse(inspect.getsource(geo))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, complex))
+            assert not (isinstance(node, ast.Name)
+                        and node.id in ("complex", "complex128"))
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("linalg", "complex128"))
+
+    @pytest.mark.parametrize("tilt, bound", [
+        ((0.0, 0.0, 0.0), 12.5), ((0.12, -0.05, 0.2), 32.0)],
+        ids=["sphere", "tilted"])
+    def test_memory_peak(self, tilt, bound):
+        # tracemalloc peak of one pass at 128x256 in float (N,) arrays
+        # (numpy 2.4): 11.05 for a sphere, whose outputs alone take 11, and
+        # 28.0 for a tilted graph; a float (N, 3, 3) array is 9 of them
         grid = QuadratureGrid.build(128, 256)
-        surface = coordinate_sphere_surface(2.0, grid)
+        surface = radial_profile_surface(1.0, tilt, 1.0, grid)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         tracemalloc.start()
         try:
@@ -443,48 +524,126 @@ class TestNodePassAlgebra:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.4 * grid.n_nodes * np.dtype(complex).itemsize * 9
+        assert peak <= bound * grid.n_nodes * np.dtype(float).itemsize
+
+
+def _seeded_tilt(seed):
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(3)
+    return d / np.linalg.norm(d) * rng.uniform(0.1, 0.3)
+
+
+# closed form against reference: relative to the largest reference entry
+FORMS_TOL = 1e-13
+
+
+class TestClosedFormAgainstReference:
+    # the closed-form I, II, H, area element and K0 against the reference's
+    # complex-step Gauss formula in the metric's own polar components, and
+    # in the Poincare ball for the H^3 side
+    @pytest.mark.parametrize("r", [2.0, 10.0, 100.0])
+    def test_ads_coordinate_spheres(self, grid16, r):
+        surface = coordinate_sphere_surface(r, grid16)
+        ads, hyp = ads_schwarzschild_metric(ADS_M, 1.0), hyperbolic_ball_metric(1.0)
+        forms, forms0 = mass_forms(surface, ads)
+        for new, old in ((forms, ref.polar_forms(surface, ads)),
+                         (forms0, ref.polar_forms(surface, hyp)),
+                         (forms0, ref.ball_forms(surface))):
+            for name in ("first", "second", "mean_curvature", "area_element"):
+                assert rel_err(getattr(new, name),
+                               getattr(old, name)) <= FORMS_TOL, name
+        # K0 = -1 + det II0 / det I0 = 1/r^2, the sphere's own curvature
+        K0 = gauss_curvature(forms0, -1.0)
+        assert np.max(np.abs(K0 - 1.0 / r ** 2)) <= 1e-15
+        K0_ball = ref.ball_forms(surface).gauss_curvature(-1.0)
+        assert np.max(np.abs(K0 - K0_ball)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tilted_h3_graphs_against_ball_chart(self, grid16, seed):
+        k = (1.0, 0.5, 2.0)[seed]
+        surface = radial_profile_surface(1.0, _seeded_tilt(seed), k, grid16)
+        forms = surface_forms(surface, hyperbolic_ball_metric(k))
+        old = ref.ball_forms(surface)
+        for name in ("first", "second", "mean_curvature", "area_element"):
+            assert rel_err(getattr(forms, name),
+                           getattr(old, name)) <= FORMS_TOL, name
+        assert rel_err(gauss_curvature(forms, -k * k),
+                       old.gauss_curvature(-k * k)) <= 1e-13
+
+    def test_tilted_ads_graph(self, grid16):
+        # every term of II, cot theta included, off the round sphere
+        surface = radial_profile_surface(1.0, _seeded_tilt(3), 1.0, grid16)
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        forms, old = surface_forms(surface, metric), ref.polar_forms(
+            surface, metric)
+        for name in ("first", "second", "mean_curvature", "area_element"):
+            assert rel_err(getattr(forms, name),
+                           getattr(old, name)) <= FORMS_TOL, name
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_inward_normal_in_polar_chart(self, grid16, sign):
+        # the reference normal with N^r < 0 at every node of a tilted graph
+        # (or its flip) gives the closed form's II: the inward test in the
+        # polar chart is N^r < 0, not N . p < 0
+        surface = radial_profile_surface(1.0, _seeded_tilt(4), 1.0, grid16)
+        surface.orientation_sign = sign
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        old = ref.polar_forms(surface, metric)
+        assert np.all(sign * old.normal[:, 0] < 0.0)
+        forms = surface_forms(surface, metric)
+        assert rel_err(forms.second, old.second) <= FORMS_TOL
+        assert np.all(sign * forms.mean_curvature > 0.0)
+
+    @pytest.mark.parametrize("name", ["euclidean", "hyperbolic", "ads"])
+    def test_scalar_curvature_matches_stencil(self, name):
+        metric = {"euclidean": euclidean_metric(),
+                  "hyperbolic": hyperbolic_ball_metric(1.3),
+                  "ads": ads_schwarzschild_metric(ADS_M, 1.0)}[name]
+        pts = random_polar_points(np.random.default_rng(7), 10, 1.2, 4.0)
+        R = scalar_curvature(metric, pts[:, 0])
+        stencil = ref.scalar_curvature_many(ref.polar_chart(metric), pts)
+        assert np.max(np.abs(R - stencil)) < 1e-5
+        assert np.max(np.abs(R - {"euclidean": 0.0, "hyperbolic": -6 * 1.69,
+                                  "ads": -6.0}[name])) <= 1e-14
 
 
 class TestScalarCurvature:
+    # the reference stencil, the oracle of the closed form
     def test_hyperbolic_ball(self):
         rng = np.random.default_rng(41)
-        metric = hyperbolic_ball_metric(1.0)
         pts = rng.uniform(-0.4, 0.4, (20, 3))
-        R = scalar_curvature_many(metric, pts)
+        R = ref.scalar_curvature_many(ref.ball_chart(1.0), pts)
         assert np.max(np.abs(R + 6.0)) < 1e-5
 
     def test_ads_schwarzschild(self):
-        metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        rng = np.random.default_rng(43)
-        dirs = rng.standard_normal((10, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = dirs * rng.uniform(1.5, 4.0, (10, 1))
-        R = scalar_curvature_many(metric, pts)
+        chart = ref.polar_chart(ads_schwarzschild_metric(ADS_M, 1.0))
+        pts = random_polar_points(np.random.default_rng(43), 10, 1.5, 4.0)
+        R = ref.scalar_curvature_many(chart, pts)
         assert np.max(np.abs(R + 6.0)) < 1e-5
 
     def test_euclidean(self):
-        R = at_point(scalar_curvature_many, euclidean_metric(),
-                     [0.1, 0.2, 0.3])
+        R = at_point(ref.scalar_curvature_many,
+                     ref.polar_chart(euclidean_metric()), [1.1, 0.7, 0.3])
         assert abs(R) < 1e-6
 
     def test_analytic_cross_check(self):
-        R = at_point(scalar_curvature_many, hyperbolic_ball_metric(2.0),
+        R = at_point(ref.scalar_curvature_many, ref.ball_chart(2.0),
                      [0.1, 0.0, 0.2])
         assert abs(R - (-6.0 * 2.0 ** 2)) < 1e-4
 
     def test_fd_order_two(self):
-        metric = hyperbolic_ball_metric(1.0)
+        chart = ref.ball_chart(1.0)
         p = np.array([[0.25, -0.1, 0.15]])
         steps = np.array([1e-2, 5e-3, 2.5e-3])
-        errs = np.array([abs(scalar_curvature_many(metric, p, fd_step=s)[0]
-                             + 6.0) for s in steps])
+        errs = np.array([abs(ref.scalar_curvature_many(chart, p,
+                                                       fd_step=s)[0] + 6.0)
+                         for s in steps])
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.2
 
     def test_chart_boundary(self):
-        with pytest.raises(ChartBoundary):
-            at_point(scalar_curvature_many, hyperbolic_ball_metric(1.0),
+        with pytest.raises(ref.ChartBoundary):
+            at_point(ref.scalar_curvature_many, ref.ball_chart(1.0),
                      [0.99999, 0, 0])
 
 
@@ -497,13 +656,13 @@ class TestIntegrate:
         assert abs(area - target) < 1e-8 * target
 
     def test_unit_sphere_area(self, grid64):
-        surface = SurfaceData(F=unit_direction_jet, grid=grid64, k=1.0)
+        surface = coordinate_sphere_surface(1.0, grid64)
         ae = surface_forms(surface, euclidean_metric()).area_element
         area = math.fsum(grid64.measure_weights() * ae)
         assert abs(area - 4 * math.pi) < 1e-10
 
     def test_odd_integrand_vanishes(self, grid64):
-        surface = SurfaceData(F=unit_direction_jet, grid=grid64, k=1.0)
+        surface = coordinate_sphere_surface(1.0, grid64)
         theta, phi = grid64.node_arrays()
         x1 = unit_directions(theta, phi)[:, 0]
         ae = surface_forms(surface, euclidean_metric()).area_element
@@ -533,19 +692,16 @@ class TestVerifyIsometric:
         assert isometry_mismatch(*forms) < 1e-12
 
     def test_ads_pairing(self, grid16):
-        # coordinate sphere r = 2 paired with the geodesic sphere sinh rho = 2:
-        # both induce 4 g_0
+        # coordinate sphere r = 2 paired with the H^3 sphere of areal radius
+        # 2: both induce 4 g_0
         surface = coordinate_sphere_surface(2.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         assert isometry_mismatch(*mass_forms(surface, metric)) < 1e-10
 
     def test_mismatched_radii_detected(self, grid16):
         r, r0 = 2.0, 1.5
-        rho = math.asinh(r0)
-        Rb = math.tanh(rho / 2.0)
-
         surface = SurfaceData(F=scaled_sphere(r), grid=grid16, k=1.0,
-                              F0=scaled_sphere(Rb))
+                              F0=scaled_sphere(r0))
         mismatch = isometry_mismatch(*mass_forms(surface, euclidean_metric()))
         # max component of (r^2 - r0^2) (dtheta^2 + sin^2 theta dphi^2)
         assert abs(mismatch - (r ** 2 - r0 ** 2)) < 1e-3

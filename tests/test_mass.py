@@ -7,14 +7,18 @@ import math
 import numpy as np
 import pytest
 
+import reference_geometry as ref
 from hypermass.errors import (DomainError, IsometryViolation,
                               MissingEmbedding, NonPositiveMeanCurvature)
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_schwarzschild_metric,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
-                                hyperbolic_ball_metric, unit_direction_jet)
-from hypermass.hypgeom import ball_to_minkowski
+                                hyperbolic_ball_metric,
+                                radial_profile_surface, surface_forms,
+                                unit_directions)
+from hypermass.hypgeom import (areal_to_ball, areal_to_minkowski,
+                               ball_to_minkowski)
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass import mass as massmod
@@ -72,19 +76,27 @@ class TestEnergyMomentum:
             assert E.norm_inf() < 1e-10
 
     def test_rigidity_of_a_moved_sphere(self, grid64, hyp_metric):
-        # the geodesic sphere rho = 1 moved by a ball isometry, paired with
-        # the centred sphere: H and H0 come from different nodes, so E = 0
-        # is not H and H0 agreeing bit for bit (d(0, a) = 0.44 < rho keeps
-        # the chart origin inside, where the normals point)
+        # the geodesic sphere rho = 1 moved by a ball isometry, through the
+        # reference Gauss formula in the Poincare ball, paired with the
+        # centred sphere through the closed-form pass: H and H0 come from
+        # different nodes and different code, so E = 0 is no identity of
+        # one computation (d(0, a) = 0.44 < rho keeps the chart origin
+        # inside, where the normals point)
         rho, a = 1.0, (0.12, -0.1, 0.15)
         centred = geodesic_sphere_surface(rho, 1.0, grid64)
-        surface = SurfaceData(F=mobius_jet(centred.F, a), F0=centred.F,
-                              grid=grid64, k=1.0)
-        data = surface_mass_data(surface, hyp_metric)
-        E = energy_momentum(surface, hyp_metric, data=data)
+        moved = ref.forms(mobius_jet(ref.ball_jet(centred.F), a), grid64,
+                          ref.ball_chart(1.0))
+        forms0 = surface_forms(centred, hyp_metric)
+        assert np.max(np.abs(moved.first - forms0.first)) <= 1e-12
+        u = unit_directions(*grid64.node_axes()).reshape(-1, 3)
+        data = massmod.SurfaceMassData(
+            H=moved.mean_curvature, H0=forms0.mean_curvature,
+            X=areal_to_minkowski(forms0.radius, u),
+            ball_points=areal_to_ball(forms0.radius, u),
+            measure=grid64.measure_weights() * moved.area_element, k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
-        assert E.norm_inf() <= 1e-9
+        assert data.energy().norm_inf() <= 1e-9
 
     def test_ads_closed_form_oracle(self, ads_scenarios):
         for r in ADS_RADII:
@@ -118,7 +130,7 @@ class TestEnergyMomentum:
         assert E.norm_inf() < 1e-10
 
     def test_missing_embedding(self, grid32):
-        surface = SurfaceData(F=unit_direction_jet, grid=grid32, k=1.0)
+        surface = SurfaceData(F=scaled_sphere(1.0), grid=grid32, k=1.0)
         with pytest.raises(MissingEmbedding):
             energy_momentum(surface, hyperbolic_ball_metric(1.0))
 
@@ -130,9 +142,7 @@ class TestEnergyMomentum:
         assert "node" in str(exc.value)
 
     def test_isometry_violation(self, grid32):
-        rho_wrong = math.asinh(1.5)
-        Rb = math.tanh(rho_wrong / 2.0)
-        surface = SurfaceData(F=scaled_sphere(2.0), F0=scaled_sphere(Rb),
+        surface = SurfaceData(F=scaled_sphere(2.0), F0=scaled_sphere(1.5),
                               grid=grid32, k=1.0)
         with pytest.raises(IsometryViolation):
             energy_momentum(surface, ads_schwarzschild_metric(ADS_M, 1.0))
@@ -467,6 +477,14 @@ class TestAsymptoticLimit:
 
 
 class TestSurfaceMassData:
+    def test_ball_points_map_to_positions(self, grid32, hyp_metric):
+        # the hyperboloid positions from the areal radius, and those of the
+        # ball points, agree on a tilted graph
+        surface = radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0, grid32)
+        data = surface_mass_data(surface, hyp_metric)
+        X = ball_to_minkowski(data.ball_points, data.k)
+        assert np.max(np.abs(X - data.X)) < 1e-14 * np.max(np.abs(data.X))
+
     def test_h3_side_mean_curvature(self, rigid_scenarios):
         _, data, _ = rigid_scenarios[1.0]
         assert np.max(np.abs(data.H0 - 1.0 / math.tanh(1.0))) < 1e-8
