@@ -37,7 +37,9 @@ from .spinor import make_clifford_rep, null_to_spinor, verify_zet, zeta_of
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            # libyaml's parser when PyYAML has it: the same safe schema
+            cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -364,7 +366,7 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
         surface = build_surface(sub)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
-        area = math.fsum(data.measure.tolist())
+        area = data.area()
         i_eq = surface.grid.node_index(surface.grid.n_theta // 2, 0)
         E = massmod.energy_momentum(surface, metric, data=data)
         rows.append((n_theta, sub["resolution"]["n_phi"], area,

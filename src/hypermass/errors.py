@@ -25,6 +25,10 @@ class IsometryViolation(HypermassError):
     """Induced metrics of the ambient and hyperbolic immersions disagree."""
 
 
+class ConvergenceFailure(HypermassError):
+    """An iteration reached its step cap without converging."""
+
+
 class NotNull(HypermassError):
     """Vector expected to be null is not (within tolerance)."""
 

@@ -12,8 +12,19 @@ The forms of a surface (:func:`surface_mass_data`) and the small-sphere
 expansion (:func:`ah_sphere_data`) both build a :class:`SurfaceMassData`,
 so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
 
-H <= 0 anywhere is a hard error, never a silent skip.  Reductions use
-fixed-order compensated summation so repeated runs are bit-identical.
+H <= 0 anywhere is a hard error, never a silent skip.
+
+Every integral is a sum over the nodes that returns exactly what
+``math.fsum`` would: the correctly rounded sum of the node values, the same
+bits whatever their order.  :func:`_fsum_rows` gets it without leaving
+numpy, by error-free extraction (Rump, Ogita and Oishi, "Accurate
+floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008): adding
+and subtracting sigma = 2^(e+M), with 2^e above every |p| of a row of N
+values and 2^M >= N + 2, splits each p into a high part q, whose sum over
+the row is exact in any order, and an exact residual p - q below
+2^(e+M-53).  Extraction repeats on the residuals until their plain sum,
+with its error bound, can no longer move the rounded total; ``math.fsum``
+of the few exact partial sums then gives the answer.
 """
 
 from __future__ import annotations
@@ -48,6 +59,49 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
+# exact sums
+
+
+def _fsum_rows(rows: np.ndarray) -> list:
+    """``[math.fsum(row) for row in rows]`` of a float (m, N) array by
+    error-free extraction (module docstring), in two buffers of N values of
+    its own: the rows are only read.  A row with a non-finite entry sums to
+    its plain sum, nan or +-inf (where fsum raises on inf - inf), and a row
+    whose extraction constant would overflow goes to ``math.fsum`` itself."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    n = rows.shape[1]
+    M = (n + 1).bit_length()          # 2^M >= n + 2
+    # a plain sum of n values of magnitude at most b is off by at most
+    # 2 n^2 u b (u = 2^-53): twice that covers the rounding of the bound,
+    # and n times the least subnormal its underflow
+    slack = 4.0 * n * n * 2.0 ** -53
+    q, r = np.empty(n), np.empty(n)
+    out = []
+    for p in rows:
+        big = max(p.max(), -p.min())
+        if not big < 2.0 ** (1023 - M):   # nan, inf or near the overflow
+            out.append(math.fsum(p) if math.isfinite(big) else float(p.sum()))
+            continue
+        parts = []                    # exact partial sums
+        while True:
+            sigma = math.ldexp(1.0, math.frexp(big)[1] + M)
+            np.add(p, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            p = np.subtract(p, q, out=r)
+            big = max(p.max(), -p.min())
+            s = float(p.sum())
+            # rounded once both ends of the residuals' error bound round to
+            # the same float
+            d = slack * big + n * 5e-324 if big else 0.0
+            lo = math.fsum((*parts, s, -d))
+            if lo == math.fsum((*parts, s, d)):
+                out.append(lo)
+                break
+    return out
+
+
+# ---------------------------------------------------------------------------
 # shared per-surface data
 
 
@@ -64,12 +118,20 @@ class SurfaceMassData:
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
-    def weighted(self, values: np.ndarray) -> float:
-        return math.fsum((self.measure * values).tolist())
+    def weighted(self, values: np.ndarray):
+        """The exact sum of measure * values over the nodes: a float for
+        values (N,), a list of floats for rows (m, N), one per row."""
+        if values.ndim == 1:
+            return _fsum_rows((self.measure * values)[None])[0]
+        return _fsum_rows(self.measure * values)
 
-    def weighted_vector(self, values: np.ndarray) -> LorentzVector:
-        comps = [self.weighted(values[:, c]) for c in range(4)]
-        return LorentzVector(*comps)
+    def weighted_vector(self, rows: np.ndarray) -> LorentzVector:
+        """The four :meth:`weighted` sums of component-major rows (4, N)."""
+        return LorentzVector(*self.weighted(rows))
+
+    def area(self) -> float:
+        """int dSigma, the exact sum of the measure."""
+        return _fsum_rows(self.measure[None])[0]
 
     @property
     def weight(self) -> np.ndarray:
@@ -79,7 +141,8 @@ class SurfaceMassData:
 
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return self.weighted_vector(self.weight[:, None] * self.X)
+        return self.weighted_vector(np.multiply(self.weight, self.X.T,
+                                                order="C"))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
@@ -87,12 +150,13 @@ class SurfaceMassData:
         e_0 + e_1, e_0 + i e_1, and each real entry of Q is one
         :meth:`weighted` sum.  Built once for each sign +-1; read-only."""
         if sign not in self.killing_forms:
-            w = self.weight
             n0, n1, n_re, n_im = killing_spinor_norms_sq(
                 np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
                 self.ball_points, sign)
-            q00, q11, re01, im01 = (self.weighted(w * m) for m in (
-                n0, n1, 0.5 * (n_re - n0 - n1), 0.5 * (n0 + n1 - n_im)))
+            rows = np.stack((n0, n1, 0.5 * (n_re - n0 - n1),
+                             0.5 * (n0 + n1 - n_im)))
+            rows *= self.weight
+            q00, q11, re01, im01 = self.weighted(rows)
             Q = np.array([[q00, complex(re01, im01)],
                           [complex(re01, -im01), q11]])
             Q.flags.writeable = False
@@ -172,9 +236,10 @@ def shi_tam_vector(surface: SurfaceData, ambient: MetricField, alpha: float,
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
     d = data or surface_mass_data(surface, ambient)
-    W = d.X.copy()
-    W[:, 3] *= alpha
-    return d.weighted_vector((d.H0 - d.H)[:, None] * W)
+    W = d.X.T.copy()
+    W[3] *= alpha
+    W *= d.H0 - d.H
+    return d.weighted_vector(W)
 
 
 _DEFAULT_SPHERE_GRID = (64, 128)
@@ -199,10 +264,10 @@ def wang_mass(h: SphereTensor,
     LorentzVector.
     """
     xhat, w = _round_sphere_quadrature(grid)
-    tau = h.trace(xhat)
-    t = math.fsum((w * tau).tolist())
-    spatial = [math.fsum((w * tau * xhat[:, j]).tolist()) for j in range(3)]
-    return LorentzVector(spatial[0], spatial[1], spatial[2], t)
+    rows = np.empty((4, len(w)))
+    np.multiply(w, h.trace(xhat), out=rows[3])
+    np.multiply(rows[3], xhat.T, out=rows[:3])
+    return LorentzVector(*_fsum_rows(rows))
 
 
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,

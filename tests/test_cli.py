@@ -3,16 +3,22 @@
 import io
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hypermass import cli
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass.cli import build_metric, build_surface, load_config, main
+from hypermass.errors import ConfigError
 from hypermass.lorentz import minkowski_inner, sample_null_cone
 
 from conftest import exact_ads_energy
@@ -518,3 +524,69 @@ class TestDeterminism:
         runs = [run(["spinor-check", "--seed", "7", "--count", "100"])
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a mass-sweep scenario as the benchmark writes it: JSON, which is YAML
+SWEEP_CONFIG = json.dumps({
+    "metric": {"type": "hyperbolic_ball", "k": 1.0},
+    "surface": {"type": "radial_profile", "base": 1.0,
+                "linear": [0.123456789012345, -0.0987654321, 1e-17]},
+    "resolution": {"n_theta": 128, "n_phi": 256},
+    "outputs": {"shi_tam": True}})
+
+
+def readme_configs():
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"```yaml\n(.*?)```", text, re.S)
+
+
+class TestYamlLoader:
+    # load_config reads with libyaml's CSafeLoader when PyYAML has it, and
+    # with the pure-Python SafeLoader when it does not: the same trees
+    @pytest.mark.parametrize("text", readme_configs() + [
+        ADS_CONFIG, GEO_CONFIG, SMALL_E_CONFIG, TILTED_ADS_CONFIG,
+        SWEEP_CONFIG], ids=lambda t: str(len(t)))
+    def test_both_loaders_resolve_alike(self, tmp_path, monkeypatch, text):
+        cfg = write(tmp_path, "c.yaml", text)
+        assert yaml.load(text, Loader=yaml.SafeLoader) \
+            == yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                              yaml.SafeLoader))
+        fast = load_config(cfg)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(cfg) == fast
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_malformed_yaml_exits_2(self, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = write(tmp_path, "bad.yaml", "metric: {type: [unclosed\n")
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "malformed YAML" in err
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
+
+NO_POLYNOMIAL_SCRIPT = """
+import contextlib, io, sys
+from hypermass import cli
+cfg, out = sys.argv[1], sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mass", cfg, "--output", out]) == 0
+    assert cli.main(["convergence", cfg, "--resolutions", "8,16,32",
+                     "--output", out]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+
+
+def test_ops_import_no_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is built in geometry: an op never pays for
+    # importing numpy.polynomial
+    cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_POLYNOMIAL_SCRIPT, cfg,
+                           str(tmp_path / "o")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ import pytest
 
 import reference_geometry as ref
 from hypermass import geometry as geo
-from hypermass.errors import DomainError
+from hypermass.errors import ConvergenceFailure, DomainError
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_schwarzschild_metric,
                                 coordinate_sphere_surface, euclidean_metric,
@@ -190,6 +190,72 @@ class TestQuadratureGrid:
         assert on_axes.shape == (grid16.n_theta, grid16.n_phi, 3)
         flat = unit_directions(*grid16.node_arrays())
         assert on_axes.reshape(-1, 3).tobytes() == flat.tobytes()
+
+
+def _mp_gauss_point(n, x, mp):
+    """A Gauss-Legendre node near ``x`` and its weight 2 (1 - x^2) /
+    (n P_{n-1}(x))^2, by Newton's method in 40-digit arithmetic."""
+    def legendre(r):
+        p0, p1 = mp.mpf(1), r
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * r * p1 - j * p0) / (j + 1)
+        return p0, p1
+
+    with mp.workdps(40):
+        r = mp.mpf(float(x))
+        for _ in range(3):
+            p0, p1 = legendre(r)
+            r -= p1 * (r * r - 1) / (n * (r * p1 - p0))
+        p0 = legendre(r)[0]
+        return float(r), float(2 * (1 - r * r) / (n * p0) ** 2)
+
+
+GL_ORDERS = (2, 3, 8, 16, 33, 64, 128, 256, 1024)
+
+
+class TestGaussLegendre:
+    # the grid's rule, built without numpy.polynomial or np.linalg, against
+    # numpy's leggauss (imported here only)
+    @pytest.mark.parametrize("n", GL_ORDERS)
+    def test_matches_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+        x, w = geo.gauss_legendre(n)
+        x_ref, w_ref = leggauss(n)
+        assert np.max(np.abs(x - x_ref)) <= 2e-16
+        # leggauss's own pole weights at n = 1024 are 1.2e-9 off 40-digit
+        # ones (these are 3.5e-12 off; test_pole_weights)
+        bound = 2e-9 if n == 1024 else 1e-9
+        assert np.max(np.abs(w / w_ref - 1.0)) <= bound
+
+    @pytest.mark.parametrize("n", (128, 1024))
+    def test_pole_weights(self, n):
+        mp = pytest.importorskip("mpmath")
+        x, w = geo.gauss_legendre(n)
+        for i in (0, 1, 2, n // 4):
+            x_ref, w_ref = _mp_gauss_point(n, x[i], mp)
+            assert abs(x[i] - x_ref) <= 2.3e-16
+            assert abs(w[i] / w_ref - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("n", GL_ORDERS)
+    def test_symmetric_and_exact(self, n):
+        x, w = geo.gauss_legendre(n)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert abs(math.fsum(w) - 2.0) <= 4.5e-16
+        # x^(2j) for every j < n: the rule is exact to degree 2n - 1
+        for j in range(n):
+            assert abs(math.fsum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-14
+
+    def test_newton_cap(self, monkeypatch):
+        monkeypatch.setattr(geo, "_GL_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceFailure, match="order 64"):
+            QuadratureGrid.build(64, 128)
+
+    def test_grid_carries_the_rule(self, grid16):
+        u, w = geo.gauss_legendre(16)
+        assert grid16.u_weights.tobytes() == w.tobytes()
+        assert grid16.theta.tobytes() == np.arccos(u).tobytes()
 
 
 class TestChristoffel:

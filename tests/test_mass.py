@@ -1,8 +1,11 @@
 """Mass functionals: E(Sigma), Shi-Tam, Wang's mass, asymptotic limit."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypermass.hypgeom import (areal_to_ball, areal_to_minkowski,
                                ball_to_minkowski)
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
+from hypermass import cli
 from hypermass import mass as massmod
 from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             energy_momentum, killing_weighted_mass,
@@ -501,3 +505,160 @@ class TestSurfaceMassData:
         for rho in RIGID_RADII:
             assert rigid_scenarios[rho][2].norm_inf() < 1e-10
 
+
+def _adversarial_rows(case, rng):
+    """Seeded rows (m, N) on which a sum that is not exactly rounded, or
+    that loses a sign or an exponent, differs from math.fsum."""
+    if case == "single":
+        return np.array([[rng.standard_normal()], [-0.0], [5e-324],
+                         [-1.5e300]])
+    if case == "odd":
+        return [rng.standard_normal((3, n)) for n in (3, 7, 101, 4097)]
+    if case == "large":
+        return rng.standard_normal((2, 40000)) * rng.uniform(0.5, 2.0, 40000)
+    if case == "zeros":
+        rows = np.zeros((3, 1001))
+        rows[1] = -0.0
+        rows[2, ::3] = -0.0
+        return rows
+    if case == "spread":
+        return (rng.standard_normal((4, 2001))
+                * 10.0 ** rng.uniform(-30, 30, (4, 2001)))
+    if case == "huge":
+        return (rng.standard_normal((3, 1001))
+                * 10.0 ** rng.uniform(290, 300, (3, 1001)))
+    if case == "tiny":
+        rows = (rng.standard_normal((3, 1001))
+                * 10.0 ** rng.uniform(-320, -290, (3, 1001)))
+        rows[2, ::7] = 5e-324
+        return rows
+    if case == "cancel":
+        # sign-alternating pairs that cancel to about 0, and exactly
+        a = rng.standard_normal(2000) * 10.0 ** rng.uniform(-20, 20, 2000)
+        near = np.empty(4000)
+        near[0::2], near[1::2] = a, -a * (1.0 + 1e-16 * rng.standard_normal(
+            2000))
+        exact = np.concatenate([a, -a])
+        return np.stack([near, exact, rng.permutation(exact), near[::-1]])
+    if case == "ties":
+        # exact sums on and next to a rounding midpoint
+        u = 2.0 ** -53
+        rows = [[1.0, u, 0.0], [1.0, u, u * u], [1.0, u, -u * u],
+                [1.0 + 2 * u, u, 0.0], [-1.0, -u, 0.0], [3.0, -u, 0.0]]
+        return np.array(rows)[:, rng.permutation(3)]
+    raise ValueError(case)
+
+
+SUM_CASES = ("single", "odd", "large", "zeros", "spread", "huge", "tiny",
+             "cancel", "ties")
+
+
+class TestExactSums:
+    # massmod._fsum_rows returns math.fsum's float bit for bit, without a
+    # tolist, and never writes into its input
+    @staticmethod
+    def assert_fsum(rows):
+        rows = np.ascontiguousarray(rows)
+        before = rows.tobytes()
+        got = massmod._fsum_rows(rows)
+        expect = [math.fsum(row.tolist()) for row in rows]
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+        assert all(type(s) is float for s in got)
+        assert rows.tobytes() == before
+
+    @pytest.mark.parametrize("case", SUM_CASES)
+    def test_equals_fsum(self, case):
+        rows = _adversarial_rows(case, np.random.default_rng(2008))
+        for block in rows if isinstance(rows, list) else [rows]:
+            self.assert_fsum(block)
+
+    def test_equals_fsum_on_random_rows(self):
+        rng = np.random.default_rng(31)
+        for i in range(1500):
+            n = int(rng.integers(1, 300))
+            scale = 10.0 ** rng.uniform(-40, 40, (2, n)) if i % 2 else 1.0
+            rows = rng.standard_normal((2, n)) * scale
+            if i % 3 == 0:
+                rows[1] -= rows[1].mean()
+            self.assert_fsum(rows)
+
+    def test_non_finite_entry_gives_non_finite_sum(self):
+        rows = np.array([[1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
+                         [np.inf, 1.0, -np.inf], [-np.inf, 1.0, 0.5],
+                         [0.1, 0.2, 0.3]])
+        with np.errstate(invalid="ignore"):
+            got = massmod._fsum_rows(rows)
+        assert [math.isfinite(s) for s in got] == [False] * 4 + [True]
+        assert got[1] == math.inf and got[3] == -math.inf
+        assert got[4] == math.fsum([0.1, 0.2, 0.3])
+
+    def test_overflow_as_fsum(self):
+        with pytest.raises(OverflowError):
+            massmod._fsum_rows(np.array([[1.7e308, 1.7e308]]))
+
+    def test_any_layout(self):
+        # nested lists, and a transposed (non-contiguous) view
+        assert massmod._fsum_rows([[0.1, 0.2, 0.3]]) == [0.6]
+        cols = np.random.default_rng(5).standard_normal((100, 3))
+        assert massmod._fsum_rows(cols.T) == [math.fsum(c) for c in cols.T]
+
+
+NODE_FIELDS = ("H", "H0", "X", "measure", "ball_points")
+
+
+def _node_bytes(data):
+    return {name: getattr(data, name).tobytes() for name in NODE_FIELDS}
+
+
+class TestReductionsReadOnly:
+    # the reductions work in buffers of their own: the node data of a
+    # SurfaceMassData is byte-unchanged by every functional that sums it
+    def test_functionals(self, grid32, ads_metric):
+        surface = coordinate_sphere_surface(2.0, grid32)
+        data = surface_mass_data(surface, ads_metric)
+        before = _node_bytes(data)
+        data.energy()
+        shi_tam_vector(surface, ads_metric, 1.3, data=data)
+        for sign in (1, -1):
+            data.killing_form(sign)
+        data.area()
+        data.weighted(np.ones_like(data.H))
+        assert _node_bytes(data) == before
+
+    def test_run_convergence(self, tmp_path, monkeypatch):
+        made = []
+        build = massmod.surface_mass_data
+
+        def recorded(*args, **kwargs):
+            data = build(*args, **kwargs)
+            made.append((data, _node_bytes(data)))
+            return data
+
+        monkeypatch.setattr(massmod, "surface_mass_data", recorded)
+        cfg = cli.resolve_config({
+            "metric": {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M},
+            "surface": {"type": "coordinate_sphere", "r": 2.0}})
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_convergence(cfg, [8, 16, 32], outdir=tmp_path)
+        assert len(made) == 3
+        for data, before in made:
+            assert _node_bytes(data) == before
+
+
+def test_reduction_memory_peak():
+    # tracemalloc peak of E and M_alpha at 128x256 in float (N,) arrays
+    # (numpy 2.4): 10.0, all of it the integrand rows (4, N), their
+    # product with the measure and the two extraction buffers (N,) (13.0
+    # for the tolist and fsum sums that these replace)
+    grid = QuadratureGrid.build(128, 256)
+    metric = ads_schwarzschild_metric(ADS_M, 1.0)
+    surface = coordinate_sphere_surface(2.0, grid)
+    data = surface_mass_data(surface, metric)
+    tracemalloc.start()
+    try:
+        data.energy()
+        shi_tam_vector(surface, metric, 1.3, data=data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.0 * grid.n_nodes * np.dtype(float).itemsize
