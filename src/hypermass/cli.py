@@ -27,7 +27,7 @@ from . import mass as massmod
 from .errors import ConfigError, HypermassError, HypothesisFailure
 from .hypgeom import radial_bounds
 from .lorentz import classify, sample_null_cone
-from .spinor import make_clifford_rep, null_to_spinor, verify_zet, zeta_of
+from .spinor import null_to_spinor, verify_zet, zeta_of
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_vector(v, sep: str = ",") -> str:
+    """The components of the 4-vector ``v``, x1, x2, x3, t, joined by sep."""
+    return sep.join(map(_fmt, np.asarray(v)))
+
+
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -259,15 +264,15 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     if cfg["outputs"]["shi_tam"]:
         alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
         M = massmod.shi_tam_vector(surface, metric, alpha, data=data)
-        doc.update(M_alpha=[M.x1, M.x2, M.x3, M.t], alpha=alpha)
+        doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
 
     # exact extremes of <E, (u, 1)> = -E_t - E_s.u over unit vectors u
     spatial = math.hypot(E.x1, E.x2, E.x3)
-    doc.update(E=[E.x1, E.x2, E.x3, E.t],
+    doc.update(E=np.asarray(E).tolist(),
                causal_class=classify(E, tols["causal_tol"]).value,
                null_pairing={"min": -E.t - spatial, "max": -E.t + spatial})
     _write_text(outdir / "mass_report.json", _json_dump(doc))
-    print(f"E = ({_fmt(E.x1)}, {_fmt(E.x2)}, {_fmt(E.x3)}, {_fmt(E.t)})")
+    print(f"E = ({_fmt_vector(E, ', ')})")
     print(f"causal class: {doc['causal_class']}")
     print(f"hypothesis checks passed: {checks['passed']}")
     return doc
@@ -286,19 +291,15 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
 
     lines = ["label,r,x1,x2,x3,t"]
     for r, E in zip(res.radii, res.energies):
-        lines.append(f"E,{_fmt(r)},{_fmt(E.x1)},{_fmt(E.x2)},"
-                     f"{_fmt(E.x3)},{_fmt(E.t)}")
+        lines.append(f"E,{_fmt(r)},{_fmt_vector(E)}")
     for label, v in [("extrapolated", res.extrapolated),
                      ("upsilon_half", res.upsilon_half),
                      ("deviation", res.deviation)]:
-        lines.append(f"{label},,{_fmt(v.x1)},{_fmt(v.x2)},"
-                     f"{_fmt(v.x3)},{_fmt(v.t)}")
+        lines.append(f"{label},,{_fmt_vector(v)}")
     lines.append(f"observed_order,,{_fmt(res.observed_order)},,,")
     csv = "\n".join(lines) + "\n"
     _write_text(outdir / "asymptotic.csv", csv)
-    print(f"extrapolated E: ({_fmt(res.extrapolated.x1)}, "
-          f"{_fmt(res.extrapolated.x2)}, {_fmt(res.extrapolated.x3)}, "
-          f"{_fmt(res.extrapolated.t)})")
+    print(f"extrapolated E: ({_fmt_vector(res.extrapolated, ', ')})")
     print(f"max deviation from Upsilon/2: {_fmt(res.deviation.norm_inf())}")
     print(f"observed order: {_fmt(res.observed_order)}")
     return csv
@@ -308,11 +309,10 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
 SPINOR_BLOCK = 4096
 
 
-def run_spinor_check(seed: int, count: int, corrupt_sign: bool = False) -> int:
+def run_spinor_check(seed: int, count: int) -> int:
     """Seeded residual sweep; returns a process exit code."""
     count = _number(count, "--count", int, 1)
     seed = _number(seed, "--seed", int, 0)
-    rep = make_clifford_rep(s_zeta=+1) if corrupt_sign else make_clifford_rep()
     rng = np.random.default_rng(seed)
     max_zet = 0.0
     for start in range(0, count, SPINOR_BLOCK):
@@ -325,10 +325,9 @@ def run_spinor_check(seed: int, count: int, corrupt_sign: bool = False) -> int:
             A[i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             X[i] = rng.uniform(-0.57, 0.57, 3)
         for sign in (1, -1):
-            max_zet = max(max_zet, float(np.max(verify_zet(A, X, sign, rep))))
+            max_zet = max(max_zet, float(np.max(verify_zet(A, X, sign))))
     cone = sample_null_cone(500)
-    max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1, rep)
-                                 - cone)))
+    max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1) - cone)))
     ok = max_zet < 1e-12 and max_rt < 1e-12
     print(f"max identity residual: {_fmt(max_zet)}")
     print(f"max null round-trip residual: {_fmt(max_rt)}")
@@ -379,8 +378,8 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
              "area_order,E_t_order"]
     for row, ao, eo in zip(rows, area_ord, et_ord):
         n_t, n_p, area, hp, E = row
-        lines.append(f"{n_t},{n_p},{_fmt(area)},{_fmt(hp)},{_fmt(E.x1)},"
-                     f"{_fmt(E.x2)},{_fmt(E.x3)},{_fmt(E.t)},{ao},{eo}")
+        lines.append(f"{n_t},{n_p},{_fmt(area)},{_fmt(hp)},{_fmt_vector(E)},"
+                     f"{ao},{eo}")
     csv = "\n".join(lines) + "\n"
     _write_text(outdir / "convergence.csv", csv)
     print(csv, end="")
@@ -409,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("spinor-check", help="identity/round-trip residuals")
     ps.add_argument("--seed", type=int, default=42)
     ps.add_argument("--count", type=int, default=1000)
-    ps.add_argument("--corrupt-sign", action="store_true",
-                    help=argparse.SUPPRESS)  # test-only hook
 
     pc = sub.add_parser("convergence", help="quantities vs grid resolution")
     pc.add_argument("config")
@@ -429,7 +426,7 @@ def main(argv=None) -> int:
         elif args.command == "asymptotic":
             run_asymptotic(load_config(args.config), outdir=Path(args.output))
         elif args.command == "spinor-check":
-            return run_spinor_check(args.seed, args.count, args.corrupt_sign)
+            return run_spinor_check(args.seed, args.count)
         elif args.command == "convergence":
             resolutions = [s for s in args.resolutions.split(",") if s]
             run_convergence(load_config(args.config), resolutions,

@@ -33,10 +33,6 @@ class NotNull(HypermassError):
     """Vector expected to be null is not (within tolerance)."""
 
 
-class CalibrationFailure(HypermassError):
-    """No sign convention satisfies the spinor/null-vector identity."""
-
-
 class ConfigError(HypermassError):
     """Scenario configuration is malformed or inconsistent."""
 

@@ -102,12 +102,11 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
 
 
 def ads_horizon_radius(m: float, k: float) -> float:
-    """Positive root of k^2 r^3 + r - 2m = 0 (V(r) = 0)."""
-    roots = np.roots([k * k, 0.0, 1.0, -2.0 * m])
-    real = [r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
-    if not real:
-        return 0.0
-    return max(real)
+    """The root of k^2 r^3 + r - 2m = 0 (V(r) = 0), the only real one since
+    the cubic is strictly increasing: with r = 2 sinh(t)/(k sqrt 3) it reads
+    sinh(3t) = 3 sqrt(3) m k."""
+    s3 = math.sqrt(3.0)
+    return 2.0 / (k * s3) * math.sinh(math.asinh(3.0 * s3 * m * k) / 3.0)
 
 
 def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
@@ -247,19 +246,10 @@ class QuadratureGrid:
         return cls(n_theta=n_theta, n_phi=n_phi, theta=theta,
                    u_weights=wu, phi=phi)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_theta * self.n_phi
-
-    def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (theta, phi) node coordinates, theta-major order."""
-        T, P = np.meshgrid(self.theta, self.phi, indexing="ij")
-        return T.ravel(), P.ravel()
-
     def node_axes(self) -> tuple[np.ndarray, np.ndarray]:
         """Node axes theta[:, None], phi[None, :]: they broadcast to the
-        grid, which flattens to the order of :meth:`node_arrays`, and trig
-        of each axis runs once per grid line instead of once per node."""
+        grid, which flattens to the theta-major node order, and trig of
+        each axis runs once per grid line instead of once per node."""
         return self.theta[:, None], self.phi[None, :]
 
     def measure_weights(self) -> np.ndarray:
@@ -382,10 +372,16 @@ def radial_profile_surface(base: float, linear, k: float,
     """Star-shaped surface in H^3: geodesic radius base + linear . direction,
     as the graph of its areal radius."""
     tilt = np.asarray(linear, dtype=float).reshape(3)
+    top = base + math.hypot(*tilt)      # the greatest geodesic radius
+    try:
+        R = math.sinh(k * top) / k
+    except OverflowError:
+        raise DomainError(f"the areal radius at geodesic radius {top:.6g} "
+                          f"overflows a float") from None
     if tilt.any():
         F = _tilted_graph(base, tilt, k)
     elif base > 0:
-        F = _constant_graph(math.sinh(k * base) / k)
+        F = _constant_graph(R)
     else:
         raise DomainError("radial profile must stay positive")
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
@@ -462,6 +458,9 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
     h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
     det = E * G - F * F
     H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(det))):
+        raise DomainError(f"the forms overflow a float on the surface up to "
+                          f"r = {np.max(R):.6g} in the {metric.tag} chart")
     shape = (grid.n_theta, grid.n_phi)
     return SurfaceForms(first=_symmetric(E, F, G, shape),
                         second=_symmetric(h_tt, h_tp, h_pp, shape),

@@ -20,7 +20,6 @@ __all__ = [
     "minkowski_inner",
     "classify",
     "sample_null_cone",
-    "classify_by_null_pairings",
 ]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -122,16 +121,3 @@ def sample_null_cone(m: int) -> np.ndarray:
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * GOLDEN_ANGLE
     return np.stack([s * np.cos(phi), s * np.sin(phi), z, np.ones(m)], axis=-1)
-
-
-def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:
-    """Sampled sufficient test: true iff <v, zeta> < -tol for every sample
-    row of ``samples`` (n, 4).
-
-    A nonzero vector is timelike future directed iff the pairing is negative
-    for *all* future null directions; a finite sample makes this one-sided.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be nonempty")
-    return bool(np.all(minkowski_inner(v, samples) < -tol))

@@ -9,63 +9,37 @@ where X is the hyperboloid position of x.  This identity is what converts
 spinor-weighted surface integrals into Minkowski pairings, so it is held to
 1e-12 as a hard library contract.
 
-Sign conventions: the Clifford matrices are gamma_j = S_GAMMA * i * sigma_j
-and the null vector carries a global factor S_ZETA.  The abstract relations
-leave a sign ambiguity; ``calibrate_signs`` enumerates the four choices and
-keeps the ones for which the identity above holds on both branches with
-zeta_a future directed.  Two choices survive (the identity cannot see the
-sign of gamma); we freeze the conventional S_GAMMA = +1.  All formulas are
-stated at curvature scale k = 1: rescale geometry first.
+Sign conventions are frozen: the Clifford matrices are GAMMAS, gamma_j =
+i sigma_j with the Pauli matrices sigma_j, and the null vector carries the
+global factor S_ZETA = -1.  The identity pins S_ZETA: with +1 its residual
+is 2 |psi_a|^2 and zeta_a is past directed.  It cannot see the sign of gamma:
+gamma -> -gamma swaps the branches psi^+ and psi^- on both of its sides.
+All formulas are stated at curvature scale k = 1: rescale geometry first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import CalibrationFailure, DomainError, NotNull
+from .errors import DomainError, NotNull
 from .hypgeom import ball_to_minkowski
 from .lorentz import minkowski_inner
 
 __all__ = [
-    "CliffordRep",
-    "make_clifford_rep",
-    "calibrate_signs",
     "killing_spinor_norms_sq",
     "zeta_of",
     "verify_zet",
     "null_to_spinor",
-    "S_GAMMA",
+    "GAMMAS",
     "S_ZETA",
 ]
 
-PAULI = np.array([
+GAMMAS = 1j * np.array([
     [[0, 1], [1, 0]],
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
-
-# Frozen by calibrate_signs(); the calibration test stays in the suite.
-S_GAMMA = 1
 S_ZETA = -1
-
-
-@dataclass(frozen=True)
-class CliffordRep:
-    """Concrete 2x2 Clifford representation with its sign calibration."""
-
-    gammas: np.ndarray  # (3, 2, 2) complex, skew-Hermitian, sign s_gamma
-    s_zeta: int
-
-
-def make_clifford_rep(s_gamma: int = S_GAMMA,
-                      s_zeta: int = S_ZETA) -> CliffordRep:
-    gammas = s_gamma * 1j * PAULI
-    return CliffordRep(gammas=gammas, s_zeta=s_zeta)
-
-
-_DEFAULT_REP = make_clifford_rep()
 
 
 def _as_spinor(a) -> np.ndarray:
@@ -77,8 +51,7 @@ def _as_spinor(a) -> np.ndarray:
     return a
 
 
-def killing_spinor_norms_sq(a, points: np.ndarray, sign: int,
-                            rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
+def killing_spinor_norms_sq(a, points: np.ndarray, sign: int) -> np.ndarray:
     """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign * i gamma(x)) a|^2 at k = 1.
 
     Spinors ``a`` of shape (..., 2) broadcast against ball points of shape
@@ -92,64 +65,37 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign: int,
     if np.any(r2 >= 1.0):
         raise DomainError("ball point must satisfy |x| < 1")
     f = 2.0 / (1.0 - r2)
-    gx = np.einsum("...j,jkl->...kl", points, rep.gammas)
+    gx = np.einsum("...j,jkl->...kl", points, GAMMAS)
     psi = np.einsum("...kl,...l->...k", np.eye(2) + sign * 1j * gx, a)
     return f * np.sum(np.abs(psi) ** 2, axis=-1)
 
 
-def zeta_of(a, sign: int, rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
+def zeta_of(a, sign: int) -> np.ndarray:
     """Future null vectors zeta_a^{sign}, shape (..., 4) in (x1, x2, x3, t)
     order, of spinors ``a`` of shape (..., 2).
 
-    Spatial components are s_zeta * (-sign * i <gamma_j a, a>) with the
+    Spatial components are S_ZETA * (-sign * i <gamma_j a, a>) with the
     Hermitian product conjugate-linear in the first slot; the time component
-    is s_zeta * (-|a|^2).  With the calibrated signs the result is future
+    is S_ZETA * (-|a|^2).  With the frozen signs the result is future
     directed and null: its spatial part is |a|^2 times a unit vector.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     a = _as_spinor(a)
-    ga = np.einsum("jkl,...l->...jk", rep.gammas, a)
+    ga = np.einsum("jkl,...l->...jk", GAMMAS, a)
     ip = np.einsum("...jk,...k->...j", ga.conj(), a)
-    spatial = rep.s_zeta * (-sign * 1j * ip).real
-    t = rep.s_zeta * -np.sum(a.real ** 2 + a.imag ** 2, axis=-1)
+    spatial = S_ZETA * (-sign * 1j * ip).real
+    t = S_ZETA * -np.sum(a.real ** 2 + a.imag ** 2, axis=-1)
     return np.concatenate([spatial, t[..., None]], axis=-1)
 
 
-def verify_zet(a, x, sign: int, rep: CliffordRep = _DEFAULT_REP) -> np.ndarray:
+def verify_zet(a, x, sign: int) -> np.ndarray:
     """Residuals | |psi_a(x)|^2 + 2 <X(x), zeta_a> | at k = 1, for spinors
     ``a`` (..., 2) broadcast against ball points ``x`` (..., 3); contract:
     every residual < 1e-12."""
-    n2 = killing_spinor_norms_sq(a, x, sign, rep)
+    n2 = killing_spinor_norms_sq(a, x, sign)
     X = ball_to_minkowski(x)
-    return np.abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign, rep)))
-
-
-def calibrate_signs(n_samples: int = 1000, seed: int = 20240) -> tuple[int, int]:
-    """Find sign pairs for which the spinor/null-vector identity holds.
-
-    Enumerates the four (s_gamma, s_zeta) choices and keeps those with
-    residual < 1e-12 at random (a, x) on both branches and zeta_a future
-    directed.  The identity is blind to s_gamma (it enters quadratically),
-    so two choices survive; the conventional s_gamma = +1 is returned.
-    """
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n_samples, 2)) + 1j * rng.standard_normal((n_samples, 2))
-    X = rng.uniform(-0.57, 0.57, size=(n_samples, 3))
-    passing = []
-    for s_gamma in (1, -1):
-        for s_zeta in (1, -1):
-            rep = make_clifford_rep(s_gamma, s_zeta)
-            if (np.all(zeta_of(A, 1, rep)[:, 3] >= 0)
-                    and all(np.max(verify_zet(A, X, sign, rep)) <= 1e-12
-                            for sign in (1, -1))):
-                passing.append((s_gamma, s_zeta))
-    if not passing:
-        raise CalibrationFailure("no sign convention satisfies the identity")
-    for choice in passing:
-        if choice[0] == 1:
-            return choice
-    return passing[0]
+    return np.abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign)))
 
 
 def null_to_spinor(zeta, tol: float = 1e-9) -> np.ndarray:

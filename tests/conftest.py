@@ -8,6 +8,7 @@ import pytest
 
 from hypermass import geometry as geo
 from hypermass import mass as massmod
+from hypermass.lorentz import minkowski_inner
 
 ADS_M = 0.1
 ADS_RADII = (1.0, 2.0, 4.0)
@@ -73,6 +74,29 @@ def asymptotic_results(grid32):
     }
     return {name: massmod.asymptotic_limit(h, radii, grid32)
             for name, h in fields.items()}
+
+
+def node_arrays(grid):
+    """Flattened (theta, phi) node coordinates of ``grid``, theta-major."""
+    T, P = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    return T.ravel(), P.ravel()
+
+
+def n_nodes(grid):
+    return grid.n_theta * grid.n_phi
+
+
+def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:
+    """Sampled sufficient test: true iff <v, zeta> < -tol for every sample
+    row of ``samples`` (n, 4).
+
+    A nonzero vector is timelike future directed iff the pairing is negative
+    for *all* future null directions; a finite sample makes this one-sided.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("samples must be nonempty")
+    return bool(np.all(minkowski_inner(v, samples) < -tol))
 
 
 def random_spinors(rng, n):

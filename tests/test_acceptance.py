@@ -21,15 +21,14 @@ from hypermass.geometry import (SphereTensor, ads_schwarzschild_metric,
                                 geodesic_sphere_surface,
                                 hyperbolic_ball_metric, scalar_curvature,
                                 surface_forms)
-from hypermass.lorentz import (CausalClass, classify,
-                               classify_by_null_pairings, minkowski_inner,
+from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass.mass import killing_weighted_mass, shi_tam_alpha
 from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      exact_ads_energy, make_classified_vector,
-                      random_spinors)
+                      classify_by_null_pairings, exact_ads_energy,
+                      make_classified_vector, random_spinors)
 
 
 def report(tag, ok, detail):

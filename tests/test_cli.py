@@ -17,6 +17,7 @@ import yaml
 from hypermass import cli
 from hypermass import geometry as geo
 from hypermass import mass as massmod
+from hypermass import spinor
 from hypermass.cli import build_metric, build_surface, load_config, main
 from hypermass.errors import ConfigError
 from hypermass.lorentz import minkowski_inner, sample_null_cone
@@ -66,6 +67,12 @@ surface: {type: geodesic_sphere, rho: 1.0, orientation: outward}
 resolution: {n_theta: 16, n_phi: 32}
 """
 
+
+# the node pass overflows a float past R ~ 1e77 (det I ~ R^4)
+HUGE_ADS_CONFIG = """
+metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
+surface: {type: coordinate_sphere, r: 1.0e+80}
+"""
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -295,6 +302,24 @@ class TestMassCommand:
         assert err.startswith("config error")
 
 
+    @pytest.mark.parametrize("command, text", [
+        (["mass", "--force"], HUGE_ADS_CONFIG),
+        (["convergence", "--resolutions", "8,16,32"], HUGE_ADS_CONFIG),
+        (["mass"], "surface: {type: geodesic_sphere, rho: 800}"),
+    ], ids=["forced_mass_r1e80", "convergence_r1e80", "geodesic_rho800"])
+    def test_overflowing_geometry_is_a_domain_error(self, tmp_path, command,
+                                                    text):
+        # a fresh process, so that an escaped exception shows as a traceback
+        cfg = write(tmp_path, "huge.yaml", text)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypermass.cli", command[0], cfg,
+             *command[1:], "--output", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
 class TestNodePass:
     def test_mass_is_one_pass_per_surface(self, tmp_path, node_pass_calls):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
@@ -414,9 +439,10 @@ class TestSpinorCheckCommand:
         assert code == 2
         assert "seed" in err
 
-    def test_corrupted_sign_fails(self):
-        code, out, _ = run(["spinor-check", "--seed", "42", "--count", "10",
-                            "--corrupt-sign"])
+    def test_corrupted_sign_fails(self, monkeypatch):
+        # the null vector with the wrong global sign breaks the identity
+        monkeypatch.setattr(spinor, "S_ZETA", -spinor.S_ZETA)
+        code, out, _ = run(["spinor-check", "--seed", "42", "--count", "10"])
         assert code == 1
         assert "FAIL" in out
         residual = float(out.splitlines()[0].split(":")[1])

@@ -13,7 +13,7 @@ import reference_geometry as ref
 from hypermass import geometry as geo
 from hypermass.errors import ConvergenceFailure, DomainError
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
-                                ads_schwarzschild_metric,
+                                ads_horizon_radius, ads_schwarzschild_metric,
                                 coordinate_sphere_surface, euclidean_metric,
                                 gauss_curvature, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
@@ -22,7 +22,10 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 wang_ah_metric)
 from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
-from conftest import ADS_M, ads_potential, scaled_sphere
+from conftest import (ADS_M, ads_potential, n_nodes, node_arrays,
+                      scaled_sphere)
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +174,7 @@ class TestSurfaceJets:
 
 class TestQuadratureGrid:
     def test_weight_sum_is_sphere_area(self, grid16):
-        theta, _ = grid16.node_arrays()
+        theta, _ = node_arrays(grid16)
         total = np.sum(grid16.measure_weights() * np.sin(theta))
         assert abs(total - 4 * math.pi) < 1e-12
 
@@ -180,7 +183,7 @@ class TestQuadratureGrid:
             QuadratureGrid.build(1, 1)
 
     def test_node_index_layout(self, grid16):
-        theta, phi = grid16.node_arrays()
+        theta, phi = node_arrays(grid16)
         i = grid16.node_index(3, 7)
         assert theta[i] == grid16.theta[3]
         assert phi[i] == grid16.phi[7]
@@ -188,8 +191,29 @@ class TestQuadratureGrid:
     def test_node_axes_match_flat_nodes_bitwise(self, grid16):
         on_axes = unit_directions(*grid16.node_axes())
         assert on_axes.shape == (grid16.n_theta, grid16.n_phi, 3)
-        flat = unit_directions(*grid16.node_arrays())
+        flat = unit_directions(*node_arrays(grid16))
         assert on_axes.reshape(-1, 3).tobytes() == flat.tobytes()
+
+
+class TestAdsHorizonRadius:
+    CASES = ((0.1, 1.0), (1e-12, 1.0), (5.0, 2.0), (1e6, 0.1), (0.3, 10.0))
+
+    @pytest.mark.parametrize("m, k", CASES)
+    def test_root_of_the_cubic(self, m, k):
+        r = ads_horizon_radius(m, k)
+        # the cubic's terms are at most 2m each: its residual is roundoff
+        assert abs(k * k * r ** 3 + r - 2.0 * m) <= 8 * EPS * 2.0 * m
+
+    @pytest.mark.parametrize("m, k", CASES)
+    def test_matches_the_companion_matrix_root(self, m, k):
+        roots = np.roots([k * k, 0.0, 1.0, -2.0 * m])
+        real = [z.real for z in roots if abs(z.imag) < 1e-12]
+        assert len(real) == 1
+        assert abs(ads_horizon_radius(m, k) - real[0]) <= 4 * EPS * real[0]
+
+    def test_massless_has_no_horizon(self):
+        assert ads_horizon_radius(0.0, 1.0) == 0.0
+        assert ads_schwarzschild_metric(0.0, 1.0).r_min == 0.1
 
 
 def _mp_gauss_point(n, x, mp):
@@ -398,11 +422,11 @@ class TestMeanCurvature:
     def test_forms_flatten_theta_major(self, grid16):
         surface = radial_profile_surface(1.0, (0.05, -0.02, 0.1), 1.0, grid16)
         forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
-        n = grid16.n_nodes
+        n = n_nodes(grid16)
         assert forms.first.shape == forms.second.shape == (n, 2, 2)
         assert (forms.mean_curvature.shape == forms.area_element.shape
                 == forms.radius.shape == (n,))
-        flat = surface.F(*grid16.node_arrays())[0]
+        flat = surface.F(*node_arrays(grid16))[0]
         assert forms.radius.tobytes() == flat.tobytes()
 
     def test_degenerate_immersion(self, grid16):
@@ -590,7 +614,7 @@ class TestNodePassAlgebra:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * grid.n_nodes * np.dtype(float).itemsize
+        assert peak <= bound * n_nodes(grid) * np.dtype(float).itemsize
 
 
 def _seeded_tilt(seed):
@@ -717,7 +741,7 @@ class TestIntegrate:
     def test_geodesic_sphere_area(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
         data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
-        area = data.weighted(np.ones(grid64.n_nodes))
+        area = data.weighted(np.ones(n_nodes(grid64)))
         target = 4 * math.pi * math.sinh(1.0) ** 2
         assert abs(area - target) < 1e-8 * target
 
@@ -729,7 +753,7 @@ class TestIntegrate:
 
     def test_odd_integrand_vanishes(self, grid64):
         surface = coordinate_sphere_surface(1.0, grid64)
-        theta, phi = grid64.node_arrays()
+        theta, phi = node_arrays(grid64)
         x1 = unit_directions(theta, phi)[:, 0]
         ae = surface_forms(surface, euclidean_metric()).area_element
         w = grid64.measure_weights()
@@ -746,7 +770,7 @@ class TestIntegrate:
             grid = QuadratureGrid.build(n, 2 * n)
             surface = geodesic_sphere_surface(1.0, 1.0, grid)
             data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
-            area = data.weighted(np.ones(grid.n_nodes))
+            area = data.weighted(np.ones(n_nodes(grid)))
             errs[n] = abs(area - target)
         assert errs[32] < max(1e-3 * errs[8], 1e-12 * target)
 

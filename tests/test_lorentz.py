@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermass.lorentz import (GOLDEN_ANGLE, CausalClass, LorentzVector,
-                               classify, classify_by_null_pairings,
-                               minkowski_inner, sample_null_cone)
-from conftest import make_classified_vector
+                               classify, minkowski_inner, sample_null_cone)
+from conftest import classify_by_null_pairings, make_classified_vector
 
 EPS = np.finfo(float).eps
 

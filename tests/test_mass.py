@@ -33,7 +33,8 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      exact_ads_energy, random_spinors, scaled_sphere)
+                      exact_ads_energy, n_nodes, random_spinors,
+                      scaled_sphere)
 
 
 def mobius_jet(F, a):
@@ -661,4 +662,4 @@ def test_reduction_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.0 * grid.n_nodes * np.dtype(float).itemsize
+    assert peak <= 12.0 * n_nodes(grid) * np.dtype(float).itemsize

@@ -1,6 +1,7 @@
 """Package surface: exported names, raised error types, the names the
 bench tracer wraps and the library calls of the bench pairing op."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -71,3 +72,55 @@ def test_every_error_type_is_raised():
              if inspect.isclass(obj) and issubclass(obj, errors.HypermassError)
              and obj is not errors.HypermassError}
     assert types and types - raised == set()
+
+
+def _public_defs(tree):
+    """(name, node) of each public module-level function and class of a
+    module, and of each public method and property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.name, item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _references(node, outside=None, found=None):
+    """Names that ``node`` uses: identifiers, attributes and string
+    constants (a bench table of names counts), leaving out the subtree
+    ``outside`` and the strings of ``__all__``."""
+    found = set() if found is None else found
+    if node is outside or (isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets)):
+        return found
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        found.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        _references(child, outside, found)
+    return found
+
+
+def test_src_holds_no_test_only_code():
+    # every public function, class, method and property of the package is
+    # used by name from the package or the benchmark's programs (not its
+    # tests), outside its own body
+    trees = {path: ast.parse(path.read_text()) for path in
+             sorted((ROOT / "src" / "hypermass").glob("*.py"))
+             + sorted((ROOT / "bench").glob("*.py"))
+             if not path.name.startswith("test_")}
+    unused = []
+    for path, tree in trees.items():
+        if path.parent.name != "hypermass":
+            continue
+        for name, node in _public_defs(tree):
+            if not any(name in _references(other, outside=node)
+                       for other in trees.values()):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []

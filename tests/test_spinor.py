@@ -1,4 +1,4 @@
-"""Killing spinors, the null-vector map, and the sign calibration."""
+"""Killing spinors, the null-vector map, and the frozen sign convention."""
 
 import math
 
@@ -12,13 +12,13 @@ from hypermass.geometry import (QuadratureGrid, geodesic_sphere_surface,
                                 hyperbolic_ball_metric)
 from hypermass.lorentz import CausalClass, classify, sample_null_cone
 from hypermass.mass import killing_weighted_mass
-from hypermass.spinor import (S_GAMMA, S_ZETA, calibrate_signs,
-                              killing_spinor_norms_sq, make_clifford_rep,
+from hypermass import spinor
+from hypermass.spinor import (GAMMAS, S_ZETA, killing_spinor_norms_sq,
                               null_to_spinor, verify_zet, zeta_of)
 
 from conftest import random_spinors
 
-REP = make_clifford_rep()
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def random_interior_points(rng, n, half_width=0.57):
@@ -29,21 +29,42 @@ def minkowski_square(z):
     return np.sum(z[..., :3] ** 2, axis=-1) - z[..., 3] ** 2
 
 
+def passing_sign_choices(monkeypatch, n_samples=200, seed=20240):
+    """The (s_gamma, s_zeta) of gamma_j = s_gamma i sigma_j and the factor
+    s_zeta for which the identity holds to 1e-12 at random (a, x) on both
+    branches and zeta_a is future directed."""
+    rng = np.random.default_rng(seed)
+    A = random_spinors(rng, n_samples)
+    X = random_interior_points(rng, n_samples)
+    passing = []
+    for s_gamma in (1, -1):
+        for s_zeta in (1, -1):
+            monkeypatch.setattr(spinor, "GAMMAS", s_gamma * 1j * PAULI)
+            monkeypatch.setattr(spinor, "S_ZETA", s_zeta)
+            if (np.all(zeta_of(A, 1)[:, 3] >= 0)
+                    and all(np.max(verify_zet(A, X, sign)) <= 1e-12
+                            for sign in (1, -1))):
+                passing.append((s_gamma, s_zeta))
+    return passing
+
+
 class TestCliffordRep:
     def test_clifford_relation(self):
         for i in range(3):
             for j in range(3):
-                anti = REP.gammas[i] @ REP.gammas[j] \
-                    + REP.gammas[j] @ REP.gammas[i]
+                anti = GAMMAS[i] @ GAMMAS[j] + GAMMAS[j] @ GAMMAS[i]
                 want = -2.0 * (i == j) * np.eye(2)
                 assert np.max(np.abs(anti - want)) < 1e-15
 
     def test_skew_hermitian(self):
-        for g in REP.gammas:
+        for g in GAMMAS:
             assert np.max(np.abs(g + g.conj().T)) < 1e-15
 
-    def test_calibration_recovers_frozen_signs(self):
-        assert calibrate_signs(n_samples=200) == (S_GAMMA, S_ZETA)
+    def test_calibration_recovers_frozen_signs(self, monkeypatch):
+        # the identity pins s_zeta and is blind to s_gamma, so two of the
+        # four choices survive; the frozen one is gamma_j = +i sigma_j
+        assert passing_sign_choices(monkeypatch) == [(1, S_ZETA), (-1, S_ZETA)]
+        assert np.array_equal(GAMMAS, 1j * PAULI)
 
     def test_zet_residual_with_calibrated_signs(self):
         rng = np.random.default_rng(47)
@@ -72,7 +93,7 @@ class TestKillingSpinor:
         for sign in (1, -1):
             norms = killing_spinor_norms_sq(A, pts, sign)
             for a, x, direct in zip(A, pts, norms):
-                gx = np.einsum("j,jkl->kl", x, REP.gammas)
+                gx = np.einsum("j,jkl->kl", x, GAMMAS)
                 f = 2.0 / (1.0 - x @ x)
                 cross = 2.0 * sign * (1j * np.vdot(a, gx @ a)).real
                 expect = f * (float(np.vdot(a, a).real) * (1 + x @ x) + cross)
@@ -166,9 +187,9 @@ class TestVerifyZet:
     def test_zero_spinor(self):
         assert verify_zet([0, 0], [0.2, -0.4, 0.1], 1) == 0.0
 
-    def test_detects_wrong_sign_convention(self):
-        bad = make_clifford_rep(s_zeta=-S_ZETA)
-        res = verify_zet([1, 0], [0.3, 0.0, 0.1], 1, bad)
+    def test_detects_wrong_sign_convention(self, monkeypatch):
+        monkeypatch.setattr(spinor, "S_ZETA", -S_ZETA)
+        res = verify_zet([1, 0], [0.3, 0.0, 0.1], 1)
         assert res > 0.1
 
 
