@@ -26,7 +26,7 @@ from . import geometry as geo
 from . import mass as massmod
 from .errors import ConfigError, HypermassError, HypothesisFailure
 from .hypgeom import radial_bounds
-from .lorentz import classify, sample_null_cone
+from .lorentz import CAUSAL_TOL, classify, sample_null_cone
 from .spinor import null_to_spinor, verify_zet, zeta_of
 
 
@@ -111,7 +111,8 @@ def resolve_config(cfg: dict) -> dict:
     tols = _section(cfg, "tolerances")
     out["tolerances"] = {
         key: _number(tols.get(key, default), f"tolerances.{key}")
-        for key, default in (("iso_tol", 1e-8), ("causal_tol", 1e-12))}
+        for key, default in (("iso_tol", massmod.ISO_TOL),
+                             ("causal_tol", CAUSAL_TOL))}
     if any(v <= 0 for v in out["tolerances"].values()):
         raise ConfigError("all tolerances must be positive")
 

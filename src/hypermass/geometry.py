@@ -393,30 +393,19 @@ def radial_profile_surface(base: float, linear, k: float,
 
 @dataclass
 class SurfaceForms:
-    """Per-node extrinsic data for a whole quadrature grid."""
+    """Per-node extrinsic data for a whole quadrature grid: the components
+    of I and II, each a float or an array that broadcasts to the grid."""
 
-    first: np.ndarray          # (N, 2, 2)
-    second: np.ndarray         # (N, 2, 2)
+    first: tuple               # (E, F, G)
+    second: tuple              # (h_tt, h_tp, h_pp)
     mean_curvature: np.ndarray  # (N,)
     area_element: np.ndarray   # (N,) sqrt(det g_ab)
     radius: np.ndarray         # (N,) chart radius R of each node
 
 
-def _det2(a: np.ndarray) -> np.ndarray:
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-
-
 def _nodes(x, shape) -> np.ndarray:
     """``x``, broadcast to the grid, flattened to theta-major nodes (N,)."""
     return np.broadcast_to(x, shape).ravel()
-
-
-def _symmetric(a, b, c, shape) -> np.ndarray:
-    """The symmetric [[a, b], [b, c]] at every node, shape (N, 2, 2)."""
-    out = np.empty(shape + (2, 2))
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = a, b, c
-    out[..., 1, 0] = out[..., 0, 1]
-    return out.reshape(-1, 2, 2)
 
 
 def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
@@ -442,28 +431,28 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
     if np.any(R <= metric.r_min):
         raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside the "
                           f"{metric.tag} chart r > {metric.r_min:.6g}")
-    st, ct = np.sin(theta), np.cos(theta)
-    st2 = st * st
-    V = metric.V(R)
-    R2 = R * R
-    E = Rt * Rt / V + R2
-    F = Rt * Rp / V
-    G = Rp * Rp / V + R2 * st2
-    c = 0.5 * metric.dV(R) / V + 2.0 / R
-    RV = R * V
-    scale = -surface.orientation_sign / np.sqrt(
-        V + (Rt * Rt + Rp * Rp / st2) / R2)
-    h_tt = scale * (Rtt - c * Rt * Rt - RV)
-    h_tp = scale * (Rtp - c * Rt * Rp - Rp * ct / st)
-    h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
-    det = E * G - F * F
-    H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        st, ct = np.sin(theta), np.cos(theta)
+        st2 = st * st
+        V = metric.V(R)
+        R2 = R * R
+        E = Rt * Rt / V + R2
+        F = Rt * Rp / V
+        G = Rp * Rp / V + R2 * st2
+        c = 0.5 * metric.dV(R) / V + 2.0 / R
+        RV = R * V
+        scale = -surface.orientation_sign / np.sqrt(
+            V + (Rt * Rt + Rp * Rp / st2) / R2)
+        h_tt = scale * (Rtt - c * Rt * Rt - RV)
+        h_tp = scale * (Rtp - c * Rt * Rp - Rp * ct / st)
+        h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
+        det = E * G - F * F
+        H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(det))):
         raise DomainError(f"the forms overflow a float on the surface up to "
                           f"r = {np.max(R):.6g} in the {metric.tag} chart")
     shape = (grid.n_theta, grid.n_phi)
-    return SurfaceForms(first=_symmetric(E, F, G, shape),
-                        second=_symmetric(h_tt, h_tp, h_pp, shape),
+    return SurfaceForms(first=(E, F, G), second=(h_tt, h_tp, h_pp),
                         mean_curvature=_nodes(H, shape),
                         area_element=_nodes(np.sqrt(det), shape),
                         radius=_nodes(R, shape))
@@ -472,5 +461,6 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
 def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:
     """Gauss curvature at every node of ``forms``, by the Gauss equation
     K = c + det II / det I of a surface in a space of constant sectional
-    curvature ``c``."""
-    return c + _det2(forms.second) / _det2(forms.first)
+    curvature ``c``; it broadcasts to the grid as the components do."""
+    (E, F, G), (h_tt, h_tp, h_pp) = forms.first, forms.second
+    return c + (h_tt * h_pp - h_tp * h_tp) / (E * G - F * F)

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+CAUSAL_TOL = 1e-12   # the default tolerance of classify
 
 
 class CausalClass(Enum):
@@ -80,7 +81,7 @@ def minkowski_inner(u, v):
             + u[..., 2] * v[..., 2] - u[..., 3] * v[..., 3])
 
 
-def classify(v, tol: float = 1e-12) -> CausalClass:
+def classify(v, tol: float = CAUSAL_TOL) -> CausalClass:
     """Causal class of ``v``, a LorentzVector or a finite (4,) array, at
     tolerance ``tol``.
 

@@ -58,6 +58,8 @@ __all__ = [
     "asymptotic_limit",
 ]
 
+ISO_TOL = 1e-8   # the default bound on isometry_mismatch
+
 # ---------------------------------------------------------------------------
 # exact sums
 
@@ -120,10 +122,12 @@ class SurfaceMassData:
 
     def weighted(self, values: np.ndarray):
         """The exact sum of measure * values over the nodes: a float for
-        values (N,), a list of floats for rows (m, N), one per row."""
-        if values.ndim == 1:
-            return _fsum_rows((self.measure * values)[None])[0]
-        return _fsum_rows(self.measure * values)
+        values (N,), a list of floats for rows (m, N), one per row.  A sum
+        that is not finite (an integrand overflowed) is a DomainError."""
+        sums = _fsum_rows(self.measure * np.atleast_2d(values))
+        if not all(map(math.isfinite, sums)):
+            raise DomainError(f"a node integral overflows a float: {sums}")
+        return sums[0] if values.ndim == 1 else sums
 
     def weighted_vector(self, rows: np.ndarray) -> LorentzVector:
         """The four :meth:`weighted` sums of component-major rows (4, N)."""
@@ -136,14 +140,15 @@ class SurfaceMassData:
     @property
     def weight(self) -> np.ndarray:
         """(H_0^2 - H^2)/H at each node: the integrand of E and of Q."""
-        H, H0 = self.H, self.H0
-        return (H0 ** 2 - H ** 2) / H
+        return (self.H0 ** 2 - self.H ** 2) / self.H
 
+    @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
         return self.weighted_vector(np.multiply(self.weight, self.X.T,
                                                 order="C"))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
         a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
@@ -176,11 +181,12 @@ def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
 
 def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
     """Max pointwise difference of the two induced metrics."""
-    return float(np.max(np.abs(forms.first - forms0.first)))
+    return float(max(np.max(np.abs(a - b))
+                     for a, b in zip(forms.first, forms0.first)))
 
 
 def surface_mass_data(surface: SurfaceData, ambient: MetricField,
-                      iso_tol: float = 1e-8,
+                      iso_tol: float = ISO_TOL,
                       forms: Optional[tuple] = None) -> SurfaceMassData:
     """Extract H, H_0, X and the measure; enforce the standing hypotheses.
 
@@ -230,6 +236,7 @@ def shi_tam_alpha(R1: float, R2: float) -> float:
     return 1.0 / math.tanh(R1) + math.sqrt(max(0.0, ratio)) / s1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def shi_tam_vector(surface: SurfaceData, ambient: MetricField, alpha: float,
                    data: Optional[SurfaceMassData] = None) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""

@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive scenario computations are session-scoped so
 the mass tests and the acceptance suite reuse one set of surface solves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,23 @@ def node_arrays(grid):
 
 def n_nodes(grid):
     return grid.n_theta * grid.n_phi
+
+
+def on_nodes(x, grid):
+    """``x``, broadcast to ``grid``, flattened to its theta-major nodes."""
+    return np.broadcast_to(x, (grid.n_theta, grid.n_phi)).ravel()
+
+
+def form_matrices(forms, grid):
+    """``forms`` with its components (a, b, c) of I and II packed into the
+    symmetric [[a, b], [b, c]] at every node of ``grid``, shape (N, 2, 2),
+    the layout of ``reference_geometry.Forms``."""
+    def matrix(components):
+        a, b, c = (on_nodes(x, grid) for x in components)
+        return np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
+
+    return dataclasses.replace(forms, first=matrix(forms.first),
+                               second=matrix(forms.second))
 
 
 def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:

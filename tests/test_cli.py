@@ -1,5 +1,6 @@
 """CLI subcommands: configs, reports, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypermass import mass as massmod
 from hypermass import spinor
 from hypermass.cli import build_metric, build_surface, load_config, main
 from hypermass.errors import ConfigError
-from hypermass.lorentz import minkowski_inner, sample_null_cone
+from hypermass.lorentz import classify, minkowski_inner, sample_null_cone
 
 from conftest import exact_ads_energy
 
@@ -72,6 +73,14 @@ resolution: {n_theta: 16, n_phi: 32}
 HUGE_ADS_CONFIG = """
 metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
 surface: {type: coordinate_sphere, r: 1.0e+80}
+"""
+
+# H ~ 4e297 at r = 0.2, so (H0^2 - H^2)/H overflows
+OVERFLOWING_ASPECT_CONFIG = """
+asymptotic:
+  h: {g0_coeff: -1.0e+300, linear: [0, 0, 0]}
+  radii: [0.2, 0.1, 0.05]
+resolution: {n_theta: 8, n_phi: 16}
 """
 
 def write(tmp_path, name, text):
@@ -306,19 +315,40 @@ class TestMassCommand:
         (["mass", "--force"], HUGE_ADS_CONFIG),
         (["convergence", "--resolutions", "8,16,32"], HUGE_ADS_CONFIG),
         (["mass"], "surface: {type: geodesic_sphere, rho: 800}"),
-    ], ids=["forced_mass_r1e80", "convergence_r1e80", "geodesic_rho800"])
+        (["mass", "--force"], "surface: {type: radial_profile, base: 300}"),
+    ], ids=["forced_mass_r1e80", "convergence_r1e80", "geodesic_rho800",
+            "forced_mass_base300"])
     def test_overflowing_geometry_is_a_domain_error(self, tmp_path, command,
                                                     text):
-        # a fresh process, so that an escaped exception shows as a traceback
-        cfg = write(tmp_path, "huge.yaml", text)
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hypermass.cli", command[0], cfg,
-             *command[1:], "--output", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert_one_error_line(tmp_path, command, text)
+
+    def test_overflowing_mass_aspect_is_a_domain_error(self, tmp_path):
+        assert_one_error_line(tmp_path, ["asymptotic"],
+                              OVERFLOWING_ASPECT_CONFIG)
+
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        tols = cli.resolve_config({})["tolerances"]
+        assert tols == {"iso_tol": 1e-8, "causal_tol": 1e-12}
+        assert tols["iso_tol"] == inspect.signature(
+            massmod.surface_mass_data).parameters["iso_tol"].default
+        assert tols["causal_tol"] == inspect.signature(
+            classify).parameters["tol"].default
+
+
+def assert_one_error_line(tmp_path, command, text):
+    """Run ``command`` on the config ``text`` in a fresh process, so that an
+    escaped exception shows as a traceback and a numpy warning on stderr:
+    it must exit 1 with the one line of a typed error."""
+    cfg = write(tmp_path, "scenario.yaml", text)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypermass.cli", command[0], cfg,
+         *command[1:], "--output", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
 
 class TestNodePass:
     def test_mass_is_one_pass_per_surface(self, tmp_path, node_pass_calls):

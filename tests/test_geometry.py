@@ -22,8 +22,8 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 wang_ah_metric)
 from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
-from conftest import (ADS_M, ads_potential, n_nodes, node_arrays,
-                      scaled_sphere)
+from conftest import (ADS_M, ads_potential, form_matrices, n_nodes,
+                      node_arrays, on_nodes, scaled_sphere)
 
 EPS = np.finfo(float).eps
 
@@ -423,7 +423,8 @@ class TestMeanCurvature:
         surface = radial_profile_surface(1.0, (0.05, -0.02, 0.1), 1.0, grid16)
         forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
         n = n_nodes(grid16)
-        assert forms.first.shape == forms.second.shape == (n, 2, 2)
+        packed = form_matrices(forms, grid16)
+        assert packed.first.shape == packed.second.shape == (n, 2, 2)
         assert (forms.mean_curvature.shape == forms.area_element.shape
                 == forms.radius.shape == (n,))
         flat = surface.F(*node_arrays(grid16))[0]
@@ -548,8 +549,10 @@ class TestNodePassAlgebra:
             ref_args = (jet, grid, chart, radial, c)
         else:
             forms = surface_forms(surface, metric)
+            K = on_nodes(gauss_curvature(forms, args[-1]), grid16)
+            forms = form_matrices(forms, grid16)
             got = (forms.first, forms.second, forms.mean_curvature,
-                   forms.area_element, gauss_curvature(forms, args[-1]))
+                   forms.area_element, K)
             ref_args = args
         for new, old in zip(got, linalg_node_pass(*ref_args)):
             old = old.reshape(new.shape)
@@ -574,13 +577,13 @@ class TestNodePassAlgebra:
         # every call gives the same forms bit for bit
         surface = radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        expect = surface_forms(surface, metric)
+        expect = form_matrices(surface_forms(surface, metric), grid16)
 
         def refuse(p):
             raise AssertionError("metric components read by the node pass")
 
         metric.components = refuse
-        forms = surface_forms(surface, metric)
+        forms = form_matrices(surface_forms(surface, metric), grid16)
         for name in ("first", "second", "mean_curvature", "area_element",
                      "radius"):
             got = getattr(forms, name)
@@ -599,12 +602,13 @@ class TestNodePassAlgebra:
                         and node.attr in ("linalg", "complex128"))
 
     @pytest.mark.parametrize("tilt, bound", [
-        ((0.0, 0.0, 0.0), 12.5), ((0.12, -0.05, 0.2), 32.0)],
+        ((0.0, 0.0, 0.0), 4.5), ((0.12, -0.05, 0.2), 24.0)],
         ids=["sphere", "tilted"])
     def test_memory_peak(self, tilt, bound):
         # tracemalloc peak of one pass at 128x256 in float (N,) arrays
-        # (numpy 2.4): 11.05 for a sphere, whose outputs alone take 11, and
-        # 28.0 for a tilted graph; a float (N, 3, 3) array is 9 of them
+        # (numpy 2.4): 3.05 for a sphere, whose outputs take 3 with the
+        # forms on the theta axis, and 20.0 for a tilted graph; a float
+        # (N, 3, 3) array is 9 of them
         grid = QuadratureGrid.build(128, 256)
         surface = radial_profile_surface(1.0, tilt, 1.0, grid)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
@@ -636,6 +640,8 @@ class TestClosedFormAgainstReference:
         surface = coordinate_sphere_surface(r, grid16)
         ads, hyp = ads_schwarzschild_metric(ADS_M, 1.0), hyperbolic_ball_metric(1.0)
         forms, forms0 = mass_forms(surface, ads)
+        K0 = on_nodes(gauss_curvature(forms0, -1.0), grid16)
+        forms, forms0 = (form_matrices(f, grid16) for f in (forms, forms0))
         for new, old in ((forms, ref.polar_forms(surface, ads)),
                          (forms0, ref.polar_forms(surface, hyp)),
                          (forms0, ref.ball_forms(surface))):
@@ -643,7 +649,6 @@ class TestClosedFormAgainstReference:
                 assert rel_err(getattr(new, name),
                                getattr(old, name)) <= FORMS_TOL, name
         # K0 = -1 + det II0 / det I0 = 1/r^2, the sphere's own curvature
-        K0 = gauss_curvature(forms0, -1.0)
         assert np.max(np.abs(K0 - 1.0 / r ** 2)) <= 1e-15
         K0_ball = ref.ball_forms(surface).gauss_curvature(-1.0)
         assert np.max(np.abs(K0 - K0_ball)) <= 1e-14
@@ -653,19 +658,19 @@ class TestClosedFormAgainstReference:
         k = (1.0, 0.5, 2.0)[seed]
         surface = radial_profile_surface(1.0, _seeded_tilt(seed), k, grid16)
         forms = surface_forms(surface, hyperbolic_ball_metric(k))
-        old = ref.ball_forms(surface)
+        K = on_nodes(gauss_curvature(forms, -k * k), grid16)
+        forms, old = form_matrices(forms, grid16), ref.ball_forms(surface)
         for name in ("first", "second", "mean_curvature", "area_element"):
             assert rel_err(getattr(forms, name),
                            getattr(old, name)) <= FORMS_TOL, name
-        assert rel_err(gauss_curvature(forms, -k * k),
-                       old.gauss_curvature(-k * k)) <= 1e-13
+        assert rel_err(K, old.gauss_curvature(-k * k)) <= 1e-13
 
     def test_tilted_ads_graph(self, grid16):
         # every term of II, cot theta included, off the round sphere
         surface = radial_profile_surface(1.0, _seeded_tilt(3), 1.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        forms, old = surface_forms(surface, metric), ref.polar_forms(
-            surface, metric)
+        forms = form_matrices(surface_forms(surface, metric), grid16)
+        old = ref.polar_forms(surface, metric)
         for name in ("first", "second", "mean_curvature", "area_element"):
             assert rel_err(getattr(forms, name),
                            getattr(old, name)) <= FORMS_TOL, name
@@ -680,7 +685,7 @@ class TestClosedFormAgainstReference:
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         old = ref.polar_forms(surface, metric)
         assert np.all(sign * old.normal[:, 0] < 0.0)
-        forms = surface_forms(surface, metric)
+        forms = form_matrices(surface_forms(surface, metric), grid16)
         assert rel_err(forms.second, old.second) <= FORMS_TOL
         assert np.all(sign * forms.mean_curvature > 0.0)
 

@@ -28,13 +28,13 @@ from hypermass import cli
 from hypermass import mass as massmod
 from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             energy_momentum, killing_weighted_mass,
-                            shi_tam_alpha, shi_tam_vector, surface_mass_data,
-                            wang_mass)
+                            mass_forms, shi_tam_alpha, shi_tam_vector,
+                            surface_mass_data, wang_mass)
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      exact_ads_energy, n_nodes, random_spinors,
-                      scaled_sphere)
+                      exact_ads_energy, form_matrices, n_nodes,
+                      random_spinors, scaled_sphere)
 
 
 def mobius_jet(F, a):
@@ -92,7 +92,8 @@ class TestEnergyMomentum:
         moved = ref.forms(mobius_jet(ref.ball_jet(centred.F), a), grid64,
                           ref.ball_chart(1.0))
         forms0 = surface_forms(centred, hyp_metric)
-        assert np.max(np.abs(moved.first - forms0.first)) <= 1e-12
+        assert np.max(np.abs(moved.first
+                             - form_matrices(forms0, grid64).first)) <= 1e-12
         u = unit_directions(*grid64.node_axes()).reshape(-1, 3)
         data = massmod.SurfaceMassData(
             H=moved.mean_curvature, H0=forms0.mean_curvature,
@@ -499,6 +500,23 @@ class TestSurfaceMassData:
         area = data.weighted(np.ones_like(data.H))
         assert abs(area - 16 * math.pi) < 1e-8 * 16 * math.pi
 
+    def test_overflowing_integrand_is_a_domain_error(self):
+        # H ~ 4e297 at r = 0.2: H^2 overflows, so E and Q sum to nan or inf;
+        # and (H0 - H) x, with x_t = 1e10, overflows M_alpha
+        data = ah_sphere_data(0.2, SphereTensor(g0_coeff=-1e300),
+                              QuadratureGrid.build(8, 16))
+        with pytest.raises(DomainError, match="overflows a float"):
+            data.energy()
+        with pytest.raises(DomainError, match="overflows a float"):
+            data.killing_form(1)
+        with pytest.raises(DomainError, match="overflows a float"):
+            data.weighted(np.full_like(data.H, np.inf))
+        far = massmod.SurfaceMassData(
+            H=np.ones(2), H0=np.full(2, 1e300), X=np.full((2, 4), 1e10),
+            ball_points=np.zeros((2, 3)), measure=np.ones(2), k=1.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            shi_tam_vector(None, None, 1.0, data=far)
+
     def test_positivity_sampled(self, ads_scenarios, rigid_scenarios):
         for r in ADS_RADII:
             assert classify(ads_scenarios[r][2]) \
@@ -663,3 +681,22 @@ def test_reduction_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 12.0 * n_nodes(grid) * np.dtype(float).itemsize
+
+
+def test_mass_forms_keep_sphere_components_on_the_theta_axis():
+    # the two node passes of a graph of constant radius hold H, the area
+    # element and R of each side as float (N,) arrays, 6 N floats, and the
+    # components of I and II on the theta axis; (N, 2, 2) matrices held 22
+    grid = QuadratureGrid.build(128, 256)
+    surface = coordinate_sphere_surface(2.0, grid)
+    metric = ads_schwarzschild_metric(ADS_M, 1.0)
+    tracemalloc.start()
+    try:
+        pair = mass_forms(surface, metric)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for forms in pair:
+        for x in forms.first + forms.second:
+            assert np.shape(x) in ((), (grid.n_theta, 1))
+    assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
