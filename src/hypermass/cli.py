@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-mass <config>                 compute E (and optionally M_alpha)
+mass <config>                 compute E (and M_alpha at k = 1)
 asymptotic <config>           small-radius series E(S_r) -> Upsilon/2
 spinor-check --seed S --count N   identity / round-trip residual sweep
 convergence <config> --resolutions a,b,c   quantities vs grid resolution
@@ -121,6 +121,8 @@ def resolve_config(cfg: dict) -> dict:
     k = _number(met.get("k", 1.0), "metric.k")
     if k <= 0:
         raise ConfigError("metric.k must be positive")
+    if k * k < sys.float_info.min:    # so that 1/k^2 is a finite float
+        raise ConfigError(f"metric.k = {k!r} is too small: k^2 underflows")
     if mtype not in ("hyperbolic_ball", "ads_schwarzschild", "euclidean"):
         raise ConfigError(f"unknown metric type: {mtype}")
     out["metric"] = {"type": mtype, "k": k}
@@ -148,16 +150,6 @@ def resolve_config(cfg: dict) -> dict:
     if radius <= 0:
         raise ConfigError("surface radius (rho, r or base - |linear|) must be "
                           "positive")
-    orientation = surf.get("orientation", "inward")
-    if orientation not in ("inward", "outward"):
-        raise ConfigError("surface.orientation must be inward or outward")
-    out["surface"]["orientation"] = orientation
-
-    outputs = _section(cfg, "outputs")
-    out["outputs"] = {"shi_tam": bool(outputs.get("shi_tam", False))}
-    # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
-    if out["outputs"]["shi_tam"] and k != 1.0:
-        raise ConfigError("outputs.shi_tam needs metric.k = 1")
 
     if cfg.get("asymptotic") is not None:
         asym = _section(cfg, "asymptotic")
@@ -184,14 +176,10 @@ def build_surface(cfg: dict) -> geo.SurfaceData:
     s = cfg["surface"]
     k = cfg["metric"]["k"]
     if s["type"] == "geodesic_sphere":
-        surface = geo.geodesic_sphere_surface(s["rho"], k, grid)
-    elif s["type"] == "coordinate_sphere":
-        surface = geo.coordinate_sphere_surface(s["r"], grid, k)
-    else:
-        surface = geo.radial_profile_surface(s["base"], s["linear"], k, grid)
-    if s["orientation"] == "outward":
-        surface.orientation_sign = -1
-    return surface
+        return geo.geodesic_sphere_surface(s["rho"], k, grid)
+    if s["type"] == "coordinate_sphere":
+        return geo.coordinate_sphere_surface(s["r"], grid, k)
+    return geo.radial_profile_surface(s["base"], s["linear"], k, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +250,8 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     data = massmod.surface_mass_data(surface, metric, iso_tol=iso_tol,
                                      forms=(forms, forms0))
     E = massmod.energy_momentum(surface, metric, data=data)
-    if cfg["outputs"]["shi_tam"]:
+    # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
+    if k == 1.0:
         alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
         M = massmod.shi_tam_vector(surface, metric, alpha, data=data)
         doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
@@ -285,6 +274,10 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
     radii = cfg["asymptotic"]["radii"]
     if len(radii) < 3:
         raise ConfigError("asymptotic.radii needs at least 3 entries")
+    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ConfigError("asymptotic.radii must be strictly decreasing")
+    if not 0.0 < radii[-1] < radii[0] <= 0.5:
+        raise ConfigError("asymptotic.radii must lie in (0, 0.5]")
     h = _sphere_tensor(cfg["asymptotic"]["h"])
     grid = geo.QuadratureGrid.build(cfg["resolution"]["n_theta"],
                                     cfg["resolution"]["n_phi"])
@@ -301,7 +294,8 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
     csv = "\n".join(lines) + "\n"
     _write_text(outdir / "asymptotic.csv", csv)
     print(f"extrapolated E: ({_fmt_vector(res.extrapolated, ', ')})")
-    print(f"max deviation from Upsilon/2: {_fmt(res.deviation.norm_inf())}")
+    print(f"max deviation from Upsilon/2: "
+          f"{_fmt(np.max(np.abs(res.deviation)))}")
     print(f"observed order: {_fmt(res.observed_order)}")
     return csv
 

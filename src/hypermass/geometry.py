@@ -289,26 +289,19 @@ class SurfaceData:
     geometry evaluates them on the grid axes ``theta[:, None]``,
     ``phi[None, :]``, and a graph of constant radius may return scalars, so
     that its node pass runs on the theta axis alone.  Normals point inward,
-    N^r < 0; ``orientation_sign`` = -1 flips them (useful only to probe
-    hypothesis failures).
+    N^r < 0.
     """
 
     F: Callable
     grid: QuadratureGrid
     k: float = 1.0
     F0: Optional[Callable] = None
-    orientation_sign: int = 1
-
-    def __post_init__(self):
-        if self.orientation_sign not in (1, -1):
-            raise DomainError("orientation_sign must be +1 or -1")
 
     def h3_view(self) -> "SurfaceData":
         """The H^3-side surface: F0 as a radial graph in H^3."""
         if self.F0 is None:
             raise MissingEmbedding("surface carries no hyperbolic embedding")
-        return SurfaceData(F=self.F0, grid=self.grid, k=self.k, F0=self.F0,
-                           orientation_sign=1)
+        return SurfaceData(F=self.F0, grid=self.grid, k=self.k, F0=self.F0)
 
 
 def _constant_graph(R: float) -> Callable:
@@ -415,12 +408,12 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
     W = sqrt(V + (R_theta^2 + R_phi^2 / sin^2 theta) / R^2):
 
         I  = [[R_t^2/V + R^2, R_t R_p/V], [R_t R_p/V, R_p^2/V + R^2 sin^2]]
-        II_ab = -(sigma/W) [R_ab - (V'/2V + 2/R) R_a R_b + c_ab]
+        II_ab = -(1/W) [R_ab - (V'/2V + 2/R) R_a R_b + c_ab]
 
     with c_tt = -R V, c_tp = -R_p cot theta, c_pp = -R V sin^2 theta +
-    R_t sin theta cos theta, and sigma = ``orientation_sign``: the normal is
-    inward, N^r < 0, so convex graphs get positive mean curvature (geodesic
-    spheres in H^3 get H = k coth(k rho)).
+    R_t sin theta cos theta: the normal is inward, N^r < 0, so convex graphs
+    get positive mean curvature (geodesic spheres in H^3 get
+    H = k coth(k rho)).
     """
     if metric.V is None:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
@@ -441,16 +434,18 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
         G = Rp * Rp / V + R2 * st2
         c = 0.5 * metric.dV(R) / V + 2.0 / R
         RV = R * V
-        scale = -surface.orientation_sign / np.sqrt(
-            V + (Rt * Rt + Rp * Rp / st2) / R2)
+        scale = -1.0 / np.sqrt(V + (Rt * Rt + Rp * Rp / st2) / R2)
         h_tt = scale * (Rtt - c * Rt * Rt - RV)
         h_tp = scale * (Rtp - c * Rt * Rp - Rp * ct / st)
         h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
         det = E * G - F * F
         H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
     if not (np.all(np.isfinite(H)) and np.all(np.isfinite(det))):
-        raise DomainError(f"the forms overflow a float on the surface up to "
-                          f"r = {np.max(R):.6g} in the {metric.tag} chart")
+        # det I = E G - F^2 of order R^4 is 0 only when it underflows
+        where = (f"underflow a float on the surface down to r = "
+                 f"{np.min(R):.6g}" if np.any(det == 0.0) else
+                 f"overflow a float on the surface up to r = {np.max(R):.6g}")
+        raise DomainError(f"the forms {where} in the {metric.tag} chart")
     shape = (grid.n_theta, grid.n_phi)
     return SurfaceForms(first=(E, F, G), second=(h_tt, h_tp, h_pp),
                         mean_curvature=_nodes(H, shape),

@@ -4,7 +4,8 @@ Poincare ball and the hyperboloid model.
 The hyperboloid (upper sheet of <X, X> = -1/k^2 in R^{3,1}) carries the
 positions that enter the mass integrals; surfaces live in the polar chart
 (areal radius R, unit direction u), and the explicit Killing spinor formulas
-are written in the Poincare ball.  Every map takes arrays of points.
+are written in the Poincare ball.  Every map takes arrays of points; the
+areal radii R (...) broadcast against the leading axes of directions u.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ def areal_to_minkowski(R: np.ndarray, u: np.ndarray,
                        k: float = 1.0) -> np.ndarray:
     """Hyperboloid points X = (R u, sqrt(1/k^2 + R^2)) of the H^3 points at
     areal radii R (...) in unit directions u (..., 3); shape (..., 4)."""
-    t = np.sqrt(1.0 / (k * k) + R * R)
-    return np.concatenate([R[..., None] * u, t[..., None]], axis=-1)
+    X = np.empty(np.broadcast_shapes(np.shape(R), u.shape[:-1]) + (4,))
+    np.multiply(R[..., None], u, out=X[..., :3])
+    X[..., 3] = np.sqrt(1.0 / (k * k) + R * R)
+    return X
 
 
 def areal_to_ball(R: np.ndarray, u: np.ndarray, k: float = 1.0) -> np.ndarray:

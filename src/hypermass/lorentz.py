@@ -49,28 +49,8 @@ class LorentzVector:
             if not math.isfinite(c):
                 raise ValueError(f"non-finite Lorentz component: {c!r}")
 
-    # numpy operands defer to the methods below, so np.float64(2) * v is
-    # still a LorentzVector and not the array of __array__
-    __array_ufunc__ = None
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3, self.t], dtype=dtype)
-
-    def __add__(self, other: "LorentzVector") -> "LorentzVector":
-        return LorentzVector(self.x1 + other.x1, self.x2 + other.x2,
-                             self.x3 + other.x3, self.t + other.t)
-
-    def __sub__(self, other: "LorentzVector") -> "LorentzVector":
-        return LorentzVector(self.x1 - other.x1, self.x2 - other.x2,
-                             self.x3 - other.x3, self.t - other.t)
-
-    def __mul__(self, s: float) -> "LorentzVector":
-        return LorentzVector(self.x1 * s, self.x2 * s, self.x3 * s, self.t * s)
-
-    __rmul__ = __mul__
-
-    def norm_inf(self) -> float:
-        return max(abs(self.x1), abs(self.x2), abs(self.x3), abs(self.t))
 
 
 def minkowski_inner(u, v):

@@ -249,12 +249,7 @@ def shi_tam_vector(surface: SurfaceData, ambient: MetricField, alpha: float,
     return d.weighted_vector(W)
 
 
-_DEFAULT_SPHERE_GRID = (64, 128)
-
-
-def _round_sphere_quadrature(grid: Optional[QuadratureGrid]):
-    if grid is None:
-        grid = QuadratureGrid.build(*_DEFAULT_SPHERE_GRID)
+def _round_sphere_quadrature(grid: QuadratureGrid):
     theta, phi = grid.node_axes()
     xhat = unit_directions(theta, phi).reshape(-1, 3)
     # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
@@ -262,8 +257,7 @@ def _round_sphere_quadrature(grid: Optional[QuadratureGrid]):
     return xhat, w.ravel()
 
 
-def wang_mass(h: SphereTensor,
-              grid: Optional[QuadratureGrid] = None) -> LorentzVector:
+def wang_mass(h: SphereTensor, grid: QuadratureGrid) -> LorentzVector:
     """Wang's AH energy-momentum from the mass-aspect tensor h.
 
     The scalar slot is int tr(h) dS and the vector slot int tr(h) x dS over
@@ -300,13 +294,13 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
 
 
 def ah_sphere_data(r: float, h: SphereTensor,
-                   grid: Optional[QuadratureGrid] = None) -> SurfaceMassData:
+                   grid: QuadratureGrid) -> SurfaceMassData:
     """Truncated small-sphere expansion data for the geodesic sphere S_r,
     0 < r <= 0.5, on a round-sphere grid (k = 1): H and H_0 from the collar
     expansions truncated at the printed orders (the omitted terms are o(r^3)
-    relative), the round dS over sinh^2 r, and the exact hyperboloid point
-    with sinh(rho_r) = 1/r, matching the displayed leading behavior
-    (x/r, 1/r), at ball radius tanh(rho_r/2) = 1/(r + sqrt(1 + r^2))."""
+    relative), the round dS over sinh^2 r, and the exact hyperboloid and
+    ball points at areal radius sinh(rho_r) = 1/r, matching the displayed
+    leading behavior (x/r, 1/r)."""
     if not 0.0 < r <= 0.5:
         raise DomainError("expansion data is valid for 0 < r <= 0.5")
     xhat, w = _round_sphere_quadrature(grid)
@@ -317,28 +311,24 @@ def ah_sphere_data(r: float, h: SphereTensor,
         raise NonPositiveMeanCurvature(
             f"expanded H <= 0 at node {node} for r = {r}", node=node)
     H0 = np.full_like(tau, math.cosh(r))
-    sinh_rho = 1.0 / r
-    cosh_rho = math.sqrt(1.0 + sinh_rho ** 2)
-    X = np.concatenate([sinh_rho * xhat,
-                        np.full((xhat.shape[0], 1), cosh_rho)], axis=1)
-    return SurfaceMassData(H=H, H0=H0, X=X,
-                           ball_points=xhat / (r + math.sqrt(1.0 + r * r)),
+    R = np.float64(1.0 / r)     # the areal radius of every node
+    return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, xhat),
+                           ball_points=areal_to_ball(R, xhat),
                            measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 
 @dataclass
 class AsymptoticResult:
     radii: list
-    energies: list                 # E(S_r) per radius
-    extrapolated: LorentzVector
-    upsilon_half: LorentzVector
-    deviation: LorentzVector       # extrapolated - upsilon/2
+    energies: np.ndarray           # E(S_r) per radius, (len(radii), 4)
+    extrapolated: np.ndarray       # (4,), like the two below
+    upsilon_half: np.ndarray
+    deviation: np.ndarray          # extrapolated - upsilon/2
     observed_order: float
 
 
 def asymptotic_limit(h: SphereTensor, radii,
-                     grid: Optional[QuadratureGrid] = None
-                     ) -> AsymptoticResult:
+                     grid: QuadratureGrid) -> AsymptoticResult:
     """E(S_r) along decreasing radii, Richardson limit and Upsilon/2 check.
 
     The extrapolation is two-point with assumed leading order 1 in r, using
@@ -350,18 +340,15 @@ def asymptotic_limit(h: SphereTensor, radii,
         raise DomainError("need at least three radii")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
-    energies = [ah_sphere_data(r, h, grid).energy() for r in radii]
-    upsilon = wang_mass(h, grid)
-    ups_half = 0.5 * upsilon
+    energies = np.array([ah_sphere_data(r, h, grid).energy() for r in radii])
+    ups_half = 0.5 * np.asarray(wang_mass(h, grid))
     r1, r2 = radii[-2], radii[-1]
     E1, E2 = energies[-2], energies[-1]
     extrap = (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)
-    d1 = (energies[-3] - E1).norm_inf()
-    d2 = (E1 - E2).norm_inf()
-    if d1 > 0 and d2 > 0:
-        order = math.log(d1 / d2) / math.log(radii[-3] / r1)
-    else:
-        order = math.inf
+    # the largest |component| of the last two steps of E(S_r)
+    d1, d2 = np.max(np.abs(np.diff(energies[-3:], axis=0)), axis=1)
+    order = (math.log(d1 / d2) / math.log(radii[-3] / r1)
+             if d1 > 0 and d2 > 0 else math.inf)
     return AsymptoticResult(radii=radii, energies=energies,
                             extrapolated=extrap, upsilon_half=ups_half,
                             deviation=extrap - ups_half,

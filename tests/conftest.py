@@ -104,6 +104,11 @@ def form_matrices(forms, grid):
                                second=matrix(forms.second))
 
 
+def norm_inf(v) -> float:
+    """The largest |component| of a 4-vector or array ``v``."""
+    return float(np.max(np.abs(np.asarray(v))))
+
+
 def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:
     """Sampled sufficient test: true iff <v, zeta> < -tol for every sample
     row of ``samples`` (n, 4).

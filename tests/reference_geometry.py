@@ -270,16 +270,16 @@ def forms(jet, grid, chart: Chart, radial=cartesian_radial,
     return Forms(*flat)
 
 
-def polar_forms(surface, metric, F=None) -> Forms:
+def polar_forms(surface, metric, F=None, orientation_sign: int = 1) -> Forms:
     """Reference forms of the graph ``F`` (default ``surface.F``) in the
-    polar chart of the package metric ``metric``."""
+    polar chart of the package metric ``metric``, for the normal with
+    N^r < 0 times ``orientation_sign``."""
     return forms(polar_jet(F or surface.F), surface.grid, polar_chart(metric),
-                 polar_radial, surface.orientation_sign)
+                 polar_radial, orientation_sign)
 
 
 def ball_forms(surface, F=None) -> Forms:
     """Reference forms of the H^3 graph ``F`` (default ``surface.F``) in the
     Poincare ball of curvature -k^2."""
     return forms(ball_jet(F or surface.F, surface.k), surface.grid,
-                 ball_chart(surface.k), cartesian_radial,
-                 surface.orientation_sign)
+                 ball_chart(surface.k), cartesian_radial)

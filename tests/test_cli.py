@@ -62,9 +62,11 @@ surface: {type: radial_profile, base: 1.5, linear: [0.1, -0.05, 0.1]}
 resolution: {n_theta: 16, n_phi: 32}
 """
 
-REVERSED_CONFIG = """
+# geodesic radius 1 + 0.95 cos theta, not convex: H = -50.8 at its node
+# nearest the south pole
+NONCONVEX_CONFIG = """
 metric: {type: hyperbolic_ball, k: 1.0}
-surface: {type: geodesic_sphere, rho: 1.0, orientation: outward}
+surface: {type: radial_profile, base: 1.0, linear: [0, 0, 0.95]}
 resolution: {n_theta: 16, n_phi: 32}
 """
 
@@ -138,6 +140,19 @@ class TestMassCommand:
         assert abs(doc["alpha"] - 1.0 / math.tanh(1.0)) < 1e-6
         assert max(abs(c) for c in doc["M_alpha"]) < 1e-10
 
+    def test_shi_tam_exactly_at_k1(self, tmp_path):
+        # alpha(R1, R2) is stated at k = 1: M_alpha is reported there and
+        # only there; GEO_CONFIG's retired outputs.shi_tam switch loads and
+        # is ignored, like any unknown key
+        for text, k1 in ((ADS_CONFIG, True),
+                         (GEO_CONFIG.replace("k: 1.0", "k: 2.0"), False)):
+            cfg = write(tmp_path, "k.yaml", text)
+            assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+            doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
+            assert (doc["M_alpha"] is not None) is k1
+            assert (doc["alpha"] is not None) is k1
+            assert doc["E"] is not None
+
     def test_report_embeds_resolved_config(self, tmp_path):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         run(["mass", cfg, "--output", str(tmp_path / "o")])
@@ -198,8 +213,8 @@ class TestMassCommand:
         assert doc["hypothesis_checks"]["passed"] is False
         assert doc["E"] is None
 
-    def test_reversed_orientation_fails_checks(self, tmp_path):
-        cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
+    def test_nonconvex_surface_fails_checks(self, tmp_path):
+        cfg = write(tmp_path, "bad.yaml", NONCONVEX_CONFIG)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
         assert code == 3
         assert "min_mean_curvature = -" in err
@@ -210,7 +225,7 @@ class TestMassCommand:
         assert doc["E"] is None
 
     def test_failure_report_layout(self, tmp_path):
-        cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
+        cfg = write(tmp_path, "bad.yaml", NONCONVEX_CONFIG)
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 3
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
         assert set(doc) == REPORT_KEYS
@@ -246,7 +261,7 @@ class TestMassCommand:
     def test_force_propagates_numeric_error(self, tmp_path):
         # --force bypasses the checks, but H <= 0 stays a hard error inside
         # the integrand, reported with its node coordinates
-        cfg = write(tmp_path, "bad.yaml", REVERSED_CONFIG)
+        cfg = write(tmp_path, "bad.yaml", NONCONVEX_CONFIG)
         code, _, err = run(["mass", cfg, "--force",
                             "--output", str(tmp_path / "o")])
         assert code == 1
@@ -299,11 +314,12 @@ class TestMassCommand:
         "surface: {type: geodesic_sphere, rho: -1.0}",
         "surface: {type: coordinate_sphere, r: 0.0}",
         "surface: {type: radial_profile, base: 0.5, linear: [0.3, 0.4, 0.0]}",
-        "metric: {k: 2.0}\noutputs: {shi_tam: true}",
+        "metric: {k: 1.0e-170}",
+        "metric: {type: euclidean, k: 1.0e-310}",
     ], ids=["nan_mass", "negative_mass", "infinite_r",
             "scalar_surface_linear", "scalar_h_linear", "scalar_asymptotic",
             "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
-            "shi_tam_off_k1"])
+            "k_squared_underflows", "subnormal_k"])
     def test_bad_values_are_config_errors(self, tmp_path, text):
         cfg = write(tmp_path, "bad.yaml", text)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
@@ -325,6 +341,14 @@ class TestMassCommand:
     def test_overflowing_mass_aspect_is_a_domain_error(self, tmp_path):
         assert_one_error_line(tmp_path, ["asymptotic"],
                               OVERFLOWING_ASPECT_CONFIG)
+
+    def test_underflowing_geometry_names_the_underflow(self, tmp_path):
+        # det I ~ r^4 = 1e-400 underflows to 0 before anything overflows
+        err = assert_one_error_line(
+            tmp_path, ["mass"], "metric: {type: euclidean}\n"
+            "surface: {type: coordinate_sphere, r: 1.0e-100}")
+        assert err == ("error: the forms underflow a float on the surface "
+                       "down to r = 1e-100 in the Euclidean chart\n")
 
     def test_tolerance_defaults_are_the_library_defaults(self):
         tols = cli.resolve_config({})["tolerances"]
@@ -348,6 +372,7 @@ def assert_one_error_line(tmp_path, command, text):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
+    return proc.stderr
 
 
 class TestNodePass:
@@ -452,6 +477,22 @@ class TestAsymptoticCommand:
     def test_missing_section_rejected(self, tmp_path):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         assert run(["asymptotic", cfg, "--output", str(tmp_path)])[0] == 2
+
+    @pytest.mark.parametrize("radii, rule", [
+        ("[0.2, 0.3, 0.1]", "must be strictly decreasing"),
+        ("[0.2, 0.1, 0.1]", "must be strictly decreasing"),
+        ("[0.6, 0.2, 0.1]", "must lie in (0, 0.5]"),
+        ("[0.2, 0.1, 0.0]", "must lie in (0, 0.5]"),
+        ("[0.2, 0.1, -0.05]", "must lie in (0, 0.5]")],
+        ids=["increasing", "repeated", "above_half", "zero", "negative"])
+    def test_bad_radii_are_config_errors(self, tmp_path, radii, rule):
+        cfg = write(tmp_path, "r.yaml", GEO_CONFIG.replace(
+            "[0.2, 0.1, 0.05]", radii))
+        code, _, err = run(["asymptotic", cfg,
+                            "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert err == f"config error: asymptotic.radii {rule}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSpinorCheckCommand:
@@ -596,6 +637,28 @@ SWEEP_CONFIG = json.dumps({
 def readme_configs():
     text = (ROOT / "README.md").read_text()
     return re.findall(r"```yaml\n(.*?)```", text, re.S)
+
+
+def _key_paths(tree, prefix=()):
+    """The path of every key of the nested mappings ``tree``."""
+    for key, value in tree.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def test_readme_examples_set_no_dead_key():
+    # every key a README example sets is read: the resolved config has it
+    texts = readme_configs()
+    assert texts
+    for text in texts:
+        tree = yaml.safe_load(text)
+        resolved = cli.resolve_config(tree)
+        for path in _key_paths(tree):
+            node = resolved
+            for key in path:
+                assert key in node, ".".join(path)
+                node = node[key]
 
 
 class TestYamlLoader:

@@ -678,16 +678,15 @@ class TestClosedFormAgainstReference:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_inward_normal_in_polar_chart(self, grid16, sign):
         # the reference normal with N^r < 0 at every node of a tilted graph
-        # (or its flip) gives the closed form's II: the inward test in the
-        # polar chart is N^r < 0, not N . p < 0
+        # gives the closed form's II, and its flip gives -II: the inward
+        # test in the polar chart is N^r < 0, not N . p < 0
         surface = radial_profile_surface(1.0, _seeded_tilt(4), 1.0, grid16)
-        surface.orientation_sign = sign
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        old = ref.polar_forms(surface, metric)
+        old = ref.polar_forms(surface, metric, orientation_sign=sign)
         assert np.all(sign * old.normal[:, 0] < 0.0)
         forms = form_matrices(surface_forms(surface, metric), grid16)
-        assert rel_err(forms.second, old.second) <= FORMS_TOL
-        assert np.all(sign * forms.mean_curvature > 0.0)
+        assert rel_err(forms.second, sign * old.second) <= FORMS_TOL
+        assert np.all(forms.mean_curvature > 0.0)
 
     @pytest.mark.parametrize("name", ["euclidean", "hyperbolic", "ads"])
     def test_scalar_curvature_matches_stencil(self, name):
