@@ -16,6 +16,7 @@ scalar curvature is closed form too (:func:`scalar_curvature`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,6 +50,13 @@ _HORIZON_MARGIN = 0.1
 
 # ---------------------------------------------------------------------------
 # metrics
+
+
+def _check_k(k: float) -> None:
+    """Curvature scale k > 0 with k^2 a normal float, so 1/k^2 is finite."""
+    if not (k > 0 and k * k >= sys.float_info.min):
+        raise DomainError(f"curvature scale k = {k!r} must be positive, "
+                          f"with k^2 a normal float")
 
 
 @dataclass
@@ -94,8 +102,7 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
     """H^3_{-k^2} in areal radius: V = 1 + k^2 r^2 (the CLI's
     ``hyperbolic_ball``; a point at areal radius r lies at ball radius
     k r / (1 + sqrt(1 + k^2 r^2)) of the Poincare ball)."""
-    if k <= 0:
-        raise DomainError("curvature scale k must be positive")
+    _check_k(k)
     k2 = k * k
     return _warped_product("Hyperbolic", lambda r: 1.0 + k2 * r * r,
                            lambda r: 2.0 * k2 * r)
@@ -112,8 +119,9 @@ def ads_horizon_radius(m: float, k: float) -> float:
 def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     """Static AdS-Schwarzschild slice: V = 1 + k^2 r^2 - 2m/r, on the chart
     r > r_horizon + 0.1, so that V > 0."""
-    if m < 0 or k <= 0:
-        raise DomainError("need m >= 0 and k > 0")
+    if m < 0:
+        raise DomainError("need m >= 0")
+    _check_k(k)
     k2 = k * k
     return _warped_product(
         "AdSSchwarzschild", lambda r: 1.0 + k2 * r * r - 2.0 * m / r,
@@ -144,16 +152,13 @@ class SphereTensor:
         return 2.0 * self.g0_coeff + np.asarray(xhat) @ a
 
 
-def wang_ah_metric(h: SphereTensor, k: float = 1.0) -> MetricField:
-    """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r).
+def wang_ah_metric(h: SphereTensor) -> MetricField:
+    """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r), a
+    normal form stated at k = 1.
 
-    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h.  Only
-    k = 1 is meaningful for this normal form.  Library only: no surface of
-    the node pass runs in it.
+    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h.
+    Library only: no surface of the node pass runs in it.
     """
-    if k != 1.0:
-        raise DomainError("the AH collar normal form is stated at k = 1")
-
     def comps(p):
         p = np.asarray(p)
         r, th = p[..., 0], p[..., 1]
@@ -326,8 +331,6 @@ def _tilted_graph(base: float, tilt: np.ndarray, k: float) -> Callable:
         s = st * P + ct * a3
         s_t, s_p = ct * P - st * a3, st * Q
         rho = base + s
-        if np.any(rho <= 0):
-            raise DomainError("radial profile must stay positive")
         R = np.sinh(k * rho) / k
         R1 = np.cosh(k * rho)          # dR/ds
         R2 = (k * k) * R               # d^2R/ds^2
@@ -342,8 +345,6 @@ def geodesic_sphere_surface(rho: float, k: float,
                             grid: QuadratureGrid) -> SurfaceData:
     """Geodesic sphere of radius rho about the origin of H^3: the areal
     radius sinh(k rho)/k."""
-    if rho <= 0:
-        raise DomainError("rho must be positive")
     return radial_profile_surface(rho, (0.0, 0.0, 0.0), k, grid)
 
 
@@ -356,6 +357,7 @@ def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
     """
     if r <= 0:
         raise DomainError("r must be positive")
+    _check_k(k)
     F = _constant_graph(float(r))
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
 
@@ -364,19 +366,19 @@ def radial_profile_surface(base: float, linear, k: float,
                            grid: QuadratureGrid) -> SurfaceData:
     """Star-shaped surface in H^3: geodesic radius base + linear . direction,
     as the graph of its areal radius."""
+    _check_k(k)
     tilt = np.asarray(linear, dtype=float).reshape(3)
-    top = base + math.hypot(*tilt)      # the greatest geodesic radius
+    amplitude = math.hypot(*tilt)
+    if not base > amplitude:
+        raise DomainError(f"the least geodesic radius base - |linear| = "
+                          f"{base - amplitude:.6g} must be positive")
+    top = base + amplitude              # the greatest geodesic radius
     try:
         R = math.sinh(k * top) / k
     except OverflowError:
         raise DomainError(f"the areal radius at geodesic radius {top:.6g} "
                           f"overflows a float") from None
-    if tilt.any():
-        F = _tilted_graph(base, tilt, k)
-    elif base > 0:
-        F = _constant_graph(R)
-    else:
-        raise DomainError("radial profile must stay positive")
+    F = _tilted_graph(base, tilt, k) if tilt.any() else _constant_graph(R)
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
 
 

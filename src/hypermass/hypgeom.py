@@ -19,7 +19,6 @@ from .errors import DomainError
 __all__ = [
     "radial_bounds",
     "areal_to_minkowski",
-    "areal_to_ball",
     "ball_to_minkowski",
 ]
 
@@ -32,13 +31,6 @@ def areal_to_minkowski(R: np.ndarray, u: np.ndarray,
     np.multiply(R[..., None], u, out=X[..., :3])
     X[..., 3] = np.sqrt(1.0 / (k * k) + R * R)
     return X
-
-
-def areal_to_ball(R: np.ndarray, u: np.ndarray, k: float = 1.0) -> np.ndarray:
-    """Poincare-ball points k R u / (1 + sqrt(1 + k^2 R^2)) of the H^3
-    points at areal radii R (...) in unit directions u (..., 3)."""
-    kR = k * R
-    return (kR / (1.0 + np.sqrt(1.0 + kR * kR)))[..., None] * u
 
 
 def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:

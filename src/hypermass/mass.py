@@ -39,7 +39,7 @@ from .errors import DomainError, IsometryViolation, NonPositiveMeanCurvature
 from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        SurfaceForms, hyperbolic_ball_metric, surface_forms,
                        unit_directions)
-from .hypgeom import areal_to_ball, areal_to_minkowski
+from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import _as_spinor, killing_spinor_norms_sq
 
@@ -110,12 +110,12 @@ def _fsum_rows(rows: np.ndarray) -> list:
 @dataclass
 class SurfaceMassData:
     """Node data entering every mass integral: a surface in its ambient
-    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`)."""
+    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`).
+    Positions are stored once, as X; :attr:`ball_points` derives from it."""
 
     H: np.ndarray            # ambient-side mean curvature (N,)
     H0: np.ndarray           # H^3-side mean curvature (N,)
-    X: np.ndarray            # hyperboloid positions (N, 4)
-    ball_points: np.ndarray  # Poincare-ball coordinates of F0 nodes (N, 3)
+    X: np.ndarray            # hyperboloid positions of F0's nodes (N, 4)
     measure: np.ndarray      # quadrature weight * area element (N,)
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
@@ -136,6 +136,11 @@ class SurfaceMassData:
     def area(self) -> float:
         """int dSigma, the exact sum of the measure."""
         return _fsum_rows(self.measure[None])[0]
+
+    @property
+    def ball_points(self) -> np.ndarray:
+        """Poincare-ball points k X_s / (1 + k X_t) of the nodes (N, 3)."""
+        return self.k * self.X[:, :3] / (1.0 + self.k * self.X[:, 3:])
 
     @property
     def weight(self) -> np.ndarray:
@@ -211,7 +216,6 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     u = unit_directions(*surface.grid.node_axes()).reshape(-1, 3)
     return SurfaceMassData(H=H, H0=forms0.mean_curvature,
                            X=areal_to_minkowski(R0, u, k),
-                           ball_points=areal_to_ball(R0, u, k),
                            measure=(surface.grid.measure_weights()
                                     * forms.area_element),
                            k=k)
@@ -298,9 +302,9 @@ def ah_sphere_data(r: float, h: SphereTensor,
     """Truncated small-sphere expansion data for the geodesic sphere S_r,
     0 < r <= 0.5, on a round-sphere grid (k = 1): H and H_0 from the collar
     expansions truncated at the printed orders (the omitted terms are o(r^3)
-    relative), the round dS over sinh^2 r, and the exact hyperboloid and
-    ball points at areal radius sinh(rho_r) = 1/r, matching the displayed
-    leading behavior (x/r, 1/r)."""
+    relative), the round dS over sinh^2 r, and the exact hyperboloid points
+    at areal radius sinh(rho_r) = 1/r, matching the displayed leading
+    behavior (x/r, 1/r)."""
     if not 0.0 < r <= 0.5:
         raise DomainError("expansion data is valid for 0 < r <= 0.5")
     xhat, w = _round_sphere_quadrature(grid)
@@ -313,7 +317,6 @@ def ah_sphere_data(r: float, h: SphereTensor,
     H0 = np.full_like(tau, math.cosh(r))
     R = np.float64(1.0 / r)     # the areal radius of every node
     return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, xhat),
-                           ball_points=areal_to_ball(R, xhat),
                            measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 

@@ -440,6 +440,12 @@ class TestMeanCurvature:
         inside = SurfaceData(F=scaled_sphere(0.25), grid=grid16, k=1.0)
         with pytest.raises(DomainError):
             surface_forms(inside, ads_schwarzschild_metric(ADS_M, 1.0))
+        # the factories refuse a profile whose least geodesic radius is
+        # <= 0 though no node lands on it, and a k of no H^3, up front
+        with pytest.raises(DomainError, match="least geodesic radius"):
+            radial_profile_surface(0.5, (0.3, 0.4, 0.0), 1.0, grid16)
+        with pytest.raises(DomainError, match="curvature scale"):
+            geodesic_sphere_surface(1.0, 0.0, grid16)
 
     def test_collar_metric_is_refused(self, grid16):
         # the AH collar is no warped product: the node pass cannot run there

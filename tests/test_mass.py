@@ -20,8 +20,7 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, surface_forms,
                                 unit_directions)
-from hypermass.hypgeom import (areal_to_ball, areal_to_minkowski,
-                               ball_to_minkowski)
+from hypermass.hypgeom import areal_to_minkowski, ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass import cli
@@ -98,7 +97,6 @@ class TestEnergyMomentum:
         data = massmod.SurfaceMassData(
             H=moved.mean_curvature, H0=forms0.mean_curvature,
             X=areal_to_minkowski(forms0.radius, u),
-            ball_points=areal_to_ball(forms0.radius, u),
             measure=grid64.measure_weights() * moved.area_element, k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
@@ -515,9 +513,14 @@ class TestSurfaceMassData:
             data.weighted(np.full_like(data.H, np.inf))
         far = massmod.SurfaceMassData(
             H=np.ones(2), H0=np.full(2, 1e300), X=np.full((2, 4), 1e10),
-            ball_points=np.zeros((2, 3)), measure=np.ones(2), k=1.0)
+            measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(None, None, 1.0, data=far)
+        # X_t = sqrt(1/k^2 + R^2) divides by k^2, so a k whose square
+        # underflows is refused before any node is built
+        with pytest.raises(DomainError, match="k\\^2 a normal float"):
+            surface_mass_data(coordinate_sphere_surface(
+                2.0, QuadratureGrid.build(8, 16), 1e-170), euclidean_metric())
 
     def test_positivity_sampled(self, ads_scenarios, rigid_scenarios):
         for r in ADS_RADII:
@@ -624,7 +627,7 @@ class TestExactSums:
         assert massmod._fsum_rows(cols.T) == [math.fsum(c) for c in cols.T]
 
 
-NODE_FIELDS = ("H", "H0", "X", "measure", "ball_points")
+NODE_FIELDS = ("H", "H0", "X", "measure")
 
 
 def _node_bytes(data):

@@ -105,17 +105,29 @@ def test_every_error_type_is_raised():
     assert types and types - raised == set()
 
 
+def _member_name(item):
+    """The name a class body item defines as a method, property or
+    annotated field, or None."""
+    if isinstance(item, ast.FunctionDef):
+        return item.name
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        return item.target.id
+    return None
+
+
 def _public_defs(tree):
     """(name, node) of each public module-level function and class of a
-    module, and of each public method and property of its classes."""
+    module, and of each public method, property and annotated field (a
+    dataclass's stored fields) of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.name, node
             if isinstance(node, ast.ClassDef):
-                yield from ((item.name, item) for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_"))
+                for item in node.body:
+                    name = _member_name(item)
+                    if name and not name.startswith("_"):
+                        yield name, item
 
 
 def _references(node, outside=None, found=None):
@@ -139,9 +151,9 @@ def _references(node, outside=None, found=None):
 
 
 def test_src_holds_no_test_only_code():
-    # every public function, class, method and property of the package is
-    # used by name from the package or the benchmark's programs (not its
-    # tests), outside its own body
+    # every public function, class, method, property and stored field of
+    # the package is used by name from the package or the benchmark's
+    # programs (not its tests), outside its own body
     trees = {path: ast.parse(path.read_text()) for path in
              sorted((ROOT / "src" / "hypermass").glob("*.py"))
              + sorted((ROOT / "bench").glob("*.py"))
