@@ -88,15 +88,14 @@ def _section(node: dict, key: str) -> dict:
     return value
 
 
-def _sphere_tensor(node) -> geo.SphereTensor:
-    if node is None:
-        return geo.SphereTensor()
+def _sphere_tensor(node) -> dict:
+    """The asymptotic.h entry, validated, as SphereTensor's arguments."""
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError("h tensor entry must be a mapping")
-    return geo.SphereTensor(
-        g0_coeff=_number(node.get("g0_coeff", 0.0), "h.g0_coeff"),
-        linear=tuple(_numbers(node.get("linear", [0.0, 0.0, 0.0]),
-                              "h.linear", 3)))
+    return {"g0_coeff": _number(node.get("g0_coeff", 0.0), "h.g0_coeff"),
+            "linear": _numbers(node.get("linear", [0.0, 0.0, 0.0]),
+                               "h.linear", 3)}
 
 
 def resolve_config(cfg: dict) -> dict:
@@ -153,9 +152,8 @@ def resolve_config(cfg: dict) -> dict:
 
     if cfg.get("asymptotic") is not None:
         asym = _section(cfg, "asymptotic")
-        h = _sphere_tensor(asym.get("h"))
         out["asymptotic"] = {
-            "h": {"g0_coeff": h.g0_coeff, "linear": list(h.linear)},
+            "h": _sphere_tensor(asym.get("h")),
             "radii": _numbers(asym.get("radii", []), "asymptotic.radii"),
         }
     return out
@@ -278,25 +276,27 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
         raise ConfigError("asymptotic.radii must be strictly decreasing")
     if not 0.0 < radii[-1] < radii[0] <= 0.5:
         raise ConfigError("asymptotic.radii must lie in (0, 0.5]")
-    h = _sphere_tensor(cfg["asymptotic"]["h"])
+    h = geo.SphereTensor(**cfg["asymptotic"]["h"])
     grid = geo.QuadratureGrid.build(cfg["resolution"]["n_theta"],
                                     cfg["resolution"]["n_phi"])
-    res = massmod.asymptotic_limit(h, radii, grid)
+    energies, extrapolated = massmod.asymptotic_limit(h, radii, grid)
+    upsilon_half = 0.5 * np.asarray(massmod.wang_mass(h, grid))
+    deviation = extrapolated - upsilon_half
+    order = observed_orders(energies, [1.0 / r for r in radii])[-1]
 
     lines = ["label,r,x1,x2,x3,t"]
-    for r, E in zip(res.radii, res.energies):
+    for r, E in zip(radii, energies):
         lines.append(f"E,{_fmt(r)},{_fmt_vector(E)}")
-    for label, v in [("extrapolated", res.extrapolated),
-                     ("upsilon_half", res.upsilon_half),
-                     ("deviation", res.deviation)]:
+    for label, v in [("extrapolated", extrapolated),
+                     ("upsilon_half", upsilon_half),
+                     ("deviation", deviation)]:
         lines.append(f"{label},,{_fmt_vector(v)}")
-    lines.append(f"observed_order,,{_fmt(res.observed_order)},,,")
+    lines.append(f"observed_order,,{order},,,")
     csv = "\n".join(lines) + "\n"
     _write_text(outdir / "asymptotic.csv", csv)
-    print(f"extrapolated E: ({_fmt_vector(res.extrapolated, ', ')})")
-    print(f"max deviation from Upsilon/2: "
-          f"{_fmt(np.max(np.abs(res.deviation)))}")
-    print(f"observed order: {_fmt(res.observed_order)}")
+    print(f"extrapolated E: ({_fmt_vector(extrapolated, ', ')})")
+    print(f"max deviation from Upsilon/2: {_fmt(np.max(np.abs(deviation)))}")
+    print(f"observed order: {order}")
     return csv
 
 
@@ -331,18 +331,21 @@ def run_spinor_check(seed: int, count: int) -> int:
 
 
 def observed_orders(values, sizes) -> list:
-    """Observed convergence order of each value from it and the two before
-    it, at grid sizes ``sizes``: blank for the first two, and ``floor`` when
-    a successive difference is at most 64 eps |value|, i.e. roundoff."""
+    """Observed convergence order of each value, a number or a vector, from
+    it and the two before it at grid sizes ``sizes``: with d1, d2 the
+    max-norms of the two successive differences, log(d1/d2) over the log of
+    the earlier pair's size ratio.  Blank for the first two, and ``floor``
+    when d1 or d2 is at most 64 eps |value|, i.e. roundoff."""
+    values = np.asarray(values, dtype=float).reshape(len(values), -1)
     out = ["", ""]
     for i in range(2, len(values)):
-        d1 = abs(values[i - 1] - values[i - 2])
-        d2 = abs(values[i] - values[i - 1])
-        scale = max(map(abs, values[i - 2:i + 1]))
+        window = values[i - 2:i + 1]
+        d1, d2 = np.max(np.abs(np.diff(window, axis=0)), axis=1)
+        scale = np.max(np.abs(window))
         if min(d1, d2) <= 64.0 * sys.float_info.epsilon * scale:
             out.append("floor")
         else:
-            p = math.log(d1 / d2) / math.log(sizes[i] / sizes[i - 1])
+            p = math.log(d1 / d2) / math.log(sizes[i - 1] / sizes[i - 2])
             out.append(_fmt(p))
     return out
 

@@ -119,7 +119,7 @@ def ads_horizon_radius(m: float, k: float) -> float:
 def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     """Static AdS-Schwarzschild slice: V = 1 + k^2 r^2 - 2m/r, on the chart
     r > r_horizon + 0.1, so that V > 0."""
-    if m < 0:
+    if not m >= 0:              # NaN included
         raise DomainError("need m >= 0")
     _check_k(k)
     k2 = k * k
@@ -355,7 +355,7 @@ def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
     The induced metric is r^2 g_0, so the isometric image is the sphere of
     the same areal radius in H^3: F0 is the same jet.
     """
-    if r <= 0:
+    if not r > 0:               # NaN included
         raise DomainError("r must be positive")
     _check_k(k)
     F = _constant_graph(float(r))

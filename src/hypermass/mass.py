@@ -44,7 +44,6 @@ from .lorentz import LorentzVector
 from .spinor import _as_spinor, killing_spinor_norms_sq
 
 __all__ = [
-    "AsymptoticResult",
     "SurfaceMassData",
     "mass_forms",
     "isometry_mismatch",
@@ -67,9 +66,9 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 def _fsum_rows(rows: np.ndarray) -> list:
     """``[math.fsum(row) for row in rows]`` of a float (m, N) array by
     error-free extraction (module docstring), in two buffers of N values of
-    its own: the rows are only read.  A row with a non-finite entry sums to
-    its plain sum, nan or +-inf (where fsum raises on inf - inf), and a row
-    whose extraction constant would overflow goes to ``math.fsum`` itself."""
+    its own: the rows are only read.  A row whose extraction constant would
+    overflow goes to ``math.fsum`` itself, and a sum that is not a finite
+    float (an integrand overflowed) is a DomainError."""
     rows = np.ascontiguousarray(rows, dtype=float)
     n = rows.shape[1]
     M = (n + 1).bit_length()          # 2^M >= n + 2
@@ -82,7 +81,10 @@ def _fsum_rows(rows: np.ndarray) -> list:
     for p in rows:
         big = max(p.max(), -p.min())
         if not big < 2.0 ** (1023 - M):   # nan, inf or near the overflow
-            out.append(math.fsum(p) if math.isfinite(big) else float(p.sum()))
+            try:
+                out.append(math.fsum(p))
+            except (OverflowError, ValueError):   # past the range, inf - inf
+                out.append(math.nan)
             continue
         parts = []                    # exact partial sums
         while True:
@@ -100,6 +102,8 @@ def _fsum_rows(rows: np.ndarray) -> list:
             if lo == math.fsum((*parts, s, d)):
                 out.append(lo)
                 break
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"a node integral overflows a float: {out}")
     return out
 
 
@@ -122,11 +126,8 @@ class SurfaceMassData:
 
     def weighted(self, values: np.ndarray):
         """The exact sum of measure * values over the nodes: a float for
-        values (N,), a list of floats for rows (m, N), one per row.  A sum
-        that is not finite (an integrand overflowed) is a DomainError."""
+        values (N,), a list of floats for rows (m, N), one per row."""
         sums = _fsum_rows(self.measure * np.atleast_2d(values))
-        if not all(map(math.isfinite, sums)):
-            raise DomainError(f"a node integral overflows a float: {sums}")
         return sums[0] if values.ndim == 1 else sums
 
     def weighted_vector(self, rows: np.ndarray) -> LorentzVector:
@@ -261,6 +262,7 @@ def _round_sphere_quadrature(grid: QuadratureGrid):
     return xhat, w.ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wang_mass(h: SphereTensor, grid: QuadratureGrid) -> LorentzVector:
     """Wang's AH energy-momentum from the mass-aspect tensor h.
 
@@ -320,23 +322,13 @@ def ah_sphere_data(r: float, h: SphereTensor,
                            measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 
-@dataclass
-class AsymptoticResult:
-    radii: list
-    energies: np.ndarray           # E(S_r) per radius, (len(radii), 4)
-    extrapolated: np.ndarray       # (4,), like the two below
-    upsilon_half: np.ndarray
-    deviation: np.ndarray          # extrapolated - upsilon/2
-    observed_order: float
-
-
-def asymptotic_limit(h: SphereTensor, radii,
-                     grid: QuadratureGrid) -> AsymptoticResult:
-    """E(S_r) along decreasing radii, Richardson limit and Upsilon/2 check.
+def asymptotic_limit(h: SphereTensor, radii, grid: QuadratureGrid) -> tuple:
+    """E(S_r) along decreasing radii and its Richardson limit, as the pair
+    ``(energies, extrapolated)`` of shapes (len(radii), 4) and (4,).
 
     The extrapolation is two-point with assumed leading order 1 in r, using
-    the two smallest radii; at least three radii are required so the
-    observed convergence order can be reported alongside.
+    the two smallest radii; at least three radii are required so that an
+    observed order can be read off the series alongside.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -344,15 +336,5 @@ def asymptotic_limit(h: SphereTensor, radii,
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
     energies = np.array([ah_sphere_data(r, h, grid).energy() for r in radii])
-    ups_half = 0.5 * np.asarray(wang_mass(h, grid))
-    r1, r2 = radii[-2], radii[-1]
-    E1, E2 = energies[-2], energies[-1]
-    extrap = (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)
-    # the largest |component| of the last two steps of E(S_r)
-    d1, d2 = np.max(np.abs(np.diff(energies[-3:], axis=0)), axis=1)
-    order = (math.log(d1 / d2) / math.log(radii[-3] / r1)
-             if d1 > 0 and d2 > 0 else math.inf)
-    return AsymptoticResult(radii=radii, energies=energies,
-                            extrapolated=extrap, upsilon_half=ups_half,
-                            deviation=extrap - ups_half,
-                            observed_order=order)
+    (r1, r2), (E1, E2) = radii[-2:], energies[-2:]
+    return energies, (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)

@@ -14,6 +14,7 @@ from hypermass.lorentz import minkowski_inner
 ADS_M = 0.1
 ADS_RADII = (1.0, 2.0, 4.0)
 RIGID_RADII = (0.5, 1.0, 2.0)
+ASYMPTOTIC_RADII = (0.2, 0.1, 0.05)
 
 
 def ads_potential(r, m=ADS_M, k=1.0):
@@ -66,14 +67,16 @@ def ads_scenarios(grid64, ads_metric):
 
 @pytest.fixture(scope="session")
 def asymptotic_results(grid32):
-    """asymptotic_limit for the three acceptance mass-aspect fields."""
-    radii = [0.2, 0.1, 0.05]
+    """For the three acceptance mass-aspect fields: the asymptotic_limit
+    pair (energies, extrapolated) at ASYMPTOTIC_RADII, and Upsilon/2 of
+    wang_mass, as a triple."""
     fields = {
         "half_g0": geo.SphereTensor(g0_coeff=0.5),
         "g0": geo.SphereTensor(g0_coeff=1.0),
         "x3": geo.SphereTensor(linear=(0.0, 0.0, 1.0)),
     }
-    return {name: massmod.asymptotic_limit(h, radii, grid32)
+    return {name: (*massmod.asymptotic_limit(h, ASYMPTOTIC_RADII, grid32),
+                   0.5 * np.asarray(massmod.wang_mass(h, grid32)))
             for name, h in fields.items()}
 
 

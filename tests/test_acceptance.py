@@ -23,12 +23,14 @@ from hypermass.geometry import (SphereTensor, ads_schwarzschild_metric,
                                 surface_forms)
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
-from hypermass.mass import killing_weighted_mass, shi_tam_alpha
+from hypermass.mass import (asymptotic_limit, killing_weighted_mass,
+                            shi_tam_alpha)
 from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
-from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      classify_by_null_pairings, exact_ads_energy,
-                      make_classified_vector, norm_inf, random_spinors)
+from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
+                      ads_potential, classify_by_null_pairings,
+                      exact_ads_energy, make_classified_vector, norm_inf,
+                      random_spinors)
 
 
 def report(tag, ok, detail):
@@ -124,12 +126,11 @@ def test_criterion_4_dual_path(rigid_scenarios, ads_scenarios,
 
 def test_criterion_5_asymptotic_limit(asymptotic_results, grid64):
     worst = 0.0
-    for name, res in asymptotic_results.items():
-        scale = max(norm_inf(res.upsilon_half), 1.0)
-        worst = max(worst, norm_inf(res.deviation) / scale)
-    from hypermass.mass import asymptotic_limit
-    zero = asymptotic_limit(SphereTensor(), [0.2, 0.1, 0.05], grid64)
-    zero_exact = norm_inf(zero.extrapolated) == 0.0
+    for name, (_, extrapolated, upsilon_half) in asymptotic_results.items():
+        scale = max(norm_inf(upsilon_half), 1.0)
+        worst = max(worst, norm_inf(extrapolated - upsilon_half) / scale)
+    _, zero = asymptotic_limit(SphereTensor(), ASYMPTOTIC_RADII, grid64)
+    zero_exact = norm_inf(zero) == 0.0
     ok = worst < 0.01 and zero_exact
     assert report("criterion 5: asymptotic limit E(S_r) -> Upsilon/2", ok,
                   f"max componentwise deviation {100 * worst:.3f}% (< 1%) "

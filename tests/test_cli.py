@@ -461,13 +461,18 @@ class TestAsymptoticCommand:
     def test_zero_field(self, tmp_path):
         cfg = write(tmp_path, "z.yaml", GEO_CONFIG.replace(
             "g0_coeff: 0.5", "g0_coeff: 0.0"))
-        code, _, _ = run(["asymptotic", cfg, "--output", str(tmp_path / "o")])
+        code, out, _ = run(["asymptotic", cfg,
+                            "--output", str(tmp_path / "o")])
         assert code == 0
         rows = (tmp_path / "o" / "asymptotic.csv").read_text().splitlines()
         for row in rows[1:]:
             label, cells = row.split(",")[0], row.split(",")[2:]
             if label in ("E", "extrapolated", "upsilon_half", "deviation"):
                 assert all(float(c) == 0.0 for c in cells)
+        # every difference of an exact-zero series is roundoff-sized, so no
+        # order is printed for it
+        assert rows[-1] == "observed_order,,floor,,,"
+        assert out.splitlines()[-1] == "observed order: floor"
 
     def test_short_radii_list_rejected(self, tmp_path):
         cfg = write(tmp_path, "short.yaml", GEO_CONFIG.replace(
@@ -573,6 +578,24 @@ class TestConvergenceCommand:
                                      sizes)
         assert orders[:2] == ["", ""]
         assert all(abs(float(p) - 2.0) < 1e-9 for p in orders[2:])
+        # vector values: the max-norms of the successive differences, here
+        # those of the second component
+        vectors = [[1.0 + 0.5 / n ** 2, -2.0 + 3.0 / n ** 2, 5.0]
+                   for n in sizes]
+        orders = cli.observed_orders(vectors, sizes)
+        assert orders[:2] == ["", ""]
+        assert all(abs(float(p) - 2.0) < 1e-9 for p in orders[2:])
+
+    def test_observed_order_uses_the_earlier_size_ratio(self):
+        # on non-geometric sizes the order is log(d1/d2) over the log of
+        # the ratio of the first two sizes, the leading-order estimate
+        sizes = [8, 16, 64]
+        d1, d2 = 1 / 8 ** 2 - 1 / 16 ** 2, 1 / 16 ** 2 - 1 / 64 ** 2
+        order = cli.observed_orders([1.0 + 1.0 / n ** 2 for n in sizes],
+                                    sizes)[2]
+        assert float(order) == pytest.approx(math.log(d1 / d2) / math.log(2),
+                                             rel=1e-12)
+        assert abs(float(order) - 1.68) < 0.01
 
     def test_observed_order_of_plateau_is_floor(self):
         eps = sys.float_info.epsilon

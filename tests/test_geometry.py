@@ -446,6 +446,14 @@ class TestMeanCurvature:
             radial_profile_surface(0.5, (0.3, 0.4, 0.0), 1.0, grid16)
         with pytest.raises(DomainError, match="curvature scale"):
             geodesic_sphere_surface(1.0, 0.0, grid16)
+        # a NaN mass or radius is refused too, not taken for an overflow
+        # later
+        for m in (-0.1, math.nan):
+            with pytest.raises(DomainError, match="need m >= 0"):
+                ads_schwarzschild_metric(m, 1.0)
+        for r in (0.0, math.nan):
+            with pytest.raises(DomainError, match="r must be positive"):
+                coordinate_sphere_surface(r, grid16)
 
     def test_collar_metric_is_refused(self, grid16):
         # the AH collar is no warped product: the node pass cannot run there

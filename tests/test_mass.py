@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,9 +32,9 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             surface_mass_data, wang_mass)
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
-from conftest import (ADS_M, ADS_RADII, RIGID_RADII, ads_potential,
-                      exact_ads_energy, form_matrices, n_nodes, norm_inf,
-                      random_spinors, scaled_sphere)
+from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
+                      ads_potential, exact_ads_energy, form_matrices, n_nodes,
+                      norm_inf, random_spinors, scaled_sphere)
 
 
 def mobius_jet(F, a):
@@ -452,19 +453,27 @@ class TestAHSphereData:
 
 class TestAsymptoticLimit:
     def test_limits_match_half_upsilon(self, asymptotic_results):
-        for name, res in asymptotic_results.items():
-            scale = max(norm_inf(res.upsilon_half), 1.0)
-            assert norm_inf(res.deviation) < 0.01 * scale, name
+        for name, (_, extrapolated, upsilon_half) in \
+                asymptotic_results.items():
+            scale = max(norm_inf(upsilon_half), 1.0)
+            assert norm_inf(extrapolated - upsilon_half) < 0.01 * scale, name
 
     def test_observed_order_at_least_one(self, asymptotic_results):
-        for name, res in asymptotic_results.items():
-            assert res.observed_order >= 1.0, name
+        sizes = [1.0 / r for r in ASYMPTOTIC_RADII]
+        for name, (energies, _, _) in asymptotic_results.items():
+            assert float(cli.observed_orders(energies, sizes)[-1]) >= 1.0, \
+                name
 
     def test_zero_field_is_exact(self, grid64):
-        res = asymptotic_limit(SphereTensor(), [0.2, 0.1, 0.05], grid64)
-        for E in res.energies:
+        energies, extrapolated = asymptotic_limit(SphereTensor(),
+                                                  ASYMPTOTIC_RADII, grid64)
+        assert energies.shape == (len(ASYMPTOTIC_RADII), 4)
+        for E in energies:
             assert norm_inf(E) == 0.0
-        assert norm_inf(res.extrapolated) == 0.0
+        assert norm_inf(extrapolated) == 0.0
+        # no order is read off a series of exact zeros
+        sizes = [1.0 / r for r in ASYMPTOTIC_RADII]
+        assert cli.observed_orders(energies, sizes)[-1] == "floor"
 
     def test_small_sphere_energy_time_slot(self, grid64):
         # (H0^2 - H^2)/H -> (1/2) tr(h) r^3 and the measure ~ dS/r^2 with
@@ -516,6 +525,17 @@ class TestSurfaceMassData:
             measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(None, None, 1.0, data=far)
+        # finite node values whose exact sum is past the largest float,
+        # where math.fsum raises OverflowError
+        edge = massmod.SurfaceMassData(
+            H=np.ones(2), H0=np.full(2, 1e308), X=np.ones((2, 4)),
+            measure=np.ones(2), k=1.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            shi_tam_vector(None, None, 1.0, data=edge)
+        # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
+        with pytest.raises(DomainError, match="overflows a float"):
+            wang_mass(SphereTensor(g0_coeff=1e308),
+                      QuadratureGrid.build(8, 16))
         # X_t = sqrt(1/k^2 + R^2) divides by k^2, so a k whose square
         # underflows is refused before any node is built
         with pytest.raises(DomainError, match="k\\^2 a normal float"):
@@ -607,18 +627,26 @@ class TestExactSums:
             self.assert_fsum(rows)
 
     def test_non_finite_entry_gives_non_finite_sum(self):
-        rows = np.array([[1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
-                         [np.inf, 1.0, -np.inf], [-np.inf, 1.0, 0.5],
-                         [0.1, 0.2, 0.3]])
-        with np.errstate(invalid="ignore"):
-            got = massmod._fsum_rows(rows)
-        assert [math.isfinite(s) for s in got] == [False] * 4 + [True]
-        assert got[1] == math.inf and got[3] == -math.inf
-        assert got[4] == math.fsum([0.1, 0.2, 0.3])
+        # the sum of a row with a nan or an inf is nan or +-inf, and is
+        # refused as a DomainError that names every row's sum
+        finite = math.fsum([0.1, 0.2, 0.3])
+        for row, total in [([1.0, np.nan, 2.0], math.nan),
+                           ([1.0, np.inf, 2.0], math.inf),
+                           ([np.inf, 1.0, -np.inf], math.nan),
+                           ([-np.inf, 1.0, 0.5], -math.inf)]:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"overflows a float: {[total, finite]}")):
+                massmod._fsum_rows(np.array([row, [0.1, 0.2, 0.3]]))
+        assert massmod._fsum_rows([[0.1, 0.2, 0.3]]) == [finite]
 
     def test_overflow_as_fsum(self):
+        # a row whose exact sum is past the largest float is refused, as
+        # math.fsum refuses it, but as a DomainError
+        row = [1.7e308, 1.7e308]
         with pytest.raises(OverflowError):
-            massmod._fsum_rows(np.array([[1.7e308, 1.7e308]]))
+            math.fsum(row)
+        with pytest.raises(DomainError, match="overflows a float"):
+            massmod._fsum_rows(np.array([row]))
 
     def test_any_layout(self):
         # nested lists, and a transposed (non-contiguous) view

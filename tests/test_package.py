@@ -66,10 +66,9 @@ def test_bench_pairing_op_runs():
     assert np.shape(answer["kwm"]) == (2, 2)
 
 
-def test_bench_mass_sweep_configs_run(tmp_path, monkeypatch):
-    # the benchmark writes its mass configs itself, so a config key the
-    # resolver stops accepting breaks the benchmark without failing
-    # elsewhere; each must run and report M_alpha (they are at k = 1)
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``bench/run.py`` as a module, with the bench directory on sys.path."""
     monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])
     spec = importlib.util.spec_from_file_location("bench_run",
                                                   ROOT / "bench" / "run.py")
@@ -77,21 +76,54 @@ def test_bench_mass_sweep_configs_run(tmp_path, monkeypatch):
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, "bench_run", bench)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def _run_at_8x16(op, out: Path):
+    """Run the bench op ``op`` through ``cli.main`` on an 8x16 grid, with
+    its outputs in ``out``; returns the exit code and stdout."""
     from hypermass import cli
 
-    ops = bench.mass_sweep(np.random.default_rng(0))
+    path = out.parent / f"{out.name}.yaml"
+    path.write_text(json.dumps(dict(
+        op.config, resolution={"n_theta": 8, "n_phi": 16})))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([op.command, str(path), *op.args,
+                         "--output", str(out)])
+    return code, stdout.getvalue()
+
+
+def test_bench_mass_sweep_configs_run(tmp_path, bench_run):
+    # the benchmark writes its mass configs itself, so a config key the
+    # resolver stops accepting breaks the benchmark without failing
+    # elsewhere; each must run and report M_alpha (they are at k = 1)
+    ops = bench_run.mass_sweep(np.random.default_rng(0))
     assert ops
     for op in ops:
-        path = tmp_path / "scenario.yaml"
-        path.write_text(json.dumps(dict(
-            op.config, resolution={"n_theta": 8, "n_phi": 16})))
         out = tmp_path / op.label
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([op.command, str(path), *op.args,
-                             "--output", str(out)])
-        assert code == 0, op.label
+        assert _run_at_8x16(op, out)[0] == 0, op.label
         doc = json.loads((out / "mass_report.json").read_text())
         assert doc["M_alpha"] is not None, op.label
+
+
+def test_bench_asymptotic_config_runs(tmp_path, bench_run):
+    # likewise the spinor-series asymptotic op: it must run, write the
+    # rows that its oracle and the tests read, and meet that oracle
+    [op] = [op for op in bench_run.spinor_series(np.random.default_rng(0))
+            if op.command == "asymptotic"]
+    code, stdout = _run_at_8x16(op, tmp_path / "out")
+    assert code == 0
+    rows = {row.split(",")[0]: row.split(",")[1:] for row in
+            (tmp_path / "out" / "asymptotic.csv").read_text().splitlines()}
+    for label in ("extrapolated", "upsilon_half", "deviation"):
+        assert rows[label][0] == "" and len(rows[label]) == 5, label
+        assert all(map(math.isfinite, map(float, rows[label][1:]))), label
+    order = rows["observed_order"]
+    assert order[0] == "" and order[2:] == ["", "", ""]
+    assert float(order[1]) >= 1.0
+    assert stdout.splitlines()[-1] == f"observed order: {order[1]}"
+    assert op.check(tmp_path, stdout, None)[0]
 
 
 def test_every_error_type_is_raised():
