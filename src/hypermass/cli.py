@@ -36,7 +36,8 @@ from .spinor import null_to_spinor, verify_zet, zeta_of
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        # as bytes: the parser detects the encoding and refuses bad bytes
+        with open(path, "rb") as fh:
             # libyaml's parser when PyYAML has it: the same safe schema
             cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
                                                yaml.SafeLoader))
@@ -56,9 +57,9 @@ MIN_N_THETA = 8
 def _number(value, name: str, kind=float, least=-math.inf):
     """``value`` as a finite ``kind`` of at least ``least``, or a
     ConfigError naming the key; a float that ``kind`` would change (8.5 as
-    an int) is an error too."""
+    an int) is an error too, and so is a bool (YAML's true, yes, on)."""
     try:
-        x = kind(value)
+        x = math.nan if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -99,7 +100,8 @@ def _sphere_tensor(node) -> dict:
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Fill defaults and validate; returns the fully resolved tree."""
+    """Fill defaults and check types; returns the fully resolved tree.  The
+    metric and surface factories check the ranges of k, m and the radii."""
     out = {}
     res = _section(cfg, "resolution")
     out["resolution"] = {
@@ -118,15 +120,11 @@ def resolve_config(cfg: dict) -> dict:
     met = _section(cfg, "metric")
     mtype = met.get("type", "hyperbolic_ball")
     k = _number(met.get("k", 1.0), "metric.k")
-    if k <= 0:
-        raise ConfigError("metric.k must be positive")
-    if k * k < sys.float_info.min:    # so that 1/k^2 is a finite float
-        raise ConfigError(f"metric.k = {k!r} is too small: k^2 underflows")
     if mtype not in ("hyperbolic_ball", "ads_schwarzschild", "euclidean"):
         raise ConfigError(f"unknown metric type: {mtype}")
     out["metric"] = {"type": mtype, "k": k}
     if mtype == "ads_schwarzschild":
-        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m", least=0.0)
+        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m")
 
     surf = _section(cfg, "surface")
     stype = surf.get("type", "geodesic_sphere")
@@ -135,20 +133,13 @@ def resolve_config(cfg: dict) -> dict:
     out["surface"] = {"type": stype}
     if stype == "geodesic_sphere":
         out["surface"]["rho"] = _number(surf.get("rho", 1.0), "surface.rho")
-        radius = out["surface"]["rho"]
     elif stype == "coordinate_sphere":
         out["surface"]["r"] = _number(surf.get("r", 2.0), "surface.r")
-        radius = out["surface"]["r"]
     else:
-        base = _number(surf.get("base", 1.0), "surface.base")
-        linear = _numbers(surf.get("linear", [0.0, 0.0, 0.0]),
-                          "surface.linear", 3)
-        out["surface"].update(base=base, linear=linear)
-        # the least geodesic radius over the sphere
-        radius = base - math.sqrt(math.fsum(c * c for c in linear))
-    if radius <= 0:
-        raise ConfigError("surface radius (rho, r or base - |linear|) must be "
-                          "positive")
+        out["surface"].update(
+            base=_number(surf.get("base", 1.0), "surface.base"),
+            linear=_numbers(surf.get("linear", [0.0, 0.0, 0.0]),
+                            "surface.linear", 3))
 
     if cfg.get("asymptotic") is not None:
         asym = _section(cfg, "asymptotic")
@@ -194,8 +185,11 @@ def _fmt_vector(v, sep: str = ",") -> str:
 
 
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_dump(obj) -> str:
@@ -251,7 +245,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if k == 1.0:
         alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
-        M = massmod.shi_tam_vector(surface, metric, alpha, data=data)
+        M = massmod.shi_tam_vector(data, alpha)
         doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
 
     # exact extremes of <E, (u, 1)> = -E_t - E_s.u over unit vectors u

@@ -16,10 +16,6 @@ class MissingEmbedding(HypermassError):
 class NonPositiveMeanCurvature(HypermassError):
     """Mean curvature fails H > 0 at some node."""
 
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
 
 class IsometryViolation(HypermassError):
     """Induced metrics of the ambient and hyperbolic immersions disagree."""
@@ -33,8 +29,8 @@ class NotNull(HypermassError):
     """Vector expected to be null is not (within tolerance)."""
 
 
-class ConfigError(HypermassError):
-    """Scenario configuration is malformed or inconsistent."""
+class ConfigError(DomainError):
+    """A malformed config, or a k, m or radius that a factory refuses."""
 
 
 class HypothesisFailure(HypermassError):

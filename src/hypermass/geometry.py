@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, MissingEmbedding
+from .errors import (ConfigError, ConvergenceFailure, DomainError,
+                     MissingEmbedding)
 
 __all__ = [
     "MetricField",
@@ -55,7 +56,7 @@ _HORIZON_MARGIN = 0.1
 def _check_k(k: float) -> None:
     """Curvature scale k > 0 with k^2 a normal float, so 1/k^2 is finite."""
     if not (k > 0 and k * k >= sys.float_info.min):
-        raise DomainError(f"curvature scale k = {k!r} must be positive, "
+        raise ConfigError(f"curvature scale k = {k!r} must be positive, "
                           f"with k^2 a normal float")
 
 
@@ -120,7 +121,7 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     """Static AdS-Schwarzschild slice: V = 1 + k^2 r^2 - 2m/r, on the chart
     r > r_horizon + 0.1, so that V > 0."""
     if not m >= 0:              # NaN included
-        raise DomainError("need m >= 0")
+        raise ConfigError(f"need m >= 0, got {m!r}")
     _check_k(k)
     k2 = k * k
     return _warped_product(
@@ -356,7 +357,7 @@ def coordinate_sphere_surface(r: float, grid: QuadratureGrid,
     the same areal radius in H^3: F0 is the same jet.
     """
     if not r > 0:               # NaN included
-        raise DomainError("r must be positive")
+        raise ConfigError(f"r must be positive, got {r!r}")
     _check_k(k)
     F = _constant_graph(float(r))
     return SurfaceData(F=F, grid=grid, k=k, F0=F)
@@ -370,8 +371,8 @@ def radial_profile_surface(base: float, linear, k: float,
     tilt = np.asarray(linear, dtype=float).reshape(3)
     amplitude = math.hypot(*tilt)
     if not base > amplitude:
-        raise DomainError(f"the least geodesic radius base - |linear| = "
-                          f"{base - amplitude:.6g} must be positive")
+        raise ConfigError(f"the least geodesic radius of the surface must be "
+                          f"positive, got {base - amplitude:.6g}")
     top = base + amplitude              # the greatest geodesic radius
     try:
         R = math.sinh(k * top) / k

@@ -33,11 +33,11 @@ def areal_to_minkowski(R: np.ndarray, u: np.ndarray,
     return X
 
 
-def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:
-    """Vectorized ball -> hyperboloid map; x has shape (..., 3).
+def ball_to_minkowski(x: np.ndarray) -> np.ndarray:
+    """Vectorized ball -> hyperboloid map at k = 1; x has shape (..., 3).
 
-    X = (f(x) x, (1 + |x|^2) / (1 - |x|^2)) / k, which satisfies
-    <X, X> = -1/k^2 on the upper sheet.
+    X = (f(x) x, (1 + |x|^2) / (1 - |x|^2)), which satisfies <X, X> = -1
+    on the upper sheet.
     """
     x = np.asarray(x, dtype=float)
     r2 = np.sum(x * x, axis=-1)
@@ -46,7 +46,7 @@ def ball_to_minkowski(x: np.ndarray, k: float = 1.0) -> np.ndarray:
     f = 2.0 / (1.0 - r2)
     spatial = f[..., None] * x
     t = (1.0 + r2) / (1.0 - r2)
-    return np.concatenate([spatial, t[..., None]], axis=-1) / k
+    return np.concatenate([spatial, t[..., None]], axis=-1)
 
 
 def radial_bounds(R: np.ndarray, k: float = 1.0) -> tuple[float, float]:

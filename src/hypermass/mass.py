@@ -124,11 +124,10 @@ class SurfaceMassData:
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
-    def weighted(self, values: np.ndarray):
-        """The exact sum of measure * values over the nodes: a float for
-        values (N,), a list of floats for rows (m, N), one per row."""
-        sums = _fsum_rows(self.measure * np.atleast_2d(values))
-        return sums[0] if values.ndim == 1 else sums
+    def weighted(self, rows: np.ndarray) -> list:
+        """The exact sums of measure * row over the nodes, one float for
+        each row of ``rows`` (m, N)."""
+        return _fsum_rows(self.measure * rows)
 
     def weighted_vector(self, rows: np.ndarray) -> LorentzVector:
         """The four :meth:`weighted` sums of component-major rows (4, N)."""
@@ -140,8 +139,8 @@ class SurfaceMassData:
 
     @property
     def ball_points(self) -> np.ndarray:
-        """Poincare-ball points k X_s / (1 + k X_t) of the nodes (N, 3)."""
-        return self.k * self.X[:, :3] / (1.0 + self.k * self.X[:, 3:])
+        """Poincare-ball points X_s / (1 + X_t) of the nodes (N, 3), k = 1."""
+        return self.X[:, :3] / (1.0 + self.X[:, 3:])
 
     @property
     def weight(self) -> np.ndarray:
@@ -159,7 +158,10 @@ class SurfaceMassData:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
         a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
         e_0 + e_1, e_0 + i e_1, and each real entry of Q is one
-        :meth:`weighted` sum.  Built once for each sign +-1; read-only."""
+        :meth:`weighted` sum.  Built once for each sign +-1, at k = 1 only;
+        read-only."""
+        if self.k != 1.0:
+            raise DomainError("spinor-weighted integrals require k = 1")
         if sign not in self.killing_forms:
             n0, n1, n_re, n_im = killing_spinor_norms_sq(
                 np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
@@ -209,8 +211,7 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     if np.any(H <= 0.0):
         node = int(np.argmin(H))
         raise NonPositiveMeanCurvature(
-            f"H = {H[node]:.6g} <= 0 at {surface.grid.describe_node(node)}",
-            node=node)
+            f"H = {H[node]:.6g} <= 0 at {surface.grid.describe_node(node)}")
     # F0's nodes at areal radius R0 in direction u: X = (R0 u, sqrt(1/k^2 +
     # R0^2)) on the hyperboloid, exact with no chart in between
     R0, k = forms0.radius, surface.k
@@ -242,16 +243,14 @@ def shi_tam_alpha(R1: float, R2: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def shi_tam_vector(surface: SurfaceData, ambient: MetricField, alpha: float,
-                   data: Optional[SurfaceMassData] = None) -> LorentzVector:
+def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
-    d = data or surface_mass_data(surface, ambient)
-    W = d.X.T.copy()
+    W = data.X.T.copy()
     W[3] *= alpha
-    W *= d.H0 - d.H
-    return d.weighted_vector(W)
+    W *= data.H0 - data.H
+    return data.weighted_vector(W)
 
 
 def _round_sphere_quadrature(grid: QuadratureGrid):
@@ -288,8 +287,6 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
         raise DomainError("sign must be +1 or -1")
     a = _as_spinor(a)
     d = data or surface_mass_data(surface, ambient)
-    if d.k != 1.0:
-        raise DomainError("spinor-weighted integrals require k = 1")
     Q = d.killing_form(int(sign))
     val = np.einsum("...k,kl,...l->...", a.conj(), Q, a)
     return float(val.real) if val.ndim == 0 else val.real
@@ -313,9 +310,8 @@ def ah_sphere_data(r: float, h: SphereTensor,
     tau = h.trace(xhat)
     H = math.cosh(r) - 0.25 * r ** 3 * tau
     if np.any(H <= 0.0):
-        node = int(np.argmin(H))
         raise NonPositiveMeanCurvature(
-            f"expanded H <= 0 at node {node} for r = {r}", node=node)
+            f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
     H0 = np.full_like(tau, math.cosh(r))
     R = np.float64(1.0 / r)     # the areal radius of every node
     return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, xhat),

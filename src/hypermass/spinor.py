@@ -98,13 +98,14 @@ def verify_zet(a, x, sign: int) -> np.ndarray:
     return np.abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign)))
 
 
-def null_to_spinor(zeta, tol: float = 1e-9) -> np.ndarray:
+def null_to_spinor(zeta) -> np.ndarray:
     """Unit spinors a, shape (..., 2), with zeta_of(a, +1) proportional to
     the future null vectors ``zeta`` of shape (..., 4) (positive ratio).
 
     Inverts the Bloch/Hopf map: the spatial direction of zeta determines a
     up to global phase, fixed here by taking the first component real >= 0.
-    Raises NotNull if any row is off the cone or past directed.
+    Raises NotNull if any row is off the cone (|<z, z>| > 1e-9 |z|^2) or
+    past directed.
     """
     zeta = np.asarray(zeta, dtype=float)
     if zeta.shape[-1:] != (4,):
@@ -112,7 +113,7 @@ def null_to_spinor(zeta, tol: float = 1e-9) -> np.ndarray:
     s, t = zeta[..., :3], zeta[..., 3]
     s2 = np.sum(s * s, axis=-1)
     q, n2 = s2 - t * t, s2 + t * t
-    if np.any(n2 == 0.0) or np.any(np.abs(q) > tol * n2):
+    if np.any(n2 == 0.0) or np.any(np.abs(q) > 1e-9 * n2):
         raise NotNull("vector is not null within tolerance: max |<z,z>| = "
                       f"{np.max(np.abs(q))}")
     if np.any(t <= 0):

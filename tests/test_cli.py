@@ -316,10 +316,16 @@ class TestMassCommand:
         "surface: {type: radial_profile, base: 0.5, linear: [0.3, 0.4, 0.0]}",
         "metric: {k: 1.0e-170}",
         "metric: {type: euclidean, k: 1.0e-310}",
+        # base = |linear| by math.hypot, the factory's own measure
+        "surface: {type: radial_profile, base: 0.9136288375816026, linear: "
+        "[0.08282494558699316, 0.8782983255570211, -0.23759152462357513]}",
+        "metric: {k: true}",
+        "surface: {rho: yes}",
     ], ids=["nan_mass", "negative_mass", "infinite_r",
             "scalar_surface_linear", "scalar_h_linear", "scalar_asymptotic",
             "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
-            "k_squared_underflows", "subnormal_k"])
+            "k_squared_underflows", "subnormal_k", "profile_touches_zero",
+            "boolean_k", "boolean_rho"])
     def test_bad_values_are_config_errors(self, tmp_path, text):
         cfg = write(tmp_path, "bad.yaml", text)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
@@ -337,6 +343,18 @@ class TestMassCommand:
     def test_overflowing_geometry_is_a_domain_error(self, tmp_path, command,
                                                     text):
         assert_one_error_line(tmp_path, command, text)
+
+    @pytest.mark.parametrize("command, text", [
+        (["mass"], ADS_CONFIG),
+        (["convergence", "--resolutions", "8,16,32"], ADS_CONFIG),
+        (["asymptotic"], GEO_CONFIG),
+    ], ids=["mass", "convergence", "asymptotic"])
+    def test_unusable_output_is_a_config_error(self, tmp_path, command,
+                                               text):
+        # --output names an existing file: no directory can be made there
+        (tmp_path / "o").write_text("")
+        err = assert_one_error_line(tmp_path, command, text, code=2)
+        assert err.startswith(f"config error: cannot write {tmp_path / 'o'}")
 
     def test_overflowing_mass_aspect_is_a_domain_error(self, tmp_path):
         assert_one_error_line(tmp_path, ["asymptotic"],
@@ -359,19 +377,20 @@ class TestMassCommand:
             classify).parameters["tol"].default
 
 
-def assert_one_error_line(tmp_path, command, text):
+def assert_one_error_line(tmp_path, command, text, code=1):
     """Run ``command`` on the config ``text`` in a fresh process, so that an
     escaped exception shows as a traceback and a numpy warning on stderr:
-    it must exit 1 with the one line of a typed error."""
+    it must exit ``code`` with the one line of a typed error, a config
+    error for code 2."""
     cfg = write(tmp_path, "scenario.yaml", text)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "hypermass.cli", command[0], cfg,
          *command[1:], "--output", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
+    assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("config error: " if code == 2 else "error: ")
     return proc.stderr
 
 
@@ -473,6 +492,18 @@ class TestAsymptoticCommand:
         # order is printed for it
         assert rows[-1] == "observed_order,,floor,,,"
         assert out.splitlines()[-1] == "observed order: floor"
+
+    def test_builds_no_metric_or_surface(self, tmp_path):
+        # the series integrates the collar expansion alone: the ranges of
+        # the metric and the surface, which their factories check, are not
+        # asymptotic's to refuse, while mass refuses them
+        cfg = write(tmp_path, "geo.yaml", GEO_CONFIG.replace(
+            "k: 1.0", "k: -1.0").replace("rho: 1.0", "rho: -1.0"))
+        code, _, err = run(["asymptotic", cfg,
+                            "--output", str(tmp_path / "o")])
+        assert (code, err) == (0, "")
+        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "m")])
+        assert code == 2 and err.startswith("config error: curvature scale")
 
     def test_short_radii_list_rejected(self, tmp_path):
         cfg = write(tmp_path, "short.yaml", GEO_CONFIG.replace(
@@ -698,6 +729,30 @@ class TestYamlLoader:
         fast = load_config(cfg)
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_config(cfg) == fast
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_undecodable_bytes_exit_2(self, tmp_path, monkeypatch, libyaml):
+        # a config is read as bytes, so a byte that is no UTF-8 is malformed
+        # YAML to the parser, not a UnicodeDecodeError
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(ADS_CONFIG.encode() + b"# \xff\n")
+        code, _, err = run(["mass", str(path),
+                            "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith("config error: malformed YAML")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_utf16_config_loads(self, tmp_path, monkeypatch, libyaml):
+        # the parser reads UTF-16 by its byte-order mark
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "u16.yaml"
+        path.write_bytes(ADS_CONFIG.encode("utf-16"))
+        assert load_config(path) == load_config(write(tmp_path, "u8.yaml",
+                                                      ADS_CONFIG))
 
     @pytest.mark.parametrize("libyaml", [True, False])
     def test_malformed_yaml_exits_2(self, tmp_path, monkeypatch, libyaml):

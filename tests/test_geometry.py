@@ -11,7 +11,7 @@ import pytest
 
 import reference_geometry as ref
 from hypermass import geometry as geo
-from hypermass.errors import ConvergenceFailure, DomainError
+from hypermass.errors import ConfigError, ConvergenceFailure, DomainError
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_horizon_radius, ads_schwarzschild_metric,
                                 coordinate_sphere_surface, euclidean_metric,
@@ -455,6 +455,29 @@ class TestMeanCurvature:
             with pytest.raises(DomainError, match="r must be positive"):
                 coordinate_sphere_surface(r, grid16)
 
+    def test_scenario_ranges_are_config_errors(self, grid16):
+        # the factories are the one check on a scenario's k, m and radii,
+        # which the CLI reports as config errors; to a library caller a
+        # ConfigError is still a DomainError
+        assert issubclass(ConfigError, DomainError)
+        with pytest.raises(ConfigError, match="curvature scale k = 0.0"):
+            hyperbolic_ball_metric(0.0)
+        with pytest.raises(ConfigError, match=r"^need m >= 0, got -0.1$"):
+            ads_schwarzschild_metric(-0.1, 1.0)
+        with pytest.raises(ConfigError, match=r"^r must be positive, got 0.0"):
+            coordinate_sphere_surface(0.0, grid16)
+        with pytest.raises(ConfigError, match="least geodesic radius"):
+            radial_profile_surface(0.5, (0.3, 0.4, 0.0), 1.0, grid16)
+        # a geodesic sphere is told its radius, not base - |linear|
+        with pytest.raises(ConfigError, match="least geodesic radius") as bad:
+            geodesic_sphere_surface(-1.0, 1.0, grid16)
+        assert str(bad.value).endswith("got -1") and "linear" not in str(
+            bad.value)
+        # an areal radius past the float range is no config error
+        with pytest.raises(DomainError, match="overflows") as big:
+            geodesic_sphere_surface(800.0, 1.0, grid16)
+        assert not isinstance(big.value, ConfigError)
+
     def test_collar_metric_is_refused(self, grid16):
         # the AH collar is no warped product: the node pass cannot run there
         surface = coordinate_sphere_surface(0.5, grid16)
@@ -759,7 +782,7 @@ class TestIntegrate:
     def test_geodesic_sphere_area(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
         data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
-        area = data.weighted(np.ones(n_nodes(grid64)))
+        area = data.area()
         target = 4 * math.pi * math.sinh(1.0) ** 2
         assert abs(area - target) < 1e-8 * target
 
@@ -788,7 +811,7 @@ class TestIntegrate:
             grid = QuadratureGrid.build(n, 2 * n)
             surface = geodesic_sphere_surface(1.0, 1.0, grid)
             data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
-            area = data.weighted(np.ones(n_nodes(grid)))
+            area = data.area()
             errs[n] = abs(area - target)
         assert errs[32] < max(1e-3 * errs[8], 1e-12 * target)
 

@@ -22,9 +22,9 @@ def f_from_time(x):
     return ball_to_minkowski(x)[..., 3] + 1.0
 
 
-def to_ball(X, k=1.0):
-    """Inverse of the ball -> hyperboloid map, x = k X_s / (1 + k X_t)."""
-    return k * X[..., :3] / (1.0 + k * X[..., 3:])
+def to_ball(X):
+    """Inverse of the ball -> hyperboloid map, x = X_s / (1 + X_t)."""
+    return X[..., :3] / (1.0 + X[..., 3:])
 
 
 def node_bounds(surface):
@@ -68,11 +68,10 @@ class TestBallToHyperboloid:
 
     def test_sheet_constraint(self):
         rng = np.random.default_rng(11)
-        for k in (0.5, 1.0, 2.0):
-            X = ball_to_minkowski(random_ball_points(rng, 100), k)
-            q = np.sum(X[:, :3] ** 2, axis=1) - X[:, 3] ** 2
-            assert np.max(np.abs(q + 1.0 / k ** 2)) < 1e-12
-            assert np.all(X[:, 3] > 0.0)
+        X = ball_to_minkowski(random_ball_points(rng, 100))
+        q = np.sum(X[:, :3] ** 2, axis=1) - X[:, 3] ** 2
+        assert np.max(np.abs(q + 1.0)) < 1e-12
+        assert np.all(X[:, 3] > 0.0)
 
 
 class TestHyperboloidToBall:
@@ -81,10 +80,8 @@ class TestHyperboloidToBall:
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
-        for k in (0.5, 1.0, 2.0):
-            x = random_ball_points(rng, 100)
-            assert np.max(np.abs(to_ball(ball_to_minkowski(x, k), k) - x)) \
-                < 1e-13
+        x = random_ball_points(rng, 100)
+        assert np.max(np.abs(to_ball(ball_to_minkowski(x)) - x)) < 1e-13
 
 
 class TestGeodesicDistance:

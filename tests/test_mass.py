@@ -197,29 +197,28 @@ class TestShiTam:
         vals = [shi_tam_alpha(R1, R2) for R2 in np.linspace(R1, 4.0, 25)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_vector_vanishes_on_rigid_sphere(self, rigid_scenarios,
-                                             hyp_metric):
-        surface, data, _ = rigid_scenarios[1.0]
-        M = shi_tam_vector(surface, hyp_metric, alpha=1.5, data=data)
+    def test_vector_vanishes_on_rigid_sphere(self, rigid_scenarios):
+        _, data, _ = rigid_scenarios[1.0]
+        M = shi_tam_vector(data, alpha=1.5)
         assert norm_inf(M) < 1e-10
 
-    def test_ads_time_component_positive(self, ads_scenarios, ads_metric):
-        surface, data, _ = ads_scenarios[2.0]
-        M = shi_tam_vector(surface, ads_metric, alpha=1.0, data=data)
+    def test_ads_time_component_positive(self, ads_scenarios):
+        _, data, _ = ads_scenarios[2.0]
+        M = shi_tam_vector(data, alpha=1.0)
         assert M.t > 0.0
         assert np.min(data.H0 - data.H) > 0.0  # H_0 > H pointwise (V < 1+r^2)
 
-    def test_alpha_ordering(self, ads_scenarios, ads_metric):
-        surface, data, _ = ads_scenarios[2.0]
-        M1 = shi_tam_vector(surface, ads_metric, alpha=1.0, data=data)
-        M2 = shi_tam_vector(surface, ads_metric, alpha=2.0, data=data)
+    def test_alpha_ordering(self, ads_scenarios):
+        _, data, _ = ads_scenarios[2.0]
+        M1 = shi_tam_vector(data, alpha=1.0)
+        M2 = shi_tam_vector(data, alpha=2.0)
         assert M2.t > M1.t
         assert abs(M2.t - 2.0 * M1.t) < 1e-12 * abs(M1.t)  # linear in alpha
 
-    def test_alpha_below_one_rejected(self, rigid_scenarios, hyp_metric):
-        surface, data, _ = rigid_scenarios[1.0]
+    def test_alpha_below_one_rejected(self, rigid_scenarios):
+        _, data, _ = rigid_scenarios[1.0]
         with pytest.raises(DomainError):
-            shi_tam_vector(surface, hyp_metric, alpha=0.5, data=data)
+            shi_tam_vector(data, alpha=0.5)
 
 
 class TestWangMass:
@@ -347,8 +346,8 @@ class TestKillingForm:
             killing_weighted_mass(surface, ads_metric, [1, 0], sign,
                                   data=data)  # warm the memo
             for a in random_spinors(rng, 50):
-                node_route = data.weighted(
-                    w * killing_spinor_norms_sq(a, data.ball_points, sign))
+                norms = killing_spinor_norms_sq(a, data.ball_points, sign)
+                [node_route] = data.weighted(w * norms[None])
                 val = killing_weighted_mass(surface, ads_metric, a, sign,
                                             data=data)
                 assert abs(val - node_route) <= 1e-13 * abs(node_route)
@@ -433,7 +432,7 @@ class TestAHSphereData:
     def test_ball_points_map_to_positions(self, r, grid64):
         d = ah_sphere_data(r, SphereTensor(g0_coeff=1.0), grid64)
         assert d.k == 1.0
-        X = ball_to_minkowski(d.ball_points, d.k)
+        X = ball_to_minkowski(d.ball_points)
         assert np.max(np.abs(X - d.X)) < 1e-12 * np.max(np.abs(d.X))
 
     def test_energy_is_round_sphere_sum(self):
@@ -497,7 +496,7 @@ class TestSurfaceMassData:
         # ball points, agree on a tilted graph
         surface = radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0, grid32)
         data = surface_mass_data(surface, hyp_metric)
-        X = ball_to_minkowski(data.ball_points, data.k)
+        X = ball_to_minkowski(data.ball_points)
         assert np.max(np.abs(X - data.X)) < 1e-14 * np.max(np.abs(data.X))
 
     def test_h3_side_mean_curvature(self, rigid_scenarios):
@@ -506,7 +505,7 @@ class TestSurfaceMassData:
 
     def test_weights_integrate_area(self, ads_scenarios):
         _, data, _ = ads_scenarios[2.0]
-        area = data.weighted(np.ones_like(data.H))
+        [area] = data.weighted(np.ones_like(data.H)[None])
         assert abs(area - 16 * math.pi) < 1e-8 * 16 * math.pi
 
     def test_overflowing_integrand_is_a_domain_error(self):
@@ -519,19 +518,19 @@ class TestSurfaceMassData:
         with pytest.raises(DomainError, match="overflows a float"):
             data.killing_form(1)
         with pytest.raises(DomainError, match="overflows a float"):
-            data.weighted(np.full_like(data.H, np.inf))
+            data.weighted(np.full_like(data.H, np.inf)[None])
         far = massmod.SurfaceMassData(
             H=np.ones(2), H0=np.full(2, 1e300), X=np.full((2, 4), 1e10),
             measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
-            shi_tam_vector(None, None, 1.0, data=far)
+            shi_tam_vector(far, 1.0)
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
             H=np.ones(2), H0=np.full(2, 1e308), X=np.ones((2, 4)),
             measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
-            shi_tam_vector(None, None, 1.0, data=edge)
+            shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
         with pytest.raises(DomainError, match="overflows a float"):
             wang_mass(SphereTensor(g0_coeff=1e308),
@@ -670,11 +669,11 @@ class TestReductionsReadOnly:
         data = surface_mass_data(surface, ads_metric)
         before = _node_bytes(data)
         data.energy()
-        shi_tam_vector(surface, ads_metric, 1.3, data=data)
+        shi_tam_vector(data, 1.3)
         for sign in (1, -1):
             data.killing_form(sign)
         data.area()
-        data.weighted(np.ones_like(data.H))
+        data.weighted(np.ones_like(data.H)[None])
         assert _node_bytes(data) == before
 
     def test_run_convergence(self, tmp_path, monkeypatch):
@@ -709,7 +708,7 @@ def test_reduction_memory_peak():
     tracemalloc.start()
     try:
         data.energy()
-        shi_tam_vector(surface, metric, 1.3, data=data)
+        shi_tam_vector(data, 1.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

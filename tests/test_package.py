@@ -182,20 +182,91 @@ def _references(node, outside=None, found=None):
     return found
 
 
-def test_src_holds_no_test_only_code():
+@pytest.fixture(scope="module")
+def programs():
+    """The parsed programs by path: the package and the benchmark's files
+    that are not its tests."""
+    return {path: ast.parse(path.read_text()) for path in
+            sorted((ROOT / "src" / "hypermass").glob("*.py"))
+            + sorted((ROOT / "bench").glob("*.py"))
+            if not path.name.startswith("test_")}
+
+
+def _package(programs):
+    """(file name, tree) of each module of the package."""
+    return [(path.name, tree) for path, tree in programs.items()
+            if path.parent.name == "hypermass"]
+
+
+def test_src_holds_no_test_only_code(programs):
     # every public function, class, method, property and stored field of
     # the package is used by name from the package or the benchmark's
     # programs (not its tests), outside its own body
-    trees = {path: ast.parse(path.read_text()) for path in
-             sorted((ROOT / "src" / "hypermass").glob("*.py"))
-             + sorted((ROOT / "bench").glob("*.py"))
-             if not path.name.startswith("test_")}
     unused = []
-    for path, tree in trees.items():
-        if path.parent.name != "hypermass":
-            continue
+    for file, tree in _package(programs):
         for name, node in _public_defs(tree):
             if not any(name in _references(other, outside=node)
-                       for other in trees.values()):
-                unused.append(f"{path.name}:{name}")
+                       for other in programs.values()):
+                unused.append(f"{file}:{name}")
     assert unused == []
+
+
+def _defaulted(fn, method):
+    """(position, name) of each parameter of ``fn`` that has a default: its
+    index among the positional arguments of a call (after self or cls for
+    a method), None for a keyword-only one."""
+    positional = (fn.args.posonlyargs + fn.args.args)[int(method):]
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                              fn.args.kw_defaults)
+                if d is not None)
+
+
+def _passes(call, position, name):
+    """Whether ``call`` passes the parameter ``name`` at ``position``: by
+    keyword, by position, or possibly through *args or **kwargs."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_default_is_overridden_by_a_program(programs):
+    # a defaulted parameter that no program call sets is a knob that only
+    # tests turn: every one of a public function or method is passed by
+    # some call, in the package or the benchmark, to a callable of its name
+    calls = {}
+    for tree in programs.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for file, tree in _package(programs):
+        for name, node in _public_defs(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = node not in tree.body and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list)
+            unset += [f"{file}:{name}({arg})"
+                      for position, arg in _defaulted(node, method)
+                      if not any(_passes(call, position, arg)
+                                 for call in calls.get(name, []))]
+    assert unset == []
+
+
+def test_every_stored_attribute_is_read(programs):
+    # an attribute that the package stores on self and no program reads
+    # back is state kept for nothing
+    read = {node.attr for tree in programs.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{file}:{node.attr}" for file, tree in _package(programs)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and getattr(node.value, "id", None) == "self"
+              and node.attr not in read]
+    assert unread == []
