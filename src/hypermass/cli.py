@@ -44,10 +44,21 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed YAML: {exc}") from exc
+        raise ConfigError(f"malformed YAML: {_yaml_problem(exc)}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return resolve_config(cfg)
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's error on one line: the problem and where it is, without the
+    context (``while parsing ...``) and source lines it prints under it."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None or not exc.problem:
+        # a reader error: the problem, then its position on a line of its own
+        return " ".join(line.strip() for line in str(exc).splitlines())
+    return (f'{exc.problem} in "{mark.name}", line {mark.line + 1}, '
+            f"column {mark.column + 1}")
 
 
 # the least n_theta, of a config or of a --resolutions entry
@@ -273,8 +284,10 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
     h = geo.SphereTensor(**cfg["asymptotic"]["h"])
     grid = geo.QuadratureGrid.build(cfg["resolution"]["n_theta"],
                                     cfg["resolution"]["n_phi"])
-    energies, extrapolated = massmod.asymptotic_limit(h, radii, grid)
-    upsilon_half = 0.5 * np.asarray(massmod.wang_mass(h, grid))
+    # one round-sphere quadrature for every radius and for Upsilon
+    sphere = massmod.round_sphere_quadrature(h, grid)
+    energies, extrapolated = massmod.asymptotic_limit(sphere, radii)
+    upsilon_half = 0.5 * np.asarray(massmod.wang_mass(sphere))
     deviation = extrapolated - upsilon_half
     order = observed_orders(energies, [1.0 / r for r in radii])[-1]
 
@@ -303,16 +316,20 @@ def run_spinor_check(seed: int, count: int) -> int:
     count = _number(count, "--count", int, 1)
     seed = _number(seed, "--seed", int, 0)
     rng = np.random.default_rng(seed)
+    lo, hi = -0.57, 0.57        # the ball points' cube
     max_zet = 0.0
     for start in range(0, count, SPINOR_BLOCK):
         n = min(SPINOR_BLOCK, count - start)
-        A = np.empty((n, 2), dtype=complex)
-        X = np.empty((n, 3))
+        Z, U = np.empty((n, 4)), np.empty((n, 3))
         # one draw per sample, so a seed checks the same (a, x) sequence
-        # whatever the block size
-        for i in range(n):
-            A[i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            X[i] = rng.uniform(-0.57, 0.57, 3)
+        # whatever the block size: a = z_0:2 + i z_2:4 and x = lo + (hi -
+        # lo) u are, bit for bit, standard_normal(2) + 1j *
+        # standard_normal(2) and uniform(lo, hi, 3) drawn in turn
+        for z, u in zip(Z, U):
+            rng.standard_normal(out=z)
+            rng.random(out=u)
+        A = Z[:, :2] + 1j * Z[:, 2:]
+        X = lo + (hi - lo) * U
         for sign in (1, -1):
             max_zet = max(max_zet, float(np.max(verify_zet(A, X, sign))))
     cone = sample_null_cone(500)

@@ -51,6 +51,7 @@ __all__ = [
     "energy_momentum",
     "shi_tam_alpha",
     "shi_tam_vector",
+    "round_sphere_quadrature",
     "wang_mass",
     "killing_weighted_mass",
     "ah_sphere_data",
@@ -153,7 +154,6 @@ class SurfaceMassData:
         return self.weighted_vector(np.multiply(self.weight, self.X.T,
                                                 order="C"))
 
-    @np.errstate(over="ignore", invalid="ignore")
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
         a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
@@ -163,13 +163,14 @@ class SurfaceMassData:
         if self.k != 1.0:
             raise DomainError("spinor-weighted integrals require k = 1")
         if sign not in self.killing_forms:
-            n0, n1, n_re, n_im = killing_spinor_norms_sq(
-                np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
-                self.ball_points, sign)
-            rows = np.stack((n0, n1, 0.5 * (n_re - n0 - n1),
-                             0.5 * (n0 + n1 - n_im)))
-            rows *= self.weight
-            q00, q11, re01, im01 = self.weighted(rows)
+            with np.errstate(over="ignore", invalid="ignore"):
+                n0, n1, n_re, n_im = killing_spinor_norms_sq(
+                    np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
+                    self.ball_points, sign)
+                rows = np.stack((n0, n1, 0.5 * (n_re - n0 - n1),
+                                 0.5 * (n0 + n1 - n_im)))
+                rows *= self.weight
+                q00, q11, re01, im01 = self.weighted(rows)
             Q = np.array([[q00, complex(re01, im01)],
                           [complex(re01, -im01), q11]])
             Q.flags.writeable = False
@@ -253,25 +254,30 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     return data.weighted_vector(W)
 
 
-def _round_sphere_quadrature(grid: QuadratureGrid):
+def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
+    """The round sphere on ``grid`` with the mass-aspect tensor h on it:
+    ``(xhat, w, tau)``, the unit directions (N, 3), the weights of dS (N,)
+    and tr(h) at the nodes (N,).  They are all that :func:`ah_sphere_data`
+    and :func:`wang_mass` read, so one build serves every radius."""
     theta, phi = grid.node_axes()
     xhat = unit_directions(theta, phi).reshape(-1, 3)
     # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
     w = grid.measure_weights().reshape(grid.n_theta, -1) * np.sin(theta)
-    return xhat, w.ravel()
+    return xhat, w.ravel(), h.trace(xhat)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def wang_mass(h: SphereTensor, grid: QuadratureGrid) -> LorentzVector:
-    """Wang's AH energy-momentum from the mass-aspect tensor h.
+def wang_mass(sphere: tuple) -> LorentzVector:
+    """Wang's AH energy-momentum from the mass-aspect tensor h, on the
+    :func:`round_sphere_quadrature` triple ``sphere``.
 
     The scalar slot is int tr(h) dS and the vector slot int tr(h) x dS over
     the round sphere, stored as the time and the spatial part of the
     LorentzVector.
     """
-    xhat, w = _round_sphere_quadrature(grid)
+    xhat, w, tau = sphere
     rows = np.empty((4, len(w)))
-    np.multiply(w, h.trace(xhat), out=rows[3])
+    np.multiply(w, tau, out=rows[3])
     np.multiply(rows[3], xhat.T, out=rows[:3])
     return LorentzVector(*_fsum_rows(rows))
 
@@ -296,30 +302,30 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
 # asymptotically hyperbolic small-sphere machinery
 
 
-def ah_sphere_data(r: float, h: SphereTensor,
-                   grid: QuadratureGrid) -> SurfaceMassData:
+def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     """Truncated small-sphere expansion data for the geodesic sphere S_r,
-    0 < r <= 0.5, on a round-sphere grid (k = 1): H and H_0 from the collar
-    expansions truncated at the printed orders (the omitted terms are o(r^3)
-    relative), the round dS over sinh^2 r, and the exact hyperboloid points
-    at areal radius sinh(rho_r) = 1/r, matching the displayed leading
-    behavior (x/r, 1/r)."""
+    0 < r <= 0.5, on the :func:`round_sphere_quadrature` triple ``sphere``
+    (k = 1): H and H_0 from the collar expansions truncated at the printed
+    orders (the omitted terms are o(r^3) relative), the round dS over
+    sinh^2 r, and the exact hyperboloid points at areal radius
+    sinh(rho_r) = 1/r, matching the displayed leading behavior (x/r, 1/r).
+    H_0 = cosh r at every node is a broadcast view, not an array."""
     if not 0.0 < r <= 0.5:
         raise DomainError("expansion data is valid for 0 < r <= 0.5")
-    xhat, w = _round_sphere_quadrature(grid)
-    tau = h.trace(xhat)
+    xhat, w, tau = sphere
     H = math.cosh(r) - 0.25 * r ** 3 * tau
     if np.any(H <= 0.0):
         raise NonPositiveMeanCurvature(
             f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
-    H0 = np.full_like(tau, math.cosh(r))
+    H0 = np.broadcast_to(math.cosh(r), tau.shape)
     R = np.float64(1.0 / r)     # the areal radius of every node
     return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, xhat),
                            measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 
-def asymptotic_limit(h: SphereTensor, radii, grid: QuadratureGrid) -> tuple:
-    """E(S_r) along decreasing radii and its Richardson limit, as the pair
+def asymptotic_limit(sphere: tuple, radii) -> tuple:
+    """E(S_r) along decreasing radii, on the :func:`round_sphere_quadrature`
+    triple ``sphere``, and its Richardson limit, as the pair
     ``(energies, extrapolated)`` of shapes (len(radii), 4) and (4,).
 
     The extrapolation is two-point with assumed leading order 1 in r, using
@@ -331,6 +337,6 @@ def asymptotic_limit(h: SphereTensor, radii, grid: QuadratureGrid) -> tuple:
         raise DomainError("need at least three radii")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
-    energies = np.array([ah_sphere_data(r, h, grid).energy() for r in radii])
+    energies = np.array([ah_sphere_data(r, sphere).energy() for r in radii])
     (r1, r2), (E1, E2) = radii[-2:], energies[-2:]
     return energies, (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)

@@ -55,7 +55,11 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign: int) -> np.ndarray:
     """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign * i gamma(x)) a|^2 at k = 1.
 
     Spinors ``a`` of shape (..., 2) broadcast against ball points of shape
-    (..., 3).
+    (..., 3).  The 2x2 product psi_k = m_k0 a_0 + m_k1 a_1 is written out in
+    real arithmetic, each product and sum rounded on its own as a complex
+    ``einsum`` rounds them: numpy's complex multiply may fuse a
+    multiply-add.  The entries m_kl are read off GAMMAS, whose nonzero
+    coefficients are +-1 and +-i, so each x_j term is exact.
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
@@ -65,9 +69,26 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign: int) -> np.ndarray:
     if np.any(r2 >= 1.0):
         raise DomainError("ball point must satisfy |x| < 1")
     f = 2.0 / (1.0 - r2)
-    gx = np.einsum("...j,jkl->...kl", points, GAMMAS)
-    psi = np.einsum("...kl,...l->...k", np.eye(2) + sign * 1j * gx, a)
-    return f * np.sum(np.abs(psi) ** 2, axis=-1)
+    x = np.moveaxis(points, -1, 0)
+    coef = sign * 1j * GAMMAS       # m = Id + sum_j x_j coef_j
+
+    def entry(part, k, l, delta):
+        return sum((xj * c for xj, c in zip(x, part[:, k, l]) if c), delta)
+
+    ar, ai = a.real, a.imag
+    psi = np.empty(np.broadcast_shapes(f.shape, a.shape[:-1]), complex)
+    norms = 0.0
+    for k in (0, 1):
+        re, im = [], []
+        for l in (0, 1):
+            mr = entry(coef.real, k, l, float(k == l))
+            mi = entry(coef.imag, k, l, 0.0)
+            re.append(mr * ar[..., l] - mi * ai[..., l])
+            im.append(mr * ai[..., l] + mi * ar[..., l])
+        np.add(*re, out=psi.real)
+        np.add(*im, out=psi.imag)
+        norms = norms + np.abs(psi) ** 2
+    return f * norms
 
 
 def zeta_of(a, sign: int) -> np.ndarray:

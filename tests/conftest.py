@@ -9,6 +9,7 @@ import pytest
 
 from hypermass import geometry as geo
 from hypermass import mass as massmod
+from hypermass import spinor
 from hypermass.lorentz import minkowski_inner
 
 ADS_M = 0.1
@@ -75,9 +76,11 @@ def asymptotic_results(grid32):
         "g0": geo.SphereTensor(g0_coeff=1.0),
         "x3": geo.SphereTensor(linear=(0.0, 0.0, 1.0)),
     }
-    return {name: (*massmod.asymptotic_limit(h, ASYMPTOTIC_RADII, grid32),
-                   0.5 * np.asarray(massmod.wang_mass(h, grid32)))
-            for name, h in fields.items()}
+    spheres = {name: massmod.round_sphere_quadrature(h, grid32)
+               for name, h in fields.items()}
+    return {name: (*massmod.asymptotic_limit(sphere, ASYMPTOTIC_RADII),
+                   0.5 * np.asarray(massmod.wang_mass(sphere)))
+            for name, sphere in spheres.items()}
 
 
 def node_arrays(grid):
@@ -127,6 +130,19 @@ def classify_by_null_pairings(v, samples, tol: float = 1e-12) -> bool:
 
 def random_spinors(rng, n):
     return rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+
+
+def einsum_killing_norms_sq(a, points, sign):
+    """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign i gamma(x)) a|^2 by two complex
+    einsums over (..., 2, 2) matrices, as killing_spinor_norms_sq once
+    computed it: the oracle that its written-out 2x2 product matches bit for
+    bit."""
+    a = np.asarray(a, dtype=complex)
+    points = np.asarray(points, dtype=float)
+    f = 2.0 / (1.0 - np.sum(points * points, axis=-1))
+    gx = np.einsum("...j,jkl->...kl", points, spinor.GAMMAS)
+    psi = np.einsum("...kl,...l->...k", np.eye(2) + sign * 1j * gx, a)
+    return f * np.sum(np.abs(psi) ** 2, axis=-1)
 
 
 def make_classified_vector(rng, cls):

@@ -9,7 +9,6 @@ the closed form predicts.  2b is kept red deliberately rather than papered
 over with a loose tolerance.
 """
 
-import json
 import math
 import time
 
@@ -24,13 +23,12 @@ from hypermass.geometry import (SphereTensor, ads_schwarzschild_metric,
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass.mass import (asymptotic_limit, killing_weighted_mass,
-                            shi_tam_alpha)
+                            round_sphere_quadrature, shi_tam_alpha)
 from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
-                      ads_potential, classify_by_null_pairings,
-                      exact_ads_energy, make_classified_vector, norm_inf,
-                      random_spinors)
+                      classify_by_null_pairings, exact_ads_energy,
+                      make_classified_vector, norm_inf, random_spinors)
 
 
 def report(tag, ok, detail):
@@ -129,7 +127,8 @@ def test_criterion_5_asymptotic_limit(asymptotic_results, grid64):
     for name, (_, extrapolated, upsilon_half) in asymptotic_results.items():
         scale = max(norm_inf(upsilon_half), 1.0)
         worst = max(worst, norm_inf(extrapolated - upsilon_half) / scale)
-    _, zero = asymptotic_limit(SphereTensor(), ASYMPTOTIC_RADII, grid64)
+    _, zero = asymptotic_limit(
+        round_sphere_quadrature(SphereTensor(), grid64), ASYMPTOTIC_RADII)
     zero_exact = norm_inf(zero) == 0.0
     ok = worst < 0.01 and zero_exact
     assert report("criterion 5: asymptotic limit E(S_r) -> Upsilon/2", ok,

@@ -377,15 +377,29 @@ class TestMassCommand:
             classify).parameters["tol"].default
 
 
-def assert_one_error_line(tmp_path, command, text, code=1):
-    """Run ``command`` on the config ``text`` in a fresh process, so that an
+# the CLI's entry point with PyYAML's pure-Python loader, as where PyYAML
+# is built without libyaml
+PURE_YAML_CLI = """
+import sys, yaml
+if hasattr(yaml, "CSafeLoader"):
+    del yaml.CSafeLoader
+from hypermass.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def assert_one_error_line(tmp_path, command, text, code=1, libyaml=True):
+    """Run ``command`` on the config ``text`` (str or bytes) in a fresh
+    process, with libyaml's loader or the pure-Python one, so that an
     escaped exception shows as a traceback and a numpy warning on stderr:
     it must exit ``code`` with the one line of a typed error, a config
     error for code 2."""
-    cfg = write(tmp_path, "scenario.yaml", text)
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    entry = ["-m", "hypermass.cli"] if libyaml else ["-c", PURE_YAML_CLI]
     proc = subprocess.run(
-        [sys.executable, "-m", "hypermass.cli", command[0], cfg,
+        [sys.executable, *entry, command[0], str(path),
          *command[1:], "--output", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
@@ -493,6 +507,22 @@ class TestAsymptoticCommand:
         assert rows[-1] == "observed_order,,floor,,,"
         assert out.splitlines()[-1] == "observed order: floor"
 
+    def test_builds_one_round_sphere(self, tmp_path, monkeypatch):
+        # every radius and Upsilon/2 read one round-sphere quadrature: the
+        # unit directions are built once per op, not once per radius
+        calls = []
+
+        def unit_directions(*args):
+            calls.append(args)
+            return geo.unit_directions(*args)
+
+        monkeypatch.setattr(massmod, "unit_directions", unit_directions)
+        cfg = write(tmp_path, "geo.yaml", GEO_CONFIG.replace(
+            "[0.2, 0.1, 0.05]", "[0.4, 0.2, 0.1, 0.05]"))
+        code, _, _ = run(["asymptotic", cfg, "--output", str(tmp_path / "o")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_builds_no_metric_or_surface(self, tmp_path):
         # the series integrates the collar expansion alone: the ranges of
         # the metric and the surface, which their factories check, are not
@@ -554,6 +584,36 @@ class TestSpinorCheckCommand:
         assert "FAIL" in out
         residual = float(out.splitlines()[0].split(":")[1])
         assert residual > 0.1
+
+    @pytest.mark.parametrize("block", [cli.SPINOR_BLOCK, 7])
+    def test_draws_are_one_per_sample(self, monkeypatch, block):
+        # the (a, x) that verify_zet checks are, bit for bit, those of one
+        # standard_normal(2) + 1j standard_normal(2) and uniform(-0.57, 0.57,
+        # 3) per sample in turn, whatever the block size; a shorter count
+        # checks a prefix of a longer one's sequence
+        monkeypatch.setattr(cli, "SPINOR_BLOCK", block)
+        for count in (30, 50):
+            seen = []
+
+            def record(a, x, sign):
+                if sign == 1:
+                    seen.append((a.copy(), x.copy()))
+                return spinor.verify_zet(a, x, sign)
+
+            monkeypatch.setattr(cli, "verify_zet", record)
+            with redirect_stdout(io.StringIO()):
+                assert cli.run_spinor_check(5, count) == 0
+            A = np.concatenate([a for a, _ in seen])
+            X = np.concatenate([x for _, x in seen])
+            assert [len(a) for a, _ in seen] == [
+                min(block, count - i) for i in range(0, count, block)]
+            rng = np.random.default_rng(5)
+            want_A, want_X = np.empty((50, 2), complex), np.empty((50, 3))
+            for i in range(50):
+                want_A[i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                want_X[i] = rng.uniform(-0.57, 0.57, 3)
+            assert A.tobytes() == want_A[:count].tobytes()
+            assert X.tobytes() == want_X[:count].tobytes()
 
     def test_blocks_match_one_block(self, monkeypatch):
         # the draws are evaluated in blocks of SPINOR_BLOCK rows; a count
@@ -731,17 +791,17 @@ class TestYamlLoader:
         assert load_config(cfg) == fast
 
     @pytest.mark.parametrize("libyaml", [True, False])
-    def test_undecodable_bytes_exit_2(self, tmp_path, monkeypatch, libyaml):
+    def test_undecodable_bytes_exit_2(self, tmp_path, libyaml):
         # a config is read as bytes, so a byte that is no UTF-8 is malformed
-        # YAML to the parser, not a UnicodeDecodeError
-        if not libyaml:
-            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        path = tmp_path / "bad.yaml"
-        path.write_bytes(ADS_CONFIG.encode() + b"# \xff\n")
-        code, _, err = run(["mass", str(path),
-                            "--output", str(tmp_path / "o")])
-        assert code == 2
-        assert err.startswith("config error: malformed YAML")
+        # YAML to the parser, not a UnicodeDecodeError; PyYAML words it on
+        # two lines, the problem and its position, and the CLI on one
+        err = assert_one_error_line(
+            tmp_path, ["mass"], ADS_CONFIG.encode() + b"# \xff\n", code=2,
+            libyaml=libyaml)
+        assert err.startswith(
+            "config error: malformed YAML: unacceptable character #x00ff: ")
+        assert err.endswith(f'in "{tmp_path / "scenario.yaml"}", '
+                            f"position {len(ADS_CONFIG) + 2}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("libyaml", [True, False])
@@ -756,14 +816,18 @@ class TestYamlLoader:
 
     @pytest.mark.parametrize("libyaml", [True, False])
     def test_malformed_yaml_exits_2(self, tmp_path, monkeypatch, libyaml):
+        # PyYAML words a parse error on four lines, a context and the
+        # problem each with its mark: the CLI prints the problem and its
+        # mark on one
+        err = assert_one_error_line(tmp_path, ["mass"], "metric: [1, 2\n",
+                                    code=2, libyaml=libyaml)
+        assert err.startswith("config error: malformed YAML: ")
+        assert err.endswith(
+            f'in "{tmp_path / "scenario.yaml"}", line 2, column 1\n')
         if not libyaml:
             monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        cfg = write(tmp_path, "bad.yaml", "metric: {type: [unclosed\n")
-        code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
-        assert code == 2
-        assert "malformed YAML" in err
         with pytest.raises(ConfigError):
-            load_config(cfg)
+            load_config(tmp_path / "scenario.yaml")
 
 
 NO_POLYNOMIAL_SCRIPT = """

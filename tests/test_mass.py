@@ -28,7 +28,8 @@ from hypermass import cli
 from hypermass import mass as massmod
 from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             energy_momentum, killing_weighted_mass,
-                            mass_forms, shi_tam_alpha, shi_tam_vector,
+                            mass_forms, round_sphere_quadrature,
+                            shi_tam_alpha, shi_tam_vector,
                             surface_mass_data, wang_mass)
 from hypermass.spinor import killing_spinor_norms_sq, zeta_of
 
@@ -223,15 +224,18 @@ class TestShiTam:
 
 class TestWangMass:
     def test_round_multiple(self, grid64):
-        ups = wang_mass(SphereTensor(g0_coeff=0.5), grid64)
+        ups = wang_mass(round_sphere_quadrature(SphereTensor(g0_coeff=0.5),
+                                                grid64))
         assert abs(ups.t - 4 * math.pi) < 1e-12
         assert max(abs(ups.x1), abs(ups.x2), abs(ups.x3)) < 1e-12
 
     def test_zero_tensor(self, grid64):
-        assert norm_inf(wang_mass(SphereTensor(), grid64)) == 0.0
+        assert norm_inf(wang_mass(round_sphere_quadrature(SphereTensor(),
+                                                           grid64))) == 0.0
 
     def test_odd_trace_profile(self, grid64):
-        ups = wang_mass(SphereTensor(linear=(0.0, 0.0, 1.0)), grid64)
+        ups = wang_mass(round_sphere_quadrature(
+            SphereTensor(linear=(0.0, 0.0, 1.0)), grid64))
         assert abs(ups.t) < 1e-12
         assert abs(ups.x3 - 4 * math.pi / 3) < 1e-12
         assert max(abs(ups.x1), abs(ups.x2)) < 1e-12
@@ -402,35 +406,40 @@ class TestKillingForm:
 
 class TestAHSphereData:
     def test_zero_tensor(self, grid64):
-        d = ah_sphere_data(0.3, SphereTensor(), grid64)
+        d = ah_sphere_data(0.3, round_sphere_quadrature(SphereTensor(), grid64))
         assert np.all(d.H == d.H0)
         assert np.all(d.H == math.cosh(0.3))
 
     def test_round_multiple_offset(self, grid64):
         c, r = 0.7, 0.1
-        d = ah_sphere_data(r, SphereTensor(g0_coeff=c), grid64)
+        d = ah_sphere_data(
+            r, round_sphere_quadrature(SphereTensor(g0_coeff=c), grid64))
         expect = -0.25 * r ** 3 * 2 * c
         assert np.max(np.abs((d.H - d.H0) - expect)) < 1e-15
 
     def test_h_positive_in_validity_range(self, grid64):
         for tau in (10.0, -10.0):
-            d = ah_sphere_data(0.5, SphereTensor(g0_coeff=tau / 2.0), grid64)
+            d = ah_sphere_data(0.5, round_sphere_quadrature(
+                SphereTensor(g0_coeff=tau / 2.0), grid64))
             assert np.min(d.H) > 0.0
 
     def test_radius_validation(self, grid64):
+        sphere = round_sphere_quadrature(SphereTensor(), grid64)
         with pytest.raises(DomainError):
-            ah_sphere_data(0.6, SphereTensor(), grid64)
+            ah_sphere_data(0.6, sphere)
         with pytest.raises(DomainError):
-            ah_sphere_data(0.0, SphereTensor(), grid64)
+            ah_sphere_data(0.0, sphere)
 
     def test_positions_on_hyperboloid(self, grid64):
-        d = ah_sphere_data(0.2, SphereTensor(g0_coeff=1.0), grid64)
+        d = ah_sphere_data(
+            0.2, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
         q = np.sum(d.X[:, :3] ** 2, axis=1) - d.X[:, 3] ** 2
         assert np.max(np.abs(q + 1.0)) < 1e-12
 
     @pytest.mark.parametrize("r", [0.5, 0.2, 0.025])
     def test_ball_points_map_to_positions(self, r, grid64):
-        d = ah_sphere_data(r, SphereTensor(g0_coeff=1.0), grid64)
+        d = ah_sphere_data(
+            r, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
         assert d.k == 1.0
         X = ball_to_minkowski(d.ball_points)
         assert np.max(np.abs(X - d.X)) < 1e-12 * np.max(np.abs(d.X))
@@ -439,8 +448,8 @@ class TestAHSphereData:
         # the expansion integral as a sum over the round dS weights, written
         # out apart from SurfaceMassData.energy
         r, grid = 0.1, QuadratureGrid.build(16, 32)
-        d = ah_sphere_data(r, SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2,
-                                                                  0.1)), grid)
+        d = ah_sphere_data(r, round_sphere_quadrature(
+            SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid))
         theta = grid.node_axes()[0]
         w_round = (grid.measure_weights().reshape(grid.n_theta, -1)
                    * np.sin(theta)).ravel()
@@ -464,8 +473,8 @@ class TestAsymptoticLimit:
                 name
 
     def test_zero_field_is_exact(self, grid64):
-        energies, extrapolated = asymptotic_limit(SphereTensor(),
-                                                  ASYMPTOTIC_RADII, grid64)
+        energies, extrapolated = asymptotic_limit(
+            round_sphere_quadrature(SphereTensor(), grid64), ASYMPTOTIC_RADII)
         assert energies.shape == (len(ASYMPTOTIC_RADII), 4)
         for E in energies:
             assert norm_inf(E) == 0.0
@@ -479,15 +488,15 @@ class TestAsymptoticLimit:
         # time position ~ 1/r, so the time component approaches
         # (1/2) int tr h dS as r -> 0
         h = SphereTensor(g0_coeff=0.5)
-        E = ah_sphere_data(0.05, h, grid64).energy()
+        E = ah_sphere_data(0.05, round_sphere_quadrature(h, grid64)).energy()
         assert abs(E.t - 2 * math.pi) < 0.01 * 2 * math.pi
 
     def test_requires_three_decreasing_radii(self, grid64):
+        sphere = round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64)
         with pytest.raises(DomainError):
-            asymptotic_limit(SphereTensor(g0_coeff=1.0), [0.2, 0.1], grid64)
+            asymptotic_limit(sphere, [0.2, 0.1])
         with pytest.raises(DomainError):
-            asymptotic_limit(SphereTensor(g0_coeff=1.0), [0.1, 0.2, 0.05],
-                             grid64)
+            asymptotic_limit(sphere, [0.1, 0.2, 0.05])
 
 
 class TestSurfaceMassData:
@@ -511,8 +520,8 @@ class TestSurfaceMassData:
     def test_overflowing_integrand_is_a_domain_error(self):
         # H ~ 4e297 at r = 0.2: H^2 overflows, so E and Q sum to nan or inf;
         # and (H0 - H) x, with x_t = 1e10, overflows M_alpha
-        data = ah_sphere_data(0.2, SphereTensor(g0_coeff=-1e300),
-                              QuadratureGrid.build(8, 16))
+        data = ah_sphere_data(0.2, round_sphere_quadrature(
+            SphereTensor(g0_coeff=-1e300), QuadratureGrid.build(8, 16)))
         with pytest.raises(DomainError, match="overflows a float"):
             data.energy()
         with pytest.raises(DomainError, match="overflows a float"):
@@ -533,8 +542,8 @@ class TestSurfaceMassData:
             shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
         with pytest.raises(DomainError, match="overflows a float"):
-            wang_mass(SphereTensor(g0_coeff=1e308),
-                      QuadratureGrid.build(8, 16))
+            wang_mass(round_sphere_quadrature(SphereTensor(g0_coeff=1e308),
+                                              QuadratureGrid.build(8, 16)))
         # X_t = sqrt(1/k^2 + R^2) divides by k^2, so a k whose square
         # underflows is refused before any node is built
         with pytest.raises(DomainError, match="k\\^2 a normal float"):

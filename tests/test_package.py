@@ -126,6 +126,23 @@ def test_bench_asymptotic_config_runs(tmp_path, bench_run):
     assert op.check(tmp_path, stdout, None)[0]
 
 
+NO_NUMPY_RANDOM_SCRIPT = """
+import sys
+import hypermass.cli
+assert not [m for m in sys.modules if m.startswith("numpy.random")]
+"""
+
+
+def test_cli_import_leaves_out_numpy_random():
+    # importing numpy.random costs over 10 ms (hashlib, OpenSSL, mtrand)
+    # and only spinor-check draws: a module-level import would put it into
+    # every op's start-up
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_error_type_is_raised():
     # an error type that nothing raises is dead API a deletion left behind
     source = "\n".join(path.read_text() for path in

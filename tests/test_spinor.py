@@ -16,7 +16,7 @@ from hypermass import spinor
 from hypermass.spinor import (GAMMAS, S_ZETA, killing_spinor_norms_sq,
                               null_to_spinor, verify_zet, zeta_of)
 
-from conftest import random_spinors
+from conftest import einsum_killing_norms_sq, random_spinors
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -109,6 +109,30 @@ class TestKillingSpinor:
         rows = killing_spinor_norms_sq(np.tile(a, (40, 1)), pts, 1)
         assert norms.shape == rows.shape == (40,)
         assert np.all(np.abs(norms - rows) < 1e-13 * (1 + rows))
+
+    def test_matches_the_einsum_bit_for_bit(self):
+        # the written-out product rounds as the complex einsum did: one
+        # spinor per point and one spinor broadcast over the points
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            pts = random_interior_points(rng, 300)
+            A = random_spinors(rng, 300)
+            for sign in (1, -1):
+                for a in (A, A[0]):
+                    assert (killing_spinor_norms_sq(a, pts, sign).tobytes()
+                            == einsum_killing_norms_sq(a, pts, sign).tobytes())
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+    def test_polarization_basis_matches_the_einsum(self, ads_scenarios, r):
+        # the (4, 1, 2) basis that SurfaceMassData.killing_form polarizes,
+        # over the ball points of an AdS coordinate sphere
+        basis = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
+        points = ads_scenarios[r][1].ball_points
+        for sign in (1, -1):
+            norms = killing_spinor_norms_sq(basis, points, sign)
+            assert norms.shape == (4, len(points))
+            assert (norms.tobytes()
+                    == einsum_killing_norms_sq(basis, points, sign).tobytes())
 
     def test_requires_unit_curvature(self):
         # the Killing spinor formulas are stated at k = 1
