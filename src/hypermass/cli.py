@@ -100,16 +100,6 @@ def _section(node: dict, key: str) -> dict:
     return value
 
 
-def _sphere_tensor(node) -> dict:
-    """The asymptotic.h entry, validated, as SphereTensor's arguments."""
-    node = {} if node is None else node
-    if not isinstance(node, dict):
-        raise ConfigError("h tensor entry must be a mapping")
-    return {"g0_coeff": _number(node.get("g0_coeff", 0.0), "h.g0_coeff"),
-            "linear": _numbers(node.get("linear", [0.0, 0.0, 0.0]),
-                               "h.linear", 3)}
-
-
 def resolve_config(cfg: dict) -> dict:
     """Fill defaults and check types; returns the fully resolved tree.  The
     metric and surface factories check the ranges of k, m and the radii."""
@@ -154,8 +144,11 @@ def resolve_config(cfg: dict) -> dict:
 
     if cfg.get("asymptotic") is not None:
         asym = _section(cfg, "asymptotic")
+        h = _section(asym, "h")
         out["asymptotic"] = {
-            "h": _sphere_tensor(asym.get("h")),
+            "h": {"g0_coeff": _number(h.get("g0_coeff", 0.0), "h.g0_coeff"),
+                  "linear": _numbers(h.get("linear", [0.0, 0.0, 0.0]),
+                                     "h.linear", 3)},
             "radii": _numbers(asym.get("radii", []), "asymptotic.radii"),
         }
     return out
@@ -170,9 +163,7 @@ def build_metric(cfg: dict) -> geo.MetricField:
     return geo.euclidean_metric()
 
 
-def build_surface(cfg: dict) -> geo.SurfaceData:
-    grid = geo.QuadratureGrid.build(cfg["resolution"]["n_theta"],
-                                    cfg["resolution"]["n_phi"])
+def build_surface(cfg: dict, grid: geo.QuadratureGrid) -> geo.SurfaceData:
     s = cfg["surface"]
     k = cfg["metric"]["k"]
     if s["type"] == "geodesic_sphere":
@@ -213,7 +204,7 @@ FORMAT_VERSION = 2
 
 def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     metric = build_metric(cfg)
-    surface = build_surface(cfg)
+    surface = build_surface(cfg, geo.QuadratureGrid.build(**cfg["resolution"]))
     k = cfg["metric"]["k"]
     tols = cfg["tolerances"]
 
@@ -275,16 +266,10 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
     if "asymptotic" not in cfg:
         raise ConfigError("config has no 'asymptotic' section")
     radii = cfg["asymptotic"]["radii"]
-    if len(radii) < 3:
-        raise ConfigError("asymptotic.radii needs at least 3 entries")
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ConfigError("asymptotic.radii must be strictly decreasing")
-    if not 0.0 < radii[-1] < radii[0] <= 0.5:
-        raise ConfigError("asymptotic.radii must lie in (0, 0.5]")
     h = geo.SphereTensor(**cfg["asymptotic"]["h"])
-    grid = geo.QuadratureGrid.build(cfg["resolution"]["n_theta"],
-                                    cfg["resolution"]["n_phi"])
-    # one round-sphere quadrature for every radius and for Upsilon
+    grid = geo.QuadratureGrid.build(**cfg["resolution"])
+    # one round-sphere quadrature for every radius and for Upsilon;
+    # asymptotic_limit and ah_sphere_data check the radii
     sphere = massmod.round_sphere_quadrature(h, grid)
     energies, extrapolated = massmod.asymptotic_limit(sphere, radii)
     upsilon_half = 0.5 * np.asarray(massmod.wang_mass(sphere))
@@ -369,16 +354,14 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
     metric = build_metric(cfg)
     rows = []
     for n_theta in resolutions:
-        sub = dict(cfg)
-        sub["resolution"] = {"n_theta": n_theta, "n_phi": max(16, 2 * n_theta)}
-        surface = build_surface(sub)
+        grid = geo.QuadratureGrid.build(n_theta, max(16, 2 * n_theta))
+        surface = build_surface(cfg, grid)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
         area = data.area()
-        i_eq = surface.grid.node_index(surface.grid.n_theta // 2, 0)
+        i_eq = grid.node_index(n_theta // 2, 0)
         E = massmod.energy_momentum(surface, metric, data=data)
-        rows.append((n_theta, sub["resolution"]["n_phi"], area,
-                     float(data.H[i_eq]), E))
+        rows.append((n_theta, grid.n_phi, area, float(data.H[i_eq]), E))
 
     sizes = [row[0] for row in rows]
     area_ord = observed_orders([r[2] for r in rows], sizes)
@@ -446,8 +429,8 @@ def main(argv=None) -> int:
     except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return 3
-    except HypermassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HypermassError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

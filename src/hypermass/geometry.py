@@ -246,6 +246,11 @@ class QuadratureGrid:
     def build(cls, n_theta: int, n_phi: int) -> "QuadratureGrid":
         if n_theta < 2 or n_phi < 2:
             raise DomainError("grid must have at least 2 x 2 nodes")
+        # numpy refuses a node array of more bytes than intp holds, or builds
+        # it empty, as np.arange(2**63) is
+        if 8 * n_theta * n_phi > np.iinfo(np.intp).max:
+            raise DomainError(f"a {n_theta} x {n_phi} grid is too big: its "
+                              f"node arrays exceed numpy's size limit")
         u, wu = gauss_legendre(n_theta)
         theta = np.arccos(u)
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -35,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IsometryViolation, NonPositiveMeanCurvature
+from .errors import (ConfigError, DomainError, IsometryViolation,
+                     NonPositiveMeanCurvature)
 from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        SurfaceForms, hyperbolic_ball_metric, surface_forms,
                        unit_directions)
@@ -130,10 +131,6 @@ class SurfaceMassData:
         each row of ``rows`` (m, N)."""
         return _fsum_rows(self.measure * rows)
 
-    def weighted_vector(self, rows: np.ndarray) -> LorentzVector:
-        """The four :meth:`weighted` sums of component-major rows (4, N)."""
-        return LorentzVector(*self.weighted(rows))
-
     def area(self) -> float:
         """int dSigma, the exact sum of the measure."""
         return _fsum_rows(self.measure[None])[0]
@@ -151,8 +148,8 @@ class SurfaceMassData:
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return self.weighted_vector(np.multiply(self.weight, self.X.T,
-                                                order="C"))
+        return LorentzVector(*self.weighted(np.multiply(self.weight, self.X.T,
+                                                        order="C")))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
@@ -251,7 +248,7 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     W = data.X.T.copy()
     W[3] *= alpha
     W *= data.H0 - data.H
-    return data.weighted_vector(W)
+    return LorentzVector(*data.weighted(W))
 
 
 def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
@@ -311,7 +308,7 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     sinh(rho_r) = 1/r, matching the displayed leading behavior (x/r, 1/r).
     H_0 = cosh r at every node is a broadcast view, not an array."""
     if not 0.0 < r <= 0.5:
-        raise DomainError("expansion data is valid for 0 < r <= 0.5")
+        raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
     xhat, w, tau = sphere
     H = math.cosh(r) - 0.25 * r ** 3 * tau
     if np.any(H <= 0.0):
@@ -334,9 +331,9 @@ def asymptotic_limit(sphere: tuple, radii) -> tuple:
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
-        raise DomainError("need at least three radii")
+        raise ConfigError(f"need at least 3 radii, got {len(radii)}")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise DomainError("radii must be strictly decreasing")
+        raise ConfigError(f"radii must be strictly decreasing, got {radii}")
     energies = np.array([ah_sphere_data(r, sphere).energy() for r in radii])
     (r1, r2), (E1, E2) = radii[-2:], energies[-2:]
     return energies, (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)

@@ -309,6 +309,7 @@ class TestMassCommand:
         "surface: {type: coordinate_sphere, r: .inf}",
         "surface: {type: radial_profile, linear: 5}",
         "asymptotic: {h: {linear: 5}}",
+        "asymptotic: {h: 5}",
         "asymptotic: 5",
         "metric: false",
         "surface: {type: geodesic_sphere, rho: -1.0}",
@@ -322,7 +323,8 @@ class TestMassCommand:
         "metric: {k: true}",
         "surface: {rho: yes}",
     ], ids=["nan_mass", "negative_mass", "infinite_r",
-            "scalar_surface_linear", "scalar_h_linear", "scalar_asymptotic",
+            "scalar_surface_linear", "scalar_h_linear", "scalar_h",
+            "scalar_asymptotic",
             "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
             "k_squared_underflows", "subnormal_k", "profile_touches_zero",
             "boolean_k", "boolean_rho"])
@@ -367,6 +369,45 @@ class TestMassCommand:
             "surface: {type: coordinate_sphere, r: 1.0e-100}")
         assert err == ("error: the forms underflow a float on the surface "
                        "down to r = 1e-100 in the Euclidean chart\n")
+
+    @pytest.mark.parametrize("command, text", [
+        (["mass"], "resolution: {n_theta: 8, n_phi: 4611686018427387904}"),
+        (["mass"], "resolution: {n_theta: 8, n_phi: 9223372036854775808}"),
+        (["asymptotic"], GEO_CONFIG.replace("n_phi: 32",
+                                            "n_phi: 4611686018427387904")),
+        (["convergence", "--resolutions", "8,16,4611686018427387904"],
+         ADS_CONFIG),
+    ], ids=["mass", "mass_2_63", "asymptotic", "convergence"])
+    def test_grid_past_numpy_size_limit_is_a_domain_error(self, tmp_path,
+                                                          command, text):
+        # refused before any array is built: numpy would refuse the 2^62
+        # size itself, and build np.arange(2**63) empty
+        err = assert_one_error_line(tmp_path, command, text)
+        assert "grid is too big" in err
+        assert not (tmp_path / "o").exists()
+
+    # numpy's MemoryError, and a bare one, raised here without asking for
+    # the memory
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 488. GiB for an array with shape (65536000000,) "
+         "and data type float64", None), ("", "MemoryError")],
+        ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command, text", [
+        (["mass"], ADS_CONFIG), (["asymptotic"], GEO_CONFIG),
+        (["convergence", "--resolutions", "8,16,32"], ADS_CONFIG)],
+        ids=["mass", "asymptotic", "convergence"])
+    def test_unallocatable_grid_is_one_error_line(self, tmp_path, monkeypatch,
+                                                  command, text, message,
+                                                  line):
+        def build(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(geo.QuadratureGrid, "build", build)
+        cfg = write(tmp_path, "c.yaml", text)
+        code, out, err = run([command[0], cfg, *command[1:],
+                              "--output", str(tmp_path / "o")])
+        assert (code, out, err) == (1, "", f"error: {line or message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_tolerance_defaults_are_the_library_defaults(self):
         tols = cli.resolve_config({})["tolerances"]
@@ -428,7 +469,8 @@ class TestNodePass:
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
         config = load_config(cfg)
-        data = massmod.surface_mass_data(build_surface(config),
+        grid = geo.QuadratureGrid.build(**config["resolution"])
+        data = massmod.surface_mass_data(build_surface(config, grid),
                                          build_metric(config))
         assert doc["hypothesis_checks"]["min_mean_curvature"] \
             == float(np.min(data.H))
@@ -439,7 +481,8 @@ class TestNodePass:
         doc = json.loads((tmp_path / "o" / "mass_report.json").read_text())
         config = load_config(cfg)
         k = config["metric"]["k"]
-        _, forms0 = massmod.mass_forms(build_surface(config),
+        grid = geo.QuadratureGrid.build(**config["resolution"])
+        _, forms0 = massmod.mass_forms(build_surface(config, grid),
                                        build_metric(config))
         assert doc["hypothesis_checks"]["min_gauss_plus_k2"] \
             == float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
@@ -538,26 +581,34 @@ class TestAsymptoticCommand:
     def test_short_radii_list_rejected(self, tmp_path):
         cfg = write(tmp_path, "short.yaml", GEO_CONFIG.replace(
             "[0.2, 0.1, 0.05]", "[0.2, 0.1]"))
-        assert run(["asymptotic", cfg, "--output", str(tmp_path)])[0] == 2
+        code, _, err = run(["asymptotic", cfg,
+                            "--output", str(tmp_path / "o")])
+        assert (code, err) == (2, "config error: need at least 3 radii, "
+                                  "got 2\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_section_rejected(self, tmp_path):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         assert run(["asymptotic", cfg, "--output", str(tmp_path)])[0] == 2
 
-    @pytest.mark.parametrize("radii, rule", [
-        ("[0.2, 0.3, 0.1]", "must be strictly decreasing"),
-        ("[0.2, 0.1, 0.1]", "must be strictly decreasing"),
-        ("[0.6, 0.2, 0.1]", "must lie in (0, 0.5]"),
-        ("[0.2, 0.1, 0.0]", "must lie in (0, 0.5]"),
-        ("[0.2, 0.1, -0.05]", "must lie in (0, 0.5]")],
+    # asymptotic_limit checks the count and the order of the radii, and
+    # ah_sphere_data the range of each
+    @pytest.mark.parametrize("radii, message", [
+        ("[0.2, 0.3, 0.1]",
+         "radii must be strictly decreasing, got [0.2, 0.3, 0.1]"),
+        ("[0.2, 0.1, 0.1]",
+         "radii must be strictly decreasing, got [0.2, 0.1, 0.1]"),
+        ("[0.6, 0.2, 0.1]", "radius r = 0.6 must lie in (0, 0.5]"),
+        ("[0.2, 0.1, 0.0]", "radius r = 0.0 must lie in (0, 0.5]"),
+        ("[0.2, 0.1, -0.05]", "radius r = -0.05 must lie in (0, 0.5]")],
         ids=["increasing", "repeated", "above_half", "zero", "negative"])
-    def test_bad_radii_are_config_errors(self, tmp_path, radii, rule):
+    def test_bad_radii_are_config_errors(self, tmp_path, radii, message):
         cfg = write(tmp_path, "r.yaml", GEO_CONFIG.replace(
             "[0.2, 0.1, 0.05]", radii))
         code, _, err = run(["asymptotic", cfg,
                             "--output", str(tmp_path / "o")])
         assert code == 2
-        assert err == f"config error: asymptotic.radii {rule}\n"
+        assert err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -773,6 +824,19 @@ def test_readme_examples_set_no_dead_key():
             for key in path:
                 assert key in node, ".".join(path)
                 node = node[key]
+
+
+def test_readme_library_example_runs():
+    # the python block of the README prints E and its causal class, timelike
+    # future directed with E_t ~ 2.5388
+    [code] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md")
+                        .read_text(), re.S)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    printed = out.getvalue()
+    assert printed.endswith(" CausalClass.TIMELIKE_FUTURE\n")
+    assert abs(float(re.search(r"\bt=([^)]+)\)", printed)[1]) - 2.5388) < 5e-5
 
 
 class TestYamlLoader:

@@ -182,6 +182,14 @@ class TestQuadratureGrid:
         with pytest.raises(DomainError):
             QuadratureGrid.build(1, 1)
 
+    @pytest.mark.parametrize("n_theta, n_phi", [
+        (8, 2 ** 62), (8, 2 ** 63), (2 ** 62, 16)])
+    def test_rejects_grids_past_numpy_size_limit(self, n_theta, n_phi):
+        # numpy refuses an axis of 2^62 before it allocates, and builds
+        # np.arange(2**63) empty: both are refused before any array
+        with pytest.raises(DomainError, match="grid is too big"):
+            QuadratureGrid.build(n_theta, n_phi)
+
     def test_node_index_layout(self, grid16):
         theta, phi = node_arrays(grid16)
         i = grid16.node_index(3, 7)

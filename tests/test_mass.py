@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference_geometry as ref
-from hypermass.errors import (DomainError, IsometryViolation,
+from hypermass.errors import (ConfigError, DomainError, IsometryViolation,
                               MissingEmbedding, NonPositiveMeanCurvature)
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 ads_schwarzschild_metric,
@@ -424,11 +424,11 @@ class TestAHSphereData:
             assert np.min(d.H) > 0.0
 
     def test_radius_validation(self, grid64):
+        # the one range check on the asymptotic radii, a config error
         sphere = round_sphere_quadrature(SphereTensor(), grid64)
-        with pytest.raises(DomainError):
-            ah_sphere_data(0.6, sphere)
-        with pytest.raises(DomainError):
-            ah_sphere_data(0.0, sphere)
+        for r in (0.6, 0.0, math.nan):
+            with pytest.raises(ConfigError, match="must lie in"):
+                ah_sphere_data(r, sphere)
 
     def test_positions_on_hyperboloid(self, grid64):
         d = ah_sphere_data(
@@ -492,10 +492,11 @@ class TestAsymptoticLimit:
         assert abs(E.t - 2 * math.pi) < 0.01 * 2 * math.pi
 
     def test_requires_three_decreasing_radii(self, grid64):
+        # the one check on the count and the order of the radii
         sphere = round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="at least 3 radii"):
             asymptotic_limit(sphere, [0.2, 0.1])
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="strictly decreasing"):
             asymptotic_limit(sphere, [0.1, 0.2, 0.05])
 
 
