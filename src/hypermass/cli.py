@@ -1,19 +1,27 @@
 """Batch front-end: scenario ingestion, hypothesis checks, reports.
 
-Subcommands
------------
-mass <config>                 compute E (and M_alpha at k = 1)
-asymptotic <config>           small-radius series E(S_r) -> Upsilon/2
-spinor-check --seed S --count N   identity / round-trip residual sweep
-convergence <config> --resolutions a,b,c   quantities vs grid resolution
+usage:
+  hypermass mass scenario.yaml [--force] [--output DIR]
+  hypermass asymptotic scenario.yaml [--output DIR]
+  hypermass spinor-check [--seed 42] [--count 1000]
+  hypermass convergence scenario.yaml --resolutions 8,16,32 [--output DIR]
+  hypermass -h | --help
 
+mass          compute E (and M_alpha at k = 1); --force proceeds past
+              failed hypothesis checks
+asymptotic    small-radius series E(S_r) -> Upsilon/2
+spinor-check  seeded identity / round-trip residual sweep
+convergence   quantities vs grid resolution, one per n_theta given
+
+An option is --name value or --name=value, before or after the config;
+--output (default: the current directory) is where reports are written.
 Configs are YAML key trees (see README for the schema).  Identical config
-and seed produce byte-identical JSON/CSV output.
+and seed produce byte-identical JSON/CSV output.  Exit codes: 0 success,
+1 numeric failure, 2 config or usage error, 3 hypothesis failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -296,8 +304,9 @@ def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
 SPINOR_BLOCK = 4096
 
 
-def run_spinor_check(seed: int, count: int) -> int:
-    """Seeded residual sweep; returns a process exit code."""
+def run_spinor_check(seed, count) -> int:
+    """Seeded residual sweep; returns a process exit code.  ``seed`` and
+    ``count`` are integers or their strings from the command line."""
     count = _number(count, "--count", int, 1)
     seed = _number(seed, "--seed", int, 0)
     rng = np.random.default_rng(seed)
@@ -382,47 +391,72 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hypermass", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+# each command's options and their defaults: False for a switch, None for a
+# value the command requires; every command but spinor-check takes one
+# config path
+OPTIONS = {
+    "mass": {"--force": False, "--output": "."},
+    "asymptotic": {"--output": "."},
+    "spinor-check": {"--seed": "42", "--count": "1000"},
+    "convergence": {"--resolutions": None, "--output": "."},
+}
 
-    pm = sub.add_parser("mass", help="compute the energy-momentum report")
-    pm.add_argument("config")
-    pm.add_argument("--force", action="store_true",
-                    help="proceed despite failed hypothesis checks")
-    pm.add_argument("--output", default=".", help="output directory")
 
-    pa = sub.add_parser("asymptotic", help="small-radius asymptotic series")
-    pa.add_argument("config")
-    pa.add_argument("--output", default=".")
-
-    ps = sub.add_parser("spinor-check", help="identity/round-trip residuals")
-    ps.add_argument("--seed", type=int, default=42)
-    ps.add_argument("--count", type=int, default=1000)
-
-    pc = sub.add_parser("convergence", help="quantities vs grid resolution")
-    pc.add_argument("config")
-    pc.add_argument("--resolutions", required=True,
-                    help="comma-separated n_theta values, e.g. 8,16,32")
-    pc.add_argument("--output", default=".")
-    return p
+def parse_argv(argv) -> tuple:
+    """The command, its config path (None for spinor-check) and its options
+    by name, read from ``argv``; a usage error is a ConfigError.  Values stay
+    strings: the commands check them."""
+    if not argv or argv[0] not in OPTIONS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ConfigError(f"{given}: choose one of {', '.join(OPTIONS)}")
+    command, *rest = argv
+    opts = dict(OPTIONS[command])
+    paths = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            paths.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in opts:
+            raise ConfigError(f"{command} has no option {name}")
+        if OPTIONS[command][name] is False:
+            if eq:
+                raise ConfigError(f"{name} takes no value")
+            opts[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{name} needs a value")
+        opts[name] = value
+    takes = command != "spinor-check"
+    if len(paths) != takes:
+        raise ConfigError(f"{command} takes {'one' if takes else 'no'} "
+                          f"config path, got {len(paths)}")
+    missing = [name for name, value in opts.items() if value is None]
+    if missing:
+        raise ConfigError(f"{command} needs {missing[0]}")
+    return command, paths[0] if takes else None, opts
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
     try:
-        if args.command == "mass":
-            run_mass(load_config(args.config), force=args.force,
-                     outdir=Path(args.output))
-        elif args.command == "asymptotic":
-            run_asymptotic(load_config(args.config), outdir=Path(args.output))
-        elif args.command == "spinor-check":
-            return run_spinor_check(args.seed, args.count)
-        elif args.command == "convergence":
-            resolutions = [s for s in args.resolutions.split(",") if s]
-            run_convergence(load_config(args.config), resolutions,
-                            outdir=Path(args.output))
+        command, config, opts = parse_argv(argv)
+        if command == "spinor-check":
+            return run_spinor_check(opts["--seed"], opts["--count"])
+        cfg, outdir = load_config(config), Path(opts["--output"])
+        if command == "mass":
+            run_mass(cfg, force=opts["--force"], outdir=outdir)
+        elif command == "asymptotic":
+            run_asymptotic(cfg, outdir=outdir)
+        else:
+            resolutions = [s for s in opts["--resolutions"].split(",") if s]
+            run_convergence(cfg, resolutions, outdir=outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ def _as_spinor(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape[-1:] != (2,):
         raise DomainError("spinors must have shape (..., 2)")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("non-finite spinor components")
     return a
 

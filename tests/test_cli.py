@@ -430,23 +430,137 @@ sys.exit(main(sys.argv[1:]))
 
 
 def assert_one_error_line(tmp_path, command, text, code=1, libyaml=True):
-    """Run ``command`` on the config ``text`` (str or bytes) in a fresh
-    process, with libyaml's loader or the pure-Python one, so that an
-    escaped exception shows as a traceback and a numpy warning on stderr:
-    it must exit ``code`` with the one line of a typed error, a config
-    error for code 2."""
+    """Run ``command`` on the config ``text`` (str or bytes), writing to
+    ``tmp_path / "o"``, with ``assert_exits_with_one_line``."""
     path = tmp_path / "scenario.yaml"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return assert_exits_with_one_line(
+        [command[0], str(path), *command[1:], "--output", str(tmp_path / "o")],
+        code, libyaml)
+
+
+def assert_exits_with_one_line(argv, code=1, libyaml=True):
+    """Run the CLI on ``argv`` in a fresh process, with libyaml's loader or
+    the pure-Python one, so that an escaped exception shows as a traceback
+    and a numpy warning on stderr: it must exit ``code`` with the one line
+    of a typed error, a config error for code 2, and print nothing else."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     entry = ["-m", "hypermass.cli"] if libyaml else ["-c", PURE_YAML_CLI]
-    proc = subprocess.run(
-        [sys.executable, *entry, command[0], str(path),
-         *command[1:], "--output", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *entry, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("config error: " if code == 2 else "error: ")
+    assert proc.stdout == ""
     return proc.stderr
+
+
+def fill(argv, tmp_path):
+    """``argv`` with ``{cfg}`` a config that loads (GEO_CONFIG), ``{absent}``
+    a path with no file and ``{out}`` an output directory, all in
+    ``tmp_path``."""
+    paths = {"cfg": write(tmp_path, "geo.yaml", GEO_CONFIG),
+             "absent": str(tmp_path / "absent.yaml"),
+             "out": str(tmp_path / "o")}
+    return [arg.format(**paths) for arg in argv]
+
+
+class TestUsage:
+    # every usage error is a config error: one stderr line and exit 2, from
+    # a fresh process and from main() alike, which never raises SystemExit
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command: choose one of mass, asymptotic, spinor-check, "
+             "convergence"),
+        (["energy", "{cfg}"], "unknown command 'energy': choose one of mass, "
+                              "asymptotic, spinor-check, convergence"),
+        (["mass", "{cfg}", "--seed", "1"], "mass has no option --seed"),
+        # an option name is whole: no prefix of it stands for it
+        (["mass", "{cfg}", "--out", "{out}"], "mass has no option --out"),
+        (["convergence", "{cfg}", "--res", "8,16,32"],
+         "convergence has no option --res"),
+        (["mass", "{cfg}", "--output"], "--output needs a value"),
+        (["mass", "{cfg}", "--output", "--force"], "--output needs a value"),
+        (["mass", "--force=yes", "{cfg}"], "--force takes no value"),
+        (["mass"], "mass takes one config path, got 0"),
+        (["mass", "{absent}"], "cannot read config: [Errno 2] No such file "
+                               "or directory: '{absent}'"),
+        (["asymptotic", "{cfg}", "{cfg}"],
+         "asymptotic takes one config path, got 2"),
+        (["spinor-check", "{cfg}"], "spinor-check takes no config path, "
+                                    "got 1"),
+        (["convergence", "{cfg}"], "convergence needs --resolutions"),
+        (["spinor-check", "--seed", "x"],
+         "--seed must be a finite number, got 'x'"),
+        (["spinor-check", "--count", "0"], "--count must be at least 1, "
+                                           "got '0'"),
+        (["spinor-check", "--seed", "-1"], "--seed must be at least 0, "
+                                           "got '-1'"),
+    ], ids=["no_command", "unknown_command", "unknown_option",
+            "output_prefix", "resolutions_prefix", "no_value",
+            "option_for_value", "switch_value", "no_config",
+            "absent_config", "two_configs", "config_for_spinor_check",
+            "no_resolutions", "seed_x", "count_0", "seed_-1"])
+    def test_usage_error_is_one_config_error_line(self, tmp_path, argv,
+                                                  message):
+        argv = fill(argv, tmp_path)
+        line = f"config error: {fill([message], tmp_path)[0]}\n"
+        assert assert_exits_with_one_line(argv, code=2) == line
+        try:
+            assert run(argv) == (2, "", line)
+        except SystemExit as exc:
+            pytest.fail(f"main raised SystemExit({exc.code})")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["mass", "-h"], ["asymptotic", "--help"],
+        ["spinor-check", "-h"], ["convergence", "--help"],
+        ["mass", "{cfg}", "--output", "{out}", "--help"]])
+    def test_help_prints_the_usage(self, tmp_path, argv):
+        assert run(fill(argv, tmp_path)) == (0, cli.__doc__, "")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_from_a_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "hypermass.cli", "-h"],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, cli.__doc__, "")
+
+    def test_usage_has_every_readme_form(self):
+        readme = (ROOT / "README.md").read_text()
+        [block] = re.findall(r"## CLI\n\n```sh\n(.*?)```", readme, re.S)
+        lines = block.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            assert f"\n  {line}\n" in cli.__doc__, line
+
+    def test_options_anywhere_after_the_command(self, tmp_path, monkeypatch):
+        # --name=value, a repeated switch and options before the config read
+        # as the usual order does; the R check fails, so only a --force
+        # that took effect gives exit 0
+        monkeypatch.setattr(geo, "scalar_curvature",
+                            lambda metric, r: np.full(np.shape(r), -7.0))
+        cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        assert run(["mass", "--force", f"--output={outs[0]}", cfg,
+                    "--force"])[0] == 0
+        assert run(["mass", cfg, "--output", str(outs[1]), "--force"])[0] == 0
+        a, b = (out / "mass_report.json" for out in outs)
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["forced"] is True
+
+    # the argv forms bench/run.py builds, on small grids
+    @pytest.mark.parametrize("argv", [
+        ["mass", "{cfg}", "--force", "--output", "{out}"],
+        ["asymptotic", "{cfg}", "--output", "{out}"],
+        ["spinor-check", "--seed", "5", "--count", "20"],
+        ["convergence", "{cfg}", "--resolutions", "8,16,32", "--output",
+         "{out}"]], ids=lambda argv: argv[0])
+    def test_benchmark_forms_run(self, tmp_path, argv):
+        code, out, err = run(fill(argv, tmp_path))
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestNodePass:

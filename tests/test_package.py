@@ -143,6 +143,27 @@ def test_cli_import_leaves_out_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+NO_ARGPARSE_SCRIPT = """
+import contextlib, io, sys
+from hypermass import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--help"]) == 0
+loaded = {"argparse", "gettext", "locale"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_cli_leaves_out_argparse():
+    # argparse costs an op about 3 ms to import and 2-4 ms to build its
+    # parsers (gettext lookups, regex compiles, a lazy import of locale);
+    # the table-driven parser of cli needs none of the three, and numpy and
+    # yaml import none of them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_ARGPARSE_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_error_type_is_raised():
     # an error type that nothing raises is dead API a deletion left behind
     source = "\n".join(path.read_text() for path in
