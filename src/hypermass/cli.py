@@ -108,6 +108,35 @@ def _section(node: dict, key: str) -> dict:
     return value
 
 
+# the keys of each metric and surface type, with their defaults: a key of
+# another type of its section is refused, the first in this order named,
+# and any other key ignored
+METRIC_KEYS = {"hyperbolic_ball": {"k": 1.0},
+               "ads_schwarzschild": {"k": 1.0, "m": 0.0},
+               "euclidean": {"k": 1.0}}
+SURFACE_KEYS = {"geodesic_sphere": {"rho": 1.0},
+                "coordinate_sphere": {"r": 2.0},
+                "radial_profile": {"base": 1.0, "linear": [0.0, 0.0, 0.0]}}
+
+
+def _typed_section(cfg: dict, key: str, default: str, types: dict) -> dict:
+    """The section ``key`` resolved: its type and that type's keys, or a
+    ConfigError for an unknown type or a key of another type."""
+    node = _section(cfg, key)
+    kind = node.get("type", default)
+    if not isinstance(kind, str) or kind not in types:   # [1] is unhashable
+        raise ConfigError(f"unknown {key} type: {kind}")
+    for other in (name for names in types.values() for name in names):
+        if other in node and other not in types[kind]:
+            raise ConfigError(f"{key}.{other} is not a key of {kind}")
+    out = {"type": kind}
+    for name, value in types[kind].items():
+        value, where = node.get(name, value), f"{key}.{name}"
+        out[name] = (_numbers(value, where, 3) if name == "linear"
+                     else _number(value, where))
+    return out
+
+
 def resolve_config(cfg: dict) -> dict:
     """Fill defaults and check types; returns the fully resolved tree.  The
     metric and surface factories check the ranges of k, m and the radii."""
@@ -126,29 +155,10 @@ def resolve_config(cfg: dict) -> dict:
     if any(v <= 0 for v in out["tolerances"].values()):
         raise ConfigError("all tolerances must be positive")
 
-    met = _section(cfg, "metric")
-    mtype = met.get("type", "hyperbolic_ball")
-    k = _number(met.get("k", 1.0), "metric.k")
-    if mtype not in ("hyperbolic_ball", "ads_schwarzschild", "euclidean"):
-        raise ConfigError(f"unknown metric type: {mtype}")
-    out["metric"] = {"type": mtype, "k": k}
-    if mtype == "ads_schwarzschild":
-        out["metric"]["m"] = _number(met.get("m", 0.0), "metric.m")
-
-    surf = _section(cfg, "surface")
-    stype = surf.get("type", "geodesic_sphere")
-    if stype not in ("geodesic_sphere", "coordinate_sphere", "radial_profile"):
-        raise ConfigError(f"unknown surface type: {stype}")
-    out["surface"] = {"type": stype}
-    if stype == "geodesic_sphere":
-        out["surface"]["rho"] = _number(surf.get("rho", 1.0), "surface.rho")
-    elif stype == "coordinate_sphere":
-        out["surface"]["r"] = _number(surf.get("r", 2.0), "surface.r")
-    else:
-        out["surface"].update(
-            base=_number(surf.get("base", 1.0), "surface.base"),
-            linear=_numbers(surf.get("linear", [0.0, 0.0, 0.0]),
-                            "surface.linear", 3))
+    out["metric"] = _typed_section(cfg, "metric", "hyperbolic_ball",
+                                   METRIC_KEYS)
+    out["surface"] = _typed_section(cfg, "surface", "geodesic_sphere",
+                                    SURFACE_KEYS)
 
     if cfg.get("asymptotic") is not None:
         asym = _section(cfg, "asymptotic")
@@ -363,24 +373,19 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
     metric = build_metric(cfg)
     rows = []
     for n_theta in resolutions:
-        grid = geo.QuadratureGrid.build(n_theta, max(16, 2 * n_theta))
+        grid = geo.QuadratureGrid.build(n_theta, 2 * n_theta)
         surface = build_surface(cfg, grid)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
-        area = data.area()
-        i_eq = grid.node_index(n_theta // 2, 0)
         E = massmod.energy_momentum(surface, metric, data=data)
-        rows.append((n_theta, grid.n_phi, area, float(data.H[i_eq]), E))
+        rows.append((n_theta, grid.n_phi, data.area(), E))
 
     sizes = [row[0] for row in rows]
     area_ord = observed_orders([r[2] for r in rows], sizes)
-    et_ord = observed_orders([r[4].t for r in rows], sizes)
-    lines = ["n_theta,n_phi,area,H_probe,E_x1,E_x2,E_x3,E_t,"
-             "area_order,E_t_order"]
-    for row, ao, eo in zip(rows, area_ord, et_ord):
-        n_t, n_p, area, hp, E = row
-        lines.append(f"{n_t},{n_p},{_fmt(area)},{_fmt(hp)},{_fmt_vector(E)},"
-                     f"{ao},{eo}")
+    et_ord = observed_orders([r[3].t for r in rows], sizes)
+    lines = ["n_theta,n_phi,area,E_x1,E_x2,E_x3,E_t,area_order,E_t_order"]
+    for (n_t, n_p, area, E), ao, eo in zip(rows, area_ord, et_ord):
+        lines.append(f"{n_t},{n_p},{_fmt(area)},{_fmt_vector(E)},{ao},{eo}")
     csv = "\n".join(lines) + "\n"
     _write_text(outdir / "convergence.csv", csv)
     print(csv, end="")

@@ -54,8 +54,8 @@ _HORIZON_MARGIN = 0.1
 
 
 def _check_k(k: float) -> None:
-    """Curvature scale k > 0 with k^2 a normal float, so 1/k^2 is finite."""
-    if not (k > 0 and k * k >= sys.float_info.min):
+    """Curvature scale k > 0 with k^2 a normal float: k^2, 1/k^2 finite."""
+    if not (k > 0 and sys.float_info.min <= k * k <= sys.float_info.max):
         raise ConfigError(f"curvature scale k = {k!r} must be positive, "
                           f"with k^2 a normal float")
 
@@ -65,38 +65,21 @@ class MetricField:
     """Riemannian 3-metric in the polar chart (r, theta, phi).
 
     The node pass needs ``V`` and its derivative ``dV`` (callables of r) of a
-    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``.
-    ``components`` maps chart points (..., 3), complex ones included, to the
-    components (..., 3, 3), diag(1/V, r^2, r^2 sin^2 theta) for a warped
-    product.  No mass path reads them: they write the metric out for checks
-    that start from components alone.  The AH collar metric is no warped
-    product and carries components only.
+    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``.  The
+    AH collar metric is no warped product: it carries ``components`` only,
+    a map of chart points (..., 3), complex ones included, to the components
+    (..., 3, 3).
     """
 
     tag: str
-    components: Callable[[np.ndarray], np.ndarray]
     V: Optional[Callable] = None
     dV: Optional[Callable] = None
     r_min: float = 0.0
-
-
-def _warped_product(tag: str, V: Callable, dV: Callable,
-                    r_min: float = 0.0) -> MetricField:
-    def components(p):
-        p = np.asarray(p)
-        r, theta = p[..., 0], p[..., 1]
-        if np.any(np.real(r) <= r_min):
-            raise DomainError(f"{tag} chart requires r > {r_min:.6g}")
-        diag = np.stack([1.0 / V(r), r * r, (r * np.sin(theta)) ** 2],
-                        axis=-1)
-        return diag[..., None, :] * np.eye(3)
-
-    return MetricField(tag=tag, components=components, V=V, dV=dV,
-                       r_min=r_min)
+    components: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def euclidean_metric() -> MetricField:
-    return _warped_product("Euclidean", np.ones_like, np.zeros_like)
+    return MetricField("Euclidean", np.ones_like, np.zeros_like)
 
 
 def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
@@ -105,8 +88,8 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
     k r / (1 + sqrt(1 + k^2 r^2)) of the Poincare ball)."""
     _check_k(k)
     k2 = k * k
-    return _warped_product("Hyperbolic", lambda r: 1.0 + k2 * r * r,
-                           lambda r: 2.0 * k2 * r)
+    return MetricField("Hyperbolic", lambda r: 1.0 + k2 * r * r,
+                       lambda r: 2.0 * k2 * r)
 
 
 def ads_horizon_radius(m: float, k: float) -> float:
@@ -124,7 +107,7 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
         raise ConfigError(f"need m >= 0, got {m!r}")
     _check_k(k)
     k2 = k * k
-    return _warped_product(
+    return MetricField(
         "AdSSchwarzschild", lambda r: 1.0 + k2 * r * r - 2.0 * m / r,
         lambda r: 2.0 * k2 * r + 2.0 * m / (r * r),
         ads_horizon_radius(m, k) + _HORIZON_MARGIN)
@@ -267,9 +250,6 @@ class QuadratureGrid:
         w_phi = 2.0 * math.pi / self.n_phi
         w = (self.u_weights / np.sin(self.theta))[:, None] * w_phi
         return np.broadcast_to(w, (self.n_theta, self.n_phi)).ravel()
-
-    def node_index(self, i_theta: int, i_phi: int) -> int:
-        return i_theta * self.n_phi + i_phi
 
     def describe_node(self, node: int) -> str:
         i, j = divmod(node, self.n_phi)

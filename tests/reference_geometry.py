@@ -44,14 +44,25 @@ class Chart:
 
 
 def polar_chart(metric) -> Chart:
-    """The (r, theta, phi) components of a package metric; its boundary is
-    r = r_min and the poles."""
+    """The (r, theta, phi) components diag(1/V, r^2, r^2 sin^2 theta) of a
+    package warped product dr^2/V + r^2 g_S2, written out from its ``V``
+    alone; its boundary is r = r_min and the poles."""
+    def components(p):
+        p = np.asarray(p)
+        r, theta = p[..., 0], p[..., 1]
+        if np.any(np.real(r) <= metric.r_min):
+            raise DomainError(f"{metric.tag} chart requires "
+                              f"r > {metric.r_min:.6g}")
+        diag = np.stack([1.0 / metric.V(r), r * r, (r * np.sin(theta)) ** 2],
+                        axis=-1)
+        return diag[..., None, :] * np.eye(3)
+
     def distance(p):
         p = np.asarray(p, dtype=float)
         return np.minimum.reduce([p[..., 0] - metric.r_min, p[..., 1],
                                   math.pi - p[..., 1]])
 
-    return Chart(lambda p: metric.components(p), distance)
+    return Chart(components, distance)
 
 
 def euclidean_chart() -> Chart:

@@ -71,6 +71,25 @@ resolution: {n_theta: 16, n_phi: 32}
 """
 
 
+# configs that would otherwise run another scenario than they name, or
+# blame the surface for k, and the one line each prints; of two keys of
+# other types the first in the resolver's table is named, not the first in
+# the file
+EXACT_CONFIG_ERRORS = {
+    "surface: {type: coordinate_sphere, rho: 5}":
+        "config error: surface.rho is not a key of coordinate_sphere",
+    "metric: {type: hyperbolic_ball, m: 0.1}":
+        "config error: metric.m is not a key of hyperbolic_ball",
+    "surface: {linear: [0, 0, 0.3]}":
+        "config error: surface.linear is not a key of geodesic_sphere",
+    "surface: {type: radial_profile, r: 2.0, rho: 1.0}":
+        "config error: surface.rho is not a key of radial_profile",
+    "metric: {k: 1.0e+200}":
+        "config error: curvature scale k = 1e+200 must be positive, "
+        "with k^2 a normal float",
+    "metric: {type: [1]}": "config error: unknown metric type: [1]",
+}
+
 # the node pass overflows a float past R ~ 1e77 (det I ~ R^4)
 HUGE_ADS_CONFIG = """
 metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
@@ -322,17 +341,24 @@ class TestMassCommand:
         "[0.08282494558699316, 0.8782983255570211, -0.23759152462357513]}",
         "metric: {k: true}",
         "surface: {rho: yes}",
+        *EXACT_CONFIG_ERRORS,
     ], ids=["nan_mass", "negative_mass", "infinite_r",
             "scalar_surface_linear", "scalar_h_linear", "scalar_h",
             "scalar_asymptotic",
             "false_metric", "negative_rho", "zero_r", "profile_reaches_zero",
             "k_squared_underflows", "subnormal_k", "profile_touches_zero",
-            "boolean_k", "boolean_rho"])
+            "boolean_k", "boolean_rho", "rho_of_coordinate_sphere",
+            "mass_of_hyperbolic_ball", "linear_of_geodesic_sphere",
+            "two_keys_of_other_types", "k_squared_overflows",
+            "unhashable_type"])
     def test_bad_values_are_config_errors(self, tmp_path, text):
         cfg = write(tmp_path, "bad.yaml", text)
         code, _, err = run(["mass", cfg, "--output", str(tmp_path / "o")])
         assert code == 2
         assert err.startswith("config error")
+        if text in EXACT_CONFIG_ERRORS:
+            assert err == EXACT_CONFIG_ERRORS[text] + "\n"
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("command, text", [
@@ -812,7 +838,8 @@ class TestConvergenceCommand:
         rows = (tmp_path / "o" / "convergence.csv").read_text().splitlines()
         # the quadrature is already converged at n_theta = 8 for this
         # integrand, so stabilization shows as a sub-1e-8 plateau
-        et = [float(r.split(",")[7]) for r in rows[1:]]
+        i_t = rows[0].split(",").index("E_t")
+        et = [float(r.split(",")[i_t]) for r in rows[1:]]
         deltas = [abs(b - a) for a, b in zip(et, et[1:])]
         assert max(deltas) < 1e-8
         assert abs(et[-1] - exact_ads_energy(2.0)) < 1e-6

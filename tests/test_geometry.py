@@ -110,11 +110,11 @@ def pulled_back_pair(grid):
 
 
 METRICS = {
-    "euclidean": (euclidean_metric().components,
+    "euclidean": (ref.polar_chart(euclidean_metric()).components,
                   lambda rng: random_polar_points(rng, 1, 0.5, 3.0)[0]),
     "ball": (ref.ball_chart(1.5).components,
              lambda rng: rng.uniform(-0.35, 0.35, 3)),
-    "ads": (ads_schwarzschild_metric(ADS_M, 1.0).components,
+    "ads": (ref.polar_chart(ads_schwarzschild_metric(ADS_M, 1.0)).components,
             lambda rng: random_polar_points(rng, 1, 0.9, 2.5)[0]),
     "wang_ah": (wang_ah_metric(SphereTensor(0.5, (0.1, -0.2, 0.3))).components,
                 lambda rng: rng.uniform([0.2, 0.5, 0.0], [0.8, 2.6, 6.0])),
@@ -191,10 +191,14 @@ class TestQuadratureGrid:
             QuadratureGrid.build(n_theta, n_phi)
 
     def test_node_index_layout(self, grid16):
+        # nodes run theta-major: node i * n_phi + j sits at (theta_i, phi_j)
         theta, phi = node_arrays(grid16)
-        i = grid16.node_index(3, 7)
+        i = 3 * grid16.n_phi + 7
         assert theta[i] == grid16.theta[3]
         assert phi[i] == grid16.phi[7]
+        assert grid16.describe_node(i) == (
+            f"node {i} (theta={grid16.theta[3]:.4f}, "
+            f"phi={grid16.phi[7]:.4f})")
 
     def test_node_axes_match_flat_nodes_bitwise(self, grid16):
         on_axes = unit_directions(*grid16.node_axes())
@@ -486,6 +490,25 @@ class TestMeanCurvature:
             geodesic_sphere_surface(800.0, 1.0, grid16)
         assert not isinstance(big.value, ConfigError)
 
+    @pytest.mark.parametrize("make", [
+        hyperbolic_ball_metric,
+        lambda k: ads_schwarzschild_metric(ADS_M, k),
+        lambda k: coordinate_sphere_surface(2.0, QuadratureGrid.build(8, 16),
+                                            k),
+        lambda k: radial_profile_surface(1.0, (0.1, 0.0, 0.2), k,
+                                         QuadratureGrid.build(8, 16)),
+        lambda k: geodesic_sphere_surface(1.0, k,
+                                          QuadratureGrid.build(8, 16))],
+        ids=["hyperbolic_ball", "ads", "coordinate_sphere", "radial_profile",
+             "geodesic_sphere"])
+    def test_k_whose_square_overflows_is_a_config_error(self, make):
+        # k^2 must be a normal float at both ends: 1e200^2 is inf, which
+        # would make the node pass overflow and blame the surface
+        with pytest.raises(ConfigError, match=(
+                r"^curvature scale k = 1e\+200 must be positive, "
+                r"with k\^2 a normal float$")):
+            make(1e200)
+
     def test_collar_metric_is_refused(self, grid16):
         # the AH collar is no warped product: the node pass cannot run there
         surface = coordinate_sphere_surface(0.5, grid16)
@@ -617,9 +640,12 @@ class TestNodePassAlgebra:
             gauss_curvature(surface_forms(surface, metric), -1.0)
 
     def test_reads_no_metric_components(self, grid16):
-        # the pass works from V and V' alone: no (..., 3, 3) components and
-        # no complex step of them, so a metric whose components refuse
+        # the pass works from V and V' alone: the warped products carry no
+        # (..., 3, 3) components, and a metric whose components refuse
         # every call gives the same forms bit for bit
+        for metric in (euclidean_metric(), hyperbolic_ball_metric(1.0),
+                       ads_schwarzschild_metric(ADS_M, 1.0)):
+            assert metric.components is None, metric.tag
         surface = radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         expect = form_matrices(surface_forms(surface, metric), grid16)
