@@ -416,6 +416,10 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
         st, ct = np.sin(theta), np.cos(theta)
         st2 = st * st
         V = metric.V(R)
+        if not np.all(np.isfinite(V)):
+            raise DomainError(f"V = 1/g_rr overflows a float on the surface "
+                              f"up to r = {np.max(R):.6g} in the "
+                              f"{metric.tag} chart")
         R2 = R * R
         E = Rt * Rt / V + R2
         F = Rt * Rp / V

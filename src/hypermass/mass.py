@@ -42,7 +42,7 @@ from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
                        unit_directions)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
-from .spinor import _as_spinor, killing_spinor_norms_sq
+from .spinor import GAMMAS, _as_spinor
 
 __all__ = [
     "SurfaceMassData",
@@ -117,7 +117,7 @@ def _fsum_rows(rows: np.ndarray) -> list:
 class SurfaceMassData:
     """Node data entering every mass integral: a surface in its ambient
     (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`).
-    Positions are stored once, as X; :attr:`ball_points` derives from it."""
+    Positions are stored once, as X."""
 
     H: np.ndarray            # ambient-side mean curvature (N,)
     H0: np.ndarray           # H^3-side mean curvature (N,)
@@ -136,13 +136,9 @@ class SurfaceMassData:
         return _fsum_rows(self.measure[None])[0]
 
     @property
-    def ball_points(self) -> np.ndarray:
-        """Poincare-ball points X_s / (1 + X_t) of the nodes (N, 3), k = 1."""
-        return self.X[:, :3] / (1.0 + self.X[:, 3:])
-
-    @property
     def weight(self) -> np.ndarray:
-        """(H_0^2 - H^2)/H at each node: the integrand of E and of Q."""
+        """(H_0^2 - H^2)/H at each node: the weight of X in the integrand
+        of E."""
         return (self.H0 ** 2 - self.H ** 2) / self.H
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -152,24 +148,20 @@ class SurfaceMassData:
                                                         order="C")))
 
     def killing_form(self, sign: int) -> np.ndarray:
-        """Q_sign = int ((H_0^2 - H^2)/H) M dSigma, with |psi_a^{sign}|^2 =
-        a^H M a at each node: M is polarized from the norms at a = e_0, e_1,
-        e_0 + e_1, e_0 + i e_1, and each real entry of Q is one
-        :meth:`weighted` sum.  Built once for each sign +-1, at k = 1 only;
+        """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
+        basis: a^H Q a = -2 <E, zeta_a^{sign}>, the spinor-weighted integral
+        int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma.  ``sign`` is +-1 in
+        any numeric type; Q is built once for each, at k = 1 only, and is
         read-only."""
         if self.k != 1.0:
             raise DomainError("spinor-weighted integrals require k = 1")
+        if sign not in (1, -1):
+            raise DomainError("sign must be +1 or -1")
+        sign = int(sign)
         if sign not in self.killing_forms:
-            with np.errstate(over="ignore", invalid="ignore"):
-                n0, n1, n_re, n_im = killing_spinor_norms_sq(
-                    np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]]),
-                    self.ball_points, sign)
-                rows = np.stack((n0, n1, 0.5 * (n_re - n0 - n1),
-                                 0.5 * (n0 + n1 - n_im)))
-                rows *= self.weight
-                q00, q11, re01, im01 = self.weighted(rows)
-            Q = np.array([[q00, complex(re01, im01)],
-                          [complex(re01, -im01), q11]])
+            E = self.energy()
+            E_gamma = np.einsum("j,jkl->kl", (E.x1, E.x2, E.x3), GAMMAS)
+            Q = 2.0 * (E.t * np.eye(2) + sign * 1j * E_gamma)
             Q.flags.writeable = False
             self.killing_forms[sign] = Q
         return self.killing_forms[sign]
@@ -282,15 +274,10 @@ def wang_mass(sphere: tuple) -> LorentzVector:
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
                           sign: int, data: Optional[SurfaceMassData] = None):
     """int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma (k = 1) for spinors
-    ``a`` of shape (..., 2), a float for one spinor: Re(a^H Q a), with the
-    2x2 Hermitian Q of :meth:`SurfaceMassData.killing_form` summed from the
-    nodes, never from E or zeta, so that the identity with
-    -2 <E(Sigma), zeta_a^{sign}> stays a cross-check of two routes."""
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+    ``a`` of shape (..., 2), a float for one spinor: Re(a^H Q a), with Q the
+    :meth:`SurfaceMassData.killing_form` of E(Sigma)."""
     a = _as_spinor(a)
-    d = data or surface_mass_data(surface, ambient)
-    Q = d.killing_form(int(sign))
+    Q = (data or surface_mass_data(surface, ambient)).killing_form(sign)
     val = np.einsum("...k,kl,...l->...", a.conj(), Q, a)
     return float(val.real) if val.ndim == 0 else val.real
 

@@ -16,6 +16,7 @@ ADS_M = 0.1
 ADS_RADII = (1.0, 2.0, 4.0)
 RIGID_RADII = (0.5, 1.0, 2.0)
 ASYMPTOTIC_RADII = (0.2, 0.1, 0.05)
+TILTED_LINEAR = (0.1, 0.2, 0.3)
 
 
 def ads_potential(r, m=ADS_M, k=1.0):
@@ -63,6 +64,20 @@ def ads_scenarios(grid64, ads_metric):
         data = massmod.surface_mass_data(surface, ads_metric)
         E = massmod.energy_momentum(surface, ads_metric, data=data)
         out[r] = (surface, data, E)
+    return out
+
+
+@pytest.fixture(scope="session")
+def tilted_ads_scenarios(grid32, grid64, ads_metric):
+    """A tilted radial profile (base 1, linear TILTED_LINEAR) in
+    AdS-Schwarzschild, forced past the isometry check, which F0 = F fails
+    there, so that E has a spatial part: (surface, data, E) per grid."""
+    out = {}
+    for grid in (grid32, grid64):
+        surface = geo.radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid)
+        data = massmod.surface_mass_data(surface, ads_metric, iso_tol=1.0)
+        E = massmod.energy_momentum(surface, ads_metric, data=data)
+        out[grid.n_theta, grid.n_phi] = (surface, data, E)
     return out
 
 
@@ -136,7 +151,7 @@ def einsum_killing_norms_sq(a, points, sign):
     """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign i gamma(x)) a|^2 by two complex
     einsums over (..., 2, 2) matrices, as killing_spinor_norms_sq once
     computed it: the oracle that its written-out 2x2 product matches bit for
-    bit."""
+    bit, and the norms of reference_spinor.node_killing_form."""
     a = np.asarray(a, dtype=complex)
     points = np.asarray(points, dtype=float)
     f = 2.0 / (1.0 - np.sum(points * points, axis=-1))

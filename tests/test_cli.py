@@ -396,6 +396,22 @@ class TestMassCommand:
         assert err == ("error: the forms underflow a float on the surface "
                        "down to r = 1e-100 in the Euclidean chart\n")
 
+    @pytest.mark.parametrize("text, message", [
+        # k^2 = 1e308 is a normal float, but V = 1 + k^2 r^2 is not
+        ("metric: {k: 1.0e+154}\nsurface: {type: coordinate_sphere, r: 2.0}",
+         "V = 1/g_rr overflows a float on the surface up to r = 2 in the "
+         "Hyperbolic chart"),
+        # V = 1e160 is finite; det I ~ r^4 is not
+        (HUGE_ADS_CONFIG, "the forms overflow a float on the surface up to "
+         "r = 1e+80 in the AdSSchwarzschild chart"),
+    ], ids=["V_k1e154", "forms_r1e80"])
+    def test_overflowing_geometry_names_what_overflows(self, tmp_path, text,
+                                                       message):
+        err = assert_one_error_line(
+            tmp_path, ["mass", "--force"],
+            text + "\nresolution: {n_theta: 8, n_phi: 16}")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, text", [
         (["mass"], "resolution: {n_theta: 8, n_phi: 4611686018427387904}"),
         (["mass"], "resolution: {n_theta: 8, n_phi: 9223372036854775808}"),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_geometry as ref
+import reference_spinor
 from hypermass.errors import (ConfigError, DomainError, IsometryViolation,
                               MissingEmbedding, NonPositiveMeanCurvature)
 from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
@@ -31,11 +32,12 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             mass_forms, round_sphere_quadrature,
                             shi_tam_alpha, shi_tam_vector,
                             surface_mass_data, wang_mass)
-from hypermass.spinor import killing_spinor_norms_sq, zeta_of
+from hypermass.spinor import zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
-                      ads_potential, exact_ads_energy, form_matrices, n_nodes,
-                      norm_inf, random_spinors, scaled_sphere)
+                      ads_potential, einsum_killing_norms_sq,
+                      exact_ads_energy, form_matrices, n_nodes, norm_inf,
+                      random_spinors, scaled_sphere)
 
 
 def mobius_jet(F, a):
@@ -295,17 +297,17 @@ def ads_r10(grid64, ads_metric):
 
 @pytest.fixture
 def form_builds(monkeypatch):
-    """Sign of each Q build: the only node pass of the spinor-weighted mass
-    is its call of killing_spinor_norms_sq."""
-    signs = []
-    norms = massmod.killing_spinor_norms_sq
+    """One entry for each E that a Q build sums: Q is read off
+    SurfaceMassData.energy, and these tests call nothing else that sums E."""
+    builds = []
+    energy = massmod.SurfaceMassData.energy
 
-    def counted(a, points, sign, *args, **kwargs):
-        signs.append(sign)
-        return norms(a, points, sign, *args, **kwargs)
+    def counted(self):
+        builds.append(self)
+        return energy(self)
 
-    monkeypatch.setattr(massmod, "killing_spinor_norms_sq", counted)
-    return signs
+    monkeypatch.setattr(massmod.SurfaceMassData, "energy", counted)
+    return builds
 
 
 class TestKillingForm:
@@ -344,17 +346,46 @@ class TestKillingForm:
 
     def test_matches_the_per_node_route(self, ads_scenarios, ads_metric):
         surface, data, _ = ads_scenarios[2.0]
-        w = (data.H0 ** 2 - data.H ** 2) / data.H
+        points = reference_spinor.ball_points(data)
         rng = np.random.default_rng(2718)
         for sign in (1, -1):
             killing_weighted_mass(surface, ads_metric, [1, 0], sign,
                                   data=data)  # warm the memo
             for a in random_spinors(rng, 50):
-                norms = killing_spinor_norms_sq(a, data.ball_points, sign)
-                [node_route] = data.weighted(w * norms[None])
+                norms = einsum_killing_norms_sq(a, points, sign)
+                [node_route] = reference_spinor.node_integral(data, norms)
                 val = killing_weighted_mass(surface, ads_metric, a, sign,
                                             data=data)
                 assert abs(val - node_route) <= 1e-13 * abs(node_route)
+
+    @pytest.mark.parametrize("grid", [(32, 64), (64, 128)],
+                             ids=["32x64", "64x128"])
+    def test_matches_the_node_killing_form_with_momentum(
+            self, tilted_ads_scenarios, ads_metric, grid):
+        # E_s != 0, so the E_s . gamma term of Q is exercised: Q from E
+        # and Q summed from the nodes agree on the spinor-weighted mass
+        surface, data, E = tilted_ads_scenarios[grid]
+        assert norm_inf([E.x1, E.x2, E.x3]) > 1e-2
+        A = random_spinors(np.random.default_rng(1618), 50)
+        for sign in (1, -1):
+            node = reference_spinor.node_weighted_mass(data, A, sign)
+            val = killing_weighted_mass(surface, ads_metric, A, sign,
+                                        data=data)
+            assert np.all(np.abs(val - node) <= 1e-13 * np.abs(node))
+
+    @pytest.mark.parametrize("grid", [(32, 64), (64, 128)],
+                             ids=["32x64", "64x128"])
+    def test_eigenvalues_with_momentum(self, tilted_ads_scenarios, grid):
+        # both the engine's Q and the node-summed Q have eigenvalues
+        # 2 (E_t -+ |E_s|), with |E_s| about 0.045 here
+        _, data, E = tilted_ads_scenarios[grid]
+        spatial = math.hypot(E.x1, E.x2, E.x3)
+        expect = 2.0 * np.array([E.t - spatial, E.t + spatial])
+        for sign in (1, -1):
+            for Q in (data.killing_form(sign),
+                      reference_spinor.node_killing_form(data, sign)):
+                lam = np.linalg.eigvalsh(Q)
+                assert np.max(np.abs(lam - expect)) <= 1e-14 * E.t
 
     def test_stacked_spinors_match_single_calls(self, ads_scenarios,
                                                 ads_metric):
@@ -374,7 +405,8 @@ class TestKillingForm:
         for sign in (1, -1):
             killing_weighted_mass(surface, ads_metric, [1, 0], sign,
                                   data=data)
-        for a, sign in (([np.nan, 0], 1), ([1, 0, 0], 1), ([1, 0], 0)):
+        for a, sign in (([np.nan, 0], 1), ([1, 0, 0], 1), ([1, 0], 0),
+                        ([1, 0], 1.5)):
             with pytest.raises(DomainError):
                 killing_weighted_mass(surface, ads_metric, a, sign, data=data)
         k2 = copy.copy(data)  # shares the warm memo
@@ -392,17 +424,18 @@ class TestKillingForm:
             for sign in (1, -1):
                 killing_weighted_mass(surface, ads_metric, a, sign,
                                       data=fresh)
-        assert form_builds == [1, -1]
+        assert [d is fresh for d in form_builds] == [True, True]
+        assert list(fresh.killing_forms) == [1, -1]
         # a sign equal to +-1 in another numeric type reuses the same Q
         for sign in (np.array(1), np.int64(-1), 1.0):
             killing_weighted_mass(surface, ads_metric, [1, 0], sign,
                                   data=fresh)
-        assert form_builds == [1, -1]
+        assert len(form_builds) == 2
         other = dataclasses.replace(data)
         assert other.killing_forms == {}
         killing_weighted_mass(surface, ads_metric, [1, 0], -1, data=other)
-        assert form_builds == [1, -1, -1]
-
+        assert len(form_builds) == 3 and form_builds[2] is other
+        assert list(other.killing_forms) == [-1]
 
 class TestAHSphereData:
     def test_zero_tensor(self, grid64):
@@ -441,7 +474,7 @@ class TestAHSphereData:
         d = ah_sphere_data(
             r, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
         assert d.k == 1.0
-        X = ball_to_minkowski(d.ball_points)
+        X = ball_to_minkowski(reference_spinor.ball_points(d))
         assert np.max(np.abs(X - d.X)) < 1e-12 * np.max(np.abs(d.X))
 
     def test_energy_is_round_sphere_sum(self):
@@ -506,7 +539,7 @@ class TestSurfaceMassData:
         # ball points, agree on a tilted graph
         surface = radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0, grid32)
         data = surface_mass_data(surface, hyp_metric)
-        X = ball_to_minkowski(data.ball_points)
+        X = ball_to_minkowski(reference_spinor.ball_points(data))
         assert np.max(np.abs(X - data.X)) < 1e-14 * np.max(np.abs(data.X))
 
     def test_h3_side_mean_curvature(self, rigid_scenarios):

@@ -102,18 +102,55 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
         assert traced["counters"].get(name, 0) > 0, name
 
 
+def _bench_module(name):
+    """``bench/<name>.py`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PAIRING_JOB = {"n_theta": 8, "n_phi": 16, "m": 0.1, "r": 2.0,
+               "spinors": [[1.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.5, 0.7]]}
+
+
 def test_bench_pairing_op_runs():
     # the benchmark's library op calls the mass functionals by keyword, so a
-    # signature change there breaks the benchmark without failing elsewhere
-    spec = importlib.util.spec_from_file_location(
-        "bench_child", ROOT / "bench" / "child.py")
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
-    answer = child.pairing({"n_theta": 8, "n_phi": 16, "m": 0.1, "r": 2.0,
-                            "spinors": [[1.0, 0.0, 0.0, 0.0],
-                                        [0.3, -0.2, 0.5, 0.7]]})
-    assert len(answer["E"]) == 4 and all(map(math.isfinite, answer["E"]))
+    # signature change there breaks the benchmark without failing elsewhere;
+    # each answer must meet the pairing contract, -2 <E, zeta_a> with the
+    # benchmark's own zeta and Minkowski product
+    answer = _bench_module("child").pairing(PAIRING_JOB)
+    oracles = _bench_module("oracles")
+    E = answer["E"]
+    assert len(E) == 4 and all(map(math.isfinite, E))
     assert np.shape(answer["kwm"]) == (2, 2)
+    for (re0, im0, re1, im1), values in zip(PAIRING_JOB["spinors"],
+                                            answer["kwm"]):
+        a = (complex(re0, im0), complex(re1, im1))
+        for sign, value in zip((1, -1), values):
+            p = oracles.minkowski(E, oracles.zeta(a, sign))
+            assert abs(value + 2.0 * p) <= 1e-12 * (1.0 + abs(p))
+
+
+def test_bench_pairing_op_makes_no_node_pass(monkeypatch):
+    # the spinor-weighted masses are read off E: with the package's
+    # Killing-spinor norms refused wherever they are bound, the pairing op
+    # still answers
+    for name in MODULES + ("hypermass.cli",):
+        importlib.import_module(name)   # bound before the patch
+    norms = sys.modules["hypermass.spinor"].killing_spinor_norms_sq
+
+    def refused(*args, **kwargs):
+        raise AssertionError("killing_spinor_norms_sq was called")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "hypermass"
+                and getattr(module, "killing_spinor_norms_sq", None) is norms):
+            monkeypatch.setattr(module, "killing_spinor_norms_sq", refused)
+    answer = _bench_module("child").pairing(PAIRING_JOB)
+    assert np.shape(answer["kwm"]) == (2, 2)
+    assert all(map(math.isfinite, np.ravel(answer["kwm"])))
 
 
 @pytest.fixture

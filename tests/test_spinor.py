@@ -16,6 +16,7 @@ from hypermass import spinor
 from hypermass.spinor import (GAMMAS, S_ZETA, killing_spinor_norms_sq,
                               null_to_spinor, verify_zet, zeta_of)
 
+import reference_spinor
 from conftest import einsum_killing_norms_sq, random_spinors
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -124,10 +125,10 @@ class TestKillingSpinor:
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
     def test_polarization_basis_matches_the_einsum(self, ads_scenarios, r):
-        # the (4, 1, 2) basis that SurfaceMassData.killing_form polarizes,
-        # over the ball points of an AdS coordinate sphere
-        basis = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
-        points = ads_scenarios[r][1].ball_points
+        # the (4, 1, 2) basis that reference_spinor.node_killing_form
+        # polarizes, over the ball points of an AdS coordinate sphere
+        basis = reference_spinor.POLARIZATION_BASIS
+        points = reference_spinor.ball_points(ads_scenarios[r][1])
         for sign in (1, -1):
             norms = killing_spinor_norms_sq(basis, points, sign)
             assert norms.shape == (4, len(points))
