@@ -228,8 +228,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 
     # one node pass: the checks read the same forms the integrals use
     forms, forms0 = massmod.mass_forms(surface, metric)
-    H = forms.mean_curvature
-    min_h = float(np.min(H))
+    min_h, node = surface.grid.least_node(forms.mean_curvature)
     # K of the H^3 image by the Gauss equation: Sigma's K when isometric
     min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
     # the closed-form R of the ambient metric at every node
@@ -237,7 +236,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
                   + 6.0 * k * k)
     mismatch = massmod.isometry_mismatch(forms, forms0)
     iso_tol = tols["iso_tol"]
-    at_h = " at " + surface.grid.describe_node(int(np.argmin(H)))
+    at_h = " at " + surface.grid.describe_node(node)
     table = (  # key, value, whether its bound holds, the bound, where
         ("min_mean_curvature", min_h, min_h > 0.0, "> 0", at_h),
         ("min_gauss_plus_k2", min_k, min_k > 0.0, "> 0", ""),

@@ -215,8 +215,10 @@ class QuadratureGrid:
 
     The Gauss-Legendre nodes exclude the poles exactly, so no pole handling
     is needed anywhere downstream.  ``measure_weights`` are the du x dphi
-    weights divided by sin theta: summing weights * area_element over nodes
-    approximates the surface area (4 pi for the round unit sphere).
+    weights divided by sin theta, a theta column that broadcasts to the
+    grid: summing weights * area_element over the nodes approximates the
+    surface area (4 pi for the round unit sphere).  A node is a
+    theta-major index into the (n_theta, n_phi) grid.
     """
 
     n_theta: int
@@ -248,8 +250,14 @@ class QuadratureGrid:
 
     def measure_weights(self) -> np.ndarray:
         w_phi = 2.0 * math.pi / self.n_phi
-        w = (self.u_weights / np.sin(self.theta))[:, None] * w_phi
-        return np.broadcast_to(w, (self.n_theta, self.n_phi)).ravel()
+        return (self.u_weights / np.sin(self.theta))[:, None] * w_phi
+
+    def least_node(self, x) -> tuple:
+        """``(value, node)``: the least value of ``x``, a field that
+        broadcasts to the grid, and the first node that holds it."""
+        x = np.broadcast_to(x, (self.n_theta, self.n_phi))
+        node = int(np.argmin(x))
+        return float(x.flat[node]), node
 
     def describe_node(self, node: int) -> str:
         i, j = divmod(node, self.n_phi)
@@ -374,19 +382,15 @@ def radial_profile_surface(base: float, linear, k: float,
 
 @dataclass
 class SurfaceForms:
-    """Per-node extrinsic data for a whole quadrature grid: the components
-    of I and II, each a float or an array that broadcasts to the grid."""
+    """Per-node extrinsic data for a whole quadrature grid, each field a
+    float or an array that broadcasts to the grid, at the shape the pass
+    computed it: a graph of constant radius keeps them on the theta axis."""
 
     first: tuple               # (E, F, G)
     second: tuple              # (h_tt, h_tp, h_pp)
-    mean_curvature: np.ndarray  # (N,)
-    area_element: np.ndarray   # (N,) sqrt(det g_ab)
-    radius: np.ndarray         # (N,) chart radius R of each node
-
-
-def _nodes(x, shape) -> np.ndarray:
-    """``x``, broadcast to the grid, flattened to theta-major nodes (N,)."""
-    return np.broadcast_to(x, shape).ravel()
+    mean_curvature: np.ndarray
+    area_element: np.ndarray   # sqrt(det g_ab)
+    radius: np.ndarray         # chart radius R of each node
 
 
 def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
@@ -406,8 +410,7 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
     if metric.V is None:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
                           f"not {metric.tag}")
-    grid = surface.grid
-    theta, phi = grid.node_axes()
+    theta, phi = surface.grid.node_axes()
     R, (Rt, Rp), (Rtt, Rtp, Rpp) = surface.F(theta, phi)
     if np.any(R <= metric.r_min):
         raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside the "
@@ -438,11 +441,8 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
                  f"{np.min(R):.6g}" if np.any(det == 0.0) else
                  f"overflow a float on the surface up to r = {np.max(R):.6g}")
         raise DomainError(f"the forms {where} in the {metric.tag} chart")
-    shape = (grid.n_theta, grid.n_phi)
     return SurfaceForms(first=(E, F, G), second=(h_tt, h_tp, h_pp),
-                        mean_curvature=_nodes(H, shape),
-                        area_element=_nodes(np.sqrt(det), shape),
-                        radius=_nodes(R, shape))
+                        mean_curvature=H, area_element=np.sqrt(det), radius=R)
 
 
 def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:

@@ -4,8 +4,7 @@ Poincare ball and the hyperboloid model.
 The hyperboloid (upper sheet of <X, X> = -1/k^2 in R^{3,1}) carries the
 positions that enter the mass integrals; surfaces live in the polar chart
 (areal radius R, unit direction u), and the explicit Killing spinor formulas
-are written in the Poincare ball.  Every map takes arrays of points; the
-areal radii R (...) broadcast against the leading axes of directions u.
+are written in the Poincare ball.  Every map takes arrays of points.
 """
 
 from __future__ import annotations
@@ -23,13 +22,19 @@ __all__ = [
 ]
 
 
-def areal_to_minkowski(R: np.ndarray, u: np.ndarray,
-                       k: float = 1.0) -> np.ndarray:
-    """Hyperboloid points X = (R u, sqrt(1/k^2 + R^2)) of the H^3 points at
-    areal radii R (...) in unit directions u (..., 3); shape (..., 4)."""
-    X = np.empty(np.broadcast_shapes(np.shape(R), u.shape[:-1]) + (4,))
-    np.multiply(R[..., None], u, out=X[..., :3])
-    X[..., 3] = np.sqrt(1.0 / (k * k) + R * R)
+def areal_to_minkowski(R, st, ct, cp, sp, k: float = 1.0) -> np.ndarray:
+    """Hyperboloid points X = (R u, sqrt(1/k^2 + R^2)), rows (4, ...), of
+    the H^3 points at areal radii R in the directions u = (st cp, st sp,
+    ct), each product formed as R (st cp): the theta axis (st, ct) and the
+    phi axis (cp, sp) broadcast only into the rows.  Directions given by
+    their components (x, y, z) are st = 1, ct = z, cp = x, sp = y."""
+    shape = np.broadcast_shapes(*map(np.shape, (R, st, ct, cp, sp)))
+    X = np.empty((4,) + shape)
+    np.multiply(st, cp, out=X[0])
+    np.multiply(st, sp, out=X[1])
+    X[:2] *= R
+    np.multiply(R, ct, out=X[2])
+    X[3] = np.sqrt(1.0 / (k * k) + R * R)
     return X
 
 

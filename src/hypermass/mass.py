@@ -117,23 +117,27 @@ def _fsum_rows(rows: np.ndarray) -> list:
 class SurfaceMassData:
     """Node data entering every mass integral: a surface in its ambient
     (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`).
-    Positions are stored once, as X."""
+    Positions are stored once, as C-contiguous rows X (4, ...) that flatten
+    theta-major to (4, N) with no copy; H, H0 and the measure broadcast to
+    a row of X at the shape they are computed at."""
 
-    H: np.ndarray            # ambient-side mean curvature (N,)
-    H0: np.ndarray           # H^3-side mean curvature (N,)
-    X: np.ndarray            # hyperboloid positions of F0's nodes (N, 4)
-    measure: np.ndarray      # quadrature weight * area element (N,)
+    H: np.ndarray            # ambient-side mean curvature
+    H0: np.ndarray           # H^3-side mean curvature
+    X: np.ndarray            # hyperboloid positions of F0's nodes (4, ...)
+    measure: np.ndarray      # quadrature weight * area element
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def weighted(self, rows: np.ndarray) -> list:
         """The exact sums of measure * row over the nodes, one float for
-        each row of ``rows`` (m, N)."""
-        return _fsum_rows(self.measure * rows)
+        each row of ``rows`` (m, ...), a float array with X's node axes
+        that this multiplies by the measure in place."""
+        rows *= self.measure
+        return _fsum_rows(rows.reshape(len(rows), self.X[0].size))
 
     def area(self) -> float:
         """int dSigma, the exact sum of the measure."""
-        return _fsum_rows(self.measure[None])[0]
+        return self.weighted(np.ones_like(self.X[:1]))[0]
 
     @property
     def weight(self) -> np.ndarray:
@@ -144,8 +148,7 @@ class SurfaceMassData:
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return LorentzVector(*self.weighted(np.multiply(self.weight, self.X.T,
-                                                        order="C")))
+        return LorentzVector(*self.weighted(self.weight * self.X))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
@@ -197,20 +200,19 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     if mismatch > iso_tol:
         raise IsometryViolation(
             f"induced metrics disagree by {mismatch:.3e} (tol {iso_tol:.1e})")
-    H = forms.mean_curvature
+    H, grid = forms.mean_curvature, surface.grid
     if np.any(H <= 0.0):
-        node = int(np.argmin(H))
+        least, node = grid.least_node(H)
         raise NonPositiveMeanCurvature(
-            f"H = {H[node]:.6g} <= 0 at {surface.grid.describe_node(node)}")
+            f"H = {least:.6g} <= 0 at {grid.describe_node(node)}")
     # F0's nodes at areal radius R0 in direction u: X = (R0 u, sqrt(1/k^2 +
     # R0^2)) on the hyperboloid, exact with no chart in between
-    R0, k = forms0.radius, surface.k
-    u = unit_directions(*surface.grid.node_axes()).reshape(-1, 3)
-    return SurfaceMassData(H=H, H0=forms0.mean_curvature,
-                           X=areal_to_minkowski(R0, u, k),
-                           measure=(surface.grid.measure_weights()
-                                    * forms.area_element),
-                           k=k)
+    theta, phi = grid.node_axes()
+    X = areal_to_minkowski(forms0.radius, np.sin(theta), np.cos(theta),
+                           np.cos(phi), np.sin(phi), surface.k)
+    return SurfaceMassData(H=H, H0=forms0.mean_curvature, X=X,
+                           measure=grid.measure_weights() * forms.area_element,
+                           k=surface.k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
-    W = data.X.T.copy()
+    W = data.X.copy()
     W[3] *= alpha
     W *= data.H0 - data.H
     return LorentzVector(*data.weighted(W))
@@ -251,8 +253,9 @@ def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
     theta, phi = grid.node_axes()
     xhat = unit_directions(theta, phi).reshape(-1, 3)
     # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
-    w = grid.measure_weights().reshape(grid.n_theta, -1) * np.sin(theta)
-    return xhat, w.ravel(), h.trace(xhat)
+    w = grid.measure_weights() * np.sin(theta)
+    w = np.broadcast_to(w, (grid.n_theta, grid.n_phi)).ravel()
+    return xhat, w, h.trace(xhat)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -302,8 +305,9 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
         raise NonPositiveMeanCurvature(
             f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
     H0 = np.broadcast_to(math.cosh(r), tau.shape)
-    R = np.float64(1.0 / r)     # the areal radius of every node
-    return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, xhat),
+    R = 1.0 / r                 # the areal radius of every node
+    x, y, z = xhat.T
+    return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, 1.0, z, x, y),
                            measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
 
 

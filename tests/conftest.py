@@ -109,20 +109,28 @@ def n_nodes(grid):
 
 
 def on_nodes(x, grid):
-    """``x``, broadcast to ``grid``, flattened to its theta-major nodes."""
-    return np.broadcast_to(x, (grid.n_theta, grid.n_phi)).ravel()
+    """``x``, broadcast to the nodes of ``grid``, flattened to theta-major
+    order (N,): ``grid`` is a QuadratureGrid, or a SurfaceMassData, whose
+    node fields broadcast to a row of its X."""
+    shape = (grid.X.shape[1:] if isinstance(grid, massmod.SurfaceMassData)
+             else (grid.n_theta, grid.n_phi))
+    return np.broadcast_to(x, shape).ravel()
 
 
 def form_matrices(forms, grid):
-    """``forms`` with its components (a, b, c) of I and II packed into the
-    symmetric [[a, b], [b, c]] at every node of ``grid``, shape (N, 2, 2),
-    the layout of ``reference_geometry.Forms``."""
+    """``forms`` in the layout of ``reference_geometry.Forms``: its
+    components (a, b, c) of I and II packed into the symmetric
+    [[a, b], [b, c]] at every node of ``grid``, shape (N, 2, 2), and its
+    mean curvature, area element and radius flattened to (N,)."""
     def matrix(components):
         a, b, c = (on_nodes(x, grid) for x in components)
         return np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
 
-    return dataclasses.replace(forms, first=matrix(forms.first),
-                               second=matrix(forms.second))
+    return dataclasses.replace(
+        forms, first=matrix(forms.first), second=matrix(forms.second),
+        mean_curvature=on_nodes(forms.mean_curvature, grid),
+        area_element=on_nodes(forms.area_element, grid),
+        radius=on_nodes(forms.radius, grid))
 
 
 def norm_inf(v) -> float:
@@ -188,6 +196,17 @@ def make_classified_vector(rng, cls):
 def scaled_sphere(r):
     """Jet callable of the radial graph of constant radius ``r``."""
     return lambda t, p: (r, (0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def waist_graph(a):
+    """Jet callable of R = 1 + a cos 2 theta, a graph on the theta axis
+    alone; from a = 0.45 its waist is not convex, and on a 16 x 32 grid
+    its least H lies at node 256, the first of the row theta = 1.4756."""
+    def F(theta, phi):
+        c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+        return 1.0 + a * c2, (-2.0 * a * s2, 0.0), (-4.0 * a * c2, 0.0, 0.0)
+
+    return F
 
 
 def exact_ads_energy(r, m=ADS_M, k=1.0):

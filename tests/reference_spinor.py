@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from conftest import einsum_killing_norms_sq
+from conftest import einsum_killing_norms_sq, on_nodes
 
 # e_0, e_1, e_0 + e_1 and e_0 + i e_1, each broadcast over the nodes
 POLARIZATION_BASIS = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
@@ -27,14 +27,16 @@ POLARIZATION_BASIS = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
 def ball_points(data) -> np.ndarray:
     """Poincare-ball points X_s / (1 + X_t) of the nodes of ``data``
     (N, 3), the inverse of ``ball_to_minkowski`` at k = 1."""
-    return data.X[:, :3] / (1.0 + data.X[:, 3:])
+    X = data.X.reshape(4, -1)
+    return np.ascontiguousarray((X[:3] / (1.0 + X[3])).T)
 
 
 def node_integral(data, norms) -> list:
     """int ((H_0^2 - H^2)/H) n dSigma for each row n of ``norms`` (m, N),
     each the ``math.fsum`` of its node values."""
-    weight = (data.H0 ** 2 - data.H ** 2) / data.H
-    return [math.fsum((data.measure * (weight * n)).tolist())
+    weight = on_nodes((data.H0 ** 2 - data.H ** 2) / data.H, data)
+    measure = on_nodes(data.measure, data)
+    return [math.fsum((measure * (weight * n)).tolist())
             for n in np.atleast_2d(norms)]
 
 

@@ -23,7 +23,7 @@ from hypermass.cli import build_metric, build_surface, load_config, main
 from hypermass.errors import ConfigError
 from hypermass.lorentz import classify, minkowski_inner, sample_null_cone
 
-from conftest import exact_ads_energy
+from conftest import exact_ads_energy, waist_graph
 
 ADS_CONFIG = """
 metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
@@ -242,6 +242,33 @@ class TestMassCommand:
         assert doc["hypothesis_checks"]["passed"] is False
         assert doc["hypothesis_checks"]["min_mean_curvature"] < 0.0
         assert doc["E"] is None
+
+    # H <= 0 names the least H and its first theta-major node in one line,
+    # as the check (exit 3) and, under --force, as the integrals' error
+    # (exit 1): on a graph whose node fields stay on the theta axis (a row
+    # index taken for a node would name node 8) and on a tilted one
+    @pytest.mark.parametrize("case, where", [
+        ("theta_axis", "-0.642385 at node 256 (theta=1.4756, phi=0.0000)"),
+        ("tilted", "-15.9219 at node 204 (theta=1.8563, phi=2.3562)")])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_nonpositive_h_names_its_node(self, tmp_path, monkeypatch, case,
+                                          where, force):
+        cfg = write(tmp_path, "bad.yaml", NONCONVEX_CONFIG.replace(
+            "[0, 0, 0.95]", "[0.5, -0.6, 0.3]"))
+        if case == "theta_axis":
+            monkeypatch.setattr(cli, "build_surface", lambda cfg, grid: (
+                geo.SurfaceData(F=waist_graph(0.5), F0=waist_graph(0.5),
+                                grid=grid, k=1.0)))
+        argv = ["mass", cfg, "--output", str(tmp_path / "o")]
+        code, _, err = run(argv + ["--force"] * force)
+        value, node = where.split(" at ")
+        if force:
+            assert (code, err) == (1, f"error: H = {value} <= 0 at {node}\n")
+        else:
+            assert code == 3 and err.count("\n") == 1
+            assert err.startswith("hypothesis failure: hypothesis checks "
+                                  f"failed (min_mean_curvature = {where}, "
+                                  "need > 0; ")
 
     def test_failure_report_layout(self, tmp_path):
         cfg = write(tmp_path, "bad.yaml", NONCONVEX_CONFIG)

@@ -35,9 +35,10 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
 from hypermass.spinor import zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
-                      ads_potential, einsum_killing_norms_sq,
-                      exact_ads_energy, form_matrices, n_nodes, norm_inf,
-                      random_spinors, scaled_sphere)
+                      TILTED_LINEAR, ads_potential, einsum_killing_norms_sq,
+                      exact_ads_energy, form_matrices, n_nodes, node_arrays,
+                      norm_inf, on_nodes, random_spinors, scaled_sphere,
+                      waist_graph)
 
 
 def mobius_jet(F, a):
@@ -97,11 +98,14 @@ class TestEnergyMomentum:
         forms0 = surface_forms(centred, hyp_metric)
         assert np.max(np.abs(moved.first
                              - form_matrices(forms0, grid64).first)) <= 1e-12
-        u = unit_directions(*grid64.node_axes()).reshape(-1, 3)
+        theta, phi = grid64.node_axes()
+        X = areal_to_minkowski(forms0.radius, np.sin(theta), np.cos(theta),
+                               np.cos(phi), np.sin(phi))
         data = massmod.SurfaceMassData(
-            H=moved.mean_curvature, H0=forms0.mean_curvature,
-            X=areal_to_minkowski(forms0.radius, u),
-            measure=grid64.measure_weights() * moved.area_element, k=1.0)
+            H=moved.mean_curvature,
+            H0=on_nodes(forms0.mean_curvature, grid64), X=X.reshape(4, -1),
+            measure=(on_nodes(grid64.measure_weights(), grid64)
+                     * moved.area_element), k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
         assert norm_inf(data.energy()) <= 1e-9
@@ -149,6 +153,32 @@ class TestEnergyMomentum:
         with pytest.raises(NonPositiveMeanCurvature) as exc:
             energy_momentum(surface, hyperbolic_ball_metric(1.0))
         assert "node" in str(exc.value)
+
+    # the least H and the first theta-major node that holds it, as the
+    # flattened (N,) field names them, for a graph whose node fields stay
+    # on the theta axis (a row index taken for a node would name node 8)
+    @pytest.mark.parametrize("case, message", [
+        ("theta_axis",
+         "H = -0.642385 <= 0 at node 256 (theta=1.4756, phi=0.0000)"),
+        ("tilted",
+         "H = -15.9219 <= 0 at node 204 (theta=1.8563, phi=2.3562)")])
+    def test_nonpositive_mean_curvature_message(self, case, message):
+        grid, metric = QuadratureGrid.build(16, 32), hyperbolic_ball_metric(1.0)
+        if case == "theta_axis":
+            surface = SurfaceData(F=waist_graph(0.5), F0=waist_graph(0.5),
+                                  grid=grid, k=1.0)
+        else:
+            surface = radial_profile_surface(1.0, (0.5, -0.6, 0.3), 1.0,
+                                             grid)
+        H = surface_forms(surface, metric).mean_curvature
+        assert (np.shape(H) == (16, 1)) == (case == "theta_axis")
+        H = on_nodes(H, grid)
+        node = int(np.argmin(H))
+        assert message == (f"H = {H[node]:.6g} <= 0 at "
+                           f"{grid.describe_node(node)}")
+        with pytest.raises(NonPositiveMeanCurvature) as exc:
+            surface_mass_data(surface, metric)
+        assert str(exc.value) == message
 
     def test_isometry_violation(self, grid32):
         surface = SurfaceData(F=scaled_sphere(2.0), F0=scaled_sphere(1.5),
@@ -466,7 +496,7 @@ class TestAHSphereData:
     def test_positions_on_hyperboloid(self, grid64):
         d = ah_sphere_data(
             0.2, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
-        q = np.sum(d.X[:, :3] ** 2, axis=1) - d.X[:, 3] ** 2
+        q = np.sum(d.X[:3] ** 2, axis=0) - d.X[3] ** 2
         assert np.max(np.abs(q + 1.0)) < 1e-12
 
     @pytest.mark.parametrize("r", [0.5, 0.2, 0.025])
@@ -475,7 +505,7 @@ class TestAHSphereData:
             r, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
         assert d.k == 1.0
         X = ball_to_minkowski(reference_spinor.ball_points(d))
-        assert np.max(np.abs(X - d.X)) < 1e-12 * np.max(np.abs(d.X))
+        assert np.max(np.abs(X.T - d.X)) < 1e-12 * np.max(np.abs(d.X))
 
     def test_energy_is_round_sphere_sum(self):
         # the expansion integral as a sum over the round dS weights, written
@@ -484,10 +514,9 @@ class TestAHSphereData:
         d = ah_sphere_data(r, round_sphere_quadrature(
             SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid))
         theta = grid.node_axes()[0]
-        w_round = (grid.measure_weights().reshape(grid.n_theta, -1)
-                   * np.sin(theta)).ravel()
+        w_round = on_nodes(grid.measure_weights() * np.sin(theta), grid)
         integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - d.H ** 2) / d.H)
-        expect = [math.fsum((integ * d.X[:, c]).tolist()) for c in range(4)]
+        expect = [math.fsum((integ * d.X[c]).tolist()) for c in range(4)]
         E = d.energy()
         assert [E.x1, E.x2, E.x3, E.t] == pytest.approx(expect, rel=1e-15)
 
@@ -540,7 +569,8 @@ class TestSurfaceMassData:
         surface = radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0, grid32)
         data = surface_mass_data(surface, hyp_metric)
         X = ball_to_minkowski(reference_spinor.ball_points(data))
-        assert np.max(np.abs(X - data.X)) < 1e-14 * np.max(np.abs(data.X))
+        assert (np.max(np.abs(X.T - data.X.reshape(4, -1)))
+                < 1e-14 * np.max(np.abs(data.X)))
 
     def test_h3_side_mean_curvature(self, rigid_scenarios):
         _, data, _ = rigid_scenarios[1.0]
@@ -548,7 +578,7 @@ class TestSurfaceMassData:
 
     def test_weights_integrate_area(self, ads_scenarios):
         _, data, _ = ads_scenarios[2.0]
-        [area] = data.weighted(np.ones_like(data.H)[None])
+        [area] = data.weighted(np.ones_like(data.X[:1]))
         assert abs(area - 16 * math.pi) < 1e-8 * 16 * math.pi
 
     def test_overflowing_integrand_is_a_domain_error(self):
@@ -561,16 +591,16 @@ class TestSurfaceMassData:
         with pytest.raises(DomainError, match="overflows a float"):
             data.killing_form(1)
         with pytest.raises(DomainError, match="overflows a float"):
-            data.weighted(np.full_like(data.H, np.inf)[None])
+            data.weighted(np.full_like(data.X[:1], np.inf))
         far = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e300), X=np.full((2, 4), 1e10),
+            H=np.ones(2), H0=np.full(2, 1e300), X=np.full((4, 2), 1e10),
             measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(far, 1.0)
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e308), X=np.ones((2, 4)),
+            H=np.ones(2), H0=np.full(2, 1e308), X=np.ones((4, 2)),
             measure=np.ones(2), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(edge, 1.0)
@@ -716,7 +746,7 @@ class TestReductionsReadOnly:
         for sign in (1, -1):
             data.killing_form(sign)
         data.area()
-        data.weighted(np.ones_like(data.H)[None])
+        data.weighted(np.ones_like(data.X[:1]))
         assert _node_bytes(data) == before
 
     def test_run_convergence(self, tmp_path, monkeypatch):
@@ -741,9 +771,10 @@ class TestReductionsReadOnly:
 
 def test_reduction_memory_peak():
     # tracemalloc peak of E and M_alpha at 128x256 in float (N,) arrays
-    # (numpy 2.4): 10.0, all of it the integrand rows (4, N), their
-    # product with the measure and the two extraction buffers (N,) (13.0
-    # for the tolist and fsum sums that these replace)
+    # (numpy 2.4): 6.0, the integrand rows (4, N), which take the measure
+    # in place, and the two extraction buffers (N,) (10.0 when the measure
+    # product was a second (4, N) array, 13.0 for the tolist and fsum sums
+    # that these replace)
     grid = QuadratureGrid.build(128, 256)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
     surface = coordinate_sphere_surface(2.0, grid)
@@ -759,9 +790,9 @@ def test_reduction_memory_peak():
 
 
 def test_mass_forms_keep_sphere_components_on_the_theta_axis():
-    # the two node passes of a graph of constant radius hold H, the area
-    # element and R of each side as float (N,) arrays, 6 N floats, and the
-    # components of I and II on the theta axis; (N, 2, 2) matrices held 22
+    # the two node passes of a graph of constant radius hold every field on
+    # the theta axis, 0.06 N floats at 128x256; H, the area element and R
+    # of each side flattened to (N,) held 6 N, and (N, 2, 2) matrices 22
     grid = QuadratureGrid.build(128, 256)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
@@ -775,3 +806,87 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis():
         for x in forms.first + forms.second:
             assert np.shape(x) in ((), (grid.n_theta, 1))
     assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
+
+
+def test_coordinate_sphere_stores_no_node_array_but_x():
+    # the node fields keep the shape they are computed at, the theta axis
+    # on a coordinate sphere: of N values per field only X is stored, as
+    # C-contiguous rows that flatten to (4, N) with no copy
+    grid = QuadratureGrid.build(32, 64)
+    surface = coordinate_sphere_surface(2.0, grid)
+    metric = ads_schwarzschild_metric(ADS_M, 1.0)
+    forms, forms0 = mass_forms(surface, metric)
+    data = surface_mass_data(surface, metric, forms=(forms, forms0))
+    column = ((), (grid.n_theta, 1))
+    for side in (forms, forms0):
+        for name in ("mean_curvature", "area_element", "radius"):
+            assert np.shape(getattr(side, name)) in column, name
+    for name in ("H", "H0", "measure"):
+        assert np.shape(getattr(data, name)) in column, name
+    data.energy()
+    for name, value in vars(data).items():
+        if isinstance(value, np.ndarray) and name != "X":
+            assert value.size < n_nodes(grid), name
+    rows = data.X.reshape(4, -1)
+    assert data.X.flags.c_contiguous and data.X.dtype == np.float64
+    assert rows.shape == (4, n_nodes(grid))
+    assert np.shares_memory(rows, data.X)
+
+
+def _flat_sums(rows, measure):
+    return [math.fsum((measure * row).tolist()) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["ads_sphere", "tilted_h3", "tilted_ads"])
+def test_rows_and_sums_match_the_flat_layout(case, monkeypatch):
+    # X, the integrand rows and the sums of E and M_alpha, bit for bit,
+    # against the node fields flattened to (N,), X = (R0 u, sqrt(1/k^2 +
+    # R0^2)) from the unit directions of the flat nodes (N, 3), and
+    # math.fsum of the flat products in the order measure (weight X),
+    # measure ((H0 - H) X) and measure ((alpha X_t) (H0 - H)); the tilted
+    # AdS profile is forced past the isometry check, so H != H0 off the
+    # theta axis.  A sum can hide a regrouped product, so the rows that
+    # reach SurfaceMassData.weighted are checked too
+    summed = []
+    weighted = massmod.SurfaceMassData.weighted
+
+    def recorded(self, rows):
+        summed.append(rows.reshape(len(rows), -1).tobytes())
+        return weighted(self, rows)
+
+    monkeypatch.setattr(massmod.SurfaceMassData, "weighted", recorded)
+    grid = QuadratureGrid.build(16, 32)
+    hyp, ads = hyperbolic_ball_metric(1.0), ads_schwarzschild_metric(ADS_M)
+    surface, metric = {
+        "ads_sphere": (coordinate_sphere_surface(2.0, grid), ads),
+        "tilted_h3": (radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0,
+                                             grid), hyp),
+        "tilted_ads": (radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
+                       ads)}[case]
+    forms, forms0 = mass_forms(surface, metric)
+    data = surface_mass_data(surface, metric, iso_tol=1.0,
+                             forms=(forms, forms0))
+    R0 = on_nodes(forms0.radius, grid)
+    u = unit_directions(*node_arrays(grid))
+    X = np.empty((len(R0), 4))
+    X[:, :3] = R0[:, None] * u
+    X[:, 3] = np.sqrt(1.0 / (surface.k * surface.k) + R0 * R0)
+    assert data.X.reshape(4, -1).tobytes() == X.T.tobytes()
+
+    H = on_nodes(forms.mean_curvature, grid)
+    H0 = on_nodes(forms0.mean_curvature, grid)
+    measure = (on_nodes(grid.measure_weights(), grid)
+               * on_nodes(forms.area_element, grid))
+    rows = (H0 ** 2 - H ** 2) / H * X.T
+    got = data.energy()
+    assert summed.pop() == rows.tobytes()
+    assert (np.array(got).tobytes()
+            == np.array(_flat_sums(rows, measure)).tobytes())
+    alpha = 1.3
+    rows = X.T.copy()
+    rows[3] *= alpha
+    rows *= H0 - H
+    got = shi_tam_vector(data, alpha)
+    assert summed.pop() == rows.tobytes()
+    assert (np.array(got).tobytes()
+            == np.array(_flat_sums(rows, measure)).tobytes())
