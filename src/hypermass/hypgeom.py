@@ -2,9 +2,10 @@
 Poincare ball and the hyperboloid model.
 
 The hyperboloid (upper sheet of <X, X> = -1/k^2 in R^{3,1}) carries the
-positions that enter the mass integrals; surfaces live in the polar chart
-(areal radius R, unit direction u), and the explicit Killing spinor formulas
-are written in the Poincare ball.  Every map takes arrays of points.
+positions that enter the mass integrals, written one row at a time; surfaces
+live in the polar chart (areal radius R, unit direction u), and the explicit
+Killing spinor formulas are written in the Poincare ball.  Every map takes
+arrays of points.
 """
 
 from __future__ import annotations
@@ -22,20 +23,20 @@ __all__ = [
 ]
 
 
-def areal_to_minkowski(R, st, ct, cp, sp, k: float = 1.0) -> np.ndarray:
-    """Hyperboloid points X = (R u, sqrt(1/k^2 + R^2)), rows (4, ...), of
-    the H^3 points at areal radii R in the directions u = (st cp, st sp,
-    ct), each product formed as R (st cp): the theta axis (st, ct) and the
-    phi axis (cp, sp) broadcast only into the rows.  Directions given by
-    their components (x, y, z) are st = 1, ct = z, cp = x, sp = y."""
-    shape = np.broadcast_shapes(*map(np.shape, (R, st, ct, cp, sp)))
-    X = np.empty((4,) + shape)
-    np.multiply(st, cp, out=X[0])
-    np.multiply(st, sp, out=X[1])
-    X[:2] *= R
-    np.multiply(R, ct, out=X[2])
-    X[3] = np.sqrt(1.0 / (k * k) + R * R)
-    return X
+def areal_to_minkowski(c: int, R, st, ct, cp, sp, k: float, *,
+                       out: np.ndarray) -> None:
+    """Write row ``c`` of the hyperboloid points X = (R u, sqrt(1/k^2 +
+    R^2)), u = (st cp, st sp, ct), into ``out`` of the shape the factors
+    broadcast to: x = R (st cp), y = R (st sp), z = R ct, and t at the
+    shape of R.  Directions given by their components (x, y, z) are
+    st = 1, ct = z, cp = x, sp = y."""
+    if c < 2:
+        np.multiply(st, (cp, sp)[c], out=out)
+        out *= R
+    elif c == 2:
+        np.multiply(R, ct, out=out)
+    else:
+        np.copyto(out, np.sqrt(1.0 / (k * k) + R * R))
 
 
 def ball_to_minkowski(x: np.ndarray) -> np.ndarray:

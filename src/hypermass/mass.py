@@ -14,9 +14,13 @@ so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
 
 H <= 0 anywhere is a hard error, never a silent skip.
 
+No integral holds X or its integrand as a (4, N) block: each row, X_c
+times its weights, is written and summed in one buffer of N values, with a
+second as the scratch of the sum.
+
 Every integral is a sum over the nodes that returns exactly what
 ``math.fsum`` would: the correctly rounded sum of the node values, the same
-bits whatever their order.  :func:`_fsum_rows` gets it without leaving
+bits whatever their order.  :func:`_fsum` gets it without leaving
 numpy, by error-free extraction (Rump, Ogita and Oishi, "Accurate
 floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008): adding
 and subtracting sigma = 2^(e+M), with 2^e above every |p| of a row of N
@@ -65,48 +69,49 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 # exact sums
 
 
-def _fsum_rows(rows: np.ndarray) -> list:
-    """``[math.fsum(row) for row in rows]`` of a float (m, N) array by
-    error-free extraction (module docstring), in two buffers of N values of
-    its own: the rows are only read.  A row whose extraction constant would
-    overflow goes to ``math.fsum`` itself, and a sum that is not a finite
-    float (an integrand overflowed) is a DomainError."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    n = rows.shape[1]
+def _fsum(p: np.ndarray, q: np.ndarray) -> float:
+    """``math.fsum(p)`` of a float (N,) array ``p`` by error-free extraction
+    (module docstring), in ``p`` itself and ``q``, a scratch buffer of N
+    values: the residuals overwrite ``p``.  A row whose extraction constant
+    would overflow goes to ``math.fsum`` itself, and one whose sum is past
+    the range of a float, or that holds inf and -inf, sums to nan."""
+    n = len(p)
     M = (n + 1).bit_length()          # 2^M >= n + 2
     # a plain sum of n values of magnitude at most b is off by at most
     # 2 n^2 u b (u = 2^-53): twice that covers the rounding of the bound,
     # and n times the least subnormal its underflow
     slack = 4.0 * n * n * 2.0 ** -53
-    q, r = np.empty(n), np.empty(n)
-    out = []
-    for p in rows:
-        big = max(p.max(), -p.min())
-        if not big < 2.0 ** (1023 - M):   # nan, inf or near the overflow
-            try:
-                out.append(math.fsum(p))
-            except (OverflowError, ValueError):   # past the range, inf - inf
-                out.append(math.nan)
-            continue
+    big = max(p.max(), -p.min())
+    if not big < 2.0 ** (1023 - M):   # nan, inf or near the overflow
+        try:
+            total = math.fsum(p)
+        except (OverflowError, ValueError):   # past the range, inf - inf
+            total = math.nan
+    else:
         parts = []                    # exact partial sums
         while True:
             sigma = math.ldexp(1.0, math.frexp(big)[1] + M)
             np.add(p, sigma, out=q)
             q -= sigma
             parts.append(float(q.sum()))
-            p = np.subtract(p, q, out=r)
+            p -= q
             big = max(p.max(), -p.min())
             s = float(p.sum())
             # rounded once both ends of the residuals' error bound round to
             # the same float
             d = slack * big + n * 5e-324 if big else 0.0
-            lo = math.fsum((*parts, s, -d))
-            if lo == math.fsum((*parts, s, d)):
-                out.append(lo)
+            total = math.fsum((*parts, s, -d))
+            if total == math.fsum((*parts, s, d)):
                 break
-    if not all(map(math.isfinite, out)):
-        raise DomainError(f"a node integral overflows a float: {out}")
-    return out
+    return total
+
+
+def _finite(sums: list) -> list:
+    """``sums``, the exact sums of an integral; one that is not a finite
+    float (an integrand overflowed) is a DomainError that names them."""
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"a node integral overflows a float: {sums}")
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -116,28 +121,45 @@ def _fsum_rows(rows: np.ndarray) -> list:
 @dataclass
 class SurfaceMassData:
     """Node data entering every mass integral: a surface in its ambient
-    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`).
-    Positions are stored once, as C-contiguous rows X (4, ...) that flatten
-    theta-major to (4, N) with no copy; H, H0 and the measure broadcast to
-    a row of X at the shape they are computed at."""
+    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`),
+    each field at the shape it is computed at.  The positions X of F0's
+    nodes are not stored, only the factors R and u that
+    :func:`areal_to_minkowski` writes a row of X from."""
 
     H: np.ndarray            # ambient-side mean curvature
     H0: np.ndarray           # H^3-side mean curvature
-    X: np.ndarray            # hyperboloid positions of F0's nodes (4, ...)
     measure: np.ndarray      # quadrature weight * area element
+    R: np.ndarray            # areal radius of F0's nodes
+    u: tuple                 # (st, ct, cp, sp): directions (st cp, st sp, ct)
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
-    def weighted(self, rows: np.ndarray) -> list:
-        """The exact sums of measure * row over the nodes, one float for
-        each row of ``rows`` (m, ...), a float array with X's node axes
-        that this multiplies by the measure in place."""
-        rows *= self.measure
-        return _fsum_rows(rows.reshape(len(rows), self.X[0].size))
+    @property
+    def shape(self) -> tuple:
+        """The node shape: every field broadcasts to it, and it flattens
+        to the theta-major node order."""
+        return np.broadcast_shapes(*map(np.shape, (self.R, *self.u)))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def weighted(self, factor, t_scale: float = 1.0) -> list:
+        """The exact sums of measure (factor X_c) over the nodes for the rows
+        c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first: measure
+        ((t_scale X_t) factor).  Each row is written and summed in place."""
+        nodes = np.empty(self.shape)
+        row, q, sums = nodes.reshape(-1), np.empty(nodes.size), []
+        for c in range(4):
+            areal_to_minkowski(c, self.R, *self.u, self.k, out=nodes)
+            if c == 3:
+                nodes *= t_scale
+            nodes *= factor
+            nodes *= self.measure
+            sums.append(_fsum(row, q))
+        return _finite(sums)
 
     def area(self) -> float:
-        """int dSigma, the exact sum of the measure."""
-        return self.weighted(np.ones_like(self.X[:1]))[0]
+        """int dSigma, the exact sum of the measure broadcast to a row."""
+        row = np.broadcast_to(self.measure, self.shape).flatten()
+        return _finite([_fsum(row, np.empty(row.size))])[0]
 
     @property
     def weight(self) -> np.ndarray:
@@ -148,7 +170,7 @@ class SurfaceMassData:
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return LorentzVector(*self.weighted(self.weight * self.X))
+        return LorentzVector(*self.weighted(self.weight))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
@@ -208,10 +230,10 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
     # F0's nodes at areal radius R0 in direction u: X = (R0 u, sqrt(1/k^2 +
     # R0^2)) on the hyperboloid, exact with no chart in between
     theta, phi = grid.node_axes()
-    X = areal_to_minkowski(forms0.radius, np.sin(theta), np.cos(theta),
-                           np.cos(phi), np.sin(phi), surface.k)
-    return SurfaceMassData(H=H, H0=forms0.mean_curvature, X=X,
+    return SurfaceMassData(H=H, H0=forms0.mean_curvature,
                            measure=grid.measure_weights() * forms.area_element,
+                           R=forms0.radius, u=(np.sin(theta), np.cos(theta),
+                                               np.cos(phi), np.sin(phi)),
                            k=surface.k)
 
 
@@ -239,10 +261,7 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
-    W = data.X.copy()
-    W[3] *= alpha
-    W *= data.H0 - data.H
-    return LorentzVector(*data.weighted(W))
+    return LorentzVector(*data.weighted(data.H0 - data.H, alpha))
 
 
 def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
@@ -268,10 +287,13 @@ def wang_mass(sphere: tuple) -> LorentzVector:
     LorentzVector.
     """
     xhat, w, tau = sphere
-    rows = np.empty((4, len(w)))
-    np.multiply(w, tau, out=rows[3])
-    np.multiply(rows[3], xhat.T, out=rows[:3])
-    return LorentzVector(*_fsum_rows(rows))
+    row, q, sums = np.empty(len(w)), np.empty(len(w)), []
+    for c in range(4):
+        np.multiply(w, tau, out=row)
+        if c < 3:
+            row *= xhat[:, c]
+        sums.append(_fsum(row, q))
+    return LorentzVector(*_finite(sums))
 
 
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
@@ -294,9 +316,9 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     0 < r <= 0.5, on the :func:`round_sphere_quadrature` triple ``sphere``
     (k = 1): H and H_0 from the collar expansions truncated at the printed
     orders (the omitted terms are o(r^3) relative), the round dS over
-    sinh^2 r, and the exact hyperboloid points at areal radius
-    sinh(rho_r) = 1/r, matching the displayed leading behavior (x/r, 1/r).
-    H_0 = cosh r at every node is a broadcast view, not an array."""
+    sinh^2 r, and the exact hyperboloid points of areal radius sinh(rho_r) =
+    1/r in the directions xhat, matching the displayed leading behavior
+    (x/r, 1/r).  H_0 = cosh r at every node is a broadcast view."""
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
     xhat, w, tau = sphere
@@ -305,10 +327,9 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
         raise NonPositiveMeanCurvature(
             f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
     H0 = np.broadcast_to(math.cosh(r), tau.shape)
-    R = 1.0 / r                 # the areal radius of every node
     x, y, z = xhat.T
-    return SurfaceMassData(H=H, H0=H0, X=areal_to_minkowski(R, 1.0, z, x, y),
-                           measure=w * (1.0 / math.sinh(r) ** 2), k=1.0)
+    return SurfaceMassData(H=H, H0=H0, measure=w * (1.0 / math.sinh(r) ** 2),
+                           R=1.0 / r, u=(1.0, z, x, y), k=1.0)
 
 
 def asymptotic_limit(sphere: tuple, radii) -> tuple:

@@ -10,6 +10,7 @@ import pytest
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass import spinor
+from hypermass.hypgeom import areal_to_minkowski
 from hypermass.lorentz import minkowski_inner
 
 ADS_M = 0.1
@@ -111,10 +112,20 @@ def n_nodes(grid):
 def on_nodes(x, grid):
     """``x``, broadcast to the nodes of ``grid``, flattened to theta-major
     order (N,): ``grid`` is a QuadratureGrid, or a SurfaceMassData, whose
-    node fields broadcast to a row of its X."""
-    shape = (grid.X.shape[1:] if isinstance(grid, massmod.SurfaceMassData)
+    node fields broadcast to its node shape."""
+    shape = (grid.shape if isinstance(grid, massmod.SurfaceMassData)
              else (grid.n_theta, grid.n_phi))
     return np.broadcast_to(x, shape).ravel()
+
+
+def positions(data):
+    """The hyperboloid positions X of the nodes of a SurfaceMassData, rows
+    (4, N) in theta-major node order, each row written by the package's
+    row writer, so its bits are those that the integrals sum."""
+    X = np.empty((4,) + data.shape)
+    for c, row in enumerate(X):
+        areal_to_minkowski(c, data.R, *data.u, data.k, out=row)
+    return X.reshape(4, -1)
 
 
 def form_matrices(forms, grid):

@@ -10,15 +10,17 @@ with M polarized at every node from the Killing-spinor norms at a = e_0,
 e_1, e_0 + e_1 and e_0 + i e_1, and each real entry of Q the ``math.fsum``
 of its node values.  The norms are ``conftest.einsum_killing_norms_sq``,
 not the package's; the weight and the ball points are computed here from
-the node fields H, H_0, X and the measure.  So the oracle shares only GAMMAS
-with the engine, and never reads E or zeta.
+the node fields H, H_0 and the measure and from X, which
+``conftest.positions`` writes with the package's hyperboloid map.  So the
+oracle shares only GAMMAS and that map with the engine, and never reads E
+or zeta.
 """
 
 import math
 
 import numpy as np
 
-from conftest import einsum_killing_norms_sq, on_nodes
+from conftest import einsum_killing_norms_sq, on_nodes, positions
 
 # e_0, e_1, e_0 + e_1 and e_0 + i e_1, each broadcast over the nodes
 POLARIZATION_BASIS = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
@@ -27,7 +29,7 @@ POLARIZATION_BASIS = np.array([[[1, 0]], [[0, 1]], [[1, 1]], [[1, 1j]]])
 def ball_points(data) -> np.ndarray:
     """Poincare-ball points X_s / (1 + X_t) of the nodes of ``data``
     (N, 3), the inverse of ``ball_to_minkowski`` at k = 1."""
-    X = data.X.reshape(4, -1)
+    X = positions(data)
     return np.ascontiguousarray((X[:3] / (1.0 + X[3])).T)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import dataclasses
 import io
+import json
 import math
 import re
 import tracemalloc
@@ -22,7 +23,7 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, surface_forms,
                                 unit_directions)
-from hypermass.hypgeom import areal_to_minkowski, ball_to_minkowski
+from hypermass.hypgeom import ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass import cli
@@ -37,8 +38,8 @@ from hypermass.spinor import zeta_of
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
                       TILTED_LINEAR, ads_potential, einsum_killing_norms_sq,
                       exact_ads_energy, form_matrices, n_nodes, node_arrays,
-                      norm_inf, on_nodes, random_spinors, scaled_sphere,
-                      waist_graph)
+                      norm_inf, on_nodes, positions, random_spinors,
+                      scaled_sphere, waist_graph)
 
 
 def mobius_jet(F, a):
@@ -99,13 +100,15 @@ class TestEnergyMomentum:
         assert np.max(np.abs(moved.first
                              - form_matrices(forms0, grid64).first)) <= 1e-12
         theta, phi = grid64.node_axes()
-        X = areal_to_minkowski(forms0.radius, np.sin(theta), np.cos(theta),
-                               np.cos(phi), np.sin(phi))
+        shape = (grid64.n_theta, grid64.n_phi)
         data = massmod.SurfaceMassData(
-            H=moved.mean_curvature,
-            H0=on_nodes(forms0.mean_curvature, grid64), X=X.reshape(4, -1),
-            measure=(on_nodes(grid64.measure_weights(), grid64)
-                     * moved.area_element), k=1.0)
+            H=moved.mean_curvature.reshape(shape),
+            H0=forms0.mean_curvature,
+            measure=(grid64.measure_weights()
+                     * moved.area_element.reshape(shape)),
+            R=forms0.radius,
+            u=(np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)),
+            k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
         assert norm_inf(data.energy()) <= 1e-9
@@ -496,7 +499,8 @@ class TestAHSphereData:
     def test_positions_on_hyperboloid(self, grid64):
         d = ah_sphere_data(
             0.2, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
-        q = np.sum(d.X[:3] ** 2, axis=0) - d.X[3] ** 2
+        X = positions(d)
+        q = np.sum(X[:3] ** 2, axis=0) - X[3] ** 2
         assert np.max(np.abs(q + 1.0)) < 1e-12
 
     @pytest.mark.parametrize("r", [0.5, 0.2, 0.025])
@@ -505,7 +509,8 @@ class TestAHSphereData:
             r, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
         assert d.k == 1.0
         X = ball_to_minkowski(reference_spinor.ball_points(d))
-        assert np.max(np.abs(X.T - d.X)) < 1e-12 * np.max(np.abs(d.X))
+        Xd = positions(d)
+        assert np.max(np.abs(X.T - Xd)) < 1e-12 * np.max(np.abs(Xd))
 
     def test_energy_is_round_sphere_sum(self):
         # the expansion integral as a sum over the round dS weights, written
@@ -516,7 +521,7 @@ class TestAHSphereData:
         theta = grid.node_axes()[0]
         w_round = on_nodes(grid.measure_weights() * np.sin(theta), grid)
         integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - d.H ** 2) / d.H)
-        expect = [math.fsum((integ * d.X[c]).tolist()) for c in range(4)]
+        expect = [math.fsum((integ * X).tolist()) for X in positions(d)]
         E = d.energy()
         assert [E.x1, E.x2, E.x3, E.t] == pytest.approx(expect, rel=1e-15)
 
@@ -569,8 +574,8 @@ class TestSurfaceMassData:
         surface = radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0, grid32)
         data = surface_mass_data(surface, hyp_metric)
         X = ball_to_minkowski(reference_spinor.ball_points(data))
-        assert (np.max(np.abs(X.T - data.X.reshape(4, -1)))
-                < 1e-14 * np.max(np.abs(data.X)))
+        Xd = positions(data)
+        assert np.max(np.abs(X.T - Xd)) < 1e-14 * np.max(np.abs(Xd))
 
     def test_h3_side_mean_curvature(self, rigid_scenarios):
         _, data, _ = rigid_scenarios[1.0]
@@ -578,7 +583,7 @@ class TestSurfaceMassData:
 
     def test_weights_integrate_area(self, ads_scenarios):
         _, data, _ = ads_scenarios[2.0]
-        [area] = data.weighted(np.ones_like(data.X[:1]))
+        area = data.area()
         assert abs(area - 16 * math.pi) < 1e-8 * 16 * math.pi
 
     def test_overflowing_integrand_is_a_domain_error(self):
@@ -591,17 +596,17 @@ class TestSurfaceMassData:
         with pytest.raises(DomainError, match="overflows a float"):
             data.killing_form(1)
         with pytest.raises(DomainError, match="overflows a float"):
-            data.weighted(np.full_like(data.X[:1], np.inf))
+            data.weighted(np.inf)
         far = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e300), X=np.full((4, 2), 1e10),
-            measure=np.ones(2), k=1.0)
+            H=np.ones(2), H0=np.full(2, 1e300), measure=np.ones(2),
+            R=np.full(2, 1e10), u=(1.0, 1.0, 1.0, 1.0), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(far, 1.0)
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e308), X=np.ones((4, 2)),
-            measure=np.ones(2), k=1.0)
+            H=np.ones(2), H0=np.full(2, 1e308), measure=np.ones(2),
+            R=np.ones(2), u=(1.0, 1.0, 1.0, 1.0), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
@@ -670,17 +675,15 @@ SUM_CASES = ("single", "odd", "large", "zeros", "spread", "huge", "tiny",
 
 
 class TestExactSums:
-    # massmod._fsum_rows returns math.fsum's float bit for bit, without a
-    # tolist, and never writes into its input
+    # massmod._fsum returns math.fsum's float bit for bit, without a
+    # tolist, working in the row it sums and one scratch buffer
     @staticmethod
     def assert_fsum(rows):
-        rows = np.ascontiguousarray(rows)
-        before = rows.tobytes()
-        got = massmod._fsum_rows(rows)
+        rows = np.array(rows, dtype=float)
         expect = [math.fsum(row.tolist()) for row in rows]
+        got = [massmod._fsum(row, np.empty(len(row))) for row in rows]
         assert np.array(got).tobytes() == np.array(expect).tobytes()
         assert all(type(s) is float for s in got)
-        assert rows.tobytes() == before
 
     @pytest.mark.parametrize("case", SUM_CASES)
     def test_equals_fsum(self, case):
@@ -699,17 +702,21 @@ class TestExactSums:
             self.assert_fsum(rows)
 
     def test_non_finite_entry_gives_non_finite_sum(self):
-        # the sum of a row with a nan or an inf is nan or +-inf, and is
-        # refused as a DomainError that names every row's sum
-        finite = math.fsum([0.1, 0.2, 0.3])
+        # the sum of a row with a nan or an inf is nan or +-inf, and an
+        # integral with such a sum is refused as a DomainError that names
+        # every sum of it
+        finite = massmod._fsum(np.array([0.1, 0.2, 0.3]), np.empty(3))
+        assert finite == math.fsum([0.1, 0.2, 0.3])
         for row, total in [([1.0, np.nan, 2.0], math.nan),
                            ([1.0, np.inf, 2.0], math.inf),
                            ([np.inf, 1.0, -np.inf], math.nan),
                            ([-np.inf, 1.0, 0.5], -math.inf)]:
+            got = massmod._fsum(np.array(row), np.empty(3))
+            assert np.float64(got).tobytes() == np.float64(total).tobytes()
             with pytest.raises(DomainError, match=re.escape(
                     f"overflows a float: {[total, finite]}")):
-                massmod._fsum_rows(np.array([row, [0.1, 0.2, 0.3]]))
-        assert massmod._fsum_rows([[0.1, 0.2, 0.3]]) == [finite]
+                massmod._finite([got, finite])
+        assert massmod._finite([finite]) == [finite]
 
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
@@ -718,20 +725,25 @@ class TestExactSums:
         with pytest.raises(OverflowError):
             math.fsum(row)
         with pytest.raises(DomainError, match="overflows a float"):
-            massmod._fsum_rows(np.array([row]))
+            massmod._finite([massmod._fsum(np.array(row), np.empty(2))])
 
     def test_any_layout(self):
-        # nested lists, and a transposed (non-contiguous) view
-        assert massmod._fsum_rows([[0.1, 0.2, 0.3]]) == [0.6]
+        # a row that is a strided or a reversed view of a block, summed in
+        # that block
         cols = np.random.default_rng(5).standard_normal((100, 3))
-        assert massmod._fsum_rows(cols.T) == [math.fsum(c) for c in cols.T]
-
-
-NODE_FIELDS = ("H", "H0", "X", "measure")
+        expect = [math.fsum(c) for c in cols.T]
+        assert [massmod._fsum(c, np.empty(100)) for c in cols.T] == expect
+        row = np.random.default_rng(6).standard_normal(101)
+        expect = math.fsum(row)
+        assert massmod._fsum(row[::-1], np.empty(101)) == expect
 
 
 def _node_bytes(data):
-    return {name: getattr(data, name).tobytes() for name in NODE_FIELDS}
+    """The bytes of every node field of ``data``: H, H0, the measure and
+    the factors R and u of X."""
+    fields = dict(H=data.H, H0=data.H0, measure=data.measure, R=data.R)
+    fields.update(zip(("st", "ct", "cp", "sp"), data.u))
+    return {name: np.asarray(x).tobytes() for name, x in fields.items()}
 
 
 class TestReductionsReadOnly:
@@ -746,7 +758,7 @@ class TestReductionsReadOnly:
         for sign in (1, -1):
             data.killing_form(sign)
         data.area()
-        data.weighted(np.ones_like(data.X[:1]))
+        data.weighted(1.0)
         assert _node_bytes(data) == before
 
     def test_run_convergence(self, tmp_path, monkeypatch):
@@ -769,24 +781,62 @@ class TestReductionsReadOnly:
             assert _node_bytes(data) == before
 
 
+def _peak_floats(fn, grid):
+    """The tracemalloc peak of ``fn()``, in floats per node of ``grid``."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n_nodes(grid) * np.dtype(float).itemsize)
+
+
 def test_reduction_memory_peak():
-    # tracemalloc peak of E and M_alpha at 128x256 in float (N,) arrays
-    # (numpy 2.4): 6.0, the integrand rows (4, N), which take the measure
-    # in place, and the two extraction buffers (N,) (10.0 when the measure
-    # product was a second (4, N) array, 13.0 for the tolist and fsum sums
-    # that these replace)
+    # tracemalloc peak of E, M_alpha and the area at 128x256 in float (N,)
+    # arrays (numpy 2.4): 2.5, the row and the scratch buffer that each
+    # integral writes and sums its rows in, and the few theta-axis values
+    # of its weight (6.0 when X and each integrand were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
     surface = coordinate_sphere_surface(2.0, grid)
     data = surface_mass_data(surface, metric)
-    tracemalloc.start()
-    try:
-        data.energy()
-        shi_tam_vector(data, 1.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12.0 * n_nodes(grid) * np.dtype(float).itemsize
+    peak = _peak_floats(lambda: (data.energy(), shi_tam_vector(data, 1.3),
+                                 data.area()), grid)
+    assert peak <= 3.0
+
+
+def test_asymptotic_memory_peak():
+    # tracemalloc peak of the asymptotic series at four radii and Wang's
+    # mass at 128x256 in float (N,) arrays: 5.0, H, the measure and the
+    # weight of one radius and the two row buffers (12.0 when X and each
+    # integrand were (4, N) blocks)
+    grid = QuadratureGrid.build(128, 256)
+    sphere = round_sphere_quadrature(
+        SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid)
+    peak = _peak_floats(lambda: (
+        asymptotic_limit(sphere, (0.2, 0.1, 0.05, 0.025)), wang_mass(sphere)),
+        grid)
+    assert peak <= 6.0
+
+
+def test_mass_op_memory_peak(tmp_path):
+    # tracemalloc peak of a whole mass op with Shi-Tam, AdS r = 2 at
+    # 128x256, in float (N,) arrays: 2.6, from the config to the report
+    # (10.1 when X and each integrand were (4, N) blocks)
+    grid = QuadratureGrid.build(128, 256)
+    cfg = tmp_path / "ads.yaml"
+    cfg.write_text(json.dumps({
+        "metric": {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M},
+        "surface": {"type": "coordinate_sphere", "r": 2.0},
+        "resolution": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
+        "outputs": {"shi_tam": True}}))
+    argv = ["mass", str(cfg), "--force", "--output", str(tmp_path / "out")]
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak = _peak_floats(lambda: codes.append(cli.main(argv)), grid)
+    assert codes == [0]
+    assert peak <= 3.5
 
 
 def test_mass_forms_keep_sphere_components_on_the_theta_axis():
@@ -808,53 +858,68 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis():
     assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
 
 
-def test_coordinate_sphere_stores_no_node_array_but_x():
+def test_coordinate_sphere_stores_no_node_array():
     # the node fields keep the shape they are computed at, the theta axis
-    # on a coordinate sphere: of N values per field only X is stored, as
-    # C-contiguous rows that flatten to (4, N) with no copy
+    # on a coordinate sphere, or the phi axis for cos and sin phi, and X is
+    # not stored: SurfaceMassData holds no array of N values at all
+    # (0.03 N floats at 128x256, 4.0 N when it held X)
     grid = QuadratureGrid.build(32, 64)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
     forms, forms0 = mass_forms(surface, metric)
     data = surface_mass_data(surface, metric, forms=(forms, forms0))
-    column = ((), (grid.n_theta, 1))
+    column, row = ((), (grid.n_theta, 1)), (1, grid.n_phi)
     for side in (forms, forms0):
         for name in ("mean_curvature", "area_element", "radius"):
             assert np.shape(getattr(side, name)) in column, name
-    for name in ("H", "H0", "measure"):
+    for name in ("H", "H0", "measure", "R"):
         assert np.shape(getattr(data, name)) in column, name
+    assert [np.shape(x) for x in data.u] == [column[1]] * 2 + [row] * 2
+    assert data.shape == (grid.n_theta, grid.n_phi)
     data.energy()
-    for name, value in vars(data).items():
-        if isinstance(value, np.ndarray) and name != "X":
-            assert value.size < n_nodes(grid), name
-    rows = data.X.reshape(4, -1)
-    assert data.X.flags.c_contiguous and data.X.dtype == np.float64
-    assert rows.shape == (4, n_nodes(grid))
-    assert np.shares_memory(rows, data.X)
+    shi_tam_vector(data, 1.3)
+    data.area()
+    held = [x for value in vars(data).values()
+            for x in (value if isinstance(value, tuple) else (value,))]
+    assert all(np.size(x) < n_nodes(grid) for x in held
+               if isinstance(x, np.ndarray))
 
 
-def _flat_sums(rows, measure):
-    return [math.fsum((measure * row).tolist()) for row in rows]
+@pytest.fixture
+def summed_rows(monkeypatch):
+    """The bytes of every row that reaches massmod._fsum, in call order:
+    a row as it is summed, with every factor of its integrand applied."""
+    rows = []
+    fsum = massmod._fsum
+
+    def recorded(p, q):
+        rows.append(p.tobytes())
+        return fsum(p, q)
+
+    monkeypatch.setattr(massmod, "_fsum", recorded)
+    return rows
+
+
+def _assert_flat_sums(got, rows, summed):
+    """The flat rows (m, N) ``rows`` are those that reached the exact sum,
+    in order, and ``got`` is math.fsum of each of them, bit for bit."""
+    rows = np.atleast_2d(rows)
+    assert summed == [row.tobytes() for row in rows]
+    expect = [math.fsum(row.tolist()) for row in rows]
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+    summed.clear()
 
 
 @pytest.mark.parametrize("case", ["ads_sphere", "tilted_h3", "tilted_ads"])
-def test_rows_and_sums_match_the_flat_layout(case, monkeypatch):
-    # X, the integrand rows and the sums of E and M_alpha, bit for bit,
-    # against the node fields flattened to (N,), X = (R0 u, sqrt(1/k^2 +
-    # R0^2)) from the unit directions of the flat nodes (N, 3), and
-    # math.fsum of the flat products in the order measure (weight X),
-    # measure ((H0 - H) X) and measure ((alpha X_t) (H0 - H)); the tilted
-    # AdS profile is forced past the isometry check, so H != H0 off the
-    # theta axis.  A sum can hide a regrouped product, so the rows that
-    # reach SurfaceMassData.weighted are checked too
-    summed = []
-    weighted = massmod.SurfaceMassData.weighted
-
-    def recorded(self, rows):
-        summed.append(rows.reshape(len(rows), -1).tobytes())
-        return weighted(self, rows)
-
-    monkeypatch.setattr(massmod.SurfaceMassData, "weighted", recorded)
+def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
+    # X, the integrand rows and the sums of E, M_alpha and the area, bit
+    # for bit, against the node fields flattened to (N,), X = (R0 u,
+    # sqrt(1/k^2 + R0^2)) from the unit directions of the flat nodes
+    # (N, 3), and math.fsum of the flat products in the order
+    # measure (weight X), measure ((H0 - H) X) and
+    # measure ((alpha X_t) (H0 - H)); the tilted AdS profile is forced past
+    # the isometry check, so H != H0 off the theta axis.  A sum can hide a
+    # regrouped product, so each row is checked where it reaches the sum
     grid = QuadratureGrid.build(16, 32)
     hyp, ads = hyperbolic_ball_metric(1.0), ads_schwarzschild_metric(ADS_M)
     surface, metric = {
@@ -871,22 +936,41 @@ def test_rows_and_sums_match_the_flat_layout(case, monkeypatch):
     X = np.empty((len(R0), 4))
     X[:, :3] = R0[:, None] * u
     X[:, 3] = np.sqrt(1.0 / (surface.k * surface.k) + R0 * R0)
-    assert data.X.reshape(4, -1).tobytes() == X.T.tobytes()
+    assert positions(data).tobytes() == X.T.tobytes()
 
     H = on_nodes(forms.mean_curvature, grid)
     H0 = on_nodes(forms0.mean_curvature, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
                * on_nodes(forms.area_element, grid))
-    rows = (H0 ** 2 - H ** 2) / H * X.T
-    got = data.energy()
-    assert summed.pop() == rows.tobytes()
-    assert (np.array(got).tobytes()
-            == np.array(_flat_sums(rows, measure)).tobytes())
+    _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X.T),
+                      summed_rows)
     alpha = 1.3
     rows = X.T.copy()
     rows[3] *= alpha
     rows *= H0 - H
-    got = shi_tam_vector(data, alpha)
-    assert summed.pop() == rows.tobytes()
-    assert (np.array(got).tobytes()
-            == np.array(_flat_sums(rows, measure)).tobytes())
+    _assert_flat_sums(shi_tam_vector(data, alpha), measure * rows,
+                      summed_rows)
+    _assert_flat_sums(data.area(), measure, summed_rows)
+
+
+def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
+    # E(S_r) and Wang's mass on the round sphere, as above: X = (R x, R y,
+    # R z, sqrt(1 + R^2)) at R = 1/r from the flat unit directions (N, 3),
+    # and math.fsum of measure (weight X) and of (w tau) (x, y, z, 1)
+    grid = QuadratureGrid.build(16, 32)
+    sphere = round_sphere_quadrature(
+        SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid)
+    xhat, w, tau = sphere
+    r = 0.1
+    data = ah_sphere_data(r, sphere)
+    R = 1.0 / r
+    X = np.empty((4, len(w)))
+    X[:3] = R * xhat.T
+    X[3] = np.sqrt(1.0 + R * R)
+    assert positions(data).tobytes() == X.tobytes()
+    H, H0 = data.H, on_nodes(data.H0, data)
+    measure = w * (1.0 / math.sinh(r) ** 2)
+    _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X),
+                      summed_rows)
+    wt = w * tau
+    _assert_flat_sums(wang_mass(sphere), [*(wt * xhat.T), wt], summed_rows)

@@ -68,22 +68,27 @@ print(json.dumps({"codes": codes, "spans": [s[0] for s in tracer.spans],
 
 
 def test_bench_tracer_runs_cli_ops(tmp_path):
-    # the tracer rebinds what the factories return and the CLI's write
-    # path, so a field or name it reads that the package drops breaks a
-    # traced op, not the install: run two ops through it at 8x16
+    # the tracer rebinds what the factories return, the CLI's write path
+    # and SurfaceMassData.weighted, so a field or name it reads that the
+    # package drops breaks a traced op, not the install: run three ops
+    # through it at 8x16, the asymptotic one on the small-sphere data
     configs = {
         "ads": {"metric": {"type": "ads_schwarzschild", "k": 1.0, "m": 0.1},
                 "surface": {"type": "coordinate_sphere", "r": 2.0}},
         "tilted": {"metric": {"type": "hyperbolic_ball", "k": 1.0},
                    "surface": {"type": "radial_profile", "base": 1.0,
-                               "linear": [0.1, 0.0, 0.2]}}}
+                               "linear": [0.1, 0.0, 0.2]}},
+        "aspect": {"asymptotic": {"h": {"g0_coeff": 0.5,
+                                        "linear": [0.3, -0.2, 0.1]},
+                                  "radii": [0.2, 0.1, 0.05]}}}
     paths = {}
     for name, cfg in configs.items():
         paths[name] = tmp_path / f"{name}.yaml"
         paths[name].write_text(json.dumps(
             dict(cfg, resolution={"n_theta": 8, "n_phi": 16})))
     ops = [["mass", str(paths["ads"]), "--force"],
-           ["convergence", str(paths["tilted"]), "--resolutions", "8,16,32"]]
+           ["convergence", str(paths["tilted"]), "--resolutions", "8,16,32"],
+           ["asymptotic", str(paths["aspect"])]]
     ops = [[*op, "--output", str(tmp_path / op[0])] for op in ops]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]))
@@ -92,12 +97,15 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(proc.stdout)
-    assert traced["codes"] == [0, 0]
+    assert traced["codes"] == [0, 0, 0]
     spans = set(traced["spans"])
     for name in ("surface_forms.ambient", "surface_forms.h3",
                  "ads_schwarzschild_metric", "coordinate_sphere_surface",
                  "hyperbolic_ball_metric", "radial_profile_surface"):
         assert f"geometry.{name}" in spans, name
+    for name in ("reduce", "surface_mass_data", "asymptotic_limit",
+                 "ah_sphere_data", "wang_mass"):
+        assert f"mass.{name}" in spans, name
     for name in ("geometry.surface_evals", "cli.write_bytes"):
         assert traced["counters"].get(name, 0) > 0, name
 
