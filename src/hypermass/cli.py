@@ -260,7 +260,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 
     data = massmod.surface_mass_data(surface, metric, iso_tol=iso_tol,
                                      forms=(forms, forms0))
-    E = massmod.energy_momentum(surface, metric, data=data)
+    E = data.energy()
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if k == 1.0:
         alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
@@ -376,7 +376,7 @@ def run_convergence(cfg: dict, resolutions, outdir: Path = Path(".")) -> str:
         surface = build_surface(cfg, grid)
         data = massmod.surface_mass_data(surface, metric,
                                          iso_tol=cfg["tolerances"]["iso_tol"])
-        E = massmod.energy_momentum(surface, metric, data=data)
+        E = data.energy()
         rows.append((n_theta, grid.n_phi, data.area(), E))
 
     sizes = [row[0] for row in rows]

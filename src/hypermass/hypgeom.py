@@ -2,8 +2,8 @@
 Poincare ball and the hyperboloid model.
 
 The hyperboloid (upper sheet of <X, X> = -1/k^2 in R^{3,1}) carries the
-positions that enter the mass integrals, written one row at a time; surfaces
-live in the polar chart (areal radius R, unit direction u), and the explicit
+positions that enter the mass integrals, as rows of factors; surfaces live
+in the polar chart (areal radius R, unit direction u), and the explicit
 Killing spinor formulas are written in the Poincare ball.  Every map takes
 arrays of points.
 """
@@ -23,20 +23,16 @@ __all__ = [
 ]
 
 
-def areal_to_minkowski(c: int, R, st, ct, cp, sp, k: float, *,
-                       out: np.ndarray) -> None:
-    """Write row ``c`` of the hyperboloid points X = (R u, sqrt(1/k^2 +
-    R^2)), u = (st cp, st sp, ct), into ``out`` of the shape the factors
-    broadcast to: x = R (st cp), y = R (st sp), z = R ct, and t at the
-    shape of R.  Directions given by their components (x, y, z) are
-    st = 1, ct = z, cp = x, sp = y."""
-    if c < 2:
-        np.multiply(st, (cp, sp)[c], out=out)
-        out *= R
-    elif c == 2:
-        np.multiply(R, ct, out=out)
-    else:
-        np.copyto(out, np.sqrt(1.0 / (k * k) + R * R))
+def areal_to_minkowski(R, theta, phi, k: float) -> tuple:
+    """The hyperboloid points X = (R u, sqrt(1/k^2 + R^2)) of areal radius
+    R in the directions u = (sin theta cos phi, sin theta sin phi, cos
+    theta), as four rows of factors: ((st, cp, R), (st, sp, R), (R, ct),
+    (sqrt(1/k^2 + R^2),)).  Row c of X is the product of its factors in
+    that order; each factor keeps the shape it is computed at, so the
+    directions are expanded only where a row is multiplied out."""
+    st, cp, sp = np.sin(theta), np.cos(phi), np.sin(phi)
+    return ((st, cp, R), (st, sp, R), (R, np.cos(theta)),
+            (np.sqrt(1.0 / (k * k) + R * R),))
 
 
 def ball_to_minkowski(x: np.ndarray) -> np.ndarray:

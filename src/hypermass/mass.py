@@ -14,9 +14,11 @@ so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
 
 H <= 0 anywhere is a hard error, never a silent skip.
 
-No integral holds X or its integrand as a (4, N) block: each row, X_c
-times its weights, is written and summed in one buffer of N values, with a
-second as the scratch of the sum.
+X is stored as the rows of factors of :func:`areal_to_minkowski`, and
+every integral is one call of :func:`_row_sums`: each row, the product of
+its factors times the integrand's, is written and summed in one buffer of
+N values, with a second as the scratch of the sum, so no integral holds X
+or its integrand as a (4, N) block.
 
 Every integral is a sum over the nodes that returns exactly what
 ``math.fsum`` would: the correctly rounded sum of the node values, the same
@@ -106,9 +108,21 @@ def _fsum(p: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
-def _finite(sums: list) -> list:
-    """``sums``, the exact sums of an integral; one that is not a finite
-    float (an integrand overflowed) is a DomainError that names them."""
+@np.errstate(over="ignore", invalid="ignore")
+def _row_sums(shape: tuple, rows, *factors) -> list:
+    """The exact sums over the nodes of ``shape`` of each row of ``rows``
+    times ``factors``: the row's first factor is copied into a buffer of N
+    values, the rest of its factors and then ``factors`` are multiplied in,
+    in order, and the buffer is summed in place by :func:`_fsum`.  A sum
+    that is not a finite float (an integrand overflowed) is a DomainError
+    that names every sum of the integral."""
+    nodes = np.empty(shape)
+    p, q, sums = nodes.reshape(-1), np.empty(nodes.size), []
+    for first, *rest in rows:
+        np.copyto(nodes, first)
+        for f in (*rest, *factors):
+            nodes *= f
+        sums.append(_fsum(p, q))
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"a node integral overflows a float: {sums}")
     return sums
@@ -123,43 +137,34 @@ class SurfaceMassData:
     """Node data entering every mass integral: a surface in its ambient
     (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`),
     each field at the shape it is computed at.  The positions X of F0's
-    nodes are not stored, only the factors R and u that
-    :func:`areal_to_minkowski` writes a row of X from."""
+    nodes are the four rows of factors of :func:`areal_to_minkowski`, each
+    row multiplied out only in the buffer of an integral."""
 
     H: np.ndarray            # ambient-side mean curvature
     H0: np.ndarray           # H^3-side mean curvature
     measure: np.ndarray      # quadrature weight * area element
-    R: np.ndarray            # areal radius of F0's nodes
-    u: tuple                 # (st, ct, cp, sp): directions (st cp, st sp, ct)
+    X: tuple                 # rows (x1, x2, x3, t) of F0's positions
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def shape(self) -> tuple:
-        """The node shape: every field broadcasts to it, and it flattens
-        to the theta-major node order."""
-        return np.broadcast_shapes(*map(np.shape, (self.R, *self.u)))
+        """The node shape, the broadcast of the factors of X: every field
+        broadcasts to it, and it flattens to the theta-major node order."""
+        return np.broadcast_shapes(*(np.shape(f) for row in self.X
+                                     for f in row))
 
-    @np.errstate(over="ignore", invalid="ignore")
     def weighted(self, factor, t_scale: float = 1.0) -> list:
         """The exact sums of measure (factor X_c) over the nodes for the rows
         c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first: measure
-        ((t_scale X_t) factor).  Each row is written and summed in place."""
-        nodes = np.empty(self.shape)
-        row, q, sums = nodes.reshape(-1), np.empty(nodes.size), []
-        for c in range(4):
-            areal_to_minkowski(c, self.R, *self.u, self.k, out=nodes)
-            if c == 3:
-                nodes *= t_scale
-            nodes *= factor
-            nodes *= self.measure
-            sums.append(_fsum(row, q))
-        return _finite(sums)
+        ((t_scale X_t) factor)."""
+        x1, x2, x3, t = self.X
+        return _row_sums(self.shape, (x1, x2, x3, (*t, t_scale)), factor,
+                         self.measure)
 
     def area(self) -> float:
-        """int dSigma, the exact sum of the measure broadcast to a row."""
-        row = np.broadcast_to(self.measure, self.shape).flatten()
-        return _finite([_fsum(row, np.empty(row.size))])[0]
+        """int dSigma, the exact sum of the measure over the nodes."""
+        return _row_sums(self.shape, ((self.measure,),))[0]
 
     @property
     def weight(self) -> np.ndarray:
@@ -227,14 +232,12 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
         least, node = grid.least_node(H)
         raise NonPositiveMeanCurvature(
             f"H = {least:.6g} <= 0 at {grid.describe_node(node)}")
-    # F0's nodes at areal radius R0 in direction u: X = (R0 u, sqrt(1/k^2 +
-    # R0^2)) on the hyperboloid, exact with no chart in between
-    theta, phi = grid.node_axes()
+    # F0's nodes on the hyperboloid from their areal radius R0, exact with
+    # no chart in between
+    X = areal_to_minkowski(forms0.radius, *grid.node_axes(), surface.k)
     return SurfaceMassData(H=H, H0=forms0.mean_curvature,
                            measure=grid.measure_weights() * forms.area_element,
-                           R=forms0.radius, u=(np.sin(theta), np.cos(theta),
-                                               np.cos(phi), np.sin(phi)),
-                           k=surface.k)
+                           X=X, k=surface.k)
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +269,29 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
 
 def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
     """The round sphere on ``grid`` with the mass-aspect tensor h on it:
-    ``(xhat, w, tau)``, the unit directions (N, 3), the weights of dS (N,)
-    and tr(h) at the nodes (N,).  They are all that :func:`ah_sphere_data`
+    ``(theta, phi, w, tau)``, the node axes, the weights of dS on the theta
+    axis and tr(h) at the nodes.  They are all that :func:`ah_sphere_data`
     and :func:`wang_mass` read, so one build serves every radius."""
     theta, phi = grid.node_axes()
-    xhat = unit_directions(theta, phi).reshape(-1, 3)
     # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
     w = grid.measure_weights() * np.sin(theta)
-    w = np.broadcast_to(w, (grid.n_theta, grid.n_phi)).ravel()
-    return xhat, w, h.trace(xhat)
+    return theta, phi, w, h.trace(unit_directions(theta, phi))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def wang_mass(sphere: tuple) -> LorentzVector:
     """Wang's AH energy-momentum from the mass-aspect tensor h, on the
-    :func:`round_sphere_quadrature` triple ``sphere``.
+    :func:`round_sphere_quadrature` data ``sphere``.
 
     The scalar slot is int tr(h) dS and the vector slot int tr(h) x dS over
     the round sphere, stored as the time and the spatial part of the
-    LorentzVector.
+    LorentzVector: the rows x, y, z of X at R = 1 and the row 1, times
+    w tau.
     """
-    xhat, w, tau = sphere
-    row, q, sums = np.empty(len(w)), np.empty(len(w)), []
-    for c in range(4):
-        np.multiply(w, tau, out=row)
-        if c < 3:
-            row *= xhat[:, c]
-        sums.append(_fsum(row, q))
-    return LorentzVector(*_finite(sums))
+    theta, phi, w, tau = sphere
+    wt = w * tau
+    rows = (*areal_to_minkowski(1.0, theta, phi, 1.0)[:3], (1.0,))
+    return LorentzVector(*_row_sums(np.shape(wt), rows, wt))
 
 
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
@@ -313,28 +311,28 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
 
 def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     """Truncated small-sphere expansion data for the geodesic sphere S_r,
-    0 < r <= 0.5, on the :func:`round_sphere_quadrature` triple ``sphere``
+    0 < r <= 0.5, on the :func:`round_sphere_quadrature` data ``sphere``
     (k = 1): H and H_0 from the collar expansions truncated at the printed
     orders (the omitted terms are o(r^3) relative), the round dS over
     sinh^2 r, and the exact hyperboloid points of areal radius sinh(rho_r) =
-    1/r in the directions xhat, matching the displayed leading behavior
-    (x/r, 1/r).  H_0 = cosh r at every node is a broadcast view."""
+    1/r at the nodes, matching the displayed leading behavior (x/r, 1/r).
+    H_0 = cosh r at every node is one float."""
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
-    xhat, w, tau = sphere
+    theta, phi, w, tau = sphere
     H = math.cosh(r) - 0.25 * r ** 3 * tau
     if np.any(H <= 0.0):
         raise NonPositiveMeanCurvature(
             f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
-    H0 = np.broadcast_to(math.cosh(r), tau.shape)
-    x, y, z = xhat.T
-    return SurfaceMassData(H=H, H0=H0, measure=w * (1.0 / math.sinh(r) ** 2),
-                           R=1.0 / r, u=(1.0, z, x, y), k=1.0)
+    return SurfaceMassData(H=H, H0=math.cosh(r),
+                           measure=w * (1.0 / math.sinh(r) ** 2),
+                           X=areal_to_minkowski(1.0 / r, theta, phi, 1.0),
+                           k=1.0)
 
 
 def asymptotic_limit(sphere: tuple, radii) -> tuple:
     """E(S_r) along decreasing radii, on the :func:`round_sphere_quadrature`
-    triple ``sphere``, and its Richardson limit, as the pair
+    data ``sphere``, and its Richardson limit, as the pair
     ``(energies, extrapolated)`` of shapes (len(radii), 4) and (4,).
 
     The extrapolation is two-point with assumed leading order 1 in r, using

@@ -10,7 +10,6 @@ import pytest
 from hypermass import geometry as geo
 from hypermass import mass as massmod
 from hypermass import spinor
-from hypermass.hypgeom import areal_to_minkowski
 from hypermass.lorentz import minkowski_inner
 
 ADS_M = 0.1
@@ -120,11 +119,14 @@ def on_nodes(x, grid):
 
 def positions(data):
     """The hyperboloid positions X of the nodes of a SurfaceMassData, rows
-    (4, N) in theta-major node order, each row written by the package's
-    row writer, so its bits are those that the integrals sum."""
+    (4, N) in theta-major node order: each row the product of its factors
+    in their order, as the integrals multiply it out, so its bits are those
+    that the integrals sum."""
     X = np.empty((4,) + data.shape)
-    for c, row in enumerate(X):
-        areal_to_minkowski(c, data.R, *data.u, data.k, out=row)
+    for row, (first, *rest) in zip(X, data.X):
+        row[...] = first
+        for f in rest:
+            row *= f
     return X.reshape(4, -1)
 
 
@@ -223,10 +225,11 @@ def waist_graph(a):
 def exact_ads_energy(r, m=ADS_M, k=1.0):
     """Closed-form reduction of the energy integrand on a coordinate sphere.
 
-    With H = sqrt(V)/r, H_0 = sqrt(1 + r^2)/r and X = (r x, sqrt(1 + r^2))
-    the weight (H_0^2 - H^2)/H equals (2m/r^3) * r/sqrt(V); the spatial part
-    integrates to zero by parity and the time part gives
-    8 pi m sqrt((1 + r^2)/V(r)) against dSigma = r^2 dS.
+    With H = sqrt(V)/r, H_0 = sqrt(1 + k^2 r^2)/r and X = (r x, sqrt(1/k^2
+    + r^2)), X_t = sqrt(1 + k^2 r^2)/k, the weight (H_0^2 - H^2)/H equals
+    (2m/r^3) * r/sqrt(V); the spatial part integrates to zero by parity and
+    the time part gives (8 pi m/k) sqrt((1 + k^2 r^2)/V(r)) against
+    dSigma = r^2 dS.
     """
     V = ads_potential(r, m, k)
-    return 8.0 * math.pi * m * math.sqrt((1.0 + (k * r) ** 2) / V)
+    return 8.0 * math.pi * m / k * math.sqrt((1.0 + (k * r) ** 2) / V)

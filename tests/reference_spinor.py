@@ -11,9 +11,9 @@ e_1, e_0 + e_1 and e_0 + i e_1, and each real entry of Q the ``math.fsum``
 of its node values.  The norms are ``conftest.einsum_killing_norms_sq``,
 not the package's; the weight and the ball points are computed here from
 the node fields H, H_0 and the measure and from X, which
-``conftest.positions`` writes with the package's hyperboloid map.  So the
-oracle shares only GAMMAS and that map with the engine, and never reads E
-or zeta.
+``conftest.positions`` multiplies out from the package's rows of factors.
+So the oracle shares only GAMMAS and those rows with the engine, and never
+reads E or zeta.
 """
 
 import math

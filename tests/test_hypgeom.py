@@ -1,14 +1,19 @@
-"""The ball -> hyperboloid map and radial bounds."""
+"""The ball -> hyperboloid map, the rows of the areal -> hyperboloid map,
+and radial bounds."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermass.errors import DomainError
 from hypermass.geometry import (QuadratureGrid, geodesic_sphere_surface,
                                 radial_profile_surface)
-from hypermass.hypgeom import ball_to_minkowski, radial_bounds
+from hypermass.hypgeom import (areal_to_minkowski, ball_to_minkowski,
+                               radial_bounds)
 
 
 def random_ball_points(rng, n, rmax=0.95):
@@ -135,3 +140,48 @@ class TestModelInvariants:
                 radius = math.tanh(0.5 * k * rho)
                 expect = 2.0 / k * math.atanh(radius)
                 assert abs(r1 - expect) < 1e-10 and abs(r2 - expect) < 1e-10
+
+
+GRID_AXES = st.tuples(st.integers(min_value=2, max_value=24),
+                      st.integers(min_value=2, max_value=48))
+
+
+class TestArealRows:
+    # areal_to_minkowski returns the rows of X as factors; each row's
+    # product, in the factors' order, is what the integrals multiply out
+    @given(k=st.floats(min_value=1e-3, max_value=1e3),
+           R=st.floats(min_value=1e-6, max_value=1e6),
+           tilt=st.floats(min_value=-0.9, max_value=0.9),
+           axes=GRID_AXES)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_rows_lie_on_the_hyperboloid(self, k, R, tilt, axes):
+        # <X, X> = -1/k^2 to rounding relative to X_t^2, on a coordinate
+        # sphere (R a float) and on a tilted profile (R at every node)
+        grid = QuadratureGrid.build(*axes)
+        theta, phi = grid.node_axes()
+        for radius in (R, R * (1.0 + tilt * np.sin(theta) * np.cos(phi))):
+            rows = areal_to_minkowski(radius, theta, phi, k)
+            x1, x2, x3, t = (np.broadcast_to(functools.reduce(np.multiply, row),
+                                             axes) for row in rows)
+            q = x1 * x1 + x2 * x2 + x3 * x3 - t * t
+            assert np.all(np.abs(q + 1.0 / (k * k)) <= 1e-14 * t * t)
+            assert np.all(t > 0.0)
+
+    @given(k=st.floats(min_value=1e-3, max_value=1e3),
+           R=st.floats(min_value=1e-6, max_value=1e6), axes=GRID_AXES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_only_cos_and_sin_phi_carry_phi_on_a_sphere(self, k, R, axes):
+        # on a coordinate sphere every factor of a row but cos phi and
+        # sin phi has no phi axis, so a row's other factors can be summed
+        # over phi apart from them
+        grid = QuadratureGrid.build(*axes)
+        theta, phi = grid.node_axes()
+        rows = areal_to_minkowski(R, theta, phi, k)
+
+        def has_phi_axis(f):
+            return np.shape(f)[1:] == (grid.n_phi,)
+
+        assert [[i for i, f in enumerate(row) if has_phi_axis(f)]
+                for row in rows] == [[1], [1], [], []]
+        assert rows[0][1].tobytes() == np.cos(phi).tobytes()
+        assert rows[1][1].tobytes() == np.sin(phi).tobytes()

@@ -23,7 +23,7 @@ from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, surface_forms,
                                 unit_directions)
-from hypermass.hypgeom import ball_to_minkowski
+from hypermass.hypgeom import areal_to_minkowski, ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass import cli
@@ -99,15 +99,13 @@ class TestEnergyMomentum:
         forms0 = surface_forms(centred, hyp_metric)
         assert np.max(np.abs(moved.first
                              - form_matrices(forms0, grid64).first)) <= 1e-12
-        theta, phi = grid64.node_axes()
         shape = (grid64.n_theta, grid64.n_phi)
         data = massmod.SurfaceMassData(
             H=moved.mean_curvature.reshape(shape),
             H0=forms0.mean_curvature,
             measure=(grid64.measure_weights()
                      * moved.area_element.reshape(shape)),
-            R=forms0.radius,
-            u=(np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)),
+            X=areal_to_minkowski(forms0.radius, *grid64.node_axes(), 1.0),
             k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
@@ -123,12 +121,21 @@ class TestEnergyMomentum:
 
     @pytest.mark.parametrize("n_theta", [32, 64, 128])
     @pytest.mark.parametrize("r", [2.0, 10.0])
-    def test_ads_closed_form_to_roundoff(self, ads_metric, r, n_theta):
+    def test_ads_closed_form_to_roundoff(self, r, n_theta, k=1.0):
         grid = QuadratureGrid.build(n_theta, 2 * n_theta)
-        E = energy_momentum(coordinate_sphere_surface(r, grid), ads_metric)
-        target = exact_ads_energy(r)
+        E = energy_momentum(coordinate_sphere_surface(r, grid, k),
+                            ads_schwarzschild_metric(ADS_M, k))
+        target = exact_ads_energy(r, k=k)
         assert abs(E.t - target) <= 1e-10 * target
         assert max(abs(E.x1), abs(E.x2), abs(E.x3)) <= 1e-10
+
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("n_theta", [32, 64, 128])
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    def test_ads_closed_form_to_roundoff_at_k(self, r, n_theta, k):
+        # E_t = (8 pi m/k) sqrt((1 + k^2 r^2)/V) at every k, where X_t =
+        # sqrt(1/k^2 + r^2) carries the 1/k
+        self.test_ads_closed_form_to_roundoff(r, n_theta, k)
 
     def test_normalized_r_independence(self, ads_scenarios):
         # E_t / sqrt((1 + r^2)/V(r)) is the r-independent combination
@@ -520,7 +527,8 @@ class TestAHSphereData:
             SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid))
         theta = grid.node_axes()[0]
         w_round = on_nodes(grid.measure_weights() * np.sin(theta), grid)
-        integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - d.H ** 2) / d.H)
+        H = on_nodes(d.H, grid)
+        integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - H ** 2) / H)
         expect = [math.fsum((integ * X).tolist()) for X in positions(d)]
         E = d.energy()
         assert [E.x1, E.x2, E.x3, E.t] == pytest.approx(expect, rel=1e-15)
@@ -597,16 +605,18 @@ class TestSurfaceMassData:
             data.killing_form(1)
         with pytest.raises(DomainError, match="overflows a float"):
             data.weighted(np.inf)
+        # at theta = pi/2, phi = 0: x1 = R, and X_t = sqrt(1 + R^2)
+        equator = (math.pi / 2, 0.0)
         far = massmod.SurfaceMassData(
             H=np.ones(2), H0=np.full(2, 1e300), measure=np.ones(2),
-            R=np.full(2, 1e10), u=(1.0, 1.0, 1.0, 1.0), k=1.0)
+            X=areal_to_minkowski(np.full(2, 1e10), *equator, 1.0), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(far, 1.0)
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
             H=np.ones(2), H0=np.full(2, 1e308), measure=np.ones(2),
-            R=np.ones(2), u=(1.0, 1.0, 1.0, 1.0), k=1.0)
+            X=areal_to_minkowski(np.ones(2), *equator, 1.0), k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
@@ -703,8 +713,8 @@ class TestExactSums:
 
     def test_non_finite_entry_gives_non_finite_sum(self):
         # the sum of a row with a nan or an inf is nan or +-inf, and an
-        # integral with such a sum is refused as a DomainError that names
-        # every sum of it
+        # integral with such a sum is refused by the row loop as a
+        # DomainError that names every sum of it
         finite = massmod._fsum(np.array([0.1, 0.2, 0.3]), np.empty(3))
         assert finite == math.fsum([0.1, 0.2, 0.3])
         for row, total in [([1.0, np.nan, 2.0], math.nan),
@@ -715,8 +725,9 @@ class TestExactSums:
             assert np.float64(got).tobytes() == np.float64(total).tobytes()
             with pytest.raises(DomainError, match=re.escape(
                     f"overflows a float: {[total, finite]}")):
-                massmod._finite([got, finite])
-        assert massmod._finite([finite]) == [finite]
+                massmod._row_sums((3,), ((np.array(row),),
+                                         ([0.1, 0.2, 0.3],)))
+        assert massmod._row_sums((3,), (([0.1, 0.2, 0.3],),)) == [finite]
 
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
@@ -725,7 +736,7 @@ class TestExactSums:
         with pytest.raises(OverflowError):
             math.fsum(row)
         with pytest.raises(DomainError, match="overflows a float"):
-            massmod._finite([massmod._fsum(np.array(row), np.empty(2))])
+            massmod._row_sums((2,), ((np.array(row),),))
 
     def test_any_layout(self):
         # a row that is a strided or a reversed view of a block, summed in
@@ -740,9 +751,10 @@ class TestExactSums:
 
 def _node_bytes(data):
     """The bytes of every node field of ``data``: H, H0, the measure and
-    the factors R and u of X."""
-    fields = dict(H=data.H, H0=data.H0, measure=data.measure, R=data.R)
-    fields.update(zip(("st", "ct", "cp", "sp"), data.u))
+    the factors of each row of X."""
+    fields = dict(H=data.H, H0=data.H0, measure=data.measure)
+    fields.update(((c, i), f) for c, row in enumerate(data.X)
+                  for i, f in enumerate(row))
     return {name: np.asarray(x).tobytes() for name, x in fields.items()}
 
 
@@ -792,38 +804,55 @@ def _peak_floats(fn, grid):
     return peak / (n_nodes(grid) * np.dtype(float).itemsize)
 
 
+def _reduction_peak(surface, metric):
+    """The tracemalloc peak of E, M_alpha and the area of ``surface``, in
+    floats per node."""
+    data = surface_mass_data(surface, metric)
+    return _peak_floats(lambda: (data.energy(), shi_tam_vector(data, 1.3),
+                                 data.area()), surface.grid)
+
+
 def test_reduction_memory_peak():
     # tracemalloc peak of E, M_alpha and the area at 128x256 in float (N,)
-    # arrays (numpy 2.4): 2.5, the row and the scratch buffer that each
-    # integral writes and sums its rows in, and the few theta-axis values
-    # of its weight (6.0 when X and each integrand were (4, N) blocks)
+    # arrays (numpy 2.4): 2.26, the row and the scratch buffer that each
+    # integral multiplies out and sums its rows in, and the few theta-axis
+    # values of its weight (2.51 when each integral wrote X_t from R, 6.0
+    # when X and each integrand were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
-    metric = ads_schwarzschild_metric(ADS_M, 1.0)
-    surface = coordinate_sphere_surface(2.0, grid)
-    data = surface_mass_data(surface, metric)
-    peak = _peak_floats(lambda: (data.energy(), shi_tam_vector(data, 1.3),
-                                 data.area()), grid)
-    assert peak <= 3.0
+    assert _reduction_peak(coordinate_sphere_surface(2.0, grid),
+                           ads_schwarzschild_metric(ADS_M, 1.0)) <= 2.5
+
+
+def test_tilted_reduction_memory_peak():
+    # as above on a tilted H^3 profile, whose weight is N values: 3.26, the
+    # two buffers and the weight (5.01 when each integral wrote X_t from
+    # R, in temporaries of N values)
+    grid = QuadratureGrid.build(128, 256)
+    assert _reduction_peak(
+        radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
+        hyperbolic_ball_metric(1.0)) <= 3.5
 
 
 def test_asymptotic_memory_peak():
     # tracemalloc peak of the asymptotic series at four radii and Wang's
-    # mass at 128x256 in float (N,) arrays: 5.0, H, the measure and the
-    # weight of one radius and the two row buffers (12.0 when X and each
-    # integrand were (4, N) blocks)
+    # mass at 128x256 in float (N,) arrays: 4.3, H and the weight of one
+    # radius and the two row buffers (5.0 when the measure was N values and
+    # H0 = cosh r N copies; 12.0 when X and each integrand were (4, N)
+    # blocks)
     grid = QuadratureGrid.build(128, 256)
     sphere = round_sphere_quadrature(
         SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid)
     peak = _peak_floats(lambda: (
         asymptotic_limit(sphere, (0.2, 0.1, 0.05, 0.025)), wang_mass(sphere)),
         grid)
-    assert peak <= 6.0
+    assert peak <= 4.5
 
 
 def test_mass_op_memory_peak(tmp_path):
     # tracemalloc peak of a whole mass op with Shi-Tam, AdS r = 2 at
-    # 128x256, in float (N,) arrays: 2.6, from the config to the report
-    # (10.1 when X and each integrand were (4, N) blocks)
+    # 128x256, in float (N,) arrays: 2.4, from the config to the report
+    # (2.65 when each integral wrote X_t from R, 10.1 when X and each
+    # integrand were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
     cfg = tmp_path / "ads.yaml"
     cfg.write_text(json.dumps({
@@ -836,7 +865,7 @@ def test_mass_op_memory_peak(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _peak_floats(lambda: codes.append(cli.main(argv)), grid)
     assert codes == [0]
-    assert peak <= 3.5
+    assert peak <= 3.0
 
 
 def test_mass_forms_keep_sphere_components_on_the_theta_axis():
@@ -861,8 +890,8 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis():
 def test_coordinate_sphere_stores_no_node_array():
     # the node fields keep the shape they are computed at, the theta axis
     # on a coordinate sphere, or the phi axis for cos and sin phi, and X is
-    # not stored: SurfaceMassData holds no array of N values at all
-    # (0.03 N floats at 128x256, 4.0 N when it held X)
+    # stored as its rows of factors: SurfaceMassData holds no array of N
+    # values at all (0.03 N floats at 128x256, 4.0 N when it held X)
     grid = QuadratureGrid.build(32, 64)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
@@ -872,15 +901,18 @@ def test_coordinate_sphere_stores_no_node_array():
     for side in (forms, forms0):
         for name in ("mean_curvature", "area_element", "radius"):
             assert np.shape(getattr(side, name)) in column, name
-    for name in ("H", "H0", "measure", "R"):
+    for name in ("H", "H0", "measure"):
         assert np.shape(getattr(data, name)) in column, name
-    assert [np.shape(x) for x in data.u] == [column[1]] * 2 + [row] * 2
+    theta, R = column[1], ()
+    assert [[np.shape(f) for f in x] for x in data.X] == [
+        [theta, row, R], [theta, row, R], [R, theta], [R]]
     assert data.shape == (grid.n_theta, grid.n_phi)
     data.energy()
     shi_tam_vector(data, 1.3)
     data.area()
     held = [x for value in vars(data).values()
             for x in (value if isinstance(value, tuple) else (value,))]
+    held += [f for x in data.X for f in x]
     assert all(np.size(x) < n_nodes(grid) for x in held
                if isinstance(x, np.ndarray))
 
@@ -958,9 +990,11 @@ def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     # R z, sqrt(1 + R^2)) at R = 1/r from the flat unit directions (N, 3),
     # and math.fsum of measure (weight X) and of (w tau) (x, y, z, 1)
     grid = QuadratureGrid.build(16, 32)
-    sphere = round_sphere_quadrature(
-        SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid)
-    xhat, w, tau = sphere
+    h = SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1))
+    sphere = round_sphere_quadrature(h, grid)
+    xhat = unit_directions(*node_arrays(grid))
+    w = on_nodes(grid.measure_weights() * np.sin(grid.node_axes()[0]), grid)
+    tau = h.trace(xhat)
     r = 0.1
     data = ah_sphere_data(r, sphere)
     R = 1.0 / r
@@ -968,7 +1002,7 @@ def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     X[:3] = R * xhat.T
     X[3] = np.sqrt(1.0 + R * R)
     assert positions(data).tobytes() == X.tobytes()
-    H, H0 = data.H, on_nodes(data.H0, data)
+    H, H0 = on_nodes(data.H, data), on_nodes(data.H0, data)
     measure = w * (1.0 / math.sinh(r) ** 2)
     _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X),
                       summed_rows)

@@ -106,6 +106,8 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
     for name in ("reduce", "surface_mass_data", "asymptotic_limit",
                  "ah_sphere_data", "wang_mass"):
         assert f"mass.{name}" in spans, name
+    # the one builder of X, which every SurfaceMassData and wang_mass call
+    assert "hypgeom.areal_to_minkowski" in spans
     for name in ("geometry.surface_evals", "cli.write_bytes"):
         assert traced["counters"].get(name, 0) > 0, name
 
