@@ -254,10 +254,12 @@ class QuadratureGrid:
 
     def least_node(self, x) -> tuple:
         """``(value, node)``: the least value of ``x``, a field that
-        broadcasts to the grid, and the first node that holds it."""
-        x = np.broadcast_to(x, (self.n_theta, self.n_phi))
-        node = int(np.argmin(x))
-        return float(x.flat[node]), node
+        broadcasts to the grid, and the first node that holds it, in
+        theta-major order: the least of ``x`` at its own shape, on the first
+        theta line and phi node of the axes it is constant along."""
+        x = np.reshape(x, (1,) * (2 - np.ndim(x)) + np.shape(x))
+        i, j = np.unravel_index(np.argmin(x), x.shape)
+        return float(x[i, j]), int(i) * self.n_phi + int(j)
 
     def describe_node(self, node: int) -> str:
         i, j = divmod(node, self.n_phi)

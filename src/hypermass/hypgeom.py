@@ -29,7 +29,11 @@ def areal_to_minkowski(R, theta, phi, k: float) -> tuple:
     theta), as four rows of factors: ((st, cp, R), (st, sp, R), (R, ct),
     (sqrt(1/k^2 + R^2),)).  Row c of X is the product of its factors in
     that order; each factor keeps the shape it is computed at, so the
-    directions are expanded only where a row is multiplied out."""
+    directions are expanded only where a row is multiplied out.  cp and sp
+    are the only factors on the phi axis alone that this or any other
+    producer of node fields makes: the mass integrals sum a row of one such
+    factor times theta-axis factors as 0, the integral of cos phi and
+    sin phi by the trapezoid rule in phi."""
     st, cp, sp = np.sin(theta), np.cos(phi), np.sin(phi)
     return ((st, cp, R), (st, sp, R), (R, np.cos(theta)),
             (np.sqrt(1.0 / (k * k) + R * R),))

@@ -16,13 +16,20 @@ H <= 0 anywhere is a hard error, never a silent skip.
 
 X is stored as the rows of factors of :func:`areal_to_minkowski`, and
 every integral is one call of :func:`_row_sums`: each row, the product of
-its factors times the integrand's, is written and summed in one buffer of
-N values, with a second as the scratch of the sum, so no integral holds X
-or its integrand as a (4, N) block.
+its factors times the integrand's, is summed at the shape of its factors.
+A row with no factor on the phi axis is summed as its theta column; cos phi
+or sin phi times a theta column is 0, what the trapezoid rule in phi gives;
+any other row is written and summed in one buffer of N values, with a
+second as the scratch of the sum.  Buffers are made when a row first needs
+them, so no integral holds X or its integrand as a (4, N) block, and those
+of a surface whose fields have no phi axis, a coordinate sphere, hold no
+array of N values.
 
 Every integral is a sum over the nodes that returns exactly what
-``math.fsum`` would: the correctly rounded sum of the node values, the same
-bits whatever their order.  :func:`_fsum` gets it without leaving
+``math.fsum`` of its N node values would, the correctly rounded sum, the
+same bits whatever their order, except a row of cos phi or sin phi times a
+theta column: its sum is the 0.0 of the quadrature rule, not the fsum of
+the rounding noise of its node values.  :func:`_fsum` gets it without leaving
 numpy, by error-free extraction (Rump, Ogita and Oishi, "Accurate
 floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008): adding
 and subtracting sigma = 2^(e+M), with 2^e above every |p| of a row of N
@@ -110,19 +117,53 @@ def _fsum(p: np.ndarray, q: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _row_sums(shape: tuple, rows, *factors) -> list:
-    """The exact sums over the nodes of ``shape`` of each row of ``rows``
-    times ``factors``: the row's first factor is copied into a buffer of N
-    values, the rest of its factors and then ``factors`` are multiplied in,
-    in order, and the buffer is summed in place by :func:`_fsum`.  A sum
-    that is not a finite float (an integrand overflowed) is a DomainError
-    that names every sum of the integral."""
-    nodes = np.empty(shape)
-    p, q, sums = nodes.reshape(-1), np.empty(nodes.size), []
-    for first, *rest in rows:
-        np.copyto(nodes, first)
-        for f in (*rest, *factors):
+    """The exact sums over the nodes of ``shape`` (last axis phi) of each
+    row of ``rows`` times ``factors``, reduced over phi first as the shapes
+    of the row's factors allow:
+
+    - none has a phi axis: the row is a theta column, so with n_phi = 2^a
+      b, b odd, the column repeated b times is summed and scaled by 2^a,
+      the N-node sum bit for bit (2^a commutes with rounding, and a sum
+      below 2^-1021 is exact).  A scaled sum past the largest float takes
+      the N-node path, which refuses it;
+    - one has, at shape (1, n_phi): it is cos phi or sin phi, the only
+      phi-only factors any producer makes (:func:`areal_to_minkowski`),
+      and the row sums to 0.0, the n_phi-point trapezoid rule's exact
+      integral, not the rounding noise of its nodes;
+    - otherwise the row is written out over the N nodes.
+
+    A row is written in a buffer of the shape it needs, made on first need:
+    its first factor is copied in, the rest and then ``factors`` are
+    multiplied in, in order, and it is summed in place by :func:`_fsum`.  A
+    sum that is not a finite float (an integrand overflowed) is a
+    DomainError that names every sum of the integral."""
+    buffers = {}
+
+    def node_sum(row, at):
+        if at not in buffers:
+            nodes = np.empty(at)
+            buffers[at] = nodes, nodes.reshape(-1), np.empty(nodes.size)
+        nodes, p, q = buffers[at]
+        np.copyto(nodes, row[0])
+        for f in row[1:]:
             nodes *= f
-        sums.append(_fsum(p, q))
+        return _fsum(p, q)
+
+    *theta, n_phi = shape
+    a = (n_phi & -n_phi).bit_length() - 1          # n_phi = 2^a b, b odd
+    sums = []
+    for row in rows:
+        row = (*row, *factors)
+        phi = [s for s in map(np.shape, row) if s[-1:] not in ((), (1,))]
+        if phi == [(1, n_phi)]:
+            sums.append(0.0)
+            continue
+        if not phi:
+            total = node_sum(row, (*theta, n_phi >> a))
+            if math.frexp(total)[1] + a <= 1024:    # 2^a total is a float
+                sums.append(math.ldexp(total, a))
+                continue
+        sums.append(node_sum(row, shape))
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"a node integral overflows a float: {sums}")
     return sums

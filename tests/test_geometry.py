@@ -201,6 +201,26 @@ class TestQuadratureGrid:
             f"node {i} (theta={grid16.theta[3]:.4f}, "
             f"phi={grid16.phi[7]:.4f})")
 
+    def test_least_node_is_the_broadcast_argmin(self):
+        # the least value of a field at its own shape and the first node,
+        # theta-major, that holds it: the argmin of the field broadcast to
+        # the grid, ties and nan included, on scalar, theta-axis, phi-axis
+        # and full fields drawn from a few values so that ties are common
+        rng = np.random.default_rng(24)
+        for case in range(800):
+            n_theta, n_phi = (int(n) for n in rng.integers(2, 9, 2))
+            grid = QuadratureGrid.build(n_theta, n_phi)
+            shape = [(), (n_theta, 1), (1, n_phi), (n_phi,),
+                     (n_theta, n_phi)][case % 5]
+            x = rng.integers(-2, 3, shape).astype(float)
+            if case % 7 == 0 and x.ndim:
+                x.flat[rng.integers(x.size)] = math.nan
+            flat = np.broadcast_to(x, (n_theta, n_phi))
+            node = int(np.argmin(flat))
+            got = grid.least_node(x if x.ndim else float(x))
+            assert np.float64(got[0]).tobytes() == flat.flat[node].tobytes()
+            assert got[1] == node and type(got[1]) is int
+
     def test_node_axes_match_flat_nodes_bitwise(self, grid16):
         on_axes = unit_directions(*grid16.node_axes())
         assert on_axes.shape == (grid16.n_theta, grid16.n_phi, 3)

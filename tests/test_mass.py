@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_geometry as ref
 import reference_spinor
@@ -32,7 +34,7 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
                             energy_momentum, killing_weighted_mass,
                             mass_forms, round_sphere_quadrature,
                             shi_tam_alpha, shi_tam_vector,
-                            surface_mass_data, wang_mass)
+                            SurfaceMassData, surface_mass_data, wang_mass)
 from hypermass.spinor import zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
@@ -749,6 +751,98 @@ class TestExactSums:
         assert massmod._fsum(row[::-1], np.empty(101)) == expect
 
 
+# n_phi of each kind: odd, even but not a power of two, and a power of two
+N_PHI = st.one_of(
+    st.integers(min_value=1, max_value=34).map(lambda h: 2 * h + 1),
+    st.sampled_from([n for n in range(6, 71, 2) if n & (n - 1)]),
+    st.sampled_from([2, 4, 8, 16, 32, 64]))
+
+
+def _flat_row_sum(row, grid):
+    """math.fsum of the N node values of a row of factors, multiplied out
+    in order over the flat nodes."""
+    nodes = on_nodes(row[0], grid).copy()
+    for f in row[1:]:
+        nodes *= on_nodes(f, grid)
+    return math.fsum(nodes.tolist())
+
+
+class TestPhiFirstSums:
+    # the row loop sums a row with no phi axis as its theta column, scaled
+    # to the N-node sum bit for bit, and a cos phi or sin phi row over
+    # theta columns as 0
+    @given(n_theta=st.integers(min_value=2, max_value=40), n_phi=N_PHI,
+           k=st.floats(min_value=1e-3, max_value=1e3),
+           R=st.floats(min_value=1e-6, max_value=1e6),
+           alpha=st.floats(min_value=1.0, max_value=3.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_theta_only_integrands(self, n_theta, n_phi, k, R, alpha, seed):
+        # z, t and the area: math.fsum of the flat N node values, bit for
+        # bit; x and y: 0.0, the trapezoid rule's integral of cos phi and
+        # sin phi, whose node values fsum to rounding noise of at most
+        # n_phi 2^-52
+        grid = QuadratureGrid.build(n_theta, n_phi)
+        theta, phi = grid.node_axes()
+        rng = np.random.default_rng(seed)
+        R = R * rng.uniform(0.5, 2.0, (n_theta, 1)) if seed % 2 else R
+        weight = (rng.standard_normal((n_theta, 1))
+                  * 10.0 ** rng.uniform(-3.0, 3.0, (n_theta, 1)))
+        measure = grid.measure_weights() * rng.uniform(0.5, 2.0, (n_theta, 1))
+        X = areal_to_minkowski(R, theta, phi, k)
+        data = SurfaceMassData(H=1.0, H0=1.0, measure=measure, X=X, k=k)
+        got = data.weighted(weight, alpha)
+        x1, x2, x3, t = X
+        expect = [_flat_row_sum((*row, weight, measure), grid)
+                  for row in (x3, (*t, alpha))]
+        assert [v.hex() for v in got] == [
+            "0x0.0p+0", "0x0.0p+0", *(v.hex() for v in expect)]
+        assert data.area().hex() == _flat_row_sum((measure,), grid).hex()
+        for f in (np.cos, np.sin):
+            assert abs(math.fsum(f(grid.phi))) <= n_phi * 2.0 ** -52
+
+    @pytest.mark.parametrize("n_phi", [2, 3, 12, 64])
+    def test_subnormal_theta_sum(self, n_phi):
+        # a theta column whose sum is subnormal, or the least normal float
+        # after rounding, gives the flat sum bit for bit
+        for column in ([3e-310, -1e-310], [2.0 ** -1022, -2.0 ** -1074],
+                       [2.0 ** -1022, 2.0 ** -1075 * 3, -5e-324],
+                       [1e-300, -1e-300 + 5e-324]):
+            column = np.array(column)[:, None]
+            grid = QuadratureGrid.build(len(column), n_phi)
+            got = massmod._row_sums((len(column), n_phi), ((column,),))
+            assert got[0].hex() == _flat_row_sum((column,), grid).hex()
+
+    @pytest.mark.parametrize("n_phi", [2, 3, 12, 64])
+    def test_overflowing_theta_sum(self, n_phi):
+        # a theta column whose N-node sum is past the largest float, though
+        # its own sum, or that of b copies, may not be, is the flat path's
+        # DomainError; one whose N-node sum is just below it is that sum
+        top = np.finfo(float).max
+        column = np.array([top / 2, top / 4])[:, None]
+        with pytest.raises(OverflowError):
+            math.fsum([top / 2, top / 4] * n_phi)
+        with pytest.raises(DomainError, match="overflows a float"):
+            massmod._row_sums((2, n_phi), ((column,),))
+        column = np.array([top / n_phi * (1.0 - 2.0 ** -50), 0.0])[:, None]
+        expect = _flat_row_sum((column,), QuadratureGrid.build(2, n_phi))
+        assert expect > top / 2
+        assert massmod._row_sums((2, n_phi), ((column,),)) == [expect]
+
+    def test_only_a_phi_axis_alone_is_summed_as_zero(self):
+        # a factor on the phi axis alone times theta columns sums to 0; a
+        # row with two of them, or one of them and a full field, is summed
+        # over the N nodes, as is every row of a full field
+        grid = QuadratureGrid.build(6, 10)
+        theta, phi = grid.node_axes()
+        cp, full = np.cos(phi), np.cos(theta + phi)
+        shape = (grid.n_theta, grid.n_phi)
+        assert massmod._row_sums(shape, ((np.sin(theta), cp, 2.0),)) == [0.0]
+        for row in ((cp, cp), (cp, full), (full,), (theta, full)):
+            assert massmod._row_sums(shape, (row,)) == [
+                _flat_row_sum(row, grid)]
+
+
 def _node_bytes(data):
     """The bytes of every node field of ``data``: H, H0, the measure and
     the factors of each row of X."""
@@ -814,13 +908,14 @@ def _reduction_peak(surface, metric):
 
 def test_reduction_memory_peak():
     # tracemalloc peak of E, M_alpha and the area at 128x256 in float (N,)
-    # arrays (numpy 2.4): 2.26, the row and the scratch buffer that each
-    # integral multiplies out and sums its rows in, and the few theta-axis
-    # values of its weight (2.51 when each integral wrote X_t from R, 6.0
-    # when X and each integrand were (4, N) blocks)
+    # arrays (numpy 2.4): 0.11, the theta columns that each integral sums
+    # its rows z and t in, its rows x and y being 0 with no buffer at all
+    # (2.26 when every row was written out in two buffers of N values, 2.51
+    # when each integral wrote X_t from R, 6.0 when X and each integrand
+    # were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
     assert _reduction_peak(coordinate_sphere_surface(2.0, grid),
-                           ads_schwarzschild_metric(ADS_M, 1.0)) <= 2.5
+                           ads_schwarzschild_metric(ADS_M, 1.0)) <= 0.25
 
 
 def test_tilted_reduction_memory_peak():
@@ -848,24 +943,42 @@ def test_asymptotic_memory_peak():
     assert peak <= 4.5
 
 
-def test_mass_op_memory_peak(tmp_path):
-    # tracemalloc peak of a whole mass op with Shi-Tam, AdS r = 2 at
-    # 128x256, in float (N,) arrays: 2.4, from the config to the report
-    # (2.65 when each integral wrote X_t from R, 10.1 when X and each
-    # integrand were (4, N) blocks)
-    grid = QuadratureGrid.build(128, 256)
+def _op_peak(tmp_path, grid, *argv):
+    """The tracemalloc peak of one CLI op on AdS r = 2 at ``grid`` with
+    Shi-Tam, in floats per node: ``argv`` is the command and the options
+    that follow the config."""
     cfg = tmp_path / "ads.yaml"
     cfg.write_text(json.dumps({
         "metric": {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M},
         "surface": {"type": "coordinate_sphere", "r": 2.0},
         "resolution": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
         "outputs": {"shi_tam": True}}))
-    argv = ["mass", str(cfg), "--force", "--output", str(tmp_path / "out")]
+    argv = [argv[0], str(cfg), *argv[1:], "--output", str(tmp_path / "out")]
     codes = []
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _peak_floats(lambda: codes.append(cli.main(argv)), grid)
     assert codes == [0]
-    assert peak <= 3.0
+    return peak
+
+
+def test_mass_op_memory_peak(tmp_path):
+    # tracemalloc peak of a whole mass op with Shi-Tam, AdS r = 2 at
+    # 128x256, in float (N,) arrays: 0.23, from the config to the report,
+    # with no array of N values (1.09 when the node of the least H was
+    # found in a broadcast copy of H, 2.4 when every integral row was
+    # written out in two buffers of N values, 2.65 when each integral wrote
+    # X_t from R, 10.1 when X and each integrand were (4, N) blocks)
+    grid = QuadratureGrid.build(128, 256)
+    assert _op_peak(tmp_path, grid, "mass", "--force") <= 0.5
+
+
+def test_convergence_op_memory_peak(tmp_path):
+    # tracemalloc peak of a whole convergence op on AdS r = 2 at 16, 32, 64
+    # and 128, in float (N,) arrays of its 128x256 grid: 0.18 (2.34 when
+    # every integral row was written out in two buffers of N values)
+    grid = QuadratureGrid.build(128, 256)
+    assert _op_peak(tmp_path, grid, "convergence",
+                    "--resolutions", "16,32,64,128") <= 0.5
 
 
 def test_mass_forms_keep_sphere_components_on_the_theta_axis():
@@ -932,17 +1045,30 @@ def summed_rows(monkeypatch):
     return rows
 
 
-def _assert_flat_sums(got, rows, summed):
+def _assert_flat_sums(got, rows, summed, grid=None, zero=()):
     """The flat rows (m, N) ``rows`` are those that reached the exact sum,
-    in order, and ``got`` is math.fsum of each of them, bit for bit."""
+    in order, and ``got`` is math.fsum of each of them, bit for bit.  With
+    ``grid``, the rows are of an integrand with no phi axis: each reaches
+    the sum as its theta column repeated b times, n_phi = 2^a b with b odd,
+    and the rows ``zero``, cos phi and sin phi times a theta column, reach
+    no sum and are 0.0."""
     rows = np.atleast_2d(rows)
+    expect = [0.0 if c in zero else math.fsum(row.tolist())
+              for c, row in enumerate(rows)]
+    if grid is not None:
+        n_phi = grid.n_phi
+        b = n_phi // (n_phi & -n_phi)
+        nodes = rows.reshape(len(rows), grid.n_theta, n_phi)
+        rows = [row for c, row in enumerate(nodes) if c not in zero]
+        assert all((row == row[:, :1]).all() for row in rows)
+        rows = [row[:, :b].ravel() for row in rows]
     assert summed == [row.tobytes() for row in rows]
-    expect = [math.fsum(row.tolist()) for row in rows]
     assert np.array(got).tobytes() == np.array(expect).tobytes()
     summed.clear()
 
 
-@pytest.mark.parametrize("case", ["ads_sphere", "tilted_h3", "tilted_ads"])
+@pytest.mark.parametrize("case", ["ads_sphere", "ads_sphere_12x24_k05",
+                                  "tilted_h3", "tilted_ads"])
 def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     # X, the integrand rows and the sums of E, M_alpha and the area, bit
     # for bit, against the node fields flattened to (N,), X = (R0 u,
@@ -951,11 +1077,17 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     # measure (weight X), measure ((H0 - H) X) and
     # measure ((alpha X_t) (H0 - H)); the tilted AdS profile is forced past
     # the isometry check, so H != H0 off the theta axis.  A sum can hide a
-    # regrouped product, so each row is checked where it reaches the sum
-    grid = QuadratureGrid.build(16, 32)
+    # regrouped product, so each row is checked where it reaches the sum.
+    # A sphere's integrand has no phi axis: its rows x and y are the stated
+    # 0, not math.fsum of their rounding noise, and its other rows reach
+    # the sum as theta columns (b = 1 copy at n_phi = 32, 3 at 24)
+    grid = QuadratureGrid.build(*((12, 24) if case.endswith("k05")
+                                  else (16, 32)))
     hyp, ads = hyperbolic_ball_metric(1.0), ads_schwarzschild_metric(ADS_M)
     surface, metric = {
         "ads_sphere": (coordinate_sphere_surface(2.0, grid), ads),
+        "ads_sphere_12x24_k05": (coordinate_sphere_surface(2.0, grid, 0.5),
+                                 ads_schwarzschild_metric(ADS_M, 0.5)),
         "tilted_h3": (radial_profile_surface(1.0, (0.2, -0.1, 0.1), 1.0,
                                              grid), hyp),
         "tilted_ads": (radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
@@ -974,15 +1106,17 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     H0 = on_nodes(forms0.mean_curvature, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
                * on_nodes(forms.area_element, grid))
+    sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}
     _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X.T),
-                      summed_rows)
+                      summed_rows, **sphere)
     alpha = 1.3
     rows = X.T.copy()
     rows[3] *= alpha
     rows *= H0 - H
     _assert_flat_sums(shi_tam_vector(data, alpha), measure * rows,
-                      summed_rows)
-    _assert_flat_sums(data.area(), measure, summed_rows)
+                      summed_rows, **sphere)
+    _assert_flat_sums(data.area(), measure, summed_rows,
+                      grid=sphere.get("grid"))
 
 
 def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):

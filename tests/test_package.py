@@ -405,3 +405,30 @@ def test_every_stored_attribute_is_read(programs):
               and getattr(node.value, "id", None) == "self"
               and node.attr not in read]
     assert unread == []
+
+
+def _calls(node, name):
+    """The calls of the function ``name`` by its bare name within ``node``."""
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and getattr(c.func, "id", None) == name]
+
+
+def test_one_row_loop_sums_every_node_integral(programs):
+    # every node integral is summed by mass._row_sums, the one place that
+    # reduces over phi first, so that no sphere path forks off it: _fsum
+    # is called once, there; weighted, area and wang_mass call it; and no
+    # other loop of mass.py multiplies a row out in place
+    tree = programs[ROOT / "src" / "hypermass" / "mass.py"]
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}
+    row_sums = defs["_row_sums"]
+    assert len(_calls(tree, "_fsum")) == len(_calls(row_sums, "_fsum")) == 1
+    for name in ("weighted", "area", "wang_mass"):
+        assert _calls(defs[name], "_row_sums"), name
+    inside = set(map(id, ast.walk(row_sums)))
+    row_loops = [loop for loop in ast.walk(tree)
+                 if isinstance(loop, (ast.For, ast.While))
+                 and any(isinstance(s, ast.AugAssign)
+                         and isinstance(s.op, ast.Mult)
+                         for s in ast.walk(loop))]
+    assert row_loops and all(id(loop) in inside for loop in row_loops)
