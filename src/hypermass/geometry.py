@@ -162,51 +162,104 @@ def wang_ah_metric(h: SphereTensor) -> MetricField:
 # ---------------------------------------------------------------------------
 # quadrature grid
 
-# Newton steps allowed per Gauss-Legendre rule (from Tricomi's guess the
-# rules of 2 to 2048 nodes take 3 or 4), and the step size that ends them:
-# the node is then off by at most about n^2/6 times its square, roundoff
+# Newton steps allowed per block of Gauss-Legendre nodes, and the step in
+# phi that ends them.  From Tricomi's guess every rule of 2 to 2048, 4096
+# or 8192 nodes evaluates the series 3 times in its block nearest the pole
+# (1 to 3 in the others).  A last step s, taken to first order, leaves the
+# node off its root by about cot(theta) s^2/2 < n s^2/4: roundoff while s
+# is at most this or the iterate's grid spacing, about n 4e-16, so for n up
+# to about 1e5
 _GL_MAX_STEPS = 20
 _GL_STEP_TOL = 1e-12
+# floats in the rule's one trig buffer
+_GL_BUFFER = 1 << 15
 
 
-def _legendre(n: int, x: np.ndarray):
-    """(P_{j-1}(x), P_j(x)) for j = 1, ..., n in turn, by the three-term
-    recurrence written P_{j+1} = x P_j + (j/(j+1)) (x P_j - P_{j-1})."""
-    p0, p1 = np.ones_like(x), x
-    yield p0, p1
-    for j in range(1, n):
-        t = x * p1
-        p0, p1 = p1, t + (j / (j + 1)) * (t - p0)
-        yield p0, p1
+def _legendre_series(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, b): +-P_n(cos theta) = sum_k b_k cos(m_k phi) for even n and
+    sum_k b_k sin(m_k phi) for odd n, phi = pi/2 - theta, over the n//2 + 1
+    terms m = n, n - 2, ...: the cosine series sum_j a_j a_(n-j)
+    cos((n - 2j) theta), a_j = (2j choose j)/4^j, with its j and n - j
+    terms added.  The sign, (-1)^(n//2), moves no root and no 2/P_phi^2."""
+    h = n // 2
+    a = np.empty(n + 1)
+    a[0] = 1.0
+    j = np.arange(1.0, n + 1)
+    np.cumprod((j - 0.5) / j, out=a[1:])
+    b = a[:h + 1] * a[:n - h - 1:-1]
+    b[:n - h] *= 2.0   # all but the constant term of an even n
+    b[1::2] *= -1.0    # cos(m pi/2) or sin(m pi/2), times (-1)^(n//2)
+    return n - 2.0 * np.arange(h + 1), b
+
+
+def _series(trig, phi, m, b, buf):
+    """sum_k b_k trig(m_k phi) at each phi, through ``buf``, a (phi.size,
+    m.size) array overwritten in place."""
+    np.multiply.outer(phi, m, out=buf)
+    trig(buf, out=buf)
+    buf *= b
+    return buf.sum(axis=1)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], both parts symmetric
-    about 0: ascending nodes, the roots of P_n by Newton's method from
-    Tricomi's guess (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)), and
-    weights scaled to sum to 2.  Each weight is the Christoffel function
-    1/sum_{j<n} (j + 1/2) P_j^2 at its node, which varies slowly; the
-    textbook 1/(P_{n-1} P_n') varies on the node spacing, so it turns the
-    node's rounding into weight errors 100 times larger (1.7e-11 against
-    2.6e-13 at n = 128, against 40-digit roots)."""
-    k = np.arange(1, n + 1)
-    x = -((1.0 - (n - 1) / (8.0 * n ** 3))
-          * np.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
-    for _ in range(_GL_MAX_STEPS):
-        for p0, p1 in _legendre(n, x):   # ends at P_{n-1}, P_n
-            pass
-        dx = p1 * (x * x - 1.0) / (n * (x * p1 - p0))   # P_n / P_n'
-        x -= dx
-        if np.max(np.abs(dx)) <= _GL_STEP_TOL:
-            break
+    about 0: ascending nodes and weights scaled to sum to 2.
+
+    Newton's method in phi = pi/2 - theta on the series of
+    :func:`_legendre_series` (Swarztrauber 2002) takes a fixed number of
+    numpy calls per step, from Tricomi's guess
+    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)), for the n//2
+    positive nodes, in blocks of at most ``_GL_BUFFER`` trig buffer floats;
+    the middle node of an odd n is 0.  Each iterate is rounded to a multiple
+    of 2^(l - 52), l the bit length of n, so every angle m phi is exact
+    (rounding it moved nodes by 2 ulps at n = 265), and the last step s is
+    taken to first order: x = sin(phi - s) = sin phi - s cos phi, from phi
+    as it is, where cos theta would round pi/2 - phi first.
+
+    Each weight, 2/((1 - x^2) P_n'(x)^2), is 2/P_phi^2, with P_phi carried
+    from the last iterate to the root as P_phi (1 - s tan phi) by Legendre's
+    equation, P_phiphi = tan(phi) P_phi - n(n + 1) P; at a root it moves by
+    only the node's relative rounding in theta.  Against 40-digit roots the
+    weights are off by 1.3e-15 at n = 128 (2.6e-13 as the Christoffel
+    function by the three-term recurrence), and each node by at most an
+    ulp."""
+    h = n // 2
+    m, b = _legendre_series(n)
+    if n % 2:
+        value, slope, bm = np.sin, np.cos, b * m
     else:
-        raise ConvergenceFailure(f"Gauss-Legendre nodes of order {n} did not "
-                                 f"converge in {_GL_MAX_STEPS} Newton steps")
-    w = 1.0 / sum((j + 0.5) * p * p
-                  for j, (p, _) in enumerate(_legendre(n, x)))
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return x, w * (2.0 / w.sum())
+        value, slope, bm = np.cos, np.sin, -b * m
+    i = np.arange(h, 0, -1)
+    phi = np.arcsin((1.0 - (n - 1) / (8.0 * n ** 3))
+                    * np.cos(math.pi * (4 * i - 1) / (4 * n + 2)))
+    # m N 2^(l - 52) is exact for integers m <= n < 2^l and N < 2^(53 - l)
+    grid = 2.0 ** (n.bit_length() - 52)
+    tol = max(_GL_STEP_TOL, grid)
+    p_phi, step = np.empty(h), np.empty(h)
+    rows = max(1, _GL_BUFFER // m.size)
+    buf = np.empty(min(h, rows) * m.size)
+    for lo in range(0, h, rows):
+        p = phi[lo:lo + rows]   # a view: the steps write into phi
+        t = buf[:p.size * m.size].reshape(p.size, m.size)
+        for _ in range(_GL_MAX_STEPS):
+            p[:] = np.rint(p / grid) * grid
+            d = _series(slope, p, m, bm, t)
+            s = _series(value, p, m, b, t) / d
+            if np.max(np.abs(s)) <= tol:
+                break
+            p -= s
+        else:
+            raise ConvergenceFailure(f"Gauss-Legendre nodes of order {n} "
+                                     f"did not converge in {_GL_MAX_STEPS} "
+                                     f"Newton steps")
+        p_phi[lo:lo + rows], step[lo:lo + rows] = d, s
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    x = sin_phi - step * cos_phi
+    x = np.concatenate((-x[::-1], [0.0] * (n % 2), x))
+    w = 2.0 / (p_phi * (1.0 - step * sin_phi / cos_phi)) ** 2
+    # the middle node's P_phi, at phi = 0, is sum_k b_k m_k
+    w = np.concatenate((w[::-1], [2.0 / bm.sum() ** 2] * (n % 2), w))
+    return x, w * (2.0 / math.fsum(w))
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,46 @@ class TestGaussLegendre:
         for j in range(n):
             assert abs(math.fsum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-14
 
+    @pytest.mark.parametrize("n", (16, 33, 128, 256))
+    def test_every_node_against_40_digits(self, n):
+        # every node within an ulp, and the weights of the series in phi
+        # within 1.8e-15 (the Christoffel function by the three-term
+        # recurrence: 2.6e-13 at n = 128 and 2.1e-13 at n = 256)
+        mp = pytest.importorskip("mpmath")
+        x, w = geo.gauss_legendre(n)
+        for i in range(n // 2, n):
+            x_ref, w_ref = _mp_gauss_point(n, x[i], mp)
+            assert abs(x[i] - x_ref) <= 1.2e-16
+            assert abs(w[i] / w_ref - 1.0) <= 1e-14
+
+    def test_every_order_to_300(self):
+        # each parity of the series and its middle node, in one block (the
+        # blocks are split at n = 1024 above and 2048 below)
+        from numpy.polynomial.legendre import leggauss
+        for n in range(2, 301):
+            x, w = geo.gauss_legendre(n)
+            x_ref, w_ref = leggauss(n)
+            assert np.all(np.diff(x) > 0), n
+            assert np.array_equal(x, -x[::-1]), n
+            assert np.array_equal(w, w[::-1]), n
+            if n % 2:
+                assert x[n // 2] == 0.0, n
+            assert abs(math.fsum(w) - 2.0) <= 4.5e-16, n
+            assert np.max(np.abs(x - x_ref)) <= 2e-16, n
+            assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-9, n
+
+    def test_working_memory_is_bounded(self):
+        # tracemalloc peak of the 2048-point rule: the trig buffer, capped
+        # at _GL_BUFFER floats, and 10.2 n floats of node arrays
+        n = 2048
+        tracemalloc.start()
+        try:
+            geo.gauss_legendre(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (geo._GL_BUFFER + 12 * n)
+
     def test_newton_cap(self, monkeypatch):
         monkeypatch.setattr(geo, "_GL_MAX_STEPS", 1)
         with pytest.raises(ConvergenceFailure, match="order 64"):
