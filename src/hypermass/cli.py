@@ -282,12 +282,11 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
 def run_asymptotic(cfg: dict, outdir: Path = Path(".")) -> str:
     if "asymptotic" not in cfg:
         raise ConfigError("config has no 'asymptotic' section")
-    radii = cfg["asymptotic"]["radii"]
-    h = geo.SphereTensor(**cfg["asymptotic"]["h"])
+    radii, h = cfg["asymptotic"]["radii"], cfg["asymptotic"]["h"]
     grid = geo.QuadratureGrid.build(**cfg["resolution"])
     # one round-sphere quadrature for every radius and for Upsilon;
     # asymptotic_limit and ah_sphere_data check the radii
-    sphere = massmod.round_sphere_quadrature(h, grid)
+    sphere = massmod.round_sphere_quadrature(h["g0_coeff"], h["linear"], grid)
     energies, extrapolated = massmod.asymptotic_limit(sphere, radii)
     upsilon_half = 0.5 * np.asarray(massmod.wang_mass(sphere))
     deviation = extrapolated - upsilon_half

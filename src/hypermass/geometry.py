@@ -29,12 +29,12 @@ __all__ = [
     "MetricField",
     "QuadratureGrid",
     "SurfaceData",
-    "SphereTensor",
     "SurfaceForms",
     "gauss_legendre",
     "euclidean_metric",
     "hyperbolic_ball_metric",
     "ads_schwarzschild_metric",
+    "mass_aspect_trace",
     "wang_ah_metric",
     "ads_horizon_radius",
     "geodesic_sphere_surface",
@@ -120,38 +120,42 @@ def scalar_curvature(metric: MetricField, r) -> np.ndarray:
     return 2.0 * (1.0 - metric.V(r) - r * metric.dV(r)) / (r * r)
 
 
-@dataclass(frozen=True)
-class SphereTensor:
-    """Pure-trace symmetric 2-tensor on the round sphere: h = (tau/2) g_0.
+def mass_aspect_trace(g0_coeff: float, linear, theta, phi):
+    """tr h = 2 g0_coeff + a . u of the pure-trace mass-aspect tensor h =
+    (tr h / 2) g_0, a = ``linear``, u = (sin theta cos phi, sin theta
+    sin phi, cos theta), at broadcastable (theta, phi), complex theta too.
 
-    The trace profile is tau(x) = 2 * g0_coeff + linear . x for unit vectors
-    x, which covers constant multiples of g_0 and first-moment profiles.
-    """
+    Only the terms of a nonzero coefficient are added, so tr h keeps the
+    shape it varies on: a numpy float (which overflows as arrays do) for
+    an isotropic h, the shape of theta when a_1 = a_2 = 0, and the
+    broadcast of theta and phi otherwise."""
+    a1, a2, a3 = linear
+    tau = np.float64(2.0 * g0_coeff)
+    if a3:
+        tau = tau + a3 * np.cos(theta)
+    if not (a1 or a2):
+        return tau
+    # the one array of the broadcast shape: the rest is added in place
+    tau_phi = np.sin(theta) * (a1 * np.cos(phi) + a2 * np.sin(phi))
+    tau_phi += tau
+    return tau_phi
 
-    g0_coeff: float = 0.0
-    linear: tuple = (0.0, 0.0, 0.0)
 
-    def trace(self, xhat: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.linear, dtype=float)
-        return 2.0 * self.g0_coeff + np.asarray(xhat) @ a
-
-
-def wang_ah_metric(h: SphereTensor) -> MetricField:
+def wang_ah_metric(g0_coeff: float, linear) -> MetricField:
     """Asymptotically hyperbolic collar metric sinh^{-2}(r)(dr^2 + g_r), a
     normal form stated at k = 1.
 
-    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h.
-    Library only: no surface of the node pass runs in it.
+    Chart coordinates are (r, theta, phi) with g_r = g_0 + (r^3/3) h, h the
+    pure-trace tensor of trace :func:`mass_aspect_trace`.  Library only: no
+    surface of the node pass runs in it.
     """
     def comps(p):
         p = np.asarray(p)
         r, th = p[..., 0], p[..., 1]
         if np.any(np.real(r) <= 0):
             raise DomainError("collar chart requires r > 0")
-        xhat = np.stack([np.sin(th) * np.cos(p[..., 2]),
-                         np.sin(th) * np.sin(p[..., 2]),
-                         np.cos(th)], axis=-1)
-        gr = 1.0 + (r ** 3 / 3.0) * 0.5 * h.trace(xhat)
+        tau = mass_aspect_trace(g0_coeff, linear, th, p[..., 2])
+        gr = 1.0 + (r ** 3 / 3.0) * 0.5 * tau
         s2 = 1.0 / np.sinh(r) ** 2
         diag = np.stack([s2, s2 * gr, s2 * gr * np.sin(th) ** 2], axis=-1)
         return np.eye(3) * diag[..., None, :]
@@ -318,13 +322,6 @@ class QuadratureGrid:
         i, j = divmod(node, self.n_phi)
         return (f"node {node} (theta={self.theta[i]:.4f}, "
                 f"phi={self.phi[j]:.4f})")
-
-
-def unit_directions(theta, phi) -> np.ndarray:
-    """Unit vectors at broadcastable (theta, phi), shape (..., 3)."""
-    st = np.sin(theta)
-    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
-                                        np.cos(theta)), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, IsometryViolation,
                      NonPositiveMeanCurvature)
-from .geometry import (MetricField, QuadratureGrid, SphereTensor, SurfaceData,
-                       SurfaceForms, hyperbolic_ball_metric, surface_forms,
-                       unit_directions)
+from .geometry import (MetricField, QuadratureGrid, SurfaceData, SurfaceForms,
+                       hyperbolic_ball_metric, mass_aspect_trace,
+                       surface_forms)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import GAMMAS, _as_spinor
@@ -248,6 +248,15 @@ def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
     return forms, surface_forms(h3, hyperbolic_ball_metric(surface.k))
 
 
+def _refuse_nonpositive(name: str, H, grid: QuadratureGrid, where: str = ""):
+    """Refuse H <= 0 anywhere on ``grid``, naming the least H and its first
+    node by :meth:`QuadratureGrid.least_node`, whatever shape H has."""
+    if np.any(H <= 0.0):
+        least, node = grid.least_node(H)
+        raise NonPositiveMeanCurvature(
+            f"{name} = {least:.6g} <= 0 at {grid.describe_node(node)}{where}")
+
+
 def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
     """Max pointwise difference of the two induced metrics."""
     return float(max(np.max(np.abs(a - b))
@@ -269,10 +278,7 @@ def surface_mass_data(surface: SurfaceData, ambient: MetricField,
         raise IsometryViolation(
             f"induced metrics disagree by {mismatch:.3e} (tol {iso_tol:.1e})")
     H, grid = forms.mean_curvature, surface.grid
-    if np.any(H <= 0.0):
-        least, node = grid.least_node(H)
-        raise NonPositiveMeanCurvature(
-            f"H = {least:.6g} <= 0 at {grid.describe_node(node)}")
+    _refuse_nonpositive("H", H, grid)
     # F0's nodes on the hyperboloid from their areal radius R0, exact with
     # no chart in between
     X = areal_to_minkowski(forms0.radius, *grid.node_axes(), surface.k)
@@ -308,15 +314,15 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     return LorentzVector(*data.weighted(data.H0 - data.H, alpha))
 
 
-def round_sphere_quadrature(h: SphereTensor, grid: QuadratureGrid) -> tuple:
-    """The round sphere on ``grid`` with the mass-aspect tensor h on it:
-    ``(theta, phi, w, tau)``, the node axes, the weights of dS on the theta
-    axis and tr(h) at the nodes.  They are all that :func:`ah_sphere_data`
-    and :func:`wang_mass` read, so one build serves every radius."""
-    theta, phi = grid.node_axes()
-    # measure weights already carry 1/sin(theta); dS = sin(theta) dtheta dphi
-    w = grid.measure_weights() * np.sin(theta)
-    return theta, phi, w, h.trace(unit_directions(theta, phi))
+def round_sphere_quadrature(g0_coeff: float, linear,
+                            grid: QuadratureGrid) -> tuple:
+    """The round sphere on ``grid`` with the mass-aspect tensor h of
+    :func:`mass_aspect_trace` on it: ``(grid, w, tau)``, the grid, the
+    weights du dphi of dS on the theta axis and tr(h) at the shape it varies
+    on.  They are all that :func:`ah_sphere_data` and :func:`wang_mass`
+    read, so one build serves every radius."""
+    w = grid.u_weights[:, None] * (2.0 * math.pi / grid.n_phi)
+    return grid, w, mass_aspect_trace(g0_coeff, linear, *grid.node_axes())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -326,13 +332,13 @@ def wang_mass(sphere: tuple) -> LorentzVector:
 
     The scalar slot is int tr(h) dS and the vector slot int tr(h) x dS over
     the round sphere, stored as the time and the spatial part of the
-    LorentzVector: the rows x, y, z of X at R = 1 and the row 1, times
-    w tau.
+    LorentzVector: the rows x, y, z of X at R = 1 and the row 1, times w
+    and tau, summed over the grid's nodes.
     """
-    theta, phi, w, tau = sphere
-    wt = w * tau
-    rows = (*areal_to_minkowski(1.0, theta, phi, 1.0)[:3], (1.0,))
-    return LorentzVector(*_row_sums(np.shape(wt), rows, wt))
+    grid, w, tau = sphere
+    rows = (*areal_to_minkowski(1.0, *grid.node_axes(), 1.0)[:3], (1.0,))
+    return LorentzVector(*_row_sums((grid.n_theta, grid.n_phi), rows, w,
+                                    tau))
 
 
 def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
@@ -357,18 +363,15 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     orders (the omitted terms are o(r^3) relative), the round dS over
     sinh^2 r, and the exact hyperboloid points of areal radius sinh(rho_r) =
     1/r at the nodes, matching the displayed leading behavior (x/r, 1/r).
-    H_0 = cosh r at every node is one float."""
+    H_0 = cosh r at every node is one float, and H has the shape of tr h."""
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
-    theta, phi, w, tau = sphere
+    grid, w, tau = sphere
     H = math.cosh(r) - 0.25 * r ** 3 * tau
-    if np.any(H <= 0.0):
-        raise NonPositiveMeanCurvature(
-            f"expanded H <= 0 at node {int(np.argmin(H))} for r = {r}")
-    return SurfaceMassData(H=H, H0=math.cosh(r),
-                           measure=w * (1.0 / math.sinh(r) ** 2),
-                           X=areal_to_minkowski(1.0 / r, theta, phi, 1.0),
-                           k=1.0)
+    _refuse_nonpositive("expanded H", H, grid, f" for r = {r}")
+    return SurfaceMassData(
+        H=H, H0=math.cosh(r), measure=w * (1.0 / math.sinh(r) ** 2),
+        X=areal_to_minkowski(1.0 / r, *grid.node_axes(), 1.0), k=1.0)
 
 
 def asymptotic_limit(sphere: tuple, radii) -> tuple:

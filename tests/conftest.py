@@ -17,6 +17,8 @@ ADS_RADII = (1.0, 2.0, 4.0)
 RIGID_RADII = (0.5, 1.0, 2.0)
 ASYMPTOTIC_RADII = (0.2, 0.1, 0.05)
 TILTED_LINEAR = (0.1, 0.2, 0.3)
+# the linear part of an isotropic mass-aspect tensor
+ZERO_LINEAR = (0.0, 0.0, 0.0)
 
 
 def ads_potential(r, m=ADS_M, k=1.0):
@@ -87,11 +89,11 @@ def asymptotic_results(grid32):
     pair (energies, extrapolated) at ASYMPTOTIC_RADII, and Upsilon/2 of
     wang_mass, as a triple."""
     fields = {
-        "half_g0": geo.SphereTensor(g0_coeff=0.5),
-        "g0": geo.SphereTensor(g0_coeff=1.0),
-        "x3": geo.SphereTensor(linear=(0.0, 0.0, 1.0)),
+        "half_g0": (0.5, ZERO_LINEAR),
+        "g0": (1.0, ZERO_LINEAR),
+        "x3": (0.0, (0.0, 0.0, 1.0)),
     }
-    spheres = {name: massmod.round_sphere_quadrature(h, grid32)
+    spheres = {name: massmod.round_sphere_quadrature(*h, grid32)
                for name, h in fields.items()}
     return {name: (*massmod.asymptotic_limit(sphere, ASYMPTOTIC_RADII),
                    0.5 * np.asarray(massmod.wang_mass(sphere)))

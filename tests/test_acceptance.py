@@ -17,7 +17,7 @@ import numpy as np
 import reference_geometry as ref
 from reference_spinor import node_weighted_mass
 from hypermass.cli import main as cli_main
-from hypermass.geometry import (SphereTensor, ads_schwarzschild_metric,
+from hypermass.geometry import (ads_schwarzschild_metric,
                                 geodesic_sphere_surface,
                                 hyperbolic_ball_metric, scalar_curvature,
                                 surface_forms)
@@ -28,8 +28,9 @@ from hypermass.mass import (asymptotic_limit, killing_weighted_mass,
 from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
-                      classify_by_null_pairings, exact_ads_energy,
-                      make_classified_vector, norm_inf, random_spinors)
+                      ZERO_LINEAR, classify_by_null_pairings,
+                      exact_ads_energy, make_classified_vector, norm_inf,
+                      random_spinors)
 
 
 def report(tag, ok, detail):
@@ -142,7 +143,7 @@ def test_criterion_5_asymptotic_limit(asymptotic_results, grid64):
         scale = max(norm_inf(upsilon_half), 1.0)
         worst = max(worst, norm_inf(extrapolated - upsilon_half) / scale)
     _, zero = asymptotic_limit(
-        round_sphere_quadrature(SphereTensor(), grid64), ASYMPTOTIC_RADII)
+        round_sphere_quadrature(0.0, ZERO_LINEAR, grid64), ASYMPTOTIC_RADII)
     zero_exact = norm_inf(zero) == 0.0
     ok = worst < 0.01 and zero_exact
     assert report("criterion 5: asymptotic limit E(S_r) -> Upsilon/2", ok,

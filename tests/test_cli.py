@@ -734,15 +734,15 @@ class TestAsymptoticCommand:
         assert out.splitlines()[-1] == "observed order: floor"
 
     def test_builds_one_round_sphere(self, tmp_path, monkeypatch):
-        # every radius and Upsilon/2 read one round-sphere quadrature: the
-        # unit directions are built once per op, not once per radius
+        # every radius and Upsilon/2 read one round-sphere quadrature: tr h
+        # is built once per op, not once per radius
         calls = []
 
-        def unit_directions(*args):
+        def mass_aspect_trace(*args):
             calls.append(args)
-            return geo.unit_directions(*args)
+            return geo.mass_aspect_trace(*args)
 
-        monkeypatch.setattr(massmod, "unit_directions", unit_directions)
+        monkeypatch.setattr(massmod, "mass_aspect_trace", mass_aspect_trace)
         cfg = write(tmp_path, "geo.yaml", GEO_CONFIG.replace(
             "[0.2, 0.1, 0.05]", "[0.4, 0.2, 0.1, 0.05]"))
         code, _, _ = run(["asymptotic", cfg, "--output", str(tmp_path / "o")])

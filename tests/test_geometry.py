@@ -8,24 +8,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_geometry as ref
 from hypermass import geometry as geo
 from hypermass.errors import ConfigError, ConvergenceFailure, DomainError
-from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
+from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 ads_horizon_radius, ads_schwarzschild_metric,
                                 coordinate_sphere_surface, euclidean_metric,
                                 gauss_curvature, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, scalar_curvature,
-                                surface_forms, unit_directions,
-                                wang_ah_metric)
+                                surface_forms, wang_ah_metric)
+from hypermass.hypgeom import areal_to_minkowski
 from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
 
 from conftest import (ADS_M, ads_potential, form_matrices, n_nodes,
                       node_arrays, on_nodes, scaled_sphere)
 
 EPS = np.finfo(float).eps
+# ulps of its terms that tr h may be off 2 g0 + a . u by
+TRACE_ULPS = 4
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +120,15 @@ METRICS = {
              lambda rng: rng.uniform(-0.35, 0.35, 3)),
     "ads": (ref.polar_chart(ads_schwarzschild_metric(ADS_M, 1.0)).components,
             lambda rng: random_polar_points(rng, 1, 0.9, 2.5)[0]),
-    "wang_ah": (wang_ah_metric(SphereTensor(0.5, (0.1, -0.2, 0.3))).components,
+    "wang_ah": (wang_ah_metric(0.5, (0.1, -0.2, 0.3)).components,
                 lambda rng: rng.uniform([0.2, 0.5, 0.0], [0.8, 2.6, 6.0])),
+    # tr h a float and a theta column
+    "wang_ah_isotropic": (wang_ah_metric(0.5, (0.0, 0.0, 0.0)).components,
+                          lambda rng: rng.uniform([0.2, 0.5, 0.0],
+                                                  [0.8, 2.6, 6.0])),
+    "wang_ah_axial": (wang_ah_metric(0.5, (0.0, 0.0, 0.3)).components,
+                      lambda rng: rng.uniform([0.2, 0.5, 0.0],
+                                              [0.8, 2.6, 6.0])),
 }
 
 
@@ -162,14 +173,58 @@ class TestSurfaceJets:
                 assert np.max(np.abs(exact - fd)) < 1e-8
 
     def test_unit_direction_jet_positions(self, grid16):
-        u = ref.unit_direction_jet(*grid16.node_axes())[0]
-        assert u.tobytes() == unit_directions(*grid16.node_axes()).tobytes()
+        # the reference's directions are the package's one direction
+        # formula, the rows x, y, z of X at R = 1, bit for bit
+        theta, phi = grid16.node_axes()
+        u = ref.unit_direction_jet(theta, phi)[0]
+        for c, (first, *rest) in enumerate(
+                areal_to_minkowski(1.0, theta, phi, 1.0)[:3]):
+            row = np.broadcast_to(first, u.shape[:2]).copy()
+            for f in rest:
+                row *= f
+            assert row.tobytes() == u[..., c].tobytes(), c
 
     def test_areal_radius_of_geodesic_spheres(self, grid16):
         for k, rho in ((1.0, 0.8), (0.5, 2.0)):
             R = geodesic_sphere_surface(rho, k, grid16).F(
                 *grid16.node_axes())[0]
             assert R == math.sinh(k * rho) / k
+
+
+# a coefficient of h, 0 often, so that every zero pattern of (g0, a) is drawn
+COEFF = st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0))
+
+
+class TestMassAspectTrace:
+    # tr h = 2 g0 + a . u against the reference's unit directions and their
+    # theta derivative, on grids up to 24 x 48
+    @given(g0=COEFF, linear=st.tuples(COEFF, COEFF, COEFF),
+           axes=st.tuples(st.integers(min_value=2, max_value=24),
+                          st.integers(min_value=2, max_value=48)))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_against_reference_directions(self, g0, linear, axes):
+        grid = QuadratureGrid.build(*axes)
+        theta, phi = grid.node_axes()
+        u, du, _ = ref.unit_direction_jet(theta, phi)
+        a = np.array(linear)
+        # the shape tr h varies on: none, theta, or theta and phi
+        shape = ((grid.n_theta, grid.n_phi) if a[:2].any() else
+                 (grid.n_theta, 1) if a[2] else ())
+        tau = geo.mass_aspect_trace(g0, linear, theta, phi)
+        assert np.shape(tau) == shape
+        # a few ulps of the terms 2 |g0| + |a_c u_c|
+        terms = 2.0 * abs(g0) + np.abs(u) @ np.abs(a)
+        assert np.all(np.abs(tau - (2.0 * g0 + u @ a)) <= TRACE_ULPS
+                      * EPS * terms)
+        # at complex theta, as the collar metric's complex steps read it:
+        # the same values and shape, and Im tr h / h = a . u_theta
+        h = 1e-30
+        step = geo.mass_aspect_trace(g0, linear, theta + 1j * h, phi)
+        assert np.shape(step) == shape
+        assert np.all(np.abs(step.real - tau) <= TRACE_ULPS * EPS * terms)
+        dtau = du[..., 0, :] @ a
+        assert np.all(np.abs(step.imag / h - dtau) <= TRACE_ULPS * EPS
+                      * (np.abs(du[..., 0, :]) @ np.abs(a)))
 
 
 class TestQuadratureGrid:
@@ -222,10 +277,16 @@ class TestQuadratureGrid:
             assert got[1] == node and type(got[1]) is int
 
     def test_node_axes_match_flat_nodes_bitwise(self, grid16):
-        on_axes = unit_directions(*grid16.node_axes())
-        assert on_axes.shape == (grid16.n_theta, grid16.n_phi, 3)
-        flat = unit_directions(*node_arrays(grid16))
-        assert on_axes.reshape(-1, 3).tobytes() == flat.tobytes()
+        # a field written from the node axes is, theta-major, the field of
+        # the flat nodes bit for bit: the reference directions and tr h
+        for field, width in (
+                (lambda t, p: ref.unit_direction_jet(t, p)[0], (3,)),
+                (lambda t, p: geo.mass_aspect_trace(
+                    0.5, (0.3, -0.2, 0.1), t, p), ())):
+            on_axes = field(*grid16.node_axes())
+            assert on_axes.shape == (grid16.n_theta, grid16.n_phi) + width
+            flat = field(*node_arrays(grid16))
+            assert on_axes.reshape((-1,) + width).tobytes() == flat.tobytes()
 
 
 class TestAdsHorizonRadius:
@@ -574,7 +635,7 @@ class TestMeanCurvature:
         # the AH collar is no warped product: the node pass cannot run there
         surface = coordinate_sphere_surface(0.5, grid16)
         with pytest.raises(DomainError):
-            surface_forms(surface, wang_ah_metric(SphereTensor(0.5)))
+            surface_forms(surface, wang_ah_metric(0.5, (0.0, 0.0, 0.0)))
 
 
 class TestGaussCurvature:
@@ -890,7 +951,7 @@ class TestIntegrate:
     def test_odd_integrand_vanishes(self, grid64):
         surface = coordinate_sphere_surface(1.0, grid64)
         theta, phi = node_arrays(grid64)
-        x1 = unit_directions(theta, phi)[:, 0]
+        x1 = ref.unit_direction_jet(theta, phi)[0][:, 0]
         ae = surface_forms(surface, euclidean_metric()).area_element
         w_ae = on_nodes(grid64.measure_weights() * ae, grid64)
         assert abs(math.fsum(w_ae * x1)) < 1e-12

@@ -18,13 +18,12 @@ import reference_geometry as ref
 import reference_spinor
 from hypermass.errors import (ConfigError, DomainError, IsometryViolation,
                               MissingEmbedding, NonPositiveMeanCurvature)
-from hypermass.geometry import (QuadratureGrid, SphereTensor, SurfaceData,
+from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 ads_schwarzschild_metric,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
-                                radial_profile_surface, surface_forms,
-                                unit_directions)
+                                radial_profile_surface, surface_forms)
 from hypermass.hypgeom import areal_to_minkowski, ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
@@ -38,10 +37,11 @@ from hypermass.mass import (ah_sphere_data, asymptotic_limit,
 from hypermass.spinor import zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
-                      TILTED_LINEAR, ads_potential, einsum_killing_norms_sq,
-                      exact_ads_energy, form_matrices, n_nodes, node_arrays,
-                      norm_inf, on_nodes, positions, random_spinors,
-                      scaled_sphere, waist_graph)
+                      TILTED_LINEAR, ZERO_LINEAR, ads_potential,
+                      einsum_killing_norms_sq, exact_ads_energy,
+                      form_matrices, n_nodes, node_arrays, norm_inf,
+                      on_nodes, positions, random_spinors, scaled_sphere,
+                      waist_graph)
 
 
 def mobius_jet(F, a):
@@ -268,18 +268,17 @@ class TestShiTam:
 
 class TestWangMass:
     def test_round_multiple(self, grid64):
-        ups = wang_mass(round_sphere_quadrature(SphereTensor(g0_coeff=0.5),
-                                                grid64))
+        ups = wang_mass(round_sphere_quadrature(0.5, ZERO_LINEAR, grid64))
         assert abs(ups.t - 4 * math.pi) < 1e-12
         assert max(abs(ups.x1), abs(ups.x2), abs(ups.x3)) < 1e-12
 
     def test_zero_tensor(self, grid64):
-        assert norm_inf(wang_mass(round_sphere_quadrature(SphereTensor(),
-                                                           grid64))) == 0.0
+        assert norm_inf(wang_mass(round_sphere_quadrature(
+            0.0, ZERO_LINEAR, grid64))) == 0.0
 
     def test_odd_trace_profile(self, grid64):
         ups = wang_mass(round_sphere_quadrature(
-            SphereTensor(linear=(0.0, 0.0, 1.0)), grid64))
+            0.0, (0.0, 0.0, 1.0), grid64))
         assert abs(ups.t) < 1e-12
         assert abs(ups.x3 - 4 * math.pi / 3) < 1e-12
         assert max(abs(ups.x1), abs(ups.x2)) < 1e-12
@@ -481,33 +480,34 @@ class TestKillingForm:
 
 class TestAHSphereData:
     def test_zero_tensor(self, grid64):
-        d = ah_sphere_data(0.3, round_sphere_quadrature(SphereTensor(), grid64))
+        d = ah_sphere_data(0.3, round_sphere_quadrature(0.0, ZERO_LINEAR,
+                                                        grid64))
         assert np.all(d.H == d.H0)
         assert np.all(d.H == math.cosh(0.3))
 
     def test_round_multiple_offset(self, grid64):
         c, r = 0.7, 0.1
         d = ah_sphere_data(
-            r, round_sphere_quadrature(SphereTensor(g0_coeff=c), grid64))
+            r, round_sphere_quadrature(c, ZERO_LINEAR, grid64))
         expect = -0.25 * r ** 3 * 2 * c
         assert np.max(np.abs((d.H - d.H0) - expect)) < 1e-15
 
     def test_h_positive_in_validity_range(self, grid64):
         for tau in (10.0, -10.0):
             d = ah_sphere_data(0.5, round_sphere_quadrature(
-                SphereTensor(g0_coeff=tau / 2.0), grid64))
+                tau / 2.0, ZERO_LINEAR, grid64))
             assert np.min(d.H) > 0.0
 
     def test_radius_validation(self, grid64):
         # the one range check on the asymptotic radii, a config error
-        sphere = round_sphere_quadrature(SphereTensor(), grid64)
+        sphere = round_sphere_quadrature(0.0, ZERO_LINEAR, grid64)
         for r in (0.6, 0.0, math.nan):
             with pytest.raises(ConfigError, match="must lie in"):
                 ah_sphere_data(r, sphere)
 
     def test_positions_on_hyperboloid(self, grid64):
         d = ah_sphere_data(
-            0.2, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
+            0.2, round_sphere_quadrature(1.0, ZERO_LINEAR, grid64))
         X = positions(d)
         q = np.sum(X[:3] ** 2, axis=0) - X[3] ** 2
         assert np.max(np.abs(q + 1.0)) < 1e-12
@@ -515,18 +515,40 @@ class TestAHSphereData:
     @pytest.mark.parametrize("r", [0.5, 0.2, 0.025])
     def test_ball_points_map_to_positions(self, r, grid64):
         d = ah_sphere_data(
-            r, round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64))
+            r, round_sphere_quadrature(1.0, ZERO_LINEAR, grid64))
         assert d.k == 1.0
         X = ball_to_minkowski(reference_spinor.ball_points(d))
         Xd = positions(d)
         assert np.max(np.abs(X.T - Xd)) < 1e-12 * np.max(np.abs(Xd))
+
+    # the least expanded H and the first theta-major node that holds it, as
+    # grid.least_node names them and as the reference tr h on the flat
+    # nodes places them, whatever shape tr h has
+    @pytest.mark.parametrize("g0, linear, shape", [
+        (20.0, ZERO_LINEAR, ()), (0.0, (0.0, 0.0, 80.0), (16, 1)),
+        (5.0, (60.0, -40.0, 10.0), (16, 32))],
+        ids=["float", "theta_column", "full"])
+    def test_nonpositive_expanded_h_names_node(self, g0, linear, shape):
+        r, grid = 0.5, QuadratureGrid.build(16, 32)
+        sphere = round_sphere_quadrature(g0, linear, grid)
+        assert np.shape(sphere[2]) == shape
+        least, node = grid.least_node(math.cosh(r)
+                                      - 0.25 * r ** 3 * sphere[2])
+        xhat = ref.unit_direction_jet(*node_arrays(grid))[0]
+        H = math.cosh(r) - 0.25 * r ** 3 * (2.0 * g0 + xhat @ linear)
+        assert int(np.argmin(H)) == node
+        assert least == pytest.approx(H[node], rel=1e-14) and least <= 0.0
+        with pytest.raises(NonPositiveMeanCurvature) as exc:
+            ah_sphere_data(r, sphere)
+        assert str(exc.value) == (f"expanded H = {least:.6g} <= 0 at "
+                                  f"{grid.describe_node(node)} for r = {r}")
 
     def test_energy_is_round_sphere_sum(self):
         # the expansion integral as a sum over the round dS weights, written
         # out apart from SurfaceMassData.energy
         r, grid = 0.1, QuadratureGrid.build(16, 32)
         d = ah_sphere_data(r, round_sphere_quadrature(
-            SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid))
+            0.5, (0.3, -0.2, 0.1), grid))
         theta = grid.node_axes()[0]
         w_round = on_nodes(grid.measure_weights() * np.sin(theta), grid)
         H = on_nodes(d.H, grid)
@@ -551,7 +573,8 @@ class TestAsymptoticLimit:
 
     def test_zero_field_is_exact(self, grid64):
         energies, extrapolated = asymptotic_limit(
-            round_sphere_quadrature(SphereTensor(), grid64), ASYMPTOTIC_RADII)
+            round_sphere_quadrature(0.0, ZERO_LINEAR, grid64),
+            ASYMPTOTIC_RADII)
         assert energies.shape == (len(ASYMPTOTIC_RADII), 4)
         for E in energies:
             assert norm_inf(E) == 0.0
@@ -564,13 +587,13 @@ class TestAsymptoticLimit:
         # (H0^2 - H^2)/H -> (1/2) tr(h) r^3 and the measure ~ dS/r^2 with
         # time position ~ 1/r, so the time component approaches
         # (1/2) int tr h dS as r -> 0
-        h = SphereTensor(g0_coeff=0.5)
-        E = ah_sphere_data(0.05, round_sphere_quadrature(h, grid64)).energy()
+        E = ah_sphere_data(0.05, round_sphere_quadrature(
+            0.5, ZERO_LINEAR, grid64)).energy()
         assert abs(E.t - 2 * math.pi) < 0.01 * 2 * math.pi
 
     def test_requires_three_decreasing_radii(self, grid64):
         # the one check on the count and the order of the radii
-        sphere = round_sphere_quadrature(SphereTensor(g0_coeff=1.0), grid64)
+        sphere = round_sphere_quadrature(1.0, ZERO_LINEAR, grid64)
         with pytest.raises(ConfigError, match="at least 3 radii"):
             asymptotic_limit(sphere, [0.2, 0.1])
         with pytest.raises(ConfigError, match="strictly decreasing"):
@@ -600,7 +623,7 @@ class TestSurfaceMassData:
         # H ~ 4e297 at r = 0.2: H^2 overflows, so E and Q sum to nan or inf;
         # and (H0 - H) x, with x_t = 1e10, overflows M_alpha
         data = ah_sphere_data(0.2, round_sphere_quadrature(
-            SphereTensor(g0_coeff=-1e300), QuadratureGrid.build(8, 16)))
+            -1e300, ZERO_LINEAR, QuadratureGrid.build(8, 16)))
         with pytest.raises(DomainError, match="overflows a float"):
             data.energy()
         with pytest.raises(DomainError, match="overflows a float"):
@@ -623,7 +646,7 @@ class TestSurfaceMassData:
             shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
         with pytest.raises(DomainError, match="overflows a float"):
-            wang_mass(round_sphere_quadrature(SphereTensor(g0_coeff=1e308),
+            wang_mass(round_sphere_quadrature(1e308, ZERO_LINEAR,
                                               QuadratureGrid.build(8, 16)))
         # X_t = sqrt(1/k^2 + R^2) divides by k^2, so a k whose square
         # underflows is refused before any node is built
@@ -936,11 +959,32 @@ def test_asymptotic_memory_peak():
     # blocks)
     grid = QuadratureGrid.build(128, 256)
     sphere = round_sphere_quadrature(
-        SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1)), grid)
+        0.5, (0.3, -0.2, 0.1), grid)
     peak = _peak_floats(lambda: (
         asymptotic_limit(sphere, (0.2, 0.1, 0.05, 0.025)), wang_mass(sphere)),
         grid)
     assert peak <= 4.5
+
+
+def test_round_sphere_quadrature_memory_peak():
+    # tracemalloc peak of the round sphere of a linear h at 128x256 in
+    # float (N,) arrays: 1.53, tr h written once at the grid's shape
+    # (5.02 when it was the matmul of the (N, 3) stack of unit directions)
+    grid = QuadratureGrid.build(128, 256)
+    assert _peak_floats(lambda: round_sphere_quadrature(
+        0.5, (0.3, -0.2, 0.1), grid), grid) <= 2.5
+
+
+def test_isotropic_asymptotic_memory_peak():
+    # as above for an isotropic h, whose tr h is one float, so that every
+    # row of the series and of Wang's mass is a theta column or 0: 0.14
+    # (4.30 when tr h was N copies of that float)
+    grid = QuadratureGrid.build(128, 256)
+    sphere = round_sphere_quadrature(0.5, ZERO_LINEAR, grid)
+    peak = _peak_floats(lambda: (
+        asymptotic_limit(sphere, (0.2, 0.1, 0.05, 0.025)), wang_mass(sphere)),
+        grid)
+    assert peak <= 0.25
 
 
 def _op_peak(tmp_path, grid, *argv):
@@ -1072,8 +1116,8 @@ def _assert_flat_sums(got, rows, summed, grid=None, zero=()):
 def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     # X, the integrand rows and the sums of E, M_alpha and the area, bit
     # for bit, against the node fields flattened to (N,), X = (R0 u,
-    # sqrt(1/k^2 + R0^2)) from the unit directions of the flat nodes
-    # (N, 3), and math.fsum of the flat products in the order
+    # sqrt(1/k^2 + R0^2)) from the reference's unit directions of the flat
+    # nodes (N, 3), and math.fsum of the flat products in the order
     # measure (weight X), measure ((H0 - H) X) and
     # measure ((alpha X_t) (H0 - H)); the tilted AdS profile is forced past
     # the isometry check, so H != H0 off the theta axis.  A sum can hide a
@@ -1096,7 +1140,7 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     data = surface_mass_data(surface, metric, iso_tol=1.0,
                              forms=(forms, forms0))
     R0 = on_nodes(forms0.radius, grid)
-    u = unit_directions(*node_arrays(grid))
+    u = ref.unit_direction_jet(*node_arrays(grid))[0]
     X = np.empty((len(R0), 4))
     X[:, :3] = R0[:, None] * u
     X[:, 3] = np.sqrt(1.0 / (surface.k * surface.k) + R0 * R0)
@@ -1121,14 +1165,18 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
 
 def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     # E(S_r) and Wang's mass on the round sphere, as above: X = (R x, R y,
-    # R z, sqrt(1 + R^2)) at R = 1/r from the flat unit directions (N, 3),
-    # and math.fsum of measure (weight X) and of (w tau) (x, y, z, 1)
+    # R z, sqrt(1 + R^2)) at R = 1/r from the reference's flat unit
+    # directions (N, 3), the weights w = u_weights 2 pi / n_phi, and
+    # math.fsum of measure (weight X) and of ((x, y, z, 1) w) tau, with
+    # tau = tr h to rounding of 2 g0 + a . u
     grid = QuadratureGrid.build(16, 32)
-    h = SphereTensor(g0_coeff=0.5, linear=(0.3, -0.2, 0.1))
-    sphere = round_sphere_quadrature(h, grid)
-    xhat = unit_directions(*node_arrays(grid))
-    w = on_nodes(grid.measure_weights() * np.sin(grid.node_axes()[0]), grid)
-    tau = h.trace(xhat)
+    g0, linear = 0.5, (0.3, -0.2, 0.1)
+    sphere = round_sphere_quadrature(g0, linear, grid)
+    xhat = ref.unit_direction_jet(*node_arrays(grid))[0]
+    w = on_nodes(grid.u_weights[:, None] * (2.0 * math.pi / grid.n_phi),
+                 grid)
+    tau = on_nodes(sphere[2], grid)
+    assert np.max(np.abs(tau - (2.0 * g0 + xhat @ linear))) <= 1e-15
     r = 0.1
     data = ah_sphere_data(r, sphere)
     R = 1.0 / r
@@ -1140,5 +1188,5 @@ def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     measure = w * (1.0 / math.sinh(r) ** 2)
     _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X),
                       summed_rows)
-    wt = w * tau
-    _assert_flat_sums(wang_mass(sphere), [*(wt * xhat.T), wt], summed_rows)
+    _assert_flat_sums(wang_mass(sphere), [*(xhat.T * w * tau), w * tau],
+                      summed_rows)

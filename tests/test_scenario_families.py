@@ -1,0 +1,110 @@
+"""The paper's mass theorems as property tests over scenario families:
+AdS-Schwarzschild coordinate spheres, whose E is future timelike with the
+closed-form E_t of criterion 2a, and radial profiles in H^3, whose E is 0
+(rigidity).  Draws are derandomized, so the suite stays deterministic."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hypermass.errors import NonPositiveMeanCurvature
+from hypermass.geometry import (QuadratureGrid, ads_horizon_radius,
+                                ads_schwarzschild_metric,
+                                coordinate_sphere_surface,
+                                hyperbolic_ball_metric,
+                                radial_profile_surface)
+from hypermass.lorentz import CausalClass, classify
+from hypermass.mass import mass_forms, surface_mass_data
+
+from conftest import exact_ads_energy
+
+EPS = np.finfo(float).eps
+
+GRIDS = st.tuples(st.integers(min_value=2, max_value=32),
+                  st.integers(min_value=2, max_value=64))
+
+# AdS-Schwarzschild coordinate spheres: r from just inside the chart,
+# r > r_horizon + 0.1, to 10^4 times its edge
+ADS_SPHERES = dict(m=st.floats(min_value=1e-3, max_value=10.0),
+                   k=st.floats(min_value=0.5, max_value=2.0),
+                   lift=st.floats(min_value=1e-3, max_value=4.0), axes=GRIDS)
+
+# E_t is read off (H0^2 - H^2)/H, where H0^2 - H^2 = 2m/r^3 is the
+# difference of two rounded terms of order k^2: past a relative eps k^2
+# r^3/m of 1e-10 (eps r^3/m at k = 1) the cancellation, not the
+# quadrature, sets its error
+FLOOR = 1e-10
+
+
+def _ads_case(m, k, lift, axes):
+    """(E, its closed-form E_t, eps k^2 r^3/m) of the drawn sphere."""
+    r = (ads_horizon_radius(m, k) + 0.1) * 10.0 ** lift
+    surface = coordinate_sphere_surface(r, QuadratureGrid.build(*axes), k)
+    E = surface_mass_data(surface, ads_schwarzschild_metric(m, k)).energy()
+    return E, exact_ads_energy(r, m, k), EPS * k * k * r ** 3 / m
+
+
+def _assert_ads_energy(E, exact):
+    assert classify(E) is CausalClass.TIMELIKE_FUTURE
+    assert E.x1 == 0.0 and E.x2 == 0.0
+    assert abs(E.t - exact) <= 1e-10 * exact
+
+
+@given(**ADS_SPHERES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_ads_coordinate_spheres(m, k, lift, axes):
+    E, exact, floor = _ads_case(m, k, lift, axes)
+    assume(floor <= FLOOR)
+    _assert_ads_energy(E, exact)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: past eps k^2 r^3/m = 1e-10 the integrand "
+    "(H0^2 - H^2)/H cancels to its rounding, so E_t drifts off the "
+    "closed form by more than 1e-10"))
+def test_ads_coordinate_spheres_past_the_floor():
+    # the draws past the floor, checked after hypothesis has drawn them
+    # all: a failing example inside @given would go to hypothesis's
+    # failure report, whose import warns, an error in this suite
+    failed = []
+
+    @given(**ADS_SPHERES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def draw(m, k, lift, axes):
+        E, exact, floor = _ads_case(m, k, lift, axes)
+        assume(floor > FLOOR)
+        try:
+            _assert_ads_energy(E, exact)
+        except AssertionError:
+            failed.append((m, k, lift, axes))
+
+    draw()
+    assert failed == []
+
+
+@given(base=st.floats(min_value=0.05, max_value=5.0),
+       tilt=st.tuples(*[st.one_of(st.just(0.0),
+                                  st.floats(min_value=-1.0, max_value=1.0))]
+                      * 3),
+       fraction=st.floats(min_value=0.0, max_value=0.9),
+       k=st.floats(min_value=0.5, max_value=2.0), axes=GRIDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_h3_radial_profiles(base, tilt, fraction, k, axes):
+    # geodesic radius base + a . u with |a| = fraction * base: F0 = F in
+    # the ambient H^3 itself, so H0 = H at every node and E is 0 exactly;
+    # a profile with H <= 0 somewhere is outside the theorem, and refused
+    norm = math.hypot(*tilt)
+    linear = [fraction * base * c / norm if norm else 0.0 for c in tilt]
+    surface = radial_profile_surface(base, linear, k,
+                                     QuadratureGrid.build(*axes))
+    metric = hyperbolic_ball_metric(k)
+    forms = mass_forms(surface, metric)
+    if np.any(forms[0].mean_curvature <= 0.0):
+        with pytest.raises(NonPositiveMeanCurvature):
+            surface_mass_data(surface, metric, forms=forms)
+        return
+    E = surface_mass_data(surface, metric, forms=forms).energy()
+    assert np.asarray(E).tolist() == [0.0] * 4
