@@ -166,15 +166,14 @@ def wang_ah_metric(g0_coeff: float, linear) -> MetricField:
 # ---------------------------------------------------------------------------
 # quadrature grid
 
-# Newton steps allowed per block of Gauss-Legendre nodes, and the step in
-# phi that ends them.  From Tricomi's guess every rule of 2 to 2048, 4096
-# or 8192 nodes evaluates the series 3 times in its block nearest the pole
-# (1 to 3 in the others).  A last step s, taken to first order, leaves the
-# node off its root by about cot(theta) s^2/2 < n s^2/4: roundoff while s
-# is at most this or the iterate's grid spacing, about n 4e-16, so for n up
-# to about 1e5
+# Series evaluations allowed per block of Gauss-Legendre nodes.  From
+# Tricomi's guess with its 1/n^4 term, one Halley step ends every node but
+# the 1 to 3 nearest the pole, which take one or two more evaluations of
+# their rows alone, in every rule tried from 2 to 50000 nodes.
 _GL_MAX_STEPS = 20
-_GL_STEP_TOL = 1e-12
+# Halley's step s leaves the node off its root by about n(n + 1) s^3/6, so
+# a node stops once n(n + 1) s^3 is at most this (or s the iterate's grid)
+_GL_HALLEY_RESIDUAL = 1e-17
 # floats in the rule's one trig buffer
 _GL_BUFFER = 1 << 15
 
@@ -209,58 +208,75 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], both parts symmetric
     about 0: ascending nodes and weights scaled to sum to 2.
 
-    Newton's method in phi = pi/2 - theta on the series of
+    Halley's method in phi = pi/2 - theta on the series of
     :func:`_legendre_series` (Swarztrauber 2002) takes a fixed number of
-    numpy calls per step, from Tricomi's guess
-    (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k - 1)/(4n + 2)), for the n//2
-    positive nodes, in blocks of at most ``_GL_BUFFER`` trig buffer floats;
-    the middle node of an odd n is 0.  Each iterate is rounded to a multiple
-    of 2^(l - 52), l the bit length of n, so every angle m phi is exact
-    (rounding it moved nodes by 2 ulps at n = 265), and the last step s is
-    taken to first order: x = sin(phi - s) = sin phi - s cos phi, from phi
-    as it is, where cos theta would round pi/2 - phi first.
+    numpy calls per step, for the n//2 positive nodes, in blocks of at most
+    ``_GL_BUFFER`` trig buffer floats; the middle node of an odd n is 0.
+    It starts from Tricomi's guess (1 - 1/(8n^2) + 1/(8n^3) - (39 -
+    28/sin^2 theta_k)/(384 n^4)) cos theta_k, theta_k = pi (4k - 1)/(4n +
+    2), with its second-order term (Hale and Townsend 2013), and P_phiphi =
+    tan(phi) P_phi - n(n + 1) P from Legendre's equation, so one evaluation
+    of P and P_phi makes a step.  A node stops once its step s is at most
+    (``_GL_HALLEY_RESIDUAL``/(n(n + 1)))^(1/3) or the iterate's grid, and
+    only the rows of the nodes still moving, the few nearest the pole, are
+    evaluated again.  Each iterate is rounded to a multiple of 2^(l - 52),
+    l the bit length of n, so every angle m phi is exact (rounding it moved
+    nodes by 2 ulps at n = 265), and the last step is taken to second order
+    from phi as it is, x = sin(phi - s) = sin phi - s cos phi - (s^2/2)
+    sin phi, where cos theta would round pi/2 - phi first.
 
     Each weight, 2/((1 - x^2) P_n'(x)^2), is 2/P_phi^2, with P_phi carried
-    from the last iterate to the root as P_phi (1 - s tan phi) by Legendre's
-    equation, P_phiphi = tan(phi) P_phi - n(n + 1) P; at a root it moves by
-    only the node's relative rounding in theta.  Against 40-digit roots the
-    weights are off by 1.3e-15 at n = 128 (2.6e-13 as the Christoffel
-    function by the three-term recurrence), and each node by at most an
-    ulp."""
+    from the last iterate to the root as P_phi - s P_phiphi + (s^2/2)
+    P_phiphiphi, P_phiphiphi = sec^2(phi) P_phi + tan(phi) P_phiphi -
+    n(n + 1) P_phi by Legendre's equation (to first order the weights were
+    up to 3.6e-11 off at n = 128); at a root it moves by only the node's
+    relative rounding in theta.  Against 40-digit roots the weights are off
+    by 1.1e-15 at n = 128 (2.6e-13 as the Christoffel function by the
+    three-term recurrence), and each node by at most an ulp."""
     h = n // 2
     m, b = _legendre_series(n)
     if n % 2:
         value, slope, bm = np.sin, np.cos, b * m
     else:
         value, slope, bm = np.cos, np.sin, -b * m
-    i = np.arange(h, 0, -1)
-    phi = np.arcsin((1.0 - (n - 1) / (8.0 * n ** 3))
-                    * np.cos(math.pi * (4 * i - 1) / (4 * n + 2)))
+    lam = n * (n + 1.0)
+    c = np.cos(math.pi * (4 * np.arange(h, 0, -1) - 1) / (4 * n + 2))
+    phi = np.arcsin((1.0 - (n - 1) / (8.0 * n ** 3)
+                     - (39.0 - 28.0 / (1.0 - c * c)) / (384.0 * n ** 4)) * c)
     # m N 2^(l - 52) is exact for integers m <= n < 2^l and N < 2^(53 - l)
     grid = 2.0 ** (n.bit_length() - 52)
-    tol = max(_GL_STEP_TOL, grid)
-    p_phi, step = np.empty(h), np.empty(h)
+    tol = max((_GL_HALLEY_RESIDUAL / lam) ** (1.0 / 3.0), grid)
+    # P, P_phi and the last step of each node at its last iterate phi
+    p, p_phi, step = np.empty(h), np.empty(h), np.empty(h)
     rows = max(1, _GL_BUFFER // m.size)
     buf = np.empty(min(h, rows) * m.size)
     for lo in range(0, h, rows):
-        p = phi[lo:lo + rows]   # a view: the steps write into phi
-        t = buf[:p.size * m.size].reshape(p.size, m.size)
+        at = np.arange(lo, min(lo + rows, h))   # the nodes still moving
         for _ in range(_GL_MAX_STEPS):
-            p[:] = np.rint(p / grid) * grid
-            d = _series(slope, p, m, bm, t)
-            s = _series(value, p, m, b, t) / d
-            if np.max(np.abs(s)) <= tol:
+            phi[at] = np.rint(phi[at] / grid) * grid
+            q = phi[at]
+            t = buf[:q.size * m.size].reshape(q.size, m.size)
+            P, d = _series(value, q, m, b, t), _series(slope, q, m, bm, t)
+            # Newton's step u and Halley's, u/(1 - u P_phiphi/(2 P_phi))
+            u = P / d
+            s = u / (1.0 - 0.5 * u * (np.sin(q) / np.cos(q) - lam * u))
+            p[at], p_phi[at], step[at] = P, d, s
+            moving = np.flatnonzero(np.abs(s) > tol)
+            if not moving.size:
                 break
-            p -= s
+            at = at[moving]
+            phi[at] -= s[moving]
         else:
             raise ConvergenceFailure(f"Gauss-Legendre nodes of order {n} "
                                      f"did not converge in {_GL_MAX_STEPS} "
-                                     f"Newton steps")
-        p_phi[lo:lo + rows], step[lo:lo + rows] = d, s
+                                     f"Halley steps")
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    x = sin_phi - step * cos_phi
+    tan_phi = sin_phi / cos_phi
+    p_phiphi = tan_phi * p_phi - lam * p
+    p_phi3 = p_phi / (cos_phi * cos_phi) + tan_phi * p_phiphi - lam * p_phi
+    x = sin_phi - step * (cos_phi + 0.5 * step * sin_phi)
     x = np.concatenate((-x[::-1], [0.0] * (n % 2), x))
-    w = 2.0 / (p_phi * (1.0 - step * sin_phi / cos_phi)) ** 2
+    w = 2.0 / (p_phi - step * (p_phiphi - 0.5 * step * p_phi3)) ** 2
     # the middle node's P_phi, at phi = 0, is sum_k b_k m_k
     w = np.concatenate((w[::-1], [2.0 / bm.sum() ** 2] * (n % 2), w))
     return x, w * (2.0 / math.fsum(w))

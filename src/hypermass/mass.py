@@ -29,21 +29,24 @@ Every integral is a sum over the nodes that returns exactly what
 ``math.fsum`` of its N node values would, the correctly rounded sum, the
 same bits whatever their order, except a row of cos phi or sin phi times a
 theta column: its sum is the 0.0 of the quadrature rule, not the fsum of
-the rounding noise of its node values.  :func:`_fsum` gets it without leaving
-numpy, by error-free extraction (Rump, Ogita and Oishi, "Accurate
-floating-point summation, part I", SIAM J. Sci. Comput. 31, 2008): adding
-and subtracting sigma = 2^(e+M), with 2^e above every |p| of a row of N
-values and 2^M >= N + 2, splits each p into a high part q, whose sum over
-the row is exact in any order, and an exact residual p - q below
-2^(e+M-53).  Extraction repeats on the residuals until their plain sum,
-with its error bound, can no longer move the rounded total; ``math.fsum``
-of the few exact partial sums then gives the answer.
+the rounding noise of its node values.  :func:`_fsum` passes a short row,
+such as a theta column, to ``math.fsum`` as a list, and sums a long one
+without leaving numpy, by error-free extraction (Rump, Ogita and Oishi,
+"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
+2008): adding and subtracting sigma = 2^(e+M), with 2^e above every |p| of
+a row of N values and 2^M >= N + 2, splits each p into a high part q, whose
+sum over the row is exact in any order, and an exact residual p - q of at
+most 2^(e+M-53).  Extraction repeats on the residuals, with that bound in
+place of their largest, until their plain sum, with its error bound, can no
+longer move the rounded total; ``math.fsum`` of the few exact partial sums
+then gives the answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,22 +81,29 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 # exact sums
 
 
+# rows of at most this many values go to math.fsum of their list: faster up
+# to about here than the extraction's passes (20 us either way at 512)
+_FSUM_SHORT = 512
+
+
 def _fsum(p: np.ndarray, q: np.ndarray) -> float:
-    """``math.fsum(p)`` of a float (N,) array ``p`` by error-free extraction
-    (module docstring), in ``p`` itself and ``q``, a scratch buffer of N
-    values: the residuals overwrite ``p``.  A row whose extraction constant
-    would overflow goes to ``math.fsum`` itself, and one whose sum is past
-    the range of a float, or that holds inf and -inf, sums to nan."""
+    """``math.fsum(p)`` of a float (N,) array ``p``: of ``p.tolist()`` for a
+    row of at most ``_FSUM_SHORT`` values, otherwise by error-free
+    extraction (module docstring), in ``p`` itself and ``q``, a scratch
+    buffer of N values: the residuals overwrite ``p``.  A row whose
+    extraction constant would overflow goes to ``math.fsum`` too, and one
+    whose sum is past the range of a float, or that holds inf and -inf,
+    sums to nan."""
     n = len(p)
     M = (n + 1).bit_length()          # 2^M >= n + 2
     # a plain sum of n values of magnitude at most b is off by at most
     # 2 n^2 u b (u = 2^-53): twice that covers the rounding of the bound,
     # and n times the least subnormal its underflow
     slack = 4.0 * n * n * 2.0 ** -53
-    big = max(p.max(), -p.min())
-    if not big < 2.0 ** (1023 - M):   # nan, inf or near the overflow
+    big = max(p.max(), -p.min()) if n > _FSUM_SHORT else math.inf
+    if not big < 2.0 ** (1023 - M):   # short, nan, inf or near the overflow
         try:
-            total = math.fsum(p)
+            total = math.fsum(p.tolist())
         except (OverflowError, ValueError):   # past the range, inf - inf
             total = math.nan
     else:
@@ -104,8 +114,11 @@ def _fsum(p: np.ndarray, q: np.ndarray) -> float:
             q -= sigma
             parts.append(float(q.sum()))
             p -= q
-            big = max(p.max(), -p.min())
             s = float(p.sum())
+            # each residual is the rounding of p + sigma, at most u sigma;
+            # residuals that sum to 0 may all be 0, which only their
+            # largest shows (the bound sinks by 2^(M - 52) a round)
+            big = sigma * 2.0 ** -53 if s else max(p.max(), -p.min())
             # rounded once both ends of the residuals' error bound round to
             # the same float
             d = slack * big + n * 5e-324 if big else 0.0
@@ -129,7 +142,8 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
     - one has, at shape (1, n_phi): it is cos phi or sin phi, the only
       phi-only factors any producer makes (:func:`areal_to_minkowski`),
       and the row sums to 0.0, the n_phi-point trapezoid rule's exact
-      integral, not the rounding noise of its nodes;
+      integral, not the rounding noise of its nodes, or to nan where the
+      product of its theta columns is not finite;
     - otherwise the row is written out over the N nodes.
 
     A row is written in a buffer of the shape it needs, made on first need:
@@ -156,7 +170,10 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
         row = (*row, *factors)
         phi = [s for s in map(np.shape, row) if s[-1:] not in ((), (1,))]
         if phi == [(1, n_phi)]:
-            sums.append(0.0)
+            # nan, as the nodes would sum, where the theta column is not
+            # finite: its inf or nan times cos phi or sin phi
+            column = math.prod(f for f in row if np.shape(f) != (1, n_phi))
+            sums.append(0.0 if np.all(np.isfinite(column)) else math.nan)
             continue
         if not phi:
             total = node_sum(row, (*theta, n_phi >> a))
@@ -188,7 +205,7 @@ class SurfaceMassData:
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         """The node shape, the broadcast of the factors of X: every field
         broadcasts to it, and it flattens to the theta-major node order."""

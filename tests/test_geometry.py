@@ -222,9 +222,14 @@ class TestMassAspectTrace:
         step = geo.mass_aspect_trace(g0, linear, theta + 1j * h, phi)
         assert np.shape(step) == shape
         assert np.all(np.abs(step.real - tau) <= TRACE_ULPS * EPS * terms)
+        # Im tr h, about a . u_theta h, is subnormal where that is below
+        # 2^-1022: each rounding may then be off by up to 2^-1074, which
+        # is no ulp of it (a_3 = 3.27e-281 at theta = 0.955 gives
+        # -2.67e-311)
         dtau = du[..., 0, :] @ a
         assert np.all(np.abs(step.imag / h - dtau) <= TRACE_ULPS * EPS
-                      * (np.abs(du[..., 0, :]) @ np.abs(a)))
+                      * (np.abs(du[..., 0, :]) @ np.abs(a))
+                      + TRACE_ULPS * 2.0 ** -1074 / h)
 
 
 class TestQuadratureGrid:
@@ -404,6 +409,22 @@ class TestGaussLegendre:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (geo._GL_BUFFER + 12 * n)
+
+    @pytest.mark.parametrize("n", (16, 32, 64, 128, 256, 1024, 2048))
+    def test_one_series_evaluation(self, n, monkeypatch):
+        # each evaluation sums P and P_phi over the rows of its nodes: one
+        # over all n//2 of them, then only the few pole nodes still moving
+        # (2 or 3 rows, once or twice)
+        rows = []
+        series = geo._series
+
+        def counted(trig, phi, m, b, buf):
+            rows.append(phi.size)
+            return series(trig, phi, m, b, buf)
+
+        monkeypatch.setattr(geo, "_series", counted)
+        geo.gauss_legendre(n)
+        assert sum(rows) <= 2 * (n // 2 + 4)
 
     def test_newton_cap(self, monkeypatch):
         monkeypatch.setattr(geo, "_GL_MAX_STEPS", 1)

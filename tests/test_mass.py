@@ -754,6 +754,60 @@ class TestExactSums:
                                          ([0.1, 0.2, 0.3],)))
         assert massmod._row_sums((3,), (([0.1, 0.2, 0.3],),)) == [finite]
 
+    def test_phi_row_of_a_non_finite_column(self):
+        # cos phi or sin phi times theta columns sums to the trapezoid
+        # rule's 0.0 where their product is finite, and to nan, as its
+        # nodes would, where it holds inf or nan
+        cp = np.cos(2.0 * math.pi * np.arange(4) / 4)[None, :]
+        finite = np.array([[1.0], [2.0], [3.0]])
+        assert massmod._row_sums((3, 4), ((finite, cp),), finite) == [0.0]
+        for bad in ([[1.0], [np.inf], [2.0]], [[np.nan], [1.0], [2.0]]):
+            with pytest.raises(DomainError, match=re.escape("[nan, 24.0]")):
+                massmod._row_sums((3, 4), ((cp, np.array(bad)), (finite,)),
+                                  [[1.0], [1.0], [1.0]])
+        # overflowing columns, whose product is inf
+        with pytest.raises(DomainError, match=re.escape("[nan]")):
+            massmod._row_sums((3, 4), ((finite * 1e200, cp),), 1e200)
+        # an isotropic h of -1e300: the x and y slots are nan too, not 0.0
+        sphere = round_sphere_quadrature(-1e300, ZERO_LINEAR,
+                                         QuadratureGrid.build(16, 32))
+        with pytest.raises(DomainError, match=re.escape(
+                "overflows a float: [nan, nan, nan, -inf]")):
+            asymptotic_limit(sphere, ASYMPTOTIC_RADII)
+
+    @pytest.mark.parametrize("n", (massmod._FSUM_SHORT - 1,
+                                   massmod._FSUM_SHORT,
+                                   massmod._FSUM_SHORT + 1, 32768))
+    def test_both_sides_of_the_short_rows(self, n):
+        # math.fsum of the list on either side of the short-row length,
+        # or nan where math.fsum refuses the row: special values, an
+        # overflowing sum, subnormals, and a row that sums to exactly 0
+        rng = np.random.default_rng(n)
+
+        def row(*special):
+            # normal values, with ``special`` spread from first to last
+            p = rng.standard_normal(n)
+            p[np.linspace(0, n - 1, len(special)).astype(int)] = special
+            return p
+
+        tiny = rng.standard_normal(n) * 1e-310
+        tiny[::5] = 5e-324
+        half = rng.standard_normal(n // 2)
+        exact = np.concatenate((half, [0.0] * (n % 2), -half[::-1]))
+        rows = [row(), row(np.nan), row(np.inf), row(-np.inf),
+                row(np.inf, -np.inf), row(np.nan, np.inf),
+                np.full(n, 1.7e308), np.full(n, -1e305), tiny,
+                rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+                exact]
+        for p in rows:
+            try:
+                expect = math.fsum(p.tolist())
+            except (OverflowError, ValueError):
+                expect = math.nan
+            got = massmod._fsum(p.copy(), np.empty(n))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
         # math.fsum refuses it, but as a DomainError
@@ -1072,6 +1126,27 @@ def test_coordinate_sphere_stores_no_node_array():
     held += [f for x in data.X for f in x]
     assert all(np.size(x) < n_nodes(grid) for x in held
                if isinstance(x, np.ndarray))
+
+
+def test_node_shape_is_broadcast_once(monkeypatch):
+    # the node shape is the broadcast of the nine factors of X, taken once
+    # per SurfaceMassData however many integrals read it
+    calls = []
+    broadcast_shapes = np.broadcast_shapes
+
+    def counted(*shapes):
+        calls.append(shapes)
+        return broadcast_shapes(*shapes)
+
+    grid = QuadratureGrid.build(16, 32)
+    data = surface_mass_data(radial_profile_surface(1.0, TILTED_LINEAR, 1.0,
+                                                    grid),
+                             hyperbolic_ball_metric(1.0))
+    monkeypatch.setattr(np, "broadcast_shapes", counted)
+    for _ in range(2):
+        data.energy(), shi_tam_vector(data, 1.3), data.area()
+    assert len(calls) == 1 and len(calls[0]) == 9
+    assert data.shape == (grid.n_theta, grid.n_phi)
 
 
 @pytest.fixture
