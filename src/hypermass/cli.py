@@ -226,15 +226,11 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     k = cfg["metric"]["k"]
     tols = cfg["tolerances"]
 
-    # one node pass: the checks read the same forms the integrals use
-    forms, forms0 = massmod.mass_forms(surface, metric)
-    min_h, node = surface.grid.least_node(forms.mean_curvature)
-    # K of the H^3 image by the Gauss equation: Sigma's K when isometric
-    min_k = float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
-    # the closed-form R of the ambient metric at every node
-    min_r = float(np.min(geo.scalar_curvature(metric, forms.radius))
-                  + 6.0 * k * k)
-    mismatch = massmod.isometry_mismatch(forms, forms0)
+    # one node pass: the checks read the pass whose fields the integrals use
+    forms = massmod.mass_forms(surface, metric, curvature_checks=True)
+    min_h, node = surface.grid.least_node(forms.H)
+    min_k, min_r = forms.min_gauss_plus_k2, forms.min_scalar_plus_6k2
+    mismatch = forms.isometry_mismatch
     iso_tol = tols["iso_tol"]
     at_h = " at " + surface.grid.describe_node(node)
     table = (  # key, value, whether its bound holds, the bound, where
@@ -259,11 +255,11 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
                                 + "); rerun with --force to proceed")
 
     data = massmod.surface_mass_data(surface, metric, iso_tol=iso_tol,
-                                     forms=(forms, forms0))
+                                     forms=forms)
     E = data.energy()
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if k == 1.0:
-        alpha = massmod.shi_tam_alpha(*radial_bounds(forms0.radius, k))
+        alpha = massmod.shi_tam_alpha(*radial_bounds(forms.R0, k))
         M = massmod.shi_tam_vector(data, alpha)
         doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
 

@@ -461,8 +461,11 @@ class SurfaceForms:
     radius: np.ndarray         # chart radius R of each node
 
 
-def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
-    """Fundamental forms at every quadrature node, in closed form.
+def surface_forms(surface: SurfaceData, metric: MetricField,
+                  jet: Optional[tuple] = None) -> SurfaceForms:
+    """Fundamental forms at every quadrature node, in closed form, from
+    ``jet``, the 2-jet ``surface.F`` returns on the grid's node axes, or
+    from ``surface.F`` itself when no jet is given.
 
     For the radial graph r = R(theta, phi) in g = dr^2/V + r^2 g_S2, with
     W = sqrt(V + (R_theta^2 + R_phi^2 / sin^2 theta) / R^2):
@@ -479,15 +482,18 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
                           f"not {metric.tag}")
     theta, phi = surface.grid.node_axes()
-    R, (Rt, Rp), (Rtt, Rtp, Rpp) = surface.F(theta, phi)
-    if np.any(R <= metric.r_min):
-        raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside the "
-                          f"{metric.tag} chart r > {metric.r_min:.6g}")
+    # a jet that overflows is refused below, by the V or the forms it makes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        R, (Rt, Rp), (Rtt, Rtp, Rpp) = (surface.F(theta, phi) if jet is None
+                                        else jet)
+        if np.any(R <= metric.r_min):
+            raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside "
+                              f"the {metric.tag} chart r > "
+                              f"{metric.r_min:.6g}")
         st, ct = np.sin(theta), np.cos(theta)
         st2 = st * st
         V = metric.V(R)
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise DomainError(f"V = 1/g_rr overflows a float on the surface "
                               f"up to r = {np.max(R):.6g} in the "
                               f"{metric.tag} chart")
@@ -503,7 +509,7 @@ def surface_forms(surface: SurfaceData, metric: MetricField) -> SurfaceForms:
         h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
         det = E * G - F * F
         H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(det))):
+    if not (np.isfinite(H).all() and np.isfinite(det).all()):
         # det I = E G - F^2 of order R^4 is 0 only when it underflows
         where = (f"underflow a float on the surface down to r = "
                  f"{np.min(R):.6g}" if np.any(det == 0.0) else

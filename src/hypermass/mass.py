@@ -10,7 +10,10 @@ H^3_{-k^2} (mean curvature H_0 and hyperboloid position X):
 
 The forms of a surface (:func:`surface_mass_data`) and the small-sphere
 expansion (:func:`ah_sphere_data`) both build a :class:`SurfaceMassData`,
-so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
+so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.  A
+surface's forms come from one node pass of both sides, :func:`mass_forms`,
+a block of theta rows at a time, which keeps only H, H_0, the measure and
+F0's areal radius at the size of the grid.
 
 H <= 0 anywhere is a hard error, never a silent skip.
 
@@ -45,7 +48,7 @@ then gives the answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -53,17 +56,17 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, IsometryViolation,
                      NonPositiveMeanCurvature)
-from .geometry import (MetricField, QuadratureGrid, SurfaceData, SurfaceForms,
-                       hyperbolic_ball_metric, mass_aspect_trace,
-                       surface_forms)
+from .geometry import (MetricField, QuadratureGrid, SurfaceData,
+                       gauss_curvature, hyperbolic_ball_metric,
+                       mass_aspect_trace, scalar_curvature, surface_forms)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import GAMMAS, _as_spinor
 
 __all__ = [
     "SurfaceMassData",
+    "MassForms",
     "mass_forms",
-    "isometry_mismatch",
     "surface_mass_data",
     "energy_momentum",
     "shi_tam_alpha",
@@ -255,14 +258,115 @@ class SurfaceMassData:
         return self.killing_forms[sign]
 
 
-def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
+@dataclass
+class MassForms:
+    """What the node pass of both sides (:func:`mass_forms`) keeps: the four
+    fields the integrals read, each at the shape the pass computed it, and
+    the hypothesis-check values it reduced over the whole grid."""
+
+    H: np.ndarray              # mean curvature of F in the ambient
+    H0: np.ndarray             # mean curvature of F0 in H^3
+    measure: np.ndarray        # quadrature weight * F's area element
+    R0: np.ndarray             # areal radius of F0's nodes
+    isometry_mismatch: float   # max pointwise |I - I0|
+    # min K + k^2, K of F0 in H^3 by the Gauss equation (Sigma's K when
+    # isometric), and min R + 6 k^2, R of the ambient at F's nodes: None
+    # unless the pass was asked for them
+    min_gauss_plus_k2: Optional[float]
+    min_scalar_plus_6k2: Optional[float]
+
+
+# nodes per block of theta rows of the node pass: a grid of at most this
+# many nodes, or whose jets have no phi axis, is one block
+_BLOCK_NODES = 1 << 12
+
+
+def mass_forms(surface: SurfaceData, ambient: MetricField,
+               curvature_checks: bool = False) -> MassForms:
     """The one node pass that the hypothesis checks and every mass integral
-    share: forms of F in ``ambient``, and of F0 in H^3 (areal radius).  A
-    surface without F0 raises MissingEmbedding before any work is done.
-    """
-    h3 = surface.h3_view()
-    forms = surface_forms(surface, ambient)
-    return forms, surface_forms(h3, hyperbolic_ball_metric(surface.k))
+    share: the forms of F in ``ambient`` and of F0 in H^3 (areal radius),
+    a block of theta rows at a time.  A surface without F0 raises
+    MissingEmbedding before any work is done.
+
+    Each block evaluates F once, and F0 too if it is another jet, and
+    gives the jets to :func:`surface_forms`, once per side, with the H^3
+    side by :meth:`SurfaceData.h3_view`.  It reduces the isometry mismatch
+    over its nodes, and with ``curvature_checks`` the least K and R too,
+    and writes H, H0, the measure and R0 into arrays of the grid's shape;
+    the rest of its forms go with it.  A grid of one block keeps its fields
+    at the shape its pass computed them, the theta axis on a graph of
+    constant radius.  A refused walk is run again as one block, so that its
+    error names the extreme R of the whole grid."""
+    surface.h3_view()           # MissingEmbedding before any work
+    grid = surface.grid
+    rows = max(1, _BLOCK_NODES // grid.n_phi)
+    try:
+        return _node_pass(surface, ambient, curvature_checks, rows)
+    except DomainError:
+        if rows >= grid.n_theta:
+            raise
+    return _node_pass(surface, ambient, curvature_checks, grid.n_theta)
+
+
+def _phi_axis(jet) -> bool:
+    """Whether any entry of the 2-jet ``jet`` has a phi axis."""
+    R, first, second = jet
+    return any(getattr(x, "shape", ())[-1:] not in ((), (1,))
+               for x in (R, *first, *second))
+
+
+def _node_pass(surface: SurfaceData, ambient: MetricField,
+               curvature_checks: bool, rows: int) -> MassForms:
+    """:func:`mass_forms` in blocks of ``rows`` theta rows, or in one block
+    when the first block's jets have no phi axis."""
+    grid, k = surface.grid, surface.k
+    h3 = hyperbolic_ball_metric(k)
+    iso = [0.0] * 3
+    # np.minimum carries a nan from any block, as np.min of the grid would
+    min_k = min_r = math.inf if curvature_checks else None
+    fields = None
+    phi = grid.phi[None, :]
+    lo = 0
+    while lo < grid.n_theta:
+        hi = min(lo + rows, grid.n_theta)
+        theta = grid.theta[lo:hi, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jet = surface.F(theta, phi)
+            jet0 = jet if surface.F0 is surface.F else surface.F0(theta, phi)
+        if hi < grid.n_theta and not (lo or _phi_axis(jet) or (
+                jet0 is not jet and _phi_axis(jet0))):
+            rows = grid.n_theta
+            continue
+        block = surface if rows >= grid.n_theta else replace(
+            surface, grid=replace(grid, n_theta=hi - lo,
+                                  theta=grid.theta[lo:hi],
+                                  u_weights=grid.u_weights[lo:hi]))
+        forms = surface_forms(block, ambient, jet)
+        forms0 = surface_forms(block.h3_view(), h3, jet0)
+        # the forms refuse an I that is not finite, so no |I - I0| is nan
+        iso = [max(m, np.max(np.abs(a - b)))
+               for m, a, b in zip(iso, forms.first, forms0.first)]
+        if curvature_checks:
+            min_k = np.minimum(min_k, np.min(gauss_curvature(forms0,
+                                                             -k * k)))
+            min_r = np.minimum(min_r, np.min(scalar_curvature(
+                ambient, forms.radius)))
+        block_fields = (forms.mean_curvature, forms0.mean_curvature,
+                        block.grid.measure_weights() * forms.area_element,
+                        forms0.radius)
+        if rows >= grid.n_theta:
+            fields = block_fields
+        else:
+            if fields is None:
+                fields = [np.empty((grid.n_theta, grid.n_phi))
+                          for _ in block_fields]
+            for out, x in zip(fields, block_fields):
+                out[lo:hi] = x
+        lo = hi
+    if curvature_checks:
+        min_k, min_r = float(min_k + k * k), float(min_r + 6.0 * k * k)
+    return MassForms(*fields, isometry_mismatch=float(max(iso)),
+                     min_gauss_plus_k2=min_k, min_scalar_plus_6k2=min_r)
 
 
 def _refuse_nonpositive(name: str, H, grid: QuadratureGrid, where: str = ""):
@@ -274,33 +378,25 @@ def _refuse_nonpositive(name: str, H, grid: QuadratureGrid, where: str = ""):
             f"{name} = {least:.6g} <= 0 at {grid.describe_node(node)}{where}")
 
 
-def isometry_mismatch(forms: SurfaceForms, forms0: SurfaceForms) -> float:
-    """Max pointwise difference of the two induced metrics."""
-    return float(max(np.max(np.abs(a - b))
-                     for a, b in zip(forms.first, forms0.first)))
-
-
 def surface_mass_data(surface: SurfaceData, ambient: MetricField,
                       iso_tol: float = ISO_TOL,
-                      forms: Optional[tuple] = None) -> SurfaceMassData:
+                      forms: Optional[MassForms] = None) -> SurfaceMassData:
     """Extract H, H_0, X and the measure; enforce the standing hypotheses.
 
-    ``forms`` is the :func:`mass_forms` pair of a caller that already has
+    ``forms`` is the :func:`mass_forms` result of a caller that already has
     it; otherwise it is computed here.  The isometry test compares the
-    induced metrics of that pair, the ones the integrals use.
+    induced metrics of the pass whose fields the integrals use.
     """
-    forms, forms0 = forms or mass_forms(surface, ambient)
-    mismatch = isometry_mismatch(forms, forms0)
+    forms = forms or mass_forms(surface, ambient)
+    mismatch = forms.isometry_mismatch
     if mismatch > iso_tol:
         raise IsometryViolation(
             f"induced metrics disagree by {mismatch:.3e} (tol {iso_tol:.1e})")
-    H, grid = forms.mean_curvature, surface.grid
-    _refuse_nonpositive("H", H, grid)
+    _refuse_nonpositive("H", forms.H, surface.grid)
     # F0's nodes on the hyperboloid from their areal radius R0, exact with
     # no chart in between
-    X = areal_to_minkowski(forms0.radius, *grid.node_axes(), surface.k)
-    return SurfaceMassData(H=H, H0=forms0.mean_curvature,
-                           measure=grid.measure_weights() * forms.area_element,
+    X = areal_to_minkowski(forms.R0, *surface.grid.node_axes(), surface.k)
+    return SurfaceMassData(H=forms.H, H0=forms.H0, measure=forms.measure,
                            X=X, k=surface.k)
 
 

@@ -96,6 +96,13 @@ metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
 surface: {type: coordinate_sphere, r: 1.0e+80}
 """
 
+# sinh and cosh of the geodesic radius 700 + 10 sin theta cos phi are finite
+# up to about 1.1e308, but the jet's products of them are not
+OVERFLOWING_JET_CONFIG = """
+surface: {type: radial_profile, base: 700, linear: [10, 0, 0]}
+resolution: {n_theta: 16, n_phi: 32}
+"""
+
 # H ~ 4e297 at r = 0.2, so (H0^2 - H^2)/H overflows
 OVERFLOWING_ASPECT_CONFIG = """
 asymptotic:
@@ -201,7 +208,7 @@ class TestMassCommand:
     def test_forced_past_a_failed_soft_check(self, tmp_path, monkeypatch):
         # R + 6k^2 = -1 at every node fails the R check alone; --force
         # goes on to the integrals and says so in the report
-        monkeypatch.setattr(geo, "scalar_curvature",
+        monkeypatch.setattr(massmod, "scalar_curvature",
                             lambda metric, r: np.full(np.shape(r), -7.0))
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         code, out, _ = run(["mass", cfg, "--force",
@@ -439,6 +446,17 @@ class TestMassCommand:
             text + "\nresolution: {n_theta: 8, n_phi: 16}")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["mass"], ["convergence", "--resolutions", "8,16,32"]],
+        ids=["mass", "convergence"])
+    def test_overflowing_jet_prints_no_warning(self, tmp_path, command):
+        # the jet's own products overflow before V does: the one error line
+        # names the V of the first grid, with no numpy warning before it
+        err = assert_one_error_line(tmp_path, command, OVERFLOWING_JET_CONFIG)
+        r = "9.42672e+307" if command[0] == "convergence" else "1.06759e+308"
+        assert err == (f"error: V = 1/g_rr overflows a float on the surface "
+                       f"up to r = {r} in the Hyperbolic chart\n")
+
     @pytest.mark.parametrize("command, text", [
         (["mass"], "resolution: {n_theta: 8, n_phi: 4611686018427387904}"),
         (["mass"], "resolution: {n_theta: 8, n_phi: 9223372036854775808}"),
@@ -608,7 +626,7 @@ class TestUsage:
         # --name=value, a repeated switch and options before the config read
         # as the usual order does; the R check fails, so only a --force
         # that took effect gives exit 0
-        monkeypatch.setattr(geo, "scalar_curvature",
+        monkeypatch.setattr(massmod, "scalar_curvature",
                             lambda metric, r: np.full(np.shape(r), -7.0))
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -630,6 +648,106 @@ class TestUsage:
         code, out, err = run(fill(argv, tmp_path))
         assert (code, err) == (0, "")
         assert out
+
+
+# surfaces with a phi axis, whose node pass walks blocks of theta rows, at
+# 16x32, and the error of each under mass --force: each names the extreme R,
+# the node or the mismatch of the whole grid
+BLOCKED_CONFIGS = {
+    "outside_chart": (
+        "metric: {type: ads_schwarzschild, m: 0.5}\n"
+        "surface: {type: radial_profile, base: 1.0, linear: [0.6, 0, 0.2]}",
+        "error: surface reaches r = 0.376321, outside the AdSSchwarzschild "
+        "chart r > 0.782328"),
+    "V_overflow": (
+        "surface: {type: radial_profile, base: 700, linear: [10, 0, 0]}",
+        "error: V = 1/g_rr overflows a float on the surface up to r = "
+        "1.06759e+308 in the Hyperbolic chart"),
+    "forms_underflow": (
+        "metric: {type: euclidean}\nsurface: {type: radial_profile, "
+        "base: 1.0e-100, linear: [5.0e-101, 0, 0]}",
+        "error: the forms underflow a float on the surface down to r = "
+        "5.02262e-101 in the Euclidean chart"),
+    "forms_overflow": (
+        "metric: {type: ads_schwarzschild, m: 0.1}\n"
+        "surface: {type: radial_profile, base: 184, linear: [1.5, 0, 0.5]}",
+        "error: the forms overflow a float on the surface up to r = "
+        "1.97416e+80 in the AdSSchwarzschild chart"),
+    "nonpositive_h": (
+        "surface: {type: radial_profile, base: 1.0, linear: [0.3, 0, 0.95]}",
+        "error: H = -4184.36 <= 0 at node 48 (theta=2.8071, phi=3.1416)"),
+    "isometry": (
+        "metric: {type: ads_schwarzschild, m: 0.1}\n"
+        "surface: {type: radial_profile, base: 1.5, linear: [0.1, -0.05, "
+        "0.1]}",
+        "error: induced metrics disagree by 4.065e-04 (tol 1.0e-08)"),
+    "passes": (
+        "surface: {type: radial_profile, base: 1.0, linear: [0.1, 0.2, 0.3]}",
+        ""),
+}
+
+
+def outputs_by_block_size(tmp_path, monkeypatch, argv):
+    """The exit code, stdout, stderr and written files of the CLI on
+    ``argv`` (then --output), with the node pass in blocks of one theta row
+    and then in one block: they must agree."""
+    outputs = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(massmod, "_BLOCK_NODES", budget)
+        out = tmp_path / f"o{budget}"
+        result = run([*argv, "--output", str(out)])
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else {})
+        outputs.append((*result, files))
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["mass"], ["mass", "--force"], ["convergence", "--resolutions", "8,16,32"]],
+    ids=["mass", "forced_mass", "convergence"])
+@pytest.mark.parametrize("case", BLOCKED_CONFIGS)
+def test_block_size_changes_no_output(tmp_path, monkeypatch, command, case):
+    text, error = BLOCKED_CONFIGS[case]
+    cfg = write(tmp_path, "c.yaml",
+                text + "\nresolution: {n_theta: 16, n_phi: 32}\n")
+    code, _, err, _ = outputs_by_block_size(tmp_path, monkeypatch,
+                                            [command[0], cfg, *command[1:]])
+    if command[-1] == "--force":
+        assert (code, err) == ((1, error + "\n") if error else (0, ""))
+
+
+def test_least_h_tie_names_the_first_node(tmp_path, monkeypatch):
+    # H - 0.27 past its least, rounded to 0.1: the least, -0.3, is held by
+    # the four nodes of H within 0.02 of its least, on two theta rows, the
+    # least itself on the later; with a block per row, the first block that
+    # holds the tie names its first node
+    cfg = write(tmp_path, "c.yaml", BLOCKED_CONFIGS["passes"][0]
+                + "\nresolution: {n_theta: 16, n_phi: 32}\n")
+    config = load_config(cfg)
+    surface = build_surface(config, geo.QuadratureGrid.build(16, 32))
+    H = geo.surface_forms(surface, build_metric(config)).mean_curvature
+    shift = np.min(H) + 0.27
+    rounded = np.round(H - shift, 1)
+    ties = np.argwhere(rounded == np.min(rounded))
+    assert len(set(ties[:, 0])) > 1
+    assert rounded[np.unravel_index(np.argmin(H), H.shape)] == -0.3
+    i, j = ties[0]
+    forms = massmod.surface_forms
+
+    def rounded_forms(*args):
+        out = forms(*args)
+        out.mean_curvature = np.round(out.mean_curvature - shift, 1)
+        return out
+
+    monkeypatch.setattr(massmod, "surface_forms", rounded_forms)
+    node = f"node {i * 32 + j} (theta="
+    code, _, err, _ = outputs_by_block_size(tmp_path, monkeypatch,
+                                            ["mass", cfg])
+    assert code == 3 and f"min_mean_curvature = -0.3 at {node}" in err
+    code, _, err, _ = outputs_by_block_size(tmp_path, monkeypatch,
+                                            ["mass", cfg, "--force"])
+    assert code == 1 and err.startswith(f"error: H = -0.3 <= 0 at {node}")
 
 
 class TestNodePass:
@@ -665,8 +783,8 @@ class TestNodePass:
         config = load_config(cfg)
         k = config["metric"]["k"]
         grid = geo.QuadratureGrid.build(**config["resolution"])
-        _, forms0 = massmod.mass_forms(build_surface(config, grid),
-                                       build_metric(config))
+        forms0 = geo.surface_forms(build_surface(config, grid).h3_view(),
+                                   geo.hyperbolic_ball_metric(k))
         assert doc["hypothesis_checks"]["min_gauss_plus_k2"] \
             == float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
 

@@ -22,7 +22,7 @@ from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 radial_profile_surface, scalar_curvature,
                                 surface_forms, wang_ah_metric)
 from hypermass.hypgeom import areal_to_minkowski
-from hypermass.mass import isometry_mismatch, mass_forms, surface_mass_data
+from hypermass.mass import mass_forms, surface_mass_data
 
 from conftest import (ADS_M, ads_potential, form_matrices, n_nodes,
                       node_arrays, on_nodes, scaled_sphere)
@@ -514,9 +514,9 @@ class TestMeanCurvature:
 
     @pytest.mark.parametrize("r", [2.0, 10.0])
     def test_ads_pair_to_roundoff(self, grid32, r):
-        forms, forms0 = mass_forms(coordinate_sphere_surface(r, grid32),
-                                   ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = forms.mean_curvature, forms0.mean_curvature
+        forms = mass_forms(coordinate_sphere_surface(r, grid32),
+                           ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = forms.H, forms.H0
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-13
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-13
 
@@ -524,9 +524,9 @@ class TestMeanCurvature:
     def test_large_radius_pair_to_roundoff(self, grid32, r):
         # the polar chart carries no conditioning in r: a few ulp of H at
         # every radius
-        forms, forms0 = mass_forms(coordinate_sphere_surface(r, grid32),
-                                   ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = forms.mean_curvature, forms0.mean_curvature
+        forms = mass_forms(coordinate_sphere_surface(r, grid32),
+                           ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = forms.H, forms.H0
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-15
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-15
 
@@ -680,18 +680,25 @@ class TestGaussCurvature:
         K = gauss_curvature(forms0, -1.0)
         assert np.max(np.abs(K - 0.25)) < 1e-6
 
+    # the pass reduces K of the H^3 forms to min K + k^2
     def test_mass_pass_geodesic_sphere(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
-        _, forms0 = mass_forms(surface, hyperbolic_ball_metric(1.0))
-        K = gauss_curvature(forms0, -1.0)
+        K = gauss_curvature(surface_forms(surface.h3_view(),
+                                          hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / math.sinh(1.0) ** 2)) < 1e-9
+        forms = mass_forms(surface, hyperbolic_ball_metric(1.0),
+                           curvature_checks=True)
+        assert forms.min_gauss_plus_k2 == np.min(K) + 1.0
 
     def test_mass_pass_ads_coordinate_sphere(self, grid64):
         r = 2.0
         surface = coordinate_sphere_surface(r, grid64)
-        _, forms0 = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
-        K = gauss_curvature(forms0, -1.0)
+        K = gauss_curvature(surface_forms(surface.h3_view(),
+                                          hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
+        forms = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0),
+                           curvature_checks=True)
+        assert forms.min_gauss_plus_k2 == np.min(K) + 1.0
 
 
 def linalg_node_pass(jet, grid, chart, radial, c):
@@ -853,7 +860,8 @@ class TestClosedFormAgainstReference:
     def test_ads_coordinate_spheres(self, grid16, r):
         surface = coordinate_sphere_surface(r, grid16)
         ads, hyp = ads_schwarzschild_metric(ADS_M, 1.0), hyperbolic_ball_metric(1.0)
-        forms, forms0 = mass_forms(surface, ads)
+        forms = surface_forms(surface, ads)
+        forms0 = surface_forms(surface.h3_view(), hyp)
         K0 = on_nodes(gauss_curvature(forms0, -1.0), grid16)
         forms, forms0 = (form_matrices(f, grid16) for f in (forms, forms0))
         for new, old in ((forms, ref.polar_forms(surface, ads)),
@@ -997,19 +1005,19 @@ class TestVerifyIsometric:
     def test_identical_embeddings(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
         forms = mass_forms(surface, hyperbolic_ball_metric(1.0))
-        assert isometry_mismatch(*forms) < 1e-12
+        assert forms.isometry_mismatch < 1e-12
 
     def test_ads_pairing(self, grid16):
         # coordinate sphere r = 2 paired with the H^3 sphere of areal radius
         # 2: both induce 4 g_0
         surface = coordinate_sphere_surface(2.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        assert isometry_mismatch(*mass_forms(surface, metric)) < 1e-10
+        assert mass_forms(surface, metric).isometry_mismatch < 1e-10
 
     def test_mismatched_radii_detected(self, grid16):
         r, r0 = 2.0, 1.5
         surface = SurfaceData(F=scaled_sphere(r), grid=grid16, k=1.0,
                               F0=scaled_sphere(r0))
-        mismatch = isometry_mismatch(*mass_forms(surface, euclidean_metric()))
+        mismatch = mass_forms(surface, euclidean_metric()).isometry_mismatch
         # max component of (r^2 - r0^2) (dtheta^2 + sin^2 theta dphi^2)
         assert abs(mismatch - (r ** 2 - r0 ** 2)) < 1e-3

@@ -1041,16 +1041,18 @@ def test_isotropic_asymptotic_memory_peak():
     assert peak <= 0.25
 
 
-def _op_peak(tmp_path, grid, *argv):
-    """The tracemalloc peak of one CLI op on AdS r = 2 at ``grid`` with
-    Shi-Tam, in floats per node: ``argv`` is the command and the options
-    that follow the config."""
-    cfg = tmp_path / "ads.yaml"
-    cfg.write_text(json.dumps({
-        "metric": {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M},
-        "surface": {"type": "coordinate_sphere", "r": 2.0},
-        "resolution": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
-        "outputs": {"shi_tam": True}}))
+ADS_SPHERE = {"metric": {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M},
+              "surface": {"type": "coordinate_sphere", "r": 2.0}}
+
+
+def _op_peak(tmp_path, grid, scenario, *argv):
+    """The tracemalloc peak of one CLI op on the config sections
+    ``scenario`` at ``grid`` with Shi-Tam, in floats per node: ``argv`` is
+    the command and the options that follow the config."""
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(json.dumps(dict(
+        scenario, resolution={"n_theta": grid.n_theta, "n_phi": grid.n_phi},
+        outputs={"shi_tam": True})))
     argv = [argv[0], str(cfg), *argv[1:], "--output", str(tmp_path / "out")]
     codes = []
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1067,7 +1069,24 @@ def test_mass_op_memory_peak(tmp_path):
     # written out in two buffers of N values, 2.65 when each integral wrote
     # X_t from R, 10.1 when X and each integrand were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
-    assert _op_peak(tmp_path, grid, "mass", "--force") <= 0.5
+    assert _op_peak(tmp_path, grid, ADS_SPHERE, "mass", "--force") <= 0.5
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "hyperbolic_ball", "k": 1.0},
+    {"type": "ads_schwarzschild", "k": 1.0, "m": ADS_M}],
+    ids=["h3", "ads"])
+def test_general_mass_op_memory_peak(tmp_path, metric):
+    # as above on a tilted profile, whose fields vary in phi, in H^3 and
+    # (past the isometry check) in AdS-Schwarzschild: 9.06, H, H0, the
+    # measure and R0 of the blocked node pass, then the integrals' weight,
+    # X_t and two row buffers (29.0 when the pass was two whole-grid
+    # passes, each side's forms held at 9 N)
+    grid = QuadratureGrid.build(128, 256)
+    scenario = {"metric": metric, "tolerances": {"iso_tol": 1.0},
+                "surface": {"type": "radial_profile", "base": 1.0,
+                            "linear": list(TILTED_LINEAR)}}
+    assert _op_peak(tmp_path, grid, scenario, "mass", "--force") <= 12.0
 
 
 def test_convergence_op_memory_peak(tmp_path):
@@ -1075,26 +1094,73 @@ def test_convergence_op_memory_peak(tmp_path):
     # and 128, in float (N,) arrays of its 128x256 grid: 0.18 (2.34 when
     # every integral row was written out in two buffers of N values)
     grid = QuadratureGrid.build(128, 256)
-    assert _op_peak(tmp_path, grid, "convergence",
+    assert _op_peak(tmp_path, grid, ADS_SPHERE, "convergence",
                     "--resolutions", "16,32,64,128") <= 0.5
 
 
-def test_mass_forms_keep_sphere_components_on_the_theta_axis():
-    # the two node passes of a graph of constant radius hold every field on
-    # the theta axis, 0.06 N floats at 128x256; H, the area element and R
-    # of each side flattened to (N,) held 6 N, and (N, 2, 2) matrices 22
+def _counted_jets(surface):
+    """``surface`` with F, and F0 when it is another jet, counting the
+    nodes each evaluation covers into the list it returns."""
+    nodes = []
+
+    def counted(F):
+        def jet(theta, phi):
+            nodes.append(np.broadcast(theta, phi).size)
+            return F(theta, phi)
+        return jet
+
+    F = counted(surface.F)
+    F0 = F if surface.F0 is surface.F else counted(surface.F0)
+    return dataclasses.replace(surface, F=F, F0=F0), nodes
+
+
+@pytest.mark.parametrize("axes", [(16, 32), (128, 256)])
+def test_one_jet_evaluation_per_node(axes):
+    # the node pass evaluates a jet once per node for both sides, over one
+    # block or many: N nodes when F0 is F (2 N when each side evaluated
+    # it), and 2 N when F0 is another jet
+    grid = QuadratureGrid.build(*axes)
+    tilted = radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid)
+    surface, nodes = _counted_jets(tilted)
+    mass_forms(surface, hyperbolic_ball_metric(1.0))
+    assert sum(nodes) == n_nodes(grid)
+    rows = max(1, massmod._BLOCK_NODES // grid.n_phi)
+    assert len(nodes) == -(-grid.n_theta // rows)
+    other = dataclasses.replace(tilted, F0=radial_profile_surface(
+        1.0, TILTED_LINEAR, 1.0, grid).F)
+    surface, nodes = _counted_jets(other)
+    mass_forms(surface, euclidean_metric())
+    assert sum(nodes) == 2 * n_nodes(grid)
+
+
+def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
+    # the node pass of a graph of constant radius is one block, whose forms
+    # on each side hold every component on the theta axis, and it keeps H,
+    # H0, the measure and R0 there: 0.02 N floats at 128x256 (0.06 when
+    # it kept both sides' forms; H, the area element and R of each side
+    # flattened to (N,) held 6 N, and (N, 2, 2) matrices 22)
     grid = QuadratureGrid.build(128, 256)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
+    passes = []
+
+    def recorded(*args):
+        passes.append(surface_forms(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(massmod, "surface_forms", recorded)
     tracemalloc.start()
     try:
-        pair = mass_forms(surface, metric)
+        forms = mass_forms(surface, metric)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    for forms in pair:
-        for x in forms.first + forms.second:
+    assert len(passes) == 2
+    for side in passes:
+        for x in side.first + side.second:
             assert np.shape(x) in ((), (grid.n_theta, 1))
+    for name in ("H", "H0", "measure", "R0"):
+        assert np.shape(getattr(forms, name)) in ((), (grid.n_theta, 1))
     assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
 
 
@@ -1106,12 +1172,11 @@ def test_coordinate_sphere_stores_no_node_array():
     grid = QuadratureGrid.build(32, 64)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
-    forms, forms0 = mass_forms(surface, metric)
-    data = surface_mass_data(surface, metric, forms=(forms, forms0))
+    forms = mass_forms(surface, metric)
+    data = surface_mass_data(surface, metric, forms=forms)
     column, row = ((), (grid.n_theta, 1)), (1, grid.n_phi)
-    for side in (forms, forms0):
-        for name in ("mean_curvature", "area_element", "radius"):
-            assert np.shape(getattr(side, name)) in column, name
+    for name in ("H", "H0", "measure", "R0"):
+        assert np.shape(getattr(forms, name)) in column, name
     for name in ("H", "H0", "measure"):
         assert np.shape(getattr(data, name)) in column, name
     theta, R = column[1], ()
@@ -1211,20 +1276,19 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
                                              grid), hyp),
         "tilted_ads": (radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
                        ads)}[case]
-    forms, forms0 = mass_forms(surface, metric)
-    data = surface_mass_data(surface, metric, iso_tol=1.0,
-                             forms=(forms, forms0))
-    R0 = on_nodes(forms0.radius, grid)
+    forms = mass_forms(surface, metric)
+    data = surface_mass_data(surface, metric, iso_tol=1.0, forms=forms)
+    R0 = on_nodes(forms.R0, grid)
     u = ref.unit_direction_jet(*node_arrays(grid))[0]
     X = np.empty((len(R0), 4))
     X[:, :3] = R0[:, None] * u
     X[:, 3] = np.sqrt(1.0 / (surface.k * surface.k) + R0 * R0)
     assert positions(data).tobytes() == X.T.tobytes()
 
-    H = on_nodes(forms.mean_curvature, grid)
-    H0 = on_nodes(forms0.mean_curvature, grid)
+    H = on_nodes(forms.H, grid)
+    H0 = on_nodes(forms.H0, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
-               * on_nodes(forms.area_element, grid))
+               * on_nodes(surface_forms(surface, metric).area_element, grid))
     sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}
     _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X.T),
                       summed_rows, **sphere)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypermass import errors
+from hypermass import errors, mass
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("hypermass", "hypermass.lorentz", "hypermass.hypgeom",
@@ -71,7 +71,8 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
     # the tracer rebinds what the factories return, the CLI's write path
     # and SurfaceMassData.weighted, so a field or name it reads that the
     # package drops breaks a traced op, not the install: run three ops
-    # through it at 8x16, the asymptotic one on the small-sphere data
+    # through it at 8x16, the asymptotic one on the small-sphere data, and
+    # a mass op on a tilted profile at 64x128, whose node pass walks blocks
     configs = {
         "ads": {"metric": {"type": "ads_schwarzschild", "k": 1.0, "m": 0.1},
                 "surface": {"type": "coordinate_sphere", "r": 2.0}},
@@ -86,9 +87,13 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
         paths[name] = tmp_path / f"{name}.yaml"
         paths[name].write_text(json.dumps(
             dict(cfg, resolution={"n_theta": 8, "n_phi": 16})))
+    paths["blocked"] = tmp_path / "blocked.yaml"
+    paths["blocked"].write_text(json.dumps(
+        dict(configs["tilted"], resolution={"n_theta": 64, "n_phi": 128})))
     ops = [["mass", str(paths["ads"]), "--force"],
            ["convergence", str(paths["tilted"]), "--resolutions", "8,16,32"],
-           ["asymptotic", str(paths["aspect"])]]
+           ["asymptotic", str(paths["aspect"])],
+           ["mass", str(paths["blocked"]), "--force"]]
     ops = [[*op, "--output", str(tmp_path / op[0])] for op in ops]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]))
@@ -97,7 +102,7 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(proc.stdout)
-    assert traced["codes"] == [0, 0, 0]
+    assert traced["codes"] == [0, 0, 0, 0]
     spans = set(traced["spans"])
     for name in ("surface_forms.ambient", "surface_forms.h3",
                  "ads_schwarzschild_metric", "coordinate_sphere_surface",
@@ -110,6 +115,16 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
     assert "hypgeom.areal_to_minkowski" in spans
     for name in ("geometry.surface_evals", "cli.write_bytes"):
         assert traced["counters"].get(name, 0) > 0, name
+    # a call per side per block, 1 on each grid of at most
+    # mass._BLOCK_NODES nodes, and a jet evaluated once per node for both
+    rows = max(1, mass._BLOCK_NODES // 128)
+    blocks = 1 + 3 + -(-64 // rows)
+    assert blocks > 5
+    for side in ("ambient", "h3"):
+        assert traced["spans"].count(f"geometry.surface_forms.{side}") \
+            == blocks, side
+    nodes = 8 * 16 + (8 * 16 + 16 * 32 + 32 * 64) + 64 * 128
+    assert traced["counters"]["geometry.surface_evals"] == nodes
 
 
 def _bench_module(name):

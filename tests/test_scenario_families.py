@@ -102,7 +102,7 @@ def test_h3_radial_profiles(base, tilt, fraction, k, axes):
                                      QuadratureGrid.build(*axes))
     metric = hyperbolic_ball_metric(k)
     forms = mass_forms(surface, metric)
-    if np.any(forms[0].mean_curvature <= 0.0):
+    if np.any(forms.H <= 0.0):
         with pytest.raises(NonPositiveMeanCurvature):
             surface_mass_data(surface, metric, forms=forms)
         return
