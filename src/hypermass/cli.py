@@ -227,10 +227,11 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     tols = cfg["tolerances"]
 
     # one node pass: the checks read the pass whose fields the integrals use
-    forms = massmod.mass_forms(surface, metric, curvature_checks=True)
-    min_h, node = surface.grid.least_node(forms.H)
-    min_k, min_r = forms.min_gauss_plus_k2, forms.min_scalar_plus_6k2
-    mismatch = forms.isometry_mismatch
+    forms = massmod.mass_forms(surface, metric)
+    data, values = forms
+    min_h, node = surface.grid.least_node(data.H)
+    min_k, min_r, mismatch = (values[key] for key in (
+        "min_gauss_plus_k2", "min_scalar_plus_6k2", "isometry_mismatch"))
     iso_tol = tols["iso_tol"]
     at_h = " at " + surface.grid.describe_node(node)
     table = (  # key, value, whether its bound holds, the bound, where
@@ -259,7 +260,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     E = data.energy()
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if k == 1.0:
-        alpha = massmod.shi_tam_alpha(*radial_bounds(forms.R0, k))
+        alpha = massmod.shi_tam_alpha(*radial_bounds(data.R0, k))
         M = massmod.shi_tam_vector(data, alpha)
         doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
 

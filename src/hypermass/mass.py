@@ -8,12 +8,10 @@ H^3_{-k^2} (mean curvature H_0 and hyperboloid position X):
     E(Sigma)    = int (H_0^2 - H^2)/H  X          dSigma
     M_alpha     = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma
 
-The forms of a surface (:func:`surface_mass_data`) and the small-sphere
-expansion (:func:`ah_sphere_data`) both build a :class:`SurfaceMassData`,
-so E(Sigma) and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.  A
-surface's forms come from one node pass of both sides, :func:`mass_forms`,
-a block of theta rows at a time, which keeps only H, H_0, the measure and
-F0's areal radius at the size of the grid.
+A surface's node pass of both sides (:func:`mass_forms`, a block of theta
+rows at a time) and the small-sphere expansion (:func:`ah_sphere_data`)
+both make a :class:`SurfaceMassData`, so E(Sigma) and E(S_r) are one sum,
+:meth:`SurfaceMassData.energy`.
 
 H <= 0 anywhere is a hard error, never a silent skip.
 
@@ -49,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,7 +62,6 @@ from .spinor import GAMMAS, _as_spinor
 
 __all__ = [
     "SurfaceMassData",
-    "MassForms",
     "mass_forms",
     "surface_mass_data",
     "energy_momentum",
@@ -195,25 +191,23 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
 
 @dataclass
 class SurfaceMassData:
-    """Node data entering every mass integral: a surface in its ambient
-    (:func:`surface_mass_data`) or a small sphere (:func:`ah_sphere_data`),
-    each field at the shape it is computed at.  The positions X of F0's
-    nodes are the four rows of factors of :func:`areal_to_minkowski`, each
-    row multiplied out only in the buffer of an integral."""
+    """Node data entering every mass integral, made by :func:`mass_forms`
+    or :func:`ah_sphere_data`: each field at the shape it is computed at,
+    broadcasting to ``grid``.  ``X`` is F0's positions as the rows of
+    factors of :func:`areal_to_minkowski` of ``R0``, and ``shape`` the
+    grid's."""
 
     H: np.ndarray            # ambient-side mean curvature
     H0: np.ndarray           # H^3-side mean curvature
     measure: np.ndarray      # quadrature weight * area element
-    X: tuple                 # rows (x1, x2, x3, t) of F0's positions
+    R0: np.ndarray           # areal radius of F0's nodes
+    grid: QuadratureGrid
     k: float
     killing_forms: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def shape(self) -> tuple:
-        """The node shape, the broadcast of the factors of X: every field
-        broadcasts to it, and it flattens to the theta-major node order."""
-        return np.broadcast_shapes(*(np.shape(f) for row in self.X
-                                     for f in row))
+    def __post_init__(self):
+        self.shape = (self.grid.n_theta, self.grid.n_phi)
+        self.X = areal_to_minkowski(self.R0, *self.grid.node_axes(), self.k)
 
     def weighted(self, factor, t_scale: float = 1.0) -> list:
         """The exact sums of measure (factor X_c) over the nodes for the rows
@@ -227,16 +221,11 @@ class SurfaceMassData:
         """int dSigma, the exact sum of the measure over the nodes."""
         return _row_sums(self.shape, ((self.measure,),))[0]
 
-    @property
-    def weight(self) -> np.ndarray:
-        """(H_0^2 - H^2)/H at each node: the weight of X in the integrand
-        of E."""
-        return (self.H0 ** 2 - self.H ** 2) / self.H
-
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return LorentzVector(*self.weighted(self.weight))
+        return LorentzVector(*self.weighted(
+            (self.H0 ** 2 - self.H ** 2) / self.H))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
@@ -258,72 +247,48 @@ class SurfaceMassData:
         return self.killing_forms[sign]
 
 
-@dataclass
-class MassForms:
-    """What the node pass of both sides (:func:`mass_forms`) keeps: the four
-    fields the integrals read, each at the shape the pass computed it, and
-    the hypothesis-check values it reduced over the whole grid."""
-
-    H: np.ndarray              # mean curvature of F in the ambient
-    H0: np.ndarray             # mean curvature of F0 in H^3
-    measure: np.ndarray        # quadrature weight * F's area element
-    R0: np.ndarray             # areal radius of F0's nodes
-    isometry_mismatch: float   # max pointwise |I - I0|
-    # min K + k^2, K of F0 in H^3 by the Gauss equation (Sigma's K when
-    # isometric), and min R + 6 k^2, R of the ambient at F's nodes: None
-    # unless the pass was asked for them
-    min_gauss_plus_k2: Optional[float]
-    min_scalar_plus_6k2: Optional[float]
-
-
 # nodes per block of theta rows of the node pass: a grid of at most this
 # many nodes, or whose jets have no phi axis, is one block
 _BLOCK_NODES = 1 << 12
 
 
-def mass_forms(surface: SurfaceData, ambient: MetricField,
-               curvature_checks: bool = False) -> MassForms:
-    """The one node pass that the hypothesis checks and every mass integral
-    share: the forms of F in ``ambient`` and of F0 in H^3 (areal radius),
-    a block of theta rows at a time.  A surface without F0 raises
-    MissingEmbedding before any work is done.
-
-    Each block evaluates F once, and F0 too if it is another jet, and
-    gives the jets to :func:`surface_forms`, once per side, with the H^3
-    side by :meth:`SurfaceData.h3_view`.  It reduces the isometry mismatch
-    over its nodes, and with ``curvature_checks`` the least K and R too,
-    and writes H, H0, the measure and R0 into arrays of the grid's shape;
-    the rest of its forms go with it.  A grid of one block keeps its fields
-    at the shape its pass computed them, the theta axis on a graph of
-    constant radius.  A refused walk is run again as one block, so that its
-    error names the extreme R of the whole grid."""
+def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
+    """The one node pass of both sides that the hypothesis checks and every
+    mass integral share, as ``(data, checks)``: the
+    :class:`SurfaceMassData` of F in ``ambient`` and F0 in H^3, and the
+    dict of ``isometry_mismatch`` (max |I - I0|), ``min_gauss_plus_k2``
+    (K of F0 by the Gauss equation) and ``min_scalar_plus_6k2`` (R of the
+    ambient at F's nodes).  A surface without F0 raises MissingEmbedding
+    before any work is done."""
     surface.h3_view()           # MissingEmbedding before any work
     grid = surface.grid
     rows = max(1, _BLOCK_NODES // grid.n_phi)
     try:
-        return _node_pass(surface, ambient, curvature_checks, rows)
+        return _node_pass(surface, ambient, rows)
     except DomainError:
         if rows >= grid.n_theta:
             raise
-    return _node_pass(surface, ambient, curvature_checks, grid.n_theta)
+    # run again as one block, so that the error names the whole grid's
+    # extreme R
+    return _node_pass(surface, ambient, grid.n_theta)
 
 
-def _phi_axis(jet) -> bool:
-    """Whether any entry of the 2-jet ``jet`` has a phi axis."""
-    R, first, second = jet
+def _phi_axis(*jets) -> bool:
+    """Whether any entry of the 2-jets ``jets`` has a phi axis."""
     return any(getattr(x, "shape", ())[-1:] not in ((), (1,))
-               for x in (R, *first, *second))
+               for R, first, second in jets for x in (R, *first, *second))
 
 
 def _node_pass(surface: SurfaceData, ambient: MetricField,
-               curvature_checks: bool, rows: int) -> MassForms:
+               rows: int) -> tuple:
     """:func:`mass_forms` in blocks of ``rows`` theta rows, or in one block
-    when the first block's jets have no phi axis."""
+    when the first block's jets have no phi axis; a grid of one block keeps
+    its fields at the shape the pass computed them."""
     grid, k = surface.grid, surface.k
     h3 = hyperbolic_ball_metric(k)
     iso = [0.0] * 3
     # np.minimum carries a nan from any block, as np.min of the grid would
-    min_k = min_r = math.inf if curvature_checks else None
+    min_k = min_r = math.inf
     fields = None
     phi = grid.phi[None, :]
     lo = 0
@@ -333,8 +298,7 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jet = surface.F(theta, phi)
             jet0 = jet if surface.F0 is surface.F else surface.F0(theta, phi)
-        if hi < grid.n_theta and not (lo or _phi_axis(jet) or (
-                jet0 is not jet and _phi_axis(jet0))):
+        if hi < grid.n_theta and not (lo or _phi_axis(jet, jet0)):
             rows = grid.n_theta
             continue
         block = surface if rows >= grid.n_theta else replace(
@@ -346,11 +310,9 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         # the forms refuse an I that is not finite, so no |I - I0| is nan
         iso = [max(m, np.max(np.abs(a - b)))
                for m, a, b in zip(iso, forms.first, forms0.first)]
-        if curvature_checks:
-            min_k = np.minimum(min_k, np.min(gauss_curvature(forms0,
-                                                             -k * k)))
-            min_r = np.minimum(min_r, np.min(scalar_curvature(
-                ambient, forms.radius)))
+        min_k = np.minimum(min_k, np.min(gauss_curvature(forms0, -k * k)))
+        min_r = np.minimum(min_r, np.min(scalar_curvature(ambient,
+                                                          forms.radius)))
         block_fields = (forms.mean_curvature, forms0.mean_curvature,
                         block.grid.measure_weights() * forms.area_element,
                         forms0.radius)
@@ -363,10 +325,10 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
             for out, x in zip(fields, block_fields):
                 out[lo:hi] = x
         lo = hi
-    if curvature_checks:
-        min_k, min_r = float(min_k + k * k), float(min_r + 6.0 * k * k)
-    return MassForms(*fields, isometry_mismatch=float(max(iso)),
-                     min_gauss_plus_k2=min_k, min_scalar_plus_6k2=min_r)
+    checks = {"isometry_mismatch": float(max(iso)),
+              "min_gauss_plus_k2": float(min_k + k * k),
+              "min_scalar_plus_6k2": float(min_r + 6.0 * k * k)}
+    return SurfaceMassData(*fields, grid=grid, k=k), checks
 
 
 def _refuse_nonpositive(name: str, H, grid: QuadratureGrid, where: str = ""):
@@ -380,24 +342,18 @@ def _refuse_nonpositive(name: str, H, grid: QuadratureGrid, where: str = ""):
 
 def surface_mass_data(surface: SurfaceData, ambient: MetricField,
                       iso_tol: float = ISO_TOL,
-                      forms: Optional[MassForms] = None) -> SurfaceMassData:
-    """Extract H, H_0, X and the measure; enforce the standing hypotheses.
-
-    ``forms`` is the :func:`mass_forms` result of a caller that already has
-    it; otherwise it is computed here.  The isometry test compares the
-    induced metrics of the pass whose fields the integrals use.
-    """
-    forms = forms or mass_forms(surface, ambient)
-    mismatch = forms.isometry_mismatch
+                      forms: Optional[tuple] = None) -> SurfaceMassData:
+    """The :class:`SurfaceMassData` of ``surface`` in ``ambient``, from
+    ``forms``, the :func:`mass_forms` pair of a caller that has it, or a
+    pass of its own; raises IsometryViolation past ``iso_tol`` and
+    NonPositiveMeanCurvature where H <= 0."""
+    data, checks = forms or mass_forms(surface, ambient)
+    mismatch = checks["isometry_mismatch"]
     if mismatch > iso_tol:
         raise IsometryViolation(
             f"induced metrics disagree by {mismatch:.3e} (tol {iso_tol:.1e})")
-    _refuse_nonpositive("H", forms.H, surface.grid)
-    # F0's nodes on the hyperboloid from their areal radius R0, exact with
-    # no chart in between
-    X = areal_to_minkowski(forms.R0, *surface.grid.node_axes(), surface.k)
-    return SurfaceMassData(H=forms.H, H0=forms.H0, measure=forms.measure,
-                           X=X, k=surface.k)
+    _refuse_nonpositive("H", data.H, surface.grid)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +438,11 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     grid, w, tau = sphere
     H = math.cosh(r) - 0.25 * r ** 3 * tau
     _refuse_nonpositive("expanded H", H, grid, f" for r = {r}")
-    return SurfaceMassData(
-        H=H, H0=math.cosh(r), measure=w * (1.0 / math.sinh(r) ** 2),
-        X=areal_to_minkowski(1.0 / r, *grid.node_axes(), 1.0), k=1.0)
+    sinh2 = math.sinh(r) ** 2       # 0.0 below r = 1.5e-162
+    if not sinh2:
+        raise DomainError(f"dS / sinh^2 r overflows a float for r = {r!r}")
+    return SurfaceMassData(H=H, H0=math.cosh(r), measure=w * (1.0 / sinh2),
+                           R0=1.0 / r, grid=grid, k=1.0)
 
 
 def asymptotic_limit(sphere: tuple, radii) -> tuple:

@@ -422,6 +422,16 @@ class TestMassCommand:
         assert_one_error_line(tmp_path, ["asymptotic"],
                               OVERFLOWING_ASPECT_CONFIG)
 
+    @pytest.mark.parametrize("r", ["1.0e-200", "5.0e-324"])
+    def test_tiny_radius_is_a_domain_error(self, tmp_path, r):
+        # sinh^2 r rounds to 0 below r = 1.5e-162, so the measure dS /
+        # sinh^2 r of S_r is not a float there
+        err = assert_one_error_line(tmp_path, ["asymptotic"], (
+            "asymptotic: {h: {g0_coeff: 0.5}, radii: [0.2, 0.1, %s]}\n"
+            "resolution: {n_theta: 8, n_phi: 16}\n" % r))
+        assert err == (f"error: dS / sinh^2 r overflows a float for "
+                       f"r = {float(r)!r}\n")
+
     def test_underflowing_geometry_names_the_underflow(self, tmp_path):
         # det I ~ r^4 = 1e-400 underflows to 0 before anything overflows
         err = assert_one_error_line(

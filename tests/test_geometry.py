@@ -514,9 +514,9 @@ class TestMeanCurvature:
 
     @pytest.mark.parametrize("r", [2.0, 10.0])
     def test_ads_pair_to_roundoff(self, grid32, r):
-        forms = mass_forms(coordinate_sphere_surface(r, grid32),
-                           ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = forms.H, forms.H0
+        data, _ = mass_forms(coordinate_sphere_surface(r, grid32),
+                             ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = data.H, data.H0
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-13
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-13
 
@@ -524,9 +524,9 @@ class TestMeanCurvature:
     def test_large_radius_pair_to_roundoff(self, grid32, r):
         # the polar chart carries no conditioning in r: a few ulp of H at
         # every radius
-        forms = mass_forms(coordinate_sphere_surface(r, grid32),
-                           ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = forms.H, forms.H0
+        data, _ = mass_forms(coordinate_sphere_surface(r, grid32),
+                             ads_schwarzschild_metric(ADS_M, 1.0))
+        H, H0 = data.H, data.H0
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-15
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-15
 
@@ -686,9 +686,8 @@ class TestGaussCurvature:
         K = gauss_curvature(surface_forms(surface.h3_view(),
                                           hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / math.sinh(1.0) ** 2)) < 1e-9
-        forms = mass_forms(surface, hyperbolic_ball_metric(1.0),
-                           curvature_checks=True)
-        assert forms.min_gauss_plus_k2 == np.min(K) + 1.0
+        _, checks = mass_forms(surface, hyperbolic_ball_metric(1.0))
+        assert checks["min_gauss_plus_k2"] == np.min(K) + 1.0
 
     def test_mass_pass_ads_coordinate_sphere(self, grid64):
         r = 2.0
@@ -696,9 +695,8 @@ class TestGaussCurvature:
         K = gauss_curvature(surface_forms(surface.h3_view(),
                                           hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
-        forms = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0),
-                           curvature_checks=True)
-        assert forms.min_gauss_plus_k2 == np.min(K) + 1.0
+        _, checks = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
+        assert checks["min_gauss_plus_k2"] == np.min(K) + 1.0
 
 
 def linalg_node_pass(jet, grid, chart, radial, c):
@@ -1004,20 +1002,21 @@ class TestIntegrate:
 class TestVerifyIsometric:
     def test_identical_embeddings(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        forms = mass_forms(surface, hyperbolic_ball_metric(1.0))
-        assert forms.isometry_mismatch < 1e-12
+        _, checks = mass_forms(surface, hyperbolic_ball_metric(1.0))
+        assert checks["isometry_mismatch"] < 1e-12
 
     def test_ads_pairing(self, grid16):
         # coordinate sphere r = 2 paired with the H^3 sphere of areal radius
         # 2: both induce 4 g_0
         surface = coordinate_sphere_surface(2.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        assert mass_forms(surface, metric).isometry_mismatch < 1e-10
+        assert mass_forms(surface, metric)[1]["isometry_mismatch"] < 1e-10
 
     def test_mismatched_radii_detected(self, grid16):
         r, r0 = 2.0, 1.5
         surface = SurfaceData(F=scaled_sphere(r), grid=grid16, k=1.0,
                               F0=scaled_sphere(r0))
-        mismatch = mass_forms(surface, euclidean_metric()).isometry_mismatch
+        mismatch = mass_forms(surface,
+                              euclidean_metric())[1]["isometry_mismatch"]
         # max component of (r^2 - r0^2) (dtheta^2 + sin^2 theta dphi^2)
         assert abs(mismatch - (r ** 2 - r0 ** 2)) < 1e-3

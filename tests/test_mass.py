@@ -24,7 +24,7 @@ from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, surface_forms)
-from hypermass.hypgeom import areal_to_minkowski, ball_to_minkowski
+from hypermass.hypgeom import ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass import cli
@@ -107,8 +107,7 @@ class TestEnergyMomentum:
             H0=forms0.mean_curvature,
             measure=(grid64.measure_weights()
                      * moved.area_element.reshape(shape)),
-            X=areal_to_minkowski(forms0.radius, *grid64.node_axes(), 1.0),
-            k=1.0)
+            R0=forms0.radius, grid=grid64, k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
         assert np.any(data.H != data.H0)
         assert norm_inf(data.energy()) <= 1e-9
@@ -630,18 +629,19 @@ class TestSurfaceMassData:
             data.killing_form(1)
         with pytest.raises(DomainError, match="overflows a float"):
             data.weighted(np.inf)
-        # at theta = pi/2, phi = 0: x1 = R, and X_t = sqrt(1 + R^2)
-        equator = (math.pi / 2, 0.0)
+        # on a 2 x 2 grid, where X_t = sqrt(1 + R^2)
+        grid = QuadratureGrid.build(2, 2)
         far = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e300), measure=np.ones(2),
-            X=areal_to_minkowski(np.full(2, 1e10), *equator, 1.0), k=1.0)
+            H=np.ones((2, 2)), H0=np.full((2, 2), 1e300),
+            measure=np.ones((2, 2)), R0=np.full((2, 2), 1e10), grid=grid,
+            k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(far, 1.0)
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
-            H=np.ones(2), H0=np.full(2, 1e308), measure=np.ones(2),
-            X=areal_to_minkowski(np.ones(2), *equator, 1.0), k=1.0)
+            H=np.ones((2, 2)), H0=np.full((2, 2), 1e308),
+            measure=np.ones((2, 2)), R0=np.ones((2, 2)), grid=grid, k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(edge, 1.0)
         # tr(h) = 2 g0_coeff overflows, and inf * 0 is nan in the rows
@@ -866,10 +866,10 @@ class TestPhiFirstSums:
         weight = (rng.standard_normal((n_theta, 1))
                   * 10.0 ** rng.uniform(-3.0, 3.0, (n_theta, 1)))
         measure = grid.measure_weights() * rng.uniform(0.5, 2.0, (n_theta, 1))
-        X = areal_to_minkowski(R, theta, phi, k)
-        data = SurfaceMassData(H=1.0, H0=1.0, measure=measure, X=X, k=k)
+        data = SurfaceMassData(H=1.0, H0=1.0, measure=measure, R0=R,
+                               grid=grid, k=k)
         got = data.weighted(weight, alpha)
-        x1, x2, x3, t = X
+        x1, x2, x3, t = data.X
         expect = [_flat_row_sum((*row, weight, measure), grid)
                   for row in (x3, (*t, alpha))]
         assert [v.hex() for v in got] == [
@@ -1151,7 +1151,7 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     monkeypatch.setattr(massmod, "surface_forms", recorded)
     tracemalloc.start()
     try:
-        forms = mass_forms(surface, metric)
+        data, _ = mass_forms(surface, metric)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1160,7 +1160,7 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
         for x in side.first + side.second:
             assert np.shape(x) in ((), (grid.n_theta, 1))
     for name in ("H", "H0", "measure", "R0"):
-        assert np.shape(getattr(forms, name)) in ((), (grid.n_theta, 1))
+        assert np.shape(getattr(data, name)) in ((), (grid.n_theta, 1))
     assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
 
 
@@ -1172,12 +1172,9 @@ def test_coordinate_sphere_stores_no_node_array():
     grid = QuadratureGrid.build(32, 64)
     surface = coordinate_sphere_surface(2.0, grid)
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
-    forms = mass_forms(surface, metric)
-    data = surface_mass_data(surface, metric, forms=forms)
+    data = surface_mass_data(surface, metric)
     column, row = ((), (grid.n_theta, 1)), (1, grid.n_phi)
     for name in ("H", "H0", "measure", "R0"):
-        assert np.shape(getattr(forms, name)) in column, name
-    for name in ("H", "H0", "measure"):
         assert np.shape(getattr(data, name)) in column, name
     theta, R = column[1], ()
     assert [[np.shape(f) for f in x] for x in data.X] == [
@@ -1193,9 +1190,9 @@ def test_coordinate_sphere_stores_no_node_array():
                if isinstance(x, np.ndarray))
 
 
-def test_node_shape_is_broadcast_once(monkeypatch):
-    # the node shape is the broadcast of the nine factors of X, taken once
-    # per SurfaceMassData however many integrals read it
+def test_node_shape_is_read_off_the_grid(monkeypatch):
+    # the node shape is the grid's, so no integral broadcasts the factors
+    # of X to find it
     calls = []
     broadcast_shapes = np.broadcast_shapes
 
@@ -1210,7 +1207,7 @@ def test_node_shape_is_broadcast_once(monkeypatch):
     monkeypatch.setattr(np, "broadcast_shapes", counted)
     for _ in range(2):
         data.energy(), shi_tam_vector(data, 1.3), data.area()
-    assert len(calls) == 1 and len(calls[0]) == 9
+    assert calls == []
     assert data.shape == (grid.n_theta, grid.n_phi)
 
 
@@ -1276,17 +1273,16 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
                                              grid), hyp),
         "tilted_ads": (radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
                        ads)}[case]
-    forms = mass_forms(surface, metric)
-    data = surface_mass_data(surface, metric, iso_tol=1.0, forms=forms)
-    R0 = on_nodes(forms.R0, grid)
+    data = surface_mass_data(surface, metric, iso_tol=1.0)
+    R0 = on_nodes(data.R0, grid)
     u = ref.unit_direction_jet(*node_arrays(grid))[0]
     X = np.empty((len(R0), 4))
     X[:, :3] = R0[:, None] * u
     X[:, 3] = np.sqrt(1.0 / (surface.k * surface.k) + R0 * R0)
     assert positions(data).tobytes() == X.T.tobytes()
 
-    H = on_nodes(forms.H, grid)
-    H0 = on_nodes(forms.H0, grid)
+    H = on_nodes(data.H, grid)
+    H0 = on_nodes(data.H0, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
                * on_nodes(surface_forms(surface, metric).area_element, grid))
     sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}

@@ -447,3 +447,32 @@ def test_one_row_loop_sums_every_node_integral(programs):
                          and isinstance(s.op, ast.Mult)
                          for s in ast.walk(loop))]
     assert row_loops and all(id(loop) in inside for loop in row_loops)
+
+
+def test_one_node_record(programs):
+    # the node pass returns the SurfaceMassData its integrals read, with
+    # the check values beside it: no second record, no option that leaves
+    # a check out, and X built from R0 in one place (wang_mass builds the
+    # unit directions of the round sphere at R = 1 on its own)
+    tree = programs[ROOT / "src" / "hypermass" / "mass.py"]
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert "MassForms" not in classes
+    builders = {fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and _calls(fn, "areal_to_minkowski")}
+    assert builders == {"__post_init__", "wang_mass"}
+    assert _calls(next(fn for fn in classes["SurfaceMassData"].body
+                       if getattr(fn, "name", None) == "__post_init__"),
+                  "areal_to_minkowski")
+    assert list(inspect.signature(mass.mass_forms).parameters) == [
+        "surface", "ambient"]
+
+
+def test_readme_module_rows_are_short():
+    # a module row of the README's table says what the module is for in a
+    # sentence or two; the rules a test pins live in that test
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `hypermass.")]
+    assert rows
+    assert {row: len(row) for row in rows if len(row) > 400} == {}

@@ -1,14 +1,24 @@
 """The paper's mass theorems as property tests over scenario families:
 AdS-Schwarzschild coordinate spheres, whose E is future timelike with the
 closed-form E_t of criterion 2a, and radial profiles in H^3, whose E is 0
-(rigidity).  Draws are derandomized, so the suite stays deterministic."""
+(rigidity); and the CLI's refusal contract over configs at the edges of
+their ranges.  Draws are derandomized, so the suite stays deterministic."""
 
+import contextlib
+import io
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from hypermass import cli
 
 from hypermass.errors import NonPositiveMeanCurvature
 from hypermass.geometry import (QuadratureGrid, ads_horizon_radius,
@@ -102,9 +112,103 @@ def test_h3_radial_profiles(base, tilt, fraction, k, axes):
                                      QuadratureGrid.build(*axes))
     metric = hyperbolic_ball_metric(k)
     forms = mass_forms(surface, metric)
-    if np.any(forms.H <= 0.0):
+    if np.any(forms[0].H <= 0.0):
         with pytest.raises(NonPositiveMeanCurvature):
             surface_mass_data(surface, metric, forms=forms)
         return
     E = surface_mass_data(surface, metric, forms=forms).energy()
     assert np.asarray(E).tolist() == [0.0] * 4
+
+
+def _powers(lo, hi):
+    """10^e for e drawn from [lo, hi]."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+def _signed(values):
+    return st.tuples(st.sampled_from((1.0, -1.0)), values).map(
+        lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def _edge_configs(draw):
+    """(argv after the config path, config) of a mass, convergence or
+    asymptotic op at 8x16 whose k, m, radii, profile or h is at the edge of
+    its range: a k whose square is near underflow or below it, r on either
+    side of r_horizon + 0.1 or up to 1e300, m up to 1e300, a profile whose
+    base - |linear| is down to 1e-12, radii down to 5e-324 and h
+    coefficients up to +-1e300."""
+    command = draw(st.sampled_from(("mass", "mass --force", "convergence",
+                                    "asymptotic")))
+    cfg = {"resolution": {"n_theta": 8, "n_phi": 16}}
+    if command == "asymptotic":
+        coeff = st.one_of(st.just(0.0), st.floats(min_value=-1.0,
+                                                  max_value=1.0),
+                          _signed(_powers(-3.0, 300.0)))
+        smallest = st.one_of(st.just(5e-324), st.just(0.05),
+                             _powers(-323.0, -1.01))
+        cfg["asymptotic"] = {
+            "h": {"g0_coeff": draw(coeff), "linear": draw(st.lists(
+                coeff, min_size=3, max_size=3))},
+            "radii": [0.2, 0.1, draw(smallest)]}
+        return ["asymptotic"], cfg
+    k = draw(st.one_of(st.just(1.0), _powers(-165.0, -150.0)))
+    kind = draw(st.sampled_from(("hyperbolic_ball", "ads_schwarzschild",
+                                 "euclidean")))
+    cfg["metric"] = {"type": kind, "k": k}
+    edge = 0.1
+    if kind == "ads_schwarzschild":
+        m = draw(st.one_of(st.just(0.1), _powers(-3.0, 300.0)))
+        cfg["metric"]["m"] = m
+        if k > 0.0:
+            edge = ads_horizon_radius(m, k) + 0.1
+    if draw(st.booleans()):
+        r = draw(st.one_of(
+            st.floats(min_value=-1e-9, max_value=1e-9).map(
+                lambda d: edge * (1.0 + d)),
+            _powers(-1.0, 300.0)))
+        cfg["surface"] = {"type": "coordinate_sphere", "r": r}
+    else:
+        base = draw(_powers(-3.0, 2.0))
+        gap = draw(_powers(-12.0, 0.0)) * base
+        tilt = draw(st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)]
+                              * 3).filter(lambda t: math.hypot(*t) > 0.1))
+        scale = (base - gap) / math.hypot(*tilt)
+        cfg["surface"] = {"type": "radial_profile", "base": base,
+                          "linear": [scale * c for c in tilt]}
+    if command == "convergence":
+        return ["convergence", "--resolutions", "8,16,32"], cfg
+    return command.split(), cfg
+
+
+# the first line of a refusal, by exit code
+REFUSALS = {1: "error: ", 2: "config error: ", 3: "hypothesis failure: "}
+
+
+@given(case=_edge_configs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_edge_configs_answer_or_refuse(case):
+    # every config either gets finite numbers and exit 0, or one typed
+    # stderr line and its exit code: no traceback (an exception out of
+    # cli.main) and no numpy warning.  This is the refusal contract, not
+    # accuracy: large-r E is ROADMAP item 2
+    (command, *options), cfg = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edge.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, str(path), *options,
+                             "--output", tmp])
+    assert [str(w.message) for w in caught] == [], cfg
+    if code == 0:
+        assert err.getvalue() == "", cfg
+        assert not re.search(r"\b(nan|inf)", out.getvalue(), re.I), cfg
+    else:
+        assert code in REFUSALS, cfg
+        assert out.getvalue() == "", cfg
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(REFUSALS[code]), cfg
