@@ -69,17 +69,22 @@ def classify(v, tol: float = CAUSAL_TOL) -> CausalClass:
     vector; otherwise the sign of <v, v> relative to tol * ||v||^2 decides
     timelike/null/spacelike and the sign of t decides future/past.  Vectors
     within the null band classify as null; probe near-degenerate cases with a
-    smaller tolerance.
+    smaller tolerance.  The squares are taken of v scaled by 2^-e, 2^e the
+    least power of two above max |v|, so none overflows: the scaling is
+    exact, and the class that of the unscaled squares, wherever they and
+    the scaled ones are normal floats.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     v = np.asarray(v, dtype=float)
     if v.shape != (4,) or not np.all(np.isfinite(v)):
         raise ValueError("need a finite vector of shape (4,)")
-    if np.max(np.abs(v)) <= tol:
+    big = np.max(np.abs(v))
+    if big <= tol:
         return CausalClass.ZERO_VECTOR
-    q = minkowski_inner(v, v)
-    n2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2
+    u = np.ldexp(v, -math.frexp(big)[1])
+    q = minkowski_inner(u, u)
+    n2 = u[0] ** 2 + u[1] ** 2 + u[2] ** 2 + u[3] ** 2
     if abs(q) <= tol * n2:
         return CausalClass.NULL_FUTURE if v[3] >= 0 else CausalClass.NULL_PAST
     if q < 0:

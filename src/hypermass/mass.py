@@ -58,7 +58,7 @@ from .geometry import (MetricField, QuadratureGrid, SurfaceData,
                        mass_aspect_trace, scalar_curvature, surface_forms)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
-from .spinor import GAMMAS, _as_spinor
+from .spinor import GAMMAS, _spinor_parts
 
 __all__ = [
     "SurfaceMassData",
@@ -146,8 +146,10 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
     - otherwise the row is written out over the N nodes.
 
     A row is written in a buffer of the shape it needs, made on first need:
-    its first factor is copied in, the rest and then ``factors`` are
-    multiplied in, in order, and it is summed in place by :func:`_fsum`.  A
+    its first factor is copied in, or, when it is a float, its product with
+    the second written in (a broadcast array is copied faster than it is
+    multiplied, a float not); the rest and then ``factors`` are multiplied
+    in, in order, and it is summed in place by :func:`_fsum`.  A
     sum that is not a finite float (an integrand overflowed) is a
     DomainError that names every sum of the integral."""
     buffers = {}
@@ -157,8 +159,13 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
             nodes = np.empty(at)
             buffers[at] = nodes, nodes.reshape(-1), np.empty(nodes.size)
         nodes, p, q = buffers[at]
-        np.copyto(nodes, row[0])
-        for f in row[1:]:
+        if len(row) > 1 and isinstance(row[0], float):
+            np.multiply(row[0], row[1], out=nodes)
+            row = row[2:]
+        else:
+            np.copyto(nodes, row[0])
+            row = row[1:]
+        for f in row:
             nodes *= f
         return _fsum(p, q)
 
@@ -214,8 +221,9 @@ class SurfaceMassData:
         c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first: measure
         ((t_scale X_t) factor)."""
         x1, x2, x3, t = self.X
-        return _row_sums(self.shape, (x1, x2, x3, (*t, t_scale)), factor,
-                         self.measure)
+        if t_scale != 1.0:              # 1.0 X_t is X_t
+            t = (*t, t_scale)
+        return _row_sums(self.shape, (x1, x2, x3, t), factor, self.measure)
 
     def area(self) -> float:
         """int dSigma, the exact sum of the measure over the nodes."""
@@ -224,8 +232,9 @@ class SurfaceMassData:
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
         """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        return LorentzVector(*self.weighted(
-            (self.H0 ** 2 - self.H ** 2) / self.H))
+        weight = self.H0 ** 2 - self.H ** 2
+        weight /= self.H
+        return LorentzVector(*self.weighted(weight))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
@@ -405,7 +414,10 @@ def wang_mass(sphere: tuple) -> LorentzVector:
     and tau, summed over the grid's nodes.
     """
     grid, w, tau = sphere
-    rows = (*areal_to_minkowski(1.0, *grid.node_axes(), 1.0)[:3], (1.0,))
+    # the rows of X at R = 1 without their factors R
+    (st, cp, _), (_, sp, _), (_, ct), _ = areal_to_minkowski(
+        1.0, *grid.node_axes(), 1.0)
+    rows = ((st, cp), (st, sp), (ct,), ())
     return LorentzVector(*_row_sums((grid.n_theta, grid.n_phi), rows, w,
                                     tau))
 
@@ -414,11 +426,28 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
                           sign: int, data: Optional[SurfaceMassData] = None):
     """int ((H_0^2 - H^2)/H) |psi_a^{sign}|^2 dSigma (k = 1) for spinors
     ``a`` of shape (..., 2), a float for one spinor: Re(a^H Q a), with Q the
-    :meth:`SurfaceMassData.killing_form` of E(Sigma)."""
-    a = _as_spinor(a)
+    :meth:`SurfaceMassData.killing_form` of E(Sigma).
+
+    Re(a^H Q a) is written out in real arithmetic, one formula for one
+    spinor in floats and for a stack in arrays, rounded as a complex
+    ``einsum`` of one spinor rounds it: each term is the product
+    (conj(a_k) Q_kl) a_l, taken in that order, of two complex products
+    (x + iy)(u + iv) = (xu - yv) + i(xv + yu), each real product and sum
+    rounded on its own; the real parts of the terms are summed over l for
+    each k, and those sums over k, each sum from 0.0."""
+    (r0, r1), (i0, i1) = _spinor_parts(a)          # a_l = r_l + i i_l
     Q = (data or surface_mass_data(surface, ambient)).killing_form(sign)
-    val = np.einsum("...k,kl,...l->...", a.conj(), Q, a)
-    return float(val.real) if val.ndim == 0 else val.real
+    (q00, q01), (q10, q11) = Q.tolist()
+    # t_kl = Re(z a_l), z = conj(a_k) Q_kl = u + i v
+    u, v = r0 * q00.real + i0 * q00.imag, r0 * q00.imag - i0 * q00.real
+    t00 = u * r0 - v * i0
+    u, v = r0 * q01.real + i0 * q01.imag, r0 * q01.imag - i0 * q01.real
+    t01 = u * r1 - v * i1
+    u, v = r1 * q10.real + i1 * q10.imag, r1 * q10.imag - i1 * q10.real
+    t10 = u * r0 - v * i0
+    u, v = r1 * q11.real + i1 * q11.imag, r1 * q11.imag - i1 * q11.real
+    t11 = u * r1 - v * i1
+    return (0.0 + t00 + t01) + (0.0 + t10 + t11)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +465,8 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
     grid, w, tau = sphere
-    H = math.cosh(r) - 0.25 * r ** 3 * tau
+    H = (-0.25 * r ** 3) * tau      # cosh r - (r^3/4) tau, in place
+    H += math.cosh(r)
     _refuse_nonpositive("expanded H", H, grid, f" for r = {r}")
     sinh2 = math.sinh(r) ** 2       # 0.0 below r = 1.5e-162
     if not sinh2:

@@ -19,6 +19,8 @@ All formulas are stated at curvature scale k = 1: rescale geometry first.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, NotNull
@@ -51,18 +53,57 @@ def _as_spinor(a) -> np.ndarray:
     return a
 
 
-def killing_spinor_norms_sq(a, points: np.ndarray, sign: int) -> np.ndarray:
+_NUMBER = (int, float, complex)
+
+
+def _spinor_parts(a) -> tuple:
+    """``((re a_0, re a_1), (im a_0, im a_1))`` of spinors ``a`` of shape
+    (..., 2): floats for one spinor, checked by ``math.isfinite``, and
+    arrays of shape (...) for a stack, checked by :func:`_as_spinor`.  A
+    list or tuple of two Python numbers is read without numpy."""
+    if not (type(a) in (list, tuple) and len(a) == 2
+            and isinstance(a[0], _NUMBER) and isinstance(a[1], _NUMBER)):
+        a = _as_spinor(a)
+        if a.ndim > 1:
+            return ((a.real[..., 0], a.real[..., 1]),
+                    (a.imag[..., 0], a.imag[..., 1]))
+        a = a.tolist()
+    z0, z1 = complex(a[0]), complex(a[1])
+    r0, i0, r1, i1 = z0.real, z0.imag, z1.real, z1.imag
+    if not (math.isfinite(r0) and math.isfinite(i0)
+            and math.isfinite(r1) and math.isfinite(i1)):
+        raise DomainError("non-finite spinor components")
+    return (r0, r1), (i0, i1)
+
+
+def _signs(sign) -> tuple:
+    """The signs that ``sign`` names: +1 or -1 in any numeric type, or a
+    tuple of them."""
+    signs = sign if type(sign) is tuple else (sign,)
+    if not signs or not all(s in (1, -1) for s in signs):
+        raise DomainError("sign must be +1 or -1")
+    return signs
+
+
+def _stacked(sign, values):
+    """``values``, one for each sign of ``sign``, as its caller returns
+    them: stacked on a new first axis for a tuple of signs."""
+    return np.stack(values) if type(sign) is tuple else values[0]
+
+
+def killing_spinor_norms_sq(a, points: np.ndarray, sign) -> np.ndarray:
     """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign * i gamma(x)) a|^2 at k = 1.
 
     Spinors ``a`` of shape (..., 2) broadcast against ball points of shape
-    (..., 3).  The 2x2 product psi_k = m_k0 a_0 + m_k1 a_1 is written out in
-    real arithmetic, each product and sum rounded on its own as a complex
+    (..., 3).  ``sign`` is +1 or -1, or a tuple of them, whose norms are
+    stacked on a new first axis, with f(x) = 2 / (1 - |x|^2) computed once.
+    The 2x2 product psi_k = m_k0 a_0 + m_k1 a_1 is written out in real
+    arithmetic, each product and sum rounded on its own as a complex
     ``einsum`` rounds them: numpy's complex multiply may fuse a
     multiply-add.  The entries m_kl are read off GAMMAS, whose nonzero
     coefficients are +-1 and +-i, so each x_j term is exact.
     """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
+    signs = _signs(sign)
     a = _as_spinor(a)
     points = np.asarray(points, dtype=float)
     r2 = np.sum(points * points, axis=-1)
@@ -70,25 +111,44 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign: int) -> np.ndarray:
         raise DomainError("ball point must satisfy |x| < 1")
     f = 2.0 / (1.0 - r2)
     x = np.moveaxis(points, -1, 0)
-    coef = sign * 1j * GAMMAS       # m = Id + sum_j x_j coef_j
 
     def entry(part, k, l, delta):
         return sum((xj * c for xj, c in zip(x, part[:, k, l]) if c), delta)
 
     ar, ai = a.real, a.imag
-    psi = np.empty(np.broadcast_shapes(f.shape, a.shape[:-1]), complex)
-    norms = 0.0
-    for k in (0, 1):
-        re, im = [], []
-        for l in (0, 1):
-            mr = entry(coef.real, k, l, float(k == l))
-            mi = entry(coef.imag, k, l, 0.0)
-            re.append(mr * ar[..., l] - mi * ai[..., l])
-            im.append(mr * ai[..., l] + mi * ar[..., l])
-        np.add(*re, out=psi.real)
-        np.add(*im, out=psi.imag)
-        norms = norms + np.abs(psi) ** 2
-    return f * norms
+    shape = np.broadcast_shapes(f.shape, a.shape[:-1])
+    out = []
+    for s in signs:
+        coef = s * 1j * GAMMAS          # m = Id + sum_j x_j coef_j
+        psi = np.empty(shape, complex)
+        norms = 0.0
+        for k in (0, 1):
+            re, im = [], []
+            for l in (0, 1):
+                mr = entry(coef.real, k, l, float(k == l))
+                mi = entry(coef.imag, k, l, 0.0)
+                re.append(mr * ar[..., l] - mi * ai[..., l])
+                im.append(mr * ai[..., l] + mi * ar[..., l])
+            np.add(*re, out=psi.real)
+            np.add(*im, out=psi.imag)
+            norms = norms + np.abs(psi) ** 2
+        out.append(f * norms)
+    return _stacked(sign, out)
+
+
+def _zeta_parts(a) -> tuple:
+    """The parts of :func:`zeta_of` that no sign changes, of checked
+    spinors ``a``: the products <gamma_j a, a>, shape (..., 3), and the
+    time component S_ZETA * (-|a|^2)."""
+    ga = np.einsum("jkl,...l->...jk", GAMMAS, a)
+    ip = np.einsum("...jk,...k->...j", ga.conj(), a)
+    return ip, S_ZETA * -np.sum(a.real ** 2 + a.imag ** 2, axis=-1)
+
+
+def _zeta(ip, t, sign: int) -> np.ndarray:
+    """zeta_a^{sign} from the :func:`_zeta_parts` ``(ip, t)`` of a."""
+    spatial = S_ZETA * (-sign * 1j * ip).real
+    return np.concatenate([spatial, t[..., None]], axis=-1)
 
 
 def zeta_of(a, sign: int) -> np.ndarray:
@@ -102,21 +162,27 @@ def zeta_of(a, sign: int) -> np.ndarray:
     """
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    a = _as_spinor(a)
-    ga = np.einsum("jkl,...l->...jk", GAMMAS, a)
-    ip = np.einsum("...jk,...k->...j", ga.conj(), a)
-    spatial = S_ZETA * (-sign * 1j * ip).real
-    t = S_ZETA * -np.sum(a.real ** 2 + a.imag ** 2, axis=-1)
-    return np.concatenate([spatial, t[..., None]], axis=-1)
+    return _zeta(*_zeta_parts(_as_spinor(a)), sign)
 
 
-def verify_zet(a, x, sign: int) -> np.ndarray:
+def verify_zet(a, x, sign) -> np.ndarray:
     """Residuals | |psi_a(x)|^2 + 2 <X(x), zeta_a> | at k = 1, for spinors
     ``a`` (..., 2) broadcast against ball points ``x`` (..., 3); contract:
-    every residual < 1e-12."""
-    n2 = killing_spinor_norms_sq(a, x, sign)
+    every residual < 1e-12.  ``sign`` is +1 or -1, or a tuple of them,
+    whose residuals are stacked on a new first axis.
+
+    The work that no sign changes is done once: X(x) by
+    ``ball_to_minkowski``, and |a|^2 and <gamma_j a, a> of zeta_a.  Then,
+    for each sign, n2 = |psi_a(x)|^2 by :func:`killing_spinor_norms_sq`,
+    zeta_a from its parts as :func:`zeta_of` builds it, and
+    |n2 + 2.0 minkowski_inner(X, zeta_a)|, in that order."""
+    signs = _signs(sign)
+    n2 = killing_spinor_norms_sq(a, x, signs)
     X = ball_to_minkowski(x)
-    return np.abs(n2 + 2.0 * minkowski_inner(X, zeta_of(a, sign)))
+    ip, t = _zeta_parts(_as_spinor(a))
+    return _stacked(sign, [
+        np.abs(n + 2.0 * minkowski_inner(X, _zeta(ip, t, s)))
+        for n, s in zip(n2, signs)])
 
 
 def null_to_spinor(zeta) -> np.ndarray:

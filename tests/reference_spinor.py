@@ -60,3 +60,16 @@ def node_weighted_mass(data, a, sign: int):
     a = np.asarray(a, dtype=complex)
     Q = node_killing_form(data, sign)
     return np.einsum("...k,kl,...l->...", a.conj(), Q, a).real
+
+
+def einsum_weighted_mass(data, a, sign):
+    """Re(a^H Q a) with Q = ``data.killing_form(sign)``, by the complex
+    ``einsum`` that ``killing_weighted_mass`` once used: the oracle of its
+    written-out real arithmetic.  A stack of spinors (..., 2) is taken one
+    spinor at a time, as einsum sums the terms of a stack of three or more
+    in another order than those of one."""
+    Q = data.killing_form(sign)
+    a = np.asarray(a, dtype=complex)
+    values = [np.einsum("...k,kl,...l->...", s.conj(), Q, s).real
+              for s in a.reshape(-1, 2)]
+    return np.array(values).reshape(a.shape[:-1])

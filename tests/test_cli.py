@@ -923,6 +923,16 @@ class TestAsymptoticCommand:
         assert not (tmp_path / "o").exists()
 
 
+# spinor-check --count 2000 stdout by seed
+SPINOR_CHECK_STDOUT = {
+    seed: f"max identity residual: {zet}\n"
+          "max null round-trip residual: 4.4408920985006262e-16\nPASS\n"
+    for seed, zet in ((1, "8.5265128291212022e-14"),
+                      (5, "1.1368683772161603e-13"),
+                      (9, "8.5265128291212022e-14"),
+                      (42, "8.5265128291212022e-14"))}
+
+
 class TestSpinorCheckCommand:
     def test_default_pass(self):
         code, out, _ = run(["spinor-check", "--seed", "42",
@@ -958,8 +968,9 @@ class TestSpinorCheckCommand:
             seen = []
 
             def record(a, x, sign):
-                if sign == 1:
-                    seen.append((a.copy(), x.copy()))
+                # one call per block checks both signs
+                assert sign == (1, -1)
+                seen.append((a.copy(), x.copy()))
                 return spinor.verify_zet(a, x, sign)
 
             monkeypatch.setattr(cli, "verify_zet", record)
@@ -976,6 +987,29 @@ class TestSpinorCheckCommand:
                 want_X[i] = rng.uniform(-0.57, 0.57, 3)
             assert A.tobytes() == want_A[:count].tobytes()
             assert X.tobytes() == want_X[:count].tobytes()
+
+    @pytest.mark.parametrize("seed", sorted(SPINOR_CHECK_STDOUT))
+    def test_stdout_is_pinned(self, seed):
+        # --count 2000: sharing the sign-free work of the two signs of psi
+        # moves no printed digit
+        argv = ["spinor-check", "--seed", str(seed), "--count", "2000"]
+        assert run(argv) == (0, SPINOR_CHECK_STDOUT[seed], "")
+
+    def test_sign_free_work_once_per_block(self, monkeypatch):
+        # both signs are checked in one verify_zet call per block, which
+        # maps the block's ball points to the hyperboloid once
+        seen = []
+        to_hyperboloid = spinor.ball_to_minkowski
+
+        def counted(x):
+            seen.append(len(x))
+            return to_hyperboloid(x)
+
+        monkeypatch.setattr(spinor, "ball_to_minkowski", counted)
+        monkeypatch.setattr(cli, "SPINOR_BLOCK", 7)
+        with redirect_stdout(io.StringIO()):
+            assert cli.run_spinor_check(5, 30) == 0
+        assert seen == [7, 7, 7, 7, 2]
 
     def test_blocks_match_one_block(self, monkeypatch):
         # the draws are evaluated in blocks of SPINOR_BLOCK rows; a count

@@ -98,6 +98,50 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.array([0.0, 0.0, 1.0]))
 
+    @given(st.lists(st.one_of(st.just(0.0), st.tuples(
+        st.sampled_from((1.0, -1.0)),
+        st.floats(min_value=-50.0, max_value=50.0)).map(
+            lambda p: p[0] * 10.0 ** p[1])), min_size=3, max_size=3),
+        st.floats(min_value=-1e-6, max_value=1e-6),
+        st.sampled_from((1.0, -1.0, 0.5, 3.0)),
+        st.sampled_from((1e-12, 1e-6, 0.5, 2.0)))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_scaled_squares_keep_the_unscaled_class(self, spatial, shift,
+                                                    ratio, tol):
+        # classify squares v scaled by a power of two: on vectors whose
+        # squares are normal floats either way (components 0 or 10^-50 to
+        # 10^50), the class is that of the rule on the unscaled squares,
+        # near the null band too (t = ratio |v_s| (1 + shift))
+        t = ratio * math.hypot(*spatial) * (1.0 + shift)
+        v = np.array([*spatial, t if t else ratio])
+        q = minkowski_inner(v, v)
+        n2 = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 + v[3] ** 2
+        if np.max(np.abs(v)) <= tol:
+            expect = CausalClass.ZERO_VECTOR
+        elif abs(q) <= tol * n2:
+            expect = (CausalClass.NULL_FUTURE if v[3] >= 0
+                      else CausalClass.NULL_PAST)
+        elif q < 0:
+            expect = (CausalClass.TIMELIKE_FUTURE if v[3] > 0
+                      else CausalClass.TIMELIKE_PAST)
+        else:
+            expect = CausalClass.SPACELIKE
+        assert classify(v, tol) is expect
+
+    def test_no_square_overflows(self):
+        # vectors past 1e154, whose unscaled squares overflow a float: so
+        # squared, the first two classify as NullFuture and Spacelike, with
+        # a numpy overflow warning
+        for v in ([0.0, 0.0, 0.0, 3.257349830438657e+155],
+                  [0.0, 0.0, 1.1793632577567317e+167,
+                   1.3518860568373469e+184],
+                  [1e308, 0.0, 0.0, 1.7e308]):
+            assert classify(np.array(v)) is CausalClass.TIMELIKE_FUTURE
+        assert classify(np.array([1.7e308, 0.0, 0.0, -1e308])) \
+            is CausalClass.SPACELIKE
+        assert classify(np.array([1e308, 0.0, 0.0, -1e308])) \
+            is CausalClass.NULL_PAST
+
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=200, deadline=None)

@@ -3,7 +3,9 @@
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -350,6 +352,21 @@ def form_builds(monkeypatch):
     return builds
 
 
+@functools.cache
+def _weighted_mass_scenario(name):
+    """(surface, metric, data) at 32x64 of the AdS r=2 coordinate sphere,
+    of the tilted AdS profile, forced past its isometry check, or of that
+    profile with H and H0 swapped, whose E is past directed."""
+    grid = QuadratureGrid.build(32, 64)
+    metric = ads_schwarzschild_metric(ADS_M, 1.0)
+    surface = (coordinate_sphere_surface(2.0, grid) if name == "ads_r2"
+               else radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid))
+    data = surface_mass_data(surface, metric, iso_tol=1.0)
+    if name == "past":
+        data = dataclasses.replace(data, H=data.H0, H0=data.H)
+    return surface, metric, data
+
+
 class TestKillingForm:
     def test_eigenvalues_are_the_null_pairing_extremes(self, ads_scenarios,
                                                        ads_r10):
@@ -438,7 +455,54 @@ class TestKillingForm:
                                             data=data) for a in A]
             assert all(isinstance(v, float) for v in single)
             assert stacked.shape == (20,)
-            assert np.allclose(stacked, single, rtol=1e-15, atol=0.0)
+            assert stacked.tobytes() == np.array(single).tobytes()
+
+    @given(spinors=st.lists(st.tuples(*[st.one_of(
+        st.just(0.0), st.just(-0.0), st.tuples(
+            st.sampled_from((1.0, -1.0)),
+            st.floats(min_value=-150.0, max_value=150.0)).map(
+                lambda p: p[0] * 10.0 ** p[1]))] * 4),
+        min_size=1, max_size=6),
+        scenario=st.sampled_from(("ads_r2", "tilted", "past")))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_einsum_bit_for_bit(self, spinors, scenario):
+        # the written-out Re(a^H Q a) is the complex einsum of one spinor,
+        # bit for bit, for components from 1e-150 to 1e150, signed zeros
+        # and both signs of psi, on the AdS sphere, on the tilted profile,
+        # whose E_s != 0 fills the off-diagonal entries of Q, and on a past
+        # directed E, where a zero spinor's terms can all be -0.0 and the
+        # einsum's sums from +0.0 still give +0.0; one spinor as a list of
+        # Python complex numbers or as an array, and a stack, give the same
+        # bits
+        surface, metric, data = _weighted_mass_scenario(scenario)
+        A = np.array([[complex(r0, i0), complex(r1, i1)]
+                      for r0, i0, r1, i1 in spinors])
+        for sign in (1, -1):
+            expect = reference_spinor.einsum_weighted_mass(data, A, sign)
+            stacked = killing_weighted_mass(surface, metric, A, sign,
+                                            data=data)
+            assert stacked.tobytes() == expect.tobytes()
+            for a, value in zip(A, expect.tolist()):
+                for one in (a.tolist(), a):
+                    got = killing_weighted_mass(surface, metric, one, sign,
+                                                data=data)
+                    assert type(got) is float
+                    assert got.hex() == value.hex()
+
+    @pytest.mark.parametrize("scenario", ["ads_r2", "tilted", "past"])
+    def test_signed_zero_spinors_match_the_einsum(self, scenario):
+        # each of the 16 zero spinors of signed zeros: on the past directed
+        # E some have four -0.0 terms, whose plain sum is -0.0 where the
+        # einsum, summing from +0.0, gives +0.0
+        surface, metric, data = _weighted_mass_scenario(scenario)
+        for parts in itertools.product((0.0, -0.0), repeat=4):
+            a = [complex(*parts[:2]), complex(*parts[2:])]
+            for sign in (1, -1):
+                expect = reference_spinor.einsum_weighted_mass(
+                    data, np.array(a), sign)
+                got = killing_weighted_mass(surface, metric, a, sign,
+                                            data=data)
+                assert got.hex() == float(expect).hex(), (a, sign)
 
     def test_checks_run_on_a_warm_memo(self, ads_scenarios, ads_metric):
         surface, data, _ = ads_scenarios[2.0]

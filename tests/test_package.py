@@ -255,6 +255,49 @@ def test_cli_import_leaves_out_numpy_random():
     assert proc.returncode == 0, proc.stderr
 
 
+NO_NUMPY_RANDOM_OPS_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import child
+from hypermass import cli
+
+def drawn():
+    return sorted(m for m in sys.modules if m.startswith("numpy.random"))
+
+mass = {"metric": {"type": "ads_schwarzschild", "m": 0.1},
+        "surface": {"type": "coordinate_sphere", "r": 2.0},
+        "resolution": {"n_theta": 8, "n_phi": 16},
+        "asymptotic": {"h": {"g0_coeff": 0.5, "linear": [0.1, 0.0, 0.2]},
+                       "radii": [0.2, 0.1, 0.05]}}
+with tempfile.TemporaryDirectory() as tmp, \
+        contextlib.redirect_stdout(io.StringIO()):
+    path = Path(tmp) / "op.yaml"
+    path.write_text(json.dumps(mass))
+    for argv in (["mass", "--force"], ["convergence", "--resolutions",
+                                       "8,12,16"], ["asymptotic"]):
+        assert cli.main([argv[0], str(path), *argv[1:], "--output",
+                         tmp]) == 0, argv
+    child.pairing(json.loads(sys.argv[2]))
+    assert drawn() == [], drawn()
+    assert cli.main(["spinor-check", "--count", "1"]) == 0
+assert "numpy.random" in drawn()
+"""
+
+
+def test_ops_leave_out_numpy_random():
+    # as above for running ops: mass, convergence, asymptotic and the
+    # benchmark's pairing op import no numpy.random module, so a
+    # default_rng on a shared path would show here; spinor-check, the one
+    # op that draws, does import it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM_OPS_SCRIPT, str(ROOT / "bench"),
+         json.dumps(PAIRING_JOB)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 NO_ARGPARSE_SCRIPT = """
 import contextlib, io, sys
 from hypermass import cli

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypermass import cli
@@ -185,7 +185,21 @@ def _edge_configs(draw):
 REFUSALS = {1: "error: ", 2: "config error: ", 3: "hypothesis failure: "}
 
 
+def _euclidean_sphere(r):
+    """A forced mass op on the coordinate sphere of radius ``r`` in
+    Euclidean space at 8x16, whose E grows without bound in r."""
+    return (["mass", "--force"],
+            {"resolution": {"n_theta": 8, "n_phi": 16},
+             "metric": {"type": "euclidean"},
+             "surface": {"type": "coordinate_sphere", "r": r}})
+
+
 @given(case=_edge_configs())
+# future timelike E of 3e155 and 1e184, whose squares overflow a float:
+# unscaled, they classify as NullFuture and Spacelike, with a numpy
+# overflow warning
+@example(case=_euclidean_sphere(4.0124869669270774e+38))
+@example(case=_euclidean_sphere(5.727070854799361e+45))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_edge_configs_answer_or_refuse(case):
     # every config either gets finite numbers and exit 0, or one typed

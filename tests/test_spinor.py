@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from hypermass.errors import DomainError, NotNull
 from hypermass.geometry import (QuadratureGrid, geodesic_sphere_surface,
                                 hyperbolic_ball_metric)
-from hypermass.lorentz import CausalClass, classify, sample_null_cone
+from hypermass.hypgeom import ball_to_minkowski
+from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
+                               sample_null_cone)
 from hypermass.mass import killing_weighted_mass
 from hypermass import spinor
 from hypermass.spinor import (GAMMAS, S_ZETA, killing_spinor_norms_sq,
@@ -216,6 +218,37 @@ class TestVerifyZet:
         monkeypatch.setattr(spinor, "S_ZETA", -S_ZETA)
         res = verify_zet([1, 0], [0.3, 0.0, 0.1], 1)
         assert res > 0.1
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           n=st.integers(min_value=1, max_value=40),
+           scale=st.floats(min_value=-3.0, max_value=3.0),
+           one_spinor=st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_both_signs_in_one_call(self, seed, n, scale, one_spinor):
+        # a tuple of signs shares the work that no sign changes (X(x), f,
+        # |a|^2 and <gamma_j a, a>); each row is, bit for bit, the call of
+        # its sign alone, and that the composition of the public parts
+        rng = np.random.default_rng(seed)
+        A = random_spinors(rng, 1 if one_spinor else n)[0 if one_spinor
+                                                        else slice(None)]
+        A = A * 10.0 ** scale
+        X = random_interior_points(rng, n)
+        both = verify_zet(A, X, (1, -1))
+        norms = killing_spinor_norms_sq(A, X, (1, -1))
+        assert both.shape == norms.shape == (2, n)
+        for row, n2, sign in zip(both, norms, (1, -1)):
+            alone = killing_spinor_norms_sq(A, X, sign)
+            parts = np.abs(alone + 2.0 * minkowski_inner(
+                ball_to_minkowski(X), zeta_of(A, sign)))
+            assert n2.tobytes() == alone.tobytes()
+            assert (row.tobytes() == verify_zet(A, X, sign).tobytes()
+                    == parts.tobytes())
+
+    @pytest.mark.parametrize("sign", [(), (1, 2), (1, 0), 2, [1, -1]])
+    def test_rejects_bad_signs(self, sign):
+        for f in (verify_zet, killing_spinor_norms_sq):
+            with pytest.raises(DomainError):
+                f([1, 0], [0.1, 0.2, 0.3], sign)
 
 
 class TestNullToSpinor:
