@@ -7,10 +7,13 @@ Euclidean space (V = 1).  Every surface is a radial graph r = R(theta, phi)
 that returns the closed-form 2-jet of R, on a Gauss-Legendre (in cos theta,
 :func:`gauss_legendre`) x trapezoid (in phi) quadrature grid.  The node pass
 (:func:`surface_forms`) writes the first and second fundamental forms of
-such a graph out in V, V' and the jet: no metric components, no Christoffel
-symbols and no linear algebra.  Its forms carry every surface quantity
-downstream, the Gauss curvature included (:func:`gauss_curvature`), and the
-scalar curvature is closed form too (:func:`scalar_curvature`).
+such a graph out in V, V' and the jet's metric-free terms
+(:func:`graph_terms`): no metric components, no Christoffel symbols and no
+linear algebra.  :func:`paired_forms` runs it once for a graph that is its
+own H^3 image and builds the H^3 side from delta V = V - V0 by exact
+difference identities.  The forms carry every surface quantity downstream,
+the Gauss curvature included (:func:`gauss_curvature`), and the scalar
+curvature is closed form too (:func:`scalar_curvature`).
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ __all__ = [
     "coordinate_sphere_surface",
     "radial_profile_surface",
     "scalar_curvature",
+    "graph_terms",
     "surface_forms",
+    "paired_forms",
     "gauss_curvature",
 ]
 
@@ -65,10 +70,12 @@ class MetricField:
     """Riemannian 3-metric in the polar chart (r, theta, phi).
 
     The node pass needs ``V`` and its derivative ``dV`` (callables of r) of a
-    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``.  The
-    AH collar metric is no warped product: it carries ``components`` only,
-    a map of chart points (..., 3), complex ones included, to the components
-    (..., 3, 3).
+    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``, and
+    ``delta_V(r, k2)`` = V(r) - (1 + k2 r^2), its difference from H^3 of
+    curvature -k2, in closed form, with its derivative ``delta_dV(r, k2)``.
+    The AH collar metric is no warped product: it carries ``components``
+    only, a map of chart points (..., 3), complex ones included, to the
+    components (..., 3, 3).
     """
 
     tag: str
@@ -76,10 +83,28 @@ class MetricField:
     dV: Optional[Callable] = None
     r_min: float = 0.0
     components: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    delta_V: Optional[Callable] = None
+    delta_dV: Optional[Callable] = None
+
+
+def _h3_difference(a: float, m: float) -> dict:
+    """``delta_V`` and ``delta_dV`` of V = 1 + a r^2 - 2m/r: (a - k2) r^2 -
+    2m/r and 2 (a - k2) r + 2m/r^2, the terms of a zero coefficient left
+    out, so that delta V is 0.0 in the H^3 of curvature -a itself."""
+    def delta_V(r, k2):
+        d = -2.0 * m / r if m else 0.0
+        return d + (a - k2) * r * r if a != k2 else d
+
+    def delta_dV(r, k2):
+        d = 2.0 * m / (r * r) if m else 0.0
+        return d + 2.0 * (a - k2) * r if a != k2 else d
+
+    return dict(delta_V=delta_V, delta_dV=delta_dV)
 
 
 def euclidean_metric() -> MetricField:
-    return MetricField("Euclidean", np.ones_like, np.zeros_like)
+    return MetricField("Euclidean", np.ones_like, np.zeros_like,
+                       **_h3_difference(0.0, 0.0))
 
 
 def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
@@ -89,7 +114,7 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
     _check_k(k)
     k2 = k * k
     return MetricField("Hyperbolic", lambda r: 1.0 + k2 * r * r,
-                       lambda r: 2.0 * k2 * r)
+                       lambda r: 2.0 * k2 * r, **_h3_difference(k2, 0.0))
 
 
 def ads_horizon_radius(m: float, k: float) -> float:
@@ -110,7 +135,7 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     return MetricField(
         "AdSSchwarzschild", lambda r: 1.0 + k2 * r * r - 2.0 * m / r,
         lambda r: 2.0 * k2 * r + 2.0 * m / (r * r),
-        ads_horizon_radius(m, k) + _HORIZON_MARGIN)
+        ads_horizon_radius(m, k) + _HORIZON_MARGIN, **_h3_difference(k2, m))
 
 
 def scalar_curvature(metric: MetricField, r) -> np.ndarray:
@@ -452,20 +477,60 @@ def radial_profile_surface(base: float, linear, k: float,
 class SurfaceForms:
     """Per-node extrinsic data for a whole quadrature grid, each field a
     float or an array that broadcasts to the grid, at the shape the pass
-    computed it: a graph of constant radius keeps them on the theta axis."""
+    computed it: a graph of constant radius keeps them on the theta axis.
+    The H^3 side that :func:`paired_forms` builds from delta V keeps I,
+    II, H and R alone, what the checks read: its ``area_element``, ``V``
+    and ``W`` are None, so that a block of the pass holds fewer arrays."""
 
     first: tuple               # (E, F, G)
     second: tuple              # (h_tt, h_tp, h_pp)
     mean_curvature: np.ndarray
-    area_element: np.ndarray   # sqrt(det g_ab)
+    area_element: Optional[np.ndarray]   # sqrt(det g_ab)
     radius: np.ndarray         # chart radius R of each node
+    V: Optional[np.ndarray]    # the metric's V at each node
+    W: Optional[np.ndarray]    # |d(r - R)|: the normal's N^r is -V/W
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def graph_terms(theta, jet) -> tuple:
+    """The terms of the forms of the radial graph of ``jet``, the 2-jet
+    ``(R, (R_t, R_p), (R_tt, R_tp, R_pp))`` at the theta axis ``theta``,
+    that no metric enters: ``(R, R^2, sin^2 theta, (R_t^2, R_t R_p,
+    R_p^2), q, b)``, q = (R_t^2 + R_p^2 / sin^2 theta) / R^2 and b =
+    (R_tt, R_tp - R_p cot theta, R_pp + R_t sin theta cos theta), each at
+    the shape it is computed at."""
+    R, (Rt, Rp), (Rtt, Rtp, Rpp) = jet
+    st, ct = np.sin(theta), np.cos(theta)
+    st2 = st * st
+    Rt2, Rp2, R2 = Rt * Rt, Rp * Rp, R * R
+    return (R, R2, st2, (Rt2, Rt * Rp, Rp2), (Rt2 + Rp2 / st2) / R2,
+            (Rtt, Rtp - Rp * (ct / st), Rpp + Rt * (st * ct)))
+
+
+def _finite_V(V, R, tag: str) -> np.ndarray:
+    """``V`` at the radii ``R`` of the ``tag`` chart, refused where it
+    overflows."""
+    if not np.isfinite(V).all():
+        raise DomainError(f"V = 1/g_rr overflows a float on the surface "
+                          f"up to r = {np.max(R):.6g} in the {tag} chart")
+    return V
+
+
+def _refuse_nonfinite(H, det, R, tag: str) -> None:
+    if not (np.isfinite(H).all() and np.isfinite(det).all()):
+        # det I = E G - F^2 of order R^4 is 0 only when it underflows
+        where = (f"underflow a float on the surface down to r = "
+                 f"{np.min(R):.6g}" if np.any(det == 0.0) else
+                 f"overflow a float on the surface up to r = {np.max(R):.6g}")
+        raise DomainError(f"the forms {where} in the {tag} chart")
 
 
 def surface_forms(surface: SurfaceData, metric: MetricField,
-                  jet: Optional[tuple] = None) -> SurfaceForms:
+                  graph: Optional[tuple] = None) -> SurfaceForms:
     """Fundamental forms at every quadrature node, in closed form, from
-    ``jet``, the 2-jet ``surface.F`` returns on the grid's node axes, or
-    from ``surface.F`` itself when no jet is given.
+    ``graph``, the :func:`graph_terms` of the 2-jet ``surface.F`` returns
+    on the grid's node axes, or from ``surface.F`` itself when no graph is
+    given.
 
     For the radial graph r = R(theta, phi) in g = dr^2/V + r^2 g_S2, with
     W = sqrt(V + (R_theta^2 + R_phi^2 / sin^2 theta) / R^2):
@@ -481,42 +546,101 @@ def surface_forms(surface: SurfaceData, metric: MetricField,
     if metric.V is None:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
                           f"not {metric.tag}")
-    theta, phi = surface.grid.node_axes()
+    if graph is None:
+        theta, phi = surface.grid.node_axes()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            graph = graph_terms(theta, surface.F(theta, phi))
     # a jet that overflows is refused below, by the V or the forms it makes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        R, (Rt, Rp), (Rtt, Rtp, Rpp) = (surface.F(theta, phi) if jet is None
-                                        else jet)
+        R, R2, st2, (Rt2, RtRp, Rp2), q, (b_tt, b_tp, b_pp) = graph
         if np.any(R <= metric.r_min):
             raise DomainError(f"surface reaches r = {np.min(R):.6g}, outside "
                               f"the {metric.tag} chart r > "
                               f"{metric.r_min:.6g}")
-        st, ct = np.sin(theta), np.cos(theta)
-        st2 = st * st
-        V = metric.V(R)
-        if not np.isfinite(V).all():
-            raise DomainError(f"V = 1/g_rr overflows a float on the surface "
-                              f"up to r = {np.max(R):.6g} in the "
-                              f"{metric.tag} chart")
-        R2 = R * R
-        E = Rt * Rt / V + R2
-        F = Rt * Rp / V
-        G = Rp * Rp / V + R2 * st2
+        V = _finite_V(metric.V(R), R, metric.tag)
+        E = Rt2 / V + R2
+        F = RtRp / V
+        G = Rp2 / V + R2 * st2
         c = 0.5 * metric.dV(R) / V + 2.0 / R
         RV = R * V
-        scale = -1.0 / np.sqrt(V + (Rt * Rt + Rp * Rp / st2) / R2)
-        h_tt = scale * (Rtt - c * Rt * Rt - RV)
-        h_tp = scale * (Rtp - c * Rt * Rp - Rp * ct / st)
-        h_pp = scale * (Rpp - c * Rp * Rp - RV * st2 + Rt * st * ct)
+        W = np.sqrt(V + q)
+        scale = -1.0 / W
+        h_tt = scale * (b_tt - c * Rt2 - RV)
+        h_tp = scale * (b_tp - c * RtRp)
+        h_pp = scale * (b_pp - c * Rp2 - RV * st2)
+        del c, RV, scale              # out of the peak of H's temporaries
         det = E * G - F * F
         H = (G * h_tt - 2.0 * F * h_tp + E * h_pp) / (2.0 * det)
-    if not (np.isfinite(H).all() and np.isfinite(det).all()):
-        # det I = E G - F^2 of order R^4 is 0 only when it underflows
-        where = (f"underflow a float on the surface down to r = "
-                 f"{np.min(R):.6g}" if np.any(det == 0.0) else
-                 f"overflow a float on the surface up to r = {np.max(R):.6g}")
-        raise DomainError(f"the forms {where} in the {metric.tag} chart")
-    return SurfaceForms(first=(E, F, G), second=(h_tt, h_tp, h_pp),
-                        mean_curvature=H, area_element=np.sqrt(det), radius=R)
+    _refuse_nonfinite(H, det, R, metric.tag)
+    return SurfaceForms((E, F, G), (h_tt, h_tp, h_pp), H, np.sqrt(det), R, V,
+                        W)
+
+
+def paired_forms(surface: SurfaceData, metric: MetricField,
+                 graph: tuple, graph0: tuple) -> tuple:
+    """``(forms, forms0, dI, dH)``: the :func:`surface_forms` of the graph
+    terms ``graph`` of F in ``metric`` and ``graph0`` of F0 in H^3_{-k^2},
+    k = ``surface.k``, with dI = I0 - I, componentwise, and dH = H0 - H.
+
+    A surface whose F0 is not F gets two passes, and the differences are
+    subtractions.  When F0 is F the pass runs in ``metric`` alone and the
+    H^3 side is built from delta V = V - V0 by exact difference
+    identities, so that no difference is a cancellation.  With d = 1/V0 -
+    1/V = delta V/(V V0), a = W - W0 = delta V/(W + W0), dc = c0 - c =
+    (V0' d - delta V'/V)/2 of c = V'/2V + 2/R, and D(x y) = Dx y + x0 Dy:
+
+        dI = (R_t^2, R_t R_p, R_p^2) d
+        dII = (II a - dB)/W0,  dB = -dc (R_t^2, R_t R_p, R_p^2)
+              + R delta V (1, 0, sin^2 theta), the change of II's brackets
+        dH = (dN/2 - H D(det I)) / det I0,  N = G h_tt - 2 F h_tp + E h_pp
+
+    so dH = -delta V/(R (sqrt V + sqrt V0)) on a coordinate sphere.  The
+    H^3 side built this way keeps I, II, H and R alone.  Where delta V is
+    0, the ambient is this H^3, and its forms are the H^3 side's.
+    """
+    k2 = surface.k * surface.k
+    h3 = hyperbolic_ball_metric(surface.k)
+    if surface.F0 is not surface.F:
+        forms = surface_forms(surface, metric, graph=graph)
+        forms0 = surface_forms(surface.h3_view(), h3, graph=graph0)
+        dI = tuple(a0 - a for a0, a in zip(forms0.first, forms.first))
+        return forms, forms0, dI, forms0.mean_curvature - forms.mean_curvature
+    forms = surface_forms(surface, metric, graph=graph)
+    _, _, st2, (Rt2, RtRp, Rp2), q, _ = graph
+    R, V, W, H = forms.radius, forms.V, forms.W, forms.mean_curvature
+    # each intermediate is dropped once read, to bound a block's peak
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dV = metric.delta_V(R, k2)
+        if not np.any(dV):
+            return forms, forms, (0.0, 0.0, 0.0), 0.0
+        V0 = _finite_V(V - dV, R, h3.tag)
+        d = dV / V / V0
+        dE, dF, dG = Rt2 * d, RtRp * d, Rp2 * d
+        dc = 0.5 * (h3.dV(R) * d - metric.delta_dV(R, k2) / V)
+        W0 = np.sqrt(V0 + q)
+        a = dV / (W + W0)
+        RdV = R * dV
+        del d, dV, V0
+        (E, F, G), (h_tt, h_tp, h_pp) = forms.first, forms.second
+        dh_tt = (h_tt * a - RdV + dc * Rt2) / W0
+        dh_tp = (h_tp * a + dc * RtRp) / W0
+        dh_pp = (h_pp * a - RdV * st2 + dc * Rp2) / W0
+        del dc, a, RdV, W0
+        E0, F0, G0 = E + dE, F + dF, G + dG
+        det0 = E0 * G0 - F0 * F0
+        ddet = dE * G + E0 * dG - dF * (F + F0)
+        dN = (dG * h_tt + G0 * dh_tt - 2.0 * (dF * h_tp + F0 * dh_tp)
+              + dE * h_pp + E0 * dh_pp)
+        dH = (0.5 * dN - H * ddet) / det0
+        del dN, ddet
+        # II0 = II + dII, in place: dII has the shape of all its terms
+        for dh, h in zip((dh_tt, dh_tp, dh_pp), forms.second):
+            np.add(dh, h, out=dh)
+        H0 = H + dH
+    _refuse_nonfinite(H0, det0, R, h3.tag)
+    forms0 = SurfaceForms((E0, F0, G0), (dh_tt, dh_tp, dh_pp), H0, None, R,
+                          None, None)
+    return forms, forms0, (dE, dF, dG), dH
 
 
 def gauss_curvature(forms: SurfaceForms, c: float) -> np.ndarray:

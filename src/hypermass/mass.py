@@ -8,10 +8,13 @@ H^3_{-k^2} (mean curvature H_0 and hyperboloid position X):
     E(Sigma)    = int (H_0^2 - H^2)/H  X          dSigma
     M_alpha     = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma
 
-A surface's node pass of both sides (:func:`mass_forms`, a block of theta
-rows at a time) and the small-sphere expansion (:func:`ah_sphere_data`)
-both make a :class:`SurfaceMassData`, so E(Sigma) and E(S_r) are one sum,
-:meth:`SurfaceMassData.energy`.
+Both are read off dH = H_0 - H, the first as dH (2 H + dH)/H, and no
+difference of the two curvatures is taken where dH has a closed form: on a
+surface that is its own H^3 image, the node pass builds dH from delta V =
+V - V0 (:func:`geometry.paired_forms`).  That pass (:func:`mass_forms`, a
+block of theta rows at a time) and the small-sphere expansion
+(:func:`ah_sphere_data`) both make a :class:`SurfaceMassData`, so E(Sigma)
+and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
 
 H <= 0 anywhere is a hard error, never a silent skip.
 
@@ -21,10 +24,10 @@ its factors times the integrand's, is summed at the shape of its factors.
 A row with no factor on the phi axis is summed as its theta column; cos phi
 or sin phi times a theta column is 0, what the trapezoid rule in phi gives;
 any other row is written and summed in one buffer of N values, with a
-second as the scratch of the sum.  Buffers are made when a row first needs
-them, so no integral holds X or its integrand as a (4, N) block, and those
-of a surface whose fields have no phi axis, a coordinate sphere, hold no
-array of N values.
+scratch of at most ``_FSUM_CHUNK`` values for the sum.  Buffers are made
+when a row first needs them, so no integral holds X or its integrand as a
+(4, N) block, and those of a surface whose fields have no phi axis, a
+coordinate sphere, hold no array of N values.
 
 Every integral is a sum over the nodes that returns exactly what
 ``math.fsum`` of its N node values would, the correctly rounded sum, the
@@ -54,8 +57,8 @@ import numpy as np
 from .errors import (ConfigError, DomainError, IsometryViolation,
                      NonPositiveMeanCurvature)
 from .geometry import (MetricField, QuadratureGrid, SurfaceData,
-                       gauss_curvature, hyperbolic_ball_metric,
-                       mass_aspect_trace, scalar_curvature, surface_forms)
+                       gauss_curvature, graph_terms, mass_aspect_trace,
+                       paired_forms, scalar_curvature)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import GAMMAS, _spinor_parts
@@ -83,16 +86,18 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 # rows of at most this many values go to math.fsum of their list: faster up
 # to about here than the extraction's passes (20 us either way at 512)
 _FSUM_SHORT = 512
+# values in the scratch buffer of a longer row, extracted a chunk at a time
+_FSUM_CHUNK = 1 << 12
 
 
 def _fsum(p: np.ndarray, q: np.ndarray) -> float:
     """``math.fsum(p)`` of a float (N,) array ``p``: of ``p.tolist()`` for a
     row of at most ``_FSUM_SHORT`` values, otherwise by error-free
     extraction (module docstring), in ``p`` itself and ``q``, a scratch
-    buffer of N values: the residuals overwrite ``p``.  A row whose
-    extraction constant would overflow goes to ``math.fsum`` too, and one
-    whose sum is past the range of a float, or that holds inf and -inf,
-    sums to nan."""
+    buffer of at most N values, a chunk of ``p`` at a time: the residuals
+    overwrite ``p``.  A row whose extraction constant would overflow goes
+    to ``math.fsum`` too, and one whose sum is past the range of a float,
+    or that holds inf and -inf, sums to nan."""
     n = len(p)
     M = (n + 1).bit_length()          # 2^M >= n + 2
     # a plain sum of n values of magnitude at most b is off by at most
@@ -109,10 +114,14 @@ def _fsum(p: np.ndarray, q: np.ndarray) -> float:
         parts = []                    # exact partial sums
         while True:
             sigma = math.ldexp(1.0, math.frexp(big)[1] + M)
-            np.add(p, sigma, out=q)
-            q -= sigma
-            parts.append(float(q.sum()))
-            p -= q
+            for lo in range(0, n, len(q)):
+                chunk = p[lo:lo + len(q)]
+                high = q[:len(chunk)]
+                np.add(chunk, sigma, out=high)
+                high -= sigma
+                # every partial sum of the high parts is exact
+                parts.append(float(high.sum()))
+                chunk -= high
             s = float(p.sum())
             # each residual is the rounding of p + sigma, at most u sigma;
             # residuals that sum to 0 may all be 0, which only their
@@ -157,7 +166,8 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
     def node_sum(row, at):
         if at not in buffers:
             nodes = np.empty(at)
-            buffers[at] = nodes, nodes.reshape(-1), np.empty(nodes.size)
+            buffers[at] = (nodes, nodes.reshape(-1),
+                           np.empty(min(nodes.size, _FSUM_CHUNK)))
         nodes, p, q = buffers[at]
         if len(row) > 1 and isinstance(row[0], float):
             np.multiply(row[0], row[1], out=nodes)
@@ -205,7 +215,7 @@ class SurfaceMassData:
     grid's."""
 
     H: np.ndarray            # ambient-side mean curvature
-    H0: np.ndarray           # H^3-side mean curvature
+    dH: np.ndarray           # H0 - H, H0 the H^3-side mean curvature
     measure: np.ndarray      # quadrature weight * area element
     R0: np.ndarray           # areal radius of F0's nodes
     grid: QuadratureGrid
@@ -215,6 +225,11 @@ class SurfaceMassData:
     def __post_init__(self):
         self.shape = (self.grid.n_theta, self.grid.n_phi)
         self.X = areal_to_minkowski(self.R0, *self.grid.node_axes(), self.k)
+
+    @property
+    def H0(self):
+        """The H^3-side mean curvature H + dH, which no integral reads."""
+        return self.H + self.dH
 
     def weighted(self, factor, t_scale: float = 1.0) -> list:
         """The exact sums of measure (factor X_c) over the nodes for the rows
@@ -231,8 +246,10 @@ class SurfaceMassData:
 
     @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
-        """E(Sigma) = int ((H_0^2 - H^2)/H) X dSigma."""
-        weight = self.H0 ** 2 - self.H ** 2
+        """E(Sigma) = int (dH (H_0 + H)/H) X dSigma, H_0 = H + dH."""
+        weight = self.H + self.dH
+        weight += self.H
+        weight *= self.dH
         weight /= self.H
         return LorentzVector(*self.weighted(weight))
 
@@ -294,7 +311,6 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
     when the first block's jets have no phi axis; a grid of one block keeps
     its fields at the shape the pass computed them."""
     grid, k = surface.grid, surface.k
-    h3 = hyperbolic_ball_metric(k)
     iso = [0.0] * 3
     # np.minimum carries a nan from any block, as np.min of the grid would
     min_k = min_r = math.inf
@@ -310,19 +326,21 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         if hi < grid.n_theta and not (lo or _phi_axis(jet, jet0)):
             rows = grid.n_theta
             continue
+        # the graph terms hold what the pass reads of the jets
+        graph = graph_terms(theta, jet)
+        graph0 = graph if jet0 is jet else graph_terms(theta, jet0)
+        del jet, jet0
         block = surface if rows >= grid.n_theta else replace(
             surface, grid=replace(grid, n_theta=hi - lo,
                                   theta=grid.theta[lo:hi],
                                   u_weights=grid.u_weights[lo:hi]))
-        forms = surface_forms(block, ambient, jet)
-        forms0 = surface_forms(block.h3_view(), h3, jet0)
-        # the forms refuse an I that is not finite, so no |I - I0| is nan
-        iso = [max(m, np.max(np.abs(a - b)))
-               for m, a, b in zip(iso, forms.first, forms0.first)]
+        forms, forms0, dI, dH = paired_forms(block, ambient, graph, graph0)
+        # the forms refuse an I that is not finite, so no |I0 - I| is nan
+        iso = [max(m, np.max(np.abs(d))) for m, d in zip(iso, dI)]
         min_k = np.minimum(min_k, np.min(gauss_curvature(forms0, -k * k)))
         min_r = np.minimum(min_r, np.min(scalar_curvature(ambient,
                                                           forms.radius)))
-        block_fields = (forms.mean_curvature, forms0.mean_curvature,
+        block_fields = (forms.mean_curvature, dH,
                         block.grid.measure_weights() * forms.area_element,
                         forms0.radius)
         if rows >= grid.n_theta:
@@ -333,6 +351,11 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
                           for _ in block_fields]
             for out, x in zip(fields, block_fields):
                 out[lo:hi] = x
+        # the next block's pass runs without this one's arrays, but for
+        # block_fields: with every array freed, malloc handed the block's
+        # memory back to the system and faulted it in again for the next
+        # block (1342 page faults in a tilted 128x256 op against 759)
+        del graph, graph0, forms, forms0, dI, dH
         lo = hi
     checks = {"isometry_mismatch": float(max(iso)),
               "min_gauss_plus_k2": float(min_k + k * k),
@@ -389,7 +412,7 @@ def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
-    return LorentzVector(*data.weighted(data.H0 - data.H, alpha))
+    return LorentzVector(*data.weighted(data.dH, alpha))
 
 
 def round_sphere_quadrature(g0_coeff: float, linear,
@@ -461,17 +484,18 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     orders (the omitted terms are o(r^3) relative), the round dS over
     sinh^2 r, and the exact hyperboloid points of areal radius sinh(rho_r) =
     1/r at the nodes, matching the displayed leading behavior (x/r, 1/r).
-    H_0 = cosh r at every node is one float, and H has the shape of tr h."""
+    dH = H_0 - H = (r^3/4) tr h, H_0 = cosh r, is handed over as expanded,
+    and dH and H have the shape of tr h."""
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
     grid, w, tau = sphere
-    H = (-0.25 * r ** 3) * tau      # cosh r - (r^3/4) tau, in place
-    H += math.cosh(r)
+    dH = (0.25 * r ** 3) * tau      # H0 - H, exactly as expanded
+    H = math.cosh(r) - dH
     _refuse_nonpositive("expanded H", H, grid, f" for r = {r}")
     sinh2 = math.sinh(r) ** 2       # 0.0 below r = 1.5e-162
     if not sinh2:
         raise DomainError(f"dS / sinh^2 r overflows a float for r = {r!r}")
-    return SurfaceMassData(H=H, H0=math.cosh(r), measure=w * (1.0 / sinh2),
+    return SurfaceMassData(H=H, dH=dH, measure=w * (1.0 / sinh2),
                            R0=1.0 / r, grid=grid, k=1.0)
 
 

@@ -743,14 +743,14 @@ def test_least_h_tie_names_the_first_node(tmp_path, monkeypatch):
     assert len(set(ties[:, 0])) > 1
     assert rounded[np.unravel_index(np.argmin(H), H.shape)] == -0.3
     i, j = ties[0]
-    forms = massmod.surface_forms
+    forms = geo.surface_forms
 
-    def rounded_forms(*args):
-        out = forms(*args)
+    def rounded_forms(*args, **kwargs):
+        out = forms(*args, **kwargs)
         out.mean_curvature = np.round(out.mean_curvature - shift, 1)
         return out
 
-    monkeypatch.setattr(massmod, "surface_forms", rounded_forms)
+    monkeypatch.setattr(geo, "surface_forms", rounded_forms)
     node = f"node {i * 32 + j} (theta="
     code, _, err, _ = outputs_by_block_size(tmp_path, monkeypatch,
                                             ["mass", cfg])
@@ -761,19 +761,19 @@ def test_least_h_tie_names_the_first_node(tmp_path, monkeypatch):
 
 
 class TestNodePass:
+    # a CLI surface is its own H^3 image, F0 is F: the forms pass runs in
+    # the ambient alone, and the H^3 side is built from delta V
     def test_mass_is_one_pass_per_surface(self, tmp_path, node_pass_calls):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
-        assert node_pass_calls["surface_forms"] == [
-            "AdSSchwarzschild", "Hyperbolic"]
+        assert node_pass_calls["surface_forms"] == ["AdSSchwarzschild"]
 
     def test_convergence_is_one_pass_per_resolution(self, tmp_path,
                                                     node_pass_calls):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
         assert run(["convergence", cfg, "--resolutions", "8,16,32",
                     "--output", str(tmp_path / "o")])[0] == 0
-        assert node_pass_calls["surface_forms"] == [
-            "AdSSchwarzschild", "Hyperbolic"] * 3
+        assert node_pass_calls["surface_forms"] == ["AdSSchwarzschild"] * 3
 
     def test_min_mean_curvature_is_the_integrated_h(self, tmp_path):
         cfg = write(tmp_path, "ads.yaml", ADS_CONFIG)
@@ -793,10 +793,20 @@ class TestNodePass:
         config = load_config(cfg)
         k = config["metric"]["k"]
         grid = geo.QuadratureGrid.build(**config["resolution"])
-        forms0 = geo.surface_forms(build_surface(config, grid).h3_view(),
-                                   geo.hyperbolic_ball_metric(k))
+        surface = build_surface(config, grid)
+        graph = geo.graph_terms(grid.theta[:, None],
+                                surface.F(*grid.node_axes()))
+        forms0 = geo.paired_forms(surface, build_metric(config), graph,
+                                  graph)[1]
+        K = geo.gauss_curvature(forms0, -k * k)
         assert doc["hypothesis_checks"]["min_gauss_plus_k2"] \
-            == float(np.min(geo.gauss_curvature(forms0, -k * k)) + k * k)
+            == float(np.min(K) + k * k)
+        # the H^3 forms built from delta V are those of a pass in H^3, to
+        # the rounding of det II / det I = K + k^2
+        K_h3 = geo.gauss_curvature(geo.surface_forms(
+            surface.h3_view(), geo.hyperbolic_ball_metric(k)), -k * k)
+        bound = 8 * np.finfo(float).eps * np.max(np.abs(K_h3 + k * k))
+        assert np.max(np.abs(K - K_h3)) <= bound
 
 
 def large_radius_report(tmp_path, r, n_theta=32):
@@ -826,6 +836,18 @@ class TestLargeRadius:
         assert doc["hypothesis_checks"]["isometry_mismatch"] == 0.0
         assert abs(doc["E"][3] - exact_ads_energy(300.0)) \
             <= 1e-6 * exact_ads_energy(300.0)
+
+    @pytest.mark.parametrize("r", [1e3, 1e4, 1e5, 1e6])
+    def test_energy_keeps_its_digits(self, tmp_path, r):
+        # dH = H0 - H from delta V = -2m/r: the difference H0^2 - H^2 of
+        # two curvatures of order 1 printed E = (0, 0, 0.40285, 5.49842)
+        # at r = 1e5 and ZeroVector at r = 1e6, both with every check passed
+        doc = large_radius_report(tmp_path, r)
+        E, exact = doc["E"], exact_ads_energy(r)
+        assert doc["hypothesis_checks"]["passed"] is True
+        assert doc["causal_class"] == "TimelikeFuture"
+        assert abs(E[3] - exact) <= 1e-13 * exact
+        assert math.hypot(*E[:3]) <= 1e-15 * E[3]
 
     @pytest.mark.parametrize("n_theta", [32, 128])
     def test_r1000_scalar_curvature_check(self, tmp_path, n_theta):

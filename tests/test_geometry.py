@@ -690,13 +690,82 @@ class TestGaussCurvature:
         assert checks["min_gauss_plus_k2"] == np.min(K) + 1.0
 
     def test_mass_pass_ads_coordinate_sphere(self, grid64):
+        # in AdS-Schwarzschild the H^3 forms are built from delta V, within
+        # rounding of those of a pass in H^3
         r = 2.0
         surface = coordinate_sphere_surface(r, grid64)
         K = gauss_curvature(surface_forms(surface.h3_view(),
                                           hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
-        _, checks = mass_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
-        assert checks["min_gauss_plus_k2"] == np.min(K) + 1.0
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        graph = geo.graph_terms(grid64.theta[:, None],
+                                surface.F(*grid64.node_axes()))
+        K0 = gauss_curvature(
+            geo.paired_forms(surface, metric, graph, graph)[1], -1.0)
+        assert np.max(np.abs(K0 - K)) <= 8 * EPS * np.max(np.abs(K + 1.0))
+        _, checks = mass_forms(surface, metric)
+        assert checks["min_gauss_plus_k2"] == np.min(K0) + 1.0
+
+
+def _mp_mean_curvature(mp, R, V, dV, theta, phi):
+    """H at one node of the radial graph ``R`` (a function of theta, phi) in
+    dr^2/V + r^2 g_S2, in mpmath: the closed form of surface_forms, on the
+    jet that mpmath.diff takes of R."""
+    t, p = mp.mpf(theta), mp.mpf(phi)
+    r = R(t, p)
+    Rt, Rp, Rtt, Rtp, Rpp = (mp.diff(R, (t, p), order) for order in
+                             ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    st, ct, v = mp.sin(t), mp.cos(t), V(r)
+    E, F, G = Rt ** 2 / v + r ** 2, Rt * Rp / v, Rp ** 2 / v + (r * st) ** 2
+    c = dV(r) / (2 * v) + 2 / r
+    W = mp.sqrt(v + (Rt ** 2 + (Rp / st) ** 2) / r ** 2)
+    h_tt = -(Rtt - c * Rt ** 2 - r * v) / W
+    h_tp = -(Rtp - c * Rt * Rp - Rp * ct / st) / W
+    h_pp = -(Rpp - c * Rp ** 2 - r * v * st ** 2 + Rt * st * ct) / W
+    return (G * h_tt - 2 * F * h_tp + E * h_pp) / (2 * (E * G - F * F))
+
+
+class TestExactDifference:
+    # dH = H0 - H of a surface that is its own H^3 image, built from
+    # delta V = V - V0 with no subtraction of the two curvatures
+    TILT = (0.1, 0.2, 0.3)
+
+    @pytest.mark.parametrize("base", (6.0, 10.0))
+    def test_tilted_ads_profile_against_40_digits(self, base):
+        # dH is about 2m/R^2 of H ~ 1, so the difference of the two sides'
+        # H is off by 2.7e-8 of it at base 6 (R ~ 200) and 6.5e-3 at base
+        # 10: dH is within 2.2e-15 of 40 digits at both
+        mp = pytest.importorskip("mpmath")
+        grid = QuadratureGrid.build(16, 32)
+        surface = radial_profile_surface(base, self.TILT, 1.0, grid)
+        metric = ads_schwarzschild_metric(ADS_M, 1.0)
+        dH = mass_forms(surface, metric)[0].dH
+        assert np.shape(dH) == (grid.n_theta, grid.n_phi)
+        a1, a2, a3 = self.TILT
+
+        def R(t, p):
+            return mp.sinh(base + mp.sin(t) * (a1 * mp.cos(p) + a2 * mp.sin(p))
+                           + a3 * mp.cos(t))
+
+        with mp.workdps(40):
+            for node in (0, 37, 200, 311, 511):
+                i, j = divmod(node, grid.n_phi)
+                at = grid.theta[i], grid.phi[j]
+                H0 = _mp_mean_curvature(mp, R, lambda r: 1 + r * r,
+                                        lambda r: 2 * r, *at)
+                H = _mp_mean_curvature(
+                    mp, R, lambda r: 1 + r * r - 2 * ADS_M / r,
+                    lambda r: 2 * r + 2 * ADS_M / r ** 2, *at)
+                assert abs(dH[i, j] / (H0 - H) - 1) <= 1e-14, node
+
+    def test_tilted_h3_profile_is_zero(self):
+        # delta V = 0 in H^3 itself: dH and E are 0 bit for bit
+        grid = QuadratureGrid.build(16, 32)
+        surface = radial_profile_surface(1.0, self.TILT, 1.0, grid)
+        data, checks = mass_forms(surface, hyperbolic_ball_metric(1.0))
+        assert np.all(data.dH == 0.0)
+        assert checks["isometry_mismatch"] == 0.0
+        assert np.asarray(data.energy()).tolist() == [0.0] * 4
 
 
 def linalg_node_pass(jet, grid, chart, radial, c):

@@ -25,7 +25,8 @@ from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
-                                radial_profile_surface, surface_forms)
+                                paired_forms, radial_profile_surface,
+                                surface_forms)
 from hypermass.hypgeom import ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
@@ -104,9 +105,9 @@ class TestEnergyMomentum:
         assert np.max(np.abs(moved.first
                              - form_matrices(forms0, grid64).first)) <= 1e-12
         shape = (grid64.n_theta, grid64.n_phi)
+        H = moved.mean_curvature.reshape(shape)
         data = massmod.SurfaceMassData(
-            H=moved.mean_curvature.reshape(shape),
-            H0=forms0.mean_curvature,
+            H=H, dH=forms0.mean_curvature - H,
             measure=(grid64.measure_weights()
                      * moved.area_element.reshape(shape)),
             R0=forms0.radius, grid=grid64, k=1.0)
@@ -363,7 +364,7 @@ def _weighted_mass_scenario(name):
                else radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid))
     data = surface_mass_data(surface, metric, iso_tol=1.0)
     if name == "past":
-        data = dataclasses.replace(data, H=data.H0, H0=data.H)
+        data = dataclasses.replace(data, H=data.H0, dH=-data.dH)
     return surface, metric, data
 
 
@@ -614,8 +615,8 @@ class TestAHSphereData:
             0.5, (0.3, -0.2, 0.1), grid))
         theta = grid.node_axes()[0]
         w_round = on_nodes(grid.measure_weights() * np.sin(theta), grid)
-        H = on_nodes(d.H, grid)
-        integ = w_round / math.sinh(r) ** 2 * ((d.H0 ** 2 - H ** 2) / H)
+        H, dH = on_nodes(d.H, grid), on_nodes(d.dH, grid)
+        integ = w_round / math.sinh(r) ** 2 * (dH * (H + dH + H) / H)
         expect = [math.fsum((integ * X).tolist()) for X in positions(d)]
         E = d.energy()
         assert [E.x1, E.x2, E.x3, E.t] == pytest.approx(expect, rel=1e-15)
@@ -696,7 +697,7 @@ class TestSurfaceMassData:
         # on a 2 x 2 grid, where X_t = sqrt(1 + R^2)
         grid = QuadratureGrid.build(2, 2)
         far = massmod.SurfaceMassData(
-            H=np.ones((2, 2)), H0=np.full((2, 2), 1e300),
+            H=np.ones((2, 2)), dH=np.full((2, 2), 1e300),
             measure=np.ones((2, 2)), R0=np.full((2, 2), 1e10), grid=grid,
             k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
@@ -704,7 +705,7 @@ class TestSurfaceMassData:
         # finite node values whose exact sum is past the largest float,
         # where math.fsum raises OverflowError
         edge = massmod.SurfaceMassData(
-            H=np.ones((2, 2)), H0=np.full((2, 2), 1e308),
+            H=np.ones((2, 2)), dH=np.full((2, 2), 1e308),
             measure=np.ones((2, 2)), R0=np.ones((2, 2)), grid=grid, k=1.0)
         with pytest.raises(DomainError, match="overflows a float"):
             shi_tam_vector(edge, 1.0)
@@ -845,7 +846,9 @@ class TestExactSums:
     def test_both_sides_of_the_short_rows(self, n):
         # math.fsum of the list on either side of the short-row length,
         # or nan where math.fsum refuses the row: special values, an
-        # overflowing sum, subnormals, and a row that sums to exactly 0
+        # overflowing sum, subnormals, and a row that sums to exactly 0;
+        # with a scratch of the row's length, of the chunk _row_sums gives
+        # a long row and of 1000 values, which leaves a partial last chunk
         rng = np.random.default_rng(n)
 
         def row(*special):
@@ -868,9 +871,11 @@ class TestExactSums:
                 expect = math.fsum(p.tolist())
             except (OverflowError, ValueError):
                 expect = math.nan
-            got = massmod._fsum(p.copy(), np.empty(n))
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+            for scratch in (n, min(n, massmod._FSUM_CHUNK), min(n, 1000)):
+                got = massmod._fsum(p.copy(), np.empty(scratch))
+                assert type(got) is float
+                assert (np.float64(got).tobytes()
+                        == np.float64(expect).tobytes())
 
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
@@ -930,7 +935,7 @@ class TestPhiFirstSums:
         weight = (rng.standard_normal((n_theta, 1))
                   * 10.0 ** rng.uniform(-3.0, 3.0, (n_theta, 1)))
         measure = grid.measure_weights() * rng.uniform(0.5, 2.0, (n_theta, 1))
-        data = SurfaceMassData(H=1.0, H0=1.0, measure=measure, R0=R,
+        data = SurfaceMassData(H=1.0, dH=0.0, measure=measure, R0=R,
                                grid=grid, k=k)
         got = data.weighted(weight, alpha)
         x1, x2, x3, t = data.X
@@ -985,9 +990,9 @@ class TestPhiFirstSums:
 
 
 def _node_bytes(data):
-    """The bytes of every node field of ``data``: H, H0, the measure and
+    """The bytes of every node field of ``data``: H, dH, the measure and
     the factors of each row of X."""
-    fields = dict(H=data.H, H0=data.H0, measure=data.measure)
+    fields = dict(H=data.H, dH=data.dH, measure=data.measure)
     fields.update(((c, i), f) for c, row in enumerate(data.X)
                   for i, f in enumerate(row))
     return {name: np.asarray(x).tobytes() for name, x in fields.items()}
@@ -1200,7 +1205,7 @@ def test_one_jet_evaluation_per_node(axes):
 def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     # the node pass of a graph of constant radius is one block, whose forms
     # on each side hold every component on the theta axis, and it keeps H,
-    # H0, the measure and R0 there: 0.02 N floats at 128x256 (0.06 when
+    # dH, the measure and R0 there: 0.02 N floats at 128x256 (0.06 when
     # it kept both sides' forms; H, the area element and R of each side
     # flattened to (N,) held 6 N, and (N, 2, 2) matrices 22)
     grid = QuadratureGrid.build(128, 256)
@@ -1209,10 +1214,11 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     passes = []
 
     def recorded(*args):
-        passes.append(surface_forms(*args))
-        return passes[-1]
+        out = paired_forms(*args)
+        passes.extend(out[:2])
+        return out
 
-    monkeypatch.setattr(massmod, "surface_forms", recorded)
+    monkeypatch.setattr(massmod, "paired_forms", recorded)
     tracemalloc.start()
     try:
         data, _ = mass_forms(surface, metric)
@@ -1223,7 +1229,7 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     for side in passes:
         for x in side.first + side.second:
             assert np.shape(x) in ((), (grid.n_theta, 1))
-    for name in ("H", "H0", "measure", "R0"):
+    for name in ("H", "dH", "measure", "R0"):
         assert np.shape(getattr(data, name)) in ((), (grid.n_theta, 1))
     assert held <= 8.0 * n_nodes(grid) * np.dtype(float).itemsize
 
@@ -1238,7 +1244,7 @@ def test_coordinate_sphere_stores_no_node_array():
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
     data = surface_mass_data(surface, metric)
     column, row = ((), (grid.n_theta, 1)), (1, grid.n_phi)
-    for name in ("H", "H0", "measure", "R0"):
+    for name in ("H", "dH", "measure", "R0"):
         assert np.shape(getattr(data, name)) in column, name
     theta, R = column[1], ()
     assert [[np.shape(f) for f in x] for x in data.X] == [
@@ -1319,13 +1325,14 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     # for bit, against the node fields flattened to (N,), X = (R0 u,
     # sqrt(1/k^2 + R0^2)) from the reference's unit directions of the flat
     # nodes (N, 3), and math.fsum of the flat products in the order
-    # measure (weight X), measure ((H0 - H) X) and
-    # measure ((alpha X_t) (H0 - H)); the tilted AdS profile is forced past
-    # the isometry check, so H != H0 off the theta axis.  A sum can hide a
-    # regrouped product, so each row is checked where it reaches the sum.
-    # A sphere's integrand has no phi axis: its rows x and y are the stated
-    # 0, not math.fsum of their rounding noise, and its other rows reach
-    # the sum as theta columns (b = 1 copy at n_phi = 32, 3 at 24)
+    # measure (weight X), measure (dH X) and measure ((alpha X_t) dH),
+    # weight = dH ((H + dH) + H)/H and dH = H0 - H; the tilted AdS profile
+    # is forced past the isometry check, so dH != 0 off the theta axis.
+    # A sum can hide a regrouped product, so each row is checked where it
+    # reaches the sum.  A sphere's integrand has no phi axis: its rows x
+    # and y are the stated 0, not math.fsum of their rounding noise, and
+    # its other rows reach the sum as theta columns (b = 1 copy at n_phi =
+    # 32, 3 at 24)
     grid = QuadratureGrid.build(*((12, 24) if case.endswith("k05")
                                   else (16, 32)))
     hyp, ads = hyperbolic_ball_metric(1.0), ads_schwarzschild_metric(ADS_M)
@@ -1346,16 +1353,16 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     assert positions(data).tobytes() == X.T.tobytes()
 
     H = on_nodes(data.H, grid)
-    H0 = on_nodes(data.H0, grid)
+    dH = on_nodes(data.dH, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
                * on_nodes(surface_forms(surface, metric).area_element, grid))
     sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}
-    _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X.T),
+    _assert_flat_sums(data.energy(), measure * (dH * (H + dH + H) / H * X.T),
                       summed_rows, **sphere)
     alpha = 1.3
     rows = X.T.copy()
     rows[3] *= alpha
-    rows *= H0 - H
+    rows *= dH
     _assert_flat_sums(shi_tam_vector(data, alpha), measure * rows,
                       summed_rows, **sphere)
     _assert_flat_sums(data.area(), measure, summed_rows,
@@ -1383,9 +1390,9 @@ def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     X[:3] = R * xhat.T
     X[3] = np.sqrt(1.0 + R * R)
     assert positions(data).tobytes() == X.tobytes()
-    H, H0 = on_nodes(data.H, data), on_nodes(data.H0, data)
+    H, dH = on_nodes(data.H, data), on_nodes(data.dH, data)
     measure = w * (1.0 / math.sinh(r) ** 2)
-    _assert_flat_sums(data.energy(), measure * ((H0 ** 2 - H ** 2) / H * X),
+    _assert_flat_sums(data.energy(), measure * (dH * (H + dH + H) / H * X),
                       summed_rows)
     _assert_flat_sums(wang_mass(sphere), [*(xhat.T * w * tau), w * tau],
                       summed_rows)

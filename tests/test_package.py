@@ -104,7 +104,7 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
     traced = json.loads(proc.stdout)
     assert traced["codes"] == [0, 0, 0, 0]
     spans = set(traced["spans"])
-    for name in ("surface_forms.ambient", "surface_forms.h3",
+    for name in ("surface_forms.ambient", "paired_forms",
                  "ads_schwarzschild_metric", "coordinate_sphere_surface",
                  "hyperbolic_ball_metric", "radial_profile_surface"):
         assert f"geometry.{name}" in spans, name
@@ -115,14 +115,14 @@ def test_bench_tracer_runs_cli_ops(tmp_path):
     assert "hypgeom.areal_to_minkowski" in spans
     for name in ("geometry.surface_evals", "cli.write_bytes"):
         assert traced["counters"].get(name, 0) > 0, name
-    # a call per side per block, 1 on each grid of at most
-    # mass._BLOCK_NODES nodes, and a jet evaluated once per node for both
+    # an ambient pass per block, 1 on each grid of at most
+    # mass._BLOCK_NODES nodes, no H^3-side pass, since every CLI surface is
+    # its own H^3 image, and a jet evaluated once per node for both sides
     rows = max(1, mass._BLOCK_NODES // 128)
     blocks = 1 + 3 + -(-64 // rows)
     assert blocks > 5
-    for side in ("ambient", "h3"):
-        assert traced["spans"].count(f"geometry.surface_forms.{side}") \
-            == blocks, side
+    assert traced["spans"].count("geometry.surface_forms.ambient") == blocks
+    assert "geometry.surface_forms.h3" not in spans
     nodes = 8 * 16 + (8 * 16 + 16 * 32 + 32 * 64) + 64 * 128
     assert traced["counters"]["geometry.surface_evals"] == nodes
 

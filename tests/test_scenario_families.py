@@ -42,10 +42,11 @@ ADS_SPHERES = dict(m=st.floats(min_value=1e-3, max_value=10.0),
                    k=st.floats(min_value=0.5, max_value=2.0),
                    lift=st.floats(min_value=1e-3, max_value=4.0), axes=GRIDS)
 
-# E_t is read off (H0^2 - H^2)/H, where H0^2 - H^2 = 2m/r^3 is the
-# difference of two rounded terms of order k^2: past a relative eps k^2
-# r^3/m of 1e-10 (eps r^3/m at k = 1) the cancellation, not the
-# quadrature, sets its error
+# E_t is read off dH (2 H + dH)/H with dH = H0 - H from delta V = -2m/r,
+# not from the difference H0^2 - H^2 = 2m/r^3 of two rounded terms of
+# order k^2, whose cancellation, past a relative eps k^2 r^3/m of 1e-10
+# (eps r^3/m at k = 1), set the error of E_t until it was built that way:
+# the draws past that floor keep their own test
 FLOOR = 1e-10
 
 
@@ -60,7 +61,8 @@ def _ads_case(m, k, lift, axes):
 def _assert_ads_energy(E, exact):
     assert classify(E) is CausalClass.TIMELIKE_FUTURE
     assert E.x1 == 0.0 and E.x2 == 0.0
-    assert abs(E.t - exact) <= 1e-10 * exact
+    assert abs(E.t - exact) <= 1e-13 * exact
+    assert math.hypot(E.x1, E.x2, E.x3) <= 1e-15 * E.t
 
 
 @given(**ADS_SPHERES)
@@ -71,10 +73,6 @@ def test_ads_coordinate_spheres(m, k, lift, axes):
     _assert_ads_energy(E, exact)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: past eps k^2 r^3/m = 1e-10 the integrand "
-    "(H0^2 - H^2)/H cancels to its rounding, so E_t drifts off the "
-    "closed form by more than 1e-10"))
 def test_ads_coordinate_spheres_past_the_floor():
     # the draws past the floor, checked after hypothesis has drawn them
     # all: a failing example inside @given would go to hypothesis's
