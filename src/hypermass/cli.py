@@ -234,14 +234,16 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
         "min_gauss_plus_k2", "min_scalar_plus_6k2", "isometry_mismatch"))
     iso_tol = tols["iso_tol"]
     at_h = " at " + surface.grid.describe_node(node)
-    table = (  # key, value, whether its bound holds, the bound, where
-        ("min_mean_curvature", min_h, min_h > 0.0, "> 0", at_h),
-        ("min_gauss_plus_k2", min_k, min_k > 0.0, "> 0", ""),
-        ("min_scalar_plus_6k2", min_r, min_r > -1e-5, "> -1e-05", ""),
+    # key, value, whether its bound holds, the bound, where, and whether
+    # --force gets past it: the integrals refuse H <= 0 and the mismatch
+    table = (
+        ("min_mean_curvature", min_h, min_h > 0.0, "> 0", at_h, False),
+        ("min_gauss_plus_k2", min_k, min_k > 0.0, "> 0", "", True),
+        ("min_scalar_plus_6k2", min_r, min_r > -1e-5, "> -1e-05", "", True),
         ("isometry_mismatch", mismatch, mismatch <= iso_tol,
-         f"<= iso_tol = {iso_tol:g}", ""))
+         f"<= iso_tol = {iso_tol:g}", "", False))
     failed = [f"{key} = {value:.6g}{where}, need {bound}"
-              for key, value, ok, bound, where in table if not ok]
+              for key, value, ok, bound, where, _ in table if not ok]
     checks = {key: value for key, value, *_ in table}
     checks.update(iso_tol=iso_tol, passed=not failed)
     doc = {"format_version": FORMAT_VERSION, "E": None, "causal_class": None,
@@ -251,9 +253,11 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
            "forced": force and not checks["passed"], "config": cfg}
     if failed and not force:
         _write_text(outdir / "mass_report.json", _json_dump(doc))
-        raise HypothesisFailure("hypothesis checks failed ("
-                                + "; ".join(failed)
-                                + "); rerun with --force to proceed")
+        hard = [key for key, _, ok, *_, soft in table if not (ok or soft)]
+        hint = ("--force does not get past " + " or ".join(hard) if hard
+                else "rerun with --force to proceed")
+        raise HypothesisFailure(f"hypothesis checks failed "
+                                f"({'; '.join(failed)}); {hint}")
 
     data = massmod.surface_mass_data(surface, metric, iso_tol=iso_tol,
                                      forms=forms)

@@ -525,31 +525,15 @@ def _refuse_nonfinite(H, det, R, tag: str) -> None:
         raise DomainError(f"the forms {where} in the {tag} chart")
 
 
-def surface_forms(surface: SurfaceData, metric: MetricField,
-                  graph: Optional[tuple] = None) -> SurfaceForms:
-    """Fundamental forms at every quadrature node, in closed form, from
-    ``graph``, the :func:`graph_terms` of the 2-jet ``surface.F`` returns
-    on the grid's node axes, or from ``surface.F`` itself when no graph is
-    given.
-
-    For the radial graph r = R(theta, phi) in g = dr^2/V + r^2 g_S2, with
-    W = sqrt(V + (R_theta^2 + R_phi^2 / sin^2 theta) / R^2):
-
-        I  = [[R_t^2/V + R^2, R_t R_p/V], [R_t R_p/V, R_p^2/V + R^2 sin^2]]
-        II_ab = -(1/W) [R_ab - (V'/2V + 2/R) R_a R_b + c_ab]
-
-    with c_tt = -R V, c_tp = -R_p cot theta, c_pp = -R V sin^2 theta +
-    R_t sin theta cos theta: the normal is inward, N^r < 0, so convex graphs
-    get positive mean curvature (geodesic spheres in H^3 get
-    H = k coth(k rho)).
-    """
+def surface_forms(metric: MetricField, graph: tuple) -> SurfaceForms:
+    """The fundamental forms, H, area element, R, V and W of the radial
+    graph whose :func:`graph_terms` are ``graph``, in ``metric``, at the
+    shape of those terms.  The normal is inward, N^r < 0, so convex graphs
+    get H > 0.  Raises DomainError where the graph leaves the chart or a
+    form is not finite."""
     if metric.V is None:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
                           f"not {metric.tag}")
-    if graph is None:
-        theta, phi = surface.grid.node_axes()
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            graph = graph_terms(theta, surface.F(theta, phi))
     # a jet that overflows is refused below, by the V or the forms it makes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         R, R2, st2, (Rt2, RtRp, Rp2), q, (b_tt, b_tp, b_pp) = graph
@@ -576,36 +560,34 @@ def surface_forms(surface: SurfaceData, metric: MetricField,
                         W)
 
 
-def paired_forms(surface: SurfaceData, metric: MetricField,
-                 graph: tuple, graph0: tuple) -> tuple:
+def paired_forms(metric: MetricField, k: float, graph: tuple,
+                 graph0: tuple) -> tuple:
     """``(forms, forms0, dI, dH)``: the :func:`surface_forms` of the graph
-    terms ``graph`` of F in ``metric`` and ``graph0`` of F0 in H^3_{-k^2},
-    k = ``surface.k``, with dI = I0 - I, componentwise, and dH = H0 - H.
+    terms ``graph`` in ``metric`` and ``graph0`` in H^3_{-k^2}, dI = I0 - I
+    componentwise and dH = H0 - H.
 
-    A surface whose F0 is not F gets two passes, and the differences are
-    subtractions.  When F0 is F the pass runs in ``metric`` alone and the
-    H^3 side is built from delta V = V - V0 by exact difference
-    identities, so that no difference is a cancellation.  With d = 1/V0 -
-    1/V = delta V/(V V0), a = W - W0 = delta V/(W + W0), dc = c0 - c =
-    (V0' d - delta V'/V)/2 of c = V'/2V + 2/R, and D(x y) = Dx y + x0 Dy:
+    When ``graph0`` is ``graph``, the H^3 side is built from delta V = V -
+    V0 by exact difference identities, so no difference is a cancellation,
+    and keeps I, II, H and R alone; where delta V is 0 it is the ambient
+    side.  With d = 1/V0 - 1/V = delta V/(V V0), a = W - W0 = delta V/(W +
+    W0), dc = c0 - c = (V0' d - delta V'/V)/2 of c = V'/2V + 2/R, and
+    D(x y) = Dx y + x0 Dy:
 
         dI = (R_t^2, R_t R_p, R_p^2) d
         dII = (II a - dB)/W0,  dB = -dc (R_t^2, R_t R_p, R_p^2)
               + R delta V (1, 0, sin^2 theta), the change of II's brackets
         dH = (dN/2 - H D(det I)) / det I0,  N = G h_tt - 2 F h_tp + E h_pp
 
-    so dH = -delta V/(R (sqrt V + sqrt V0)) on a coordinate sphere.  The
-    H^3 side built this way keeps I, II, H and R alone.  Where delta V is
-    0, the ambient is this H^3, and its forms are the H^3 side's.
+    Otherwise each side gets its own pass and the differences are
+    subtractions.
     """
-    k2 = surface.k * surface.k
-    h3 = hyperbolic_ball_metric(surface.k)
-    if surface.F0 is not surface.F:
-        forms = surface_forms(surface, metric, graph=graph)
-        forms0 = surface_forms(surface.h3_view(), h3, graph=graph0)
+    k2 = k * k
+    h3 = hyperbolic_ball_metric(k)
+    forms = surface_forms(metric, graph)
+    if graph0 is not graph:
+        forms0 = surface_forms(h3, graph0)
         dI = tuple(a0 - a for a0, a in zip(forms0.first, forms.first))
         return forms, forms0, dI, forms0.mean_curvature - forms.mean_curvature
-    forms = surface_forms(surface, metric, graph=graph)
     _, _, st2, (Rt2, RtRp, Rp2), q, _ = graph
     R, V, W, H = forms.radius, forms.V, forms.W, forms.mean_curvature
     # each intermediate is dropped once read, to bound a block's peak

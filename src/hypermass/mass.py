@@ -49,7 +49,7 @@ then gives the answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -226,11 +226,6 @@ class SurfaceMassData:
         self.shape = (self.grid.n_theta, self.grid.n_phi)
         self.X = areal_to_minkowski(self.R0, *self.grid.node_axes(), self.k)
 
-    @property
-    def H0(self):
-        """The H^3-side mean curvature H + dH, which no integral reads."""
-        return self.H + self.dH
-
     def weighted(self, factor, t_scale: float = 1.0) -> list:
         """The exact sums of measure (factor X_c) over the nodes for the rows
         c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first: measure
@@ -311,6 +306,7 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
     when the first block's jets have no phi axis; a grid of one block keeps
     its fields at the shape the pass computed them."""
     grid, k = surface.grid, surface.k
+    weights = grid.measure_weights()
     iso = [0.0] * 3
     # np.minimum carries a nan from any block, as np.min of the grid would
     min_k = min_r = math.inf
@@ -326,22 +322,19 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         if hi < grid.n_theta and not (lo or _phi_axis(jet, jet0)):
             rows = grid.n_theta
             continue
-        # the graph terms hold what the pass reads of the jets
+        # the graph terms hold what the pass reads of the jets; graph0 is
+        # graph exactly when F0 is F
         graph = graph_terms(theta, jet)
         graph0 = graph if jet0 is jet else graph_terms(theta, jet0)
         del jet, jet0
-        block = surface if rows >= grid.n_theta else replace(
-            surface, grid=replace(grid, n_theta=hi - lo,
-                                  theta=grid.theta[lo:hi],
-                                  u_weights=grid.u_weights[lo:hi]))
-        forms, forms0, dI, dH = paired_forms(block, ambient, graph, graph0)
+        forms, forms0, dI, dH = paired_forms(ambient, k, graph, graph0)
         # the forms refuse an I that is not finite, so no |I0 - I| is nan
         iso = [max(m, np.max(np.abs(d))) for m, d in zip(iso, dI)]
         min_k = np.minimum(min_k, np.min(gauss_curvature(forms0, -k * k)))
         min_r = np.minimum(min_r, np.min(scalar_curvature(ambient,
                                                           forms.radius)))
         block_fields = (forms.mean_curvature, dH,
-                        block.grid.measure_weights() * forms.area_element,
+                        weights[lo:hi] * forms.area_element,
                         forms0.radius)
         if rows >= grid.n_theta:
             fields = block_fields

@@ -100,6 +100,16 @@ def asymptotic_results(grid32):
             for name, sphere in spheres.items()}
 
 
+def forms_of(surface, metric):
+    """``geometry.surface_forms`` in ``metric`` of the graph of
+    ``surface.F``, its jet evaluated on the grid's node axes as the node
+    pass evaluates it."""
+    theta, phi = surface.grid.node_axes()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        graph = geo.graph_terms(theta, surface.F(theta, phi))
+    return geo.surface_forms(metric, graph)
+
+
 def node_arrays(grid):
     """Flattened (theta, phi) node coordinates of ``grid``, theta-major."""
     T, P = np.meshgrid(grid.theta, grid.phi, indexing="ij")

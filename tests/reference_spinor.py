@@ -36,7 +36,8 @@ def ball_points(data) -> np.ndarray:
 def node_integral(data, norms) -> list:
     """int ((H_0^2 - H^2)/H) n dSigma for each row n of ``norms`` (m, N),
     each the ``math.fsum`` of its node values."""
-    weight = on_nodes((data.H0 ** 2 - data.H ** 2) / data.H, data)
+    H0 = data.H + data.dH
+    weight = on_nodes((H0 ** 2 - data.H ** 2) / data.H, data)
     measure = on_nodes(data.measure, data)
     return [math.fsum((measure * (weight * n)).tolist())
             for n in np.atleast_2d(norms)]

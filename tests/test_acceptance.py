@@ -19,8 +19,7 @@ from reference_spinor import node_weighted_mass
 from hypermass.cli import main as cli_main
 from hypermass.geometry import (ads_schwarzschild_metric,
                                 geodesic_sphere_surface,
-                                hyperbolic_ball_metric, scalar_curvature,
-                                surface_forms)
+                                hyperbolic_ball_metric, scalar_curvature)
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass.mass import (asymptotic_limit, killing_weighted_mass,
@@ -29,8 +28,8 @@ from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
                       ZERO_LINEAR, classify_by_null_pairings,
-                      exact_ads_energy, make_classified_vector, norm_inf,
-                      random_spinors)
+                      exact_ads_energy, forms_of, make_classified_vector,
+                      norm_inf, random_spinors)
 
 
 def report(tag, ok, detail):
@@ -156,7 +155,7 @@ def test_criterion_6_curvature_oracles(grid32):
     worst_h = 0.0
     for rho in (0.5, 1.0, 2.0):
         surface = geodesic_sphere_surface(rho, 1.0, grid32)
-        H = surface_forms(surface, hyp).mean_curvature
+        H = forms_of(surface, hyp).mean_curvature
         worst_h = max(worst_h, float(np.max(np.abs(
             H - 1.0 / math.tanh(rho)))))
     # R: the closed form and the reference stencil, in the Poincare ball

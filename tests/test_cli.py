@@ -23,7 +23,7 @@ from hypermass.cli import build_metric, build_surface, load_config, main
 from hypermass.errors import ConfigError
 from hypermass.lorentz import classify, minkowski_inner, sample_null_cone
 
-from conftest import exact_ads_energy, waist_graph
+from conftest import exact_ads_energy, forms_of, waist_graph
 
 ADS_CONFIG = """
 metric: {type: ads_schwarzschild, k: 1.0, m: 0.1}
@@ -131,9 +131,9 @@ def node_pass_calls(monkeypatch):
     calls = {"surface_forms": []}
     surface_forms = geo.surface_forms
 
-    def counted_forms(surface, metric, *args, **kwargs):
+    def counted_forms(metric, graph):
         calls["surface_forms"].append(metric.tag)
-        return surface_forms(surface, metric, *args, **kwargs)
+        return surface_forms(metric, graph)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] != "hypermass":
@@ -222,6 +222,35 @@ class TestMassCommand:
         assert doc["hypothesis_checks"]["min_scalar_plus_6k2"] == -1.0
         assert abs(doc["E"][3] - exact_ads_energy(2.0)) < 1e-6
         assert doc["causal_class"] == "TimelikeFuture"
+
+    # a waist whose H dips below 0 near the south pole; in AdS-Schwarzschild
+    # its isometry check fails too
+    @pytest.mark.parametrize("config, hard", [
+        (ADS_CONFIG, ""),
+        (NONCONVEX_CONFIG.replace("0.95", "0.56"), "min_mean_curvature"),
+        (TILTED_ADS_CONFIG, "isometry_mismatch"),
+        (NONCONVEX_CONFIG.replace("0.95", "0.56").replace(
+            "hyperbolic_ball, k: 1.0", "ads_schwarzschild, k: 1.0, m: 0.1"),
+         "min_mean_curvature or isometry_mismatch")],
+        ids=["soft", "h", "isometry", "both"])
+    def test_force_is_offered_only_where_it_passes(self, tmp_path,
+                                                   monkeypatch, config, hard):
+        # with the R check failed on top, --force gets past the failures
+        # only when H > 0 and the mismatch holds: the integrals refuse both
+        # even under --force, so the message names them instead
+        monkeypatch.setattr(massmod, "scalar_curvature",
+                            lambda metric, r: np.full(np.shape(r), -7.0))
+        cfg = write(tmp_path, "c.yaml", config)
+        argv = ["mass", cfg, "--output", str(tmp_path / "o")]
+        code, _, err = run(argv)
+        assert code == 3 and err.count("\n") == 1
+        assert "min_scalar_plus_6k2 = -1, need > -1e-05" in err
+        hint = (f"--force does not get past {hard}" if hard
+                else "rerun with --force to proceed")
+        assert err.endswith(f"); {hint}\n")
+        code, _, err = run(argv + ["--force"])
+        assert code == (1 if hard else 0)
+        assert err.startswith("error: ") if hard else err == ""
 
     def test_failure_names_the_failed_check(self, tmp_path):
         # H, K and R pass; only the isometry mismatch fails: a tilted
@@ -736,7 +765,7 @@ def test_least_h_tie_names_the_first_node(tmp_path, monkeypatch):
                 + "\nresolution: {n_theta: 16, n_phi: 32}\n")
     config = load_config(cfg)
     surface = build_surface(config, geo.QuadratureGrid.build(16, 32))
-    H = geo.surface_forms(surface, build_metric(config)).mean_curvature
+    H = forms_of(surface, build_metric(config)).mean_curvature
     shift = np.min(H) + 0.27
     rounded = np.round(H - shift, 1)
     ties = np.argwhere(rounded == np.min(rounded))
@@ -796,14 +825,13 @@ class TestNodePass:
         surface = build_surface(config, grid)
         graph = geo.graph_terms(grid.theta[:, None],
                                 surface.F(*grid.node_axes()))
-        forms0 = geo.paired_forms(surface, build_metric(config), graph,
-                                  graph)[1]
+        forms0 = geo.paired_forms(build_metric(config), k, graph, graph)[1]
         K = geo.gauss_curvature(forms0, -k * k)
         assert doc["hypothesis_checks"]["min_gauss_plus_k2"] \
             == float(np.min(K) + k * k)
         # the H^3 forms built from delta V are those of a pass in H^3, to
         # the rounding of det II / det I = K + k^2
-        K_h3 = geo.gauss_curvature(geo.surface_forms(
+        K_h3 = geo.gauss_curvature(forms_of(
             surface.h3_view(), geo.hyperbolic_ball_metric(k)), -k * k)
         bound = 8 * np.finfo(float).eps * np.max(np.abs(K_h3 + k * k))
         assert np.max(np.abs(K - K_h3)) <= bound

@@ -20,12 +20,12 @@ from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 gauss_curvature, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
                                 radial_profile_surface, scalar_curvature,
-                                surface_forms, wang_ah_metric)
+                                wang_ah_metric)
 from hypermass.hypgeom import areal_to_minkowski
 from hypermass.mass import mass_forms, surface_mass_data
 
-from conftest import (ADS_M, ads_potential, form_matrices, n_nodes,
-                      node_arrays, on_nodes, scaled_sphere)
+from conftest import (ADS_M, ads_potential, form_matrices, forms_of,
+                      n_nodes, node_arrays, on_nodes, scaled_sphere)
 
 EPS = np.finfo(float).eps
 # ulps of its terms that tr h may be off 2 g0 + a . u by
@@ -487,21 +487,21 @@ class TestChristoffel:
 class TestMeanCurvature:
     def test_geodesic_sphere(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
+        forms = forms_of(surface, hyperbolic_ball_metric(1.0))
         target = 1.0 / math.tanh(1.0)
         assert np.max(np.abs(forms.mean_curvature - target)) < 1e-8
 
     def test_coth_scaling(self, grid16):
         for k, rho in ((0.5, 1.0), (2.0, 0.7)):
             surface = geodesic_sphere_surface(rho, k, grid16)
-            forms = surface_forms(surface, hyperbolic_ball_metric(k))
+            forms = forms_of(surface, hyperbolic_ball_metric(k))
             target = k / math.tanh(k * rho)
             assert np.max(np.abs(forms.mean_curvature - target)) < 1e-8
 
     def test_ads_coordinate_sphere(self, grid16):
         r = 2.0
         surface = coordinate_sphere_surface(r, grid16)
-        forms = surface_forms(surface, ads_schwarzschild_metric(ADS_M, 1.0))
+        forms = forms_of(surface, ads_schwarzschild_metric(ADS_M, 1.0))
         target = math.sqrt(ads_potential(r)) / r
         assert np.max(np.abs(forms.mean_curvature - target)) < 1e-8
 
@@ -509,14 +509,14 @@ class TestMeanCurvature:
                                         (0.5, 1.0), (2.0, 0.7)])
     def test_geodesic_sphere_to_roundoff(self, grid32, k, rho):
         surface = geodesic_sphere_surface(rho, k, grid32)
-        H = surface_forms(surface, hyperbolic_ball_metric(k)).mean_curvature
+        H = forms_of(surface, hyperbolic_ball_metric(k)).mean_curvature
         assert np.max(np.abs(H - k / math.tanh(k * rho))) <= 1e-13
 
     @pytest.mark.parametrize("r", [2.0, 10.0])
     def test_ads_pair_to_roundoff(self, grid32, r):
         data, _ = mass_forms(coordinate_sphere_surface(r, grid32),
                              ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = data.H, data.H0
+        H, H0 = data.H, data.H + data.dH
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-13
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-13
 
@@ -526,13 +526,13 @@ class TestMeanCurvature:
         # every radius
         data, _ = mass_forms(coordinate_sphere_surface(r, grid32),
                              ads_schwarzschild_metric(ADS_M, 1.0))
-        H, H0 = data.H, data.H0
+        H, H0 = data.H, data.H + data.dH
         assert np.max(np.abs(H - math.sqrt(ads_potential(r)) / r)) <= 1e-15
         assert np.max(np.abs(H0 - math.sqrt(1.0 + r * r) / r)) <= 1e-15
 
     def test_euclidean_unit_sphere(self, grid16):
         surface = coordinate_sphere_surface(1.0, grid16)
-        forms = surface_forms(surface, euclidean_metric())
+        forms = forms_of(surface, euclidean_metric())
         assert np.max(np.abs(forms.mean_curvature - 1.0)) < 1e-10
 
     def test_phi_shift_covariance(self, grid16):
@@ -544,8 +544,8 @@ class TestMeanCurvature:
         shifted = SurfaceData(F=lambda t, p: surface.F(t, p + c),
                               grid=grid16, k=1.0)
         metric = hyperbolic_ball_metric(1.0)
-        H = surface_forms(surface, metric).mean_curvature.reshape(-1, n_phi)
-        Hs = surface_forms(shifted, metric).mean_curvature.reshape(-1, n_phi)
+        H = forms_of(surface, metric).mean_curvature.reshape(-1, n_phi)
+        Hs = forms_of(shifted, metric).mean_curvature.reshape(-1, n_phi)
         assert np.max(np.abs(Hs - np.roll(H, -5, axis=1))) < 1e-10
 
     def test_chart_independence(self, grid16):
@@ -571,12 +571,12 @@ class TestMeanCurvature:
              ads_schwarzschild_metric(ADS_M, 1.0)),
         ]
         for surface, metric in candidates:
-            forms = surface_forms(surface, metric)
+            forms = forms_of(surface, metric)
             assert np.min(forms.mean_curvature) > 0.0
 
     def test_forms_flatten_theta_major(self, grid16):
         surface = radial_profile_surface(1.0, (0.05, -0.02, 0.1), 1.0, grid16)
-        forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
+        forms = forms_of(surface, hyperbolic_ball_metric(1.0))
         n = n_nodes(grid16)
         packed = form_matrices(forms, grid16)
         assert packed.first.shape == packed.second.shape == (n, 2, 2)
@@ -591,10 +591,10 @@ class TestMeanCurvature:
         for metric in (euclidean_metric(), hyperbolic_ball_metric(1.0)):
             point = SurfaceData(F=scaled_sphere(0.0), grid=grid16, k=1.0)
             with pytest.raises(DomainError):
-                surface_forms(point, metric)
+                forms_of(point, metric)
         inside = SurfaceData(F=scaled_sphere(0.25), grid=grid16, k=1.0)
         with pytest.raises(DomainError):
-            surface_forms(inside, ads_schwarzschild_metric(ADS_M, 1.0))
+            forms_of(inside, ads_schwarzschild_metric(ADS_M, 1.0))
         # the factories refuse a profile whose least geodesic radius is
         # <= 0 though no node lands on it, and a k of no H^3, up front
         with pytest.raises(DomainError, match="least geodesic radius"):
@@ -656,35 +656,35 @@ class TestMeanCurvature:
         # the AH collar is no warped product: the node pass cannot run there
         surface = coordinate_sphere_surface(0.5, grid16)
         with pytest.raises(DomainError):
-            surface_forms(surface, wang_ah_metric(0.5, (0.0, 0.0, 0.0)))
+            forms_of(surface, wang_ah_metric(0.5, (0.0, 0.0, 0.0)))
 
 
 class TestGaussCurvature:
     # K = c + det II / det I read off the node-pass forms (Gauss equation)
     def test_geodesic_sphere(self, grid16):
         surface = geodesic_sphere_surface(1.0, 1.0, grid16)
-        forms = surface_forms(surface, hyperbolic_ball_metric(1.0))
+        forms = forms_of(surface, hyperbolic_ball_metric(1.0))
         K = gauss_curvature(forms, -1.0)
         target = 1.0 / math.sinh(1.0) ** 2
         assert np.max(np.abs(K - target)) < 1e-6
 
     def test_euclidean_unit_sphere(self, grid16):
         surface = coordinate_sphere_surface(1.0, grid16)
-        K = gauss_curvature(surface_forms(surface, euclidean_metric()), 0.0)
+        K = gauss_curvature(forms_of(surface, euclidean_metric()), 0.0)
         assert np.max(np.abs(K - 1.0)) < 1e-6
 
     def test_ads_coordinate_sphere(self, grid16):
         # Sigma's K is read from its isometric image in H^3
         surface = coordinate_sphere_surface(2.0, grid16)
-        forms0 = surface_forms(surface.h3_view(), hyperbolic_ball_metric(1.0))
+        forms0 = forms_of(surface.h3_view(), hyperbolic_ball_metric(1.0))
         K = gauss_curvature(forms0, -1.0)
         assert np.max(np.abs(K - 0.25)) < 1e-6
 
     # the pass reduces K of the H^3 forms to min K + k^2
     def test_mass_pass_geodesic_sphere(self, grid64):
         surface = geodesic_sphere_surface(1.0, 1.0, grid64)
-        K = gauss_curvature(surface_forms(surface.h3_view(),
-                                          hyperbolic_ball_metric(1.0)), -1.0)
+        K = gauss_curvature(forms_of(surface.h3_view(),
+                                     hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / math.sinh(1.0) ** 2)) < 1e-9
         _, checks = mass_forms(surface, hyperbolic_ball_metric(1.0))
         assert checks["min_gauss_plus_k2"] == np.min(K) + 1.0
@@ -694,14 +694,14 @@ class TestGaussCurvature:
         # rounding of those of a pass in H^3
         r = 2.0
         surface = coordinate_sphere_surface(r, grid64)
-        K = gauss_curvature(surface_forms(surface.h3_view(),
-                                          hyperbolic_ball_metric(1.0)), -1.0)
+        K = gauss_curvature(forms_of(surface.h3_view(),
+                                     hyperbolic_ball_metric(1.0)), -1.0)
         assert np.max(np.abs(K - 1.0 / r ** 2)) < 1e-9
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         graph = geo.graph_terms(grid64.theta[:, None],
                                 surface.F(*grid64.node_axes()))
         K0 = gauss_curvature(
-            geo.paired_forms(surface, metric, graph, graph)[1], -1.0)
+            geo.paired_forms(metric, 1.0, graph, graph)[1], -1.0)
         assert np.max(np.abs(K0 - K)) <= 8 * EPS * np.max(np.abs(K + 1.0))
         _, checks = mass_forms(surface, metric)
         assert checks["min_gauss_plus_k2"] == np.min(K0) + 1.0
@@ -833,7 +833,7 @@ class TestNodePassAlgebra:
                    forms.area_element, forms.gauss_curvature(c))
             ref_args = (jet, grid, chart, radial, c)
         else:
-            forms = surface_forms(surface, metric)
+            forms = forms_of(surface, metric)
             K = on_nodes(gauss_curvature(forms, args[-1]), grid16)
             forms = form_matrices(forms, grid16)
             got = (forms.first, forms.second, forms.mean_curvature,
@@ -854,7 +854,7 @@ class TestNodePassAlgebra:
             if callable(getattr(np.linalg, name)):
                 monkeypatch.setattr(np.linalg, name, refuse)
         for surface, metric in cases:
-            gauss_curvature(surface_forms(surface, metric), -1.0)
+            gauss_curvature(forms_of(surface, metric), -1.0)
 
     def test_reads_no_metric_components(self, grid16):
         # the pass works from V and V' alone: the warped products carry no
@@ -865,13 +865,13 @@ class TestNodePassAlgebra:
             assert metric.components is None, metric.tag
         surface = radial_profile_surface(1.0, (0.12, -0.05, 0.2), 1.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        expect = form_matrices(surface_forms(surface, metric), grid16)
+        expect = form_matrices(forms_of(surface, metric), grid16)
 
         def refuse(p):
             raise AssertionError("metric components read by the node pass")
 
         metric.components = refuse
-        forms = form_matrices(surface_forms(surface, metric), grid16)
+        forms = form_matrices(forms_of(surface, metric), grid16)
         for name in ("first", "second", "mean_curvature", "area_element",
                      "radius"):
             got = getattr(forms, name)
@@ -902,7 +902,7 @@ class TestNodePassAlgebra:
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         tracemalloc.start()
         try:
-            surface_forms(surface, metric)
+            forms_of(surface, metric)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -927,8 +927,8 @@ class TestClosedFormAgainstReference:
     def test_ads_coordinate_spheres(self, grid16, r):
         surface = coordinate_sphere_surface(r, grid16)
         ads, hyp = ads_schwarzschild_metric(ADS_M, 1.0), hyperbolic_ball_metric(1.0)
-        forms = surface_forms(surface, ads)
-        forms0 = surface_forms(surface.h3_view(), hyp)
+        forms = forms_of(surface, ads)
+        forms0 = forms_of(surface.h3_view(), hyp)
         K0 = on_nodes(gauss_curvature(forms0, -1.0), grid16)
         forms, forms0 = (form_matrices(f, grid16) for f in (forms, forms0))
         for new, old in ((forms, ref.polar_forms(surface, ads)),
@@ -946,7 +946,7 @@ class TestClosedFormAgainstReference:
     def test_tilted_h3_graphs_against_ball_chart(self, grid16, seed):
         k = (1.0, 0.5, 2.0)[seed]
         surface = radial_profile_surface(1.0, _seeded_tilt(seed), k, grid16)
-        forms = surface_forms(surface, hyperbolic_ball_metric(k))
+        forms = forms_of(surface, hyperbolic_ball_metric(k))
         K = on_nodes(gauss_curvature(forms, -k * k), grid16)
         forms, old = form_matrices(forms, grid16), ref.ball_forms(surface)
         for name in ("first", "second", "mean_curvature", "area_element"):
@@ -958,7 +958,7 @@ class TestClosedFormAgainstReference:
         # every term of II, cot theta included, off the round sphere
         surface = radial_profile_surface(1.0, _seeded_tilt(3), 1.0, grid16)
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
-        forms = form_matrices(surface_forms(surface, metric), grid16)
+        forms = form_matrices(forms_of(surface, metric), grid16)
         old = ref.polar_forms(surface, metric)
         for name in ("first", "second", "mean_curvature", "area_element"):
             assert rel_err(getattr(forms, name),
@@ -973,7 +973,7 @@ class TestClosedFormAgainstReference:
         metric = ads_schwarzschild_metric(ADS_M, 1.0)
         old = ref.polar_forms(surface, metric, orientation_sign=sign)
         assert np.all(sign * old.normal[:, 0] < 0.0)
-        forms = form_matrices(surface_forms(surface, metric), grid16)
+        forms = form_matrices(forms_of(surface, metric), grid16)
         assert rel_err(forms.second, sign * old.second) <= FORMS_TOL
         assert np.all(forms.mean_curvature > 0.0)
 
@@ -1040,7 +1040,7 @@ class TestIntegrate:
 
     def test_unit_sphere_area(self, grid64):
         surface = coordinate_sphere_surface(1.0, grid64)
-        ae = surface_forms(surface, euclidean_metric()).area_element
+        ae = forms_of(surface, euclidean_metric()).area_element
         area = math.fsum(on_nodes(grid64.measure_weights() * ae, grid64))
         assert abs(area - 4 * math.pi) < 1e-10
 
@@ -1048,7 +1048,7 @@ class TestIntegrate:
         surface = coordinate_sphere_surface(1.0, grid64)
         theta, phi = node_arrays(grid64)
         x1 = ref.unit_direction_jet(theta, phi)[0][:, 0]
-        ae = surface_forms(surface, euclidean_metric()).area_element
+        ae = forms_of(surface, euclidean_metric()).area_element
         w_ae = on_nodes(grid64.measure_weights() * ae, grid64)
         assert abs(math.fsum(w_ae * x1)) < 1e-12
 

@@ -25,8 +25,7 @@ from hypermass.geometry import (QuadratureGrid, SurfaceData,
                                 coordinate_sphere_surface,
                                 euclidean_metric, geodesic_sphere_surface,
                                 hyperbolic_ball_metric,
-                                paired_forms, radial_profile_surface,
-                                surface_forms)
+                                paired_forms, radial_profile_surface)
 from hypermass.hypgeom import ball_to_minkowski
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
@@ -42,9 +41,9 @@ from hypermass.spinor import zeta_of
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
                       TILTED_LINEAR, ZERO_LINEAR, ads_potential,
                       einsum_killing_norms_sq, exact_ads_energy,
-                      form_matrices, n_nodes, node_arrays, norm_inf,
-                      on_nodes, positions, random_spinors, scaled_sphere,
-                      waist_graph)
+                      form_matrices, forms_of, n_nodes, node_arrays,
+                      norm_inf, on_nodes, positions, random_spinors,
+                      scaled_sphere, waist_graph)
 
 
 def mobius_jet(F, a):
@@ -101,7 +100,7 @@ class TestEnergyMomentum:
         centred = geodesic_sphere_surface(rho, 1.0, grid64)
         moved = ref.forms(mobius_jet(ref.ball_jet(centred.F), a), grid64,
                           ref.ball_chart(1.0))
-        forms0 = surface_forms(centred, hyp_metric)
+        forms0 = forms_of(centred, hyp_metric)
         assert np.max(np.abs(moved.first
                              - form_matrices(forms0, grid64).first)) <= 1e-12
         shape = (grid64.n_theta, grid64.n_phi)
@@ -112,7 +111,7 @@ class TestEnergyMomentum:
                      * moved.area_element.reshape(shape)),
             R0=forms0.radius, grid=grid64, k=1.0)
         assert np.max(np.abs(data.H - 1.0 / math.tanh(rho))) <= 1e-12
-        assert np.any(data.H != data.H0)
+        assert np.any(data.H != data.H + data.dH)
         assert norm_inf(data.energy()) <= 1e-9
 
     def test_ads_closed_form_oracle(self, ads_scenarios):
@@ -184,7 +183,7 @@ class TestEnergyMomentum:
         else:
             surface = radial_profile_surface(1.0, (0.5, -0.6, 0.3), 1.0,
                                              grid)
-        H = surface_forms(surface, metric).mean_curvature
+        H = forms_of(surface, metric).mean_curvature
         assert (np.shape(H) == (16, 1)) == (case == "theta_axis")
         H = on_nodes(H, grid)
         node = int(np.argmin(H))
@@ -253,7 +252,8 @@ class TestShiTam:
         _, data, _ = ads_scenarios[2.0]
         M = shi_tam_vector(data, alpha=1.0)
         assert M.t > 0.0
-        assert np.min(data.H0 - data.H) > 0.0  # H_0 > H pointwise (V < 1+r^2)
+        # H_0 > H pointwise (V < 1 + r^2)
+        assert np.min((data.H + data.dH) - data.H) > 0.0
 
     def test_alpha_ordering(self, ads_scenarios):
         _, data, _ = ads_scenarios[2.0]
@@ -364,7 +364,7 @@ def _weighted_mass_scenario(name):
                else radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid))
     data = surface_mass_data(surface, metric, iso_tol=1.0)
     if name == "past":
-        data = dataclasses.replace(data, H=data.H0, dH=-data.dH)
+        data = dataclasses.replace(data, H=data.H + data.dH, dH=-data.dH)
     return surface, metric, data
 
 
@@ -546,7 +546,7 @@ class TestAHSphereData:
     def test_zero_tensor(self, grid64):
         d = ah_sphere_data(0.3, round_sphere_quadrature(0.0, ZERO_LINEAR,
                                                         grid64))
-        assert np.all(d.H == d.H0)
+        assert np.all(d.H == d.H + d.dH)
         assert np.all(d.H == math.cosh(0.3))
 
     def test_round_multiple_offset(self, grid64):
@@ -554,7 +554,7 @@ class TestAHSphereData:
         d = ah_sphere_data(
             r, round_sphere_quadrature(c, ZERO_LINEAR, grid64))
         expect = -0.25 * r ** 3 * 2 * c
-        assert np.max(np.abs((d.H - d.H0) - expect)) < 1e-15
+        assert np.max(np.abs((d.H - (d.H + d.dH)) - expect)) < 1e-15
 
     def test_h_positive_in_validity_range(self, grid64):
         for tau in (10.0, -10.0):
@@ -676,7 +676,7 @@ class TestSurfaceMassData:
 
     def test_h3_side_mean_curvature(self, rigid_scenarios):
         _, data, _ = rigid_scenarios[1.0]
-        assert np.max(np.abs(data.H0 - 1.0 / math.tanh(1.0))) < 1e-8
+        assert np.max(np.abs(data.H + data.dH - 1.0 / math.tanh(1.0))) < 1e-8
 
     def test_weights_integrate_area(self, ads_scenarios):
         _, data, _ = ads_scenarios[2.0]
@@ -1202,6 +1202,30 @@ def test_one_jet_evaluation_per_node(axes):
     assert sum(nodes) == 2 * n_nodes(grid)
 
 
+def test_two_graph_surface_across_block_sizes(monkeypatch):
+    # a surface whose F0 is another jet gets a forms pass per side: its
+    # fields and checks are the same bytes in blocks of one theta row and
+    # in one block, and dH is F0's H in H^3 less F's H in the ambient, each
+    # from a pass of its own
+    grid = QuadratureGrid.build(16, 32)
+    ambient = ads_schwarzschild_metric(ADS_M, 1.0)
+    surface = dataclasses.replace(
+        radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
+        F0=radial_profile_surface(1.2, (0.05, -0.1, 0.2), 1.0, grid).F)
+    outputs = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(massmod, "_BLOCK_NODES", budget)
+        data, checks = mass_forms(surface, ambient)
+        fields = {name: np.broadcast_to(getattr(data, name),
+                                        data.shape).tobytes()
+                  for name in ("H", "dH", "measure", "R0")}
+        outputs.append((fields, checks))
+    assert outputs[0] == outputs[1]
+    H0 = forms_of(surface.h3_view(), hyperbolic_ball_metric(1.0))
+    H = forms_of(surface, ambient).mean_curvature
+    assert np.array_equal(data.dH, H0.mean_curvature - H)
+
+
 def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     # the node pass of a graph of constant radius is one block, whose forms
     # on each side hold every component on the theta axis, and it keeps H,
@@ -1213,8 +1237,8 @@ def test_mass_forms_keep_sphere_components_on_the_theta_axis(monkeypatch):
     metric = ads_schwarzschild_metric(ADS_M, 1.0)
     passes = []
 
-    def recorded(*args):
-        out = paired_forms(*args)
+    def recorded(metric, k, graph, graph0):
+        out = paired_forms(metric, k, graph, graph0)
         passes.extend(out[:2])
         return out
 
@@ -1355,7 +1379,7 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     H = on_nodes(data.H, grid)
     dH = on_nodes(data.dH, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
-               * on_nodes(surface_forms(surface, metric).area_element, grid))
+               * on_nodes(forms_of(surface, metric).area_element, grid))
     sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}
     _assert_flat_sums(data.energy(), measure * (dH * (H + dH + H) / H * X.T),
                       summed_rows, **sphere)

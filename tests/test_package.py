@@ -356,20 +356,23 @@ def _public_defs(tree):
 
 
 def _references(node, outside=None, found=None):
-    """Names that ``node`` uses: identifiers, attributes and string
-    constants (a bench table of names counts), leaving out the subtree
-    ``outside`` and the strings of ``__all__``."""
-    found = set() if found is None else found
+    """``(names, members)``: the identifiers that ``node`` uses, and the
+    names that it reads as attributes, passes as keywords or spells as
+    string constants (a bench table of names counts), leaving out the
+    subtree ``outside`` and the strings of ``__all__``."""
+    names, members = found = (set(), set()) if found is None else found
     if node is outside or (isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__"
             for t in node.targets)):
         return found
     if isinstance(node, ast.Name):
-        found.add(node.id)
-    elif isinstance(node, ast.Attribute):
-        found.add(node.attr)
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        members.add(node.attr)
+    elif isinstance(node, ast.keyword) and node.arg:
+        members.add(node.arg)
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-        found.add(node.value)
+        members.add(node.value)
     for child in ast.iter_child_nodes(node):
         _references(child, outside, found)
     return found
@@ -392,14 +395,19 @@ def _package(programs):
 
 
 def test_src_holds_no_test_only_code(programs):
-    # every public function, class, method, property and stored field of
-    # the package is used by name from the package or the benchmark's
-    # programs (not its tests), outside its own body
+    # every public function and class of the package is used by name from
+    # the package or the benchmark's programs (not its tests), outside its
+    # own body; a public method, property or stored field is read as an
+    # attribute, passed as a keyword or named in a string there: a local
+    # variable of its name does not use it
     unused = []
     for file, tree in _package(programs):
         for name, node in _public_defs(tree):
-            if not any(name in _references(other, outside=node)
-                       for other in programs.values()):
+            member = node not in tree.body
+            uses = (_references(other, outside=node)
+                    for other in programs.values())
+            if not any(name in members or not member and name in names
+                       for names, members in uses):
                 unused.append(f"{file}:{name}")
     assert unused == []
 
@@ -510,6 +518,29 @@ def test_one_node_record(programs):
                   "areal_to_minkowski")
     assert list(inspect.signature(mass.mass_forms).parameters) == [
         "surface", "ambient"]
+
+
+def test_node_pass_reads_graph_terms(programs):
+    # the geometry side of the node pass takes graph terms, not a surface:
+    # mass._node_pass decides the F0 pairing once (graph0 is graph exactly
+    # when F0 is F), slices the grid's measure weights per block, and so
+    # copies no surface or grid; H0 = H + dH is no field of the record
+    from hypermass import geometry
+    assert list(inspect.signature(geometry.surface_forms).parameters) == [
+        "metric", "graph"]
+    assert list(inspect.signature(geometry.paired_forms).parameters) == [
+        "metric", "k", "graph", "graph0"]
+    tree = programs[ROOT / "src" / "hypermass" / "mass.py"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and "replace" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))]
+    assert "replace" not in {alias.name for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom)
+                             for alias in node.names}
+    [record] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "SurfaceMassData"]
+    assert "H0" not in set(map(_member_name, record.body))
 
 
 def test_readme_module_rows_are_short():
