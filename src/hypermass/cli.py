@@ -7,8 +7,8 @@ usage:
   hypermass convergence scenario.yaml --resolutions 8,16,32 [--output DIR]
   hypermass -h | --help
 
-mass          compute E (and M_alpha at k = 1); --force proceeds past
-              failed hypothesis checks
+mass          compute E (and M_alpha at k = 1); --force gets past the K
+              and R checks only (min_gauss_plus_k2, min_scalar_plus_6k2)
 asymptotic    small-radius series E(S_r) -> Upsilon/2
 spinor-check  seeded identity / round-trip residual sweep
 convergence   quantities vs grid resolution, one per n_theta given

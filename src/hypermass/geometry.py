@@ -69,42 +69,41 @@ def _check_k(k: float) -> None:
 class MetricField:
     """Riemannian 3-metric in the polar chart (r, theta, phi).
 
-    The node pass needs ``V`` and its derivative ``dV`` (callables of r) of a
-    warped product g = dr^2/V(r) + r^2 g_S2 on the chart r > ``r_min``, and
-    ``delta_V(r, k2)`` = V(r) - (1 + k2 r^2), its difference from H^3 of
-    curvature -k2, in closed form, with its derivative ``delta_dV(r, k2)``.
-    The AH collar metric is no warped product: it carries ``components``
-    only, a map of chart points (..., 3), complex ones included, to the
-    components (..., 3, 3).
+    The node pass runs in dr^2/V + r^2 g_S2, V = 1 + a r^2 - 2m/r, on the
+    chart r > ``r_min``.  V, V', ``delta_V(r, k2)`` = V - (1 + k2 r^2) and
+    its derivative ``delta_dV`` leave out the terms of a zero coefficient,
+    so ``delta_V`` is the Python float 0.0 when k2 = a: the shortcut of
+    :func:`paired_forms` and the exact E = 0 of H^3 surfaces rely on it.
+    The AH collar metric is no warped product: its ``a`` is None and it
+    carries ``components`` only, a map of chart points (..., 3), complex
+    ones included, to the components (..., 3, 3).
     """
 
     tag: str
-    V: Optional[Callable] = None
-    dV: Optional[Callable] = None
+    a: Optional[float] = None
+    m: float = 0.0
     r_min: float = 0.0
     components: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    delta_V: Optional[Callable] = None
-    delta_dV: Optional[Callable] = None
 
+    def V(self, r):
+        V = 1.0 + self.a * r * r if self.a else np.ones_like(r)
+        return V - 2.0 * self.m / r if self.m else V
 
-def _h3_difference(a: float, m: float) -> dict:
-    """``delta_V`` and ``delta_dV`` of V = 1 + a r^2 - 2m/r: (a - k2) r^2 -
-    2m/r and 2 (a - k2) r + 2m/r^2, the terms of a zero coefficient left
-    out, so that delta V is 0.0 in the H^3 of curvature -a itself."""
-    def delta_V(r, k2):
-        d = -2.0 * m / r if m else 0.0
-        return d + (a - k2) * r * r if a != k2 else d
+    def dV(self, r):
+        dV = 2.0 * self.a * r if self.a else np.zeros_like(r)
+        return dV + 2.0 * self.m / (r * r) if self.m else dV
 
-    def delta_dV(r, k2):
-        d = 2.0 * m / (r * r) if m else 0.0
-        return d + 2.0 * (a - k2) * r if a != k2 else d
+    def delta_V(self, r, k2):
+        d = -2.0 * self.m / r if self.m else 0.0
+        return d + (self.a - k2) * r * r if self.a != k2 else d
 
-    return dict(delta_V=delta_V, delta_dV=delta_dV)
+    def delta_dV(self, r, k2):
+        d = 2.0 * self.m / (r * r) if self.m else 0.0
+        return d + 2.0 * (self.a - k2) * r if self.a != k2 else d
 
 
 def euclidean_metric() -> MetricField:
-    return MetricField("Euclidean", np.ones_like, np.zeros_like,
-                       **_h3_difference(0.0, 0.0))
+    return MetricField("Euclidean", 0.0, 0.0)
 
 
 def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
@@ -112,9 +111,7 @@ def hyperbolic_ball_metric(k: float = 1.0) -> MetricField:
     ``hyperbolic_ball``; a point at areal radius r lies at ball radius
     k r / (1 + sqrt(1 + k^2 r^2)) of the Poincare ball)."""
     _check_k(k)
-    k2 = k * k
-    return MetricField("Hyperbolic", lambda r: 1.0 + k2 * r * r,
-                       lambda r: 2.0 * k2 * r, **_h3_difference(k2, 0.0))
+    return MetricField("Hyperbolic", k * k, 0.0)
 
 
 def ads_horizon_radius(m: float, k: float) -> float:
@@ -131,11 +128,8 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     if not m >= 0:              # NaN included
         raise ConfigError(f"need m >= 0, got {m!r}")
     _check_k(k)
-    k2 = k * k
-    return MetricField(
-        "AdSSchwarzschild", lambda r: 1.0 + k2 * r * r - 2.0 * m / r,
-        lambda r: 2.0 * k2 * r + 2.0 * m / (r * r),
-        ads_horizon_radius(m, k) + _HORIZON_MARGIN, **_h3_difference(k2, m))
+    return MetricField("AdSSchwarzschild", k * k, m,
+                       ads_horizon_radius(m, k) + _HORIZON_MARGIN)
 
 
 def scalar_curvature(metric: MetricField, r) -> np.ndarray:
@@ -531,7 +525,7 @@ def surface_forms(metric: MetricField, graph: tuple) -> SurfaceForms:
     shape of those terms.  The normal is inward, N^r < 0, so convex graphs
     get H > 0.  Raises DomainError where the graph leaves the chart or a
     form is not finite."""
-    if metric.V is None:
+    if metric.a is None:
         raise DomainError(f"the node pass needs a metric dr^2/V + r^2 g_S2, "
                           f"not {metric.tag}")
     # a jet that overflows is refused below, by the V or the forms it makes

@@ -400,7 +400,6 @@ def shi_tam_alpha(R1: float, R2: float) -> float:
     return 1.0 / math.tanh(R1) + math.sqrt(max(0.0, ratio)) / s1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def shi_tam_vector(data: SurfaceMassData, alpha: float) -> LorentzVector:
     """M_alpha = int (H_0 - H) (x_1, x_2, x_3, alpha t) dSigma."""
     if alpha < 1.0:
@@ -419,7 +418,6 @@ def round_sphere_quadrature(g0_coeff: float, linear,
     return grid, w, mass_aspect_trace(g0_coeff, linear, *grid.node_axes())
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def wang_mass(sphere: tuple) -> LorentzVector:
     """Wang's AH energy-momentum from the mass-aspect tensor h, on the
     :func:`round_sphere_quadrature` data ``sphere``.

@@ -3,6 +3,7 @@ bench tracer wraps and the library calls of the bench pairing op."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -541,6 +542,46 @@ def test_node_pass_reads_graph_terms(programs):
     [record] = [node for node in tree.body if isinstance(node, ast.ClassDef)
                 and node.name == "SurfaceMassData"]
     assert "H0" not in set(map(_member_name, record.body))
+
+
+
+def _same_bits(got, want):
+    """Whether ``got``, broadcast to the shape of ``want``, holds the same
+    floats bit for bit."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype == np.float64 and
+            np.broadcast_to(got, want.shape).tobytes() == want.tobytes())
+
+
+def test_node_pass_metric_is_two_coefficients():
+    # a node-pass metric is V = 1 + a r^2 - 2m/r as its (a, m): V, V' and
+    # delta V = V - (1 + k2 r^2) with its derivative are written once, from
+    # the coefficients, equal to their closed forms bit for bit, and delta
+    # V is the float 0.0 in the H^3 of the metric's own curvature
+    from hypermass import geometry
+    assert [f.name for f in dataclasses.fields(geometry.MetricField)] == [
+        "tag", "a", "m", "r_min", "components"]
+    assert not hasattr(geometry, "_h3_difference")
+    metrics = {(0.0, 0.0): geometry.euclidean_metric(),
+               (0.25, 0.0): geometry.hyperbolic_ball_metric(0.5),
+               (4.0, 0.3): geometry.ads_schwarzschild_metric(0.3, 2.0),
+               (1.0, 0.0): geometry.ads_schwarzschild_metric(0.0, 1.0)}
+    for (a, m), metric in metrics.items():
+        assert (metric.a, metric.m) == (a, m), metric.tag
+        for r in (1.5, np.array([[0.7], [3.0], [1e3]])):
+            assert np.shape(metric.V(r)) == np.shape(metric.dV(r)) == (
+                np.shape(r))
+            assert _same_bits(metric.V(r), 1.0 + a * r * r - 2.0 * m / r)
+            assert _same_bits(metric.dV(r),
+                              2.0 * a * r + 2.0 * m / (r * r))
+            for k2 in (a, 1.0):
+                assert _same_bits(metric.delta_V(r, k2),
+                                  (a - k2) * r * r - 2.0 * m / r)
+                assert _same_bits(metric.delta_dV(r, k2),
+                                  2.0 * (a - k2) * r + 2.0 * m / (r * r))
+            if not m:
+                for delta in (metric.delta_V(r, a), metric.delta_dV(r, a)):
+                    assert type(delta) is float and delta == 0.0
 
 
 def test_readme_module_rows_are_short():

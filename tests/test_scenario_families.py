@@ -118,6 +118,34 @@ def test_h3_radial_profiles(base, tilt, fraction, k, axes):
     assert np.asarray(E).tolist() == [0.0] * 4
 
 
+# E_t(S_r) of a coordinate sphere is 8 pi m/k (1 - x)^(-1/2), x = 2m/(r (1
+# + k^2 r^2)) = 2m/(k^2 r^3) (1 - 1/(k^2 r^2) + ...), a series in 1/r of
+# orders 0, 3, 5, 6, 7, 8, ...: its r^0 term, the n = 2 limit, is the AH
+# mass 8 pi m/k, solved for from the pipeline's E_t at five radii.  E_x
+# and E_y are 0.0 by the trapezoid rule in phi; E_z is rounding, since the
+# nodes theta = arccos(u) of a symmetric rule u round asymmetrically
+AH_RADII = (10.0, 30.0, 100.0, 300.0, 1000.0)
+AH_ORDERS = (0.0, 3.0, 5.0, 6.0, 7.0)
+
+
+@pytest.mark.parametrize("k, m", [(1.0, 0.1), (0.5, 0.3), (2.0, 0.05),
+                                  (1.0, 1.0)])
+def test_ads_energy_tends_to_the_ah_mass(k, m):
+    grid = QuadratureGrid.build(32, 64)
+    metric = ads_schwarzschild_metric(m, k)
+    E_t = []
+    for r in AH_RADII:
+        E = mass_forms(coordinate_sphere_surface(r, grid, k), metric)[0]
+        E = E.energy()
+        assert E.x1 == E.x2 == 0.0
+        assert abs(E.x3) <= 1e-15 * E.t
+        E_t.append(E.t)
+    powers = np.power.outer(AH_RADII, np.negative(AH_ORDERS))
+    limit = np.linalg.solve(powers, E_t)[0]
+    ah_mass = 8.0 * math.pi * m / k
+    assert abs(limit - ah_mass) <= 1e-13 * ah_mass
+
+
 def _powers(lo, hi):
     """10^e for e drawn from [lo, hi]."""
     return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
