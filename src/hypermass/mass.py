@@ -23,27 +23,16 @@ every integral is one call of :func:`_row_sums`: each row, the product of
 its factors times the integrand's, is summed at the shape of its factors.
 A row with no factor on the phi axis is summed as its theta column; cos phi
 or sin phi times a theta column is 0, what the trapezoid rule in phi gives;
-any other row is written and summed in one buffer of N values, with a
-scratch of at most ``_FSUM_CHUNK`` values for the sum.  Buffers are made
-when a row first needs them, so no integral holds X or its integrand as a
-(4, N) block, and those of a surface whose fields have no phi axis, a
+any other row is written and summed in one buffer of N values.  Buffers are
+made when a row first needs them, so no integral holds X or its integrand
+as a (4, N) block, and those of a surface whose fields have no phi axis, a
 coordinate sphere, hold no array of N values.
 
-Every integral is a sum over the nodes that returns exactly what
-``math.fsum`` of its N node values would, the correctly rounded sum, the
-same bits whatever their order, except a row of cos phi or sin phi times a
-theta column: its sum is the 0.0 of the quadrature rule, not the fsum of
-the rounding noise of its node values.  :func:`_fsum` passes a short row,
-such as a theta column, to ``math.fsum`` as a list, and sums a long one
-without leaving numpy, by error-free extraction (Rump, Ogita and Oishi,
-"Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31,
-2008): adding and subtracting sigma = 2^(e+M), with 2^e above every |p| of
-a row of N values and 2^M >= N + 2, splits each p into a high part q, whose
-sum over the row is exact in any order, and an exact residual p - q of at
-most 2^(e+M-53).  Extraction repeats on the residuals, with that bound in
-place of their largest, until their plain sum, with its error bound, can no
-longer move the rounded total; ``math.fsum`` of the few exact partial sums
-then gives the answer.
+A row of at most ``_FSUM_SHORT`` values, such as a theta column, sums to
+the correctly rounded ``math.fsum`` of its values; a longer one, such as a
+row of a surface whose fields carry phi, to numpy's pairwise sum, within
+the bound stated at :func:`_fsum` (Higham, "The accuracy of floating point
+summation", SIAM J. Sci. Comput. 14, 1993).
 """
 
 from __future__ import annotations
@@ -80,73 +69,47 @@ __all__ = [
 ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 
 # ---------------------------------------------------------------------------
-# exact sums
+# node sums
 
 
-# rows of at most this many values go to math.fsum of their list: faster up
-# to about here than the extraction's passes (20 us either way at 512)
+# rows of at most this many values go to math.fsum of their list: on the
+# convergence benchmark, AdS coordinate spheres whose integrals are theta
+# columns of at most 128 values, their correctly rounded sums are worth 0.30
+# of digits_mean (the digits of E_t against its closed form) over np.sum
 _FSUM_SHORT = 512
-# values in the scratch buffer of a longer row, extracted a chunk at a time
-_FSUM_CHUNK = 1 << 12
 
 
-def _fsum(p: np.ndarray, q: np.ndarray) -> float:
-    """``math.fsum(p)`` of a float (N,) array ``p``: of ``p.tolist()`` for a
-    row of at most ``_FSUM_SHORT`` values, otherwise by error-free
-    extraction (module docstring), in ``p`` itself and ``q``, a scratch
-    buffer of at most N values, a chunk of ``p`` at a time: the residuals
-    overwrite ``p``.  A row whose extraction constant would overflow goes
-    to ``math.fsum`` too, and one whose sum is past the range of a float,
-    or that holds inf and -inf, sums to nan."""
-    n = len(p)
-    M = (n + 1).bit_length()          # 2^M >= n + 2
-    # a plain sum of n values of magnitude at most b is off by at most
-    # 2 n^2 u b (u = 2^-53): twice that covers the rounding of the bound,
-    # and n times the least subnormal its underflow
-    slack = 4.0 * n * n * 2.0 ** -53
-    big = max(p.max(), -p.min()) if n > _FSUM_SHORT else math.inf
-    if not big < 2.0 ** (1023 - M):   # short, nan, inf or near the overflow
+def _fsum(p: np.ndarray) -> float:
+    """The sum of a float (N,) array ``p``: ``math.fsum(p.tolist())`` for a
+    row of at most ``_FSUM_SHORT`` values, or nan where math.fsum refuses it
+    (a sum past the range of a float, or inf and -inf); numpy's pairwise
+    sum of a longer row, inf or nan where math.fsum refuses it.
+
+    A longer row's sum is within (ceil(log2 N) + 19) u sum |p|, u = 2^-53,
+    of math.fsum's: numpy's pairwise sum (8 accumulators over blocks of at
+    most 128 values, halved above that) rounds each value at most
+    ceil(log2 N) + 17 times, whose error bound gamma is below
+    (ceil(log2 N) + 18) u sum |p|, and math.fsum rounds once."""
+    if len(p) <= _FSUM_SHORT:
         try:
-            total = math.fsum(p.tolist())
+            return math.fsum(p.tolist())
         except (OverflowError, ValueError):   # past the range, inf - inf
-            total = math.nan
-    else:
-        parts = []                    # exact partial sums
-        while True:
-            sigma = math.ldexp(1.0, math.frexp(big)[1] + M)
-            for lo in range(0, n, len(q)):
-                chunk = p[lo:lo + len(q)]
-                high = q[:len(chunk)]
-                np.add(chunk, sigma, out=high)
-                high -= sigma
-                # every partial sum of the high parts is exact
-                parts.append(float(high.sum()))
-                chunk -= high
-            s = float(p.sum())
-            # each residual is the rounding of p + sigma, at most u sigma;
-            # residuals that sum to 0 may all be 0, which only their
-            # largest shows (the bound sinks by 2^(M - 52) a round)
-            big = sigma * 2.0 ** -53 if s else max(p.max(), -p.min())
-            # rounded once both ends of the residuals' error bound round to
-            # the same float
-            d = slack * big + n * 5e-324 if big else 0.0
-            total = math.fsum((*parts, s, -d))
-            if total == math.fsum((*parts, s, d)):
-                break
-    return total
+            return math.nan
+    return float(p.sum()) + 0.0   # math.fsum's 0.0 for -0.0s, on any numpy
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _row_sums(shape: tuple, rows, *factors) -> list:
-    """The exact sums over the nodes of ``shape`` (last axis phi) of each
-    row of ``rows`` times ``factors``, reduced over phi first as the shapes
-    of the row's factors allow:
+    """The :func:`_fsum` sums over the nodes of ``shape`` (last axis phi) of
+    each row of ``rows`` times ``factors``, reduced over phi first as the
+    shapes of the row's factors allow:
 
     - none has a phi axis: the row is a theta column, so with n_phi = 2^a
       b, b odd, the column repeated b times is summed and scaled by 2^a,
-      the N-node sum bit for bit (2^a commutes with rounding, and a sum
-      below 2^-1021 is exact).  A scaled sum past the largest float takes
-      the N-node path, which refuses it;
+      which keeps the correctly rounded N-node sum of a short column bit
+      for bit (2^a commutes with rounding, and a sum below 2^-1021 is
+      exact).  A scaled sum past the largest float takes the N-node path,
+      which refuses it;
     - one has, at shape (1, n_phi): it is cos phi or sin phi, the only
       phi-only factors any producer makes (:func:`areal_to_minkowski`),
       and the row sums to 0.0, the n_phi-point trapezoid rule's exact
@@ -158,17 +121,15 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
     its first factor is copied in, or, when it is a float, its product with
     the second written in (a broadcast array is copied faster than it is
     multiplied, a float not); the rest and then ``factors`` are multiplied
-    in, in order, and it is summed in place by :func:`_fsum`.  A
-    sum that is not a finite float (an integrand overflowed) is a
-    DomainError that names every sum of the integral."""
+    in, in order, and it is summed by :func:`_fsum`.  A sum that is not a
+    finite float (an integrand overflowed) is a DomainError that names
+    every sum of the integral."""
     buffers = {}
 
     def node_sum(row, at):
         if at not in buffers:
-            nodes = np.empty(at)
-            buffers[at] = (nodes, nodes.reshape(-1),
-                           np.empty(min(nodes.size, _FSUM_CHUNK)))
-        nodes, p, q = buffers[at]
+            buffers[at] = np.empty(at)
+        nodes = buffers[at]
         if len(row) > 1 and isinstance(row[0], float):
             np.multiply(row[0], row[1], out=nodes)
             row = row[2:]
@@ -177,7 +138,7 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
             row = row[1:]
         for f in row:
             nodes *= f
-        return _fsum(p, q)
+        return _fsum(nodes.reshape(-1))
 
     *theta, n_phi = shape
     a = (n_phi & -n_phi).bit_length() - 1          # n_phi = 2^a b, b odd
@@ -227,16 +188,17 @@ class SurfaceMassData:
         self.X = areal_to_minkowski(self.R0, *self.grid.node_axes(), self.k)
 
     def weighted(self, factor, t_scale: float = 1.0) -> list:
-        """The exact sums of measure (factor X_c) over the nodes for the rows
-        c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first: measure
-        ((t_scale X_t) factor)."""
+        """The :func:`_row_sums` of measure (factor X_c) over the nodes for
+        the rows c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first:
+        measure ((t_scale X_t) factor)."""
         x1, x2, x3, t = self.X
         if t_scale != 1.0:              # 1.0 X_t is X_t
             t = (*t, t_scale)
         return _row_sums(self.shape, (x1, x2, x3, t), factor, self.measure)
 
     def area(self) -> float:
-        """int dSigma, the exact sum of the measure over the nodes."""
+        """int dSigma, the :func:`_row_sums` sum of the measure over the
+        nodes."""
         return _row_sums(self.shape, ((self.measure,),))[0]
 
     @np.errstate(over="ignore", invalid="ignore")

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -774,16 +775,41 @@ SUM_CASES = ("single", "odd", "large", "zeros", "spread", "huge", "tiny",
              "cancel", "ties")
 
 
+def _long_row_bound(p):
+    """The bound of the :func:`massmod._fsum` docstring on how far its sum
+    of a row of more than ``_FSUM_SHORT`` values is from math.fsum's:
+    (ceil(log2 N) + 19) u sum |p|, u = 2^-53."""
+    depth = math.ceil(math.log2(len(p))) + 19
+    return depth * 2.0 ** -53 * math.fsum(np.abs(p).tolist())
+
+
+def _assert_node_sum(got, p, summed=None):
+    """``got`` is the float that massmod._fsum makes of the values ``p``,
+    summed as a row of ``summed`` values (default len(p)): math.fsum of
+    ``p`` bit for bit if that row is short, within :func:`_long_row_bound`
+    of it if it is long, and, where math.fsum refuses ``p``, nan for a
+    short row and not a finite float for a long one."""
+    assert type(got) is float
+    try:
+        expect = math.fsum(p.tolist())
+    except (OverflowError, ValueError):       # past the range, inf - inf
+        expect = math.nan
+    if (summed or len(p)) <= massmod._FSUM_SHORT:
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+    elif math.isfinite(expect):
+        assert abs(got - expect) <= _long_row_bound(p)
+    else:
+        assert not math.isfinite(got)
+
+
 class TestExactSums:
-    # massmod._fsum returns math.fsum's float bit for bit, without a
-    # tolist, working in the row it sums and one scratch buffer
+    # massmod._fsum returns math.fsum's float bit for bit on a short row,
+    # and numpy's pairwise sum, within the bound of its docstring, on a
+    # long one
     @staticmethod
     def assert_fsum(rows):
-        rows = np.array(rows, dtype=float)
-        expect = [math.fsum(row.tolist()) for row in rows]
-        got = [massmod._fsum(row, np.empty(len(row))) for row in rows]
-        assert np.array(got).tobytes() == np.array(expect).tobytes()
-        assert all(type(s) is float for s in got)
+        for row in np.array(rows, dtype=float):
+            _assert_node_sum(massmod._fsum(row), row)
 
     @pytest.mark.parametrize("case", SUM_CASES)
     def test_equals_fsum(self, case):
@@ -805,13 +831,13 @@ class TestExactSums:
         # the sum of a row with a nan or an inf is nan or +-inf, and an
         # integral with such a sum is refused by the row loop as a
         # DomainError that names every sum of it
-        finite = massmod._fsum(np.array([0.1, 0.2, 0.3]), np.empty(3))
+        finite = massmod._fsum(np.array([0.1, 0.2, 0.3]))
         assert finite == math.fsum([0.1, 0.2, 0.3])
         for row, total in [([1.0, np.nan, 2.0], math.nan),
                            ([1.0, np.inf, 2.0], math.inf),
                            ([np.inf, 1.0, -np.inf], math.nan),
                            ([-np.inf, 1.0, 0.5], -math.inf)]:
-            got = massmod._fsum(np.array(row), np.empty(3))
+            got = massmod._fsum(np.array(row))
             assert np.float64(got).tobytes() == np.float64(total).tobytes()
             with pytest.raises(DomainError, match=re.escape(
                     f"overflows a float: {[total, finite]}")):
@@ -844,11 +870,11 @@ class TestExactSums:
                                    massmod._FSUM_SHORT,
                                    massmod._FSUM_SHORT + 1, 32768))
     def test_both_sides_of_the_short_rows(self, n):
-        # math.fsum of the list on either side of the short-row length,
-        # or nan where math.fsum refuses the row: special values, an
-        # overflowing sum, subnormals, and a row that sums to exactly 0;
-        # with a scratch of the row's length, of the chunk _row_sums gives
-        # a long row and of 1000 values, which leaves a partial last chunk
+        # math.fsum of the list up to the short-row length, or nan where
+        # math.fsum refuses the row, and numpy's sum within the stated
+        # bound past it, or a non-finite float where math.fsum refuses the
+        # row: special values, an overflowing sum, subnormals, and a row
+        # that sums to exactly 0
         rng = np.random.default_rng(n)
 
         def row(*special):
@@ -866,16 +892,42 @@ class TestExactSums:
                 np.full(n, 1.7e308), np.full(n, -1e305), tiny,
                 rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
                 exact]
-        for p in rows:
-            try:
-                expect = math.fsum(p.tolist())
-            except (OverflowError, ValueError):
-                expect = math.nan
-            for scratch in (n, min(n, massmod._FSUM_CHUNK), min(n, 1000)):
-                got = massmod._fsum(p.copy(), np.empty(scratch))
-                assert type(got) is float
-                assert (np.float64(got).tobytes()
-                        == np.float64(expect).tobytes())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in rows:
+                _assert_node_sum(massmod._fsum(p), p)
+
+    def test_long_rows_of_zeros_sum_to_plus_zero(self):
+        # math.fsum sums zeros to +0.0 whatever their signs, and so does
+        # numpy's sum of a long row of -0.0, or of -0.0 and 0.0, alone and
+        # in the row loop
+        n = massmod._FSUM_SHORT + 1
+        negative = np.full(n, -0.0)
+        mixed = negative.copy()
+        mixed[::3] = 0.0
+        for p in (negative, mixed):
+            assert math.fsum(p.tolist()).hex() == "0x0.0p+0"
+            assert massmod._fsum(p).hex() == "0x0.0p+0"
+            assert [v.hex() for v in massmod._row_sums((n,), ((p,),))] == [
+                "0x0.0p+0"]
+
+    @pytest.mark.parametrize("row, total", [
+        (np.full(massmod._FSUM_SHORT + 1, 1e306), math.inf),
+        (np.full(massmod._FSUM_SHORT + 1, -1e306), -math.inf),
+        (np.r_[np.inf, np.ones(massmod._FSUM_SHORT - 1), -np.inf], math.nan)],
+        ids=["overflow", "negative_overflow", "inf_and_minus_inf"])
+    def test_long_row_refusal(self, row, total):
+        # a long row whose sum is past the largest float, or that holds inf
+        # and -inf, is refused by the row loop as a DomainError that names
+        # every sum, with no numpy RuntimeWarning, which numpy's sum of the
+        # row alone gives
+        with pytest.warns(RuntimeWarning):
+            row.sum()
+        ones = np.ones(len(row))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"overflows a float: {[total, float(len(row))]}")):
+                massmod._row_sums(row.shape, ((row,), (ones,)))
 
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
@@ -891,10 +943,10 @@ class TestExactSums:
         # that block
         cols = np.random.default_rng(5).standard_normal((100, 3))
         expect = [math.fsum(c) for c in cols.T]
-        assert [massmod._fsum(c, np.empty(100)) for c in cols.T] == expect
+        assert [massmod._fsum(c) for c in cols.T] == expect
         row = np.random.default_rng(6).standard_normal(101)
         expect = math.fsum(row)
-        assert massmod._fsum(row[::-1], np.empty(101)) == expect
+        assert massmod._fsum(row[::-1]) == expect
 
 
 # n_phi of each kind: odd, even but not a power of two, and a power of two
@@ -904,19 +956,24 @@ N_PHI = st.one_of(
     st.sampled_from([2, 4, 8, 16, 32, 64]))
 
 
-def _flat_row_sum(row, grid):
-    """math.fsum of the N node values of a row of factors, multiplied out
-    in order over the flat nodes."""
+def _flat_nodes(row, grid):
+    """The N node values of a row of factors, multiplied out in order over
+    the flat nodes."""
     nodes = on_nodes(row[0], grid).copy()
     for f in row[1:]:
         nodes *= on_nodes(f, grid)
-    return math.fsum(nodes.tolist())
+    return nodes
+
+
+def _flat_row_sum(row, grid):
+    """math.fsum of the N node values of a row of factors."""
+    return math.fsum(_flat_nodes(row, grid).tolist())
 
 
 class TestPhiFirstSums:
     # the row loop sums a row with no phi axis as its theta column, scaled
-    # to the N-node sum bit for bit, and a cos phi or sin phi row over
-    # theta columns as 0
+    # to the N-node sum, bit for bit where the column is short, and a cos
+    # phi or sin phi row over theta columns as 0
     @given(n_theta=st.integers(min_value=2, max_value=40), n_phi=N_PHI,
            k=st.floats(min_value=1e-3, max_value=1e3),
            R=st.floats(min_value=1e-6, max_value=1e6),
@@ -925,8 +982,10 @@ class TestPhiFirstSums:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_theta_only_integrands(self, n_theta, n_phi, k, R, alpha, seed):
         # z, t and the area: math.fsum of the flat N node values, bit for
-        # bit; x and y: 0.0, the trapezoid rule's integral of cos phi and
-        # sin phi, whose node values fsum to rounding noise of at most
+        # bit where the theta column repeated b times, n_phi = 2^a b with b
+        # odd, is a short row, else within the long-row bound of the N
+        # values; x and y: 0.0, the trapezoid rule's integral of cos phi
+        # and sin phi, whose node values fsum to rounding noise of at most
         # n_phi 2^-52
         grid = QuadratureGrid.build(n_theta, n_phi)
         theta, phi = grid.node_axes()
@@ -939,11 +998,12 @@ class TestPhiFirstSums:
                                grid=grid, k=k)
         got = data.weighted(weight, alpha)
         x1, x2, x3, t = data.X
-        expect = [_flat_row_sum((*row, weight, measure), grid)
-                  for row in (x3, (*t, alpha))]
-        assert [v.hex() for v in got] == [
-            "0x0.0p+0", "0x0.0p+0", *(v.hex() for v in expect)]
-        assert data.area().hex() == _flat_row_sum((measure,), grid).hex()
+        assert [v.hex() for v in got[:2]] == ["0x0.0p+0", "0x0.0p+0"]
+        summed = n_theta * (n_phi // (n_phi & -n_phi))
+        for v, row in zip((*got[2:], data.area()),
+                          ((*x3, weight, measure),
+                           (*t, alpha, weight, measure), (measure,))):
+            _assert_node_sum(v, _flat_nodes(row, grid), summed)
         for f in (np.cos, np.sin):
             assert abs(math.fsum(f(grid.phi))) <= n_phi * 2.0 ** -52
 
@@ -1305,24 +1365,35 @@ def test_node_shape_is_read_off_the_grid(monkeypatch):
     assert data.shape == (grid.n_theta, grid.n_phi)
 
 
+class _SummedRows(list):
+    """The bytes of each row summed, in call order, and ``sums``, the float
+    each summed to."""
+
+    def __init__(self):
+        super().__init__()
+        self.sums = []
+
+
 @pytest.fixture
 def summed_rows(monkeypatch):
     """The bytes of every row that reaches massmod._fsum, in call order:
     a row as it is summed, with every factor of its integrand applied."""
-    rows = []
+    rows = _SummedRows()
     fsum = massmod._fsum
 
-    def recorded(p, q):
+    def recorded(p):
         rows.append(p.tobytes())
-        return fsum(p, q)
+        rows.sums.append(fsum(p))
+        return rows.sums[-1]
 
     monkeypatch.setattr(massmod, "_fsum", recorded)
     return rows
 
 
 def _assert_flat_sums(got, rows, summed, grid=None, zero=()):
-    """The flat rows (m, N) ``rows`` are those that reached the exact sum,
-    in order, and ``got`` is math.fsum of each of them, bit for bit.  With
+    """The flat rows (m, N) ``rows`` are those that reached massmod._fsum,
+    in order, and ``got`` is math.fsum of each of them, bit for bit, as
+    massmod._fsum gives it for rows of at most ``_FSUM_SHORT`` values.  With
     ``grid``, the rows are of an integrand with no phi axis: each reaches
     the sum as its theta column repeated b times, n_phi = 2^a b with b odd,
     and the rows ``zero``, cos phi and sin phi times a theta column, reach
@@ -1391,6 +1462,57 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
                       summed_rows, **sphere)
     _assert_flat_sums(data.area(), measure, summed_rows,
                       grid=sphere.get("grid"))
+
+
+def _run_op(tmp_path, command, config):
+    """Run the CLI ``command`` on ``config`` with its output in
+    ``tmp_path / "out"``, and check that it exits 0."""
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, str(cfg), "--output",
+                         str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_asymptotic_long_rows_within_the_sum_bound(seed, tmp_path,
+                                                   summed_rows):
+    # the 128x256 asymptotic op, with an h drawn as the benchmark draws it,
+    # sums 20 rows of 32768 values (E(S_r) at 4 radii and Wang's mass),
+    # each within the stated long-row bound of math.fsum of the same row
+    rng = np.random.default_rng(seed)
+    h = {"g0_coeff": float(rng.uniform(0.2, 1.0)),
+         "linear": [float(c) for c in rng.uniform(-1.0, 1.0, 3)]}
+    assert all(h["linear"])
+    _run_op(tmp_path, "asymptotic", {
+        "resolution": {"n_theta": 128, "n_phi": 256},
+        "asymptotic": {"h": h, "radii": [0.2, 0.1, 0.05, 0.025]}})
+    long = [(np.frombuffer(row), total)
+            for row, total in zip(summed_rows, summed_rows.sums)
+            if len(row) > 8 * massmod._FSUM_SHORT]
+    assert [len(p) for p, _ in long] == [128 * 256] * 20
+    for p, total in long:
+        assert total != 0.0
+        _assert_node_sum(total, p)
+
+
+def test_h3_profile_reports_plus_zero(tmp_path, summed_rows):
+    # a tilted profile in H^3 is its own image, so every node of E and of
+    # M_alpha is a zero, -0.0 where X_c < 0: their 8 rows are long and sum
+    # to 0.0, which the report prints as 0.0, not -0.0
+    _run_op(tmp_path, "mass", {
+        "metric": {"type": "hyperbolic_ball", "k": 1.0},
+        "surface": {"type": "radial_profile", "base": 1.0,
+                    "linear": [0.1, -0.2, 0.15]},
+        "resolution": {"n_theta": 32, "n_phi": 64}})
+    long = [np.frombuffer(row) for row in summed_rows
+            if len(row) > 8 * massmod._FSUM_SHORT]
+    assert len(long) == 8
+    assert not any(p.any() for p in long)
+    assert any(np.signbit(p).any() for p in long)
+    doc = json.loads((tmp_path / "out" / "mass_report.json").read_text())
+    zeros = doc["E"] + doc["M_alpha"]
+    assert [math.copysign(1.0, v) for v in zeros if v == 0.0] == [1.0] * 8
 
 
 def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
