@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -317,6 +318,22 @@ class TestMassCommand:
         assert doc["null_pairing"] == {"min": None, "max": None}
         for key in ("E", "causal_class", "M_alpha", "alpha"):
             assert doc[key] is None
+
+    def test_zero_energy_report_holds_no_negative_zero(self, tmp_path):
+        # a tilted profile of H^3 itself has E = 0 exactly, and the null
+        # pairing's extremes -E_t -+ |E_s| of it are written as 0.0, not as
+        # the -0.0 - 0.0 = -0.0 of the minimum
+        cfg = write(tmp_path, "tilted.yaml", """
+metric: {type: hyperbolic_ball, k: 1.0}
+surface: {type: radial_profile, base: 1.0, linear: [0.1, -0.2, 0.15]}
+resolution: {n_theta: 32, n_phi: 64}
+""")
+        assert run(["mass", cfg, "--output", str(tmp_path / "o")])[0] == 0
+        text = (tmp_path / "o" / "mass_report.json").read_text()
+        doc = json.loads(text)
+        assert doc["E"] == [0.0, 0.0, 0.0, 0.0]
+        assert doc["null_pairing"] == {"min": 0.0, "max": 0.0}
+        assert re.findall(r"-0\.0\b", text) == []
 
     @pytest.mark.parametrize("r", [2.0, 10.0])
     def test_null_pairing_is_exact(self, tmp_path, r):
@@ -979,8 +996,27 @@ SPINOR_CHECK_STDOUT = {
           "max null round-trip residual: 4.4408920985006262e-16\nPASS\n"
     for seed, zet in ((1, "8.5265128291212022e-14"),
                       (5, "1.1368683772161603e-13"),
-                      (9, "8.5265128291212022e-14"),
+                      (9, "1.7053025658242404e-13"),
                       (42, "8.5265128291212022e-14"))}
+
+
+def _checked_samples(monkeypatch, seed, count):
+    """The spinors a and ball points x that ``spinor-check --seed seed
+    --count count`` checks, stacked, and the rows of each verify_zet call,
+    recorded through a hook."""
+    seen = []
+
+    def record(a, x, sign):
+        # one call per block checks both signs
+        assert sign == (1, -1)
+        seen.append((a.copy(), x.copy()))
+        return spinor.verify_zet(a, x, sign)
+
+    monkeypatch.setattr(cli, "verify_zet", record)
+    with redirect_stdout(io.StringIO()):
+        assert cli.run_spinor_check(seed, count) == 0
+    return (np.concatenate([a for a, _ in seen]),
+            np.concatenate([x for _, x in seen]), [len(a) for a, _ in seen])
 
 
 class TestSpinorCheckCommand:
@@ -1009,34 +1045,47 @@ class TestSpinorCheckCommand:
 
     @pytest.mark.parametrize("block", [cli.SPINOR_BLOCK, 7])
     def test_draws_are_one_per_sample(self, monkeypatch, block):
-        # the (a, x) that verify_zet checks are, bit for bit, those of one
-        # standard_normal(2) + 1j standard_normal(2) and uniform(-0.57, 0.57,
-        # 3) per sample in turn, whatever the block size; a shorter count
-        # checks a prefix of a longer one's sequence
+        # the (a, x) that verify_zet checks are, bit for bit, those written
+        # out here from random.Random(seed)'s bytes, whatever the block
+        # size: sample i reads the 7 little-endian 64-bit words 7i..7i+6, whose top 53
+        # bits k_j give the uniforms u_j = k_j 2^-53 in [0, 1); by
+        # Box-Muller a_l = sqrt(-2 log(1 - u_l)) (cos + i sin)(2 pi
+        # u_{l+2}) for l = 0, 1, and x = -0.57 + 1.14 u_4..6; a shorter
+        # count checks a prefix of a longer one's sequence
         monkeypatch.setattr(cli, "SPINOR_BLOCK", block)
+        data = random.Random(5).randbytes(56 * 50)
+        u = np.array([int.from_bytes(data[i:i + 8], "little") >> 11
+                      for i in range(0, len(data), 8)], float)
+        u = u.reshape(50, 7) * 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, :2]))
+        angle = 2.0 * np.pi * u[:, 2:4]
+        want_A = radius * (np.cos(angle) + 1j * np.sin(angle))
+        want_X = -0.57 + 1.14 * u[:, 4:]
         for count in (30, 50):
-            seen = []
-
-            def record(a, x, sign):
-                # one call per block checks both signs
-                assert sign == (1, -1)
-                seen.append((a.copy(), x.copy()))
-                return spinor.verify_zet(a, x, sign)
-
-            monkeypatch.setattr(cli, "verify_zet", record)
-            with redirect_stdout(io.StringIO()):
-                assert cli.run_spinor_check(5, count) == 0
-            A = np.concatenate([a for a, _ in seen])
-            X = np.concatenate([x for _, x in seen])
-            assert [len(a) for a, _ in seen] == [
-                min(block, count - i) for i in range(0, count, block)]
-            rng = np.random.default_rng(5)
-            want_A, want_X = np.empty((50, 2), complex), np.empty((50, 3))
-            for i in range(50):
-                want_A[i] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                want_X[i] = rng.uniform(-0.57, 0.57, 3)
+            A, X, rows = _checked_samples(monkeypatch, 5, count)
+            assert rows == [min(block, count - i)
+                            for i in range(0, count, block)]
             assert A.tobytes() == want_A[:count].tobytes()
             assert X.tobytes() == want_X[:count].tobytes()
+
+    def test_sample_law(self, monkeypatch):
+        # over 20 000 samples the four real components of a have the mean
+        # and variance of standard normals to within 5 sigma, every a is
+        # finite and every x lies in the cube |x_i| <= 0.57, inside the
+        # unit ball; counts about the block size check prefixes of them
+        A, X, _ = _checked_samples(monkeypatch, 42, 20000)
+        Z = np.column_stack([A.real, A.imag])
+        n = len(Z)
+        assert np.all(np.abs(Z.mean(axis=0)) < 5.0 / math.sqrt(n))
+        assert np.all(np.abs(Z.var(axis=0) - 1.0) < 5.0 * math.sqrt(2.0 / n))
+        assert np.all(np.isfinite(A))
+        assert np.all(np.abs(X) <= 0.57)
+        assert np.all(np.linalg.norm(X, axis=1) < 1.0)
+        block = cli.SPINOR_BLOCK
+        for count in (1, block - 1, block, block + 1):
+            a, x, _ = _checked_samples(monkeypatch, 42, count)
+            assert a.tobytes() == A[:count].tobytes()
+            assert x.tobytes() == X[:count].tobytes()
 
     @pytest.mark.parametrize("seed", sorted(SPINOR_CHECK_STDOUT))
     def test_stdout_is_pinned(self, seed):

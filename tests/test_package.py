@@ -247,9 +247,8 @@ assert not [m for m in sys.modules if m.startswith("numpy.random")]
 
 
 def test_cli_import_leaves_out_numpy_random():
-    # importing numpy.random costs over 10 ms (hashlib, OpenSSL, mtrand)
-    # and only spinor-check draws: a module-level import would put it into
-    # every op's start-up
+    # importing numpy.random costs over 10 ms (hashlib, OpenSSL, mtrand):
+    # a module-level import would put it into every op's start-up
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -280,23 +279,51 @@ with tempfile.TemporaryDirectory() as tmp, \
         assert cli.main([argv[0], str(path), *argv[1:], "--output",
                          tmp]) == 0, argv
     child.pairing(json.loads(sys.argv[2]))
-    assert drawn() == [], drawn()
     assert cli.main(["spinor-check", "--count", "1"]) == 0
-assert "numpy.random" in drawn()
+assert drawn() == [], drawn()
 """
 
 
 def test_ops_leave_out_numpy_random():
-    # as above for running ops: mass, convergence, asymptotic and the
-    # benchmark's pairing op import no numpy.random module, so a
-    # default_rng on a shared path would show here; spinor-check, the one
-    # op that draws, does import it
+    # as above for running ops: mass, convergence, asymptotic, spinor-check
+    # and the benchmark's pairing op import no numpy.random module, so a
+    # default_rng on any of their paths would show here; spinor-check
+    # draws its samples from the standard library's random, which numpy
+    # imports already
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_RANDOM_OPS_SCRIPT, str(ROOT / "bench"),
          json.dumps(PAIRING_JOB)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _numpy_random_uses(tree):
+    """Line numbers at which a module imports numpy.random, or reads it as
+    an attribute of a name that it binds to numpy."""
+    numpy = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [f"numpy.{node.attr}"] if getattr(
+                node.value, "id", None) in numpy else []
+        else:
+            continue
+        if any(name.split(".")[:2] == ["numpy", "random"] for name in names):
+            yield node.lineno
+
+
+def test_package_holds_no_numpy_random(programs):
+    # the two tests above catch numpy.random on the paths that they run;
+    # this catches it on every path, one that no test runs included
+    used = [f"{file}:{line}" for file, tree in _package(programs)
+            for line in _numpy_random_uses(tree)]
+    assert used == []
 
 
 NO_ARGPARSE_SCRIPT = """
