@@ -23,16 +23,20 @@ every integral is one call of :func:`_row_sums`: each row, the product of
 its factors times the integrand's, is summed at the shape of its factors.
 A row with no factor on the phi axis is summed as its theta column; cos phi
 or sin phi times a theta column is 0, what the trapezoid rule in phi gives;
-any other row is written and summed in one buffer of N values.  Buffers are
-made when a row first needs them, so no integral holds X or its integrand
-as a (4, N) block, and those of a surface whose fields have no phi axis, a
-coordinate sphere, hold no array of N values.
+a row with a field on both axes, on a grid of more than ``_FSUM_SHORT``
+nodes, is long: it is summed a block of at most ``_BLOCK_NODES`` nodes of
+theta rows at a time, phi first, into one entry per theta row, and the
+entries times its theta factors are summed as a theta column.  Any other
+row, of at most ``_FSUM_SHORT`` nodes, is written out over its nodes.  So
+no integral holds X, its integrand or E(Sigma)'s weight, which is formed a
+block at a time too, as an array of N values.
 
 A row of at most ``_FSUM_SHORT`` values, such as a theta column, sums to
-the correctly rounded ``math.fsum`` of its values; a longer one, such as a
-row of a surface whose fields carry phi, to numpy's pairwise sum, within
-the bound stated at :func:`_fsum` (Higham, "The accuracy of floating point
-summation", SIAM J. Sci. Comput. 14, 1993).
+the correctly rounded ``math.fsum`` of its values, and a longer one to
+numpy's pairwise sum, within the bound stated at :func:`_fsum`; a long
+row's phi-first sum is within the bound stated at :func:`_row_sums`
+(Higham, "The accuracy of floating point summation", SIAM J. Sci. Comput.
+14, 1993).
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 # of digits_mean (the digits of E_t against its closed form) over np.sum
 _FSUM_SHORT = 512
 
+# nodes per block of theta rows of the node pass and of a long row's sum: a
+# grid of at most this many nodes, or whose jets have no phi axis, is one
+# block of the node pass
+_BLOCK_NODES = 1 << 12
+
 
 def _fsum(p: np.ndarray) -> float:
     """The sum of a float (N,) array ``p``: ``math.fsum(p.tolist())`` for a
@@ -89,13 +98,26 @@ def _fsum(p: np.ndarray) -> float:
     of math.fsum's: numpy's pairwise sum (8 accumulators over blocks of at
     most 128 values, halved above that) rounds each value at most
     ceil(log2 N) + 17 times, whose error bound gamma is below
-    (ceil(log2 N) + 18) u sum |p|, and math.fsum rounds once."""
+    (ceil(log2 N) + 18) u sum |p|, and math.fsum rounds once.
+    :func:`_row_sums` hands it the theta column of a long row's entries,
+    not the row's N node values."""
     if len(p) <= _FSUM_SHORT:
         try:
             return math.fsum(p.tolist())
         except (OverflowError, ValueError):   # past the range, inf - inf
             return math.nan
     return float(p.sum()) + 0.0   # math.fsum's 0.0 for -0.0s, on any numpy
+
+
+def _at(f, rows=slice(None)):
+    """A row's factor ``f`` at the theta rows ``rows`` of the grid: f itself
+    where it has no theta axis, and fn of its fields there for a factor
+    ``(fn, *fields)``.  At ``slice(0)``, no row, a factor with a phi axis
+    has one, of n_phi nodes, and one on both axes is of shape (0, n_phi),
+    so its shape there tells what kind of factor f is."""
+    if isinstance(f, tuple):
+        return f[0](*[_at(x, rows) for x in f[1:]])
+    return f[rows] if getattr(f, "ndim", 0) == 2 and len(f) > 1 else f
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -115,52 +137,99 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
       and the row sums to 0.0, the n_phi-point trapezoid rule's exact
       integral, not the rounding noise of its nodes, or to nan where the
       product of its theta columns is not finite;
-    - otherwise the row is written out over the N nodes.
+    - a field on both axes, on more than ``_FSUM_SHORT`` nodes: the row is
+      long, and is summed a block of at most ``_BLOCK_NODES`` nodes of
+      theta rows at a time.  In each block its fields are multiplied, in
+      order, then its cos phi or sin phi, and the product is reduced along
+      phi by numpy's pairwise sum into one entry per theta row; rows of the
+      same fields share that product, and rows of the same fields and trig
+      factors their entries too.  The entries times the row's theta
+      factors, in order, are summed by :func:`_fsum` as a theta column;
+    - otherwise (at most ``_FSUM_SHORT`` nodes) the row is written out over
+      the nodes.
 
-    A row is written in a buffer of the shape it needs, made on first need:
-    its first factor is copied in, or, when it is a float, its product with
-    the second written in (a broadcast array is copied faster than it is
-    multiplied, a float not); the rest and then ``factors`` are multiplied
-    in, in order, and it is summed by :func:`_fsum`.  A sum that is not a
-    finite float (an integrand overflowed) is a DomainError that names
-    every sum of the integral."""
-    buffers = {}
+    A factor of ``factors`` may be ``(fn, *fields)``, fn of the fields: a
+    block at a time in the long rows, where it has a phi axis on a long
+    grid, else formed whole once.  A row written out, or a theta column,
+    is its first factor times the rest and then ``factors``, in order, and
+    is summed by :func:`_fsum`.  A sum that is not a finite float (an
+    integrand overflowed) is a DomainError that names every sum of the
+    integral.
 
+    A long row's sum is within (d(n_phi) + 2 m + d_theta + 1) u sum |q|,
+    to first order in u = 2^-53, of math.fsum of its node products q, its
+    factors multiplied out at each node in the order the blocks use them
+    (fields, trig, then theta factors): d(n) <= ceil(log2 n) + 17 is the
+    most roundings numpy's pairwise sum puts on a value (at :func:`_fsum`;
+    log2 n + 11 for n a power of two), each of the m theta factors rounds
+    once on a theta row's entry where it rounds once on each node of q,
+    and d_theta is 1 for math.fsum of at most ``_FSUM_SHORT`` entries and
+    d(n_theta) past it.  As ceil(log2 N) >= ceil(log2 n_phi) +
+    ceil(log2 n_theta) - 1, that is within :func:`_fsum`'s bound for one
+    row of N values, (ceil(log2 N) + 19) u sum |q|, wherever n_theta <=
+    ``_FSUM_SHORT`` and 2 m + 1 <= ceil(log2 n_theta), or n_phi is a power
+    of two and m <= 3 (the producers' rows have m <= 3); a column of more
+    than ``_FSUM_SHORT`` entries adds d(n_theta) - 1."""
     def node_sum(row, at):
-        if at not in buffers:
-            buffers[at] = np.empty(at)
-        nodes = buffers[at]
-        if len(row) > 1 and isinstance(row[0], float):
-            np.multiply(row[0], row[1], out=nodes)
-            row = row[2:]
-        else:
-            np.copyto(nodes, row[0])
-            row = row[1:]
-        for f in row:
+        nodes = np.full(at, row[0])
+        for f in row[1:]:
             nodes *= f
         return _fsum(nodes.reshape(-1))
 
-    *theta, n_phi = shape
+    n_theta, n_phi = (1, *shape)[-2:]
     a = (n_phi & -n_phi).bit_length() - 1          # n_phi = 2^a b, b odd
-    sums = []
+    long = n_theta * n_phi > _FSUM_SHORT
+    # a factor (fn, *fields) with a phi axis stays one on a long grid, to be
+    # formed a block at a time, and is formed whole elsewhere
+    factors = [f if long and np.shape(_at(f, slice(0)))[-1:] not in ((), (1,))
+               else _at(f) for f in factors]
+    # the phi factors of long rows, fields and trig, by their ids, with the
+    # entries of their theta rows; a long row's place in sums holds its
+    # entries and theta factors until the blocks are summed
+    sums, phis = [], {}
     for row in rows:
         row = (*row, *factors)
-        phi = [s for s in map(np.shape, row) if s[-1:] not in ((), (1,))]
-        if phi == [(1, n_phi)]:
+        fields, trig, thetas = [], [], []
+        for f in row:
+            s = (0, n_phi) if isinstance(f, tuple) else np.shape(f)
+            (thetas if s[-1:] in ((), (1,)) else
+             trig if s == (1, n_phi) else fields).append(f)
+        if fields and long:
+            key = tuple([id(f) for f in fields]), tuple([id(f) for f in trig])
+            *_, entries = phis.setdefault(key, (fields, trig,
+                                                np.empty((n_theta, 1))))
+            sums.append((entries, *thetas))
+            continue
+        if not fields and len(trig) == 1:
             # nan, as the nodes would sum, where the theta column is not
             # finite: its inf or nan times cos phi or sin phi
-            column = math.prod(f for f in row if np.shape(f) != (1, n_phi))
+            column = math.prod(thetas)
             sums.append(0.0 if np.all(np.isfinite(column)) else math.nan)
             continue
-        if not phi:
-            total = node_sum(row, (*theta, n_phi >> a))
+        if not fields and not trig:
+            total = node_sum(row, (n_theta, n_phi >> a))
             if math.frexp(total)[1] + a <= 1024:    # 2^a total is a float
                 sums.append(math.ldexp(total, a))
                 continue
         sums.append(node_sum(row, shape))
+    step = max(1, _BLOCK_NODES // n_phi)
+    for lo in range(0, n_theta, step):
+        block, products = slice(lo, lo + step), {}
+        for (key, _), (fields, trig, entries) in phis.items():
+            if key not in products:     # rows of the same fields share it
+                products[key] = math.prod([_at(f, block) for f in fields[1:]],
+                                          start=_at(fields[0], block))
+            entries[block, 0] = math.prod(trig, start=products[key]).sum(-1)
+    sums = [node_sum(s, (n_theta, 1)) if isinstance(s, tuple) else s
+            for s in sums]
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"a node integral overflows a float: {sums}")
     return sums
+
+
+def _energy_weight(H, dH):
+    """dH (H_0 + H)/H, E(Sigma)'s weight, as ((H + dH) + H) dH / H."""
+    return (H + dH + H) * dH / H
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +259,8 @@ class SurfaceMassData:
     def weighted(self, factor, t_scale: float = 1.0) -> list:
         """The :func:`_row_sums` of measure (factor X_c) over the nodes for
         the rows c of X (x1, x2, x3, t), X_t scaled by ``t_scale`` first:
-        measure ((t_scale X_t) factor)."""
+        measure ((t_scale X_t) factor); ``factor`` may be a factor
+        ``(fn, *fields)`` of :func:`_row_sums`."""
         x1, x2, x3, t = self.X
         if t_scale != 1.0:              # 1.0 X_t is X_t
             t = (*t, t_scale)
@@ -201,14 +271,10 @@ class SurfaceMassData:
         nodes."""
         return _row_sums(self.shape, ((self.measure,),))[0]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def energy(self) -> LorentzVector:
-        """E(Sigma) = int (dH (H_0 + H)/H) X dSigma, H_0 = H + dH."""
-        weight = self.H + self.dH
-        weight += self.H
-        weight *= self.dH
-        weight /= self.H
-        return LorentzVector(*self.weighted(weight))
+        """E(Sigma) = int (dH (H_0 + H)/H) X dSigma, H_0 = H + dH, the
+        weight formed by :func:`_row_sums`, a block at a time in long rows."""
+        return LorentzVector(*self.weighted((_energy_weight, self.H, self.dH)))
 
     def killing_form(self, sign: int) -> np.ndarray:
         """Q_sign = 2 (E_t Id + sign i E_s . gamma), E(Sigma) in the spinor
@@ -228,11 +294,6 @@ class SurfaceMassData:
             Q.flags.writeable = False
             self.killing_forms[sign] = Q
         return self.killing_forms[sign]
-
-
-# nodes per block of theta rows of the node pass: a grid of at most this
-# many nodes, or whose jets have no phi axis, is one block
-_BLOCK_NODES = 1 << 12
 
 
 def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
@@ -430,7 +491,8 @@ def killing_weighted_mass(surface: SurfaceData, ambient: MetricField, a,
 # asymptotically hyperbolic small-sphere machinery
 
 
-def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
+def ah_sphere_data(r: float, sphere: tuple,
+                   out=(None, None)) -> SurfaceMassData:
     """Truncated small-sphere expansion data for the geodesic sphere S_r,
     0 < r <= 0.5, on the :func:`round_sphere_quadrature` data ``sphere``
     (k = 1): H and H_0 from the collar expansions truncated at the printed
@@ -438,12 +500,13 @@ def ah_sphere_data(r: float, sphere: tuple) -> SurfaceMassData:
     sinh^2 r, and the exact hyperboloid points of areal radius sinh(rho_r) =
     1/r at the nodes, matching the displayed leading behavior (x/r, 1/r).
     dH = H_0 - H = (r^3/4) tr h, H_0 = cosh r, is handed over as expanded,
-    and dH and H have the shape of tr h."""
+    and dH and H have the shape of tr h; ``out``, a pair of arrays of that
+    shape, receives them, so that a series of radii writes them in place."""
     if not 0.0 < r <= 0.5:
         raise ConfigError(f"radius r = {r!r} must lie in (0, 0.5]")
     grid, w, tau = sphere
-    dH = (0.25 * r ** 3) * tau      # H0 - H, exactly as expanded
-    H = math.cosh(r) - dH
+    dH = np.multiply(0.25 * r ** 3, tau, out=out[0])   # H0 - H, as expanded
+    H = np.subtract(math.cosh(r), dH, out=out[1])
     _refuse_nonpositive("expanded H", H, grid, f" for r = {r}")
     sinh2 = math.sinh(r) ** 2       # 0.0 below r = 1.5e-162
     if not sinh2:
@@ -466,6 +529,10 @@ def asymptotic_limit(sphere: tuple, radii) -> tuple:
         raise ConfigError(f"need at least 3 radii, got {len(radii)}")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ConfigError(f"radii must be strictly decreasing, got {radii}")
-    energies = np.array([ah_sphere_data(r, sphere).energy() for r in radii])
+    tau = sphere[2]
+    # dH and H of every radius, written in place
+    out = np.empty((2, *tau.shape)) if np.ndim(tau) else (None, None)
+    energies = np.array([ah_sphere_data(r, sphere, out).energy()
+                         for r in radii])
     (r1, r2), (E1, E2) = radii[-2:], energies[-2:]
     return energies, (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)

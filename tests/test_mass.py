@@ -1049,6 +1049,105 @@ class TestPhiFirstSums:
                 _flat_row_sum(row, grid)]
 
 
+def _random_surface_data(grid, seed):
+    """A SurfaceMassData on ``grid`` whose fields all vary in phi: H > 0,
+    dH, the measure and R0 drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_theta, grid.n_phi)
+    return SurfaceMassData(
+        H=rng.uniform(0.5, 2.0, shape), dH=0.1 * rng.standard_normal(shape),
+        measure=grid.measure_weights() * rng.uniform(0.5, 2.0, shape),
+        R0=rng.uniform(0.5, 2.0, shape), grid=grid, k=1.0)
+
+
+def _integrals(data, alpha=1.3):
+    """E, M_alpha and the area of ``data``, as one list of 9 floats."""
+    return [*np.asarray(data.energy()),
+            *np.asarray(shi_tam_vector(data, alpha)), data.area()]
+
+
+def _flat_integrands(data, alpha=1.3):
+    """The flat node products (N,) of each of :func:`_integrals`, formed
+    here: measure (weight X_c), weight = dH ((H + dH) + H)/H, measure (dH
+    X_c) with X_t scaled by ``alpha``, and the measure."""
+    H, dH = on_nodes(data.H, data), on_nodes(data.dH, data)
+    measure = on_nodes(data.measure, data)
+    X = positions(data)
+    M = X.copy()
+    M[3] *= alpha
+    M *= dH
+    return [*(measure * (dH * (H + dH + H) / H * X)), *(measure * M), measure]
+
+
+class TestBlockedLongRows:
+    # a row with a field on both axes, on more than _FSUM_SHORT nodes, is
+    # summed a block of at most _BLOCK_NODES nodes of theta rows at a time,
+    # phi first: at each seam of the blocks, its sum is within the
+    # long-row bound of math.fsum of its flat node products
+    @pytest.mark.parametrize("axes", [
+        (129, 256), (40, 255), (48, 200), (6, 5000), (600, 8)],
+        ids=["ragged_last_block", "odd_n_phi", "n_phi_not_a_power_of_two",
+             "n_phi_past_a_block", "long_theta_column"])
+    def test_within_the_bound(self, axes):
+        grid = QuadratureGrid.build(*axes)
+        data = _random_surface_data(grid, sum(axes))
+        for v, p in zip(_integrals(data), _flat_integrands(data)):
+            assert v != 0.0
+            assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
+
+    @pytest.mark.parametrize("axes", [(129, 256), (40, 255), (600, 8)])
+    def test_block_size_moves_no_bit(self, axes, monkeypatch):
+        # each theta row's entry is the pairwise sum of its own n_phi
+        # products, so blocks of one row, of 3 rows (the last one ragged),
+        # of the default size and one block give the same bits
+        grid = QuadratureGrid.build(*axes)
+        data = _random_surface_data(grid, 7)
+        sphere = round_sphere_quadrature(0.5, (0.3, -0.2, 0.1), grid)
+        got = set()
+        for budget in (1, 3 * grid.n_phi, massmod._BLOCK_NODES, 1 << 40):
+            monkeypatch.setattr(massmod, "_BLOCK_NODES", budget)
+            got.add(np.array([*_integrals(data), *np.asarray(wang_mass(
+                sphere)), *asymptotic_limit(sphere, ASYMPTOTIC_RADII)[1]]
+                             ).tobytes())
+        assert len(got) == 1
+
+    def test_rows_share_only_the_same_fields(self):
+        # rows whose fields agree in part, in another order, or with
+        # another trig factor each get their own product
+        grid = QuadratureGrid.build(40, 96)
+        theta, phi = grid.node_axes()
+        rng = np.random.default_rng(11)
+        a, b, c = rng.uniform(0.5, 2.0, (3, grid.n_theta, grid.n_phi))
+        cp, sp, st = np.cos(phi), np.sin(phi), np.sin(theta)
+        rows = ((a, b), (a, c), (b, a), (a, b, cp), (a, b, sp), (st, a),
+                (st, b, cp), (a,))
+        got = massmod._row_sums((grid.n_theta, grid.n_phi), rows, c)
+        for v, row in zip(got, rows):
+            p = _flat_nodes((*row, c), grid)
+            assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
+
+    def test_non_finite_products_are_refused(self):
+        # an inf node, inf and -inf in one theta row or in two, a nan node,
+        # and entries whose theta sum is past the largest float: a
+        # DomainError that names every sum, the finite one too, with no
+        # numpy RuntimeWarning
+        shape = (40, 64)
+        ones = np.ones(shape)
+        inf, apart, within, nan = (ones.copy() for _ in range(4))
+        inf[3, 5] = np.inf
+        apart[3, 5], apart[30, 7] = np.inf, -np.inf
+        within[3, 5], within[3, 7] = np.inf, -np.inf
+        nan[0, 0] = np.nan
+        rows = ((inf,), (apart,), (within,), (nan,), (np.full(shape, 1e306),),
+                (ones,))
+        total = [math.inf, math.nan, math.nan, math.nan, math.nan, 2560.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"overflows a float: {total}")):
+                massmod._row_sums(shape, rows)
+
+
 def _node_bytes(data):
     """The bytes of every node field of ``data``: H, dH, the measure and
     the factors of each row of X."""
@@ -1125,28 +1224,33 @@ def test_reduction_memory_peak():
 
 
 def test_tilted_reduction_memory_peak():
-    # as above on a tilted H^3 profile, whose weight is N values: 3.26, the
-    # two buffers and the weight (5.01 when each integral wrote X_t from
-    # R, in temporaries of N values)
+    # as above on a tilted H^3 profile, whose integrands vary in phi: 0.53,
+    # the arrays of one block of 16 theta rows (0.125 N each): the weight
+    # and its temporaries, the product of a row's fields and that times cos
+    # phi or sin phi (2.26 when each row was written out in a buffer of N
+    # values beside a weight of N values, 3.26 with two such buffers, 5.01
+    # when each integral wrote X_t from R, in temporaries of N values)
     grid = QuadratureGrid.build(128, 256)
     assert _reduction_peak(
         radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid),
-        hyperbolic_ball_metric(1.0)) <= 3.5
+        hyperbolic_ball_metric(1.0)) <= 1.0
 
 
 def test_asymptotic_memory_peak():
     # tracemalloc peak of the asymptotic series at four radii and Wang's
-    # mass at 128x256 in float (N,) arrays: 4.3, H and the weight of one
-    # radius and the two row buffers (5.0 when the measure was N values and
-    # H0 = cosh r N copies; 12.0 when X and each integrand were (4, N)
-    # blocks)
+    # mass at 128x256 in float (N,) arrays: 2.45, dH and H, written for
+    # every radius in one pair of N values made once per series, and the
+    # arrays of one block of theta rows of the sums (4.3 when each radius
+    # made its H, dH and weight and two row buffers of N values; 5.0 when
+    # the measure was N values and H0 = cosh r N copies; 12.0 when X and
+    # each integrand were (4, N) blocks)
     grid = QuadratureGrid.build(128, 256)
     sphere = round_sphere_quadrature(
         0.5, (0.3, -0.2, 0.1), grid)
     peak = _peak_floats(lambda: (
         asymptotic_limit(sphere, (0.2, 0.1, 0.05, 0.025)), wang_mass(sphere)),
         grid)
-    assert peak <= 4.5
+    assert peak <= 3.0
 
 
 def test_round_sphere_quadrature_memory_peak():
@@ -1207,15 +1311,17 @@ def test_mass_op_memory_peak(tmp_path):
     ids=["h3", "ads"])
 def test_general_mass_op_memory_peak(tmp_path, metric):
     # as above on a tilted profile, whose fields vary in phi, in H^3 and
-    # (past the isometry check) in AdS-Schwarzschild: 9.06, H, H0, the
-    # measure and R0 of the blocked node pass, then the integrals' weight,
-    # X_t and two row buffers (29.0 when the pass was two whole-grid
+    # (past the isometry check) in AdS-Schwarzschild: 8.81 in AdS and 7.33
+    # in H^3, set by the blocked node pass, which holds H, dH, the measure
+    # and R0 beside one block's forms; the integrals, a block of theta rows
+    # at a time, stay below it (9.06 when they held the weight, X_t and two
+    # row buffers of N values; 29.0 when the pass was two whole-grid
     # passes, each side's forms held at 9 N)
     grid = QuadratureGrid.build(128, 256)
     scenario = {"metric": metric, "tolerances": {"iso_tol": 1.0},
                 "surface": {"type": "radial_profile", "base": 1.0,
                             "linear": list(TILTED_LINEAR)}}
-    assert _op_peak(tmp_path, grid, scenario, "mass", "--force") <= 12.0
+    assert _op_peak(tmp_path, grid, scenario, "mass", "--force") <= 9.7
 
 
 def test_convergence_op_memory_peak(tmp_path):
@@ -1477,42 +1583,66 @@ def _run_op(tmp_path, command, config):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_asymptotic_long_rows_within_the_sum_bound(seed, tmp_path,
                                                    summed_rows):
-    # the 128x256 asymptotic op, with an h drawn as the benchmark draws it,
-    # sums 20 rows of 32768 values (E(S_r) at 4 radii and Wang's mass),
-    # each within the stated long-row bound of math.fsum of the same row
+    # the 128x256 asymptotic op, with an h drawn as the benchmark draws it:
+    # each component of E(S_r) at its 4 radii and each slot of Wang's mass
+    # (twice the reported Upsilon/2) is within the stated long-row bound of
+    # math.fsum of the flat node products, formed here as measure (weight
+    # X_c) and (x_c w) tau.  Its rows are summed a block of theta rows at a
+    # time, phi first, so no row of the N node values reaches the sum: only
+    # theta columns of entries do
     rng = np.random.default_rng(seed)
     h = {"g0_coeff": float(rng.uniform(0.2, 1.0)),
          "linear": [float(c) for c in rng.uniform(-1.0, 1.0, 3)]}
     assert all(h["linear"])
+    radii = [0.2, 0.1, 0.05, 0.025]
     _run_op(tmp_path, "asymptotic", {
         "resolution": {"n_theta": 128, "n_phi": 256},
-        "asymptotic": {"h": h, "radii": [0.2, 0.1, 0.05, 0.025]}})
-    long = [(np.frombuffer(row), total)
-            for row, total in zip(summed_rows, summed_rows.sums)
-            if len(row) > 8 * massmod._FSUM_SHORT]
-    assert [len(p) for p, _ in long] == [128 * 256] * 20
-    for p, total in long:
-        assert total != 0.0
-        _assert_node_sum(total, p)
+        "asymptotic": {"h": h, "radii": radii}})
+    assert {len(row) for row in summed_rows} == {8 * 128}
+    table = {}
+    for line in (tmp_path / "out" / "asymptotic.csv").read_text().split():
+        label, r, *v = line.split(",")
+        if label in ("E", "upsilon_half"):
+            table[label, r] = [float(x) for x in v]
+    grid = QuadratureGrid.build(128, 256)
+    sphere = round_sphere_quadrature(h["g0_coeff"], h["linear"], grid)
+    for r in radii:
+        data = ah_sphere_data(r, sphere)
+        H, dH = on_nodes(data.H, data), on_nodes(data.dH, data)
+        measure = on_nodes(data.measure, data)
+        got = table["E", format(r, ".17g")]
+        for v, X_c in zip(got, positions(data)):
+            p = measure * (dH * (H + dH + H) / H * X_c)
+            assert v != 0.0
+            assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
+    xhat = ref.unit_direction_jet(*node_arrays(grid))[0]
+    w_tau = on_nodes(sphere[1], grid) * on_nodes(sphere[2], grid)
+    wang = [2.0 * v for v in table["upsilon_half", ""]]
+    for v, p in zip(wang, [*(xhat.T * w_tau), w_tau]):
+        assert v != 0.0
+        assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
 
 
-def test_h3_profile_reports_plus_zero(tmp_path, summed_rows):
+def test_h3_profile_reports_plus_zero(tmp_path):
     # a tilted profile in H^3 is its own image, so every node of E and of
-    # M_alpha is a zero, -0.0 where X_c < 0: their 8 rows are long and sum
-    # to 0.0, which the report prints as 0.0, not -0.0
-    _run_op(tmp_path, "mass", {
-        "metric": {"type": "hyperbolic_ball", "k": 1.0},
-        "surface": {"type": "radial_profile", "base": 1.0,
-                    "linear": [0.1, -0.2, 0.15]},
-        "resolution": {"n_theta": 32, "n_phi": 64}})
-    long = [np.frombuffer(row) for row in summed_rows
-            if len(row) > 8 * massmod._FSUM_SHORT]
-    assert len(long) == 8
-    assert not any(p.any() for p in long)
-    assert any(np.signbit(p).any() for p in long)
-    doc = json.loads((tmp_path / "out" / "mass_report.json").read_text())
+    # M_alpha is a zero, -0.0 where X_c < 0; each of their 8 long rows sums
+    # to exactly 0.0, which the report writes as 0.0, not -0.0
+    config = {"metric": {"type": "hyperbolic_ball", "k": 1.0},
+              "surface": {"type": "radial_profile", "base": 1.0,
+                          "linear": [0.1, -0.2, 0.15]},
+              "resolution": {"n_theta": 32, "n_phi": 64}}
+    grid = QuadratureGrid.build(32, 64)
+    surface = radial_profile_surface(1.0, (0.1, -0.2, 0.15), 1.0, grid)
+    data = surface_mass_data(surface, hyperbolic_ball_metric(1.0))
+    dH = on_nodes(data.dH, data)
+    nodes = on_nodes(data.measure, data) * (dH * positions(data))
+    assert not nodes.any() and np.signbit(nodes).any()
+    _run_op(tmp_path, "mass", config)
+    text = (tmp_path / "out" / "mass_report.json").read_text()
+    doc = json.loads(text)
     zeros = doc["E"] + doc["M_alpha"]
-    assert [math.copysign(1.0, v) for v in zeros if v == 0.0] == [1.0] * 8
+    assert [math.copysign(1.0, v) for v in zeros] == [1.0] * 8
+    assert "-0.0" not in text
 
 
 def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
