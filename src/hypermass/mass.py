@@ -19,24 +19,18 @@ and E(S_r) are one sum, :meth:`SurfaceMassData.energy`.
 H <= 0 anywhere is a hard error, never a silent skip.
 
 X is stored as the rows of factors of :func:`areal_to_minkowski`, and
-every integral is one call of :func:`_row_sums`: each row, the product of
-its factors times the integrand's, is summed at the shape of its factors.
-A row with no factor on the phi axis is summed as its theta column; cos phi
-or sin phi times a theta column is 0, what the trapezoid rule in phi gives;
-a row with a field on both axes, on a grid of more than ``_FSUM_SHORT``
-nodes, is long: it is summed a block of at most ``_BLOCK_NODES`` nodes of
-theta rows at a time, phi first, into one entry per theta row, and the
-entries times its theta factors are summed as a theta column.  Any other
-row, of at most ``_FSUM_SHORT`` nodes, is written out over its nodes.  So
-no integral holds X, its integrand or E(Sigma)'s weight, which is formed a
-block at a time too, as an array of N values.
-
-A row of at most ``_FSUM_SHORT`` values, such as a theta column, sums to
-the correctly rounded ``math.fsum`` of its values, and a longer one to
-numpy's pairwise sum, within the bound stated at :func:`_fsum`; a long
-row's phi-first sum is within the bound stated at :func:`_row_sums`
-(Higham, "The accuracy of floating point summation", SIAM J. Sci. Comput.
-14, 1993).
+every integral is one call of :func:`_row_sums`, with one rule for each
+row, the product of its factors times the integrand's: its phi sum, one
+per theta row, times its theta factors is a theta column, summed by
+:func:`_fsum`, the correctly rounded ``math.fsum`` of its n_theta values.
+The phi sum is n_phi where no factor has a phi axis, 0 for cos phi or sin
+phi alone, what the trapezoid rule in phi gives, and otherwise numpy's
+pairwise sum along phi of the row's phi factors, formed a block of at most
+``_BLOCK_NODES`` nodes of theta rows at a time.  So no integral holds X,
+its integrand or E(Sigma)'s weight, which is formed a block at a time too,
+as an array of N values, and every sum is within the bound stated at
+:func:`_row_sums` (Higham, "The accuracy of floating point summation",
+SIAM J. Sci. Comput. 14, 1993).
 """
 
 from __future__ import annotations
@@ -76,37 +70,20 @@ ISO_TOL = 1e-8   # the default bound on isometry_mismatch
 # node sums
 
 
-# rows of at most this many values go to math.fsum of their list: on the
-# convergence benchmark, AdS coordinate spheres whose integrals are theta
-# columns of at most 128 values, their correctly rounded sums are worth 0.30
-# of digits_mean (the digits of E_t against its closed form) over np.sum
-_FSUM_SHORT = 512
-
-# nodes per block of theta rows of the node pass and of a long row's sum: a
+# nodes per block of theta rows of the node pass and of a row's phi sums: a
 # grid of at most this many nodes, or whose jets have no phi axis, is one
 # block of the node pass
 _BLOCK_NODES = 1 << 12
 
 
 def _fsum(p: np.ndarray) -> float:
-    """The sum of a float (N,) array ``p``: ``math.fsum(p.tolist())`` for a
-    row of at most ``_FSUM_SHORT`` values, or nan where math.fsum refuses it
-    (a sum past the range of a float, or inf and -inf); numpy's pairwise
-    sum of a longer row, inf or nan where math.fsum refuses it.
-
-    A longer row's sum is within (ceil(log2 N) + 19) u sum |p|, u = 2^-53,
-    of math.fsum's: numpy's pairwise sum (8 accumulators over blocks of at
-    most 128 values, halved above that) rounds each value at most
-    ceil(log2 N) + 17 times, whose error bound gamma is below
-    (ceil(log2 N) + 18) u sum |p|, and math.fsum rounds once.
-    :func:`_row_sums` hands it the theta column of a long row's entries,
-    not the row's N node values."""
-    if len(p) <= _FSUM_SHORT:
-        try:
-            return math.fsum(p.tolist())
-        except (OverflowError, ValueError):   # past the range, inf - inf
-            return math.nan
-    return float(p.sum()) + 0.0   # math.fsum's 0.0 for -0.0s, on any numpy
+    """``math.fsum(p.tolist())``, the correctly rounded sum of a float (n,)
+    array ``p``, or nan where math.fsum refuses it (a sum past the range of
+    a float, or inf and -inf)."""
+    try:
+        return math.fsum(p.tolist())
+    except (OverflowError, ValueError):     # past the range, inf - inf
+        return math.nan
 
 
 def _at(f, rows=slice(None)):
@@ -122,71 +99,52 @@ def _at(f, rows=slice(None)):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _row_sums(shape: tuple, rows, *factors) -> list:
-    """The :func:`_fsum` sums over the nodes of ``shape`` (last axis phi) of
-    each row of ``rows`` times ``factors``, reduced over phi first as the
-    shapes of the row's factors allow:
+    """The sums over the nodes of ``shape``, (n_theta, n_phi), of each row
+    of ``rows`` times ``factors``: :func:`_fsum` of the row's theta column,
+    its phi sum times its theta factors (those with no phi axis), in order.
+    The phi sum of a row is
 
-    - none has a phi axis: the row is a theta column, so with n_phi = 2^a
-      b, b odd, the column repeated b times is summed and scaled by 2^a,
-      which keeps the correctly rounded N-node sum of a short column bit
-      for bit (2^a commutes with rounding, and a sum below 2^-1021 is
-      exact).  A scaled sum past the largest float takes the N-node path,
-      which refuses it;
-    - one has, at shape (1, n_phi): it is cos phi or sin phi, the only
-      phi-only factors any producer makes (:func:`areal_to_minkowski`),
-      and the row sums to 0.0, the n_phi-point trapezoid rule's exact
-      integral, not the rounding noise of its nodes, or to nan where the
-      product of its theta columns is not finite;
-    - a field on both axes, on more than ``_FSUM_SHORT`` nodes: the row is
-      long, and is summed a block of at most ``_BLOCK_NODES`` nodes of
-      theta rows at a time.  In each block its fields are multiplied, in
-      order, then its cos phi or sin phi, and the product is reduced along
-      phi by numpy's pairwise sum into one entry per theta row; rows of the
-      same fields share that product, and rows of the same fields and trig
-      factors their entries too.  The entries times the row's theta
-      factors, in order, are summed by :func:`_fsum` as a theta column;
-    - otherwise (at most ``_FSUM_SHORT`` nodes) the row is written out over
-      the nodes.
+    - n_phi, where no factor has a phi axis;
+    - 0.0, where the only one is cos phi or sin phi, at shape (1, n_phi),
+      the only phi-only factors any producer makes
+      (:func:`areal_to_minkowski`): the n_phi-point trapezoid rule's exact
+      integral, not the rounding noise of its nodes.  It comes after the
+      theta factors, so the column is nan, as the nodes would sum, where
+      their product is not finite;
+    - otherwise, the sum along phi of the row's fields (factors on both
+      axes) and phi-only factors, multiplied in that order, by numpy's
+      pairwise sum, one per theta row, formed a block of at most
+      ``_BLOCK_NODES`` nodes of theta rows at a time.  Rows of the same
+      fields share their product, and rows of the same fields and
+      phi-only factors their phi sums too.
 
-    A factor of ``factors`` may be ``(fn, *fields)``, fn of the fields: a
-    block at a time in the long rows, where it has a phi axis on a long
-    grid, else formed whole once.  A row written out, or a theta column,
-    is its first factor times the rest and then ``factors``, in order, and
-    is summed by :func:`_fsum`.  A sum that is not a finite float (an
-    integrand overflowed) is a DomainError that names every sum of the
-    integral.
+    A factor of ``factors`` may be ``(fn, *fields)``, fn of the fields:
+    formed a block at a time where it has a phi axis, else whole once.  A
+    sum that is not a finite float (an integrand overflowed) is a
+    DomainError that names every sum of the integral.
 
-    A long row's sum is within (d(n_phi) + 2 m + d_theta + 1) u sum |q|,
-    to first order in u = 2^-53, of math.fsum of its node products q, its
-    factors multiplied out at each node in the order the blocks use them
-    (fields, trig, then theta factors): d(n) <= ceil(log2 n) + 17 is the
-    most roundings numpy's pairwise sum puts on a value (at :func:`_fsum`;
-    log2 n + 11 for n a power of two), each of the m theta factors rounds
-    once on a theta row's entry where it rounds once on each node of q,
-    and d_theta is 1 for math.fsum of at most ``_FSUM_SHORT`` entries and
-    d(n_theta) past it.  As ceil(log2 N) >= ceil(log2 n_phi) +
-    ceil(log2 n_theta) - 1, that is within :func:`_fsum`'s bound for one
-    row of N values, (ceil(log2 N) + 19) u sum |q|, wherever n_theta <=
-    ``_FSUM_SHORT`` and 2 m + 1 <= ceil(log2 n_theta), or n_phi is a power
-    of two and m <= 3 (the producers' rows have m <= 3); a column of more
-    than ``_FSUM_SHORT`` entries adds d(n_theta) - 1."""
-    def node_sum(row, at):
-        nodes = np.full(at, row[0])
-        for f in row[1:]:
-            nodes *= f
-        return _fsum(nodes.reshape(-1))
-
-    n_theta, n_phi = (1, *shape)[-2:]
-    a = (n_phi & -n_phi).bit_length() - 1          # n_phi = 2^a b, b odd
-    long = n_theta * n_phi > _FSUM_SHORT
-    # a factor (fn, *fields) with a phi axis stays one on a long grid, to be
-    # formed a block at a time, and is formed whole elsewhere
-    factors = [f if long and np.shape(_at(f, slice(0)))[-1:] not in ((), (1,))
+    A row's sum is within (d(n_phi) + 2 m + 2) u sum |q|, to first order in
+    u = 2^-53, of math.fsum of its node products q, its factors multiplied
+    out at each node in the order used here (fields, phi-only factors, then
+    theta factors): d(n) <= ceil(log2 n) + 17 is the most roundings numpy's
+    pairwise sum (8 accumulators over blocks of at most 128 values, halved
+    above that) puts on a value, log2 n + 11 for n a power of two; each of
+    the m theta factors rounds once on a theta row's entry where it rounds
+    once on each node of q; and math.fsum of the column rounds once.  A row
+    with no phi axis, m factors in all, is within 2 m u sum |q|, inside
+    that bound at d = 0: n_phi times its factors rounds m times on each
+    entry of its column where q rounds m - 1 times.  Where n_phi is a power
+    of two and no product leaves the normal range, those products are
+    exact, and its sum is math.fsum of its N node values bit for bit."""
+    n_theta, n_phi = shape
+    # a factor (fn, *fields) with a phi axis is formed a block at a time,
+    # any other whole, once
+    factors = [f if np.shape(_at(f, slice(0)))[-1:] not in ((), (1,))
                else _at(f) for f in factors]
-    # the phi factors of long rows, fields and trig, by their ids, with the
-    # entries of their theta rows; a long row's place in sums holds its
-    # entries and theta factors until the blocks are summed
-    sums, phis = [], {}
+    # the phi factors of rows with a phi sum per theta row, fields and
+    # phi-only, by their ids, with those sums; each row's place in columns
+    # holds its phi sum and theta factors until the blocks are summed
+    columns, phis = [], {}
     for row in rows:
         row = (*row, *factors)
         fields, trig, thetas = [], [], []
@@ -194,34 +152,30 @@ def _row_sums(shape: tuple, rows, *factors) -> list:
             s = (0, n_phi) if isinstance(f, tuple) else np.shape(f)
             (thetas if s[-1:] in ((), (1,)) else
              trig if s == (1, n_phi) else fields).append(f)
-        if fields and long:
+        if fields or len(trig) > 1:
             key = tuple([id(f) for f in fields]), tuple([id(f) for f in trig])
-            *_, entries = phis.setdefault(key, (fields, trig,
+            *_, phi_sum = phis.setdefault(key, (fields, trig,
                                                 np.empty((n_theta, 1))))
-            sums.append((entries, *thetas))
-            continue
-        if not fields and len(trig) == 1:
-            # nan, as the nodes would sum, where the theta column is not
-            # finite: its inf or nan times cos phi or sin phi
-            column = math.prod(thetas)
-            sums.append(0.0 if np.all(np.isfinite(column)) else math.nan)
-            continue
-        if not fields and not trig:
-            total = node_sum(row, (n_theta, n_phi >> a))
-            if math.frexp(total)[1] + a <= 1024:    # 2^a total is a float
-                sums.append(math.ldexp(total, a))
-                continue
-        sums.append(node_sum(row, shape))
+            columns.append((phi_sum, *thetas))
+        elif trig:      # 0.0 last: nan where the theta product is not finite
+            columns.append((*thetas, 0.0))
+        else:
+            columns.append((float(n_phi), *thetas))
     step = max(1, _BLOCK_NODES // n_phi)
     for lo in range(0, n_theta, step):
         block, products = slice(lo, lo + step), {}
-        for (key, _), (fields, trig, entries) in phis.items():
+        for (key, _), (fields, trig, phi_sum) in phis.items():
             if key not in products:     # rows of the same fields share it
-                products[key] = math.prod([_at(f, block) for f in fields[1:]],
-                                          start=_at(fields[0], block))
-            entries[block, 0] = math.prod(trig, start=products[key]).sum(-1)
-    sums = [node_sum(s, (n_theta, 1)) if isinstance(s, tuple) else s
-            for s in sums]
+                fields = [_at(f, block) for f in fields]
+                products[key] = (math.prod(fields[1:], start=fields[0])
+                                 if fields else 1.0)
+            phi_sum[block, 0] = math.prod(trig, start=products[key]).sum(-1)
+    sums = []
+    for first, *rest in columns:
+        column = np.full((n_theta, 1), first)
+        for f in rest:
+            column *= f
+        sums.append(_fsum(column.reshape(-1)))
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"a node integral overflows a float: {sums}")
     return sums

@@ -776,36 +776,34 @@ SUM_CASES = ("single", "odd", "large", "zeros", "spread", "huge", "tiny",
 
 
 def _long_row_bound(p):
-    """The bound of the :func:`massmod._fsum` docstring on how far its sum
-    of a row of more than ``_FSUM_SHORT`` values is from math.fsum's:
-    (ceil(log2 N) + 19) u sum |p|, u = 2^-53."""
+    """How far the row loop's sum of a row of N node products ``p`` may be
+    from math.fsum's: (ceil(log2 N) + 19) u sum |p|, u = 2^-53, the bound
+    of numpy's pairwise sum of the N values, which the phi-first bound of
+    :func:`massmod._row_sums` stays within on every grid tested here."""
     depth = math.ceil(math.log2(len(p))) + 19
     return depth * 2.0 ** -53 * math.fsum(np.abs(p).tolist())
 
 
-def _assert_node_sum(got, p, summed=None):
-    """``got`` is the float that massmod._fsum makes of the values ``p``,
-    summed as a row of ``summed`` values (default len(p)): math.fsum of
-    ``p`` bit for bit if that row is short, within :func:`_long_row_bound`
-    of it if it is long, and, where math.fsum refuses ``p``, nan for a
-    short row and not a finite float for a long one."""
+def _assert_node_sum(got, p):
+    """``got`` is math.fsum of the values ``p`` bit for bit, or nan where
+    math.fsum refuses them."""
     assert type(got) is float
     try:
         expect = math.fsum(p.tolist())
     except (OverflowError, ValueError):       # past the range, inf - inf
         expect = math.nan
-    if (summed or len(p)) <= massmod._FSUM_SHORT:
-        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
-    elif math.isfinite(expect):
-        assert abs(got - expect) <= _long_row_bound(p)
-    else:
-        assert not math.isfinite(got)
+    assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
+def _column(p):
+    """The values ``p`` as a theta column (n, 1), the shape at which the row
+    loop sums a row with no phi axis."""
+    return np.asarray(p, dtype=float)[:, None]
 
 
 class TestExactSums:
-    # massmod._fsum returns math.fsum's float bit for bit on a short row,
-    # and numpy's pairwise sum, within the bound of its docstring, on a
-    # long one
+    # massmod._fsum returns math.fsum's float bit for bit on a row of any
+    # length, or nan where math.fsum refuses it
     @staticmethod
     def assert_fsum(rows):
         for row in np.array(rows, dtype=float):
@@ -841,9 +839,10 @@ class TestExactSums:
             assert np.float64(got).tobytes() == np.float64(total).tobytes()
             with pytest.raises(DomainError, match=re.escape(
                     f"overflows a float: {[total, finite]}")):
-                massmod._row_sums((3,), ((np.array(row),),
-                                         ([0.1, 0.2, 0.3],)))
-        assert massmod._row_sums((3,), (([0.1, 0.2, 0.3],),)) == [finite]
+                massmod._row_sums((3, 1), ((_column(row),),
+                                           (_column([0.1, 0.2, 0.3]),)))
+        assert massmod._row_sums((3, 1), ((_column([0.1, 0.2, 0.3]),),)) == [
+            finite]
 
     def test_phi_row_of_a_non_finite_column(self):
         # cos phi or sin phi times theta columns sums to the trapezoid
@@ -866,15 +865,12 @@ class TestExactSums:
                 "overflows a float: [nan, nan, nan, -inf]")):
             asymptotic_limit(sphere, ASYMPTOTIC_RADII)
 
-    @pytest.mark.parametrize("n", (massmod._FSUM_SHORT - 1,
-                                   massmod._FSUM_SHORT,
-                                   massmod._FSUM_SHORT + 1, 32768))
+    @pytest.mark.parametrize("n", (511, 512, 513, 32768))
     def test_both_sides_of_the_short_rows(self, n):
-        # math.fsum of the list up to the short-row length, or nan where
-        # math.fsum refuses the row, and numpy's sum within the stated
-        # bound past it, or a non-finite float where math.fsum refuses the
-        # row: special values, an overflowing sum, subnormals, and a row
-        # that sums to exactly 0
+        # math.fsum of the list on both sides of 512 values, where rows were
+        # once summed another way, and far past it, or nan where math.fsum
+        # refuses the row: special values, an overflowing sum, subnormals,
+        # and a row that sums to exactly 0
         rng = np.random.default_rng(n)
 
         def row(*special):
@@ -897,37 +893,40 @@ class TestExactSums:
                 _assert_node_sum(massmod._fsum(p), p)
 
     def test_long_rows_of_zeros_sum_to_plus_zero(self):
-        # math.fsum sums zeros to +0.0 whatever their signs, and so does
-        # numpy's sum of a long row of -0.0, or of -0.0 and 0.0, alone and
-        # in the row loop
-        n = massmod._FSUM_SHORT + 1
+        # math.fsum sums zeros to +0.0 whatever their signs, and so does the
+        # row loop, of 513 nodes of -0.0, or of -0.0 and 0.0, as a theta
+        # column and as a field of 27 x 19 nodes, whose phi sums are -0.0
+        n = 513
         negative = np.full(n, -0.0)
         mixed = negative.copy()
         mixed[::3] = 0.0
         for p in (negative, mixed):
             assert math.fsum(p.tolist()).hex() == "0x0.0p+0"
             assert massmod._fsum(p).hex() == "0x0.0p+0"
-            assert [v.hex() for v in massmod._row_sums((n,), ((p,),))] == [
-                "0x0.0p+0"]
+            for shape in ((n, 1), (27, 19)):
+                got = massmod._row_sums(shape, ((p.reshape(shape),),))
+                assert [v.hex() for v in got] == ["0x0.0p+0"]
 
-    @pytest.mark.parametrize("row, total", [
-        (np.full(massmod._FSUM_SHORT + 1, 1e306), math.inf),
-        (np.full(massmod._FSUM_SHORT + 1, -1e306), -math.inf),
-        (np.r_[np.inf, np.ones(massmod._FSUM_SHORT - 1), -np.inf], math.nan)],
+    @pytest.mark.parametrize("row", [
+        np.full(513, 1e306), np.full(513, -1e306),
+        np.r_[np.inf, np.ones(511), -np.inf]],
         ids=["overflow", "negative_overflow", "inf_and_minus_inf"])
-    def test_long_row_refusal(self, row, total):
-        # a long row whose sum is past the largest float, or that holds inf
-        # and -inf, is refused by the row loop as a DomainError that names
-        # every sum, with no numpy RuntimeWarning, which numpy's sum of the
-        # row alone gives
+    def test_long_row_refusal(self, row):
+        # a row of 513 nodes, as a theta column and as a field of 27 x 19
+        # nodes, whose sum is past the largest float, or that holds inf and
+        # -inf, is nan, as math.fsum refuses it, and is refused by the row
+        # loop as a DomainError that names every sum, with no numpy
+        # RuntimeWarning, which numpy's sum of the row alone gives
         with pytest.warns(RuntimeWarning):
             row.sum()
         ones = np.ones(len(row))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=re.escape(
-                    f"overflows a float: {[total, float(len(row))]}")):
-                massmod._row_sums(row.shape, ((row,), (ones,)))
+            for shape in ((len(row), 1), (27, 19)):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"overflows a float: {[math.nan, float(len(row))]}")):
+                    massmod._row_sums(shape, ((row.reshape(shape),),
+                                              (ones.reshape(shape),)))
 
     def test_overflow_as_fsum(self):
         # a row whose exact sum is past the largest float is refused, as
@@ -936,7 +935,7 @@ class TestExactSums:
         with pytest.raises(OverflowError):
             math.fsum(row)
         with pytest.raises(DomainError, match="overflows a float"):
-            massmod._row_sums((2,), ((np.array(row),),))
+            massmod._row_sums((2, 1), ((_column(row),),))
 
     def test_any_layout(self):
         # a row that is a strided or a reversed view of a block, summed in
@@ -971,9 +970,9 @@ def _flat_row_sum(row, grid):
 
 
 class TestPhiFirstSums:
-    # the row loop sums a row with no phi axis as its theta column, scaled
-    # to the N-node sum, bit for bit where the column is short, and a cos
-    # phi or sin phi row over theta columns as 0
+    # the row loop sums a row with no phi axis as its theta column times
+    # n_phi, its phi sum, and a cos phi or sin phi row over theta columns
+    # as 0
     @given(n_theta=st.integers(min_value=2, max_value=40), n_phi=N_PHI,
            k=st.floats(min_value=1e-3, max_value=1e3),
            R=st.floats(min_value=1e-6, max_value=1e6),
@@ -981,12 +980,13 @@ class TestPhiFirstSums:
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_theta_only_integrands(self, n_theta, n_phi, k, R, alpha, seed):
-        # z, t and the area: math.fsum of the flat N node values, bit for
-        # bit where the theta column repeated b times, n_phi = 2^a b with b
-        # odd, is a short row, else within the long-row bound of the N
-        # values; x and y: 0.0, the trapezoid rule's integral of cos phi
-        # and sin phi, whose node values fsum to rounding noise of at most
-        # n_phi 2^-52
+        # z, t and the area: math.fsum of n_phi times the row's theta
+        # factors, multiplied in order over a theta column, bit for bit;
+        # that is math.fsum of the flat N node values bit for bit where
+        # n_phi is a power of two, whose products are exact, and within
+        # the long-row bound of them otherwise.  x and y: 0.0, the
+        # trapezoid rule's integral of cos phi and sin phi, whose node
+        # values fsum to rounding noise of at most n_phi 2^-52
         grid = QuadratureGrid.build(n_theta, n_phi)
         theta, phi = grid.node_axes()
         rng = np.random.default_rng(seed)
@@ -999,11 +999,18 @@ class TestPhiFirstSums:
         got = data.weighted(weight, alpha)
         x1, x2, x3, t = data.X
         assert [v.hex() for v in got[:2]] == ["0x0.0p+0", "0x0.0p+0"]
-        summed = n_theta * (n_phi // (n_phi & -n_phi))
         for v, row in zip((*got[2:], data.area()),
                           ((*x3, weight, measure),
                            (*t, alpha, weight, measure), (measure,))):
-            _assert_node_sum(v, _flat_nodes(row, grid), summed)
+            column = np.full((n_theta, 1), float(n_phi))
+            for f in row:
+                column = column * f
+            _assert_node_sum(v, column.ravel())
+            p = _flat_nodes(row, grid)
+            if n_phi & (n_phi - 1):
+                assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
+            else:
+                _assert_node_sum(v, p)
         for f in (np.cos, np.sin):
             assert abs(math.fsum(f(grid.phi))) <= n_phi * 2.0 ** -52
 
@@ -1038,15 +1045,20 @@ class TestPhiFirstSums:
     def test_only_a_phi_axis_alone_is_summed_as_zero(self):
         # a factor on the phi axis alone times theta columns sums to 0; a
         # row with two of them, or one of them and a full field, is summed
-        # over the N nodes, as is every row of a full field
+        # along phi first, as is every row of a full field: cos^2 phi
+        # sums to n_theta n_phi/2 = 30, not 0, and each row is within the
+        # long-row bound of math.fsum of its N node values
         grid = QuadratureGrid.build(6, 10)
         theta, phi = grid.node_axes()
         cp, full = np.cos(phi), np.cos(theta + phi)
         shape = (grid.n_theta, grid.n_phi)
         assert massmod._row_sums(shape, ((np.sin(theta), cp, 2.0),)) == [0.0]
-        for row in ((cp, cp), (cp, full), (full,), (theta, full)):
-            assert massmod._row_sums(shape, (row,)) == [
-                _flat_row_sum(row, grid)]
+        rows = ((cp, cp), (cp, full), (full,), (theta, full))
+        got = massmod._row_sums(shape, rows)
+        assert abs(got[0] - 30.0) <= 1e-14
+        for v, row in zip(got, rows):
+            p = _flat_nodes(row, grid)
+            assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
 
 
 def _random_surface_data(grid, seed):
@@ -1079,36 +1091,70 @@ def _flat_integrands(data, alpha=1.3):
     return [*(measure * (dH * (H + dH + H) / H * X)), *(measure * M), measure]
 
 
+def _tilted_ads_data(grid):
+    """The SurfaceMassData of the tilted AdS profile on ``grid``, forced
+    past the isometry check, so that its fields vary in phi."""
+    surface = radial_profile_surface(1.0, TILTED_LINEAR, 1.0, grid)
+    return surface_mass_data(surface, ads_schwarzschild_metric(ADS_M),
+                             iso_tol=1.0)
+
+
+def _phi_rows(grid, field):
+    """The rows (cos phi, cos phi) and (cos phi, ``field``) on ``grid``,
+    with no theta factor: rows that are summed along phi though they have
+    no field or one phi-only factor."""
+    cp = np.cos(grid.node_axes()[1])
+    return (cp, cp), (cp, field)
+
+
+# grids of each seam of the blocked phi sums, and of at most 512 nodes
+LONG_ROW_GRIDS = {
+    "ragged_last_block": (129, 256), "odd_n_phi": (40, 255),
+    "n_phi_not_a_power_of_two": (48, 200), "n_phi_past_a_block": (6, 5000),
+    "long_theta_column": (600, 8), "tilted_8x16": (8, 16, "tilted"),
+    "tilted_16x32": (16, 32, "tilted"), "12x24": (12, 24), "9x27": (9, 27)}
+
+
 class TestBlockedLongRows:
-    # a row with a field on both axes, on more than _FSUM_SHORT nodes, is
-    # summed a block of at most _BLOCK_NODES nodes of theta rows at a time,
-    # phi first: at each seam of the blocks, its sum is within the
-    # long-row bound of math.fsum of its flat node products
-    @pytest.mark.parametrize("axes", [
-        (129, 256), (40, 255), (48, 200), (6, 5000), (600, 8)],
-        ids=["ragged_last_block", "odd_n_phi", "n_phi_not_a_power_of_two",
-             "n_phi_past_a_block", "long_theta_column"])
+    # a row with a field on both axes is summed a block of at most
+    # _BLOCK_NODES nodes of theta rows at a time, phi first, on every grid
+    # size: at each seam of the blocks, and on grids of at most 512 nodes,
+    # its sum is within the long-row bound of math.fsum of its flat node
+    # products, as are those of (cos phi, cos phi) and (cos phi, field)
+    @pytest.mark.parametrize("axes", LONG_ROW_GRIDS.values(),
+                             ids=LONG_ROW_GRIDS.keys())
     def test_within_the_bound(self, axes):
-        grid = QuadratureGrid.build(*axes)
-        data = _random_surface_data(grid, sum(axes))
+        grid = QuadratureGrid.build(*axes[:2])
+        data = (_tilted_ads_data(grid) if "tilted" in axes
+                else _random_surface_data(grid, sum(axes)))
         for v, p in zip(_integrals(data), _flat_integrands(data)):
             assert v != 0.0
             assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
+        rows = _phi_rows(grid, np.broadcast_to(data.measure, data.shape))
+        got = massmod._row_sums(data.shape, rows)
+        for v, row in zip(got, rows):
+            p = _flat_nodes(row, grid)
+            assert v != 0.0
+            assert abs(v - math.fsum(p.tolist())) <= _long_row_bound(p)
 
-    @pytest.mark.parametrize("axes", [(129, 256), (40, 255), (600, 8)])
+    @pytest.mark.parametrize("axes", [
+        (129, 256), (40, 255), (600, 8), (8, 16, "tilted"),
+        (16, 32, "tilted"), (12, 24), (9, 27)])
     def test_block_size_moves_no_bit(self, axes, monkeypatch):
         # each theta row's entry is the pairwise sum of its own n_phi
         # products, so blocks of one row, of 3 rows (the last one ragged),
         # of the default size and one block give the same bits
-        grid = QuadratureGrid.build(*axes)
-        data = _random_surface_data(grid, 7)
+        grid = QuadratureGrid.build(*axes[:2])
+        data = (_tilted_ads_data(grid) if "tilted" in axes
+                else _random_surface_data(grid, 7))
         sphere = round_sphere_quadrature(0.5, (0.3, -0.2, 0.1), grid)
+        rows = _phi_rows(grid, np.broadcast_to(data.measure, data.shape))
         got = set()
         for budget in (1, 3 * grid.n_phi, massmod._BLOCK_NODES, 1 << 40):
             monkeypatch.setattr(massmod, "_BLOCK_NODES", budget)
             got.add(np.array([*_integrals(data), *np.asarray(wang_mass(
-                sphere)), *asymptotic_limit(sphere, ASYMPTOTIC_RADII)[1]]
-                             ).tobytes())
+                sphere)), *asymptotic_limit(sphere, ASYMPTOTIC_RADII)[1],
+                *massmod._row_sums(data.shape, rows)]).tobytes())
         assert len(got) == 1
 
     def test_rows_share_only_the_same_fields(self):
@@ -1496,26 +1542,32 @@ def summed_rows(monkeypatch):
     return rows
 
 
-def _assert_flat_sums(got, rows, summed, grid=None, zero=()):
-    """The flat rows (m, N) ``rows`` are those that reached massmod._fsum,
-    in order, and ``got`` is math.fsum of each of them, bit for bit, as
-    massmod._fsum gives it for rows of at most ``_FSUM_SHORT`` values.  With
-    ``grid``, the rows are of an integrand with no phi axis: each reaches
-    the sum as its theta column repeated b times, n_phi = 2^a b with b odd,
-    and the rows ``zero``, cos phi and sin phi times a theta column, reach
-    no sum and are 0.0."""
+def _assert_flat_sums(got, rows, summed, grid, phi_free=False, zero=()):
+    """The sums ``got`` of the flat rows (m, N) ``rows`` on ``grid``: one
+    theta column of n_theta values reached massmod._fsum for each row, in
+    order, and each sum is within :func:`_long_row_bound` of math.fsum of
+    its row.  With ``phi_free``, the rows are of an integrand with no phi
+    axis: the rows ``zero``, cos phi and sin phi times a theta column, are
+    0.0, whose column is 0.0 times it; each other row's column is n_phi
+    times the row's values on one theta line, and, n_phi a power of two,
+    the sum is math.fsum of the row bit for bit."""
     rows = np.atleast_2d(rows)
-    expect = [0.0 if c in zero else math.fsum(row.tolist())
-              for c, row in enumerate(rows)]
-    if grid is not None:
-        n_phi = grid.n_phi
-        b = n_phi // (n_phi & -n_phi)
-        nodes = rows.reshape(len(rows), grid.n_theta, n_phi)
-        rows = [row for c, row in enumerate(nodes) if c not in zero]
-        assert all((row == row[:, :1]).all() for row in rows)
-        rows = [row[:, :b].ravel() for row in rows]
-    assert summed == [row.tobytes() for row in rows]
-    assert np.array(got).tobytes() == np.array(expect).tobytes()
+    assert [len(p) for p in summed] == [8 * grid.n_theta] * len(rows)
+    for c, (v, row, p) in enumerate(zip(np.asarray(got), rows, summed)):
+        if c in zero:
+            assert v == 0.0 and not np.frombuffer(p).any()
+        else:
+            assert abs(v - math.fsum(row.tolist())) <= _long_row_bound(row)
+        if not phi_free or c in zero:
+            continue
+        nodes = row.reshape(grid.n_theta, grid.n_phi)
+        assert (nodes == nodes[:, :1]).all()
+        column = grid.n_phi * nodes[:, 0]
+        if grid.n_phi & (grid.n_phi - 1) == 0:
+            assert p == column.tobytes()
+            assert v.hex() == math.fsum(row.tolist()).hex()
+        else:   # n_phi times each factor rounds where n_phi has odd part
+            assert np.allclose(np.frombuffer(p), column, rtol=1e-15, atol=0)
     summed.clear()
 
 
@@ -1529,11 +1581,14 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     # measure (weight X), measure (dH X) and measure ((alpha X_t) dH),
     # weight = dH ((H + dH) + H)/H and dH = H0 - H; the tilted AdS profile
     # is forced past the isometry check, so dH != 0 off the theta axis.
-    # A sum can hide a regrouped product, so each row is checked where it
-    # reaches the sum.  A sphere's integrand has no phi axis: its rows x
-    # and y are the stated 0, not math.fsum of their rounding noise, and
-    # its other rows reach the sum as theta columns (b = 1 copy at n_phi =
-    # 32, 3 at 24)
+    # Each row reaches the sum as one theta column of n_theta values, and
+    # its sum is within the long-row bound of math.fsum of its flat
+    # products.  A sphere's integrand has no phi axis: its rows x and y
+    # are the stated 0, not math.fsum of their rounding noise, and each
+    # other row reaches the sum as n_phi times its values on one theta
+    # line, so at n_phi = 32 its column is exact and its sum is math.fsum
+    # of the flat products bit for bit; at 24 = 8 * 3 the column is n_phi
+    # times them to rounding
     grid = QuadratureGrid.build(*((12, 24) if case.endswith("k05")
                                   else (16, 32)))
     hyp, ads = hyperbolic_ball_metric(1.0), ads_schwarzschild_metric(ADS_M)
@@ -1557,17 +1612,39 @@ def test_rows_and_sums_match_the_flat_layout(case, summed_rows):
     dH = on_nodes(data.dH, grid)
     measure = (on_nodes(grid.measure_weights(), grid)
                * on_nodes(forms_of(surface, metric).area_element, grid))
-    sphere = dict(grid=grid, zero=(0, 1)) if "sphere" in case else {}
+    sphere = "sphere" in case
+    zero = (0, 1) if sphere else ()
     _assert_flat_sums(data.energy(), measure * (dH * (H + dH + H) / H * X.T),
-                      summed_rows, **sphere)
+                      summed_rows, grid, sphere, zero)
     alpha = 1.3
     rows = X.T.copy()
     rows[3] *= alpha
     rows *= dH
     _assert_flat_sums(shi_tam_vector(data, alpha), measure * rows,
-                      summed_rows, **sphere)
-    _assert_flat_sums(data.area(), measure, summed_rows,
-                      grid=sphere.get("grid"))
+                      summed_rows, grid, sphere, zero)
+    _assert_flat_sums([data.area()], measure, summed_rows, grid, sphere)
+
+
+@pytest.mark.parametrize("axes", [(8, 16), (12, 24), (16, 32), (32, 64),
+                                  (129, 256), (600, 8)])
+def test_every_sum_is_one_theta_column(axes, summed_rows):
+    # one rule for every node integral: each row of E, M_alpha and the
+    # area, of fields with and without a phi axis, of Wang's mass and of
+    # E(S_r) at each radius, of an h with and without a linear part,
+    # reaches massmod._fsum once, as a theta column of n_theta values
+    grid = QuadratureGrid.build(*axes)
+    calls = 0
+    sphere_data = SurfaceMassData(H=1.5, dH=0.25, R0=2.0, grid=grid, k=1.0,
+                                  measure=grid.measure_weights())
+    for data in (_random_surface_data(grid, 3), sphere_data):
+        _integrals(data)
+        calls += 9
+    for linear in ((0.3, -0.2, 0.1), ZERO_LINEAR):
+        sphere = round_sphere_quadrature(0.5, linear, grid)
+        wang_mass(sphere)
+        asymptotic_limit(sphere, ASYMPTOTIC_RADII)
+        calls += 4 + 4 * len(ASYMPTOTIC_RADII)
+    assert [len(p) for p in summed_rows] == [8 * grid.n_theta] * calls
 
 
 def _run_op(tmp_path, command, config):
@@ -1648,9 +1725,10 @@ def test_h3_profile_reports_plus_zero(tmp_path):
 def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     # E(S_r) and Wang's mass on the round sphere, as above: X = (R x, R y,
     # R z, sqrt(1 + R^2)) at R = 1/r from the reference's flat unit
-    # directions (N, 3), the weights w = u_weights 2 pi / n_phi, and
-    # math.fsum of measure (weight X) and of ((x, y, z, 1) w) tau, with
-    # tau = tr h to rounding of 2 g0 + a . u
+    # directions (N, 3), the weights w = u_weights 2 pi / n_phi, and the
+    # sums within the long-row bound of math.fsum of measure (weight X)
+    # and of ((x, y, z, 1) w) tau, with tau = tr h to rounding of 2 g0 +
+    # a . u, each row reaching the sum as one theta column
     grid = QuadratureGrid.build(16, 32)
     g0, linear = 0.5, (0.3, -0.2, 0.1)
     sphere = round_sphere_quadrature(g0, linear, grid)
@@ -1669,6 +1747,6 @@ def test_round_sphere_rows_and_sums_match_the_flat_layout(summed_rows):
     H, dH = on_nodes(data.H, data), on_nodes(data.dH, data)
     measure = w * (1.0 / math.sinh(r) ** 2)
     _assert_flat_sums(data.energy(), measure * (dH * (H + dH + H) / H * X),
-                      summed_rows)
+                      summed_rows, grid)
     _assert_flat_sums(wang_mass(sphere), [*(xhat.T * w * tau), w * tau],
-                      summed_rows)
+                      summed_rows, grid)
