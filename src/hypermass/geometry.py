@@ -12,8 +12,9 @@ such a graph out in V, V' and the jet's metric-free terms
 linear algebra.  :func:`paired_forms` runs it once for a graph that is its
 own H^3 image and builds the H^3 side from delta V = V - V0 by exact
 difference identities.  The forms carry every surface quantity downstream,
-the Gauss curvature included (:func:`gauss_curvature`), and the scalar
-curvature is closed form too (:func:`scalar_curvature`).
+the Gauss curvature included (:func:`gauss_curvature`).  The scalar
+curvature needs no pass: it is -6a on the whole chart
+(:meth:`MetricField.scalar_curvature`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "geodesic_sphere_surface",
     "coordinate_sphere_surface",
     "radial_profile_surface",
-    "scalar_curvature",
     "graph_terms",
     "surface_forms",
     "paired_forms",
@@ -93,6 +93,12 @@ class MetricField:
         dV = 2.0 * self.a * r if self.a else np.zeros_like(r)
         return dV + 2.0 * self.m / (r * r) if self.m else dV
 
+    def scalar_curvature(self) -> float:
+        """The scalar curvature 2(1 - V - r V')/r^2 = -6a at every point
+        of the chart: -6 k^2 for H^3 and AdS-Schwarzschild of any mass, 0
+        for Euclidean space."""
+        return -6.0 * self.a
+
     def delta_V(self, r, k2):
         d = -2.0 * self.m / r if self.m else 0.0
         return d + (self.a - k2) * r * r if self.a != k2 else d
@@ -130,13 +136,6 @@ def ads_schwarzschild_metric(m: float, k: float = 1.0) -> MetricField:
     _check_k(k)
     return MetricField("AdSSchwarzschild", k * k, m,
                        ads_horizon_radius(m, k) + _HORIZON_MARGIN)
-
-
-def scalar_curvature(metric: MetricField, r) -> np.ndarray:
-    """Scalar curvature 2(1 - V - r V')/r^2 of dr^2/V + r^2 g_S2 at radii
-    ``r``: -6 k^2 for H^3 and AdS-Schwarzschild of any mass, 0 for
-    Euclidean space."""
-    return 2.0 * (1.0 - metric.V(r) - r * metric.dV(r)) / (r * r)
 
 
 def mass_aspect_trace(g0_coeff: float, linear, theta, phi):

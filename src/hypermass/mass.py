@@ -45,7 +45,7 @@ from .errors import (ConfigError, DomainError, IsometryViolation,
                      NonPositiveMeanCurvature)
 from .geometry import (MetricField, QuadratureGrid, SurfaceData,
                        gauss_curvature, graph_terms, mass_aspect_trace,
-                       paired_forms, scalar_curvature)
+                       paired_forms)
 from .hypgeom import areal_to_minkowski
 from .lorentz import LorentzVector
 from .spinor import GAMMAS, _spinor_parts
@@ -254,9 +254,11 @@ def mass_forms(surface: SurfaceData, ambient: MetricField) -> tuple:
     """The one node pass of both sides that the hypothesis checks and every
     mass integral share, as ``(data, checks)``: the
     :class:`SurfaceMassData` of F in ``ambient`` and F0 in H^3, and the
-    dict of ``isometry_mismatch`` (max |I - I0|), ``min_gauss_plus_k2``
-    (K of F0 by the Gauss equation) and ``min_scalar_plus_6k2`` (R of the
-    ambient at F's nodes).  A surface without F0 raises MissingEmbedding
+    dict of ``isometry_mismatch`` (the max over nodes of max(|E0 - E|,
+    |F0 - F|, |G0 - G|) / max(E, G), I = (E, F, G) of F in ``ambient``),
+    ``min_gauss_plus_k2`` (K of F0 by the Gauss equation) and
+    ``min_scalar_plus_6k2`` (R + 6k^2 of ``ambient``, exact on its whole
+    chart).  A surface without F0 raises MissingEmbedding
     before any work is done."""
     surface.h3_view()           # MissingEmbedding before any work
     grid = surface.grid
@@ -284,9 +286,9 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
     its fields at the shape the pass computed them."""
     grid, k = surface.grid, surface.k
     weights = grid.measure_weights()
-    iso = [0.0] * 3
+    iso = 0.0
     # np.minimum carries a nan from any block, as np.min of the grid would
-    min_k = min_r = math.inf
+    min_k = math.inf
     fields = None
     phi = grid.phi[None, :]
     lo = 0
@@ -305,11 +307,11 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         graph0 = graph if jet0 is jet else graph_terms(theta, jet0)
         del jet, jet0
         forms, forms0, dI, dH = paired_forms(ambient, k, graph, graph0)
-        # the forms refuse an I that is not finite, so no |I0 - I| is nan
-        iso = [max(m, np.max(np.abs(d))) for m, d in zip(iso, dI)]
+        # the forms refuse an I that is not finite, so no |I0 - I| is nan,
+        # and each is measured on the scale max(E, G) >= R^2 > 0 of I
+        scale = np.maximum(forms.first[0], forms.first[2])
+        iso = max(iso, *(np.max(np.abs(d) / scale) for d in dI))
         min_k = np.minimum(min_k, np.min(gauss_curvature(forms0, -k * k)))
-        min_r = np.minimum(min_r, np.min(scalar_curvature(ambient,
-                                                          forms.radius)))
         block_fields = (forms.mean_curvature, dH,
                         weights[lo:hi] * forms.area_element,
                         forms0.radius)
@@ -325,11 +327,14 @@ def _node_pass(surface: SurfaceData, ambient: MetricField,
         # block_fields: with every array freed, malloc handed the block's
         # memory back to the system and faulted it in again for the next
         # block (1342 page faults in a tilted 128x256 op against 759)
-        del graph, graph0, forms, forms0, dI, dH
+        del graph, graph0, forms, forms0, dI, dH, scale
         lo = hi
-    checks = {"isometry_mismatch": float(max(iso)),
+    # R is -6a on the whole chart, and 6.0 * (k * k) cancels a = k * k
+    # exactly
+    checks = {"isometry_mismatch": float(iso),
               "min_gauss_plus_k2": float(min_k + k * k),
-              "min_scalar_plus_6k2": float(min_r + 6.0 * k * k)}
+              "min_scalar_plus_6k2": float(ambient.scalar_curvature()
+                                           + 6.0 * (k * k))}
     return SurfaceMassData(*fields, grid=grid, k=k), checks
 
 
@@ -471,12 +476,17 @@ def ah_sphere_data(r: float, sphere: tuple,
 
 def asymptotic_limit(sphere: tuple, radii) -> tuple:
     """E(S_r) along decreasing radii, on the :func:`round_sphere_quadrature`
-    data ``sphere``, and its Richardson limit, as the pair
+    data ``sphere``, and its limit as r -> 0, as the pair
     ``(energies, extrapolated)`` of shapes (len(radii), 4) and (4,).
 
-    The extrapolation is two-point with assumed leading order 1 in r, using
-    the two smallest radii; at least three radii are required so that an
-    observed order can be read off the series alongside.
+    E(S_r) = L + c_2 r^2 + c_3 r^3 + ... has no r term: the measure's
+    1/sinh^2 r and X's sqrt(1 + 1/r^2) are even in r, and the weight
+    (2H + dH) dH/H is 2 dH (1 + O(r^3)).  Cut after r^n, (E - L)/r^2 is
+    a polynomial of degree n - 2 in r, so its divided difference over the
+    n radii r_i is 0: L = sum a_i E_i / sum a_i, a_i = 1/(r_i^2 prod_{j !=
+    i} (r_i - r_j)), and each radius removes one more order.  At least
+    three radii are required, so that an observed order can be read off
+    the series alongside.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -488,5 +498,13 @@ def asymptotic_limit(sphere: tuple, radii) -> tuple:
     out = np.empty((2, *tau.shape)) if np.ndim(tau) else (None, None)
     energies = np.array([ah_sphere_data(r, sphere, out).energy()
                          for r in radii])
-    (r1, r2), (E1, E2) = radii[-2:], energies[-2:]
-    return energies, (1.0 / (r1 - r2)) * (r1 * E2 - r2 * E1)
+    # the a_i in Python floats; a product that underflows to 0 is an
+    # infinite a_i, and a sum of them that is not finite is refused
+    dens = [r * r * math.prod(r - s for s in radii if s != r) for r in radii]
+    alphas = [1.0 / d if d else math.inf for d in dens]
+    total = sum(alphas)
+    if not (math.isfinite(total) and total):
+        raise DomainError(f"the extrapolation weights of radii {radii} "
+                          f"are not finite")
+    # + 0.0 writes the limit of h = 0 as 0.0, not -0.0
+    return energies, sum(a / total * E for a, E in zip(alphas, energies)) + 0.0

@@ -13,17 +13,19 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import reference_geometry as ref
 from reference_spinor import node_weighted_mass
 from hypermass.cli import main as cli_main
 from hypermass.geometry import (ads_schwarzschild_metric,
                                 geodesic_sphere_surface,
-                                hyperbolic_ball_metric, scalar_curvature)
+                                hyperbolic_ball_metric)
 from hypermass.lorentz import (CausalClass, classify, minkowski_inner,
                                sample_null_cone)
 from hypermass.mass import (asymptotic_limit, killing_weighted_mass,
-                            round_sphere_quadrature, shi_tam_alpha)
+                            round_sphere_quadrature, shi_tam_alpha,
+                            wang_mass)
 from hypermass.spinor import null_to_spinor, verify_zet, zeta_of
 
 from conftest import (ADS_M, ADS_RADII, ASYMPTOTIC_RADII, RIGID_RADII,
@@ -150,6 +152,23 @@ def test_criterion_5_asymptotic_limit(asymptotic_results, grid64):
                   f"over 3 mass aspects; h = 0 exact: {zero_exact}")
 
 
+@pytest.mark.parametrize("radii, bound", [((0.2, 0.1, 0.05, 0.025), 1e-7),
+                                          ((0.2, 0.1, 0.05), 1e-5)])
+def test_asymptotic_limit_removes_an_order_per_radius(grid32, radii, bound):
+    # E(S_r) = L + c_2 r^2 + c_3 r^3 + ...: n radii leave an error of
+    # order r^n, about 1e-3 of Upsilon/2 at three radii if the series had
+    # an r term
+    worst = 0.0
+    for h in ((0.5, ZERO_LINEAR), (1.0, ZERO_LINEAR), (0.0, (0.0, 0.0, 1.0)),
+              (0.61, (0.37, -0.82, 0.23))):
+        sphere = round_sphere_quadrature(*h, grid32)
+        _, extrapolated = asymptotic_limit(sphere, radii)
+        upsilon_half = 0.5 * np.asarray(wang_mass(sphere))
+        worst = max(worst, norm_inf(extrapolated - upsilon_half)
+                    / max(norm_inf(upsilon_half), 1.0))
+    assert worst <= bound
+
+
 def test_criterion_6_curvature_oracles(grid32):
     hyp = hyperbolic_ball_metric(1.0)
     worst_h = 0.0
@@ -158,8 +177,8 @@ def test_criterion_6_curvature_oracles(grid32):
         H = forms_of(surface, hyp).mean_curvature
         worst_h = max(worst_h, float(np.max(np.abs(
             H - 1.0 / math.tanh(rho)))))
-    # R: the closed form and the reference stencil, in the Poincare ball
-    # and in the polar chart of AdS-Schwarzschild
+    # R: the metric's exact -6a and the reference stencil, in the Poincare
+    # ball and in the polar chart of AdS-Schwarzschild
     ball = ref.ball_chart(1.0)
     ads = ads_schwarzschild_metric(ADS_M, 1.0)
     rng = np.random.default_rng(99)
@@ -167,10 +186,11 @@ def test_criterion_6_curvature_oracles(grid32):
     pts_a = np.stack([rng.uniform(1.5, 4.0, 20), rng.uniform(0.3, 2.8, 20),
                       rng.uniform(0.0, 2.0 * math.pi, 20)], axis=-1)
     worst_r = max(
-        float(np.max(np.abs(ref.scalar_curvature_many(ball, pts_h) + 6.0))),
+        float(np.max(np.abs(ref.scalar_curvature_many(ball, pts_h)
+                            - hyp.scalar_curvature()))),
         float(np.max(np.abs(ref.scalar_curvature_many(
-            ref.polar_chart(ads), pts_a) + 6.0))),
-        float(np.max(np.abs(scalar_curvature(ads, pts_a[:, 0]) + 6.0))))
+            ref.polar_chart(ads), pts_a) - ads.scalar_curvature()))),
+        abs(ads.scalar_curvature() + 6.0))
     steps = np.array([1e-2, 5e-3, 2.5e-3])
     errs = np.array([abs(ref.scalar_curvature_many(
         ball, np.array([[0.25, -0.1, 0.15]]), fd_step=s)[0] + 6.0)

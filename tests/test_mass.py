@@ -201,16 +201,24 @@ class TestEnergyMomentum:
             energy_momentum(surface, ads_schwarzschild_metric(ADS_M, 1.0))
 
     def test_isometry_violation_is_the_reported_criterion(self, grid32):
-        # the induced metrics differ by 2e-8: above iso_tol = 1e-8, the
-        # bound the mass report prints, though below iso_tol times the
-        # metric scale 4
-        rho = math.asinh(math.sqrt(4.0 - 2e-8))
-        surface = SurfaceData(
-            F=scaled_sphere(2.0),
-            F0=geodesic_sphere_surface(rho, 1.0, grid32).F0,
-            grid=grid32, k=1.0)
+        # the induced metrics differ by a gap on the scale E = 4 of I, and
+        # iso_tol = 1e-8, the bound the mass report prints, is relative to
+        # it: a gap of 2e-8 (5e-9 of E) passes, one of 8e-8 (2e-8 of E)
+        # raises
+        def surface(gap):
+            rho = math.asinh(math.sqrt(4.0 - gap))
+            return SurfaceData(
+                F=scaled_sphere(2.0),
+                F0=geodesic_sphere_surface(rho, 1.0, grid32).F0,
+                grid=grid32, k=1.0)
+
+        for gap in (2e-8, 8e-8):
+            mismatch = mass_forms(surface(gap),
+                                  euclidean_metric())[1]["isometry_mismatch"]
+            assert abs(mismatch - gap / 4.0) < 1e-15
+        assert energy_momentum(surface(2e-8), euclidean_metric()).t > 0.0
         with pytest.raises(IsometryViolation):
-            energy_momentum(surface, euclidean_metric())
+            energy_momentum(surface(8e-8), euclidean_metric())
 
 
 class TestShiTam:
@@ -644,6 +652,7 @@ class TestAsymptoticLimit:
         for E in energies:
             assert norm_inf(E) == 0.0
         assert norm_inf(extrapolated) == 0.0
+        assert not np.any(np.signbit(extrapolated))
         # no order is read off a series of exact zeros
         sizes = [1.0 / r for r in ASYMPTOTIC_RADII]
         assert cli.observed_orders(energies, sizes)[-1] == "floor"
@@ -655,6 +664,25 @@ class TestAsymptoticLimit:
         E = ah_sphere_data(0.05, round_sphere_quadrature(
             0.5, ZERO_LINEAR, grid64)).energy()
         assert abs(E.t - 2 * math.pi) < 0.01 * 2 * math.pi
+
+    @pytest.mark.parametrize("radii", [(0.2, 0.1, 0.05),
+                                       (0.2, 0.1, 0.05, 0.025),
+                                       (0.4, 0.3, 0.17, 0.1, 0.06)])
+    def test_limit_solves_the_series_in_its_orders(self, grid64, radii):
+        # L of E(S_r) = L + c_2 r^2 + ... + c_n r^n through the n points,
+        # by a Vandermonde solve with no r column
+        sphere = round_sphere_quadrature(0.61, (0.37, -0.82, 0.23), grid64)
+        energies, extrapolated = asymptotic_limit(sphere, radii)
+        r = np.array(radii)
+        A = np.stack([r ** 0] + [r ** p for p in range(2, len(r) + 1)], -1)
+        L = np.linalg.solve(A, energies)[0]
+        assert norm_inf(extrapolated - L) <= 1e-14 * norm_inf(L)
+
+    def test_refuses_weights_that_are_not_finite(self, grid64):
+        # r_i^2 prod (r_i - r_j) underflows to 0: the weight is infinite
+        sphere = round_sphere_quadrature(1.0, ZERO_LINEAR, grid64)
+        with pytest.raises(DomainError, match="weights .* are not finite"):
+            asymptotic_limit(sphere, [1e-100, 9e-101, 8e-101])
 
     def test_requires_three_decreasing_radii(self, grid64):
         # the one check on the count and the order of the radii

@@ -107,8 +107,8 @@ GOLDEN = {
         '0x1.ece13db94919ep-2 0x1.eace54d21bd3ap+2',
         '0x1.8cae737ae4ec4p-1 -0x1.b790e0d449c7bp+0 '
         '0x1.ed2be98407d9ep-2 0x1.eaa4c09155ccfp+2',
-        '0x1.8cea8339cc43ep-1 -0x1.b7d36ed157f86p+0 '
-        '0x1.ed76954ec69a0p-2 0x1.ea7b2c508fc63p+2',
+        '0x1.8cc321bb52ecfp-1 -0x1.b7a7cb6eb5d64p+0 '
+        '0x1.ed459f8ef179dp-2 0x1.ea9752cbd559dp+2',
         '0x1.8cc32013906f0p-1 -0x1.b7a7c99923821p+0 '
         '0x1.ed459d801b59dp-2 0x1.ea9752e7c2289p+2',
     ],
