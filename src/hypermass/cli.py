@@ -268,7 +268,7 @@ def run_mass(cfg: dict, force: bool = False, outdir: Path = Path(".")) -> dict:
     E = data.energy()
     # alpha(R1, R2) is stated at k = 1 and no k != 1 form is checked
     if k == 1.0:
-        alpha = massmod.shi_tam_alpha(*radial_bounds(data.R0, k))
+        alpha = massmod.shi_tam_alpha(*radial_bounds(data.R0))
         M = massmod.shi_tam_vector(data, alpha)
         doc.update(M_alpha=np.asarray(M).tolist(), alpha=alpha)
 
@@ -338,8 +338,8 @@ def run_spinor_check(seed, count) -> int:
         r, angle = np.sqrt(-2.0 * np.log1p(-v[:, :2])), 2.0 * np.pi * v[:, 2:4]
         A = r * (np.cos(angle) + 1j * np.sin(angle))
         X = lo + (hi - lo) * v[:, 4:]
-        # both signs in one call, which does their shared work once
-        max_zet = max(max_zet, float(np.max(verify_zet(A, X, (1, -1)))))
+        # both branches in one call, which does their shared work once
+        max_zet = max(max_zet, float(np.max(verify_zet(A, X))))
     cone = sample_null_cone(500)
     max_rt = float(np.max(np.abs(zeta_of(null_to_spinor(cone), 1) - cone)))
     ok = max_zet < 1e-12 and max_rt < 1e-12
@@ -450,9 +450,16 @@ def parse_argv(argv) -> tuple:
 
 
 def main(argv=None) -> int:
-    # start-up's objects, numpy's and yaml's included, stay out of every
-    # collection that an op's allocations set off
-    gc.freeze()
+    """Run the command of ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.
+
+    The first call in a process freezes start-up's objects, numpy's and
+    yaml's included, so that no collection an op's allocations set off
+    walks them.  Later calls freeze nothing: a frozen object is never
+    collected, so a caller that calls main again keeps its own garbage
+    collectable."""
+    if not gc.get_freeze_count():
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     if "-h" in argv or "--help" in argv:
         print(__doc__, end="")

@@ -55,13 +55,13 @@ def ball_to_minkowski(x: np.ndarray) -> np.ndarray:
     return np.concatenate([spatial, t[..., None]], axis=-1)
 
 
-def radial_bounds(R: np.ndarray, k: float = 1.0) -> tuple[float, float]:
-    """(R1, R2): least and greatest geodesic distance asinh(k R)/k from the
-    chart origin of H^3 points at areal radii R, a surface's nodes.
+def radial_bounds(R: np.ndarray) -> tuple[float, float]:
+    """(R1, R2): least and greatest geodesic distance asinh(R) from the
+    chart origin of H^3 points at areal radii R, a surface's nodes, at
+    k = 1, the one scale at which the Shi-Tam alpha is stated.
 
     For a surface star-shaped about the origin and a fine grid, the node
     extremes approximate its true radii.
     """
     R = np.asarray(R, dtype=float)
-    return (math.asinh(k * float(np.min(R))) / k,
-            math.asinh(k * float(np.max(R))) / k)
+    return math.asinh(float(np.min(R))), math.asinh(float(np.max(R)))

@@ -36,6 +36,7 @@ SIAM J. Sci. Comput. 14, 1993).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -486,7 +487,9 @@ def asymptotic_limit(sphere: tuple, radii) -> tuple:
     n radii r_i is 0: L = sum a_i E_i / sum a_i, a_i = 1/(r_i^2 prod_{j !=
     i} (r_i - r_j)), and each radius removes one more order.  At least
     three radii are required, so that an observed order can be read off
-    the series alongside.
+    the series alongside.  Radii so close together that sum |a_i| is at
+    least |sum a_i| / eps are refused: the limit would keep no correct
+    digit.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3:
@@ -506,5 +509,13 @@ def asymptotic_limit(sphere: tuple, radii) -> tuple:
     if not (math.isfinite(total) and total):
         raise DomainError(f"the extrapolation weights of radii {radii} "
                           f"are not finite")
+    # an error of one ulp in each E_i moves the limit by up to sum |a_i| /
+    # |sum a_i| ulps: from 1/eps on, by as much as the limit itself
+    spread = sum(abs(a) for a in alphas)
+    if spread >= abs(total) / sys.float_info.epsilon:
+        raise DomainError(f"the extrapolation over radii {radii} amplifies "
+                          f"an error in E(S_r) {spread / abs(total):.3g} "
+                          f"times, at least 1/eps: no digit of its limit "
+                          f"is correct")
     # + 0.0 writes the limit of h = 0 as 0.0, not -0.0
     return energies, sum(a / total * E for a, E in zip(alphas, energies)) + 0.0

@@ -76,34 +76,18 @@ def _spinor_parts(a) -> tuple:
     return (r0, r1), (i0, i1)
 
 
-def _signs(sign) -> tuple:
-    """The signs that ``sign`` names: +1 or -1 in any numeric type, or a
-    tuple of them."""
-    signs = sign if type(sign) is tuple else (sign,)
-    if not signs or not all(s in (1, -1) for s in signs):
-        raise DomainError("sign must be +1 or -1")
-    return signs
-
-
-def _stacked(sign, values):
-    """``values``, one for each sign of ``sign``, as its caller returns
-    them: stacked on a new first axis for a tuple of signs."""
-    return np.stack(values) if type(sign) is tuple else values[0]
-
-
-def killing_spinor_norms_sq(a, points: np.ndarray, sign) -> np.ndarray:
-    """|psi_a^{sign}(x)|^2 = f(x) |(Id + sign * i gamma(x)) a|^2 at k = 1.
+def killing_spinor_norms_sq(a, points: np.ndarray) -> np.ndarray:
+    """|psi_a^{+-}(x)|^2 = f(x) |(Id +- i gamma(x)) a|^2 at k = 1, both
+    branches, + then -, stacked on a new first axis.
 
     Spinors ``a`` of shape (..., 2) broadcast against ball points of shape
-    (..., 3).  ``sign`` is +1 or -1, or a tuple of them, whose norms are
-    stacked on a new first axis, with f(x) = 2 / (1 - |x|^2) computed once.
+    (..., 3), with f(x) = 2 / (1 - |x|^2) computed once for both branches.
     The 2x2 product psi_k = m_k0 a_0 + m_k1 a_1 is written out in real
     arithmetic, each product and sum rounded on its own as a complex
     ``einsum`` rounds them: numpy's complex multiply may fuse a
     multiply-add.  The entries m_kl are read off GAMMAS, whose nonzero
     coefficients are +-1 and +-i, so each x_j term is exact.
     """
-    signs = _signs(sign)
     a = _as_spinor(a)
     points = np.asarray(points, dtype=float)
     r2 = np.sum(points * points, axis=-1)
@@ -118,7 +102,7 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign) -> np.ndarray:
     ar, ai = a.real, a.imag
     shape = np.broadcast_shapes(f.shape, a.shape[:-1])
     out = []
-    for s in signs:
+    for s in (1, -1):
         coef = s * 1j * GAMMAS          # m = Id + sum_j x_j coef_j
         psi = np.empty(shape, complex)
         norms = 0.0
@@ -133,7 +117,7 @@ def killing_spinor_norms_sq(a, points: np.ndarray, sign) -> np.ndarray:
             np.add(*im, out=psi.imag)
             norms = norms + np.abs(psi) ** 2
         out.append(f * norms)
-    return _stacked(sign, out)
+    return np.stack(out)
 
 
 def _zeta_parts(a) -> tuple:
@@ -165,24 +149,22 @@ def zeta_of(a, sign: int) -> np.ndarray:
     return _zeta(*_zeta_parts(_as_spinor(a)), sign)
 
 
-def verify_zet(a, x, sign) -> np.ndarray:
-    """Residuals | |psi_a(x)|^2 + 2 <X(x), zeta_a> | at k = 1, for spinors
-    ``a`` (..., 2) broadcast against ball points ``x`` (..., 3); contract:
-    every residual < 1e-12.  ``sign`` is +1 or -1, or a tuple of them,
-    whose residuals are stacked on a new first axis.
+def verify_zet(a, x) -> np.ndarray:
+    """Residuals | |psi_a(x)|^2 + 2 <X(x), zeta_a> | at k = 1 of both
+    branches, + then -, stacked on a new first axis, for spinors ``a``
+    (..., 2) broadcast against ball points ``x`` (..., 3); contract: every
+    residual < 1e-12.
 
-    The work that no sign changes is done once: X(x) by
+    The work that no branch changes is done once: X(x) by
     ``ball_to_minkowski``, and |a|^2 and <gamma_j a, a> of zeta_a.  Then,
-    for each sign, n2 = |psi_a(x)|^2 by :func:`killing_spinor_norms_sq`,
+    for each branch, n2 = |psi_a(x)|^2 by :func:`killing_spinor_norms_sq`,
     zeta_a from its parts as :func:`zeta_of` builds it, and
     |n2 + 2.0 minkowski_inner(X, zeta_a)|, in that order."""
-    signs = _signs(sign)
-    n2 = killing_spinor_norms_sq(a, x, signs)
+    n2 = killing_spinor_norms_sq(a, x)
     X = ball_to_minkowski(x)
     ip, t = _zeta_parts(_as_spinor(a))
-    return _stacked(sign, [
-        np.abs(n + 2.0 * minkowski_inner(X, _zeta(ip, t, s)))
-        for n, s in zip(n2, signs)])
+    return np.stack([np.abs(n + 2.0 * minkowski_inner(X, _zeta(ip, t, s)))
+                     for n, s in zip(n2, (1, -1))])
 
 
 def null_to_spinor(zeta) -> np.ndarray:

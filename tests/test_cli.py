@@ -2,8 +2,10 @@
 
 import inspect
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -40,6 +42,14 @@ outputs: {shi_tam: true}
 asymptotic:
   h: {g0_coeff: 0.5}
   radii: [0.2, 0.1, 0.05]
+"""
+
+# an h with every linear component nonzero, over the radii formatted in
+TILTED_SERIES_CONFIG = """
+resolution: {{n_theta: 16, n_phi: 32}}
+asymptotic:
+  h: {{g0_coeff: 0.5, linear: [0.3, -0.2, 0.1]}}
+  radii: [{}]
 """
 
 # E_t ~ 2.6e-8: the zero vector at causal_tol 1e-6, timelike at 1e-12
@@ -1007,6 +1017,48 @@ class TestAsymptoticCommand:
         assert err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @staticmethod
+    def _series(tmp_path, radii):
+        """``hypermass asymptotic`` at 16x32 with a tilted h over
+        ``radii``, as (code, out, err, csv or None)."""
+        cfg = write(tmp_path, "series.yaml", TILTED_SERIES_CONFIG.format(
+            ", ".join(map(repr, radii))))
+        code, out, err = run(["asymptotic", cfg,
+                              "--output", str(tmp_path / "o")])
+        csv = tmp_path / "o" / "asymptotic.csv"
+        return code, out, err, csv.read_text() if csv.exists() else None
+
+    # radii so close that an error of one ulp in E(S_r) can move the limit
+    # by as much as its own size: sum |a_i| >= |sum a_i| / eps; left to
+    # run, the first lands 9.7 off Upsilon/2 and the second 4.3 off
+    @pytest.mark.parametrize("radii, amplification", [
+        ([0.3 - i * 1e-14 for i in range(5)], "1.24e+16"),
+        (list(itertools.accumulate([0.3] + [2e-16] * 5, operator.sub)),
+         "5.34e+16")], ids=["1e-14_apart", "2e-16_apart"])
+    def test_digitless_extrapolation_refused(self, tmp_path, radii,
+                                             amplification):
+        code, out, err, csv = self._series(tmp_path, radii)
+        assert (code, out, csv) == (1, "", None)
+        assert err == (f"error: the extrapolation over radii {radii} "
+                       f"amplifies an error in E(S_r) {amplification} "
+                       f"times, at least 1/eps: no digit of its limit is "
+                       f"correct\n")
+
+    # the benchmark's radii (amplification 2.4) and 40 evenly spaced radii
+    # (1.3e10) keep the limit they had before the refusal
+    @pytest.mark.parametrize("radii, extrapolated", [
+        ([0.2, 0.1, 0.05, 0.025],
+         "0.62831856594932156,-0.41887904396621456,"
+         "0.20943952198310734,6.2831852777236303"),
+        (np.linspace(0.4, 0.01, 40).tolist(),
+         "0.62831851539823269,-0.41887892798313997,"
+         "0.20943863641118421,6.2831853189507427")], ids=["bench", "forty"])
+    def test_conditioned_extrapolation_kept(self, tmp_path, radii,
+                                            extrapolated):
+        code, _, err, csv = self._series(tmp_path, radii)
+        assert (code, err) == (0, "")
+        assert f"\nextrapolated,,{extrapolated}\n" in csv
+
 
 # spinor-check --count 2000 stdout by seed
 SPINOR_CHECK_STDOUT = {
@@ -1024,11 +1076,12 @@ def _checked_samples(monkeypatch, seed, count):
     recorded through a hook."""
     seen = []
 
-    def record(a, x, sign):
-        # one call per block checks both signs
-        assert sign == (1, -1)
+    def record(a, x):
+        # one call per block checks both branches
         seen.append((a.copy(), x.copy()))
-        return spinor.verify_zet(a, x, sign)
+        residuals = spinor.verify_zet(a, x)
+        assert residuals.shape == (2, len(a))
+        return residuals
 
     monkeypatch.setattr(cli, "verify_zet", record)
     with redirect_stdout(io.StringIO()):
@@ -1113,7 +1166,7 @@ class TestSpinorCheckCommand:
         assert run(argv) == (0, SPINOR_CHECK_STDOUT[seed], "")
 
     def test_sign_free_work_once_per_block(self, monkeypatch):
-        # both signs are checked in one verify_zet call per block, which
+        # both branches are checked in one verify_zet call per block, which
         # maps the block's ball points to the hyperboloid once
         seen = []
         to_hyperboloid = spinor.ball_to_minkowski
@@ -1402,3 +1455,35 @@ def test_main_freezes_start_up_objects(tmp_path):
     assert proc.returncode == 0, proc.stderr
     before, after = map(int, proc.stdout.split())
     assert before == 0 and after > 0
+
+
+FREEZE_ONCE_SCRIPT = """
+import contextlib, gc, io, sys
+from hypermass import cli
+counts = []
+for _ in range(3):
+    # cycles that the caller drops before each call
+    for _ in range(1000):
+        cycle = []
+        cycle.append(cycle)
+    del cycle
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["mass", sys.argv[1], "--output", sys.argv[2]]) == 0
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+
+
+def test_main_freezes_once_per_process(tmp_path):
+    # a frozen object is never collected, so only the first call of main in
+    # a process freezes: later calls leave the caller's garbage, and their
+    # own, collectable
+    cfg = write(tmp_path, "ads.yaml", ADS_CONFIG.replace(
+        "n_theta: 32, n_phi: 64", "n_theta: 16, n_phi: 32"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", FREEZE_ONCE_SCRIPT, cfg,
+                           str(tmp_path / "o")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, *later = map(int, proc.stdout.split())
+    assert first > 0 and later == [first, first]

@@ -33,9 +33,12 @@ def to_ball(X):
 
 
 def node_bounds(surface):
-    """radial_bounds of the H^3-side nodes of ``surface``."""
+    """The geodesic radial bounds of the H^3-side nodes of ``surface`` at
+    its k: radial_bounds, stated at k = 1, of the nodes rescaled to k = 1,
+    and scaled back."""
+    k = surface.k
     nodes = surface.F0(*surface.grid.node_axes())[0]
-    return radial_bounds(nodes, surface.k)
+    return tuple(r / k for r in radial_bounds(k * nodes))
 
 
 def sphere_bounds(rho, k, n_theta=16):

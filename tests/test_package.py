@@ -440,16 +440,16 @@ def test_src_holds_no_test_only_code(programs):
     assert unused == []
 
 
-def _defaulted(fn, method):
-    """(position, name) of each parameter of ``fn`` that has a default: its
-    index among the positional arguments of a call (after self or cls for
-    a method), None for a keyword-only one."""
+def _parameters(fn, method):
+    """(position, name, default or None) of each named parameter of
+    ``fn``: its index among the positional arguments of a call (after self
+    or cls for a method), None for a keyword-only one."""
     positional = (fn.args.posonlyargs + fn.args.args)[int(method):]
-    first = len(positional) - len(fn.args.defaults)
-    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
-    yield from ((None, a.arg) for a, d in zip(fn.args.kwonlyargs,
-                                              fn.args.kw_defaults)
-                if d is not None)
+    defaults = [None] * (len(positional) - len(fn.args.defaults))
+    yield from zip(range(len(positional)), (a.arg for a in positional),
+                   defaults + fn.args.defaults)
+    yield from ((None, a.arg, d) for a, d in zip(fn.args.kwonlyargs,
+                                                 fn.args.kw_defaults))
 
 
 def _passes(call, position, name):
@@ -460,10 +460,8 @@ def _passes(call, position, name):
             or position is not None and len(call.args) > position)
 
 
-def test_every_default_is_overridden_by_a_program(programs):
-    # a defaulted parameter that no program call sets is a knob that only
-    # tests turn: every one of a public function or method is passed by
-    # some call, in the package or the benchmark, to a callable of its name
+def _program_calls(programs) -> dict:
+    """The calls of the programs by the name of the callable they call."""
     calls = {}
     for tree in programs.values():
         for node in ast.walk(tree):
@@ -471,19 +469,75 @@ def test_every_default_is_overridden_by_a_program(programs):
                 f = node.func
                 name = getattr(f, "id", None) or getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unset = []
+    return calls
+
+
+def _public_functions(programs):
+    """(file name, name, node, whether it is a method) of each public
+    function and method of the package."""
     for file, tree in _package(programs):
         for name, node in _public_defs(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            method = node not in tree.body and not any(
-                getattr(d, "id", None) == "staticmethod"
-                for d in node.decorator_list)
-            unset += [f"{file}:{name}({arg})"
-                      for position, arg in _defaulted(node, method)
-                      if not any(_passes(call, position, arg)
-                                 for call in calls.get(name, []))]
+            if isinstance(node, ast.FunctionDef):
+                yield file, name, node, node not in tree.body and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in node.decorator_list)
+
+
+def test_every_default_is_overridden_by_a_program(programs):
+    # a defaulted parameter that no program call sets is a knob that only
+    # tests turn: every one of a public function or method is passed by
+    # some call, in the package or the benchmark, to a callable of its name
+    calls = _program_calls(programs)
+    unset = [f"{file}:{name}({arg})"
+             for file, name, node, method in _public_functions(programs)
+             for position, arg, default in _parameters(node, method)
+             if default is not None
+             and not any(_passes(call, position, arg)
+                         for call in calls.get(name, []))]
     assert unset == []
+
+
+# the parameters that every program call passes as one constant, kept
+KEPT_ONE_VALUE_PARAMETERS = {
+    # the per-branch map that null_to_spinor inverts: the benchmark's tests
+    # read both branches through it
+    "spinor.py:zeta_of(sign)",
+    # a sample count
+    "lorentz.py:sample_null_cone(m)",
+}
+
+
+def _passed_constant(call, position, name, default):
+    """The repr of the constant that ``call`` binds to the parameter
+    ``name`` at ``position``, its ``default`` when it passes none, or None
+    for a value that is not a literal or that *args or **kwargs may
+    carry."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    value = next((kw.value for kw in call.keywords if kw.arg in (name, None)),
+                 None)
+    if value is None and position is not None and len(call.args) > position:
+        value = call.args[position]
+    try:
+        return repr(ast.literal_eval(value if value is not None else default))
+    except ValueError:      # not a literal, or no value at all
+        return None
+
+
+def test_no_parameter_takes_one_value(programs):
+    # a parameter that every program call, in the package or the benchmark,
+    # passes as the same constant is a knob that only tests turn: its value
+    # belongs in the body; the parameters kept are named above with their
+    # reasons
+    calls = _program_calls(programs)
+    one_value = []
+    for file, name, node, method in _public_functions(programs):
+        for position, arg, default in _parameters(node, method):
+            values = {_passed_constant(call, position, arg, default)
+                      for call in calls.get(name, [])}
+            if len(values) == 1 and None not in values:
+                one_value.append(f"{file}:{name}({arg})")
+    assert sorted(one_value) == sorted(KEPT_ONE_VALUE_PARAMETERS)
 
 
 def test_every_stored_attribute_is_read(programs):

@@ -45,8 +45,7 @@ def passing_sign_choices(monkeypatch, n_samples=200, seed=20240):
             monkeypatch.setattr(spinor, "GAMMAS", s_gamma * 1j * PAULI)
             monkeypatch.setattr(spinor, "S_ZETA", s_zeta)
             if (np.all(zeta_of(A, 1)[:, 3] >= 0)
-                    and all(np.max(verify_zet(A, X, sign)) <= 1e-12
-                            for sign in (1, -1))):
+                    and np.max(verify_zet(A, X)) <= 1e-12):
                 passing.append((s_gamma, s_zeta))
     return passing
 
@@ -73,28 +72,27 @@ class TestCliffordRep:
         rng = np.random.default_rng(47)
         pts = random_interior_points(rng, 100)
         A = random_spinors(rng, 100)
-        for sign in (1, -1):
-            assert np.max(verify_zet(A, pts, sign)) < 1e-12
+        assert np.max(verify_zet(A, pts)) < 1e-12
 
 
 class TestKillingSpinor:
     def test_origin_value(self):
-        # psi = sqrt(2) (1, 0) at the origin
-        n2 = killing_spinor_norms_sq([1, 0], [0, 0, 0], 1)
-        assert abs(n2 - 2.0) < 1e-15
+        # psi = sqrt(2) (1, 0) at the origin, on both branches
+        n2 = killing_spinor_norms_sq([1, 0], [0, 0, 0])
+        assert n2.shape == (2,)
+        assert np.all(np.abs(n2 - 2.0) < 1e-15)
 
     def test_zero_spinor(self):
-        assert killing_spinor_norms_sq([0, 0], [0.3, 0.1, -0.2], -1) == 0.0
+        assert np.all(killing_spinor_norms_sq([0, 0], [0.3, 0.1, -0.2]) == 0.0)
 
     def test_norm_expansion_oracle(self):
         # |psi|^2 = f (|a|^2 (1+|x|^2) +- 2 Re(i <a, gamma(x) a>)) using the
         # conjugate-first Hermitian product and gamma(x)^dag gamma(x) = |x|^2;
-        # one spinor per point, evaluated in one call
+        # one spinor per point, both branches evaluated in one call
         rng = np.random.default_rng(53)
         pts = random_interior_points(rng, 100)
         A = random_spinors(rng, 100)
-        for sign in (1, -1):
-            norms = killing_spinor_norms_sq(A, pts, sign)
+        for sign, norms in zip((1, -1), killing_spinor_norms_sq(A, pts)):
             for a, x, direct in zip(A, pts, norms):
                 gx = np.einsum("j,jkl->kl", x, GAMMAS)
                 f = 2.0 / (1.0 - x @ x)
@@ -108,9 +106,9 @@ class TestKillingSpinor:
         rng = np.random.default_rng(59)
         pts = random_interior_points(rng, 40)
         a = np.array([0.3 + 0.4j, -1.1 + 0.2j])
-        norms = killing_spinor_norms_sq(a, pts, 1)
-        rows = killing_spinor_norms_sq(np.tile(a, (40, 1)), pts, 1)
-        assert norms.shape == rows.shape == (40,)
+        norms = killing_spinor_norms_sq(a, pts)
+        rows = killing_spinor_norms_sq(np.tile(a, (40, 1)), pts)
+        assert norms.shape == rows.shape == (2, 40)
         assert np.all(np.abs(norms - rows) < 1e-13 * (1 + rows))
 
     def test_matches_the_einsum_bit_for_bit(self):
@@ -120,9 +118,10 @@ class TestKillingSpinor:
         for _ in range(5):
             pts = random_interior_points(rng, 300)
             A = random_spinors(rng, 300)
-            for sign in (1, -1):
-                for a in (A, A[0]):
-                    assert (killing_spinor_norms_sq(a, pts, sign).tobytes()
+            for a in (A, A[0]):
+                norms = killing_spinor_norms_sq(a, pts)
+                for sign, row in zip((1, -1), norms):
+                    assert (row.tobytes()
                             == einsum_killing_norms_sq(a, pts, sign).tobytes())
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
@@ -131,10 +130,10 @@ class TestKillingSpinor:
         # polarizes, over the ball points of an AdS coordinate sphere
         basis = reference_spinor.POLARIZATION_BASIS
         points = reference_spinor.ball_points(ads_scenarios[r][1])
-        for sign in (1, -1):
-            norms = killing_spinor_norms_sq(basis, points, sign)
-            assert norms.shape == (4, len(points))
-            assert (norms.tobytes()
+        norms = killing_spinor_norms_sq(basis, points)
+        assert norms.shape == (2, 4, len(points))
+        for sign, row in zip((1, -1), norms):
+            assert (row.tobytes()
                     == einsum_killing_norms_sq(basis, points, sign).tobytes())
 
     def test_requires_unit_curvature(self):
@@ -146,13 +145,17 @@ class TestKillingSpinor:
                                   [1, 0], 1)
 
     def test_rejects_bad_sign(self):
-        with pytest.raises(DomainError):
+        # the kernel takes no sign, as it evaluates both branches; zeta_of,
+        # the one per-branch map, refuses a sign other than +1 or -1
+        with pytest.raises(TypeError):
             killing_spinor_norms_sq([1, 0], [0, 0, 0], 2)
+        with pytest.raises(DomainError):
+            zeta_of([1, 0], 2)
 
     def test_rejects_non_finite_spinors(self):
         A = np.array([[1, 0], [0.5, np.inf * 1j]])
         with pytest.raises(DomainError):
-            killing_spinor_norms_sq(A, [0, 0, 0], 1)
+            killing_spinor_norms_sq(A, [0, 0, 0])
         with pytest.raises(DomainError):
             zeta_of(A, 1)
 
@@ -200,24 +203,23 @@ class TestZetaOf:
 
 class TestVerifyZet:
     def test_origin(self):
-        assert verify_zet([1, 0], [0, 0, 0], 1) < 1e-14
+        assert np.all(verify_zet([1, 0], [0, 0, 0]) < 1e-14)
 
     def test_random_points(self):
         rng = np.random.default_rng(71)
         pts = random_interior_points(rng, 100)
         A = random_spinors(rng, 100)
-        for sign in (1, -1):
-            res = verify_zet(A, pts, sign)
-            assert res.shape == (100,)
-            assert np.all(res < 1e-12)
+        res = verify_zet(A, pts)
+        assert res.shape == (2, 100)
+        assert np.all(res < 1e-12)
 
     def test_zero_spinor(self):
-        assert verify_zet([0, 0], [0.2, -0.4, 0.1], 1) == 0.0
+        assert np.all(verify_zet([0, 0], [0.2, -0.4, 0.1]) == 0.0)
 
     def test_detects_wrong_sign_convention(self, monkeypatch):
         monkeypatch.setattr(spinor, "S_ZETA", -S_ZETA)
-        res = verify_zet([1, 0], [0.3, 0.0, 0.1], 1)
-        assert res > 0.1
+        res = verify_zet([1, 0], [0.3, 0.0, 0.1])
+        assert np.all(res > 0.1)
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
            n=st.integers(min_value=1, max_value=40),
@@ -225,30 +227,31 @@ class TestVerifyZet:
            one_spinor=st.booleans())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_both_signs_in_one_call(self, seed, n, scale, one_spinor):
-        # a tuple of signs shares the work that no sign changes (X(x), f,
-        # |a|^2 and <gamma_j a, a>); each row is, bit for bit, the call of
-        # its sign alone, and that the composition of the public parts
+        # one call checks both branches, sharing the work that no branch
+        # changes (X(x), f, |a|^2 and <gamma_j a, a>); the row of each
+        # branch is, bit for bit, the composition of the public parts:
+        # its row of the norms and zeta_of of its sign
         rng = np.random.default_rng(seed)
         A = random_spinors(rng, 1 if one_spinor else n)[0 if one_spinor
                                                         else slice(None)]
         A = A * 10.0 ** scale
         X = random_interior_points(rng, n)
-        both = verify_zet(A, X, (1, -1))
-        norms = killing_spinor_norms_sq(A, X, (1, -1))
+        both = verify_zet(A, X)
+        norms = killing_spinor_norms_sq(A, X)
         assert both.shape == norms.shape == (2, n)
         for row, n2, sign in zip(both, norms, (1, -1)):
-            alone = killing_spinor_norms_sq(A, X, sign)
-            parts = np.abs(alone + 2.0 * minkowski_inner(
+            parts = np.abs(n2 + 2.0 * minkowski_inner(
                 ball_to_minkowski(X), zeta_of(A, sign)))
-            assert n2.tobytes() == alone.tobytes()
-            assert (row.tobytes() == verify_zet(A, X, sign).tobytes()
-                    == parts.tobytes())
+            assert row.tobytes() == parts.tobytes()
 
     @pytest.mark.parametrize("sign", [(), (1, 2), (1, 0), 2, [1, -1]])
     def test_rejects_bad_signs(self, sign):
-        for f in (verify_zet, killing_spinor_norms_sq):
-            with pytest.raises(DomainError):
-                f([1, 0], [0.1, 0.2, 0.3], sign)
+        # the check takes no sign, as it checks both branches; zeta_of, the
+        # one per-branch map, refuses any sign but +1 or -1
+        with pytest.raises(TypeError):
+            verify_zet([1, 0], [0.1, 0.2, 0.3], sign)
+        with pytest.raises(DomainError):
+            zeta_of([1, 0], sign)
 
 
 class TestNullToSpinor:
